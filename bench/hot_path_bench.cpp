@@ -15,18 +15,18 @@
 // All three run over the same per-document encoded factor streams, so the
 // comparison isolates the decode kernel. The bench also reports factorize
 // throughput and single-/multi-threaded serving throughput through
-// DocService (cache off, so every request decodes). Results are printed
+// DocService (cache off, so every request decodes), and splits ZV decode
+// into its stages (code-length read plus table build, symbol loop, CRC,
+// vbyte plus copy expansion). Results are printed
 // and written as machine-readable JSON (default BENCH_hot_path.json in
 // the working directory) so the repo's perf trajectory is recorded and
 // regression-gated.
 //
 //   ./build/bench/hot_path_bench                full run
-//   ./build/bench/hot_path_bench --smoke       small corpus + gate: on
-//         the UV pair (where decode is allocation-bound; ZV is
-//         entropy-coder-bound and reported ungated) the scratch path
-//         must beat the fresh-allocation (legacy) baseline by
-//         kSmokeMinRatio on decode MB/s, else exit 1 (run by the
-//         perf-smoke CI job)
+//   ./build/bench/hot_path_bench --smoke       small corpus + gate: the
+//         scratch path must beat the fresh-allocation (legacy) baseline
+//         on decode MB/s by kSmokeGates' ratio for each of UV and ZV,
+//         else exit 1 (run by the perf-smoke CI job)
 //   ./build/bench/hot_path_bench --out FILE    JSON destination
 
 #include <algorithm>
@@ -38,6 +38,7 @@
 #include <string_view>
 #include <vector>
 
+#include "codecs/int_codecs.h"
 #include "core/dictionary.h"
 #include "core/factor_coder.h"
 #include "core/factorizer.h"
@@ -45,20 +46,30 @@
 #include "corpus/generator.h"
 #include "io/file.h"
 #include "serve/doc_service.h"
+#include "util/crc32.h"
 #include "util/logging.h"
 #include "util/timer.h"
+#include "zip/gzipx.h"
 
 namespace rlz {
 namespace bench {
 namespace {
 
-// The perf-smoke CI gate: reused-scratch decode must beat the
-// fresh-allocation (legacy) baseline by at least this factor on the UV
-// pair. UV is the paper's fastest-decode coding and the configuration
-// where decode is allocation-bound, so it is what the gate protects; ZV
-// decode is dominated by the gzipx entropy coder (which both paths share)
-// and is reported ungated.
-constexpr double kSmokeMinRatio = 1.5;
+// The perf-smoke CI gates: reused-scratch decode must beat the
+// fresh-allocation (legacy) baseline by at least these factors on the
+// smoke corpus. UV is the paper's fastest-decode coding, where decode is
+// allocation-bound. ZV is the paper's recommended coding. Its legacy
+// replica inflates the position stream with the same gzipx kernels, so a
+// faster kernel speeds both sides and the ratio moves only with the share
+// of decode time the kernels take: 1.17-1.42 with the bytewise CRC and
+// per-symbol table fill of the previous kernels, 1.53-1.74 with the
+// current ones (smoke runs on a 4-vCPU Xeon VM). The ZV gate sits between
+// the two, so it fails if the kernels slow back down.
+struct SmokeGate {
+  const char* coding;
+  double min_ratio;
+};
+constexpr SmokeGate kSmokeGates[] = {{"UV", 1.5}, {"ZV", 1.45}};
 
 // Faithful replica of the pre-scratch FactorCoder::DecodeDoc: decode the
 // factor streams with fresh per-call buffers (DecodeFactors), then expand
@@ -136,6 +147,125 @@ DecodeResult RunDecodePass(const FactorCoder& coder, const Dictionary& dict,
   result.p50_us = latencies_us[n / 2];
   result.p99_us = latencies_us[std::min(n - 1, n * 99 / 100)];
   return result;
+}
+
+// ZV decode split into stages, in microseconds per document.
+struct StageSplit {
+  double tables_us = 0.0;   // code-length read + both Huffman table builds
+  double symbols_us = 0.0;  // gzipx symbol loop (inflate - tables - crc)
+  double crc_us = 0.0;      // CRC-32 over the inflated position stream
+  double expand_us = 0.0;   // vbyte lengths + copy expansion
+  double total_us = 0.0;    // DecodeDoc with scratch
+};
+
+// The gzipx position stream of a ZV document: vbyte(count) then the
+// length-prefixed stream (FactorCoder's layout).
+std::string_view ZvPositionStream(std::string_view encoded) {
+  size_t pos = 0;
+  uint32_t count = 0;
+  uint32_t zsize = 0;
+  RLZ_CHECK(VByteCodec::Get(encoded, &pos, &count).ok());
+  RLZ_CHECK(VByteCodec::Get(encoded, &pos, &zsize).ok());
+  return encoded.substr(pos, zsize);
+}
+
+// The table-build stage alone: reads every Huffman block's 4-bit code
+// lengths and builds both decoders, as GzipxCompressor::Decompress does.
+// Walks the block layout written by gzipx.cpp (magic, vbyte size, then per
+// block vbyte span, vbyte tokens, type byte and, for Huffman blocks, vbyte
+// bit-stream size and the stream, whose first 158 bytes hold the lengths).
+void BuildStreamTables(std::string_view z, GzipxDecodeScratch* s) {
+  size_t pos = 1;
+  uint32_t total = 0;
+  RLZ_CHECK(VByteCodec::Get(z, &pos, &total).ok());
+  for (uint64_t covered = 0; covered < total;) {
+    uint32_t span = 0;
+    uint32_t tokens = 0;
+    RLZ_CHECK(VByteCodec::Get(z, &pos, &span).ok());
+    RLZ_CHECK(VByteCodec::Get(z, &pos, &tokens).ok());
+    covered += span;
+    if (z[pos++] == 1) {  // stored block
+      pos += span;
+      continue;
+    }
+    uint32_t bits_size = 0;
+    RLZ_CHECK(VByteCodec::Get(z, &pos, &bits_size).ok());
+    const uint8_t* b = reinterpret_cast<const uint8_t*>(z.data()) + pos;
+    s->lit_lens.resize(286);
+    s->dist_lens.resize(30);
+    for (size_t i = 0; i < 286; i += 2, ++b) {
+      s->lit_lens[i] = *b & 0xF;
+      s->lit_lens[i + 1] = *b >> 4;
+    }
+    for (size_t i = 0; i < 30; i += 2, ++b) {
+      s->dist_lens[i] = *b & 0xF;
+      s->dist_lens[i + 1] = *b >> 4;
+    }
+    RLZ_CHECK(s->lit.Init(s->lit_lens).ok());
+    RLZ_CHECK(s->dist.Init(s->dist_lens).ok());
+    pos += bits_size;
+  }
+  RLZ_CHECK_EQ(pos + 4, z.size());  // only the CRC trailer remains
+}
+
+// Times each stage over every document, best of `repeats` passes per
+// stage. The symbol loop and the expansion are differences of measured
+// wholes: inflate minus its table and CRC stages, and DecodeDoc minus
+// inflate.
+StageSplit RunZvStageSplit(const FactorCoder& coder, const Dictionary& dict,
+                           const std::vector<std::string>& encoded,
+                           int repeats) {
+  RLZ_CHECK(coder.coding().name() == "ZV");
+  std::vector<std::string_view> streams;
+  for (const std::string& e : encoded) streams.push_back(ZvPositionStream(e));
+  const GzipxCompressor gz;
+  GzipxDecodeScratch gz_scratch;
+  DecodeScratch scratch;
+  std::string buf;
+  const size_t n = encoded.size();
+  // Best-of-repeats seconds of one pass of `body` over every document.
+  auto best = [&](auto&& body) {
+    double best_seconds = 0.0;
+    for (int r = 0; r < repeats; ++r) {
+      Timer pass;
+      for (size_t i = 0; i < n; ++i) body(i);
+      const double seconds = pass.ElapsedSeconds();
+      if (best_seconds == 0.0 || seconds < best_seconds) best_seconds = seconds;
+    }
+    return 1e6 * best_seconds / static_cast<double>(n);
+  };
+  const double decode_us = best([&](size_t i) {
+    buf.clear();
+    RLZ_CHECK(coder.DecodeDoc(encoded[i], dict, &buf, &scratch).ok());
+  });
+  const double inflate_us = best([&](size_t i) {
+    buf.clear();
+    RLZ_CHECK(gz.Decompress(streams[i], &buf, &gz_scratch).ok());
+  });
+  const double tables_us =
+      best([&](size_t i) { BuildStreamTables(streams[i], &gz_scratch); });
+  std::vector<std::string> inflated(n);
+  for (size_t i = 0; i < n; ++i) {
+    RLZ_CHECK(gz.Decompress(streams[i], &inflated[i], &gz_scratch).ok());
+  }
+  const double crc_us = best([&](size_t i) {
+    // Checked against the stream's stored CRC, which also keeps the
+    // computation live.
+    const std::string_view z = streams[i];
+    uint32_t want = 0;
+    for (int k = 0; k < 4; ++k) {
+      want |= static_cast<uint32_t>(static_cast<uint8_t>(z[z.size() - 4 + k]))
+              << (8 * k);
+    }
+    RLZ_CHECK_EQ(Crc32(inflated[i]), want);
+  });
+  StageSplit split;
+  split.tables_us = tables_us;
+  split.crc_us = crc_us;
+  split.symbols_us = inflate_us - tables_us - crc_us;
+  split.expand_us = decode_us - inflate_us;
+  split.total_us = decode_us;
+  return split;
 }
 
 struct ServeResult {
@@ -252,7 +382,8 @@ void Run(bool smoke, const std::string& out_path) {
 
   // The decode sweep: the paper's recommended pair (ZV) and the
   // fastest-decode pair (UV), legacy vs fresh vs scratch.
-  double gate_ratio = 0.0;  // UV scratch vs legacy (see kSmokeMinRatio)
+  double gate_ratios[2] = {0.0, 0.0};  // per kSmokeGates entry
+  StageSplit split;
   const PairCoding codings[] = {kZV, kUV};
   std::printf("\n%-7s %-8s %10s %12s %9s %9s %8s\n", "coding", "path",
               "MB/s", "docs/s", "p50 us", "p99 us", "vs base");
@@ -294,9 +425,25 @@ void Run(bool smoke, const std::string& out_path) {
                   vs_legacy, fresh_vs_legacy, c + 1 < 2 ? "," : "");
     json.append(buf);
 
-    if (name == "UV") gate_ratio = vs_legacy;
+    for (size_t g = 0; g < 2; ++g) {
+      if (name == kSmokeGates[g].coding) gate_ratios[g] = vs_legacy;
+    }
+    if (name == "ZV") split = RunZvStageSplit(coder, *dict, encoded, repeats);
   }
   json.append("  },\n");
+
+  std::printf(
+      "\nZV stages (us/doc): tables %.2f  symbols %.2f  crc %.2f  "
+      "expand %.2f  = DecodeDoc %.2f\n",
+      split.tables_us, split.symbols_us, split.crc_us, split.expand_us,
+      split.total_us);
+  std::snprintf(buf, sizeof(buf),
+                "  \"zv_stages_us_per_doc\": {\"tables\": %.2f, "
+                "\"symbols\": %.2f, \"crc\": %.2f, \"expand\": %.2f, "
+                "\"decode_doc\": %.2f},\n",
+                split.tables_us, split.symbols_us, split.crc_us,
+                split.expand_us, split.total_us);
+  json.append(buf);
 
   // Serving throughput: DocService over an rlz-ZV archive, cache off, so
   // every request runs the per-worker-scratch decode.
@@ -320,21 +467,32 @@ void Run(bool smoke, const std::string& out_path) {
   }
   json.append("  },\n");
 
-  const bool gate_pass = gate_ratio >= kSmokeMinRatio;
-  std::snprintf(buf, sizeof(buf),
-                "  \"gate\": {\"coding\": \"UV\", "
-                "\"min_ratio_required\": %.2f, "
-                "\"scratch_vs_legacy\": %.2f, \"pass\": %s}\n}\n",
-                kSmokeMinRatio, gate_ratio, gate_pass ? "true" : "false");
-  json.append(buf);
+  bool gate_pass = true;
+  json.append("  \"gates\": [\n");
+  for (size_t g = 0; g < 2; ++g) {
+    const bool pass = gate_ratios[g] >= kSmokeGates[g].min_ratio;
+    gate_pass = gate_pass && pass;
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"coding\": \"%s\", \"min_ratio_required\": %.2f, "
+                  "\"scratch_vs_legacy\": %.2f, \"pass\": %s}%s\n",
+                  kSmokeGates[g].coding, kSmokeGates[g].min_ratio,
+                  gate_ratios[g], pass ? "true" : "false",
+                  g + 1 < 2 ? "," : "");
+    json.append(buf);
+  }
+  json.append("  ]\n}\n");
 
   const Status write_status = WriteFile(out_path, json);
   RLZ_CHECK(write_status.ok()) << write_status.ToString();
   std::printf("\nwrote %s\n", out_path.c_str());
 
   if (smoke) {
-    std::printf("smoke gate: UV scratch >= %.2fx legacy: %s (%.2fx)\n",
-                kSmokeMinRatio, gate_pass ? "PASS" : "FAIL", gate_ratio);
+    for (size_t g = 0; g < 2; ++g) {
+      std::printf("smoke gate: %s scratch >= %.2fx legacy: %s (%.2fx)\n",
+                  kSmokeGates[g].coding, kSmokeGates[g].min_ratio,
+                  gate_ratios[g] >= kSmokeGates[g].min_ratio ? "PASS" : "FAIL",
+                  gate_ratios[g]);
+    }
     if (!gate_pass) std::exit(1);
   }
 }

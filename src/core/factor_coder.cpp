@@ -1,6 +1,7 @@
 #include "core/factor_coder.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 #include "codecs/int_codecs.h"
@@ -289,6 +290,12 @@ Status FactorCoder::DecodeRange(std::string_view in, const Dictionary& dict,
                                 size_t offset, size_t length,
                                 std::string* text,
                                 DecodeScratch* scratch) const {
+  // The paper's four pairs all decode through the fused no-vector walk;
+  // the extension codecs (PFD/S9) go through the general stream decode.
+  if ((coding_.pos == PosCoding::kU32 || coding_.pos == PosCoding::kZlib) &&
+      (coding_.len == LenCoding::kVByte || coding_.len == LenCoding::kZlib)) {
+    return DecodeFused(in, dict, offset, length, text, scratch);
+  }
   std::vector<uint32_t> local_positions;
   std::vector<uint32_t> local_lengths;
   std::vector<uint32_t>* positions =
@@ -298,7 +305,7 @@ Status FactorCoder::DecodeRange(std::string_view in, const Dictionary& dict,
   RLZ_RETURN_IF_ERROR(DecodeStreams(in, positions, lengths, nullptr, scratch));
 
   const std::string_view d = dict.text();
-  const size_t end = offset + length;
+  const size_t end = length > SIZE_MAX - offset ? SIZE_MAX : offset + length;
   const size_t n = positions->size();
   const uint32_t* ps = positions->data();
   const uint32_t* ls = lengths->data();
@@ -327,7 +334,7 @@ Status FactorCoder::DecodeRange(std::string_view in, const Dictionary& dict,
     last = i + 1;
   }
   if (total > kMaxDecodedDocBytes) {
-    return Status::Corruption("factor coder: decoded range exceeds limit");
+    return Status::Corruption("factor coder: decoded document exceeds limit");
   }
 
   // Pass 2: single resize, tight copy loop (everything already validated).
@@ -352,9 +359,10 @@ Status FactorCoder::DecodeRange(std::string_view in, const Dictionary& dict,
   return Status::OK();
 }
 
-Status FactorCoder::DecodeDocFused(std::string_view in,
-                                   const Dictionary& dict, std::string* text,
-                                   DecodeScratch* scratch) const {
+Status FactorCoder::DecodeFused(std::string_view in, const Dictionary& dict,
+                                size_t offset, size_t length,
+                                std::string* text,
+                                DecodeScratch* scratch) const {
   size_t pos = 0;
   uint32_t count = 0;
   RLZ_RETURN_IF_ERROR(VByteCodec::Get(in, &pos, &count));
@@ -398,12 +406,22 @@ Status FactorCoder::DecodeDocFused(std::string_view in,
     lbytes = *buf;
   }
 
-  // Pass 1: walk the vbyte length stream once, validating it and summing
-  // the decoded document size (a zero length is a one-byte literal).
+  // Pass 1: walk the vbyte length stream, validating it, up to the factor
+  // that ends the range (the whole stream for a whole document). It finds
+  // the first factor that reaches into the range, where the range starts
+  // inside it, and the clipped output size (a zero length is a one-byte
+  // literal).
+  const std::string_view d = dict.text();
+  const size_t end = length > SIZE_MAX - offset ? SIZE_MAX : offset + length;
   const uint8_t* lp = reinterpret_cast<const uint8_t*>(lbytes.data());
   const uint8_t* const lend = lp + lbytes.size();
-  uint64_t total = 0;
-  for (uint32_t i = 0; i < count; ++i) {
+  uint64_t produced = 0;        // text cursor over the decoded document
+  uint32_t first = count;       // first factor that reaches into the range
+  const uint8_t* first_lp = lp;  // its vbyte length
+  size_t skip = 0;              // bytes of it before the range
+  uint32_t last = 0;            // one past the last factor walked
+  for (; last < count && produced < end; ++last) {
+    const uint8_t* const at = lp;
     if (lp >= lend) return Status::Corruption("vbyte truncated");
     uint32_t v = *lp++;
     if (v >= 0x80) {
@@ -418,25 +436,45 @@ Status FactorCoder::DecodeDocFused(std::string_view in,
         shift += 7;
       }
     }
-    total += v == 0 ? 1 : v;
+    if (v > d.size()) {
+      return Status::Corruption("factor coder: factor outside dictionary");
+    }
+    const uint64_t flen = v == 0 ? 1 : v;
+    if (first == count && produced + flen > offset) {
+      first = last;
+      first_lp = at;
+      skip = static_cast<size_t>(offset - produced);
+    }
+    produced += flen;
   }
-  if (total > kMaxDecodedDocBytes) {
+  // Factors [first, last) span `full` bytes from `skip` bytes before the
+  // range; the range itself is `total` bytes of them. The limit applies to
+  // `full`, which never exceeds a valid document's size; a range's `full`
+  // exceeds `total` by at most two factors, each checked above to fit the
+  // dictionary.
+  const uint64_t full = first == count ? 0 : produced - (offset - skip);
+  const uint64_t total =
+      first == count ? 0 : std::min<uint64_t>(produced, end) - offset;
+  if (full > kMaxDecodedDocBytes) {
     return Status::Corruption("factor coder: decoded document exceeds limit");
   }
 
-  // Pass 2: re-walk both streams and expand straight into the output —
-  // the paper's memcpy decode with no intermediate vectors at all. The
-  // output carries 16 bytes of slack so factors up to 16 bytes (the
-  // common case) can use one unconditional 16-byte copy; the slack is
-  // trimmed before returning. On a validation failure the output is
+  // Pass 2: re-walk both streams from the first factor in the range and
+  // expand its factors whole straight into the output — the paper's
+  // memcpy decode with no intermediate vectors at all — then move the
+  // range to the front. For a whole document `skip` is 0 and nothing
+  // moves. The output carries 16 bytes of slack so factors up to 16 bytes
+  // (the common case) can use one unconditional 16-byte copy; the slack
+  // is trimmed before returning. On a validation failure the output is
   // rolled back to its input length.
-  const std::string_view d = dict.text();
   const size_t out_base = text->size();
-  text->resize(out_base + total + 16);
-  char* dst = text->data() + out_base;
-  const uint8_t* pp = reinterpret_cast<const uint8_t*>(pbytes.data());
-  lp = reinterpret_cast<const uint8_t*>(lbytes.data());
-  for (uint32_t i = 0; i < count; ++i) {
+  text->resize(out_base + full + 16);
+  char* const out = text->data() + out_base;
+  char* dst = out;
+  const uint8_t* pp =
+      reinterpret_cast<const uint8_t*>(pbytes.data()) + 4ull * first;
+  lp = first_lp;
+  for (uint32_t i = first; i < last; ++i) {
     uint32_t len = *lp++;
     if (len >= 0x80) {  // same parse as pass 1, already validated
       len &= 0x7F;
@@ -472,6 +510,7 @@ Status FactorCoder::DecodeDocFused(std::string_view in,
       dst += len;
     }
   }
+  if (skip != 0) std::memmove(out, out + skip, total);
   text->resize(out_base + total);
   return Status::OK();
 }
@@ -479,61 +518,7 @@ Status FactorCoder::DecodeDocFused(std::string_view in,
 Status FactorCoder::DecodeDoc(std::string_view in, const Dictionary& dict,
                               std::string* text,
                               DecodeScratch* scratch) const {
-  // The paper's four pairs all decode through the fused no-vector path;
-  // the extension codecs (PFD/S9) go through the general stream decode.
-  if ((coding_.pos == PosCoding::kU32 || coding_.pos == PosCoding::kZlib) &&
-      (coding_.len == LenCoding::kVByte || coding_.len == LenCoding::kZlib)) {
-    return DecodeDocFused(in, dict, text, scratch);
-  }
-  std::vector<uint32_t> local_positions;
-  std::vector<uint32_t> local_lengths;
-  std::vector<uint32_t>* positions =
-      scratch != nullptr ? &scratch->positions : &local_positions;
-  std::vector<uint32_t>* lengths =
-      scratch != nullptr ? &scratch->lengths : &local_lengths;
-  RLZ_RETURN_IF_ERROR(DecodeStreams(in, positions, lengths, nullptr, scratch));
-
-  const std::string_view d = dict.text();
-  const size_t n = positions->size();
-  const uint32_t* ps = positions->data();
-  const uint32_t* ls = lengths->data();
-
-  // Pass 1: validate every factor and sum the decoded size, so the output
-  // is sized exactly once (even on the fresh-allocation fallback path) and
-  // a crafted stream cannot claim a multi-GiB document.
-  uint64_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (ls[i] == 0) {
-      if (ps[i] > 0xFF) {
-        return Status::Corruption("factor coder: literal out of range");
-      }
-      total += 1;
-    } else {
-      if (static_cast<size_t>(ps[i]) + ls[i] > d.size()) {
-        return Status::Corruption("factor coder: factor outside dictionary");
-      }
-      total += ls[i];
-    }
-  }
-  if (total > kMaxDecodedDocBytes) {
-    return Status::Corruption("factor coder: decoded document exceeds limit");
-  }
-
-  // Pass 2: the paper's memcpy decode — one copy per factor into an
-  // exactly-sized buffer, no per-factor growth or bounds checks.
-  const size_t out_base = text->size();
-  text->resize(out_base + total);
-  char* dst = text->data() + out_base;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t len = ls[i];
-    if (len == 0) {
-      *dst++ = static_cast<char>(ps[i]);
-    } else {
-      std::memcpy(dst, d.data() + ps[i], len);
-      dst += len;
-    }
-  }
-  return Status::OK();
+  return DecodeRange(in, dict, 0, SIZE_MAX, text, scratch);
 }
 
 }  // namespace rlz

@@ -125,12 +125,14 @@ class FactorCoder {
                        std::vector<uint32_t>* lengths, size_t* consumed,
                        DecodeScratch* scratch) const;
 
-  /// The fused fast path behind DecodeDoc for the paper's four pairs
-  /// (U32/Zlib positions × VByte/Zlib lengths): factors are expanded
+  /// The fused fast path behind DecodeDoc and DecodeRange for the
+  /// paper's four pairs (U32/Zlib positions × VByte/Zlib lengths): the
+  /// factors that reach into text[offset, offset+length) are expanded
   /// straight off the raw byte streams with no intermediate
   /// position/length vectors. Byte-identical output to the general path.
-  Status DecodeDocFused(std::string_view in, const Dictionary& dict,
-                        std::string* text, DecodeScratch* scratch) const;
+  Status DecodeFused(std::string_view in, const Dictionary& dict,
+                     size_t offset, size_t length, std::string* text,
+                     DecodeScratch* scratch) const;
 
   PairCoding coding_;
 };

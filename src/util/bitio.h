@@ -75,34 +75,6 @@ class BitReader {
     return acc_ & mask;
   }
 
-  /// Tops the accumulator up to at least `nbits` buffered bits (0 <=
-  /// nbits <= 57; zero-padded past the stream end). A decode loop that
-  /// knows its worst-case bits-per-iteration calls this once and then
-  /// uses the NoRefill variants below, hoisting the refill branch out of
-  /// every symbol (DESIGN.md §9).
-  void EnsureBits(int nbits) {
-    if (filled_ < nbits) Refill(nbits);
-  }
-
-  /// PeekBits for callers that already guaranteed `nbits` buffered bits
-  /// via EnsureBits.
-  uint64_t PeekBitsNoRefill(int nbits) const {
-    RLZ_DCHECK_LE(nbits, filled_);
-    const uint64_t mask = (nbits == 64) ? ~0ULL : ((1ULL << nbits) - 1);
-    return acc_ & mask;
-  }
-
-  /// ReadBits for callers that already guaranteed `nbits` buffered bits
-  /// via EnsureBits.
-  uint64_t ReadBitsNoRefill(int nbits) {
-    RLZ_DCHECK_LE(nbits, filled_);
-    const uint64_t mask = (nbits == 64) ? ~0ULL : ((1ULL << nbits) - 1);
-    const uint64_t v = acc_ & mask;
-    acc_ >>= nbits;
-    filled_ -= nbits;
-    return v;
-  }
-
   /// Discards `nbits` previously peeked bits.
   void SkipBits(int nbits) {
     RLZ_DCHECK_LE(nbits, filled_);
@@ -118,9 +90,7 @@ class BitReader {
  private:
   // Tops up the accumulator until it holds at least `nbits` bits. Away
   // from the stream tail this is one unaligned 64-bit load instead of a
-  // byte-at-a-time loop — bit-heavy decodes (Huffman symbol streams) are
-  // refill-bound, so this is the serving hot path's single most executed
-  // memory access (DESIGN.md §9).
+  // byte-at-a-time loop.
   void Refill(int nbits) {
 #if defined(__BYTE_ORDER__) && defined(__ORDER_LITTLE_ENDIAN__) && \
     __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__

@@ -21,6 +21,8 @@ constexpr size_t kTokensPerBlock = 1 << 15;
 
 constexpr int kNumLitLen = 286;  // 0..255 literals, 256 unused, 257..285 len
 constexpr int kNumDist = 30;
+// Bytes of 4-bit code lengths at the start of every Huffman block.
+constexpr uint32_t kCodeLengthBytes = (kNumLitLen + kNumDist) / 2;
 
 // Deflate length slot tables (symbol 257 + i).
 constexpr std::array<int, 29> kLenBase = {
@@ -61,6 +63,14 @@ struct Token {
   uint16_t dist;        // 0 for literal; match distance otherwise... 16 bits
                         // cannot hold 32768, so store dist - 1.
 };
+
+// Little-endian 64-bit load written bytewise, so it is portable;
+// compilers fuse it into one load on little-endian targets.
+inline uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  return v;
+}
 
 uint32_t HashAt(const uint8_t* p) {
   const uint32_t v = static_cast<uint32_t>(p[0]) |
@@ -156,6 +166,118 @@ void Tokenize(std::string_view in, const GzipxOptions& options,
       ++pos;
     }
   }
+}
+
+// Decodes one Huffman block's `num_tokens` tokens from the symbol bits in
+// [next, end) into base[*produced, total), advancing *produced. Returns
+// Corruption on a bad symbol, a distance before the stream start, or a
+// write past `total`.
+//
+// The loop keeps its bit buffer, output cursor and table pointers in
+// locals: the output is written through a char pointer, and a char store
+// may alias any object, so state read through a reader object or the
+// decoders would be reloaded after every output byte.
+Status InflateTokens(const uint8_t* next, const uint8_t* const end,
+                     uint32_t num_tokens, const HuffmanDecoder& lit,
+                     const HuffmanDecoder& dist, char* const base,
+                     size_t total, size_t* produced) {
+  constexpr uint32_t kRootMask = (1U << HuffmanDecoder::kRootBits) - 1;
+  const uint32_t* const lit_table = lit.root_table();
+  const uint32_t* const dist_table = dist.root_table();
+  char* out = base + *produced;
+  char* const out_end = base + total;
+  uint64_t bitbuf = 0;  // LSB-first
+  int bitcount = 0;     // valid bits in bitbuf
+  // Tops bitbuf up to at least 56 bits. Away from the block end this is
+  // one 8-byte load; bits above bitcount then already hold the next
+  // bytes, which the next load ORs in again at the same place. Past the
+  // end it shifts in zero bytes. Reading into that padding while decoding
+  // the final symbols is benign: the token count bounds decoding and the
+  // trailing CRC catches real truncation.
+  auto refill = [&] {
+    if (end - next >= 8) {
+      bitbuf |= LoadLe64(next) << bitcount;
+      next += (63 - bitcount) >> 3;
+      bitcount |= 56;
+    } else {
+      for (; bitcount <= 56; bitcount += 8) {
+        if (next < end) bitbuf |= static_cast<uint64_t>(*next++) << bitcount;
+      }
+    }
+  };
+  auto consume = [&](int nbits) {
+    bitbuf >>= nbits;
+    bitcount -= nbits;
+  };
+  auto lookup_lit = [&](uint64_t bits) {
+    const uint32_t e = lit_table[bits & kRootMask];
+    return e != HuffmanDecoder::kInvalidEntry ? e : lit.LookupSlow(bits);
+  };
+
+  while (num_tokens > 0) {
+    // One refill covers a whole token: literal/length code (<= 15) +
+    // length extra (<= 5) + distance code (<= 15) + distance extra
+    // (<= 13) = 48 bits, or three literals (3 x 15 = 45 bits).
+    refill();
+    uint32_t e = lookup_lit(bitbuf);
+    if (HuffmanDecoder::EntrySymbol(e) < 256) {
+      // Literal fast path: up to three literals off this refill. An
+      // invalid entry's symbol is above any literal.
+      int run = 0;
+      do {
+        if (out == out_end) {
+          return Status::Corruption("gzipx: output overrun");
+        }
+        consume(HuffmanDecoder::EntryLength(e));
+        *out++ = static_cast<char>(HuffmanDecoder::EntrySymbol(e));
+        if (--num_tokens == 0 || ++run == 3) break;
+        e = lookup_lit(bitbuf);
+      } while (HuffmanDecoder::EntrySymbol(e) < 256);
+      continue;
+    }
+    const uint32_t sym = HuffmanDecoder::EntrySymbol(e);
+    if (e == HuffmanDecoder::kInvalidEntry || sym == 256 ||
+        sym >= kNumLitLen) {
+      return Status::Corruption("gzipx: bad literal/length symbol");
+    }
+    consume(HuffmanDecoder::EntryLength(e));
+    const int ls = static_cast<int>(sym) - 257;
+    const size_t len =
+        kLenBase[ls] +
+        static_cast<size_t>(bitbuf & ((1U << kLenExtra[ls]) - 1));
+    consume(kLenExtra[ls]);
+    uint32_t de = dist_table[bitbuf & kRootMask];
+    if (de == HuffmanDecoder::kInvalidEntry) de = dist.LookupSlow(bitbuf);
+    const uint32_t dsym = HuffmanDecoder::EntrySymbol(de);
+    if (de == HuffmanDecoder::kInvalidEntry || dsym >= kNumDist) {
+      return Status::Corruption("gzipx: bad distance symbol");
+    }
+    consume(HuffmanDecoder::EntryLength(de));
+    const size_t distance =
+        kDistBase[dsym] +
+        static_cast<size_t>(bitbuf & ((1U << kDistExtra[dsym]) - 1));
+    consume(kDistExtra[dsym]);
+    --num_tokens;
+    if (distance > static_cast<size_t>(out - base)) {
+      return Status::Corruption("gzipx: distance before stream start");
+    }
+    if (len > static_cast<size_t>(out_end - out)) {
+      return Status::Corruption("gzipx: output overrun");
+    }
+    // Overlap-aware copy: a distance at least the length is a plain
+    // memcpy; distance 1 is a byte run; short distances replay bytes.
+    const char* src = out - distance;
+    if (distance >= len) {
+      std::memcpy(out, src, len);
+    } else if (distance == 1) {
+      std::memset(out, *src, len);
+    } else {
+      for (size_t k = 0; k < len; ++k) out[k] = src[k];
+    }
+    out += len;
+  }
+  *produced = static_cast<size_t>(out - base);
+  return Status::OK();
 }
 
 }  // namespace
@@ -308,64 +430,32 @@ Status GzipxCompressor::Decompress(std::string_view in, std::string* out,
     if (pos + bits_size > in.size()) {
       return fail(Status::Corruption("gzipx: truncated huffman block"));
     }
-    BitReader br(reinterpret_cast<const uint8_t*>(in.data()) + pos, bits_size);
+    // The block opens with the 316 4-bit code lengths, two per byte, low
+    // nibble first; both counts are even, so the symbol bits start on the
+    // next byte.
+    if (bits_size < kCodeLengthBytes) {
+      return fail(Status::Corruption("gzipx: truncated code lengths"));
+    }
+    const uint8_t* next = reinterpret_cast<const uint8_t*>(in.data()) + pos;
+    const uint8_t* const end = next + bits_size;
     pos += bits_size;
-
     s->lit_lens.resize(kNumLitLen);
     s->dist_lens.resize(kNumDist);
-    for (auto& l : s->lit_lens) l = static_cast<uint8_t>(br.ReadBits(4));
-    for (auto& l : s->dist_lens) l = static_cast<uint8_t>(br.ReadBits(4));
+    for (int i = 0; i < kNumLitLen; i += 2, ++next) {
+      s->lit_lens[i] = *next & 0xF;
+      s->lit_lens[i + 1] = *next >> 4;
+    }
+    for (int i = 0; i < kNumDist; i += 2, ++next) {
+      s->dist_lens[i] = *next & 0xF;
+      s->dist_lens[i + 1] = *next >> 4;
+    }
     if (!(st = s->lit.Init(s->lit_lens)).ok()) return fail(st);
     if (!(st = s->dist.Init(s->dist_lens)).ok()) return fail(st);
 
-    for (uint32_t t = 0; t < num_tokens; ++t) {
-      // One refill covers the whole token: literal/length code (<= 15) +
-      // length extra (<= 5) + distance code (<= 15) + distance extra
-      // (<= 13) = 48 bits, so the per-symbol decodes skip the refill
-      // branch. Note: BitReader may peek past the padded end of the block
-      // while decoding the final symbols; that is benign (the token count
-      // bounds decoding and the trailing CRC catches real truncation), so
-      // overflowed() is deliberately not treated as an error here.
-      br.EnsureBits(48);
-      const int32_t sym = s->lit.DecodeNoRefill(&br);
-      if (sym < 0 || sym == 256 || sym >= kNumLitLen) {
-        return fail(Status::Corruption("gzipx: bad literal/length symbol"));
-      }
-      if (sym < 256) {
-        if (produced >= total) {
-          return fail(Status::Corruption("gzipx: output overrun"));
-        }
-        base[produced++] = static_cast<char>(sym);
-        continue;
-      }
-      const int ls = sym - 257;
-      const int len =
-          kLenBase[ls] + static_cast<int>(br.ReadBitsNoRefill(kLenExtra[ls]));
-      const int32_t dsym = s->dist.DecodeNoRefill(&br);
-      if (dsym < 0 || dsym >= kNumDist) {
-        return fail(Status::Corruption("gzipx: bad distance symbol"));
-      }
-      const int dist =
-          kDistBase[dsym] +
-          static_cast<int>(br.ReadBitsNoRefill(kDistExtra[dsym]));
-      if (static_cast<size_t>(dist) > produced) {
-        return fail(Status::Corruption("gzipx: distance before stream start"));
-      }
-      if (static_cast<size_t>(len) > total - produced) {
-        return fail(Status::Corruption("gzipx: output overrun"));
-      }
-      // Overlap-aware copy: a distance at least the length is a plain
-      // memcpy; distance 1 is a byte run; short distances replay bytes.
-      char* dst = base + produced;
-      const char* src = dst - dist;
-      if (dist >= len) {
-        std::memcpy(dst, src, static_cast<size_t>(len));
-      } else if (dist == 1) {
-        std::memset(dst, *src, static_cast<size_t>(len));
-      } else {
-        for (int k = 0; k < len; ++k) dst[k] = src[k];
-      }
-      produced += static_cast<size_t>(len);
+    if (!(st = InflateTokens(next, end, num_tokens, s->lit, s->dist, base,
+                             total, &produced))
+             .ok()) {
+      return fail(st);
     }
   }
 

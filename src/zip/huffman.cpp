@@ -1,10 +1,29 @@
 #include "zip/huffman.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <queue>
 
 namespace rlz {
 namespace {
+
+constexpr int kRootBits = HuffmanDecoder::kRootBits;
+
+// kReverseRoot[i] is i with its low kRootBits bits reversed.
+constexpr std::array<uint16_t, 1 << kRootBits> BuildReverseRoot() {
+  std::array<uint16_t, 1 << kRootBits> r{};
+  for (uint32_t i = 0; i < r.size(); ++i) {
+    uint32_t v = 0;
+    for (int b = 0; b < kRootBits; ++b) {
+      v |= ((i >> b) & 1) << (kRootBits - 1 - b);
+    }
+    r[i] = static_cast<uint16_t>(v);
+  }
+  return r;
+}
+constexpr std::array<uint16_t, 1 << kRootBits> kReverseRoot =
+    BuildReverseRoot();
 
 uint32_t ReverseBits(uint32_t v, int nbits) {
   uint32_t r = 0;
@@ -138,89 +157,93 @@ HuffmanEncoder::HuffmanEncoder(const std::vector<uint8_t>& lengths)
 }
 
 Status HuffmanDecoder::Init(const std::vector<uint8_t>& lengths) {
-  max_len_ = 0;
-  for (uint8_t l : lengths) max_len_ = std::max<int>(max_len_, l);
+  RLZ_CHECK_LE(lengths.size(), size_t{1} << 16);  // symbols fit sorted_
+  uint32_t count[kMaxHuffmanBits + 1] = {};
+  for (uint8_t l : lengths) {
+    if (l > kMaxHuffmanBits) {
+      return Status::Corruption("huffman: code length too large");
+    }
+    ++count[l];
+  }
+  count[0] = 0;
+  max_len_ = kMaxHuffmanBits;
+  while (max_len_ > 0 && count[max_len_] == 0) --max_len_;
   if (max_len_ == 0) {
     return Status::Corruption("huffman: no symbols");
   }
-  if (max_len_ > kMaxHuffmanBits) {
-    return Status::Corruption("huffman: code length too large");
-  }
-  // Validate the Kraft inequality before filling the table.
-  uint64_t kraft = 0;
-  for (uint8_t l : lengths) {
-    if (l > 0) kraft += 1ULL << (max_len_ - l);
-  }
-  if (kraft > (1ULL << max_len_)) {
-    return Status::Corruption("huffman: over-subscribed code");
-  }
 
-  // The root table covers codes up to root_bits_; longer codes resolve
-  // through the canonical walk (DecodeSlow). Capping the table keeps Init
-  // O(2^kRootBits + symbols) instead of O(2^max_len) — the difference
-  // between 4 KB and 128 KB of table fill per decoded stream.
-  root_bits_ = std::min(max_len_, kRootBits);
-  table_.assign(1ULL << root_bits_, kInvalidEntry);
-
-  uint32_t count[kMaxHuffmanBits + 1] = {};
-  for (uint8_t l : lengths) {
-    if (l > 0) ++count[l];
-  }
-  uint32_t next[kMaxHuffmanBits + 2] = {};
+  // Canonical first codes and counting-sort offsets per length. A length
+  // whose codes run past 2^len has a Kraft sum above 1.
   uint32_t code = 0;
-  for (int l = 1; l <= kMaxHuffmanBits; ++l) {
+  uint32_t offset = 0;
+  for (int l = 1; l <= max_len_; ++l) {
     code = (code + count[l - 1]) << 1;
-    next[l] = code;
+    if (code + count[l] > (1U << l)) {
+      return Status::Corruption("huffman: over-subscribed code");
+    }
     first_code_[l] = code;
     code_count_[l] = count[l];
+    sorted_offset_[l] = offset;
+    offset += count[l];
   }
 
-  // Symbols with codes longer than the root table, in canonical order.
-  uint32_t slow_symbols = 0;
-  for (int l = root_bits_ + 1; l <= max_len_; ++l) {
-    perm_offset_[l] = slow_symbols;
-    slow_symbols += count[l];
-  }
-  perm_.assign(slow_symbols, 0);
-
+  // Counting sort: symbols by code length, ties by symbol — canonical
+  // order.
+  sorted_.resize(offset);
+  uint32_t next[kMaxHuffmanBits + 1];
+  std::copy(sorted_offset_, sorted_offset_ + kMaxHuffmanBits + 1, next);
   for (size_t s = 0; s < lengths.size(); ++s) {
-    const int l = lengths[s];
-    if (l == 0) continue;
-    const uint32_t canon = next[l]++;
-    if (l <= root_bits_) {
-      const uint32_t rc = ReverseBits(canon, l);
-      const uint32_t entry =
-          (static_cast<uint32_t>(s) << 4) | static_cast<uint32_t>(l - 1);
-      for (uint64_t fill = rc; fill < table_.size(); fill += 1ULL << l) {
-        table_[fill] = entry;
-      }
-    } else {
-      perm_[perm_offset_[l] + (canon - first_code_[l])] =
-          static_cast<uint16_t>(s);
+    if (lengths[s] != 0) {
+      sorted_[next[lengths[s]]++] = static_cast<uint16_t>(s);
     }
+  }
+
+  // Root-table fill in canonical order, as libdeflate builds its tables:
+  // at length `len` the table prefix [0, 2^len) is final for every code
+  // of at most len bits, and doubling it extends those entries to len + 1
+  // bits. The stream is LSB-first, so a code's entry sits at its
+  // bit-reversed value; reversing through kReverseRoot keeps the per-code
+  // increment a plain add (an in-place increment of the reversed codeword
+  // chains a bit scan through every symbol, which measured 1.5x slower).
+  // The two initial entries start invalid, so windows no code covers (an
+  // under-full code, or prefixes of codes longer than the root) stay
+  // invalid through the copies; a complete code overwrites them. The
+  // table always has 2^kRootBits entries, so decode loops mask with a
+  // constant.
+  table_.resize(size_t{1} << kRootBits);
+  uint32_t* const table = table_.data();
+  table[0] = table[1] = kInvalidEntry;
+  const uint16_t* sym = sorted_.data();
+  uint32_t end = 2;  // 2^len
+  for (int len = 1;; ++len) {
+    // Canonical codes of this length, left-aligned to kRootBits bits.
+    uint32_t code = first_code_[len] << (kRootBits - len);
+    const uint32_t step = 1U << (kRootBits - len);
+    for (uint32_t i = 0; i < count[len]; ++i, code += step) {
+      table[kReverseRoot[code]] =
+          (static_cast<uint32_t>(*sym++) << 8) | static_cast<uint32_t>(len);
+    }
+    if (len == kRootBits) break;
+    std::memcpy(table + end, table, end * sizeof(uint32_t));
+    end <<= 1;
   }
   return Status::OK();
 }
 
-int32_t HuffmanDecoder::DecodeSlow(BitReader* br, uint32_t window) const {
-  if (max_len_ <= root_bits_) return -1;  // no longer codes exist
-  // The stream is LSB-first with bit-reversed codes, so the first bit
-  // read is the canonical code's most significant bit: the canonical
-  // prefix is the bit-reverse of the peeked window.
+uint32_t HuffmanDecoder::LookupSlow(uint64_t bits) const {
+  // The first bit of the stream is the canonical code's most significant
+  // bit, so the code grows one stream bit at a time from the left.
   uint32_t code = 0;
-  uint32_t w = window;
-  for (int i = 0; i < root_bits_; ++i) {
-    code = (code << 1) | (w & 1);
-    w >>= 1;
-  }
-  br->SkipBits(root_bits_);
-  for (int l = root_bits_ + 1; l <= max_len_; ++l) {
-    code = (code << 1) | static_cast<uint32_t>(br->ReadBits(1));
-    if (code >= first_code_[l] && code - first_code_[l] < code_count_[l]) {
-      return perm_[perm_offset_[l] + (code - first_code_[l])];
+  for (int l = 1; l <= max_len_; ++l) {
+    code = (code << 1) | static_cast<uint32_t>((bits >> (l - 1)) & 1);
+    if (code - first_code_[l] < code_count_[l]) {
+      return (static_cast<uint32_t>(
+                  sorted_[sorted_offset_[l] + (code - first_code_[l])])
+              << 8) |
+             static_cast<uint32_t>(l);
     }
   }
-  return -1;
+  return kInvalidEntry;
 }
 
 }  // namespace rlz

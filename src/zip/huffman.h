@@ -1,6 +1,7 @@
 #ifndef RLZ_ZIP_HUFFMAN_H_
 #define RLZ_ZIP_HUFFMAN_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -43,10 +44,15 @@ class HuffmanEncoder {
 
 /// Table-driven canonical Huffman decoder. Codes of up to kRootBits bits
 /// resolve through a single root-table lookup; longer (rare) codes fall
-/// back to a canonical first-code walk. Capping the table at 2^kRootBits
-/// entries keeps Init cheap — the serving hot path builds fresh tables
-/// for every per-document factor stream, where a full 2^15-entry table
-/// fill would dwarf the decode itself (DESIGN.md §9).
+/// back to a canonical first-code walk. The root table is capped at
+/// 2^kRootBits entries because the serving hot path builds fresh tables
+/// for every per-document factor stream (two Inits per ZV document), where
+/// an uncapped 2^15-entry fill would cost more than the decode itself
+/// (DESIGN.md §9). Init is not cheap even so: it counting-sorts the
+/// symbols by code length and fills the root table by doubling copies,
+/// ~1.6 µs for a 286-symbol literal/length code and ~0.3 µs for a
+/// distance code on a 4-vCPU Xeon VM — about a tenth of a ZV document's
+/// decode (EXPERIMENTS.md "Decode throughput").
 ///
 /// Init is re-callable: a reused decoder (GzipxDecodeScratch) keeps its
 /// table capacity across streams, so steady-state decoding allocates
@@ -58,53 +64,55 @@ class HuffmanDecoder {
   /// codes this long cover symbols of probability down to ~2^-10).
   static constexpr int kRootBits = 10;
 
+  /// A decoded entry is (symbol << 8) | code length; kInvalidEntry marks
+  /// bits that begin no code of this decoder (its symbol is above any
+  /// real one).
+  static constexpr uint32_t kInvalidEntry = 0xFFFFFFFFU;
+  /// Symbol of an entry.
+  static uint32_t EntrySymbol(uint32_t entry) { return entry >> 8; }
+  /// Code length in bits of a valid entry.
+  static int EntryLength(uint32_t entry) {
+    return static_cast<int>(entry & 0xFF);
+  }
+
   /// Builds the decode table. Returns Corruption if the lengths do not
   /// describe a prefix-complete (or under-full) code.
   Status Init(const std::vector<uint8_t>& lengths);
 
   /// Decodes one symbol. Returns a negative value on malformed input.
   int32_t Decode(BitReader* br) const {
-    const uint32_t window =
-        static_cast<uint32_t>(br->PeekBits(root_bits_));
-    const uint32_t entry = table_[window];
-    if (entry != kInvalidEntry) {
-      br->SkipBits(static_cast<int>(entry & 0xF) + 1);
-      return static_cast<int32_t>(entry >> 4);
+    uint32_t entry = table_[br->PeekBits(std::min(max_len_, kRootBits))];
+    if (entry == kInvalidEntry) {
+      entry = LookupSlow(br->PeekBits(max_len_));
+      if (entry == kInvalidEntry) return -1;
     }
-    return DecodeSlow(br, window);
+    br->SkipBits(EntryLength(entry));
+    return static_cast<int32_t>(EntrySymbol(entry));
   }
 
-  /// Decode for callers that already guaranteed kRootBits buffered bits
-  /// via BitReader::EnsureBits — the refill branch is hoisted out of the
-  /// symbol. (The rare long-code fallback may still refill.)
-  int32_t DecodeNoRefill(BitReader* br) const {
-    const uint32_t window =
-        static_cast<uint32_t>(br->PeekBitsNoRefill(root_bits_));
-    const uint32_t entry = table_[window];
-    if (entry != kInvalidEntry) {
-      br->SkipBits(static_cast<int>(entry & 0xF) + 1);
-      return static_cast<int32_t>(entry >> 4);
-    }
-    return DecodeSlow(br, window);
-  }
+  /// The root table: 2^kRootBits entries, indexed by the next kRootBits
+  /// stream bits. An entry is the code those bits begin if it is at most
+  /// kRootBits long, else kInvalidEntry (then call LookupSlow). A decode
+  /// loop that writes its output through `char*` copies this pointer into
+  /// a local: a char store may alias any object, so reading the table
+  /// through the decoder would reload the pointer after every output byte.
+  const uint32_t* root_table() const { return table_.data(); }
+
+  /// Resolves the code at the head of `bits` (LSB-first; at least
+  /// kMaxHuffmanBits valid bits) by walking the canonical first-code
+  /// boundaries: the entry, or kInvalidEntry if no code matches. Does not
+  /// consume anything; the caller skips EntryLength(entry) bits.
+  uint32_t LookupSlow(uint64_t bits) const;
 
  private:
-  static constexpr uint32_t kInvalidEntry = 0xFFFFFFFFU;
-
-  // Resolves a code longer than root_bits_ (or reports corruption) by
-  // walking the canonical first-code boundaries one bit at a time.
-  int32_t DecodeSlow(BitReader* br, uint32_t window) const;
-
-  std::vector<uint32_t> table_;  // (symbol << 4) | (len - 1)
-  int root_bits_ = 0;            // min(max_len_, kRootBits)
+  std::vector<uint32_t> table_;  // root table, 2^kRootBits entries
   int max_len_ = 0;
-  // Canonical walk state for codes longer than root_bits_: per length,
-  // the first canonical code, the number of codes, and the offset of the
-  // first symbol in perm_ (symbols in canonical order).
+  // Canonical code per length: the first code, the number of codes, and
+  // the offset of the first such symbol in sorted_.
   uint32_t first_code_[kMaxHuffmanBits + 1] = {};
   uint32_t code_count_[kMaxHuffmanBits + 1] = {};
-  uint32_t perm_offset_[kMaxHuffmanBits + 1] = {};
-  std::vector<uint16_t> perm_;
+  uint32_t sorted_offset_[kMaxHuffmanBits + 1] = {};
+  std::vector<uint16_t> sorted_;  // used symbols in canonical order
 };
 
 }  // namespace rlz

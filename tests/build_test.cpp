@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "build/archive_builder.h"
@@ -283,9 +285,12 @@ std::vector<NamedCollection> TestCollections() {
 }
 
 // Serializes an archive and returns the exact file bytes — the strongest
-// possible identity check (payload, document map, dictionary, CRC).
+// possible identity check (payload, document map, dictionary, CRC). The
+// path carries the process id: ctest runs each parameterized case in its
+// own process, in parallel, and they share tags.
 std::string ArchiveBytes(const RlzArchive& archive, const std::string& tag) {
-  const std::string path = ::testing::TempDir() + "/build_test_" + tag;
+  const std::string path = ::testing::TempDir() + "/build_test_" +
+                           std::to_string(getpid()) + "_" + tag;
   EXPECT_TRUE(archive.Save(path).ok());
   auto bytes = ReadFile(path);
   EXPECT_TRUE(bytes.ok());

@@ -2,7 +2,9 @@
 // never crash, hang, or allocate unboundedly — on arbitrary bytes and on
 // mutated valid streams.
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include "core/rlz.h"
 #include "corpus/collection.h"
 #include "io/file.h"
+#include "store/decode_scratch.h"
 #include "util/random.h"
 #include "zip/bentley_mcilroy.h"
 #include "zip/compressor.h"
@@ -117,6 +120,108 @@ TEST(FuzzTest, FactorCoderArbitraryBytes) {
                                 nullptr);
       EXPECT_LT(factors.size(), 10u << 20);
     }
+  }
+}
+
+// The serving path: mutated ZV and ZZ documents through the fused decode,
+// whole and ranged, with one DecodeScratch reused across every attempt. A
+// failed decode leaves the output as it was, and the scratch still
+// decodes the intact document afterwards.
+TEST(FuzzTest, FactorCoderServingPathMutatedStreams) {
+  Rng rng(9);
+  std::string dict_text(1 << 14, '\0');
+  for (auto& c : dict_text) c = static_cast<char>(rng.Uniform(256));
+  const Dictionary dict(dict_text, /*build_suffix_array=*/false);
+  DecodeScratch scratch;
+  for (const char* name : {"ZV", "ZZ"}) {
+    SCOPED_TRACE(name);
+    const FactorCoder coder(*PairCoding::FromName(name));
+    for (int doc = 0; doc < 10; ++doc) {
+      std::vector<Factor> factors(20 + rng.Uniform(600));
+      for (Factor& f : factors) {
+        f.len = static_cast<uint32_t>(rng.Uniform(40));
+        f.pos = static_cast<uint32_t>(
+            f.len == 0 ? rng.Uniform(256)
+                       : rng.Uniform(dict_text.size() - f.len + 1));
+      }
+      std::string encoded;
+      ASSERT_TRUE(coder.EncodeDoc(factors, &encoded).ok());
+      std::string expect;
+      ASSERT_TRUE(coder.DecodeDoc(encoded, dict, &expect).ok());
+      for (int iter = 0; iter < 60; ++iter) {
+        std::string mutated = encoded;
+        const int flips = 1 + static_cast<int>(rng.Uniform(4));
+        for (int f = 0; f < flips; ++f) {
+          mutated[rng.Uniform(mutated.size())] ^=
+              static_cast<char>(1 << rng.Uniform(8));
+        }
+        std::string out = "keep";
+        if (!coder.DecodeDoc(mutated, dict, &out, &scratch).ok()) {
+          EXPECT_EQ(out, "keep");
+        }
+        EXPECT_LT(out.size(), 64u << 20);
+        out = "keep";
+        const size_t offset = rng.Uniform(expect.size() + 1);
+        const size_t length = rng.Uniform(expect.size() + 1);
+        if (!coder.DecodeRange(mutated, dict, offset, length, &out, &scratch)
+                 .ok()) {
+          EXPECT_EQ(out, "keep");
+        }
+        EXPECT_LE(out.size(), 4 + length);
+      }
+      std::string again;
+      ASSERT_TRUE(coder.DecodeDoc(encoded, dict, &again, &scratch).ok());
+      EXPECT_EQ(again, expect);
+    }
+  }
+}
+
+// Gzipx block headers (span, token count, type, bit-stream size) and the
+// 4-bit code lengths after them, mutated and decoded through one reused
+// GzipxDecodeScratch. A decode that succeeds has passed the CRC, so it
+// returns the original bytes; one that fails leaves the output as it was.
+TEST(FuzzTest, GzipxMutatedHeadersAndCodeLengths) {
+  Rng rng(10);
+  const GzipxCompressor gz;
+  GzipxDecodeScratch scratch;
+  std::vector<std::string> payloads;
+  std::string text;
+  for (int i = 0; i < 3000; ++i) {
+    text += "row " + std::to_string(rng.Uniform(5000)) + " value " +
+            std::to_string(rng.Uniform(100)) + "\n";
+  }
+  payloads.push_back(text);  // more than one Huffman block
+  payloads.push_back(text.substr(0, 700));
+  for (const std::string& payload : payloads) {
+    std::string compressed;
+    gz.Compress(payload, &compressed);
+    // Bytes before the first block's symbols: magic, total size, block
+    // header, and the 158 bytes of code lengths.
+    const size_t prefix = std::min<size_t>(compressed.size(), 180);
+    for (int iter = 0; iter < 400; ++iter) {
+      std::string mutated = compressed;
+      const int edits = 1 + static_cast<int>(rng.Uniform(3));
+      for (int e = 0; e < edits; ++e) {
+        const size_t at = rng.Uniform(prefix);
+        if (rng.Bernoulli(0.5)) {
+          mutated[at] ^= static_cast<char>(1 << rng.Uniform(8));
+        } else {  // a random code length in one nibble
+          const int shift = rng.Bernoulli(0.5) ? 4 : 0;
+          mutated[at] = static_cast<char>(
+              (static_cast<uint8_t>(mutated[at]) & ~(0xF << shift)) |
+              (rng.Uniform(16) << shift));
+        }
+      }
+      std::string out = "keep";
+      if (gz.Decompress(mutated, &out, &scratch).ok()) {
+        EXPECT_EQ(out, "keep" + payload);
+      } else {
+        EXPECT_EQ(out, "keep");
+      }
+    }
+    std::string out;
+    ASSERT_TRUE(gz.Decompress(compressed, &out, &scratch).ok());
+    EXPECT_EQ(out, payload);
   }
 }
 

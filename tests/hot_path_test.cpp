@@ -4,7 +4,9 @@
 // agree with the general stream decode; and the per-document allocation
 // guards (decoded-size limit, z-stream framing limits) must hold.
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -14,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codecs/int_codecs.h"
 #include "core/dictionary.h"
 #include "core/factor_coder.h"
 #include "core/factorizer.h"
@@ -28,6 +31,7 @@
 #include "util/random.h"
 #include "zip/compressor.h"
 #include "zip/gzipx.h"
+#include "zip/huffman.h"
 
 // Global allocation counter: this binary replaces the global allocator so
 // SteadyStateScratchDecodeIsAllocationFree can assert DESIGN.md §9's
@@ -368,6 +372,180 @@ TEST(HotPathTest, SteadyStateBatchedServingIsAllocationFree) {
   // The counted rounds really went through the full request path.
   service.Drain();
   EXPECT_EQ(service.Stats().requests, 13u * ids.size());
+}
+
+// ---------------------------------------------------------------------------
+// Decode property test: random factor lists through every decode entry
+// point of the paper's four pairs.
+
+enum class FactorShape {
+  kMixed,     // copies of 1-48 bytes with some literals
+  kLiterals,  // literals only
+  kFew,       // under 30 factors: raw positions under the 158 bytes of
+              // code lengths a Huffman block carries, so the position
+              // stream is a stored gzipx block
+  kSkewed,    // geometric position bytes over 6000 factors: rare byte
+              // values get codes longer than HuffmanDecoder::kRootBits
+};
+
+std::vector<Factor> RandomFactors(Rng& rng, FactorShape shape,
+                                  size_t dict_size) {
+  std::vector<Factor> factors;
+  const size_t n = shape == FactorShape::kFew       ? 1 + rng.Uniform(29)
+                   : shape == FactorShape::kSkewed ? 6000
+                                                   : 200 + rng.Uniform(800);
+  for (size_t i = 0; i < n; ++i) {
+    if (shape == FactorShape::kLiterals ||
+        (shape != FactorShape::kSkewed && rng.Bernoulli(0.1))) {
+      factors.push_back(Factor{static_cast<uint32_t>(rng.Uniform(256)), 0});
+      continue;
+    }
+    const uint32_t len = 1 + static_cast<uint32_t>(rng.Uniform(48));
+    uint32_t pos = static_cast<uint32_t>(rng.Uniform(dict_size - len + 1));
+    if (shape == FactorShape::kSkewed) {
+      uint32_t byte = 0;
+      while (byte < 255 && rng.Bernoulli(0.97)) ++byte;
+      pos = byte;
+    }
+    factors.push_back(Factor{pos, len});
+  }
+  return factors;
+}
+
+std::string Expand(const std::vector<Factor>& factors,
+                   std::string_view dict) {
+  std::string text;
+  for (const Factor& f : factors) {
+    if (f.len == 0) {
+      text.push_back(static_cast<char>(f.pos));
+    } else {
+      text.append(dict.substr(f.pos, f.len));
+    }
+  }
+  return text;
+}
+
+// Byte offset of the first z-coded stream's gzipx bytes in an encoded
+// document, and its size (FactorCoder's layout: vbyte count, positions,
+// lengths, z-streams length-prefixed).
+std::pair<size_t, size_t> FirstZStream(std::string_view encoded,
+                                       PairCoding coding) {
+  size_t pos = 0;
+  uint32_t count = 0;
+  EXPECT_TRUE(VByteCodec::Get(encoded, &pos, &count).ok());
+  if (coding.pos == PosCoding::kU32) pos += 4ull * count;
+  uint32_t zsize = 0;
+  EXPECT_TRUE(VByteCodec::Get(encoded, &pos, &zsize).ok());
+  return {pos, zsize};
+}
+
+// Offset of the first Huffman block's code-length bytes inside a gzipx
+// stream, or 0 if its first block is stored.
+size_t CodeLengthOffset(std::string_view z) {
+  size_t pos = 1;  // magic
+  uint32_t v = 0;
+  EXPECT_TRUE(VByteCodec::Get(z, &pos, &v).ok());  // total
+  EXPECT_TRUE(VByteCodec::Get(z, &pos, &v).ok());  // span
+  EXPECT_TRUE(VByteCodec::Get(z, &pos, &v).ok());  // tokens
+  if (z[pos++] != 0) return 0;
+  EXPECT_TRUE(VByteCodec::Get(z, &pos, &v).ok());  // bit-stream size
+  return pos;
+}
+
+TEST(HotPathTest, DecodeEntryPointsAgreeOnRandomFactorLists) {
+  Rng rng(2024);
+  std::string dict_text(1 << 16, '\0');
+  for (auto& c : dict_text) c = static_cast<char>(rng.Uniform(256));
+  const Dictionary dict(dict_text, /*build_suffix_array=*/false);
+  bool saw_stored = false;
+  bool saw_long_code = false;
+  bool saw_length_flip = false;
+  for (const PairCoding coding : {kZZ, kZV, kUZ, kUV}) {
+    SCOPED_TRACE(coding.name());
+    const FactorCoder coder(coding);
+    DecodeScratch scratch;  // reused across every case of this pair
+    for (int iter = 0; iter < 24; ++iter) {
+      const auto shape = static_cast<FactorShape>(iter % 4);
+      SCOPED_TRACE(iter);
+      const std::vector<Factor> factors =
+          RandomFactors(rng, shape, dict_text.size());
+      const std::string expect = Expand(factors, dict_text);
+      std::string encoded;
+      ASSERT_TRUE(coder.EncodeDoc(factors, &encoded).ok());
+
+      std::string with_scratch;
+      std::string without_scratch;
+      ASSERT_TRUE(coder.DecodeDoc(encoded, dict, &with_scratch, &scratch).ok());
+      ASSERT_TRUE(coder.DecodeDoc(encoded, dict, &without_scratch).ok());
+      ASSERT_EQ(with_scratch, expect);
+      ASSERT_EQ(without_scratch, expect);
+      if (coding.name() == "ZV" && shape == FactorShape::kSkewed) {
+        // The scratch holds the code lengths of the last block decoded:
+        // for ZV, the position stream's.
+        const auto& lens = scratch.gzipx.lit_lens;
+        saw_long_code |= *std::max_element(lens.begin(), lens.end()) >
+                         HuffmanDecoder::kRootBits;
+      }
+      std::vector<Factor> decoded;
+      ASSERT_TRUE(coder.DecodeFactors(encoded, &decoded).ok());
+      ASSERT_EQ(Expand(decoded, dict_text), expect);
+
+      for (int r = 0; r < 8; ++r) {
+        const size_t offset = rng.Uniform(expect.size() + 2);
+        const size_t length =
+            r == 0 ? SIZE_MAX : rng.Uniform(r < 4 ? 64 : expect.size() + 1);
+        const std::string want =
+            offset < expect.size() ? expect.substr(offset, length) : "";
+        std::string a = "keep";
+        std::string b;
+        ASSERT_TRUE(
+            coder.DecodeRange(encoded, dict, offset, length, &a, &scratch)
+                .ok());
+        ASSERT_TRUE(coder.DecodeRange(encoded, dict, offset, length, &b).ok());
+        ASSERT_EQ(a, "keep" + want) << offset << "+" << length;
+        ASSERT_EQ(b, want) << offset << "+" << length;
+      }
+
+      if (coding.pos == PosCoding::kU32 && coding.len == LenCoding::kVByte) {
+        continue;  // no gzipx stream to damage
+      }
+      const auto [zoff, zsize] = FirstZStream(encoded, coding);
+      const size_t lengths_at =
+          CodeLengthOffset(std::string_view(encoded).substr(zoff, zsize));
+      saw_stored |= lengths_at == 0 && coding.pos == PosCoding::kZlib;
+      std::vector<std::string> damaged;
+      damaged.push_back(encoded);
+      damaged.back()[zoff + zsize - 1 - rng.Uniform(4)] ^= 0x10;  // CRC byte
+      if (lengths_at != 0) {
+        // A used literal's code length, one bit flipped.
+        for (size_t sym = 0; sym < 256; ++sym) {
+          const size_t at = zoff + lengths_at + sym / 2;
+          const int shift = sym % 2 == 0 ? 0 : 4;
+          if (((static_cast<uint8_t>(encoded[at]) >> shift) & 0xF) != 0) {
+            damaged.push_back(encoded);
+            damaged.back()[at] ^= static_cast<char>(1 << shift);
+            saw_length_flip = true;
+            break;
+          }
+        }
+      }
+      for (const std::string& bad : damaged) {
+        std::string out = "keep";
+        EXPECT_EQ(coder.DecodeDoc(bad, dict, &out, &scratch).code(),
+                  StatusCode::kCorruption);
+        EXPECT_EQ(out, "keep");
+        EXPECT_EQ(coder.DecodeDoc(bad, dict, &out).code(),
+                  StatusCode::kCorruption);
+        EXPECT_EQ(out, "keep");
+        EXPECT_EQ(coder.DecodeRange(bad, dict, 0, 10, &out, &scratch).code(),
+                  StatusCode::kCorruption);
+        EXPECT_EQ(out, "keep");
+      }
+    }
+  }
+  EXPECT_TRUE(saw_stored);
+  EXPECT_TRUE(saw_long_code);
+  EXPECT_TRUE(saw_length_flip);
 }
 
 // ---------------------------------------------------------------------------

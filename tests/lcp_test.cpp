@@ -1,3 +1,4 @@
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,11 @@ struct LcpCase {
   size_t len;
   int alphabet;
 };
+
+// Print the case by name so the parameterized test names that gtest (and
+// ctest's test discovery) derive from it do not embed the `name` pointer,
+// whose value changes from run to run.
+void PrintTo(const LcpCase& c, std::ostream* os) { *os << c.name; }
 
 class LcpMatchesNaiveTest : public ::testing::TestWithParam<LcpCase> {};
 

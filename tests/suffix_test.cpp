@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,11 @@ struct SaCase {
   size_t len;
   int alphabet;
 };
+
+// Print the case by name so the parameterized test names that gtest (and
+// ctest's test discovery) derive from it do not embed the `name` pointer,
+// whose value changes from run to run.
+void PrintTo(const SaCase& c, std::ostream* os) { *os << c.name; }
 
 class SuffixArrayMatchesNaiveTest : public ::testing::TestWithParam<SaCase> {};
 

@@ -204,6 +204,50 @@ TEST(Crc32Test, SeedChaining) {
   EXPECT_EQ(whole, part);
 }
 
+// The textbook bitwise CRC-32 (reflected polynomial 0xEDB88320), kept
+// here as the reference the sliced implementation must match.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t n, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFU;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFU;
+}
+
+// Every length 0-2048 at every start offset 0-7, so each alignment of the
+// eight-byte main loop and every tail length is compared against the
+// reference.
+TEST(Crc32Test, SlicedMatchesBytewiseReference) {
+  Rng rng(31);
+  std::vector<uint8_t> buf(2048 + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 2048; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len, 0))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+// Chaining a CRC through a seed gives the whole-buffer CRC for every
+// split point, including splits inside an eight-byte group.
+TEST(Crc32Test, SeedChainingAcrossSplitPoints) {
+  Rng rng(32);
+  std::vector<uint8_t> buf(300);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  const uint32_t whole = Crc32(buf.data(), buf.size());
+  ASSERT_EQ(whole, ReferenceCrc32(buf.data(), buf.size(), 0));
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    const uint32_t head = Crc32(buf.data(), split);
+    ASSERT_EQ(Crc32(buf.data() + split, buf.size() - split, head), whole)
+        << "split " << split;
+    ASSERT_EQ(Crc32(buf.data() + split, buf.size() - split, head),
+              ReferenceCrc32(buf.data() + split, buf.size() - split, head));
+  }
+}
+
 TEST(Crc32Test, DetectsSingleBitFlip) {
   std::string data(1024, 'a');
   const uint32_t before = Crc32(data);

@@ -1,8 +1,10 @@
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/bitio.h"
 #include "util/random.h"
 #include "zip/compressor.h"
 #include "zip/gzipx.h"
@@ -99,6 +101,44 @@ TEST(HuffmanTest, EncodeDecodeRoundTrip) {
     for (uint32_t s : symbols) {
       ASSERT_EQ(dec.Decode(&br), static_cast<int32_t>(s));
     }
+  }
+}
+
+// One decoder re-initialized across codes of every shape: codes longer
+// than the root table (resolved by LookupSlow), then an under-full code,
+// whose uncovered windows must decode as errors rather than as entries
+// left over from the previous table.
+TEST(HuffmanTest, ReusedDecoderHandlesLongAndUnderfullCodes) {
+  std::vector<uint64_t> freqs;
+  uint64_t a = 1;
+  uint64_t b = 1;
+  for (int i = 0; i < 20; ++i) {  // Fibonacci: lengths up to the limit
+    freqs.push_back(a);
+    const uint64_t c = a + b;
+    a = b;
+    b = c;
+  }
+  const auto lengths = BuildHuffmanCodeLengths(freqs);
+  ASSERT_GT(*std::max_element(lengths.begin(), lengths.end()),
+            HuffmanDecoder::kRootBits);
+  HuffmanEncoder enc(lengths);
+  HuffmanDecoder dec;
+  ASSERT_TRUE(dec.Init(lengths).ok());
+  std::string buf;
+  BitWriter bw(&buf);
+  for (uint32_t s = 0; s < freqs.size(); ++s) enc.Write(&bw, s);
+  bw.Finish();
+  BitReader br(buf);
+  for (uint32_t s = 0; s < freqs.size(); ++s) {
+    ASSERT_EQ(dec.Decode(&br), static_cast<int32_t>(s));
+  }
+
+  // Under-full: symbol 2 alone, code "0"; a leading 1 starts no code.
+  ASSERT_TRUE(dec.Init({0, 0, 1}).ok());
+  for (const uint8_t byte : {0x00, 0x01, 0xFF}) {
+    const std::string one(1, static_cast<char>(byte));
+    BitReader r(one);
+    EXPECT_EQ(dec.Decode(&r), (byte & 1) == 0 ? 2 : -1) << int{byte};
   }
 }
 
