@@ -21,7 +21,8 @@ RlzArchiveBuilder::RlzArchiveBuilder(std::shared_ptr<const Dictionary> dict,
                         ArchiveBuilderOptions{coding, track_coverage,
                                               /*num_threads=*/1,
                                               /*chunk_docs=*/0,
-                                              /*max_inflight_chunks=*/0}) {}
+                                              /*max_inflight_chunks=*/0,
+                                              /*background=*/false}) {}
 
 RlzArchiveBuilder::RlzArchiveBuilder(std::shared_ptr<const Dictionary> dict,
                                      const ArchiveBuilderOptions& options)
@@ -40,6 +41,7 @@ RlzArchiveBuilder::RlzArchiveBuilder(std::shared_ptr<const Dictionary> dict,
     BuildPipelineOptions pipeline_options;
     pipeline_options.num_threads = workers;
     pipeline_options.max_inflight_chunks = options_.max_inflight_chunks;
+    pipeline_options.background = options_.background;
     pipeline_ = std::make_unique<BuildPipeline>(pipeline_options);
     open_ = std::make_shared<Chunk>();
   }
@@ -171,14 +173,10 @@ std::unique_ptr<RlzArchive> RlzArchive::Build(
   builder_options.coding = options.coding;
   builder_options.track_coverage = options.track_coverage;
   builder_options.num_threads = std::max(1, options.num_threads);
-  // Balanced batch default: ~4 chunks per worker, so a skewed range
-  // cannot serialize the tail. Chunking never changes the output bytes.
   builder_options.chunk_docs =
       options.chunk_docs != 0
           ? options.chunk_docs
-          : std::max<size_t>(
-                1, ndocs / (4 * static_cast<size_t>(
-                                    builder_options.num_threads)));
+          : BalancedChunkDocs(ndocs, builder_options.num_threads);
   RlzArchiveBuilder builder(std::move(dict), builder_options);
   for (size_t i = 0; i < ndocs; ++i) {
     builder.AddBorrowedDocument(collection.doc(i));

@@ -35,6 +35,9 @@ struct ArchiveBuilderOptions {
   /// Backpressure: maximum unmerged chunks in flight; AddDocument blocks
   /// beyond it, bounding buffered text. 0 picks 4 x num_threads.
   size_t max_inflight_chunks = 0;
+  /// Run the pipeline workers at background priority
+  /// (BuildPipelineOptions::background). Never affects output bytes.
+  bool background = false;
 };
 
 /// What a finished build did (Finish's out-param; the basis of

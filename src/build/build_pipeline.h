@@ -37,6 +37,10 @@ struct BuildPipelineOptions {
   /// this (backpressure, so a streaming producer cannot buffer an entire
   /// collection ahead of the workers). 0 picks 4 x num_threads.
   size_t max_inflight_chunks = 0;
+  /// Run the workers at the lowest CPU priority (nice 19; Linux keeps
+  /// nice per thread), so a build beside serving threads — a live
+  /// store's tail seal — takes only the CPU they leave idle.
+  bool background = false;
 };
 
 /// Accounting from one pipeline run (valid after Finish()).
@@ -63,6 +67,14 @@ struct BuildPipelineStats {
     return max;
   }
 };
+
+/// CPUs this process may run on: the size of its affinity mask (which a
+/// container or `taskset` pin shrinks), else hardware_concurrency(); >= 1.
+int AvailableCpus();
+
+/// Batch chunk size: ~4 chunks per worker, so one skewed range cannot
+/// serialize the end of a build. >= 1; never changes output bytes.
+size_t BalancedChunkDocs(size_t num_docs, int num_threads);
 
 /// The chunked parallel build executor (DESIGN.md §7). Work is submitted
 /// as ordered chunks; each chunk's `encode` runs concurrently on a worker
@@ -139,6 +151,7 @@ class BuildPipeline {
   void WorkerLoop(int worker);
 
   int num_threads_;
+  bool background_;
   size_t max_inflight_;
 
   std::mutex mu_;

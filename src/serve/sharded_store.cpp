@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include "build/archive_builder.h"
@@ -217,7 +216,6 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
 ShardedStore::~ShardedStore() {
   StopCompactor();
   std::lock_guard<std::mutex> lock(writer_mu_);
-  tail_builder_.reset();  // drains any in-flight tail encode chunks
   if (wal_ != nullptr) {
     // Everything acked was already durable per the group-commit policy;
     // the final sync only narrows a relaxed policy's loss window.
@@ -293,53 +291,22 @@ FactorStats ShardedStore::baseline_stats() const {
 
 // --- Mutation path --------------------------------------------------------
 
-Status ShardedStore::ResetTailBuilderLocked() {
-  if (append_dict_ == nullptr || !append_dict_->has_matcher()) {
-    return Status::InvalidArgument(
-        "sharded store: no append dictionary (v1 manifest or serving-only "
-        "open); appends are disabled");
-  }
-  ArchiveBuilderOptions builder_options;
-  builder_options.coding = options_.coding;
-  builder_options.track_coverage = true;
-  builder_options.num_threads = std::max(1, options_.live.tail_builder_threads);
-  tail_builder_ =
-      std::make_unique<RlzArchiveBuilder>(append_dict_, builder_options);
-  return Status::OK();
-}
-
-Status ShardedStore::ApplyAppendLocked(std::string_view doc, size_t* id) {
-  const bool incremental = options_.live.reuse_append_dictionary &&
-                           append_dict_ != nullptr &&
-                           append_dict_->has_matcher();
-  if (incremental && tail_builder_ == nullptr) {
-    RLZ_RETURN_IF_ERROR(ResetTailBuilderLocked());
-  }
-  auto owned = std::make_shared<const std::string>(doc);
-  if (incremental) {
-    // The borrowed bytes stay alive in tail_docs_ until the seal's
-    // Finish() — the zero-copy incremental encode path (DESIGN.md §7).
-    tail_builder_->AddBorrowedDocument(*owned);
-  }
-  tail_bytes_ += owned->size();
-  tail_docs_.push_back(std::move(owned));
-  *id = router_->num_docs() + tail_docs_.size() - 1;
-  return Status::OK();
+size_t ShardedStore::ApplyAppendLocked(std::string_view doc) {
+  tail_bytes_ += doc.size();
+  tail_docs_.push_back(std::make_shared<const std::string>(doc));
+  return router_->num_docs() + tail_docs_.size() - 1;
 }
 
 StatusOr<size_t> ShardedStore::Append(std::string_view doc) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   RLZ_RETURN_IF_ERROR(CheckWritableLocked());
   if (append_dict_ == nullptr || !append_dict_->has_matcher()) {
-    // Both seal modes need the matcher-capable append dictionary (the
-    // fresh-dictionary mode as the fallback for an all-deleted seal);
-    // gate up front so Append fails cleanly on serving-only opens.
+    // Gate up front so Append fails cleanly on serving-only opens.
     return Status::InvalidArgument(
         "sharded store: no append dictionary (v1 manifest or serving-only "
         "open); appends are disabled");
   }
-  size_t id = 0;
-  RLZ_RETURN_IF_ERROR(ApplyAppendLocked(doc, &id));
+  const size_t id = ApplyAppendLocked(doc);
   // Log before publish: once the epoch containing this document is
   // visible (and the id returned), the WAL record is on its way to disk
   // — durably there already under fsync_every_n == 1 (DESIGN.md §12).
@@ -373,31 +340,34 @@ Status ShardedStore::SealTailLocked() {
 Status ShardedStore::ApplySealLocked() {
   if (tail_docs_.empty()) return Status::OK();
 
-  ArchiveBuildReport report;
-  std::shared_ptr<const RlzArchive> sealed;
-  if (options_.live.reuse_append_dictionary && tail_builder_ != nullptr) {
-    // The incremental path: every Append already encoded through the open
-    // builder, so sealing is a drain + finish.
-    sealed = std::move(*tail_builder_).Finish(&report);
-    tail_builder_.reset();
-  } else {
-    // Fresh-dictionary seal: sample a dictionary from the tail's own
-    // documents and encode them against it.
+  // The raw tail is encoded once, here, as one batch on the build
+  // pipeline (byte-identical to a serial encode; DESIGN.md §7). A fresh
+  // dictionary is sampled from the tail when the options ask for one or
+  // the append dictionary has no matcher (a serving-only Open).
+  std::shared_ptr<const Dictionary> dict = append_dict_;
+  if (!options_.live.reuse_append_dictionary || dict == nullptr ||
+      !dict->has_matcher()) {
     std::string text;
     text.reserve(tail_bytes_);
     for (const auto& d : tail_docs_) text.append(*d);
-    std::shared_ptr<const Dictionary> dict = DictionaryBuilder::BuildSampled(
+    dict = DictionaryBuilder::BuildSampled(
         text.empty() ? std::string_view(" ") : std::string_view(text),
         shard_dict_bytes_, options_.sample_bytes);
-    ArchiveBuilderOptions builder_options;
-    builder_options.coding = options_.coding;
-    builder_options.track_coverage = true;
-    builder_options.num_threads =
-        std::max(1, options_.live.tail_builder_threads);
-    RlzArchiveBuilder builder(std::move(dict), builder_options);
-    for (const auto& d : tail_docs_) builder.AddBorrowedDocument(*d);
-    sealed = std::move(builder).Finish(&report);
   }
+  ArchiveBuilderOptions builder_options;
+  builder_options.coding = options_.coding;
+  builder_options.track_coverage = true;
+  builder_options.num_threads = AvailableCpus();
+  builder_options.chunk_docs =
+      BalancedChunkDocs(tail_docs_.size(), builder_options.num_threads);
+  // At default priority a saturating writer's seals took every CPU from
+  // the readers (EXPERIMENTS.md "Sustained ingest vs serving").
+  builder_options.background = true;
+  RlzArchiveBuilder builder(std::move(dict), builder_options);
+  for (const auto& d : tail_docs_) builder.AddBorrowedDocument(*d);
+  ArchiveBuildReport report;
+  std::shared_ptr<const RlzArchive> sealed =
+      std::move(builder).Finish(&report);
 
   // Health record for the new shard; tail documents deleted before the
   // seal carry their tombstones (and their now-stored-but-dead encoded
@@ -908,27 +878,28 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromEnvelope(
   RLZ_RETURN_IF_ERROR(reader.ExpectConsumed());
   store->next_sequence_ = sequence;
 
-  // Shard files open in parallel: each is an independent rlz container,
-  // and the suffix-array rebuild (when requested) dominates the open
-  // cost, so the pipeline overlaps them across open_threads workers.
+  // Shard files open in parallel: each is an independent rlz container.
+  // No shard gets a suffix array, on any open: the store never
+  // factorizes against a sealed shard's dictionary (seals use the append
+  // dictionary or sample a fresh one; so does compaction).
   store->shards_.resize(nshards);
   std::vector<Status> statuses(nshards);
+  OpenOptions shard_options = options;
+  shard_options.build_suffix_array = false;
   BuildPipelineOptions pipeline_options;
   // `nshards` comes from the (untrusted, CRC-valid) manifest: the default
-  // thread count is capped at the hardware parallelism so a crafted count
+  // thread count is capped at the process's CPUs so a crafted count
   // cannot fan out thousands of threads — the per-shard opens then fail
   // cleanly on the missing files.
-  const uint64_t default_threads =
-      std::max(1u, std::thread::hardware_concurrency());
   pipeline_options.num_threads = static_cast<int>(std::min<uint64_t>(
-      nshards,
-      options.open_threads > 0 ? static_cast<uint64_t>(options.open_threads)
-                               : default_threads));
+      nshards, options.open_threads > 0
+                   ? static_cast<uint64_t>(options.open_threads)
+                   : static_cast<uint64_t>(AvailableCpus())));
   BuildPipeline pipeline(pipeline_options);
   for (size_t s = 0; s < nshards; ++s) {
     pipeline.Submit(
         [&, s](int) {
-          auto shard = RlzArchive::Load(shard_paths[s], options);
+          auto shard = RlzArchive::Load(shard_paths[s], shard_options);
           if (shard.ok()) {
             store->shards_[s] = std::move(shard).value();
           } else {
@@ -951,9 +922,10 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromEnvelope(
   }
 
   // Restore the mutation path: the coding comes from shard 0 (every shard
-  // encodes with the same pair), the append dictionary from its persisted
-  // text (matcher-less on a serving-only open — appends then fail
-  // cleanly), and the open tail re-encodes through a fresh builder.
+  // encodes with the same pair) and the append dictionary from its
+  // persisted text. Its suffix array — the only one the store queries —
+  // is built on a writable open only; matcher-less, appends fail
+  // cleanly. The open tail stays raw until it seals.
   store->options_.coding = store->shards_[0]->coder().coding();
   store->shard_dict_bytes_ =
       std::max<uint64_t>(1, store->shards_[0]->dictionary().size());
@@ -963,14 +935,6 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromEnvelope(
   }
   {
     std::lock_guard<std::mutex> lock(store->writer_mu_);
-    if (!store->tail_docs_.empty() && store->append_dict_ != nullptr &&
-        store->append_dict_->has_matcher() &&
-        store->options_.live.reuse_append_dictionary) {
-      RLZ_RETURN_IF_ERROR(store->ResetTailBuilderLocked());
-      for (const auto& doc : store->tail_docs_) {
-        store->tail_builder_->AddBorrowedDocument(*doc);
-      }
-    }
     store->PublishLocked();
   }
   return store;
@@ -1147,10 +1111,9 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::OpenFromCheckpoint(
                                    std::string_view payload) -> Status {
       (void)lsn;
       switch (type) {
-        case wal::RecordType::kAppend: {
-          size_t id = 0;
-          return raw_store->ApplyAppendLocked(payload, &id);
-        }
+        case wal::RecordType::kAppend:
+          raw_store->ApplyAppendLocked(payload);
+          return Status::OK();
         case wal::RecordType::kDelete: {
           if (payload.size() != 8) {
             return Status::Corruption(dir + ": bad wal delete payload");
@@ -1169,7 +1132,7 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::OpenFromCheckpoint(
         }
         case wal::RecordType::kSeal:
           // Serving-only recovery leaves the tail raw: sealing would
-          // re-encode (and want the suffix array this open skipped).
+          // encode (and want the suffix array this open skipped).
           // Document ids and bytes are identical either way.
           if (raw_store->read_only_) return Status::OK();
           return raw_store->ApplySealLocked();

@@ -31,20 +31,14 @@
 
 namespace rlz {
 
-class RlzArchiveBuilder;
-
 /// Mutation-path knobs of a live ShardedStore (DESIGN.md §11).
 struct LiveStoreOptions {
   /// Raw tail bytes that trigger an automatic seal: once the open tail
   /// segment holds at least this much appended text, the Append that
-  /// crossed the threshold seals it into a new compressed shard before
-  /// returning. 0 disables auto-seal (callers seal explicitly).
+  /// crossed the threshold seals it into a new compressed shard (paying
+  /// the whole tail's encode) before returning. 0 disables auto-seal
+  /// (callers seal explicitly).
   size_t tail_seal_bytes = 1 << 20;
-  /// Worker threads of the incremental tail encoder (the per-append
-  /// RlzArchiveBuilder). 1 encodes each append synchronously — the §3.6
-  /// dynamic setting, with live factor stats; more workers encode tail
-  /// chunks on the build pipeline in the background.
-  int tail_builder_threads = 1;
   /// Worker threads for a compaction rebuild.
   int compact_threads = 1;
   /// Compaction trigger: a shard whose tombstoned-but-still-stored
@@ -138,8 +132,8 @@ struct ShardHealth {
 
 /// Partitions a collection into independent RlzArchive shards behind the
 /// Archive interface — the scale-out unit of the serving layer (DESIGN.md
-/// §6) — and keeps the corpus *live*: documents can be appended (routed
-/// to an open tail segment encoded incrementally through the build
+/// §6) — and keeps the corpus *live*: documents can be appended (to a raw
+/// open tail segment that is encoded once, when it seals, on the build
 /// pipeline), deleted (tombstoned), and compacted (a tombstone-heavy or
 /// stale-dictionary shard is rewritten in the background and swapped into
 /// the next epoch).
@@ -170,8 +164,7 @@ class ShardedStore final : public Archive {
   static std::unique_ptr<ShardedStore> Build(
       const Collection& collection, const ShardedStoreOptions& options = {});
 
-  /// Joins the background compactor (if running) and drains the tail
-  /// encoder.
+  /// Joins the background compactor (if running) and closes the WAL.
   ~ShardedStore() override;
 
   /// The scratch-less convenience overloads stay visible alongside the
@@ -198,13 +191,12 @@ class ShardedStore final : public Archive {
 
   /// Appends one document to the open tail segment and publishes the
   /// epoch that contains it. Returns the new document's permanent id.
-  /// The document is encoded incrementally through the tail's
-  /// RlzArchiveBuilder (synchronously with one tail worker; on the build
-  /// pipeline with more), and its raw bytes serve reads until the tail
-  /// seals. Crossing LiveStoreOptions::tail_seal_bytes seals the tail
-  /// before returning. Thread-safe against concurrent readers and other
-  /// mutators. Fails with InvalidArgument on a store opened without an
-  /// append dictionary (a v1 manifest or a serving-only open).
+  /// The document is stored raw, not encoded, and serves reads until the
+  /// tail seals. Crossing LiveStoreOptions::tail_seal_bytes seals the
+  /// tail before returning. Thread-safe against concurrent readers and
+  /// other mutators. Fails with InvalidArgument on a store opened
+  /// without an append dictionary (a v1 manifest or a serving-only
+  /// open).
   StatusOr<size_t> Append(std::string_view doc);
 
   /// Tombstones document `id` and publishes the epoch that hides it:
@@ -219,9 +211,12 @@ class ShardedStore final : public Archive {
   bool IsLive(size_t id) const;
 
   /// Seals the open tail into a new compressed shard (growing the router
-  /// by one range) and publishes the epoch containing it. No-op when the
-  /// tail is empty. Called automatically when an Append crosses
-  /// LiveStoreOptions::tail_seal_bytes.
+  /// by one range) and publishes the epoch containing it. The tail is
+  /// encoded here, in one batch on the build pipeline, byte-identical to
+  /// a serial RlzArchive::Build against the append dictionary (or a
+  /// fresh one sampled from the tail, see reuse_append_dictionary).
+  /// No-op when the tail is empty. Called automatically when an Append
+  /// crosses LiveStoreOptions::tail_seal_bytes.
   Status SealTail();
 
   /// One compaction pass: scores every sealed shard (tombstoned-payload
@@ -315,14 +310,15 @@ class ShardedStore final : public Archive {
 
   /// Opens a store written by Save: reads the manifest, then loads every
   /// shard file in parallel (options.open_threads workers; by default one
-  /// per shard, capped at the hardware parallelism). A v2 manifest
-  /// restores the full epoch: tombstones, generations, the open tail
-  /// (re-encoded through a fresh tail builder), and the append
-  /// dictionary. A serving-only reopen passes
-  /// OpenOptions::build_suffix_array = false, skips every suffix-array
-  /// rebuild, and disables Append (InvalidArgument). Fails with
-  /// IOError if a shard file named by the manifest is missing, Corruption
-  /// if a shard's document count disagrees with the manifest.
+  /// per shard, capped at the process's CPUs, AvailableCpus). A v2
+  /// manifest restores the full epoch: tombstones, generations, the raw
+  /// open tail, and the append dictionary. Shard dictionaries never get a
+  /// suffix array (the store never factorizes against one). A writable
+  /// open (the default OpenOptions::build_suffix_array = true) builds
+  /// only the append dictionary's; a serving-only reopen passes false,
+  /// builds none, and disables Append (InvalidArgument). Fails with
+  /// IOError if a shard file named by the manifest is missing,
+  /// Corruption if a shard's document count disagrees with the manifest.
   static StatusOr<std::unique_ptr<ShardedStore>> Open(
       const std::string& path, const OpenOptions& options = {});
 
@@ -360,15 +356,17 @@ class ShardedStore final : public Archive {
 
   /// Opens (and auto-recovers) a durable store directory: finds the most
   /// recent complete checkpoint (CURRENT, with a scan fallback when
-  /// CURRENT itself is damaged), loads its manifest and shards, replays
-  /// the WAL over it — tolerating a torn final segment — and resumes
-  /// logging. A serving-only open (options.build_suffix_array = false)
-  /// skips suffix-array rebuilds, skips re-sealing (WAL'd tail documents
-  /// stay raw), writes nothing, and disables every mutation (read_only()
-  /// becomes true). `fs` non-null routes ALL I/O — checkpoint, shards,
-  /// WAL — through it (the crash-injection tests' hook); otherwise shard
-  /// reads honor options.use_mmap/options.fs and the WAL uses the real
-  /// file system.
+  /// CURRENT itself is damaged), loads its manifest and shards as Open
+  /// does, replays the WAL over it — tolerating a torn final segment —
+  /// and resumes logging. Replayed appends re-enter the raw tail; a
+  /// replayed seal encodes it as SealTail does, so recovered shards are
+  /// byte-identical to the crashed store's. A serving-only open
+  /// (options.build_suffix_array = false) skips re-sealing (WAL'd tail
+  /// documents stay raw), writes nothing, and disables every mutation
+  /// (read_only() becomes true). `fs` non-null routes ALL I/O —
+  /// checkpoint, shards, WAL — through it (the crash-injection tests'
+  /// hook); otherwise shard reads honor options.use_mmap/options.fs and
+  /// the WAL uses the real file system.
   static StatusOr<std::unique_ptr<ShardedStore>> OpenDurable(
       const std::string& dir, const OpenOptions& options = {},
       const wal::WalWriterOptions& wal_options = {},
@@ -409,14 +407,12 @@ class ShardedStore final : public Archive {
   /// Logs (when durable) and seals the open tail into a new shard.
   /// Requires writer_mu_.
   Status SealTailLocked();
-  /// Creates the open-tail builder for the next segment. Requires
-  /// writer_mu_; returns InvalidArgument without an append dictionary.
-  Status ResetTailBuilderLocked();
 
   // The non-logging mutation cores, shared by the live path (which logs
   // first) and WAL replay (which must not log, publish per record, or
-  // notify evictions). All require writer_mu_.
-  Status ApplyAppendLocked(std::string_view doc, size_t* id);
+  // notify evictions). All require writer_mu_. ApplyAppendLocked returns
+  // the new document's id.
+  size_t ApplyAppendLocked(std::string_view doc);
   Status ApplyDeleteLocked(size_t id);
   Status ApplySealLocked();
 
@@ -472,7 +468,6 @@ class ShardedStore final : public Archive {
   // sample size for fresh-dictionary seals and compaction re-samples.
   size_t shard_dict_bytes_ = 1 << 20;
   std::shared_ptr<const Dictionary> append_dict_;  // null: appends disabled
-  std::unique_ptr<RlzArchiveBuilder> tail_builder_;
 
   // Durability state (DESIGN.md §12). wal_ non-null once
   // MakeDurable/OpenDurable attached a log; all guarded by writer_mu_

@@ -23,12 +23,13 @@ struct OpenOptions {
   /// never consults the suffix array — only factorizing *new* documents
   /// does — so a serving-only reopen should pass false and skip the
   /// dominant part of the open cost (see bench/serve_throughput's
-  /// restart-cost table).
+  /// restart-cost table). ShardedStore never builds one for a shard: it
+  /// reads this as "writable", building only its append dictionary's.
   bool build_suffix_array = true;
   /// Worker threads for multi-file opens (ShardedStore loads its shards
   /// in parallel). 0 means auto: one thread per shard, capped at the
-  /// hardware parallelism (the shard count comes from an untrusted
-  /// manifest, so it cannot dictate the fan-out on its own).
+  /// process's CPUs, AvailableCpus() (the shard count comes from an
+  /// untrusted manifest, so it cannot dictate the fan-out on its own).
   int open_threads = 0;
   /// Decode-cache budget in bytes for formats that serve through a block
   /// cache (BlockedArchive). 0 means auto-size to two maximum blocks —

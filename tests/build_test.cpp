@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -172,6 +173,30 @@ TEST(BuildPipelineTest, PartitionCoversAllDocsContiguously) {
   EXPECT_EQ(ranges.back().end, 100u);
   EXPECT_TRUE(BuildPipeline::Partition(0, 4).empty());
 }
+
+#ifdef __linux__
+TEST(BuildPipelineTest, BackgroundWorkersRunAtLowestPriority) {
+  // Each chunk records the nice value of the worker that encoded it.
+  for (const bool background : {false, true}) {
+    BuildPipelineOptions options;
+    options.num_threads = 2;
+    options.background = background;
+    BuildPipeline pipeline(options);
+    constexpr int kChunks = 8;
+    std::vector<int> nice(kChunks, -100);
+    for (int i = 0; i < kChunks; ++i) {
+      pipeline.Submit(
+          [&nice, i](int) { nice[i] = getpriority(PRIO_PROCESS, 0); },
+          [] {});
+    }
+    pipeline.Finish();
+    const int inherited = getpriority(PRIO_PROCESS, 0);
+    for (int i = 0; i < kChunks; ++i) {
+      EXPECT_EQ(nice[i], background ? 19 : inherited) << "chunk " << i;
+    }
+  }
+}
+#endif
 
 class BuildPipelineThreadsTest : public ::testing::TestWithParam<int> {};
 

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dictionary.h"
+#include "core/rlz_archive.h"
 #include "corpus/generator.h"
 #include "serve/corpus_epoch.h"
 #include "serve/doc_service.h"
@@ -123,6 +125,47 @@ TEST(LiveStoreTest, AutoSealAtThreshold) {
   for (size_t i = 0; i < extra.num_docs(); ++i) {
     ASSERT_TRUE(store->Get(built + i, &doc).ok());
     EXPECT_EQ(doc, extra.doc(i));
+  }
+}
+
+TEST(LiveStoreTest, SealedTailEqualsSerialBuildInBothDictionaryModes) {
+  // The tail is encoded once, at seal, on the build pipeline with one
+  // worker per CPU. Whatever that count is, the sealed shard must be the
+  // archive a serial RlzArchive::Build makes from the same documents and
+  // the dictionary the mode names: the append dictionary (sampled from
+  // the build corpus) or one sampled from the tail itself.
+  const Collection collection = TestCollection(1 << 18, 41);
+  const Collection extra = TestCollection(1 << 18, 42);
+  ASSERT_GE(extra.num_docs(), 8u);
+  for (const bool reuse : {true, false}) {
+    SCOPED_TRACE(reuse ? "reuse_append_dictionary" : "fresh dictionary");
+    ShardedStoreOptions options;
+    options.num_shards = 2;
+    options.dict_bytes = 1 << 16;
+    options.live.tail_seal_bytes = 0;
+    options.live.reuse_append_dictionary = reuse;
+    auto store = ShardedStore::Build(collection, options);
+    for (size_t i = 0; i < extra.num_docs(); ++i) {
+      ASSERT_TRUE(store->Append(extra.doc(i)).ok());
+    }
+    ASSERT_TRUE(store->SealTail().ok());
+    const int sealed = store->num_shards() - 1;
+
+    const size_t shard_dict_bytes = options.dict_bytes / 2;
+    std::shared_ptr<const Dictionary> dict = DictionaryBuilder::BuildSampled(
+        reuse ? collection.data() : extra.data(), shard_dict_bytes,
+        options.sample_bytes);
+    RlzBuildOptions build_options;
+    build_options.coding = options.coding;
+    build_options.num_threads = 1;
+    RlzBuildInfo info;
+    const auto serial =
+        RlzArchive::Build(extra, std::move(dict), build_options, &info);
+    EXPECT_EQ(store->shard(sealed).Serialize(), serial->Serialize());
+    const ShardHealth health = store->shard_health(sealed);
+    EXPECT_EQ(health.stats.num_factors, info.stats.num_factors);
+    EXPECT_EQ(health.stats.num_literals, info.stats.num_literals);
+    EXPECT_EQ(health.stats.text_bytes, info.stats.text_bytes);
   }
 }
 
@@ -401,6 +444,56 @@ TEST(LiveStoreTest, SaveOpenRoundTripsLiveEpoch) {
   ASSERT_TRUE(reopened->Get(id.value(), &actual).ok());
   EXPECT_EQ(actual, "appended after reopen");
   (void)built;
+}
+
+TEST(LiveStoreTest, WritableOpenBuildsNoShardSuffixArrays) {
+  const Collection collection = TestCollection(1 << 18, 116);
+  auto store = SmallLiveStore(collection);
+  const Collection extra = TestCollection(1 << 17, 117);
+  for (size_t i = 0; i < extra.num_docs(); ++i) {
+    ASSERT_TRUE(store->Append(extra.doc(i)).ok());
+    if (i == extra.num_docs() / 2) {
+      ASSERT_TRUE(store->SealTail().ok());
+    }
+  }
+  const std::string path = TempPath("live_writable_open.sharded");
+  ASSERT_TRUE(store->Save(path).ok());
+  auto reopened_or = ShardedStore::Open(path);
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  auto reopened = std::move(reopened_or).value();
+  for (int s = 0; s < reopened->num_shards(); ++s) {
+    EXPECT_FALSE(reopened->shard(s).dictionary().has_matcher()) << s;
+  }
+
+  // Still fully writable: appends, a seal of the restored raw tail plus
+  // the new document, and a compaction of a tombstone-heavy shard.
+  std::vector<std::string> expected(store->num_docs());
+  for (size_t id = 0; id < expected.size(); ++id) {
+    ASSERT_TRUE(store->Get(id, &expected[id]).ok());
+  }
+  auto id = reopened->Append("appended after a writable open");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  expected.push_back("appended after a writable open");
+  ASSERT_TRUE(reopened->SealTail().ok());
+  EXPECT_EQ(reopened->epoch()->tail_docs(), 0u);
+  const size_t shard0_docs = reopened->starts(1);
+  for (size_t d = 0; d < shard0_docs; ++d) {
+    ASSERT_TRUE(reopened->Delete(d).ok());
+  }
+  auto report = reopened->CompactOnce();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->compacted);
+  EXPECT_EQ(report->shard, 0);
+
+  std::string doc;
+  for (size_t d = 0; d < expected.size(); ++d) {
+    if (d < shard0_docs) {
+      EXPECT_EQ(reopened->Get(d, &doc).code(), StatusCode::kNotFound) << d;
+      continue;
+    }
+    ASSERT_TRUE(reopened->Get(d, &doc).ok()) << d;
+    EXPECT_EQ(doc, expected[d]) << d;
+  }
 }
 
 TEST(LiveStoreTest, ServingOnlyOpenDisablesAppends) {

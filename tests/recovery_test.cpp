@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -773,6 +774,110 @@ TEST(RecoveryTest, ServingOnlyRecoveryIsReadOnly) {
   auto writable_or = ShardedStore::OpenDurable(dir);
   ASSERT_TRUE(writable_or.ok()) << writable_or.status().ToString();
   EXPECT_TRUE((*writable_or)->Append("writable again").ok());
+}
+
+TEST(RecoveryTest, ReplayedSealsAreByteIdenticalAndBuildNoShardMatchers) {
+  // Appends, deletes and seals — auto and explicit, on both sides of a
+  // checkpoint — then a crash image of the still-running store. Replay
+  // pushes appends raw and encodes each tail only at its logged seal,
+  // so every recovered shard must equal the crashed store's byte for
+  // byte. A writable recovery builds one suffix array, the append
+  // dictionary's: shards loaded from the checkpoint get none, and shards
+  // sealed by replay share the append dictionary. The recovered store
+  // still appends, seals and compacts.
+  const Collection collection = TestCollection(1 << 16, 271);
+  const Collection extra = TestCollection(1 << 17, 272);
+  ASSERT_GE(extra.num_docs(), 6u);
+  auto fs = std::make_shared<FaultFs>();
+  ShardedStoreOptions options;
+  options.num_shards = 2;
+  options.dict_bytes = 1 << 13;
+  options.live.tail_seal_bytes = extra.size_bytes() / 3;
+  auto store = ShardedStore::Build(collection, options);
+  const size_t base = store->num_docs();
+  ASSERT_TRUE(store->MakeDurable("/store", {}, fs).ok());
+  for (size_t i = 0; i < extra.num_docs(); ++i) {
+    ASSERT_TRUE(store->Append(extra.doc(i)).ok());
+    if (i == 1) {
+      ASSERT_TRUE(store->Checkpoint().ok());
+    }
+    if (i == 2) {
+      ASSERT_TRUE(store->SealTail().ok());
+    }
+    if (i % 3 == 0) {
+      ASSERT_TRUE(store->Delete(base + i).ok());
+    }
+  }
+  ASSERT_TRUE(store->Delete(1).ok());
+  ASSERT_GT(store->num_shards(), options.num_shards + 1);
+  ASSERT_GT(store->epoch()->tail_docs(), 0u);
+
+  ShardedStore::RecoveryReport report;
+  const std::shared_ptr<FaultFs> crashed = fs->DurableClone();
+  auto recovered_or =
+      ShardedStore::OpenDurable("/store", {}, {}, crashed, &report);
+  ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
+  auto recovered = std::move(recovered_or).value();
+  EXPECT_GT(report.replayed_records, 0u);
+  ASSERT_EQ(recovered->num_shards(), store->num_shards());
+  ASSERT_EQ(recovered->num_docs(), store->num_docs());
+  std::set<const Dictionary*> matchers;
+  for (int s = 0; s < recovered->num_shards(); ++s) {
+    EXPECT_EQ(recovered->shard(s).Serialize(), store->shard(s).Serialize())
+        << "shard " << s;
+    const Dictionary& dict = recovered->shard(s).dictionary();
+    if (s < options.num_shards) {
+      EXPECT_FALSE(dict.has_matcher()) << s;
+    }
+    if (dict.has_matcher()) matchers.insert(&dict);
+  }
+  EXPECT_EQ(matchers.size(), 1u);
+
+  std::vector<std::string> expected(store->num_docs());
+  std::vector<bool> deleted(store->num_docs(), false);
+  for (size_t id = 0; id < expected.size(); ++id) {
+    const Status status = store->Get(id, &expected[id]);
+    deleted[id] = status.code() == StatusCode::kNotFound;
+    ASSERT_TRUE(status.ok() || deleted[id]) << status.ToString();
+  }
+  auto id = recovered->Append("appended after recovery");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  expected.push_back("appended after recovery");
+  deleted.push_back(false);
+  ASSERT_TRUE(recovered->SealTail().ok());
+  for (size_t d = 0; d < recovered->starts(1); ++d) {
+    if (!deleted[d]) {
+      ASSERT_TRUE(recovered->Delete(d).ok());
+    }
+    deleted[d] = true;
+  }
+  auto compaction = recovered->CompactOnce();
+  ASSERT_TRUE(compaction.ok()) << compaction.status().ToString();
+  EXPECT_TRUE(compaction->compacted);
+
+  // The compaction checkpointed, so a second writable recovery loads
+  // every shard from checkpoint files: none gets a suffix array.
+  auto reloaded_or =
+      ShardedStore::OpenDurable("/store", {}, {}, crashed->DurableClone());
+  ASSERT_TRUE(reloaded_or.ok()) << reloaded_or.status().ToString();
+  auto reloaded = std::move(reloaded_or).value();
+  for (int s = 0; s < reloaded->num_shards(); ++s) {
+    EXPECT_FALSE(reloaded->shard(s).dictionary().has_matcher()) << s;
+  }
+  std::string doc;
+  for (const ShardedStore* check : {recovered.get(), reloaded.get()}) {
+    ASSERT_EQ(check->num_docs(), expected.size());
+    for (size_t d = 0; d < expected.size(); ++d) {
+      const Status status = check->Get(d, &doc);
+      if (deleted[d]) {
+        EXPECT_EQ(status.code(), StatusCode::kNotFound) << d;
+      } else {
+        ASSERT_TRUE(status.ok()) << d << ": " << status.ToString();
+        EXPECT_EQ(doc, expected[d]) << d;
+      }
+    }
+  }
+  EXPECT_TRUE(reloaded->Append("appended after the second recovery").ok());
 }
 
 TEST(RecoveryTest, MmapOpenServesByteIdentical) {
