@@ -3,7 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string_view>
+#include <thread>
 
+#include "build/build_pipeline.h"
 #include "core/rlz.h"
 #include "search/inverted_index.h"
 #include "search/query_log.h"
@@ -14,6 +17,24 @@
 
 namespace rlz {
 namespace bench {
+
+std::string HostJson() {
+  const auto quoted = [](std::string_view text) {
+    std::string out = "\"";
+    for (const char c : text) {
+      if (c == '"' || c == '\\') out.push_back('\\');
+      out.push_back(c);
+    }
+    return out + "\"";
+  };
+  return "{\"commit\": " + quoted(RLZ_BENCH_COMMIT) +
+         ", \"compiler\": " + quoted(__VERSION__) +
+         ", \"build_type\": " + quoted(RLZ_BENCH_BUILD_TYPE) +
+         ", \"cxx_flags\": " + quoted(RLZ_BENCH_CXX_FLAGS) +
+         ", \"hardware_concurrency\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"available_cpus\": " + std::to_string(AvailableCpus()) + "}";
+}
 
 double BenchScale() {
   static const double scale = [] {

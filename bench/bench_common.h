@@ -11,6 +11,13 @@
 namespace rlz {
 namespace bench {
 
+/// The "host" object every BENCH_*.json records, as one JSON object: the
+/// commit the build was configured at ("unknown" outside a git checkout),
+/// the compiler version, the build type and C++ flags, the hardware
+/// threads, and the CPUs this process may run on (AvailableCpus, which
+/// a `taskset` pin shrinks).
+std::string HostJson();
+
 /// Scaled-down stand-ins for the paper's corpora (DESIGN.md §3/§4):
 /// gov2s ~ 24 MB web crawl (GOV2 426 GB), wikis ~ 16 MB encyclopedia
 /// (Wikipedia 256 GB). Override the scale with RLZ_BENCH_SCALE (e.g. 4.0

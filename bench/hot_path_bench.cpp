@@ -14,13 +14,12 @@
 //
 // All three run over the same per-document encoded factor streams, so the
 // comparison isolates the decode kernel. The bench also reports factorize
-// throughput and single-/multi-threaded serving throughput through
-// DocService (cache off, so every request decodes), and splits ZV decode
-// into its stages (code-length read plus table build, symbol loop, CRC,
-// vbyte plus copy expansion). Results are printed
-// and written as machine-readable JSON (default BENCH_hot_path.json in
-// the working directory) so the repo's perf trajectory is recorded and
-// regression-gated.
+// throughput and splits ZV decode into its stages (code-length read plus
+// table build, symbol loop, CRC, vbyte plus copy expansion). Serving
+// throughput through DocService is serve_load_bench's job. Results are
+// printed and written as machine-readable JSON (default
+// BENCH_hot_path.json in the working directory) so the repo's perf
+// trajectory is recorded and regression-gated.
 //
 //   ./build/bench/hot_path_bench                full run
 //   ./build/bench/hot_path_bench --smoke       small corpus + gate: the
@@ -38,14 +37,13 @@
 #include <string_view>
 #include <vector>
 
+#include "bench_common.h"
 #include "codecs/int_codecs.h"
 #include "core/dictionary.h"
 #include "core/factor_coder.h"
 #include "core/factorizer.h"
-#include "core/rlz_archive.h"
 #include "corpus/generator.h"
 #include "io/file.h"
-#include "serve/doc_service.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -268,41 +266,6 @@ StageSplit RunZvStageSplit(const FactorCoder& coder, const Dictionary& dict,
   return split;
 }
 
-struct ServeResult {
-  double wall_dps = 0.0;
-  double modeled_dps = 0.0;
-};
-
-// Serving throughput through DocService with the decode cache off, so
-// every request exercises the per-worker-scratch decode path.
-ServeResult RunServePass(const Archive& archive, size_t num_requests,
-                         int threads) {
-  DocServiceOptions options;
-  options.num_threads = threads;
-  options.cache_bytes = 0;
-  DocService service(&archive, options);
-  std::vector<std::future<GetResult>> futures;
-  futures.reserve(num_requests);
-  Timer wall;
-  for (size_t r = 0; r < num_requests; ++r) {
-    futures.push_back(service.Get(r % archive.num_docs()));
-  }
-  service.Drain();
-  const double wall_seconds = wall.ElapsedSeconds();
-  for (auto& f : futures) {
-    const GetResult result = f.get();
-    RLZ_CHECK(result.ok()) << result.status.ToString();
-  }
-  const ServiceStats stats = service.Stats();
-  ServeResult result;
-  result.wall_dps = static_cast<double>(num_requests) / wall_seconds;
-  result.modeled_dps =
-      stats.critical_path_seconds > 0.0
-          ? static_cast<double>(num_requests) / stats.critical_path_seconds
-          : 0.0;
-  return result;
-}
-
 void AppendJsonDecode(const char* name, const DecodeResult& r,
                       std::string* out) {
   char buf[256];
@@ -344,6 +307,7 @@ void Run(bool smoke, const std::string& out_path) {
   std::string json;
   json.append("{\n  \"bench\": \"hot_path\",\n");
   json.append(smoke ? "  \"mode\": \"smoke\",\n" : "  \"mode\": \"full\",\n");
+  json.append("  \"host\": " + HostJson() + ",\n");
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "  \"corpus\": {\"docs\": %zu, \"bytes\": %llu, "
@@ -444,28 +408,6 @@ void Run(bool smoke, const std::string& out_path) {
                 split.tables_us, split.symbols_us, split.crc_us,
                 split.expand_us, split.total_us);
   json.append(buf);
-
-  // Serving throughput: DocService over an rlz-ZV archive, cache off, so
-  // every request runs the per-worker-scratch decode.
-  const auto archive = RlzArchive::BuildFromFactors(dict, docs, kZV);
-  const size_t requests =
-      std::max<size_t>(collection.num_docs(), smoke ? 2000 : 20000);
-  std::printf("\n%-8s %12s %14s   (DocService, cache off, rlz-ZV)\n",
-              "threads", "wall dps", "modeled dps");
-  json.append("  \"serve\": {\n");
-  const int thread_rows[] = {1, 4};
-  for (size_t t = 0; t < 2; ++t) {
-    const ServeResult r = RunServePass(*archive, requests, thread_rows[t]);
-    std::printf("%-8d %12.0f %14.0f\n", thread_rows[t], r.wall_dps,
-                r.modeled_dps);
-    std::snprintf(buf, sizeof(buf),
-                  "    \"threads_%d\": {\"wall_dps\": %.0f, "
-                  "\"modeled_dps\": %.0f}%s\n",
-                  thread_rows[t], r.wall_dps, r.modeled_dps,
-                  t + 1 < 2 ? "," : "");
-    json.append(buf);
-  }
-  json.append("  },\n");
 
   bool gate_pass = true;
   json.append("  \"gates\": [\n");

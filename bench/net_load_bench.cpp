@@ -54,6 +54,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "corpus/generator.h"
 #include "io/file.h"
 #include "net/doc_server.h"
@@ -480,11 +481,8 @@ int Run(bool smoke, bool overload, const std::string& out_path) {
                 static_cast<unsigned long long>(collection.size_bytes()),
                 static_cast<unsigned long long>(corpus_options.seed));
   json.append(buf);
-  std::snprintf(buf, sizeof(buf),
-                "  \"store\": \"%s\",\n  \"host\": "
-                "{\"hardware_concurrency\": %u},\n",
-                store->name().c_str(), hw);
-  json.append(buf);
+  json.append("  \"store\": \"" + store->name() + "\",\n");
+  json.append("  \"host\": " + HostJson() + ",\n");
   std::snprintf(buf, sizeof(buf),
                 "  \"config\": {\"snippet_bytes\": %zu, \"page_docs\": %zu, "
                 "\"snippet_requests_per_conn\": %zu, "

@@ -11,6 +11,13 @@
 //       OpenDurable after a checkpoint (load-bound), and a plain saved
 //       manifest through read-all vs mmap opens (the zero-copy story of
 //       DESIGN.md §10 extended to real files).
+//   restart cost (full run only, printed) — every container format is
+//       saved to disk, reopened cold through OpenArchive, and timed (open
+//       latency plus the first Get) on the gov2s paper corpus — the
+//       failover path of DESIGN.md §8. The rlz-family rows are measured
+//       both with the default open and the serving-only open
+//       (OpenOptions::build_suffix_array = false), which is what a
+//       restarting front-end uses. RLZ_BENCH_SCALE resizes the corpus.
 //
 // Results are printed and written as JSON (default BENCH_recovery.json).
 //
@@ -33,10 +40,15 @@
 #include <string_view>
 #include <vector>
 
+#include "bench_common.h"
+#include "core/rlz.h"
 #include "corpus/generator.h"
 #include "io/fault_fs.h"
 #include "io/file.h"
+#include "semistatic/semistatic_archive.h"
 #include "serve/sharded_store.h"
+#include "store/ascii_archive.h"
+#include "store/blocked_archive.h"
 #include "store/open_archive.h"
 #include "store/wal/wal_writer.h"
 #include "util/logging.h"
@@ -193,6 +205,69 @@ ColdStartResult RunColdStart(const Collection& collection, int repeats,
   return result;
 }
 
+// Saves `archive`, drops it, and times the cold reopen plus the first
+// document fetch — the restart cost a serving process pays per format.
+void ReportColdOpen(const char* label, const Archive& archive,
+                    const std::filesystem::path& dir,
+                    const OpenOptions& options) {
+  const std::string path = (dir / label).string();
+  RLZ_CHECK(archive.Save(path).ok()) << label;
+
+  Timer open_timer;
+  auto reopened = OpenArchive(path, options);
+  const double open_ms = 1e3 * open_timer.ElapsedSeconds();
+  RLZ_CHECK(reopened.ok()) << label << ": " << reopened.status().ToString();
+
+  std::string doc;
+  Timer get_timer;
+  RLZ_CHECK((*reopened)->Get((*reopened)->num_docs() / 2, &doc).ok());
+  const double get_us = 1e6 * get_timer.ElapsedSeconds();
+
+  std::printf("%-18s %-14s %10.1f %14.1f\n", label,
+              (*reopened)->name().c_str(), open_ms, get_us);
+}
+
+void RestartCost(const Collection& collection) {
+  std::printf(
+      "\nrestart cost (save -> cold OpenArchive -> first Get), %zu docs:\n",
+      collection.num_docs());
+  std::printf("%-18s %-14s %10s %14s\n", "file", "format", "open ms",
+              "first-get us");
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "rlz_restart_cost";
+  std::filesystem::create_directories(dir);
+
+  OpenOptions with_sa;     // default: rebuild suffix arrays (build path)
+  OpenOptions serving;     // serving-only reopen: no suffix arrays
+  serving.build_suffix_array = false;
+
+  ReportColdOpen("ascii", AsciiArchive(collection), dir, serving);
+  ReportColdOpen(
+      "blocked",
+      BlockedArchive(collection, GetCompressor(CompressorId::kGzipx),
+                     64 << 10),
+      dir, serving);
+  ReportColdOpen("semistatic",
+                 *SemiStaticArchive::Build(collection, SemiStaticScheme::kEtdc),
+                 dir, serving);
+
+  RlzOptions rlz_options;
+  rlz_options.dict_bytes = collection.size_bytes() / 100;
+  const auto rlz = CompressCollection(collection, rlz_options);
+  ReportColdOpen("rlz.sa", *rlz, dir, with_sa);
+  ReportColdOpen("rlz.serve", *rlz, dir, serving);
+
+  ShardedStoreOptions store_options;
+  store_options.num_shards = 4;
+  store_options.dict_bytes = collection.size_bytes() / 100;
+  const auto store = ShardedStore::Build(collection, store_options);
+  ReportColdOpen("sharded.sa", *store, dir, with_sa);
+  ReportColdOpen("sharded.serve", *store, dir, serving);
+
+  std::filesystem::remove_all(dir);
+}
+
 void Run(bool smoke, const std::string& out_path) {
   CorpusOptions corpus_options;
   corpus_options.target_bytes = smoke ? (1u << 20) : (8u << 20);
@@ -230,10 +305,12 @@ void Run(bool smoke, const std::string& out_path) {
   std::printf(
       "  cold start: checkpointed %.1f ms, read-all %.1f ms, mmap %.1f ms\n",
       cold.checkpointed_open_ms, cold.readall_open_ms, cold.mmap_open_ms);
+  if (!smoke) RestartCost(Gov2Crawl().collection);
 
   std::string json;
   json.append("{\n  \"bench\": \"recovery\",\n");
   json.append(smoke ? "  \"mode\": \"smoke\",\n" : "  \"mode\": \"full\",\n");
+  json.append("  \"host\": " + HostJson() + ",\n");
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "  \"corpus\": {\"docs\": %zu, \"bytes\": %llu, "

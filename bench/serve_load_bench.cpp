@@ -2,19 +2,19 @@
 // keeping K requests in flight through DocService::SubmitBatch over a
 // 4-shard ShardedStore (rlz-ZV, cache off, so every request decodes), under
 // uniform and Zipfian(theta=0.99) document popularity. Reports wall-clock
-// and modeled docs/s plus p50/p99/p999 request latency per row, and writes
+// and CPU docs/s plus p50/p99/p999 request latency per row, and writes
 // machine-readable JSON (default BENCH_serve.json).
 //
-// Two throughput columns, same doctrine as serve_throughput and DESIGN.md
-// §4/§6: "wall" is real elapsed time on this host — meaningful only when
-// the host has a core per worker; "modeled" is requests divided by the
-// busiest worker's CPU + simulated-disk time (the makespan of a machine
-// with one core and one spindle per worker), which is the
-// machine-independent column. The scaling gate therefore picks its basis
-// from the host: wall when std::thread::hardware_concurrency() >= 4 (the
-// 4-worker row can actually run 4-wide, as on the 4-vCPU CI runners),
-// modeled otherwise (e.g. single-core hosts, where wall scaling is
-// physically impossible); the JSON records which basis gated.
+// Two throughput columns (DESIGN.md §6): "wall" is requests divided by
+// real elapsed time on this host — meaningful only when the process has a
+// CPU per worker; "cpu" is requests divided by the busiest worker's
+// thread-CPU seconds (ServiceStats::critical_path_seconds), the makespan
+// of a host with one core per worker. The scaling gate therefore picks
+// its basis from the CPUs the process may run on (AvailableCpus, which
+// honours a taskset pin): wall with 4 or more (the 4-worker row can
+// actually run 4-wide, as on the 4-vCPU CI runners), cpu otherwise,
+// where wall scaling is physically impossible. The JSON records which
+// basis gated.
 //
 // Ingest mode (--ingest) measures the live-corpus story instead
 // (DESIGN.md §11): Zipfian readers through DocService while a writer
@@ -46,6 +46,8 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
+#include "build/build_pipeline.h"
 #include "corpus/generator.h"
 #include "io/file.h"
 #include "serve/doc_service.h"
@@ -73,13 +75,35 @@ constexpr double kMinReadRetention = 0.70;
 
 struct LoadResult {
   double wall_dps = 0.0;
-  double modeled_dps = 0.0;
+  double cpu_dps = 0.0;
   double p50_us = 0.0;
   double p99_us = 0.0;
   double p999_us = 0.0;
   uint64_t steals = 0;
   uint64_t requests = 0;
 };
+
+// A run's figures from the service's counters after Drain().
+LoadResult ResultOf(const ServiceStats& stats, double wall_seconds) {
+  LoadResult result;
+  result.requests = stats.requests;
+  result.wall_dps = stats.requests / wall_seconds;
+  result.cpu_dps = stats.critical_path_seconds > 0
+                       ? stats.requests / stats.critical_path_seconds
+                       : 0.0;
+  result.p50_us = stats.latency_p50_us;
+  result.p99_us = stats.latency_p99_us;
+  result.p999_us = stats.latency_p999_us;
+  result.steals = stats.steals;
+  return result;
+}
+
+// The gate's docs/s for `r` on the host's basis (see header).
+double BasisDps(const LoadResult& r, bool wall_basis) {
+  return wall_basis ? r.wall_dps : r.cpu_dps;
+}
+
+const char* BasisName(bool wall_basis) { return wall_basis ? "wall" : "cpu"; }
 
 // One closed-loop run: `producers` threads, each submitting kInFlight-id
 // batches and waiting for completion, until `total_rounds` batches have
@@ -90,7 +114,6 @@ LoadResult RunLoad(const Archive& archive, int workers, int producers,
   DocServiceOptions options;
   options.num_threads = workers;
   options.cache_bytes = 0;  // every request decodes
-  LoadResult result;
   const size_t ndocs = archive.num_docs();
   const ZipfSampler zipf(ndocs, kZipfTheta);
   {
@@ -119,18 +142,8 @@ LoadResult RunLoad(const Archive& archive, int workers, int producers,
     for (std::thread& t : threads) t.join();
     service.Drain();
     const double wall_seconds = wall.ElapsedSeconds();
-    const ServiceStats stats = service.Stats();
-    result.requests = stats.requests;
-    result.wall_dps = stats.requests / wall_seconds;
-    result.modeled_dps = stats.critical_path_seconds > 0
-                             ? stats.requests / stats.critical_path_seconds
-                             : 0.0;
-    result.p50_us = stats.latency_p50_us;
-    result.p99_us = stats.latency_p99_us;
-    result.p999_us = stats.latency_p999_us;
-    result.steals = stats.steals;
+    return ResultOf(service.Stats(), wall_seconds);
   }
-  return result;
 }
 
 // What the ingest writer accomplished during one mixed run.
@@ -155,7 +168,6 @@ LoadResult RunMixed(ShardedStore* store, int workers, int producers,
   DocServiceOptions options;
   options.num_threads = workers;
   options.cache_bytes = 0;  // every request decodes
-  LoadResult result;
   const ZipfSampler zipf(read_docs, kZipfTheta);
   {
     DocService service(store, options);
@@ -212,18 +224,8 @@ LoadResult RunMixed(ShardedStore* store, int workers, int producers,
     writer.join();
     service.Drain();
     const double wall_seconds = wall.ElapsedSeconds();
-    const ServiceStats stats = service.Stats();
-    result.requests = stats.requests;
-    result.wall_dps = stats.requests / wall_seconds;
-    result.modeled_dps = stats.critical_path_seconds > 0
-                             ? stats.requests / stats.critical_path_seconds
-                             : 0.0;
-    result.p50_us = stats.latency_p50_us;
-    result.p99_us = stats.latency_p99_us;
-    result.p999_us = stats.latency_p999_us;
-    result.steals = stats.steals;
+    return ResultOf(service.Stats(), wall_seconds);
   }
-  return result;
 }
 
 void AppendJsonRow(int workers, int producers, const char* skew,
@@ -232,11 +234,11 @@ void AppendJsonRow(int workers, int producers, const char* skew,
   std::snprintf(
       buf, sizeof(buf),
       "    {\"workers\": %d, \"producers\": %d, \"skew\": \"%s\", "
-      "\"requests\": %llu, \"wall_dps\": %.0f, \"modeled_dps\": %.0f, "
+      "\"requests\": %llu, \"wall_dps\": %.0f, \"cpu_dps\": %.0f, "
       "\"p50_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f, "
       "\"steals\": %llu}%s\n",
       workers, producers, skew,
-      static_cast<unsigned long long>(r.requests), r.wall_dps, r.modeled_dps,
+      static_cast<unsigned long long>(r.requests), r.wall_dps, r.cpu_dps,
       r.p50_us, r.p99_us, r.p999_us,
       static_cast<unsigned long long>(r.steals), last ? "" : ",");
   json->append(buf);
@@ -245,7 +247,7 @@ void AppendJsonRow(int workers, int producers, const char* skew,
 void PrintRow(int workers, int producers, const char* skew,
               const LoadResult& r) {
   std::printf("%-8d %-10d %-8s %12.0f %14.0f %9.1f %9.1f %9.1f %8llu\n",
-              workers, producers, skew, r.wall_dps, r.modeled_dps, r.p50_us,
+              workers, producers, skew, r.wall_dps, r.cpu_dps, r.p50_us,
               r.p99_us, r.p999_us,
               static_cast<unsigned long long>(r.steals));
 }
@@ -262,17 +264,17 @@ void Run(bool smoke, const std::string& out_path) {
   store_options.dict_bytes = collection.size_bytes() / 100;
   const auto store = ShardedStore::Build(collection, store_options);
 
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool wall_basis = hw >= 4;
+  const int cpus = AvailableCpus();
+  const bool wall_basis = cpus >= 4;
   const size_t total_requests = smoke ? 16000 : 64000;
   const size_t total_rounds = total_requests / kInFlight;
 
-  std::printf("serve_load_bench (%s): %zu docs, %.1f MB, %s, hw=%u\n",
+  std::printf("serve_load_bench (%s): %zu docs, %.1f MB, %s, cpus=%d\n",
               smoke ? "smoke" : "full", collection.num_docs(),
               collection.size_bytes() / (1024.0 * 1024.0),
-              store->name().c_str(), hw);
+              store->name().c_str(), cpus);
   std::printf("%-8s %-10s %-8s %12s %14s %9s %9s %9s %8s\n", "workers",
-              "producers", "skew", "wall dps", "modeled dps", "p50 us",
+              "producers", "skew", "wall dps", "cpu dps", "p50 us",
               "p99 us", "p999 us", "steals");
 
   std::string json;
@@ -286,11 +288,8 @@ void Run(bool smoke, const std::string& out_path) {
                 static_cast<unsigned long long>(collection.size_bytes()),
                 static_cast<unsigned long long>(corpus_options.seed));
   json.append(buf);
-  std::snprintf(buf, sizeof(buf),
-                "  \"store\": \"%s\",\n  \"host\": "
-                "{\"hardware_concurrency\": %u},\n",
-                store->name().c_str(), hw);
-  json.append(buf);
+  json.append("  \"store\": \"" + store->name() + "\",\n");
+  json.append("  \"host\": " + HostJson() + ",\n");
   std::snprintf(buf, sizeof(buf),
                 "  \"config\": {\"in_flight_per_producer\": %zu, "
                 "\"zipf_theta\": %.2f, \"requests_per_row\": %zu},\n",
@@ -308,8 +307,8 @@ void Run(bool smoke, const std::string& out_path) {
       "6be0460 on the 1-core reference host (hot_path_bench serve rows: "
       "rlz-ZV, cache off). Wall scaling 1->4 threads was 1.02x through the "
       "single-queue funnel.\",\n"
-      "    \"threads_1\": {\"wall_dps\": 24098, \"modeled_dps\": 14394},\n"
-      "    \"threads_4\": {\"wall_dps\": 24513, \"modeled_dps\": 41891}\n"
+      "    \"threads_1\": {\"wall_dps\": 24098},\n"
+      "    \"threads_4\": {\"wall_dps\": 24513}\n"
       "  },\n");
   json.append("  \"rows\": [\n");
 
@@ -322,12 +321,10 @@ void Run(bool smoke, const std::string& out_path) {
                                   total_rounds);
     const LoadResult r4 = RunLoad(*store, 4, 4, /*zipfian=*/false,
                                   total_rounds);
-    const double basis1 = wall_basis ? r1.wall_dps : r1.modeled_dps;
-    const double basis4 = wall_basis ? r4.wall_dps : r4.modeled_dps;
-    if (rep == 0 || basis1 > (wall_basis ? one.wall_dps : one.modeled_dps)) {
+    if (rep == 0 || BasisDps(r1, wall_basis) > BasisDps(one, wall_basis)) {
       one = r1;
     }
-    if (rep == 0 || basis4 > (wall_basis ? four.wall_dps : four.modeled_dps)) {
+    if (rep == 0 || BasisDps(r4, wall_basis) > BasisDps(four, wall_basis)) {
       four = r4;
     }
   }
@@ -357,8 +354,8 @@ void Run(bool smoke, const std::string& out_path) {
   }
   json.append("  ],\n");
 
-  const double dps1 = wall_basis ? one.wall_dps : one.modeled_dps;
-  const double dps4 = wall_basis ? four.wall_dps : four.modeled_dps;
+  const double dps1 = BasisDps(one, wall_basis);
+  const double dps4 = BasisDps(four, wall_basis);
   const double ratio = dps1 > 0 ? dps4 / dps1 : 0.0;
   const bool gate_pass = ratio >= kMinScaleRatio;
   std::snprintf(buf, sizeof(buf),
@@ -366,7 +363,7 @@ void Run(bool smoke, const std::string& out_path) {
                 "\"min_ratio_required\": %.2f, \"workers_1_dps\": %.0f, "
                 "\"workers_4_dps\": %.0f, \"ratio\": %.2f, \"pass\": %s}\n"
                 "}\n",
-                wall_basis ? "wall" : "modeled", kMinScaleRatio, dps1, dps4,
+                BasisName(wall_basis), kMinScaleRatio, dps1, dps4,
                 ratio, gate_pass ? "true" : "false");
   json.append(buf);
 
@@ -377,7 +374,7 @@ void Run(bool smoke, const std::string& out_path) {
   if (smoke) {
     std::printf("smoke gate (%s basis): 4 workers >= %.2fx 1 worker: %s "
                 "(%.2fx)\n",
-                wall_basis ? "wall" : "modeled", kMinScaleRatio,
+                BasisName(wall_basis), kMinScaleRatio,
                 gate_pass ? "PASS" : "FAIL", ratio);
     if (!gate_pass) std::exit(1);
   }
@@ -392,10 +389,10 @@ void AppendLabeledJsonRow(const char* label, const LoadResult& r, bool last,
   std::snprintf(
       buf, sizeof(buf),
       "    {\"row\": \"%s\", \"requests\": %llu, \"wall_dps\": %.0f, "
-      "\"modeled_dps\": %.0f, \"p50_us\": %.1f, \"p99_us\": %.1f, "
+      "\"cpu_dps\": %.0f, \"p50_us\": %.1f, \"p99_us\": %.1f, "
       "\"p999_us\": %.1f, \"steals\": %llu}%s\n",
       label, static_cast<unsigned long long>(r.requests), r.wall_dps,
-      r.modeled_dps, r.p50_us, r.p99_us, r.p999_us,
+      r.cpu_dps, r.p50_us, r.p99_us, r.p999_us,
       static_cast<unsigned long long>(r.steals), last ? "" : ",");
   json->append(buf);
 }
@@ -428,21 +425,21 @@ void RunIngest(bool smoke, const std::string& out_path, double fraction) {
   fresh_options.seed = 40227;
   const Collection fresh = GenerateCorpus(fresh_options).collection;
 
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool wall_basis = hw >= 4;
+  const int cpus = AvailableCpus();
+  const bool wall_basis = cpus >= 4;
   const size_t read_docs = collection.num_docs();
   const size_t total_requests = smoke ? 16000 : 64000;
   const size_t total_rounds = total_requests / kInFlight;
   const int shards_before = store->num_shards();
 
   std::printf(
-      "serve_load_bench --ingest (%s): %zu docs, %.1f MB, %s, hw=%u, "
+      "serve_load_bench --ingest (%s): %zu docs, %.1f MB, %s, cpus=%d, "
       "ingest fraction %.2f\n",
       smoke ? "smoke" : "full", collection.num_docs(),
-      collection.size_bytes() / (1024.0 * 1024.0), store->name().c_str(), hw,
+      collection.size_bytes() / (1024.0 * 1024.0), store->name().c_str(), cpus,
       fraction);
   std::printf("%-10s %12s %14s %9s %9s %9s %8s\n", "row", "wall dps",
-              "modeled dps", "p50 us", "p99 us", "p999 us", "steals");
+              "cpu dps", "p50 us", "p99 us", "p999 us", "steals");
 
   // Read-only baseline first (repeats before any append mutates the
   // store, so every baseline run reads the same frozen corpus).
@@ -450,9 +447,8 @@ void RunIngest(bool smoke, const std::string& out_path, double fraction) {
   for (int rep = 0; rep < (smoke ? kGateRepeats : 1); ++rep) {
     const LoadResult r =
         RunLoad(*store, 4, 4, /*zipfian=*/true, total_rounds);
-    const double basis = wall_basis ? r.wall_dps : r.modeled_dps;
     if (rep == 0 ||
-        basis > (wall_basis ? read_only.wall_dps : read_only.modeled_dps)) {
+        BasisDps(r, wall_basis) > BasisDps(read_only, wall_basis)) {
       read_only = r;
     }
   }
@@ -467,9 +463,7 @@ void RunIngest(bool smoke, const std::string& out_path, double fraction) {
     IngestStats stats;
     const LoadResult r = RunMixed(store.get(), 4, 4, read_docs, total_rounds,
                                   fresh, fraction, &stats);
-    const double basis = wall_basis ? r.wall_dps : r.modeled_dps;
-    if (rep == 0 ||
-        basis > (wall_basis ? mixed.wall_dps : mixed.modeled_dps)) {
+    if (rep == 0 || BasisDps(r, wall_basis) > BasisDps(mixed, wall_basis)) {
       mixed = r;
       ingest = stats;
     }
@@ -494,11 +488,8 @@ void RunIngest(bool smoke, const std::string& out_path, double fraction) {
                 static_cast<unsigned long long>(collection.size_bytes()),
                 static_cast<unsigned long long>(corpus_options.seed));
   json.append(buf);
-  std::snprintf(buf, sizeof(buf),
-                "  \"store\": \"%s\",\n  \"host\": "
-                "{\"hardware_concurrency\": %u},\n",
-                store->name().c_str(), hw);
-  json.append(buf);
+  json.append("  \"store\": \"" + store->name() + "\",\n");
+  json.append("  \"host\": " + HostJson() + ",\n");
   std::snprintf(
       buf, sizeof(buf),
       "  \"config\": {\"in_flight_per_producer\": %zu, "
@@ -524,8 +515,8 @@ void RunIngest(bool smoke, const std::string& out_path, double fraction) {
       static_cast<unsigned long long>(store->epoch_sequence()));
   json.append(buf);
 
-  const double dps_ro = wall_basis ? read_only.wall_dps : read_only.modeled_dps;
-  const double dps_mx = wall_basis ? mixed.wall_dps : mixed.modeled_dps;
+  const double dps_ro = BasisDps(read_only, wall_basis);
+  const double dps_mx = BasisDps(mixed, wall_basis);
   const double retention = dps_ro > 0 ? dps_mx / dps_ro : 0.0;
   const bool gate_pass = retention >= kMinReadRetention;
   std::snprintf(
@@ -533,7 +524,7 @@ void RunIngest(bool smoke, const std::string& out_path, double fraction) {
       "  \"gate\": {\"basis\": \"%s\", \"min_read_retention\": %.2f, "
       "\"read_only_dps\": %.0f, \"mixed_dps\": %.0f, \"retention\": %.2f, "
       "\"pass\": %s}\n}\n",
-      wall_basis ? "wall" : "modeled", kMinReadRetention, dps_ro, dps_mx,
+      BasisName(wall_basis), kMinReadRetention, dps_ro, dps_mx,
       retention, gate_pass ? "true" : "false");
   json.append(buf);
 
@@ -545,7 +536,7 @@ void RunIngest(bool smoke, const std::string& out_path, double fraction) {
     std::printf(
         "smoke gate (%s basis): mixed reads >= %.0f%% of read-only: %s "
         "(%.0f%%)\n",
-        wall_basis ? "wall" : "modeled", 100.0 * kMinReadRetention,
+        BasisName(wall_basis), 100.0 * kMinReadRetention,
         gate_pass ? "PASS" : "FAIL", 100.0 * retention);
     if (!gate_pass) std::exit(1);
   }

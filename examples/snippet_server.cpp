@@ -333,15 +333,15 @@ int main(int argc, char** argv) {
   service.Shutdown();
   std::printf(
       "\nservice: %llu requests (%llu failed), cache %llu hits / %llu "
-      "misses (%llu entries, %.1f MB), disk %.1f ms simulated / %llu "
-      "seeks\n",
+      "misses (%llu entries, %.1f MB), worker CPU %.1f ms (busiest "
+      "%.1f ms)\n",
       static_cast<unsigned long long>(wire->requests),
       static_cast<unsigned long long>(wire->failures),
       static_cast<unsigned long long>(wire->cache_hits),
       static_cast<unsigned long long>(wire->cache_misses),
       static_cast<unsigned long long>(wire->cache_entries),
-      wire->cache_bytes / (1024.0 * 1024.0), 1e3 * wire->disk_seconds,
-      static_cast<unsigned long long>(wire->disk_seeks));
+      wire->cache_bytes / (1024.0 * 1024.0), 1e3 * wire->cpu_seconds,
+      1e3 * wire->critical_path_seconds);
   std::printf(
       "latency: p50 %.1f us, p99 %.1f us over %u workers (%llu steals)\n",
       wire->latency_p50_us, wire->latency_p99_us, wire->num_threads,

@@ -158,10 +158,7 @@ WireStats DocServer::BuildWireStats() const {
   w.cache_erased = s.cache.erased;
   w.cache_entries = s.cache.entries;
   w.cache_bytes = s.cache.bytes;
-  w.disk_bytes = s.disk_bytes;
-  w.disk_seeks = s.disk_seeks;
   w.archive_docs = service_->archive().num_docs();
-  w.disk_seconds = s.disk_seconds;
   w.cpu_seconds = s.cpu_seconds;
   w.critical_path_seconds = s.critical_path_seconds;
   w.latency_p50_us = s.latency_p50_us;

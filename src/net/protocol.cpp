@@ -70,9 +70,10 @@ void CloseFrame(size_t at, bool crc, std::string* out) {
   std::memcpy(out->data() + at, &body_len, sizeof(body_len));
 }
 
-// v2 appended the overload counters (shed/expired/net_* defenses); a v1
-// peer rejects the version byte rather than misreading the layout.
-constexpr uint8_t kStatVersion = 2;
+// v2 appended the overload counters (shed/expired/net_* defenses); v3
+// removed three v2 fields (DESIGN.md §13). A peer on another version
+// rejects the version byte rather than misreading the layout.
+constexpr uint8_t kStatVersion = 3;
 
 }  // namespace
 
@@ -223,10 +224,7 @@ void EncodeStatResponse(const WireStats& stats, bool crc, std::string* out) {
   Put<uint64_t>(stats.cache_erased, out);
   Put<uint64_t>(stats.cache_entries, out);
   Put<uint64_t>(stats.cache_bytes, out);
-  Put<uint64_t>(stats.disk_bytes, out);
-  Put<uint64_t>(stats.disk_seeks, out);
   Put<uint64_t>(stats.archive_docs, out);
-  Put<double>(stats.disk_seconds, out);
   Put<double>(stats.cpu_seconds, out);
   Put<double>(stats.critical_path_seconds, out);
   Put<double>(stats.latency_p50_us, out);
@@ -442,9 +440,7 @@ Status DecodeResponseBody(MessageType type, uint8_t flags,
           Get(&body, &s.cache_hits) && Get(&body, &s.cache_misses) &&
           Get(&body, &s.cache_evictions) && Get(&body, &s.cache_erased) &&
           Get(&body, &s.cache_entries) && Get(&body, &s.cache_bytes) &&
-          Get(&body, &s.disk_bytes) && Get(&body, &s.disk_seeks) &&
-          Get(&body, &s.archive_docs) && Get(&body, &s.disk_seconds) &&
-          Get(&body, &s.cpu_seconds) &&
+          Get(&body, &s.archive_docs) && Get(&body, &s.cpu_seconds) &&
           Get(&body, &s.critical_path_seconds) &&
           Get(&body, &s.latency_p50_us) && Get(&body, &s.latency_p99_us) &&
           Get(&body, &s.latency_p999_us) && Get(&body, &s.num_threads) &&

@@ -159,17 +159,11 @@ struct WireStats {
   uint64_t cache_entries = 0;
   /// Decode-cache charged bytes.
   uint64_t cache_bytes = 0;
-  /// Bytes charged to the simulated disks.
-  uint64_t disk_bytes = 0;
-  /// Seeks charged to the simulated disks.
-  uint64_t disk_seeks = 0;
   /// Documents in the served archive (lets a thin client pick ids).
   uint64_t archive_docs = 0;
-  /// Simulated disk seconds.
-  double disk_seconds = 0.0;
   /// Worker thread-CPU seconds.
   double cpu_seconds = 0.0;
-  /// Modeled makespan seconds (DESIGN.md §6).
+  /// The busiest worker's thread-CPU seconds (DESIGN.md §6).
   double critical_path_seconds = 0.0;
   /// Request latency p50, microseconds.
   double latency_p50_us = 0.0;
@@ -200,7 +194,7 @@ struct WireStats {
   uint64_t net_reads_paused = 0;
   /// Connections dropped for unparseable input.
   uint64_t net_protocol_errors = 0;
-  // --- v2 fields (Stat version 2, DESIGN.md §14) ---
+  // --- added by Stat version 2 (DESIGN.md §14) ---
   /// Best-effort requests shed by DocService admission.
   uint64_t shed = 0;
   /// Requests expired in queue (kDeadlineExceeded without decoding).

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 
-#include "serve/sharded_store.h"
-#include "store/doc_map.h"
-#include "util/logging.h"
-
 namespace rlz {
 namespace {
 
@@ -27,7 +23,7 @@ bool CorpusEpoch::IsDeleted(size_t id) const {
   return TestTombstone(tail_tombstones_.get(), id - sealed);
 }
 
-Status CorpusEpoch::Get(size_t id, std::string* doc, SimDisk* disk,
+Status CorpusEpoch::Get(size_t id, std::string* doc,
                         DecodeScratch* scratch) const {
   if (id >= num_docs()) {
     return Status::OutOfRange("sharded store: bad doc id");
@@ -38,26 +34,17 @@ Status CorpusEpoch::Get(size_t id, std::string* doc, SimDisk* disk,
   const size_t sealed = sealed_docs();
   if (id >= sealed) {
     // Tail documents are raw, memory-resident bytes — the store's
-    // memtable. No decode, no simulated disk charge (DESIGN.md §11).
+    // memtable. No decode (DESIGN.md §11).
     doc->assign(*tail_->docs[id - sealed]);
     return Status::OK();
   }
   const size_t s = router_->shard_of(id);
-  const size_t local = id - router_->start(s);
-  const RlzArchive& shard = *shards_[s];
-  if (disk != nullptr) {
-    // Charge the factor-stream read at the shard's device extent, exactly
-    // as an unsharded archive would at shard-local offsets.
-    const DocMap& map = shard.doc_map();
-    disk->Read(ShardedStore::kSimDeviceSpacing * s + map.offset(local),
-               map.size(local));
-  }
-  return shard.Get(local, doc, /*disk=*/nullptr, scratch);
+  return shards_[s]->Get(id - router_->start(s), doc, /*disk=*/nullptr,
+                         scratch);
 }
 
 Status CorpusEpoch::GetRange(size_t id, size_t offset, size_t length,
-                             std::string* text, SimDisk* disk,
-                             DecodeScratch* scratch) const {
+                             std::string* text, DecodeScratch* scratch) const {
   if (id >= num_docs()) {
     return Status::OutOfRange("sharded store: bad doc id");
   }
@@ -74,15 +61,8 @@ Status CorpusEpoch::GetRange(size_t id, size_t offset, size_t length,
     return Status::OK();
   }
   const size_t s = router_->shard_of(id);
-  const size_t local = id - router_->start(s);
-  const RlzArchive& shard = *shards_[s];
-  if (disk != nullptr) {
-    const DocMap& map = shard.doc_map();
-    disk->Read(ShardedStore::kSimDeviceSpacing * s + map.offset(local),
-               map.size(local));
-  }
-  return shard.GetRange(local, offset, length, text, /*disk=*/nullptr,
-                        scratch);
+  return shards_[s]->GetRange(id - router_->start(s), offset, length, text,
+                              /*disk=*/nullptr, scratch);
 }
 
 uint64_t CorpusEpoch::stored_bytes() const {

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/rlz_archive.h"
-#include "io/sim_disk.h"
 #include "serve/shard_router.h"
 #include "store/decode_scratch.h"
 #include "util/bitmap.h"
@@ -30,10 +29,9 @@ namespace rlz {
 /// An immutable snapshot of the open tail segment: the raw bytes of every
 /// document appended since the last seal, in append order. The tail is
 /// the live store's memtable — documents are served from these
-/// memory-resident bytes (no decode, no simulated disk charge) until the
-/// segment seals into a compressed shard. Snapshots share document
-/// strings structurally: appending copies the pointer vector, never the
-/// text.
+/// memory-resident bytes (no decode) until the segment seals into a
+/// compressed shard. Snapshots share document strings structurally:
+/// appending copies the pointer vector, never the text.
 struct TailSegment {
   /// The appended documents, in id order (doc `sealed_docs + i` is
   /// `docs[i]`).
@@ -79,17 +77,15 @@ class CorpusEpoch {
   bool IsDeleted(size_t id) const;
 
   /// Decodes document `id` from this snapshot. Sealed ids decode against
-  /// their shard (charging `disk` at the shard's device extent); tail ids
-  /// copy the memory-resident raw bytes (no disk charge). Returns
+  /// their shard; tail ids copy the memory-resident raw bytes. Returns
   /// OutOfRange for an id this epoch cannot resolve and NotFound for a
   /// tombstoned id.
-  Status Get(size_t id, std::string* doc, SimDisk* disk,
-             DecodeScratch* scratch) const;
+  Status Get(size_t id, std::string* doc, DecodeScratch* scratch) const;
 
   /// As Get, but retrieves only bytes [offset, offset+length), clamped to
   /// the document end — the snippet path.
   Status GetRange(size_t id, size_t offset, size_t length, std::string* text,
-                  SimDisk* disk, DecodeScratch* scratch) const;
+                  DecodeScratch* scratch) const;
 
   /// Number of sealed shards.
   int num_shards() const { return static_cast<int>(shards_.size()); }

@@ -66,8 +66,7 @@ DocService::DocService(const Archive* archive,
   RLZ_CHECK(archive != nullptr);
   // Queue-per-shard routing: when the archive is sharded, its router maps
   // doc ids to shards, and requests for one shard always land on the same
-  // worker (shard mod pool) — that worker's SimDisk then stays on few
-  // shard devices (fewer simulated seeks) and its decode locality is per
+  // worker (shard mod pool), so each worker's decode locality is per
   // shard. Other archives route by id. The router is re-snapshotted per
   // submission (the store is live and grows shards); the eviction hook
   // keeps the decode cache honest across Delete and compaction.
@@ -90,7 +89,7 @@ DocService::DocService(const Archive* archive,
       static_cast<size_t>(depth * options_.normal_queue_fraction),
       static_cast<size_t>(depth * options_.best_effort_queue_fraction)};
   for (int i = 0; i < num_threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>(options_.disk));
+    workers_.push_back(std::make_unique<Worker>());
     queues_.push_back(std::make_unique<BoundedRequestQueue>(class_caps));
   }
   for (int i = 0; i < num_threads; ++i) {
@@ -446,15 +445,6 @@ void DocService::Execute(const ServeRequest& request, Worker* worker) {
   const double cpu_seconds = ThreadCpuSeconds() - cpu_start;
   worker->cpu_ns.fetch_add(static_cast<uint64_t>(cpu_seconds * 1e9),
                            std::memory_order_relaxed);
-  // Publish the worker-owned SimDisk totals so a mid-flight Stats() reads
-  // a consistent post-request snapshot without stalling the next decode.
-  worker->published_disk_ns.store(
-      static_cast<uint64_t>(worker->disk.total_seconds() * 1e9),
-      std::memory_order_relaxed);
-  worker->published_disk_bytes.store(worker->disk.total_bytes(),
-                                     std::memory_order_relaxed);
-  worker->published_disk_seeks.store(worker->disk.seeks(),
-                                     std::memory_order_relaxed);
   const uint64_t end_ns = NowNs();
   // Feed the admission estimator: EWMA of wall service time. Lost
   // updates under contention are fine — the watermark needs recency, not
@@ -487,10 +477,11 @@ GetResult DocService::DoGet(size_t id, Worker* worker) {
   GetResult result;
   result.text = cache_.Get(id);
   if (result.text == nullptr) {
-    // Decode runs lock-free: disk and scratch are worker-owned, and cache
+    // Decode runs lock-free: the scratch is worker-owned, and cache
     // admission below synchronizes only inside the cache's own stripe.
     std::string doc;
-    result.status = archive_->Get(id, &doc, &worker->disk, &worker->scratch);
+    result.status = archive_->Get(id, &doc, /*disk=*/nullptr,
+                                  &worker->scratch);
     if (result.status.ok()) {
       result.text = cache_.Insert(id, std::move(doc));
       // Close the decode-then-insert race against Delete: the decode ran
@@ -511,8 +502,7 @@ GetResult DocService::DoGet(size_t id, Worker* worker) {
 GetResult DocService::DoGetRange(size_t id, size_t offset, size_t length,
                                  Worker* worker) {
   GetResult result;
-  // A resident full document serves any range without touching the archive
-  // (no disk charge: the cache is memory-resident by construction).
+  // A resident full document serves any range without touching the archive.
   if (std::shared_ptr<const std::string> doc = cache_.Get(id)) {
     std::string slice;
     if (offset < doc->size()) {
@@ -522,7 +512,7 @@ GetResult DocService::DoGetRange(size_t id, size_t offset, size_t length,
   } else {
     std::string slice;
     result.status = archive_->GetRange(id, offset, length, &slice,
-                                       &worker->disk, &worker->scratch);
+                                       /*disk=*/nullptr, &worker->scratch);
     if (result.status.ok()) {
       result.text = std::make_shared<const std::string>(std::move(slice));
     }
@@ -559,20 +549,12 @@ ServiceStats DocService::Stats() const {
     stats.requests += worker->requests.load(std::memory_order_relaxed);
     stats.failures += worker->failures.load(std::memory_order_relaxed);
     stats.steals += worker->steals.load(std::memory_order_relaxed);
-    const double disk_seconds =
-        1e-9 * static_cast<double>(
-                   worker->published_disk_ns.load(std::memory_order_relaxed));
     const double cpu_seconds =
         1e-9 * static_cast<double>(
                    worker->cpu_ns.load(std::memory_order_relaxed));
-    stats.disk_seconds += disk_seconds;
-    stats.disk_bytes +=
-        worker->published_disk_bytes.load(std::memory_order_relaxed);
-    stats.disk_seeks +=
-        worker->published_disk_seeks.load(std::memory_order_relaxed);
     stats.cpu_seconds += cpu_seconds;
     stats.critical_path_seconds =
-        std::max(stats.critical_path_seconds, cpu_seconds + disk_seconds);
+        std::max(stats.critical_path_seconds, cpu_seconds);
     worker->latency.AddTo(&latency);
   }
   stats.latency_p50_us = 1e-3 * latency.ValueAtQuantile(0.50);

@@ -16,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "io/sim_disk.h"
 #include "serve/request_queue.h"
 #include "store/archive.h"
 #include "util/histogram.h"
@@ -31,10 +30,8 @@ class ShardedStore;
 /// Knobs for DocService. Constructors run every instance through
 /// Validated(), so out-of-range values are clamped rather than trusted.
 struct DocServiceOptions {
-  /// Worker threads executing requests. Each worker owns a private SimDisk
-  /// (the Archive contract requires one disk per concurrent caller) — the
-  /// model is one spindle per worker, as a sharded deployment would
-  /// provision. Floor: 1.
+  /// Worker threads executing requests; each owns a private
+  /// DecodeScratch. Floor: 1.
   int num_threads = 4;
   /// Decoded-document cache capacity; 0 disables the cache. A non-zero
   /// capacity too small to ever admit an entry (at most
@@ -69,8 +66,6 @@ struct DocServiceOptions {
   /// caps still apply). Default 200 ms — several client round-trips, so
   /// a shed+retry beats waiting it out.
   uint64_t shed_queue_delay_us = 200'000;
-  /// Simulated-disk parameters for each worker's private SimDisk.
-  SimDiskOptions disk;
 
   /// Returns a copy with every knob clamped to its documented floor (see
   /// the per-field comments). The DocService constructor applies this;
@@ -114,19 +109,12 @@ struct ServiceStats {
   uint64_t queued = 0;
   /// Decode-cache counters (hits/misses/evictions).
   LruCache::Stats cache;
-  /// Simulated disk time summed over per-worker SimDisks.
-  double disk_seconds = 0.0;
-  /// Bytes charged to the per-worker SimDisks.
-  uint64_t disk_bytes = 0;
-  /// Seeks charged to the per-worker SimDisks.
-  uint64_t disk_seeks = 0;
   /// Thread CPU time consumed by workers while executing requests.
   double cpu_seconds = 0.0;
-  /// Modeled service makespan: the busiest worker's CPU + simulated-disk
-  /// time. docs/sec against this is the throughput of a machine with one
-  /// core and one spindle per worker — the same simulated-wall-time
-  /// doctrine as the paper benches (DESIGN.md §4, §6), so the number is
-  /// meaningful even on a single-core CI host.
+  /// The busiest worker's thread-CPU seconds: the service makespan on a
+  /// host with one core per worker, as
+  /// RlzArchiveInfo::build_critical_path_seconds is for the build. Never
+  /// exceeds cpu_seconds.
   double critical_path_seconds = 0.0;
   /// Request latency (enqueue to completion, microseconds): median.
   double latency_p50_us = 0.0;
@@ -222,9 +210,9 @@ class ServeBatch {
 /// the archive's ShardRouter when it has one) and enqueues a whole
 /// batch's worth per queue under one lock. Idle workers steal from peers,
 /// so skewed traffic cannot strand work behind one queue. Workers decode
-/// without holding any lock — the scratch and SimDisk are worker-owned,
-/// counters are atomics, and cache admission happens outside any critical
-/// section — so Stats() never stalls serving.
+/// without holding any lock — the scratch is worker-owned, counters are
+/// atomics, and cache admission happens outside any critical section — so
+/// Stats() never stalls serving.
 class DocService {
  public:
   /// Starts the worker pool in front of `archive` (not owned; must be
@@ -314,20 +302,14 @@ class DocService {
 
  private:
   struct Worker {
-    explicit Worker(const SimDiskOptions& disk_options)
-        : disk(disk_options) {}
-    // disk and scratch are owned by the worker thread while serving; the
-    // published_* atomics mirror the disk's totals after every request so
-    // Stats() reads them without synchronizing with a decode in flight.
-    SimDisk disk;
+    // scratch is owned by the worker thread while serving; the counters
+    // are atomics so Stats() reads them without synchronizing with a
+    // decode in flight.
     DecodeScratch scratch;
     std::atomic<uint64_t> requests{0};
     std::atomic<uint64_t> failures{0};
     std::atomic<uint64_t> steals{0};
     std::atomic<uint64_t> cpu_ns{0};
-    std::atomic<uint64_t> published_disk_ns{0};
-    std::atomic<uint64_t> published_disk_bytes{0};
-    std::atomic<uint64_t> published_disk_seeks{0};
     LatencyHistogram latency;
   };
 

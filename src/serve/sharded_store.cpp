@@ -256,15 +256,15 @@ std::string ShardedStore::name() const {
   return "sharded-" + coding + "/" + std::to_string(snapshot->num_shards());
 }
 
-Status ShardedStore::Get(size_t id, std::string* doc, SimDisk* disk,
+Status ShardedStore::Get(size_t id, std::string* doc, SimDisk* /*disk*/,
                          DecodeScratch* scratch) const {
-  return epoch()->Get(id, doc, disk, scratch);
+  return epoch()->Get(id, doc, scratch);
 }
 
 Status ShardedStore::GetRange(size_t id, size_t offset, size_t length,
-                              std::string* text, SimDisk* disk,
+                              std::string* text, SimDisk* /*disk*/,
                               DecodeScratch* scratch) const {
-  return epoch()->GetRange(id, offset, length, text, disk, scratch);
+  return epoch()->GetRange(id, offset, length, text, scratch);
 }
 
 bool ShardedStore::IsLive(size_t id) const {

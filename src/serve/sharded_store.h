@@ -145,13 +145,6 @@ struct ShardHealth {
 /// compaction publish) serialize on an internal mutex and never block
 /// readers. Any number of threads may read concurrently with any number
 /// of mutators.
-///
-/// SimDisk accounting models each sealed shard as its own device: a real
-/// deployment stores one file per shard. The store charges each read at
-/// the shard-local payload offset plus a per-shard base far larger than
-/// any readahead window (kSimDeviceSpacing), so a cross-shard jump always
-/// pays a seek and intra-shard sequential runs stay sequential. The open
-/// tail is memory-resident (a memtable) and charges nothing.
 class ShardedStore final : public Archive {
  public:
   /// Signature of the cache-invalidation hook (see SetEvictionListener).
@@ -178,10 +171,13 @@ class ShardedStore final : public Archive {
   /// tombstoned ids (ids are permanent; see CorpusEpoch).
   size_t num_docs() const override { return epoch()->num_docs(); }
   /// Pins the current epoch and decodes the document from that snapshot.
-  /// Returns NotFound for a tombstoned id.
+  /// Returns NotFound for a tombstoned id. `disk` is ignored: the disk
+  /// model belongs to the paper benches, not the serving stack (DESIGN.md
+  /// §6).
   Status Get(size_t id, std::string* doc, SimDisk* disk,
              DecodeScratch* scratch) const override;
-  /// Pins the current epoch and decodes only the requested range.
+  /// Pins the current epoch and decodes only the requested range; `disk`
+  /// is ignored, as for Get.
   Status GetRange(size_t id, size_t offset, size_t length, std::string* text,
                   SimDisk* disk, DecodeScratch* scratch) const override;
   /// Sum of every sealed shard's stored bytes plus the raw open tail.
@@ -283,11 +279,6 @@ class ShardedStore final : public Archive {
   /// The store-wide build-time factor statistics the staleness trigger
   /// compares against (FactorStats::avg_factor_decay).
   FactorStats baseline_stats() const;
-
-  /// Simulated address-space stride between shard devices (1 TiB): far
-  /// beyond any SimDiskOptions::sequential_gap, and far above the v1
-  /// format's per-shard payload limit, so shard extents never overlap.
-  static constexpr uint64_t kSimDeviceSpacing = 1ull << 40;
 
   /// On-disk format id of the manifest envelope ("sharded").
   static constexpr char kFormatId[] = "sharded";

@@ -18,18 +18,19 @@ namespace rlz {
 /// the interface every system in the paper's evaluation implements
 /// (raw ASCII, blocked zlib/lzma, and RLZ).
 ///
-/// Archives keep their encoded payload in memory but charge every payload
-/// read to the optional SimDisk, which models the disk-resident deployment
-/// the paper measures (compressed collections larger than RAM, caches
-/// dropped; see DESIGN.md §4). Memory-resident structures — the document
-/// map and, for RLZ, the dictionary — are never charged, matching the
-/// paper's setup.
+/// Archives keep their encoded payload in memory. The paper benches pass
+/// an optional SimDisk, and the archive charges every payload read to it,
+/// which models the disk-resident deployment the paper measures
+/// (compressed collections larger than RAM, caches dropped; see
+/// DESIGN.md §4). Memory-resident structures — the document map and, for
+/// RLZ, the dictionary — are never charged, matching the paper's setup.
+/// The serving stack passes nullptr: it is measured in wall-clock and
+/// thread-CPU time, not through the model (DESIGN.md §6).
 ///
 /// Thread-safety contract (DESIGN.md §6): archives are immutable once
 /// built, and every implementation must support concurrent Get/GetRange
 /// calls. SimDisk itself is unsynchronized accounting, so each concurrent
-/// caller must pass its own SimDisk (or nullptr) — the serving layer gives
-/// every worker thread a private one.
+/// caller must pass its own SimDisk (or nullptr).
 class Archive {
  public:
   virtual ~Archive() = default;
@@ -52,7 +53,7 @@ class Archive {
   /// serving allocates nothing per request (DESIGN.md §9). Backends whose
   /// decode needs no scratch simply ignore it. `scratch` is borrowed for
   /// the duration of the call only and must not be shared by concurrent
-  /// callers (one per worker, like SimDisk).
+  /// callers (one per serving worker).
   virtual Status Get(size_t id, std::string* doc, SimDisk* disk,
                      DecodeScratch* scratch) const = 0;
 

@@ -22,7 +22,7 @@ struct OpenOptions {
   /// Rebuild dictionary suffix arrays on open. Serving (Get/GetRange)
   /// never consults the suffix array — only factorizing *new* documents
   /// does — so a serving-only reopen should pass false and skip the
-  /// dominant part of the open cost (see bench/serve_throughput's
+  /// dominant part of the open cost (see bench/recovery_bench's
   /// restart-cost table). ShardedStore never builds one for a shard: it
   /// reads this as "writable", building only its append dictionary's.
   bool build_suffix_array = true;

@@ -227,12 +227,11 @@ TEST(LiveStoreTest, PinnedEpochIsSnapshotIsolated) {
   // The pinned epoch still serves the deleted doc and cannot see the
   // append; the current epoch shows the opposite.
   std::string doc;
-  ASSERT_TRUE(pinned->Get(victim, &doc, nullptr, nullptr).ok());
+  ASSERT_TRUE(pinned->Get(victim, &doc, nullptr).ok());
   EXPECT_EQ(doc, collection.doc(victim));
   EXPECT_EQ(pinned->num_docs(), collection.num_docs());
-  EXPECT_EQ(
-      pinned->Get(collection.num_docs(), &doc, nullptr, nullptr).code(),
-      StatusCode::kOutOfRange);
+  EXPECT_EQ(pinned->Get(collection.num_docs(), &doc, nullptr).code(),
+            StatusCode::kOutOfRange);
   EXPECT_EQ(store->Get(victim, &doc).code(), StatusCode::kNotFound);
   ASSERT_TRUE(store->Get(collection.num_docs(), &doc).ok());
   EXPECT_EQ(doc, "new document after the pin");
@@ -307,7 +306,7 @@ TEST(LiveStoreTest, PinnedReadersDrainAcrossCompactionSwap) {
   // the compaction just reclaimed — from the pre-compaction shard.
   std::string doc;
   for (size_t id = 0; id < shard0_docs; ++id) {
-    ASSERT_TRUE(pinned->Get(id, &doc, nullptr, nullptr).ok());
+    ASSERT_TRUE(pinned->Get(id, &doc, nullptr).ok());
     EXPECT_EQ(doc, collection.doc(id));
   }
   EXPECT_EQ(pinned->shard_generation(0), 0u);
@@ -739,8 +738,7 @@ TEST(LiveStoreTest, ConcurrentReadersAppsDeletesCompactions) {
         std::shared_ptr<const CorpusEpoch> epoch = store->epoch();
         for (int k = 0; k < 32; ++k) {
           const size_t id = rng.Uniform(epoch->num_docs());
-          const Status status =
-              epoch->Get(id, &doc, /*disk=*/nullptr, &scratch);
+          const Status status = epoch->Get(id, &doc, &scratch);
           if (epoch->IsDeleted(id)) {
             ASSERT_EQ(status.code(), StatusCode::kNotFound);
           } else {
@@ -771,10 +769,10 @@ TEST(LiveStoreTest, ConcurrentReadersAppsDeletesCompactions) {
   std::string doc;
   for (size_t id = 0; id < final_epoch->num_docs(); ++id) {
     if (id < built && id % 5 == 0) {
-      EXPECT_EQ(final_epoch->Get(id, &doc, nullptr, nullptr).code(),
+      EXPECT_EQ(final_epoch->Get(id, &doc, nullptr).code(),
                 StatusCode::kNotFound);
     } else {
-      ASSERT_TRUE(final_epoch->Get(id, &doc, nullptr, nullptr).ok());
+      ASSERT_TRUE(final_epoch->Get(id, &doc, nullptr).ok());
       EXPECT_EQ(doc, expected[id]);
     }
   }

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -255,6 +256,77 @@ TEST(ProtocolTest, BackToBackFramesParseIndividually) {
   EXPECT_EQ(flags & kFlagCrc, kFlagCrc);
 }
 
+// Every WireStats field by type, so the Stat tests can set and compare
+// them all. The size check fails to compile when a field is added without
+// being listed here.
+constexpr uint64_t WireStats::*kStatsU64Fields[] = {
+    &WireStats::requests,
+    &WireStats::failures,
+    &WireStats::steals,
+    &WireStats::queued,
+    &WireStats::cache_hits,
+    &WireStats::cache_misses,
+    &WireStats::cache_evictions,
+    &WireStats::cache_erased,
+    &WireStats::cache_entries,
+    &WireStats::cache_bytes,
+    &WireStats::archive_docs,
+    &WireStats::net_connections_accepted,
+    &WireStats::net_connections_active,
+    &WireStats::net_frames_received,
+    &WireStats::net_frames_sent,
+    &WireStats::net_bytes_received,
+    &WireStats::net_bytes_sent,
+    &WireStats::net_batches,
+    &WireStats::net_coalesced_requests,
+    &WireStats::net_reads_paused,
+    &WireStats::net_protocol_errors,
+    &WireStats::shed,
+    &WireStats::expired,
+    &WireStats::net_sheds,
+    &WireStats::net_idle_closed,
+    &WireStats::net_header_timeout_closed,
+    &WireStats::net_write_stall_closed,
+    &WireStats::net_high_priority_frames,
+    &WireStats::net_best_effort_frames,
+};
+constexpr double WireStats::*kStatsDoubleFields[] = {
+    &WireStats::cpu_seconds,    &WireStats::critical_path_seconds,
+    &WireStats::latency_p50_us, &WireStats::latency_p99_us,
+    &WireStats::latency_p999_us,
+};
+// Every field is 8 bytes wide except num_threads, which pads to 8.
+static_assert(sizeof(WireStats) ==
+                  8 * (std::size(kStatsU64Fields) +
+                       std::size(kStatsDoubleFields) + 1),
+              "list the new WireStats field above");
+
+// A WireStats whose every field holds a different value, so an encoder
+// and decoder that disagree on the order of any two fields cannot
+// round-trip it.
+WireStats DistinctStats() {
+  WireStats stats;
+  uint64_t next = 1001;
+  for (auto field : kStatsU64Fields) stats.*field = next++;
+  for (auto field : kStatsDoubleFields) {
+    stats.*field = 0.25 + static_cast<double>(next++);
+  }
+  stats.num_threads = static_cast<uint32_t>(next);
+  return stats;
+}
+
+void ExpectStatsEqual(const WireStats& got, const WireStats& want) {
+  for (size_t i = 0; i < std::size(kStatsU64Fields); ++i) {
+    EXPECT_EQ(got.*kStatsU64Fields[i], want.*kStatsU64Fields[i])
+        << "integer field " << i;
+  }
+  for (size_t i = 0; i < std::size(kStatsDoubleFields); ++i) {
+    EXPECT_EQ(got.*kStatsDoubleFields[i], want.*kStatsDoubleFields[i])
+        << "double field " << i;
+  }
+  EXPECT_EQ(got.num_threads, want.num_threads);
+}
+
 TEST(ProtocolTest, ResponseRoundTrips) {
   for (const bool crc : {false, true}) {
     SCOPED_TRACE(crc ? "crc" : "plain");
@@ -306,52 +378,12 @@ TEST(ProtocolTest, ResponseRoundTrips) {
 
     // Stat response: every field survives the trip.
     wire.clear();
-    WireStats stats;
-    stats.requests = 101;
-    stats.failures = 2;
-    stats.steals = 3;
-    stats.queued = 4;
-    stats.cache_hits = 5;
-    stats.cache_bytes = 1 << 20;
-    stats.archive_docs = 455;
-    stats.disk_seconds = 0.25;
-    stats.latency_p99_us = 1234.5;
-    stats.num_threads = 8;
-    stats.net_frames_received = 77;
-    stats.net_reads_paused = 6;
-    stats.shed = 21;
-    stats.expired = 22;
-    stats.net_sheds = 23;
-    stats.net_idle_closed = 24;
-    stats.net_header_timeout_closed = 25;
-    stats.net_write_stall_closed = 26;
-    stats.net_high_priority_frames = 27;
-    stats.net_best_effort_frames = 28;
-    EncodeStatResponse(stats, crc, &wire);
+    EncodeStatResponse(DistinctStats(), crc, &wire);
     ASSERT_EQ(ParseFrame(wire, &type, &flags, &body, &consumed, &error),
               ParseResult::kFrame);
     ASSERT_TRUE(DecodeResponseBody(type, flags, body, &resp).ok());
     EXPECT_TRUE(resp.ok());
-    EXPECT_EQ(resp.stats.requests, 101u);
-    EXPECT_EQ(resp.stats.failures, 2u);
-    EXPECT_EQ(resp.stats.steals, 3u);
-    EXPECT_EQ(resp.stats.queued, 4u);
-    EXPECT_EQ(resp.stats.cache_hits, 5u);
-    EXPECT_EQ(resp.stats.cache_bytes, 1u << 20);
-    EXPECT_EQ(resp.stats.archive_docs, 455u);
-    EXPECT_DOUBLE_EQ(resp.stats.disk_seconds, 0.25);
-    EXPECT_DOUBLE_EQ(resp.stats.latency_p99_us, 1234.5);
-    EXPECT_EQ(resp.stats.num_threads, 8u);
-    EXPECT_EQ(resp.stats.net_frames_received, 77u);
-    EXPECT_EQ(resp.stats.net_reads_paused, 6u);
-    EXPECT_EQ(resp.stats.shed, 21u);
-    EXPECT_EQ(resp.stats.expired, 22u);
-    EXPECT_EQ(resp.stats.net_sheds, 23u);
-    EXPECT_EQ(resp.stats.net_idle_closed, 24u);
-    EXPECT_EQ(resp.stats.net_header_timeout_closed, 25u);
-    EXPECT_EQ(resp.stats.net_write_stall_closed, 26u);
-    EXPECT_EQ(resp.stats.net_high_priority_frames, 27u);
-    EXPECT_EQ(resp.stats.net_best_effort_frames, 28u);
+    ExpectStatsEqual(resp.stats, DistinctStats());
   }
 }
 
@@ -447,6 +479,35 @@ TEST(ProtocolTest, MalformedBodiesAreDecodeErrors) {
   EXPECT_FALSE(DecodeRequestBody(MessageType::kGetRange, 0,
                                  std::string(16, '\0'), &req)
                    .ok());
+
+  // Stat responses: a valid payload cut short anywhere, with a trailing
+  // byte, or tagged with the previous layout version.
+  std::string wire;
+  EncodeStatResponse(DistinctStats(), /*crc=*/false, &wire);
+  MessageType type;
+  uint8_t flags;
+  std::string_view stat_body;
+  size_t consumed = 0;
+  std::string error;
+  ASSERT_EQ(ParseFrame(wire, &type, &flags, &stat_body, &consumed, &error),
+            ParseResult::kFrame);
+  NetResponse resp;
+  ASSERT_TRUE(DecodeResponseBody(type, flags, stat_body, &resp).ok());
+  for (size_t cut = 0; cut < stat_body.size(); ++cut) {
+    EXPECT_EQ(DecodeResponseBody(type, flags, stat_body.substr(0, cut), &resp)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "cut at " << cut << " of " << stat_body.size();
+  }
+  std::string longer(stat_body);
+  longer.push_back('\0');
+  EXPECT_EQ(DecodeResponseBody(type, flags, longer, &resp).code(),
+            StatusCode::kInvalidArgument);
+  std::string version2(stat_body);
+  ASSERT_EQ(version2[1], 3);  // [0] is the status byte, [1] the version
+  version2[1] = 2;
+  EXPECT_EQ(DecodeResponseBody(type, flags, version2, &resp).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ProtocolTest, WireCodeRoundTripsStatus) {

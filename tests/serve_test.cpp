@@ -291,7 +291,6 @@ TEST(DocServiceTest, GetReturnsEveryDocument) {
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.requests, collection.num_docs());
   EXPECT_EQ(stats.failures, 0u);
-  EXPECT_GT(stats.disk_bytes, 0u);  // misses were charged to worker disks
 }
 
 TEST(DocServiceTest, RepeatTrafficHitsTheCache) {
@@ -383,9 +382,8 @@ TEST(DocServiceTest, DrainWaitsForSubmittedWork) {
   EXPECT_EQ(stats.requests, 3 * collection.num_docs());
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
   EXPECT_GT(stats.cpu_seconds, 0.0);
-  // The makespan can never exceed all workers' CPU plus all disks' time.
-  EXPECT_LE(stats.critical_path_seconds,
-            stats.cpu_seconds + stats.disk_seconds + 1e-9);
+  // The busiest worker's CPU can never exceed all workers' CPU.
+  EXPECT_LE(stats.critical_path_seconds, stats.cpu_seconds);
 }
 
 // ---------------------------------------------------------------------------
@@ -462,8 +460,8 @@ TEST(DocServiceTest, ExpiredDeadlineCompletesWithoutDecoding) {
   }
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.expired, items.size());
-  EXPECT_EQ(stats.disk_bytes, 0u);       // no archive reads
-  EXPECT_EQ(stats.cache.misses, 0u);     // no cache traffic either
+  // The cache is on, so any archive read would have missed it first.
+  EXPECT_EQ(stats.cache.misses, 0u);
   // The service is not poisoned: a fresh request without a deadline works.
   GetResult good = service.Get(0).get();
   ASSERT_TRUE(good.ok());
@@ -624,18 +622,17 @@ TEST(ConcurrencyTest, ShardedStoreConcurrentGetsAreByteExact) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
       Rng rng(7000 + t);
-      SimDisk disk;
       std::string doc;
       std::string slice;
       for (int i = 0; i < kIters; ++i) {
         const size_t id = rng.Next() % collection.num_docs();
-        if (!store->Get(id, &doc, &disk).ok() ||
+        if (!store->Get(id, &doc).ok() ||
             doc != collection.doc(id)) {
           mismatches.fetch_add(1);
           continue;
         }
         // Exercise the snippet path concurrently as well.
-        if (!store->GetRange(id, 16, 64, &slice, &disk).ok() ||
+        if (!store->GetRange(id, 16, 64, &slice).ok() ||
             slice != collection.doc(id).substr(
                          std::min<size_t>(16, collection.doc(id).size()),
                          64)) {
@@ -666,20 +663,20 @@ TEST(ConcurrencyTest, ShardedStorePerWorkerScratchIsByteExact) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
       Rng rng(11000 + t);
-      SimDisk disk;          // per-thread, per the Archive contract
       DecodeScratch scratch;  // per-thread, reused across all requests
       std::string doc;
       std::string slice;
       for (int i = 0; i < kIters; ++i) {
         const size_t id = rng.Next() % collection.num_docs();
-        if (!store->Get(id, &doc, &disk, &scratch).ok() ||
+        if (!store->Get(id, &doc, nullptr, &scratch).ok() ||
             doc != collection.doc(id)) {
           mismatches.fetch_add(1);
           continue;
         }
         const std::string_view text = collection.doc(id);
         const size_t offset = rng.Next() % (text.size() + 1);
-        if (!store->GetRange(id, offset, 48, &slice, &disk, &scratch).ok() ||
+        if (!store->GetRange(id, offset, 48, &slice, nullptr, &scratch)
+                 .ok() ||
             slice != (offset < text.size() ? text.substr(offset, 48)
                                            : std::string_view())) {
           mismatches.fetch_add(1);
