@@ -1,6 +1,6 @@
 // Micro benchmarks (google-benchmark): throughput of the individual
 // substrates — suffix-array construction, longest-match queries with and
-// without the jump-start table (the Refine acceleration ablation of
+// without the jump-start table (the starting-interval ablation of
 // DESIGN.md §5.1), factorization, the general-purpose compressors, and the
 // integer codecs.
 
@@ -61,7 +61,7 @@ void BM_LongestMatch(benchmark::State& state) {
     if (i >= doc.size()) i = 0;
   }
 }
-BENCHMARK(BM_LongestMatch)->Arg(0)->Arg(1);  // 0 = binary search only
+BENCHMARK(BM_LongestMatch)->Arg(0)->Arg(1);  // 0 = search the whole SA
 
 void BM_Factorize(benchmark::State& state) {
   const Collection& c = BenchCollection();

@@ -1,11 +1,36 @@
 #include "suffix/matcher.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "suffix/suffix_array.h"
 #include "util/logging.h"
 
 namespace rlz {
+namespace {
+
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "CommonPrefix reads the first mismatch from the low byte");
+
+// Length of the common prefix of a[0, limit) and b[0, limit), given that
+// the first `k` bytes are already known to match. Compares 8 bytes per
+// step: the lowest differing byte of the XOR of two little-endian words
+// is the first mismatch.
+int32_t CommonPrefix(const char* a, const char* b, int32_t k, int32_t limit) {
+  while (limit - k >= 8) {
+    uint64_t x;
+    uint64_t y;
+    std::memcpy(&x, a + k, 8);
+    std::memcpy(&y, b + k, 8);
+    const uint64_t diff = x ^ y;
+    if (diff != 0) return k + (__builtin_ctzll(diff) >> 3);
+    k += 8;
+  }
+  while (k < limit && a[k] == b[k]) ++k;
+  return k;
+}
+
+}  // namespace
 
 SuffixMatcher::SuffixMatcher(std::string_view text, std::vector<int32_t> sa,
                              bool build_jump_table)
@@ -20,7 +45,7 @@ SuffixMatcher::SuffixMatcher(std::string_view text, std::vector<int32_t> sa,
     // One pass over the SA: suffixes with equal 2-byte prefixes are
     // contiguous, so record each run. Suffixes of length 1 sort at the
     // start of their first-byte group and are excluded from the table
-    // (Refine handles them via the slow path).
+    // (a miss searches the whole SA, which includes them).
     size_t i = 0;
     const size_t n = sa_.size();
     while (i < n) {
@@ -81,53 +106,89 @@ bool SuffixMatcher::Refine(int32_t* lb, int32_t* rb, int32_t offset,
 
 Match SuffixMatcher::LongestMatch(std::string_view pattern) const {
   Match m;
-  if (pattern.empty() || text_.empty()) return m;
+  // No match is longer than the text, so the clamp loses nothing and
+  // keeps every length below in int32_t range.
+  const int32_t plen =
+      static_cast<int32_t>(std::min(pattern.size(), text_.size()));
+  if (plen == 0) return m;
+  const int32_t n = static_cast<int32_t>(text_.size());
+  const char* p = pattern.data();
+  const char* t = text_.data();
 
-  int32_t lb = 0;
-  int32_t rb = static_cast<int32_t>(sa_.size()) - 1;
-  int32_t j = 0;
-  const int32_t plen = static_cast<int32_t>(pattern.size());
-
-  // Jump-start: resolve the first two characters with one table lookup.
+  // Lower-bound search for the whole pattern over the open SA interval
+  // (lo, hi). `llcp`/`rlcp` are lcp(P, suffix) at the two ends; every
+  // suffix strictly inside shares at least min(llcp, rlcp) characters
+  // with P, so each probe resumes its comparison there (Manber & Myers).
+  // The ends start as sentinels whose lcp is what the whole interval is
+  // known to share with P: two bytes after a jump-table hit, else none.
+  int32_t lo = -1;
+  int32_t hi = n;
+  int32_t llcp = 0;
+  int32_t rlcp = 0;
   if (has_jump_ && plen >= 2) {
-    const uint32_t key =
-        (static_cast<uint8_t>(pattern[0]) << 8) |
-        static_cast<uint8_t>(pattern[1]);
+    const uint32_t key = (static_cast<uint8_t>(p[0]) << 8) |
+                         static_cast<uint8_t>(p[1]);
     if (jump_lo_[key] < jump_hi_[key]) {
-      lb = jump_lo_[key];
-      rb = jump_hi_[key] - 1;
-      j = 2;
+      lo = jump_lo_[key] - 1;
+      hi = jump_hi_[key];
+      llcp = rlcp = 2;
+    }
+  }
+  const int32_t first = lo;
+  const int32_t last = hi;
+  // Below the insertion point lcp(P, SA[i]) never decreases as i grows,
+  // so the last lower-side end whose lcp is below the final llcp bounds
+  // the leftmost-match search from the left.
+  int32_t left = lo;
+  int32_t left_lcp = llcp;
+  while (hi - lo > 1) {
+    const int32_t mid = lo + (hi - lo) / 2;
+    const int32_t s = sa_[mid];
+    const int32_t limit = std::min(plen, n - s);
+    const int32_t k = CommonPrefix(t + s, p, std::min(llcp, rlcp), limit);
+    if (k == plen || (k < limit && static_cast<uint8_t>(t[s + k]) >
+                                       static_cast<uint8_t>(p[k]))) {
+      hi = mid;
+      rlcp = k;
     } else {
-      // No 2-char match; fall back to a single Refine for 1 char.
-      if (!Refine(&lb, &rb, 0, static_cast<uint8_t>(pattern[0]))) return m;
-      m.pos = sa_[lb];
-      m.len = 1;
-      return m;
-    }
-  }
-
-  while (j < plen) {
-    if (lb == rb) {
-      // Single candidate: extend by direct comparison (the fast path the
-      // paper's Factor function takes once the interval is unique).
-      const size_t start = static_cast<size_t>(sa_[lb]);
-      while (j < plen && start + j < text_.size() &&
-             text_[start + j] == pattern[j]) {
-        ++j;
+      if (k > llcp) {
+        left = lo;
+        left_lcp = llcp;
       }
-      break;
+      lo = mid;
+      llcp = k;
     }
-    int32_t nlb = lb;
-    int32_t nrb = rb;
-    if (!Refine(&nlb, &nrb, j, static_cast<uint8_t>(pattern[j]))) break;
-    lb = nlb;
-    rb = nrb;
-    ++j;
   }
 
-  if (j == 0) return m;
-  m.pos = sa_[lb];
-  m.len = j;
+  // The longest match is at the insertion point `hi` or just before it.
+  if (hi < last && (lo == first || rlcp > llcp)) {
+    // Everything before `hi` shares at most llcp < rlcp characters.
+    if (rlcp > 0) {
+      m.pos = sa_[hi];
+      m.len = rlcp;
+    }
+    return m;
+  }
+  if (llcp == 0) return m;
+  // Fig. 1 returns SA[lb], the leftmost suffix with the longest match:
+  // a second lower bound over the matched prefix P[0, llcp) in
+  // (left, lo], resuming each comparison at the left end's lcp.
+  int32_t a = left;
+  int32_t a_lcp = left_lcp;
+  int32_t b = lo;
+  while (b - a > 1) {
+    const int32_t mid = a + (b - a) / 2;
+    const int32_t s = sa_[mid];
+    const int32_t k = CommonPrefix(t + s, p, a_lcp, std::min(llcp, n - s));
+    if (k == llcp) {
+      b = mid;
+    } else {
+      a = mid;
+      a_lcp = k;
+    }
+  }
+  m.pos = sa_[b];
+  m.len = llcp;
   return m;
 }
 

@@ -17,12 +17,14 @@ struct Match {
 /// Pattern matching over a static text via its suffix array — the engine
 /// behind the paper's Refine function (Fig. 1 / Table 1). Suffixes sharing
 /// a prefix form a contiguous SA interval; Refine narrows the interval by
-/// one character with two binary searches.
+/// one character with two binary searches. LongestMatch returns the same
+/// answer as the Fig. 1 Refine loop from one lower-bound search for the
+/// whole pattern (DESIGN.md §5.1).
 ///
-/// Optionally builds a jump-start table: a dense index over the first
-/// `prefix_bits`-bit packed 2-byte prefixes of suffixes, which replaces the
-/// first two Refine rounds with an O(1) lookup (ablation in
-/// bench/micro_factorize; see DESIGN.md §5.1).
+/// Optionally builds a jump-start table: a dense index over the packed
+/// 2-byte prefixes of suffixes, whose entry narrows LongestMatch's
+/// starting interval to the suffixes that share the pattern's first two
+/// bytes (ablation in bench/micro_bench; see DESIGN.md §5.1).
 class SuffixMatcher {
  public:
   /// `text` must outlive the matcher. If `sa` is empty it is built here.
@@ -38,6 +40,9 @@ class SuffixMatcher {
 
   /// Longest prefix of `pattern` occurring anywhere in the text. Greedy,
   /// leftmost-lowest SA entry wins, exactly as Fig. 1 returns SA[lb].
+  /// Does not call Refine: one lower-bound search over the whole pattern
+  /// finds the length, a second over the matched prefix the leftmost
+  /// entry.
   Match LongestMatch(std::string_view pattern) const;
 
   std::string_view text() const { return text_; }

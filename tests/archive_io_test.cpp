@@ -4,8 +4,10 @@
 
 #include <cstdio>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -720,6 +722,114 @@ TEST(ShardedStorePersistenceTest, MissingShardFileFailsToOpen) {
 // ---------------------------------------------------------------------------
 // Collection and Dictionary on the shared envelope (satellite: one
 // CRC/bounds-check implementation, read-compat for pre-envelope files).
+
+// ---------------------------------------------------------------------------
+// Pinned encoder output. The CRC-32 of every file the encoders write for a
+// fixed corpus, recorded once from a known-good build: any change to the
+// factorization (ties included) or to the factor coders changes a CRC here,
+// so encoder drift fails this test and not only a compression-ratio
+// comparison. A deliberate format change re-records the table.
+
+// Every container ends in the CRC-32 of the bytes before it, and the CRC
+// of a whole file is then a constant residue, so BodyCrc skips the trailer.
+uint32_t BodyCrc(std::string_view file) {
+  return Crc32(file.substr(0, file.size() - 4));
+}
+
+struct PinnedCrc {
+  const char* file;
+  uint32_t crc;
+};
+
+// In build order: "rlz.ZV", "rlz.UV", then per live-store mode the sealed
+// tail shard, and the manifest and every shard file after build, append,
+// seal and compaction. On a mismatch the test prints the new table.
+constexpr PinnedCrc kPinnedCrcs[] = {
+    {"rlz.ZV", 0x7600c994},          {"rlz.UV", 0x1c3bf823},
+    {"reuse.sealed", 0x98e9a801},    {"reuse", 0x83fda205},
+    {"reuse.shard0000", 0x81138095}, {"reuse.shard0001", 0x5c5dbfdb},
+    {"reuse.shard0002", 0xe207715e}, {"reuse.shard0003", 0x20d5407a},
+    {"reuse.shard0004", 0x4060d51a}, {"fresh.sealed", 0x4060d51a},
+    {"fresh", 0x7f337961},           {"fresh.shard0000", 0xaa12148f},
+    {"fresh.shard0001", 0x5c5dbfdb}, {"fresh.shard0002", 0xe207715e},
+    {"fresh.shard0003", 0x20d5407a}, {"fresh.shard0004", 0x4060d51a},
+};
+
+TEST(PinnedEncoderTest, OutputBytesMatchRecordedCrcs) {
+  CorpusOptions options;
+  options.target_bytes = 2 << 20;
+  options.seed = 20110613;
+  const Collection collection = GenerateCorpus(options).collection;
+  options.target_bytes = 256 << 10;
+  options.seed = 1717;
+  const Collection appended = GenerateCorpus(options).collection;
+
+  std::vector<std::pair<std::string, uint32_t>> got;
+  const std::shared_ptr<const Dictionary> dict =
+      DictionaryBuilder::BuildSampled(collection.data(), 64 << 10, 1024);
+  for (const PairCoding coding : {kZV, kUV}) {
+    RlzBuildOptions build_options;
+    build_options.coding = coding;
+    const auto archive = RlzArchive::Build(collection, dict, build_options);
+    got.emplace_back("rlz." + coding.name(), BodyCrc(archive->Serialize()));
+  }
+
+  for (const bool reuse : {true, false}) {
+    ShardedStoreOptions store_options;
+    store_options.num_shards = 4;
+    store_options.dict_bytes = 64 << 10;
+    store_options.live.tail_seal_bytes = 0;
+    store_options.live.reuse_append_dictionary = reuse;
+    store_options.live.compact_tombstone_fraction = 0.10;
+    auto store = ShardedStore::Build(collection, store_options);
+    for (size_t i = 0; i < appended.num_docs(); ++i) {
+      ASSERT_TRUE(store->Append(appended.doc(i)).ok());
+    }
+    ASSERT_TRUE(store->SealTail().ok());
+    ASSERT_EQ(store->num_shards(), 5);
+    // The compaction below may rewrite the sealed shard (stale
+    // dictionary), so pin the seal's output before it runs.
+    const std::string mode = reuse ? "reuse" : "fresh";
+    got.emplace_back(mode + ".sealed", BodyCrc(store->shard(4).Serialize()));
+    for (size_t id = 0; id < store->starts(1); id += 3) {
+      ASSERT_TRUE(store->Delete(id).ok());
+    }
+    auto report = store->CompactOnce();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_TRUE(report.value().compacted);
+    ASSERT_EQ(store->num_shards(), 5);
+
+    const std::string path = ::testing::TempDir() + "/pinned.sharded";
+    ASSERT_TRUE(store->Save(path).ok());
+    std::vector<std::string> files = {path};
+    for (int s = 0; s < store->num_shards(); ++s) {
+      char suffix[32];
+      std::snprintf(suffix, sizeof(suffix), ".shard%04d", s);
+      files.push_back(path + suffix);
+    }
+    for (const std::string& file : files) {
+      auto bytes = ReadFile(file);
+      ASSERT_TRUE(bytes.ok()) << file;
+      got.emplace_back(mode + file.substr(path.size()), BodyCrc(*bytes));
+      std::remove(file.c_str());
+    }
+  }
+
+  std::string table;
+  for (const auto& [file, crc] : got) {
+    char line[64];
+    std::snprintf(line, sizeof(line), "    {\"%s\", 0x%08x},\n", file.c_str(),
+                  crc);
+    table += line;
+  }
+  ASSERT_EQ(got.size(), std::size(kPinnedCrcs)) << "now:\n" << table;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, kPinnedCrcs[i].file);
+    EXPECT_EQ(got[i].second, kPinnedCrcs[i].crc)
+        << got[i].first << " changed; the full table now reads:\n"
+        << table;
+  }
+}
 
 TEST(CollectionPersistenceTest, LegacyRco1FileStillLoads) {
   // Hand-craft the pre-envelope layout: "RCO1", vbyte count, vbyte sizes,

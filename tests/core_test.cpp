@@ -6,6 +6,7 @@
 
 #include "core/rlz.h"
 #include "corpus/generator.h"
+#include "fig1_reference.h"
 #include "util/random.h"
 
 namespace rlz {
@@ -103,6 +104,55 @@ TEST(FactorizerTest, GreedyMatchesNaiveLengths) {
                   dict_text.substr(slow[i].pos, slow[i].len));
       } else {
         EXPECT_EQ(fast[i].pos, slow[i].pos);
+      }
+    }
+  }
+}
+
+// Fig. 1 over the public Refine (fig1_reference.h), one factor at a time.
+std::vector<Factor> Fig1Factorize(std::string_view doc,
+                                  const Dictionary& dict) {
+  std::vector<Factor> out;
+  size_t i = 0;
+  while (i < doc.size()) {
+    const Match m = Fig1LongestMatch(dict.matcher(), doc.substr(i), true);
+    if (m.len == 0) {
+      out.push_back(Factor{static_cast<uint8_t>(doc[i]), 0});
+      i += 1;
+    } else {
+      out.push_back(Factor{static_cast<uint32_t>(m.pos),
+                           static_cast<uint32_t>(m.len)});
+      i += m.len;
+    }
+  }
+  return out;
+}
+
+TEST(FactorizerTest, MatchesFig1ReferenceFactorForFactor) {
+  // Every archive byte depends on the exact (pos, len) stream, ties
+  // included. A 1% dictionary of the corpus itself gives long factors
+  // (the build); one sampled from another seed's corpus gives short ones
+  // (the seal against a drifted append dictionary).
+  CorpusOptions options;
+  options.target_bytes = 1 << 20;
+  options.seed = 2011;
+  const Collection collection = GenerateCorpus(options).collection;
+  options.seed = 2012;
+  const Collection other = GenerateCorpus(options).collection;
+  const std::shared_ptr<const Dictionary> dicts[] = {
+      DictionaryBuilder::BuildSampled(collection.data(),
+                                      collection.size_bytes() / 100, 1024),
+      DictionaryBuilder::BuildSampled(other.data(), 1 << 16, 1024)};
+  for (const auto& dict : dicts) {
+    Factorizer factorizer(dict.get());
+    for (size_t d = 0; d < collection.num_docs(); ++d) {
+      std::vector<Factor> got;
+      factorizer.Factorize(collection.doc(d), &got);
+      const std::vector<Factor> want = Fig1Factorize(collection.doc(d), *dict);
+      ASSERT_EQ(got.size(), want.size()) << "doc " << d;
+      for (size_t f = 0; f < got.size(); ++f) {
+        ASSERT_EQ(got[f].pos, want[f].pos) << "doc " << d << " factor " << f;
+        ASSERT_EQ(got[f].len, want[f].len) << "doc " << d << " factor " << f;
       }
     }
   }

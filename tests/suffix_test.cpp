@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fig1_reference.h"
 #include "suffix/matcher.h"
 #include "suffix/suffix_array.h"
 #include "util/random.h"
@@ -191,9 +192,11 @@ TEST_P(MatcherPropertyTest, LongestMatchMatchesNaive) {
       const Match want = NaiveLongestMatch(text, pattern);
       ASSERT_EQ(got.len, want.len) << "pattern " << pattern;
       if (got.len > 0) {
-        // Any position with the same match length is acceptable.
         EXPECT_EQ(text.substr(got.pos, got.len), pattern.substr(0, got.len));
       }
+      // Of the positions with that length, Fig. 1's leftmost SA entry.
+      EXPECT_EQ(got.pos, Fig1LongestMatch(matcher, pattern, jump_table).pos)
+          << "pattern " << pattern;
     }
   }
 }
@@ -224,27 +227,31 @@ TEST(MatcherTest, SingleCharText) {
 }
 
 // ---------------------------------------------------------------------------
-// Property test: the jump-table fast path must be indistinguishable from
-// the pure binary-search path — same length AND same (leftmost-lowest SA)
-// position — on every input. The jump table skips the first two Refine
-// rounds and excludes length-1 suffixes, which is exactly where a silent
-// divergence would hide.
+// Property test: with or without the jump table, LongestMatch must return
+// exactly what the paper's Fig. 1 Refine loop returns — same length AND
+// same (leftmost-lowest SA) position — on every input. The jump table
+// narrows the starting interval and excludes length-1 suffixes, and the
+// leftmost search breaks ties, which is where a silent divergence would
+// hide.
 
 // Runs every pattern through both matchers (shared suffix array, built
-// once) and requires identical Match results.
+// once) and requires the Fig. 1 reference's Match from each.
 void CrossCheckMatchers(const std::string& text,
                         const std::vector<std::string>& patterns,
                         const char* label) {
   const std::vector<int32_t> sa = BuildSuffixArray(text);
-  const SuffixMatcher with_jump(text, sa, /*build_jump_table=*/true);
-  const SuffixMatcher no_jump(text, sa, /*build_jump_table=*/false);
-  for (const std::string& pattern : patterns) {
-    const Match a = with_jump.LongestMatch(pattern);
-    const Match b = no_jump.LongestMatch(pattern);
-    ASSERT_EQ(a.len, b.len)
-        << label << ": length diverged on pattern of size " << pattern.size();
-    ASSERT_EQ(a.pos, b.pos)
-        << label << ": position diverged on pattern of size " << pattern.size();
+  for (const bool jump : {true, false}) {
+    const SuffixMatcher matcher(text, sa, jump);
+    for (const std::string& pattern : patterns) {
+      const Match got = matcher.LongestMatch(pattern);
+      const Match want = Fig1LongestMatch(matcher, pattern, jump);
+      ASSERT_EQ(got.len, want.len)
+          << label << (jump ? " (jump)" : " (no jump)")
+          << ": length diverged on pattern of size " << pattern.size();
+      ASSERT_EQ(got.pos, want.pos)
+          << label << (jump ? " (jump)" : " (no jump)")
+          << ": position diverged on pattern of size " << pattern.size();
+    }
   }
 }
 
@@ -319,10 +326,36 @@ TEST(MatcherPropertyTest, JumpTableMatchesBinarySearchOnTinyTexts) {
     CrossCheckMatchers(text, patterns, "tiny");
   }
   // A pattern whose only match is the final (length-1) suffix: the jump
-  // table has no entry for it, so the fast path must fall back correctly.
+  // table has no entry for it, so the search must start from the whole SA.
   const std::string text = "bbbbbbba";
   std::vector<std::string> patterns = {"a", "ab", "ac", "aa"};
   CrossCheckMatchers(text, patterns, "last-suffix");
+}
+
+TEST(MatcherPropertyTest, TiesOverrunsAndJumpMisses) {
+  // Periodic text: every "abcab" prefix is shared by hundreds of suffixes,
+  // and Fig. 1 must return the leftmost of them. "abcab" inserts at the
+  // left end of the tie, "abcabd" and "abcabcabd" to its right, "abcaa"
+  // to its left.
+  std::string text;
+  while (text.size() < 1200) text += "abc";
+  std::vector<std::string> patterns = {
+      "abcab", "abcabd", "abcabcabd", "abcaa", "bcabcabx", "cab", "cabcac",
+      // Runs past the end of the text.
+      text + "abc", text.substr(text.size() - 7) + "abcabc",
+      text.substr(text.size() - 1) + "x",
+      // One byte, present and absent.
+      "a", "b", "c", "d",
+      // Jump-table misses: the first byte occurs, the pair does not.
+      "aa", "ac", "cc", "ax"};
+  CrossCheckMatchers(text, patterns, "periodic");
+
+  // The same ties where the matched prefix runs to the last suffix.
+  Rng rng(5);
+  std::string mixed = RandomString(rng, 300, 3);
+  for (int i = 0; i < 40; ++i) mixed += "abcab";
+  CrossCheckMatchers(mixed, StressPatterns(mixed, rng), "mixed");
+  CrossCheckMatchers(mixed, patterns, "mixed-fixed");
 }
 
 }  // namespace
