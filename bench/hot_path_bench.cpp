@@ -15,7 +15,9 @@
 // All three run over the same per-document encoded factor streams, so the
 // comparison isolates the decode kernel. The bench also times factorize
 // against `refine_baseline`, a replica of the per-character Fig. 1 Refine
-// loop the matcher used before its whole-pattern search, and splits ZV
+// loop the matcher used before its whole-pattern search, times it again
+// against a short-factor dictionary (`short_dict`, the seal's shape), and
+// splits ZV
 // decode into its stages (code-length read plus table build, symbol loop,
 // CRC, vbyte plus copy expansion). Serving
 // throughput through DocService is serve_load_bench's job. Results are
@@ -83,11 +85,11 @@ struct FactorizeGate {
 };
 constexpr FactorizeGate kFactorizeGate = {1.8, 1.5};
 
-// Replica of the previous SuffixMatcher::LongestMatch: the paper's
+// Replica of the Refine-era SuffixMatcher::LongestMatch: the paper's
 // Fig. 1 loop, one Refine (two binary searches) per character, started
-// from the same 2-byte jump table and finishing a single surviving
-// suffix by direct comparison. Kept here (not in the library) purely as
-// the factorize baseline. It calls the library's Refine, which the old
+// from the 2-byte jump table that matcher had and finishing a single
+// surviving suffix by direct comparison. Kept here (not in the library)
+// purely as the factorize baseline. It calls the library's Refine, which the old
 // matcher could inline, and runs 5-10% slower than the old matcher did
 // on the same host, so vs_refine overstates the gain by about that much.
 class RefineMatcher {
@@ -450,6 +452,26 @@ void Run(bool smoke, const std::string& out_path) {
       TimeRefineFactorize(*dict, collection, repeats, docs);
   const double factorize_mb_per_s = corpus_mb / factorize_seconds;
   const double refine_mb_per_s = corpus_mb / refine_seconds;
+
+  // The seal's shape: the same documents against a 160 KB dictionary
+  // sampled from another seed's corpus, as a page_cold store's append
+  // dictionary meets appended documents. Factors average about 5.5 B, so
+  // the per-factor cost of the search dominates, not its comparisons.
+  CorpusOptions other_options = corpus_options;
+  other_options.seed = corpus_options.seed + 1;
+  const std::shared_ptr<const Dictionary> short_dict =
+      DictionaryBuilder::BuildSampled(
+          GenerateCorpus(other_options).collection.data(), 160 << 10, 1024);
+  Factorizer short_factorizer(short_dict.get());
+  std::vector<std::vector<Factor>> short_docs(collection.num_docs());
+  const double short_seconds = TimeFactorize(
+      collection, repeats,
+      [&](std::string_view doc, std::vector<Factor>* out) {
+        short_factorizer.Factorize(doc, out);
+      },
+      &short_docs);
+  const double short_mb_per_s = corpus_mb / short_seconds;
+  const double short_avg_len = short_factorizer.stats().avg_factor_length();
   const double vs_refine = refine_seconds / factorize_seconds;
   const double factorize_min_ratio =
       smoke ? kFactorizeGate.smoke_ratio : kFactorizeGate.full_ratio;
@@ -459,6 +481,10 @@ void Run(bool smoke, const std::string& out_path) {
       factorize_mb_per_s, factorize_seconds,
       factorizer.stats().avg_factor_length(),
       refine_mb_per_s, vs_refine);
+  std::printf(
+      "factorize, short-factor dictionary (%zu B): %.1f MB/s (%.3fs, avg "
+      "factor %.1f)\n",
+      short_dict->size(), short_mb_per_s, short_seconds, short_avg_len);
 
   std::string json;
   json.append("{\n  \"bench\": \"hot_path\",\n");
@@ -476,9 +502,12 @@ void Run(bool smoke, const std::string& out_path) {
   std::snprintf(buf, sizeof(buf),
                 "  \"factorize\": {\"mb_per_s\": %.1f, \"seconds\": %.3f, "
                 "\"refine_baseline\": {\"mb_per_s\": %.1f, "
-                "\"seconds\": %.3f}, \"vs_refine\": %.2f},\n",
+                "\"seconds\": %.3f}, \"vs_refine\": %.2f, "
+                "\"short_dict\": {\"mb_per_s\": %.1f, \"seconds\": %.3f, "
+                "\"avg_factor_len\": %.1f, \"dict_bytes\": %zu}},\n",
                 factorize_mb_per_s, factorize_seconds, refine_mb_per_s,
-                refine_seconds, vs_refine);
+                refine_seconds, vs_refine, short_mb_per_s, short_seconds,
+                short_avg_len, short_dict->size());
   json.append(buf);
   // The one-time "before" record: the real pre-scratch FactorCoder
   // measured from a pristine build of commit d02bb1b on the reference

@@ -1,6 +1,6 @@
 // Micro benchmarks (google-benchmark): throughput of the individual
 // substrates — suffix-array construction, longest-match queries with and
-// without the jump-start table (the starting-interval ablation of
+// without the 4-byte prefix table (the starting-interval ablation of
 // DESIGN.md §5.1), factorization, the general-purpose compressors, and the
 // integer codecs.
 
@@ -48,9 +48,9 @@ void BM_SuffixArrayBuild(benchmark::State& state) {
 BENCHMARK(BM_SuffixArrayBuild)->Arg(64 << 10)->Arg(256 << 10)->Arg(1 << 20);
 
 void BM_LongestMatch(benchmark::State& state) {
-  const bool jump = state.range(0) != 0;
+  const bool prefix_table = state.range(0) != 0;
   const std::string text = DictText(256 << 10);
-  SuffixMatcher matcher(text, {}, jump);
+  SuffixMatcher matcher(text, {}, prefix_table);
   const Collection& c = BenchCollection();
   const std::string_view doc = c.doc(0);
   size_t i = 0;
@@ -61,7 +61,8 @@ void BM_LongestMatch(benchmark::State& state) {
     if (i >= doc.size()) i = 0;
   }
 }
-BENCHMARK(BM_LongestMatch)->Arg(0)->Arg(1);  // 0 = search the whole SA
+// prefix_table:0 starts every search from the whole SA.
+BENCHMARK(BM_LongestMatch)->ArgName("prefix_table")->Arg(0)->Arg(1);
 
 void BM_Factorize(benchmark::State& state) {
   const Collection& c = BenchCollection();

@@ -22,7 +22,7 @@ namespace rlz {
 class Dictionary {
  public:
   /// Wraps `text` (copied). When `build_suffix_array` is true (the
-  /// default) the suffix array and jump table are built here — required
+  /// default) the suffix array and prefix table are built here — required
   /// for factorizing documents. Serving-only callers (decode existing
   /// archives, which never consult the suffix array) pass false and skip
   /// that work entirely; see OpenOptions::build_suffix_array.

@@ -30,46 +30,75 @@ int32_t CommonPrefix(const char* a, const char* b, int32_t k, int32_t limit) {
   return k;
 }
 
+// The first four bytes at `p` as one key (any fixed byte order works).
+uint32_t LoadPrefix(const char* p) {
+  uint32_t key;
+  std::memcpy(&key, p, 4);
+  return key;
+}
+
 }  // namespace
 
 SuffixMatcher::SuffixMatcher(std::string_view text, std::vector<int32_t> sa,
-                             bool build_jump_table)
+                             bool build_prefix_table)
     : text_(text), sa_(std::move(sa)) {
   if (sa_.empty() && !text_.empty()) {
     sa_ = BuildSuffixArray(text_);
   }
   RLZ_CHECK_EQ(sa_.size(), text_.size());
-  if (build_jump_table && text_.size() >= 2) {
-    jump_lo_.assign(65536, 0);
-    jump_hi_.assign(65536, 0);
-    // One pass over the SA: suffixes with equal 2-byte prefixes are
-    // contiguous, so record each run. Suffixes of length 1 sort at the
-    // start of their first-byte group and are excluded from the table
-    // (a miss searches the whole SA, which includes them).
+  if (!build_prefix_table || text_.size() < 4) return;
+
+  // Calls emit(key, lo, hi) for each run of suffixes sharing a 4-byte
+  // prefix, in SA order, until emit returns false. Runs are contiguous
+  // in the SA, and a suffix shorter than 4 bytes never splits one: it
+  // sorts before every longer suffix that starts with its bytes.
+  const char* t = text_.data();
+  const size_t n = sa_.size();
+  const size_t last = n - 4;  // suffixes starting past here are short
+  auto for_each_run = [&](auto&& emit) {
     size_t i = 0;
-    const size_t n = sa_.size();
     while (i < n) {
-      const size_t start = i;
       const size_t p = static_cast<size_t>(sa_[i]);
-      if (p + 1 >= text_.size()) {
+      if (p > last) {
         ++i;
         continue;
       }
-      const uint32_t key = (static_cast<uint8_t>(text_[p]) << 8) |
-                           static_cast<uint8_t>(text_[p + 1]);
-      while (i < n) {
+      const uint32_t key = LoadPrefix(t + p);
+      const size_t start = i;
+      while (++i < n) {
         const size_t q = static_cast<size_t>(sa_[i]);
-        if (q + 1 >= text_.size()) break;
-        const uint32_t k2 = (static_cast<uint8_t>(text_[q]) << 8) |
-                            static_cast<uint8_t>(text_[q + 1]);
-        if (k2 != key) break;
-        ++i;
+        if (q > last || LoadPrefix(t + q) != key) break;
       }
-      jump_lo_[key] = static_cast<int32_t>(start);
-      jump_hi_[key] = static_cast<int32_t>(i);
+      if (!emit(key, static_cast<int32_t>(start), static_cast<int32_t>(i))) {
+        return;
+      }
     }
-    has_jump_ = true;
+  };
+  size_t runs = 0;
+  for_each_run([&](uint32_t, int32_t, int32_t) {
+    ++runs;
+    return true;
+  });
+
+  // At most half full, and no larger than the SA. A prefix left out of a
+  // full table starts its search from the whole SA, which returns the
+  // same match, so the cap costs speed on such texts and never output.
+  const size_t max_bytes = n * sizeof(int32_t);
+  size_t slots = 2;
+  while (slots < 2 * runs && 2 * slots * sizeof(PrefixSlot) <= max_bytes) {
+    slots <<= 1;
   }
+  if (slots * sizeof(PrefixSlot) > max_bytes) return;
+  prefix_table_.assign(slots, PrefixSlot{0, 0, 0});
+  prefix_shift_ = 32 - __builtin_ctzll(slots);
+  const size_t mask = slots - 1;
+  size_t room = slots / 2;
+  for_each_run([&](uint32_t key, int32_t lo, int32_t hi) {
+    size_t i = PrefixHome(key);
+    while (prefix_table_[i].hi != 0) i = (i + 1) & mask;
+    prefix_table_[i] = PrefixSlot{key, lo, hi};
+    return --room > 0;
+  });
 }
 
 bool SuffixMatcher::Refine(int32_t* lb, int32_t* rb, int32_t offset,
@@ -120,18 +149,22 @@ Match SuffixMatcher::LongestMatch(std::string_view pattern) const {
   // suffix strictly inside shares at least min(llcp, rlcp) characters
   // with P, so each probe resumes its comparison there (Manber & Myers).
   // The ends start as sentinels whose lcp is what the whole interval is
-  // known to share with P: two bytes after a jump-table hit, else none.
+  // known to share with P: four bytes after a prefix-table hit, else none.
   int32_t lo = -1;
   int32_t hi = n;
   int32_t llcp = 0;
   int32_t rlcp = 0;
-  if (has_jump_ && plen >= 2) {
-    const uint32_t key = (static_cast<uint8_t>(p[0]) << 8) |
-                         static_cast<uint8_t>(p[1]);
-    if (jump_lo_[key] < jump_hi_[key]) {
-      lo = jump_lo_[key] - 1;
-      hi = jump_hi_[key];
-      llcp = rlcp = 2;
+  if (plen >= 4 && !prefix_table_.empty()) {
+    const uint32_t key = LoadPrefix(p);
+    const size_t mask = prefix_table_.size() - 1;
+    for (size_t i = PrefixHome(key); prefix_table_[i].hi != 0;
+         i = (i + 1) & mask) {
+      if (prefix_table_[i].key == key) {
+        lo = prefix_table_[i].lo - 1;
+        hi = prefix_table_[i].hi;
+        llcp = rlcp = 4;
+        break;
+      }
     }
   }
   const int32_t first = lo;

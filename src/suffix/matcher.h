@@ -21,16 +21,21 @@ struct Match {
 /// answer as the Fig. 1 Refine loop from one lower-bound search for the
 /// whole pattern (DESIGN.md §5.1).
 ///
-/// Optionally builds a jump-start table: a dense index over the packed
-/// 2-byte prefixes of suffixes, whose entry narrows LongestMatch's
-/// starting interval to the suffixes that share the pattern's first two
-/// bytes (ablation in bench/micro_bench; see DESIGN.md §5.1).
+/// Optionally builds a prefix table: an open-addressing hash table from
+/// each 4-byte prefix that occurs in the text to the SA interval of the
+/// suffixes starting with it, so LongestMatch starts from that interval
+/// with 4 characters already matched. The table never takes more memory
+/// than the SA: when the text has more distinct 4-byte prefixes than fit,
+/// the rest are left out. A prefix that is not in the table (absent from
+/// the text, left out, or a pattern shorter than 4 bytes) starts the
+/// search from the whole SA, which finds the same match, so the table
+/// only changes speed (ablation in bench/micro_bench).
 class SuffixMatcher {
  public:
   /// `text` must outlive the matcher. If `sa` is empty it is built here.
   explicit SuffixMatcher(std::string_view text,
                          std::vector<int32_t> sa = {},
-                         bool build_jump_table = true);
+                         bool build_prefix_table = true);
 
   /// The paper's Refine(lb, rb, offset, c): narrows [*lb, *rb] (inclusive
   /// SA index interval whose suffixes share the first `offset` characters)
@@ -47,6 +52,10 @@ class SuffixMatcher {
 
   std::string_view text() const { return text_; }
   const std::vector<int32_t>& sa() const { return sa_; }
+  /// Bytes held by the prefix table; never more than the SA's.
+  size_t prefix_table_bytes() const {
+    return prefix_table_.size() * sizeof(PrefixSlot);
+  }
 
  private:
   // Character of suffix sa_[i] at distance `offset`, or -1 if the suffix is
@@ -58,13 +67,26 @@ class SuffixMatcher {
     return static_cast<uint8_t>(text_[p]);
   }
 
+  // Prefix-table slot: the SA interval [lo, hi) of the suffixes whose
+  // first four bytes load as `key`. hi == 0 marks an empty slot, since a
+  // stored interval is never empty; every key value, 0 included, is a
+  // valid prefix.
+  struct PrefixSlot {
+    uint32_t key;
+    int32_t lo;
+    int32_t hi;
+  };
+  // Home slot of `key`: the top bits of a Fibonacci hash.
+  size_t PrefixHome(uint32_t key) const {
+    return (key * 0x9E3779B1u) >> prefix_shift_;
+  }
+
   std::string_view text_;
   std::vector<int32_t> sa_;
-  // jump_[prefix16] = SA interval [lo, hi) of suffixes starting with the
-  // two-byte prefix; empty intervals have lo == hi.
-  std::vector<int32_t> jump_lo_;
-  std::vector<int32_t> jump_hi_;
-  bool has_jump_ = false;
+  // Linear probing over a power-of-two table at most half full; empty
+  // when the text has no 4-byte prefix or the table would not fit.
+  std::vector<PrefixSlot> prefix_table_;
+  int prefix_shift_ = 32;
 };
 
 }  // namespace rlz

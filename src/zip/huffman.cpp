@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <queue>
 
 namespace rlz {
 namespace {
@@ -51,50 +50,53 @@ std::vector<uint8_t> BuildHuffmanCodeLengths(const std::vector<uint64_t>& freqs,
     return lengths;
   }
 
-  // Standard Huffman tree construction over the used symbols.
-  struct Node {
-    uint64_t freq;
-    int32_t left;   // node index or -1
-    int32_t right;  // node index, or symbol index when left == -1
-  };
-  std::vector<Node> nodes;
-  nodes.reserve(2 * used.size());
-  using QEntry = std::pair<uint64_t, int32_t>;  // (freq, node index)
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
-  for (size_t i = 0; i < used.size(); ++i) {
-    nodes.push_back({freqs[used[i]], -1, static_cast<int32_t>(i)});
-    pq.emplace(nodes.back().freq, static_cast<int32_t>(nodes.size() - 1));
+  // Huffman tree by the two-queue construction. Node ids: the leaves
+  // are 0..m-1 in `used` order, internal nodes m..2m-2 in creation order.
+  // Leaves are taken in (freq, id) order; internal nodes are created in
+  // non-decreasing weight order, so their queue is already sorted. On a
+  // tie the leaf goes first, as its id is smaller: nodes leave the two
+  // queues in the (freq, id) order of a min-heap over all nodes, so the
+  // tree and every code length match a heap construction's.
+  const size_t m = used.size();
+  std::vector<uint64_t> weight(2 * m - 1);
+  std::vector<uint32_t> parent(2 * m - 1);
+  std::vector<uint32_t> leaves(m);
+  for (size_t i = 0; i < m; ++i) {
+    weight[i] = freqs[used[i]];
+    leaves[i] = static_cast<uint32_t>(i);
   }
-  while (pq.size() > 1) {
-    const auto [fa, a] = pq.top();
-    pq.pop();
-    const auto [fb, b] = pq.top();
-    pq.pop();
-    nodes.push_back({fa + fb, a, b});
-    pq.emplace(fa + fb, static_cast<int32_t>(nodes.size() - 1));
-  }
-
-  // Depth-first traversal to collect raw depths per used symbol.
-  std::vector<int> depth(used.size(), 0);
-  {
-    std::vector<std::pair<int32_t, int>> stack;  // (node, depth)
-    stack.emplace_back(static_cast<int32_t>(nodes.size() - 1), 0);
-    while (!stack.empty()) {
-      const auto [idx, d] = stack.back();
-      stack.pop_back();
-      const Node& nd = nodes[idx];
-      if (nd.left == -1) {
-        depth[nd.right] = std::max(d, 1);
+  std::stable_sort(leaves.begin(), leaves.end(), [&](uint32_t a, uint32_t b) {
+    return weight[a] < weight[b];
+  });
+  size_t next_leaf = 0;
+  size_t next_node = m;
+  for (size_t node = m; node < 2 * m - 1; ++node) {
+    uint32_t child[2];
+    for (uint32_t& c : child) {
+      const bool leaf_first =
+          next_leaf < m && (next_node == node ||
+                            weight[leaves[next_leaf]] <= weight[next_node]);
+      if (leaf_first) {
+        c = leaves[next_leaf++];
       } else {
-        stack.emplace_back(nd.left, d + 1);
-        stack.emplace_back(nd.right, d + 1);
+        c = static_cast<uint32_t>(next_node++);
       }
     }
+    weight[node] = weight[child[0]] + weight[child[1]];
+    parent[child[0]] = parent[child[1]] = static_cast<uint32_t>(node);
   }
+
+  // Depths top-down: a parent's id exceeds its children's, so walking
+  // ids downwards overwrites each parent link with its node's depth
+  // after the parent's own depth is final.
+  parent[2 * m - 2] = 0;
+  for (size_t i = 2 * m - 2; i-- > 0;) parent[i] = parent[parent[i]] + 1;
 
   // Histogram of code lengths, clamped to max_bits.
   std::vector<int> num_codes(max_bits + 1, 0);
-  for (int d : depth) ++num_codes[std::min(d, max_bits)];
+  for (size_t i = 0; i < m; ++i) {
+    ++num_codes[std::min(static_cast<int>(parent[i]), max_bits)];
+  }
 
   // Kraft repair (the miniz "enforce max code size" pass): while the
   // scaled Kraft sum exceeds 2^max_bits, demote one max-length code by

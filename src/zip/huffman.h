@@ -14,7 +14,8 @@ namespace rlz {
 inline constexpr int kMaxHuffmanBits = 15;
 
 /// Computes length-limited Huffman code lengths for `freqs` (0 for unused
-/// symbols). Uses a standard tree build followed by the zlib/miniz
+/// symbols). Builds the tree from two sorted queues (the leaves, and the
+/// internal nodes in creation order), then runs the zlib/miniz
 /// Kraft-repair pass to enforce `max_bits`. Symbols with nonzero frequency
 /// always receive a length in [1, max_bits]. If only one symbol is used it
 /// gets length 1.

@@ -741,11 +741,15 @@ struct PinnedCrc {
   uint32_t crc;
 };
 
-// In build order: "rlz.ZV", "rlz.UV", then per live-store mode the sealed
-// tail shard, and the manifest and every shard file after build, append,
-// seal and compaction. On a mismatch the test prints the new table.
+// In build order: "rlz.ZV", "rlz.UV", "rlz.ZZ", a gzipx blocked archive
+// (64 KB blocks), then per live-store mode the sealed tail shard, and the
+// manifest and every shard file after build, append, seal and compaction.
+// ZZ and the blocked archive run the gzipx Huffman builder on symbol mixes
+// ZV does not: zlib-coded lengths, and whole text blocks. On a mismatch the
+// test prints the new table.
 constexpr PinnedCrc kPinnedCrcs[] = {
     {"rlz.ZV", 0x7600c994},          {"rlz.UV", 0x1c3bf823},
+    {"rlz.ZZ", 0x02c3a630},          {"blocked.gzipx", 0x2d59789e},
     {"reuse.sealed", 0x98e9a801},    {"reuse", 0x83fda205},
     {"reuse.shard0000", 0x81138095}, {"reuse.shard0001", 0x5c5dbfdb},
     {"reuse.shard0002", 0xe207715e}, {"reuse.shard0003", 0x20d5407a},
@@ -767,11 +771,21 @@ TEST(PinnedEncoderTest, OutputBytesMatchRecordedCrcs) {
   std::vector<std::pair<std::string, uint32_t>> got;
   const std::shared_ptr<const Dictionary> dict =
       DictionaryBuilder::BuildSampled(collection.data(), 64 << 10, 1024);
-  for (const PairCoding coding : {kZV, kUV}) {
+  for (const PairCoding coding : {kZV, kUV, kZZ}) {
     RlzBuildOptions build_options;
     build_options.coding = coding;
     const auto archive = RlzArchive::Build(collection, dict, build_options);
     got.emplace_back("rlz." + coding.name(), BodyCrc(archive->Serialize()));
+  }
+  {
+    const BlockedArchive blocked(collection,
+                                 GetCompressor(CompressorId::kGzipx), 64 << 10);
+    const std::string path = ::testing::TempDir() + "/pinned.blocked";
+    ASSERT_TRUE(blocked.Save(path).ok());
+    auto bytes = ReadFile(path);
+    ASSERT_TRUE(bytes.ok()) << path;
+    got.emplace_back("blocked.gzipx", BodyCrc(*bytes));
+    std::remove(path.c_str());
   }
 
   for (const bool reuse : {true, false}) {

@@ -115,7 +115,7 @@ std::vector<Factor> Fig1Factorize(std::string_view doc,
   std::vector<Factor> out;
   size_t i = 0;
   while (i < doc.size()) {
-    const Match m = Fig1LongestMatch(dict.matcher(), doc.substr(i), true);
+    const Match m = Fig1LongestMatch(dict.matcher(), doc.substr(i));
     if (m.len == 0) {
       out.push_back(Factor{static_cast<uint8_t>(doc[i]), 0});
       i += 1;

@@ -176,11 +176,11 @@ Match NaiveLongestMatch(std::string_view text, std::string_view pattern) {
 class MatcherPropertyTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(MatcherPropertyTest, LongestMatchMatchesNaive) {
-  const bool jump_table = GetParam();
+  const bool prefix_table = GetParam();
   Rng rng(4242);
   for (int iter = 0; iter < 30; ++iter) {
     const std::string text = RandomString(rng, 300, 3);
-    SuffixMatcher matcher(text, {}, jump_table);
+    SuffixMatcher matcher(text, {}, prefix_table);
     for (int q = 0; q < 40; ++q) {
       std::string pattern = RandomString(rng, 1 + rng.Uniform(20), 3);
       // Half the queries are substrings of the text (guaranteed matches).
@@ -195,7 +195,7 @@ TEST_P(MatcherPropertyTest, LongestMatchMatchesNaive) {
         EXPECT_EQ(text.substr(got.pos, got.len), pattern.substr(0, got.len));
       }
       // Of the positions with that length, Fig. 1's leftmost SA entry.
-      EXPECT_EQ(got.pos, Fig1LongestMatch(matcher, pattern, jump_table).pos)
+      EXPECT_EQ(got.pos, Fig1LongestMatch(matcher, pattern).pos)
           << "pattern " << pattern;
     }
   }
@@ -227,12 +227,14 @@ TEST(MatcherTest, SingleCharText) {
 }
 
 // ---------------------------------------------------------------------------
-// Property test: with or without the jump table, LongestMatch must return
-// exactly what the paper's Fig. 1 Refine loop returns — same length AND
-// same (leftmost-lowest SA) position — on every input. The jump table
-// narrows the starting interval and excludes length-1 suffixes, and the
-// leftmost search breaks ties, which is where a silent divergence would
-// hide.
+// Property test: with or without the 4-byte prefix table, LongestMatch
+// must return exactly what the paper's Fig. 1 Refine loop returns — same
+// length AND same (leftmost-lowest SA) position — on every input. The
+// table narrows the starting interval and leaves out suffixes shorter
+// than 4 bytes (and, on texts with too many distinct prefixes, some
+// prefixes), and the leftmost search breaks ties, which is where a silent
+// divergence would hide. The test names keep the table's earlier name,
+// the jump table.
 
 // Runs every pattern through both matchers (shared suffix array, built
 // once) and requires the Fig. 1 reference's Match from each.
@@ -240,16 +242,22 @@ void CrossCheckMatchers(const std::string& text,
                         const std::vector<std::string>& patterns,
                         const char* label) {
   const std::vector<int32_t> sa = BuildSuffixArray(text);
-  for (const bool jump : {true, false}) {
-    const SuffixMatcher matcher(text, sa, jump);
+  for (const bool table : {true, false}) {
+    const SuffixMatcher matcher(text, sa, table);
+    // The prefix table never outgrows the SA.
+    ASSERT_LE(matcher.prefix_table_bytes(), sa.size() * sizeof(int32_t))
+        << label;
+    if (!table) {
+      ASSERT_EQ(matcher.prefix_table_bytes(), 0u) << label;
+    }
     for (const std::string& pattern : patterns) {
       const Match got = matcher.LongestMatch(pattern);
-      const Match want = Fig1LongestMatch(matcher, pattern, jump);
+      const Match want = Fig1LongestMatch(matcher, pattern);
       ASSERT_EQ(got.len, want.len)
-          << label << (jump ? " (jump)" : " (no jump)")
+          << label << (table ? " (table)" : " (no table)")
           << ": length diverged on pattern of size " << pattern.size();
       ASSERT_EQ(got.pos, want.pos)
-          << label << (jump ? " (jump)" : " (no jump)")
+          << label << (table ? " (table)" : " (no table)")
           << ": position diverged on pattern of size " << pattern.size();
     }
   }
@@ -273,7 +281,7 @@ std::vector<std::string> StressPatterns(const std::string& text, Rng& rng) {
     std::string p = text.substr(pos, len);
     patterns.push_back(p);
     // Mutate one byte so matches break mid-pattern at arbitrary offsets
-    // (offset 0 and 1 exercise the jump table's no-2-char-match fallback).
+    // (offsets 0-3 exercise the prefix table's miss path).
     std::string q = p;
     q[rng.Next() % q.size()] ^= static_cast<char>(1 + rng.Next() % 255);
     patterns.push_back(q);
@@ -305,8 +313,8 @@ TEST(MatcherPropertyTest, JumpTableMatchesBinarySearchOnRepetitiveTexts) {
 
 TEST(MatcherPropertyTest, JumpTableMatchesBinarySearchWithNulBytes) {
   Rng rng(7);
-  // NUL-heavy text: key 0x0000 occupies jump-table slot 0, and suffixes
-  // ending in NUL stress the excluded-length-1 bookkeeping.
+  // NUL-heavy text: key 0x00000000 is a real prefix here, and suffixes
+  // ending in NUL stress the excluded-short-suffix bookkeeping.
   std::string text;
   for (int i = 0; i < 800; ++i) {
     text.push_back(static_cast<char>(rng.Next() % 3));  // '\0','\1','\2'
@@ -314,18 +322,20 @@ TEST(MatcherPropertyTest, JumpTableMatchesBinarySearchWithNulBytes) {
   std::vector<std::string> patterns = StressPatterns(text, rng);
   patterns.push_back(std::string(1, '\0'));
   patterns.push_back(std::string(2, '\0'));
+  patterns.push_back(std::string(4, '\0'));
+  patterns.push_back(std::string(9, '\0'));
   CrossCheckMatchers(text, patterns, "nul");
 }
 
 TEST(MatcherPropertyTest, JumpTableMatchesBinarySearchOnTinyTexts) {
-  // Length 0/1/2 texts sit at the jump table's build threshold (it is only
-  // built for texts of length >= 2); length-1 suffixes dominate.
+  // Length 0/1/2 texts have no 4-byte prefix at all; short suffixes
+  // dominate.
   for (const char* text : {"", "a", "ab", "aa", "ba"}) {
     std::vector<std::string> patterns = {"",  "a",  "b",  "aa", "ab",
                                          "ba", "bb", "aba", "x"};
     CrossCheckMatchers(text, patterns, "tiny");
   }
-  // A pattern whose only match is the final (length-1) suffix: the jump
+  // A pattern whose only match is the final (length-1) suffix: the prefix
   // table has no entry for it, so the search must start from the whole SA.
   const std::string text = "bbbbbbba";
   std::vector<std::string> patterns = {"a", "ab", "ac", "aa"};
@@ -346,8 +356,8 @@ TEST(MatcherPropertyTest, TiesOverrunsAndJumpMisses) {
       text.substr(text.size() - 1) + "x",
       // One byte, present and absent.
       "a", "b", "c", "d",
-      // Jump-table misses: the first byte occurs, the pair does not.
-      "aa", "ac", "cc", "ax"};
+      // Prefix misses: the first bytes occur, the 4-byte prefix does not.
+      "aa", "ac", "cc", "ax", "abca", "abcc", "cabb", "bcax"};
   CrossCheckMatchers(text, patterns, "periodic");
 
   // The same ties where the matched prefix runs to the last suffix.
@@ -356,6 +366,110 @@ TEST(MatcherPropertyTest, TiesOverrunsAndJumpMisses) {
   for (int i = 0; i < 40; ++i) mixed += "abcab";
   CrossCheckMatchers(mixed, StressPatterns(mixed, rng), "mixed");
   CrossCheckMatchers(mixed, patterns, "mixed-fixed");
+}
+
+// Every pattern over `alphabet` of length 1 to `max_len`.
+std::vector<std::string> AllPatterns(const std::string& alphabet,
+                                     size_t max_len) {
+  std::vector<std::string> patterns;
+  std::vector<std::string> frontier = {""};
+  for (size_t len = 1; len <= max_len; ++len) {
+    std::vector<std::string> next;
+    for (const std::string& p : frontier) {
+      for (const char c : alphabet) next.push_back(p + c);
+    }
+    patterns.insert(patterns.end(), next.begin(), next.end());
+    frontier = std::move(next);
+  }
+  return patterns;
+}
+
+TEST(MatcherPropertyTest, PrefixTableOnTextsOfLengthThreeToEight) {
+  // Texts of 3 bytes have no 4-byte prefix; from 4 bytes on a table may
+  // exist, but only while it fits in the SA. Every pattern up to 5 bytes
+  // over the texts' bytes plus one absent byte.
+  const std::vector<std::string> patterns =
+      AllPatterns(std::string("ab\0x", 4), 5);
+  for (const std::string& text :
+       {std::string("abc"), std::string("abab"), std::string("aaaa"),
+        std::string("ab\0ab", 5), std::string("aaaaa"), std::string("abaab"),
+        std::string("\0\0\0\0\0\0", 6), std::string("abababa"),
+        std::string("aab\0aab\0", 8)}) {
+    CrossCheckMatchers(text, patterns, "short text");
+  }
+}
+
+TEST(MatcherPropertyTest, PatternsShorterThanFourBytesSkipTheTable) {
+  Rng rng(33);
+  const std::string text = RandomString(rng, 3000, 5);
+  // Every 1-3 byte pattern over the text's alphabet plus one absent byte.
+  CrossCheckMatchers(text, AllPatterns("abcdef", 3), "short patterns");
+}
+
+TEST(MatcherPropertyTest, PrefixOnlyInShortSuffixesMisses) {
+  // "xyz" occurs only as the text's last three bytes, so no 4-byte
+  // prefix starts with it: "xyzw" misses the table and its longest match
+  // is that 3-byte suffix, found from the whole SA.
+  Rng rng(44);
+  const std::string text = RandomString(rng, 2000, 3) + "xyz";
+  CrossCheckMatchers(text,
+                     {"xyz", "xyzw", "xyzxyz", "xyza", "yz", "yzab", "z",
+                      "zabc", "cxyz", "cxyzw", "bcxyzq"},
+                     "short-suffix prefix");
+}
+
+TEST(MatcherPropertyTest, PrefixKeysWithNulBytes) {
+  // An empty slot must not read as key 0x00000000: once with that key
+  // absent from the text and once present, plus keys with NULs inside.
+  Rng rng(55);
+  const std::string base = RandomString(rng, 1500, 4);
+  const std::string nul4(4, '\0');
+  const std::vector<std::string> patterns = {
+      nul4, nul4 + "abc", std::string(6, '\0'), std::string("\0\0\0a", 4),
+      std::string("a\0\0\0", 4), std::string("\0a\0b", 4),
+      std::string("ab\0\0cd", 6), std::string("\0\0\0", 3)};
+  std::string with_nul = base;
+  with_nul.insert(700, std::string("\0\0\0\0\0ab\0\0cd\0a\0b", 15));
+  with_nul += std::string("a\0\0\0", 4);
+  CrossCheckMatchers(base, patterns, "no NUL key");
+  CrossCheckMatchers(with_nul, patterns, "NUL keys");
+  CrossCheckMatchers(with_nul, StressPatterns(with_nul, rng), "NUL stress");
+}
+
+TEST(MatcherPropertyTest, PrefixTableWithManyKeysCollides) {
+  // Over 11 letters nearly all 14,641 4-byte prefixes occur, so the
+  // table holds more than 10k keys and probes run past their home slot.
+  Rng rng(66);
+  const std::string text = RandomString(rng, 200000, 11);
+  {
+    const SuffixMatcher matcher(text);
+    EXPECT_GT(matcher.prefix_table_bytes(), 0u);
+  }
+  std::vector<std::string> patterns = StressPatterns(text, rng);
+  for (int i = 0; i < 3000; ++i) {
+    patterns.push_back(RandomString(rng, 4 + rng.Uniform(8), 12));
+  }
+  CrossCheckMatchers(text, patterns, "many keys");
+}
+
+TEST(MatcherPropertyTest, PrefixTableMemoryBoundOnRandomBytes) {
+  // 1 MB of random bytes has about a million distinct 4-byte prefixes,
+  // more than a table of the SA's size holds; the rest are left out and
+  // their searches start from the whole SA.
+  Rng rng(77);
+  std::string text(1 << 20, '\0');
+  for (auto& c : text) c = static_cast<char>(rng.Next() % 256);
+  {
+    const SuffixMatcher matcher(text);
+    EXPECT_GT(matcher.prefix_table_bytes(), 0u);
+    EXPECT_LE(matcher.prefix_table_bytes(), text.size() * sizeof(int32_t));
+  }
+  std::vector<std::string> patterns = StressPatterns(text, rng);
+  for (int i = 0; i < 2000; ++i) {
+    const size_t pos = rng.Uniform(text.size() - 16);
+    patterns.push_back(text.substr(pos, 4 + rng.Uniform(12)));
+  }
+  CrossCheckMatchers(text, patterns, "random bytes");
 }
 
 }  // namespace
