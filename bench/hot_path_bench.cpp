@@ -16,19 +16,19 @@
 // comparison isolates the decode kernel. The bench also times factorize
 // against `refine_baseline`, a replica of the per-character Fig. 1 Refine
 // loop the matcher used before its whole-pattern search, times it again
-// against a short-factor dictionary (`short_dict`, the seal's shape), and
-// splits ZV
-// decode into its stages (code-length read plus table build, symbol loop,
-// CRC, vbyte plus copy expansion). Serving
-// throughput through DocService is serve_load_bench's job. Results are
-// printed and written as machine-readable JSON (default
+// against a short-factor dictionary (`short_dict`, the seal's shape),
+// times ZV encode of those short-factor streams (`encode.ZV_short_dict`,
+// recorded, not gated), and splits ZV decode into its stages (code-length
+// read plus table build, symbol loop, CRC, vbyte plus copy expansion).
+// Serving throughput through DocService is serve_load_bench's job.
+// Results are printed and written as machine-readable JSON (default
 // BENCH_hot_path.json in the working directory) so the repo's perf
 // trajectory is recorded and regression-gated.
 //
 //   ./build/bench/hot_path_bench                full run
 //   ./build/bench/hot_path_bench --smoke       small corpus + gate: the
 //         scratch path must beat the fresh-allocation (legacy) baseline
-//         on decode MB/s by kSmokeGates' ratio for each of UV and ZV, and
+//         on decode speed by kSmokeGates' ratio for each of UV and ZV, and
 //         factorize must beat the Refine loop by kFactorizeGate's smoke
 //         ratio, else exit 1 (run by the perf-smoke CI job)
 //   ./build/bench/hot_path_bench --out FILE    JSON destination
@@ -68,7 +68,9 @@ namespace {
 // of decode time the kernels take: 1.17-1.42 with the bytewise CRC and
 // per-symbol table fill of the previous kernels, 1.53-1.74 with the
 // current ones (smoke runs on a 4-vCPU Xeon VM). The ZV gate sits between
-// the two, so it fails if the kernels slow back down.
+// the two, so it fails if the kernels slow back down. A ratio is the
+// median over rounds of one legacy and one scratch pass run back to back
+// (RunDecodeSweep), so host noise moves both sides of each ratio alike.
 struct SmokeGate {
   const char* coding;
   double min_ratio;
@@ -249,20 +251,19 @@ struct DecodeResult {
   double p99_us = 0.0;
 };
 
-// Runs `repeats` full decode passes over the encoded documents in one
-// configuration; throughput is best-of-repeats (the standard microbench
-// convention), latency percentiles come from the last pass. Every decoded
+// One configuration's decode pass: sweeps over every document until
+// `min_seconds` elapse and returns the seconds per sweep; the last
+// sweep's per-document latencies land in `latencies_us`. Every decoded
 // document is byte-compared against the source collection.
-DecodeResult RunDecodePass(const FactorCoder& coder, const Dictionary& dict,
-                           const std::vector<std::string>& encoded,
-                           const Collection& collection, DecodeMode mode,
-                           int repeats) {
+double TimeDecodePass(const FactorCoder& coder, const Dictionary& dict,
+                      const std::vector<std::string>& encoded,
+                      const Collection& collection, DecodeMode mode,
+                      double min_seconds, DecodeScratch* scratch,
+                      std::vector<double>* latencies_us) {
   const size_t n = encoded.size();
-  DecodeScratch scratch;
-  std::vector<double> latencies_us(n);
-  double best_seconds = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    Timer pass;
+  int sweeps = 0;
+  Timer pass;
+  do {
     for (size_t i = 0; i < n; ++i) {
       Timer one;
       std::string doc;  // serving allocates the output per request
@@ -275,24 +276,76 @@ DecodeResult RunDecodePass(const FactorCoder& coder, const Dictionary& dict,
           status = coder.DecodeDoc(encoded[i], dict, &doc);
           break;
         case DecodeMode::kScratch:
-          status = coder.DecodeDoc(encoded[i], dict, &doc, &scratch);
+          status = coder.DecodeDoc(encoded[i], dict, &doc, scratch);
           break;
       }
-      latencies_us[i] = 1e6 * one.ElapsedSeconds();
+      (*latencies_us)[i] = 1e6 * one.ElapsedSeconds();
       RLZ_CHECK(status.ok()) << status.ToString();
       RLZ_CHECK(doc == collection.doc(i)) << "decode mismatch at doc " << i;
     }
-    const double seconds = pass.ElapsedSeconds();
-    if (best_seconds == 0.0 || seconds < best_seconds) best_seconds = seconds;
+    ++sweeps;
+  } while (pass.ElapsedSeconds() < min_seconds);
+  return pass.ElapsedSeconds() / sweeps;
+}
+
+// The three configurations of one coding, with the two ratios to legacy.
+struct DecodeSweep {
+  DecodeResult legacy;
+  DecodeResult fresh;
+  DecodeResult scratch;
+  double scratch_vs_legacy = 0.0;
+  double fresh_vs_legacy = 0.0;
+};
+
+// Runs `repeats` rounds of one legacy, one fresh and one scratch pass,
+// back to back, so the passes a ratio compares meet the same host
+// conditions. Throughput is best-of-repeats (the standard microbench
+// convention); each ratio is the median of its per-round ratios; latency
+// percentiles come from the last round.
+DecodeSweep RunDecodeSweep(const FactorCoder& coder, const Dictionary& dict,
+                           const std::vector<std::string>& encoded,
+                           const Collection& collection, int repeats,
+                           double min_pass_seconds) {
+  constexpr DecodeMode kModes[] = {DecodeMode::kLegacy, DecodeMode::kFresh,
+                                   DecodeMode::kScratch};
+  const size_t n = encoded.size();
+  DecodeScratch scratch;
+  std::vector<std::vector<double>> latencies_us(3, std::vector<double>(n));
+  std::vector<std::vector<double>> seconds(3);
+  for (int r = 0; r < repeats; ++r) {
+    for (size_t m = 0; m < 3; ++m) {
+      seconds[m].push_back(TimeDecodePass(coder, dict, encoded, collection,
+                                          kModes[m], min_pass_seconds,
+                                          &scratch, &latencies_us[m]));
+    }
   }
-  DecodeResult result;
-  result.mb_per_s =
-      collection.size_bytes() / (1024.0 * 1024.0) / best_seconds;
-  result.docs_per_s = static_cast<double>(n) / best_seconds;
-  std::sort(latencies_us.begin(), latencies_us.end());
-  result.p50_us = latencies_us[n / 2];
-  result.p99_us = latencies_us[std::min(n - 1, n * 99 / 100)];
-  return result;
+  auto result = [&](size_t m) {
+    const double best = *std::min_element(seconds[m].begin(),
+                                          seconds[m].end());
+    DecodeResult out;
+    out.mb_per_s = collection.size_bytes() / (1024.0 * 1024.0) / best;
+    out.docs_per_s = static_cast<double>(n) / best;
+    std::vector<double>& lat = latencies_us[m];
+    std::sort(lat.begin(), lat.end());
+    out.p50_us = lat[n / 2];
+    out.p99_us = lat[std::min(n - 1, n * 99 / 100)];
+    return out;
+  };
+  auto median_ratio = [&](size_t m) {
+    std::vector<double> ratios;
+    for (int r = 0; r < repeats; ++r) {
+      ratios.push_back(seconds[0][r] / seconds[m][r]);
+    }
+    std::sort(ratios.begin(), ratios.end());
+    return ratios[ratios.size() / 2];
+  };
+  DecodeSweep sweep;
+  sweep.legacy = result(0);
+  sweep.fresh = result(1);
+  sweep.scratch = result(2);
+  sweep.fresh_vs_legacy = median_ratio(1);
+  sweep.scratch_vs_legacy = median_ratio(2);
+  return sweep;
 }
 
 // ZV decode split into stages, in microseconds per document.
@@ -432,6 +485,10 @@ void Run(bool smoke, const std::string& out_path) {
   const Collection& collection = corpus.collection;
   const double corpus_mb = collection.size_bytes() / (1024.0 * 1024.0);
   const int repeats = smoke ? 3 : 5;
+  // A decode pass sweeps the corpus for at least this long (ten or more
+  // sweeps of the full corpus), so one pass absorbs the host's
+  // millisecond-scale noise instead of sampling it.
+  const double min_pass_seconds = smoke ? 0.1 : 0.25;
 
   std::printf("hot_path_bench (%s): %zu docs, %.1f MB\n",
               smoke ? "smoke" : "full", collection.num_docs(), corpus_mb);
@@ -472,6 +529,26 @@ void Run(bool smoke, const std::string& out_path) {
       &short_docs);
   const double short_mb_per_s = corpus_mb / short_seconds;
   const double short_avg_len = short_factorizer.stats().avg_factor_length();
+
+  // ZV encode of those factor streams: the other half of a seal's CPU
+  // time (gzipx over each document's 4-byte positions, vbyte lengths).
+  const FactorCoder zv_coder(kZV);
+  std::vector<std::string> zv_encoded(collection.num_docs());
+  double encode_seconds = 0.0;
+  for (int r = 0; r < repeats; ++r) {
+    Timer pass;
+    for (size_t i = 0; i < short_docs.size(); ++i) {
+      zv_encoded[i].clear();
+      RLZ_CHECK(zv_coder.EncodeDoc(short_docs[i], &zv_encoded[i]).ok());
+    }
+    const double seconds = pass.ElapsedSeconds();
+    if (encode_seconds == 0.0 || seconds < encode_seconds) {
+      encode_seconds = seconds;
+    }
+  }
+  uint64_t zv_bytes = 0;
+  for (const std::string& e : zv_encoded) zv_bytes += e.size();
+  const double encode_mb_per_s = corpus_mb / encode_seconds;
   const double vs_refine = refine_seconds / factorize_seconds;
   const double factorize_min_ratio =
       smoke ? kFactorizeGate.smoke_ratio : kFactorizeGate.full_ratio;
@@ -485,6 +562,11 @@ void Run(bool smoke, const std::string& out_path) {
       "factorize, short-factor dictionary (%zu B): %.1f MB/s (%.3fs, avg "
       "factor %.1f)\n",
       short_dict->size(), short_mb_per_s, short_seconds, short_avg_len);
+  std::printf(
+      "ZV encode of the short-factor streams: %.1f MB/s (%.3fs, %llu B "
+      "encoded)\n",
+      encode_mb_per_s, encode_seconds,
+      static_cast<unsigned long long>(zv_bytes));
 
   std::string json;
   json.append("{\n  \"bench\": \"hot_path\",\n");
@@ -508,6 +590,12 @@ void Run(bool smoke, const std::string& out_path) {
                 factorize_mb_per_s, factorize_seconds, refine_mb_per_s,
                 refine_seconds, vs_refine, short_mb_per_s, short_seconds,
                 short_avg_len, short_dict->size());
+  json.append(buf);
+  std::snprintf(buf, sizeof(buf),
+                "  \"encode\": {\"ZV_short_dict\": {\"mb_per_s\": %.1f, "
+                "\"seconds\": %.3f, \"encoded_bytes\": %llu}},\n",
+                encode_mb_per_s, encode_seconds,
+                static_cast<unsigned long long>(zv_bytes));
   json.append(buf);
   // The one-time "before" record: the real pre-scratch FactorCoder
   // measured from a pristine build of commit d02bb1b on the reference
@@ -545,14 +633,14 @@ void Run(bool smoke, const std::string& out_path) {
     for (size_t i = 0; i < collection.num_docs(); ++i) {
       RLZ_CHECK(coder.EncodeDoc(docs[i], &encoded[i]).ok());
     }
-    const DecodeResult legacy = RunDecodePass(
-        coder, *dict, encoded, collection, DecodeMode::kLegacy, repeats);
-    const DecodeResult fresh = RunDecodePass(
-        coder, *dict, encoded, collection, DecodeMode::kFresh, repeats);
-    const DecodeResult scratch = RunDecodePass(
-        coder, *dict, encoded, collection, DecodeMode::kScratch, repeats);
-    const double vs_legacy = scratch.mb_per_s / legacy.mb_per_s;
-    const double fresh_vs_legacy = fresh.mb_per_s / legacy.mb_per_s;
+    const DecodeSweep sweep = RunDecodeSweep(coder, *dict, encoded,
+                                             collection, repeats,
+                                             min_pass_seconds);
+    const DecodeResult& legacy = sweep.legacy;
+    const DecodeResult& fresh = sweep.fresh;
+    const DecodeResult& scratch = sweep.scratch;
+    const double vs_legacy = sweep.scratch_vs_legacy;
+    const double fresh_vs_legacy = sweep.fresh_vs_legacy;
     const std::string name = coder.coding().name();
     std::printf("%-7s %-8s %10.1f %12.0f %9.2f %9.2f %8s\n", name.c_str(),
                 "legacy", legacy.mb_per_s, legacy.docs_per_s, legacy.p50_us,

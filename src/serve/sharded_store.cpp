@@ -110,6 +110,23 @@ Status ReadTombstones(EnvelopeReader* reader, size_t bits,
   return Status::OK();
 }
 
+// Builder options of the live store's seals and compaction rebuilds:
+// every CPU, balanced chunks of `num_docs`, background priority. The
+// output is byte-identical for any worker count (DESIGN.md §7).
+ArchiveBuilderOptions BackgroundBuilderOptions(PairCoding coding,
+                                               size_t num_docs) {
+  ArchiveBuilderOptions builder_options;
+  builder_options.coding = coding;
+  builder_options.track_coverage = true;
+  builder_options.num_threads = AvailableCpus();
+  builder_options.chunk_docs =
+      BalancedChunkDocs(num_docs, builder_options.num_threads);
+  // At default priority a saturating writer's seals took every CPU from
+  // the readers (EXPERIMENTS.md "Sustained ingest vs serving").
+  builder_options.background = true;
+  return builder_options;
+}
+
 }  // namespace
 
 std::unique_ptr<ShardedStore> ShardedStore::Build(
@@ -190,6 +207,7 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
   // baseline the staleness trigger compares against.
   store->generations_.assign(nshards, 0);
   store->tombstones_.assign(nshards, nullptr);
+  store->shard_files_.assign(nshards, std::string());
   store->meta_.resize(nshards);
   for (size_t s = 0; s < nshards; ++s) {
     store->meta_[s].stats = reports[s].stats;
@@ -354,16 +372,9 @@ Status ShardedStore::ApplySealLocked() {
         text.empty() ? std::string_view(" ") : std::string_view(text),
         shard_dict_bytes_, options_.sample_bytes);
   }
-  ArchiveBuilderOptions builder_options;
-  builder_options.coding = options_.coding;
-  builder_options.track_coverage = true;
-  builder_options.num_threads = AvailableCpus();
-  builder_options.chunk_docs =
-      BalancedChunkDocs(tail_docs_.size(), builder_options.num_threads);
-  // At default priority a saturating writer's seals took every CPU from
-  // the readers (EXPERIMENTS.md "Sustained ingest vs serving").
-  builder_options.background = true;
-  RlzArchiveBuilder builder(std::move(dict), builder_options);
+  RlzArchiveBuilder builder(
+      std::move(dict),
+      BackgroundBuilderOptions(options_.coding, tail_docs_.size()));
   for (const auto& d : tail_docs_) builder.AddBorrowedDocument(*d);
   ArchiveBuildReport report;
   std::shared_ptr<const RlzArchive> sealed =
@@ -393,6 +404,7 @@ Status ShardedStore::ApplySealLocked() {
 
   shards_.push_back(std::move(sealed));
   generations_.push_back(0);
+  shard_files_.emplace_back();  // no checkpoint holds it yet
   meta_.push_back(meta);
   // The tail bitmap is lazily sized to the tail length at its last
   // delete; widen it to the full shard so every later bitmap copy (and
@@ -579,11 +591,8 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
   std::shared_ptr<const Dictionary> dict = DictionaryBuilder::BuildSampled(
       text.empty() ? std::string_view(" ") : std::string_view(text),
       shard_dict_bytes_, options_.sample_bytes);
-  ArchiveBuilderOptions builder_options;
-  builder_options.coding = options_.coding;
-  builder_options.track_coverage = true;
-  builder_options.num_threads = std::max(1, options_.live.compact_threads);
-  RlzArchiveBuilder builder(std::move(dict), builder_options);
+  RlzArchiveBuilder builder(
+      std::move(dict), BackgroundBuilderOptions(options_.coding, shard_docs));
   size_t offset = 0;
   size_t live_docs = 0;
   for (size_t i = 0; i < shard_docs; ++i) {
@@ -609,6 +618,7 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
     report.bytes_after = rebuilt->stored_bytes();
     shards_[victim] = std::move(rebuilt);
     generations_[victim] += 1;
+    shard_files_[victim].clear();  // the next checkpoint writes the rewrite
     ShardMeta& meta = meta_[victim];
     meta.generation = generations_[victim];
     meta.stats = rebuild_report.stats;
@@ -715,20 +725,20 @@ Status ShardedStore::Save(const std::string& path) const {
   const size_t nshards = static_cast<size_t>(snapshot->num_shards());
   // Shards first, manifest last: a torn save leaves orphan shard files,
   // never a manifest that names missing ones.
+  std::vector<std::string> shard_names(nshards);
   for (size_t s = 0; s < nshards; ++s) {
+    shard_names[s] = ShardFileName(base, s);
     RLZ_RETURN_IF_ERROR(
-        snapshot->shard(static_cast<int>(s)).Save(dir + ShardFileName(base, s)));
+        snapshot->shard(static_cast<int>(s)).Save(dir + shard_names[s]));
   }
-  return WriteFile(
-      path, SerializeManifest(*snapshot, meta, baseline, append_dict_text,
-                              base));
+  return WriteFile(path, SerializeManifest(*snapshot, meta, baseline,
+                                           append_dict_text, shard_names));
 }
 
-std::string ShardedStore::SerializeManifest(const CorpusEpoch& snapshot,
-                                            const std::vector<ShardMeta>& meta,
-                                            const FactorStats& baseline,
-                                            std::string_view append_dict_text,
-                                            const std::string& shard_base) {
+std::string ShardedStore::SerializeManifest(
+    const CorpusEpoch& snapshot, const std::vector<ShardMeta>& meta,
+    const FactorStats& baseline, std::string_view append_dict_text,
+    const std::vector<std::string>& shard_names) {
   const size_t nshards = static_cast<size_t>(snapshot.num_shards());
   EnvelopeWriter writer(kFormatId, kFormatVersion);
   // The v1-compatible prefix: shard count, boundaries, shard file names.
@@ -737,7 +747,7 @@ std::string ShardedStore::SerializeManifest(const CorpusEpoch& snapshot,
     writer.PutVarint64(snapshot.router().start(s));
   }
   for (size_t s = 0; s < nshards; ++s) {
-    writer.PutLengthPrefixed(ShardFileName(shard_base, s));
+    writer.PutLengthPrefixed(shard_names[s]);
   }
   // v2 sections: the epoch and its mutation state.
   writer.PutVarint64(snapshot.sequence());
@@ -764,6 +774,12 @@ std::string ShardedStore::SerializeManifest(const CorpusEpoch& snapshot,
 StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromEnvelope(
     const ParsedEnvelope& envelope, const std::string& path,
     const OpenOptions& options) {
+  return FromManifest(envelope, path, options, /*shard_names=*/nullptr);
+}
+
+StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
+    const ParsedEnvelope& envelope, const std::string& path,
+    const OpenOptions& options, std::vector<std::string>* shard_names) {
   RLZ_RETURN_IF_ERROR(
       CheckEnvelopeFormat(envelope, kFormatId, kFormatVersion));
   EnvelopeReader reader = envelope.reader();
@@ -799,6 +815,7 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromEnvelope(
                                 "file name");
     }
     shard_paths[s] = dir + std::string(name);
+    if (shard_names != nullptr) shard_names->emplace_back(name);
   }
 
   // v2 sections: epoch sequence, per-shard health, tombstones, the raw
@@ -807,6 +824,7 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromEnvelope(
   // append dictionary (appends disabled until rebuilt).
   store->generations_.assign(nshards, 0);
   store->tombstones_.assign(nshards, nullptr);
+  store->shard_files_.assign(nshards, std::string());
   store->meta_.resize(nshards);
   uint64_t sequence = 0;
   std::string_view append_dict_text;
@@ -976,6 +994,9 @@ Status ShardedStore::MakeDurable(const std::string& dir,
     fs_ = fs != nullptr ? std::move(fs) : DefaultFileSystem();
     durable_dir_ = dir;
     wal_options_ = wal_options;
+    // Names a manifest gave the shards point into another directory (or
+    // none): the first checkpoint writes every shard into this one.
+    shard_files_.assign(shards_.size(), std::string());
     RLZ_RETURN_IF_ERROR(fs_->CreateDir(dir));
     RLZ_ASSIGN_OR_RETURN(
         wal_, wal::WalWriter::Create(fs_, dir, /*generation=*/1, /*seq=*/0,
@@ -995,6 +1016,7 @@ Status ShardedStore::Checkpoint() {
   std::vector<ShardMeta> meta;
   FactorStats baseline;
   std::string append_dict_text;
+  std::vector<std::string> shard_names;
   uint64_t generation = 0;
   uint64_t covered = 0;
   {
@@ -1017,23 +1039,29 @@ Status ShardedStore::Checkpoint() {
     if (append_dict_ != nullptr) {
       append_dict_text.assign(append_dict_->text());
     }
+    shard_names = shard_files_;
   }
 
-  // Write-new: every file lands under the next generation, fsync'd,
+  // Write-new: every new file lands under the next generation, fsync'd,
   // without touching the live checkpoint. A crash anywhere in here
-  // leaves CURRENT pointing at the old complete checkpoint.
+  // leaves CURRENT pointing at the old complete checkpoint. A shard that
+  // a committed checkpoint already holds is immutable, so the manifest
+  // names that file again instead of rewriting it (DESIGN.md §12).
   const std::string manifest_name =
       wal::CheckpointManifestFileName(generation);
   const size_t nshards = static_cast<size_t>(snapshot->num_shards());
+  RLZ_CHECK_EQ(shard_names.size(), nshards);
   for (size_t s = 0; s < nshards; ++s) {
+    if (!shard_names[s].empty()) continue;
+    shard_names[s] = ShardFileName(manifest_name, s);
     RLZ_RETURN_IF_ERROR(fs_->WriteFileSynced(
-        durable_dir_ + "/" + ShardFileName(manifest_name, s),
+        durable_dir_ + "/" + shard_names[s],
         snapshot->shard(static_cast<int>(s)).Serialize()));
   }
   RLZ_RETURN_IF_ERROR(fs_->WriteFileSynced(
       durable_dir_ + "/" + manifest_name,
       SerializeManifest(*snapshot, meta, baseline, append_dict_text,
-                        manifest_name)));
+                        shard_names)));
   wal::CheckpointInfo info;
   info.generation = generation;
   info.covered_lsn = covered;
@@ -1046,9 +1074,17 @@ Status ShardedStore::Checkpoint() {
     std::lock_guard<std::mutex> lock(writer_mu_);
     checkpoint_generation_ = generation;
     covered_lsn_ = covered;
+    // Shards still identical to the snapshot's are now held by the live
+    // checkpoint; a shard sealed or compacted since stays unnamed.
+    for (size_t s = 0; s < nshards; ++s) {
+      if (shards_[s].get() == &snapshot->shard(static_cast<int>(s))) {
+        shard_files_[s] = shard_names[s];
+      }
+    }
   }
-  // Best-effort cleanup of the superseded generation and covered WAL.
-  return wal::GarbageCollect(*fs_, durable_dir_, info);
+  // Best-effort cleanup of superseded files and covered WAL; files the
+  // new manifest names survive whatever generation wrote them.
+  return wal::GarbageCollect(*fs_, durable_dir_, info, shard_names);
 }
 
 Status ShardedStore::SyncWal() {
@@ -1092,8 +1128,12 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::OpenFromCheckpoint(
   RLZ_ASSIGN_OR_RETURN(
       ParsedEnvelope envelope,
       ParsedEnvelope::FromBytes(std::move(raw), manifest_path));
-  RLZ_ASSIGN_OR_RETURN(std::unique_ptr<ShardedStore> store,
-                       FromEnvelope(envelope, manifest_path, open_options));
+  std::vector<std::string> shard_names;
+  RLZ_ASSIGN_OR_RETURN(
+      std::unique_ptr<ShardedStore> store,
+      FromManifest(envelope, manifest_path, open_options, &shard_names));
+  // Every loaded shard is already in `dir`, under the manifest's names.
+  store->shard_files_ = std::move(shard_names);
 
   store->fs_ = io;
   store->durable_dir_ = dir;

@@ -39,8 +39,6 @@ struct LiveStoreOptions {
   /// the whole tail's encode) before returning. 0 disables auto-seal
   /// (callers seal explicitly).
   size_t tail_seal_bytes = 1 << 20;
-  /// Worker threads for a compaction rebuild.
-  int compact_threads = 1;
   /// Compaction trigger: a shard whose tombstoned-but-still-stored
   /// payload fraction reaches this is tombstone-heavy.
   double compact_tombstone_fraction = 0.25;
@@ -366,8 +364,11 @@ class ShardedStore final : public Archive {
 
   /// Writes a new checkpoint of the current epoch (write-new -> fsync ->
   /// rename; see store/wal/checkpoint.h) and prunes the WAL it covers.
-  /// Mutators are blocked only while the WAL is synced and rolled, not
-  /// while shards are written. InvalidArgument when not durable.
+  /// Only shards no committed checkpoint holds yet (sealed or compacted
+  /// since, or all of them after MakeDurable) are written; the manifest
+  /// names the existing files of the rest, and garbage collection keeps
+  /// them. Mutators are blocked only while the WAL is synced and rolled,
+  /// not while shards are written. InvalidArgument when not durable.
   Status Checkpoint();
 
   /// Explicit WAL durability barrier — makes every acknowledged mutation
@@ -412,14 +413,18 @@ class ShardedStore final : public Archive {
   /// Appends one WAL record under the group-commit policy. Requires
   /// writer_mu_ and wal_ != nullptr.
   Status LogLocked(wal::RecordType type, std::string_view payload);
-  /// The manifest envelope bytes for `snapshot` (shard names derive from
-  /// `shard_base`) — shared by Save and the checkpoint writer so both
-  /// produce the same format.
-  static std::string SerializeManifest(const CorpusEpoch& snapshot,
-                                       const std::vector<ShardMeta>& meta,
-                                       const FactorStats& baseline,
-                                       std::string_view append_dict_text,
-                                       const std::string& shard_base);
+  /// The manifest envelope bytes for `snapshot`, naming shard s's file
+  /// `shard_names[s]` (relative to the manifest) — shared by Save and the
+  /// checkpoint writer so both produce the same format.
+  static std::string SerializeManifest(
+      const CorpusEpoch& snapshot, const std::vector<ShardMeta>& meta,
+      const FactorStats& baseline, std::string_view append_dict_text,
+      const std::vector<std::string>& shard_names);
+  /// FromEnvelope, also appending the manifest's relative shard file
+  /// names to `shard_names` when it is non-null.
+  static StatusOr<std::unique_ptr<ShardedStore>> FromManifest(
+      const ParsedEnvelope& envelope, const std::string& path,
+      const OpenOptions& options, std::vector<std::string>* shard_names);
   /// Loads checkpoint `info` from `dir` and replays the WAL over it.
   static StatusOr<std::unique_ptr<ShardedStore>> OpenFromCheckpoint(
       const std::string& dir, const wal::CheckpointInfo& info,
@@ -447,6 +452,11 @@ class ShardedStore final : public Archive {
   uint64_t next_sequence_ = 1;
   std::vector<std::shared_ptr<const RlzArchive>> shards_;
   std::vector<uint64_t> generations_;
+  // Per shard, the file in durable_dir_ that a committed checkpoint wrote
+  // its bytes to, or empty when no checkpoint holds it yet (DESIGN.md
+  // §12). Set after a CURRENT flip; cleared by seal, compaction swap and
+  // MakeDurable. The next checkpoint rewrites only the unnamed shards.
+  std::vector<std::string> shard_files_;
   std::vector<ShardMeta> meta_;
   std::shared_ptr<const ShardRouter> router_;
   std::vector<std::shared_ptr<const Bitmap>> tombstones_;

@@ -135,7 +135,8 @@ StatusOr<std::vector<CheckpointInfo>> ListCheckpoints(FileSystem& fs,
 }
 
 Status GarbageCollect(FileSystem& fs, const std::string& dir,
-                      const CheckpointInfo& keep) {
+                      const CheckpointInfo& keep,
+                      const std::vector<std::string>& keep_files) {
   RLZ_ASSIGN_OR_RETURN(std::vector<std::string> names, fs.List(dir));
   std::sort(names.begin(), names.end());
 
@@ -157,7 +158,9 @@ Status GarbageCollect(FileSystem& fs, const std::string& dir,
     uint64_t generation = 0;
     uint64_t seq = 0;
     if (ParseCheckpointFileName(name, &generation)) {
-      remove = generation != keep.generation;
+      remove = generation != keep.generation &&
+               std::find(keep_files.begin(), keep_files.end(), name) ==
+                   keep_files.end();
     } else if (ParseSegmentFileName(name, &seq)) {
       for (size_t i = 0; i + 1 < segments.size(); ++i) {
         if (segments[i].first == seq) {

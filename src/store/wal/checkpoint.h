@@ -11,7 +11,8 @@
 ///   ckpt-<gen>.meta        per-checkpoint metadata ("walckpt"):
 ///                          generation, covered LSN, manifest file name
 ///   ckpt-<gen>.manifest    the ShardedStore manifest for that
-///   ckpt-<gen>.shardNNNN   checkpoint, plus its shard files
+///   ckpt-<gen>.manifest.shardNNNN
+///                          checkpoint, plus the shard files it wrote
 ///
 /// Publishing a checkpoint is write-new -> fsync -> rename: every new
 /// file (shards, manifest, meta) is written and fsync'd under the *next*
@@ -19,8 +20,11 @@
 /// directory is synced, and only then is CURRENT atomically replaced
 /// (CURRENT.tmp -> fsync -> rename -> syncdir). A crash anywhere before
 /// the rename leaves CURRENT pointing at the old, complete checkpoint; a
-/// crash after it leaves the new one live. Old-generation files and
-/// fully-covered WAL segments are deleted only after the swap.
+/// crash after it leaves the new one live. A manifest may also name
+/// shard files an older generation wrote (shards are immutable, so a
+/// checkpoint writes only the new ones); those stay. Every other
+/// old-generation file and every fully-covered WAL segment is deleted
+/// only after the swap.
 ///
 /// Recovery reads CURRENT; if it is missing or damaged, ListCheckpoints
 /// scans ckpt-*.meta as a fallback and the store tries candidates newest
@@ -79,13 +83,15 @@ StatusOr<std::vector<CheckpointInfo>> ListCheckpoints(FileSystem& fs,
                                                       const std::string& dir);
 
 /// Deletes files superseded by checkpoint `keep`: ckpt files of other
-/// generations and WAL segments every record of which is covered (a
-/// segment is removable when its successor starts at or below
-/// keep.covered_lsn). Best-effort by design — a crash mid-GC leaves
-/// stale files that the next GC removes; correctness never depends on
-/// deletion.
+/// generations that `keep_files` (the file names keep's manifest names,
+/// relative to `dir`) does not list, and WAL segments every record of
+/// which is covered (a segment is removable when its successor starts at
+/// or below keep.covered_lsn). Best-effort by design — a crash mid-GC
+/// leaves stale files that the next GC removes; correctness never
+/// depends on deletion.
 Status GarbageCollect(FileSystem& fs, const std::string& dir,
-                      const CheckpointInfo& keep);
+                      const CheckpointInfo& keep,
+                      const std::vector<std::string>& keep_files);
 
 }  // namespace wal
 }  // namespace rlz

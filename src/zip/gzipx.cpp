@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "codecs/int_codecs.h"
-#include "util/bitio.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 #include "zip/huffman.h"
@@ -41,21 +40,48 @@ constexpr std::array<int, 30> kDistExtra = {0, 0, 0,  0,  1,  1,  2,  2,  3, 3,
                                             4, 4, 5,  5,  6,  6,  7,  7,  8, 8,
                                             9, 9, 10, 10, 11, 11, 12, 12, 13, 13};
 
+// Slot of every match length (index = length, 3..258) and of every
+// distance through two ranges: distances 1..256 index the first 256
+// entries directly (dist - 1), longer ones by (dist - 1) >> 7 past them
+// (zlib's _dist_code layout). Both replace a per-match slot search.
+struct SlotTables {
+  std::array<uint8_t, GzipxCompressor::kMaxMatch + 1> length{};
+  std::array<uint8_t, 512> dist{};
+};
+
+constexpr SlotTables MakeSlotTables() {
+  SlotTables tables;
+  for (int len = GzipxCompressor::kMinMatch; len <= GzipxCompressor::kMaxMatch;
+       ++len) {
+    int slot = 28;
+    while (len < kLenBase[slot]) --slot;
+    tables.length[len] = static_cast<uint8_t>(slot);
+  }
+  for (int slot = 0; slot < 30; ++slot) {
+    const int first = kDistBase[slot];
+    const int last = first + (1 << kDistExtra[slot]) - 1;
+    for (int dist = first; dist <= last; ++dist) {
+      if (dist <= 256) {
+        tables.dist[dist - 1] = static_cast<uint8_t>(slot);
+      } else {
+        tables.dist[256 + ((dist - 1) >> 7)] = static_cast<uint8_t>(slot);
+      }
+    }
+  }
+  return tables;
+}
+
+constexpr SlotTables kSlots = MakeSlotTables();
+
 int LengthSlot(int len) {
   RLZ_DCHECK(len >= GzipxCompressor::kMinMatch &&
              len <= GzipxCompressor::kMaxMatch);
-  // Linear scan over 29 slots is fine: called once per match token.
-  for (int i = 28; i >= 0; --i) {
-    if (len >= kLenBase[i]) return i;
-  }
-  return 0;
+  return kSlots.length[len];
 }
 
 int DistSlot(int dist) {
-  for (int i = 29; i >= 0; --i) {
-    if (dist >= kDistBase[i]) return i;
-  }
-  return 0;
+  RLZ_DCHECK(dist >= 1 && dist <= GzipxCompressor::kWindowSize);
+  return kSlots.dist[dist <= 256 ? dist - 1 : 256 + ((dist - 1) >> 7)];
 }
 
 struct Token {
@@ -166,6 +192,121 @@ void Tokenize(std::string_view in, const GzipxOptions& options,
       ++pos;
     }
   }
+}
+
+// Little-endian 64-bit store, the mirror of LoadLe64.
+inline void StoreLe64(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+// LSB-first bit writer over a pre-sized buffer that stores whole 64-bit
+// words: Put only ORs bits into the accumulator, and Flush stores all 8
+// bytes of it and advances past the complete ones, so a token costs one
+// store instead of a push_back per byte. The buffer needs 8 bytes of
+// slack past the last byte written. Bit-for-bit the output of BitWriter.
+class WordBitWriter {
+ public:
+  explicit WordBitWriter(uint8_t* out) : begin_(out), out_(out) {}
+
+  // Adds the low `nbits` bits of `bits`; at most 56 bits between flushes.
+  void Put(uint64_t bits, int nbits) {
+    RLZ_DCHECK(nbits >= 0 && filled_ + nbits <= 63);
+    RLZ_DCHECK((bits >> nbits) == 0);
+    acc_ |= bits << filled_;
+    filled_ += nbits;
+  }
+
+  void Flush() {
+    StoreLe64(out_, acc_);
+    out_ += filled_ >> 3;
+    acc_ >>= filled_ & ~7;
+    filled_ &= 7;
+  }
+
+  // Flushes and returns the bytes written, the last one zero-padded.
+  size_t Finish() {
+    Flush();
+    return static_cast<size_t>(out_ - begin_) + (filled_ > 0 ? 1 : 0);
+  }
+
+ private:
+  uint8_t* const begin_;
+  uint8_t* out_;
+  uint64_t acc_ = 0;
+  int filled_ = 0;  // valid bits in acc_, below 8 after a Flush
+};
+
+// Huffman-codes tokens [begin, end) as one block into `buf` (code
+// lengths, then symbol bits) and returns its size. `buf` holds at least
+// MaxBlockBytes(end - begin) bytes.
+size_t EncodeBlock(const Token* begin, const Token* end, uint8_t* buf) {
+  std::vector<uint64_t> lit_freq(kNumLitLen, 0);
+  std::vector<uint64_t> dist_freq(kNumDist, 0);
+  for (const Token* tk = begin; tk != end; ++tk) {
+    if (tk->dist == 0) {
+      ++lit_freq[tk->len_or_lit];
+    } else {
+      ++lit_freq[257 + LengthSlot(tk->len_or_lit)];
+      ++dist_freq[DistSlot(tk->dist)];
+    }
+  }
+  const std::vector<uint8_t> lit_lens = BuildHuffmanCodeLengths(lit_freq);
+  std::vector<uint8_t> dist_lens = BuildHuffmanCodeLengths(dist_freq);
+  // The decoder requires at least one distance symbol to build a table;
+  // pad with a dummy if the block is all literals.
+  if (std::all_of(dist_lens.begin(), dist_lens.end(),
+                  [](uint8_t l) { return l == 0; })) {
+    dist_lens[0] = 1;
+  }
+  const HuffmanEncoder lit_enc(lit_lens);
+  const HuffmanEncoder dist_enc(dist_lens);
+
+  // The 316 4-bit code lengths, two per byte, low nibble first.
+  uint8_t* p = buf;
+  for (int i = 0; i < kNumLitLen; i += 2) {
+    *p++ = static_cast<uint8_t>(lit_lens[i] | (lit_lens[i + 1] << 4));
+  }
+  for (int i = 0; i < kNumDist; i += 2) {
+    *p++ = static_cast<uint8_t>(dist_lens[i] | (dist_lens[i + 1] << 4));
+  }
+
+  // Every match length's code and extra bits as one field, so a match
+  // is two Puts: length (<= 15 + 5 bits), distance (<= 15 + 13).
+  std::array<uint32_t, GzipxCompressor::kMaxMatch + 1> len_bits{};
+  std::array<uint8_t, GzipxCompressor::kMaxMatch + 1> len_nbits{};
+  for (int len = GzipxCompressor::kMinMatch;
+       len <= GzipxCompressor::kMaxMatch; ++len) {
+    const int ls = LengthSlot(len);
+    const uint32_t sym = 257 + static_cast<uint32_t>(ls);
+    if (lit_enc.length(sym) == 0) continue;  // no match of this slot
+    len_bits[len] = lit_enc.code(sym) |
+                    (static_cast<uint32_t>(len - kLenBase[ls])
+                     << lit_enc.length(sym));
+    len_nbits[len] =
+        static_cast<uint8_t>(lit_enc.length(sym) + kLenExtra[ls]);
+  }
+
+  WordBitWriter w(p);
+  for (const Token* tk = begin; tk != end; ++tk) {
+    if (tk->dist == 0) {
+      w.Put(lit_enc.code(tk->len_or_lit), lit_enc.length(tk->len_or_lit));
+    } else {
+      w.Put(len_bits[tk->len_or_lit], len_nbits[tk->len_or_lit]);
+      const int ds = DistSlot(tk->dist);
+      w.Put(dist_enc.code(ds) |
+                (static_cast<uint32_t>(tk->dist - kDistBase[ds])
+                 << dist_enc.length(ds)),
+            dist_enc.length(ds) + kDistExtra[ds]);
+    }
+    w.Flush();
+  }
+  return static_cast<size_t>(p - buf) + w.Finish();
+}
+
+// Bytes EncodeBlock may touch for a block of `num_tokens` tokens: the
+// code lengths, at most 48 bits per token, and the writer's 8-byte slack.
+size_t MaxBlockBytes(size_t num_tokens) {
+  return kCodeLengthBytes + 6 * num_tokens + 8;
 }
 
 // Decodes one Huffman block's `num_tokens` tokens from the symbol bits in
@@ -290,6 +431,8 @@ void GzipxCompressor::Compress(std::string_view in, std::string* out) const {
 
   std::vector<Token> tokens;
   Tokenize(in, options_, &tokens);
+  std::vector<uint8_t> block(
+      MaxBlockBytes(std::min(tokens.size(), kTokensPerBlock)));
 
   size_t tok_i = 0;
   size_t in_off = 0;
@@ -302,60 +445,21 @@ void GzipxCompressor::Compress(std::string_view in, std::string* out) const {
       span += tokens[t].dist == 0 ? 1 : tokens[t].len_or_lit;
     }
 
-    // Huffman-encode the chunk into a scratch buffer.
-    std::string block;
-    {
-      std::vector<uint64_t> lit_freq(kNumLitLen, 0);
-      std::vector<uint64_t> dist_freq(kNumDist, 0);
-      for (size_t t = tok_i; t < tok_end; ++t) {
-        const Token& tk = tokens[t];
-        if (tk.dist == 0) {
-          ++lit_freq[tk.len_or_lit];
-        } else {
-          ++lit_freq[257 + LengthSlot(tk.len_or_lit)];
-          ++dist_freq[DistSlot(tk.dist)];
-        }
-      }
-      const std::vector<uint8_t> lit_lens = BuildHuffmanCodeLengths(lit_freq);
-      std::vector<uint8_t> dist_lens = BuildHuffmanCodeLengths(dist_freq);
-      // The decoder requires at least one distance symbol to build a table;
-      // pad with a dummy if the block is all literals.
-      if (std::all_of(dist_lens.begin(), dist_lens.end(),
-                      [](uint8_t l) { return l == 0; })) {
-        dist_lens[0] = 1;
-      }
-      HuffmanEncoder lit_enc(lit_lens);
-      HuffmanEncoder dist_enc(dist_lens);
-
-      BitWriter bw(&block);
-      for (uint8_t l : lit_lens) bw.WriteBits(l, 4);
-      for (uint8_t l : dist_lens) bw.WriteBits(l, 4);
-      for (size_t t = tok_i; t < tok_end; ++t) {
-        const Token& tk = tokens[t];
-        if (tk.dist == 0) {
-          lit_enc.Write(&bw, tk.len_or_lit);
-        } else {
-          const int ls = LengthSlot(tk.len_or_lit);
-          lit_enc.Write(&bw, 257 + ls);
-          bw.WriteBits(tk.len_or_lit - kLenBase[ls], kLenExtra[ls]);
-          const int ds = DistSlot(tk.dist);
-          dist_enc.Write(&bw, ds);
-          bw.WriteBits(tk.dist - kDistBase[ds], kDistExtra[ds]);
-        }
-      }
-      bw.Finish();
-    }
+    // Huffman-encode the chunk into the scratch buffer.
+    const size_t block_size =
+        EncodeBlock(tokens.data() + tok_i, tokens.data() + tok_end,
+                    block.data());
 
     // Stored fallback for incompressible chunks.
     VByteCodec::Put(static_cast<uint32_t>(span), out);
     VByteCodec::Put(static_cast<uint32_t>(tok_end - tok_i), out);
-    if (block.size() >= span) {
+    if (block_size >= span) {
       out->push_back(1);  // stored
       out->append(in.substr(in_off, span));
     } else {
       out->push_back(0);  // huffman
-      VByteCodec::Put(static_cast<uint32_t>(block.size()), out);
-      out->append(block);
+      VByteCodec::Put(static_cast<uint32_t>(block_size), out);
+      out->append(reinterpret_cast<const char*>(block.data()), block_size);
     }
     in_off += span;
     tok_i = tok_end;

@@ -37,6 +37,8 @@ class HuffmanEncoder {
   }
 
   uint8_t length(uint32_t symbol) const { return lengths_[symbol]; }
+  /// The bit-reversed code of `symbol`, ready for an LSB-first stream.
+  uint16_t code(uint32_t symbol) const { return codes_[symbol]; }
 
  private:
   std::vector<uint16_t> codes_;  // bit-reversed canonical codes

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -26,6 +27,7 @@
 #include "io/file.h"
 #include "io/file_system.h"
 #include "serve/sharded_store.h"
+#include "store/format.h"
 #include "store/open_archive.h"
 #include "store/wal/checkpoint.h"
 #include "store/wal/wal_format.h"
@@ -77,6 +79,105 @@ std::vector<std::string> SmallDocs(size_t n) {
   }
   return docs;
 }
+
+// The shard file names a sharded manifest lists (its v1 prefix: shard
+// count, boundaries, names).
+std::vector<std::string> ManifestShardNames(std::string manifest) {
+  std::vector<std::string> names;
+  auto envelope = ParsedEnvelope::FromBytes(std::move(manifest), "manifest");
+  EXPECT_TRUE(envelope.ok()) << envelope.status().ToString();
+  if (!envelope.ok()) return names;
+  EnvelopeReader reader = envelope->reader();
+  uint64_t nshards = 0;
+  EXPECT_TRUE(reader.ReadVarint64(&nshards).ok());
+  for (uint64_t s = 0; s <= nshards; ++s) {
+    uint64_t start = 0;
+    EXPECT_TRUE(reader.ReadVarint64(&start).ok());
+  }
+  for (uint64_t s = 0; s < nshards; ++s) {
+    std::string_view name;
+    EXPECT_TRUE(reader.ReadLengthPrefixed(&name).ok());
+    names.emplace_back(name);
+  }
+  return names;
+}
+
+// `got` holds byte-identical shards and serves what `want` serves.
+void ExpectSameStore(const ShardedStore& want, const ShardedStore& got) {
+  ASSERT_EQ(got.num_shards(), want.num_shards());
+  for (int s = 0; s < want.num_shards(); ++s) {
+    EXPECT_EQ(got.shard(s).Serialize(), want.shard(s).Serialize()) << s;
+  }
+  ASSERT_EQ(got.num_docs(), want.num_docs());
+  std::string want_doc;
+  std::string got_doc;
+  for (size_t id = 0; id < want.num_docs(); ++id) {
+    const Status status = want.Get(id, &want_doc);
+    EXPECT_EQ(got.Get(id, &got_doc).code(), status.code()) << id;
+    if (status.ok()) {
+      EXPECT_EQ(got_doc, want_doc) << id;
+    }
+  }
+}
+
+// A FileSystem that forwards to another and records every file it
+// creates: what a checkpoint wrote, counted from the outside.
+class CreateLogFs final : public FileSystem {
+ public:
+  explicit CreateLogFs(std::shared_ptr<FileSystem> base)
+      : base_(std::move(base)) {}
+
+  StatusOr<std::string> Read(const std::string& path) const override {
+    return base_->Read(path);
+  }
+  StatusOr<std::unique_ptr<WritableFile>> Create(
+      const std::string& path) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      created_.push_back(path);
+    }
+    return base_->Create(path);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return base_->Rename(from, to);
+  }
+  Status Remove(const std::string& path) override {
+    return base_->Remove(path);
+  }
+  StatusOr<std::vector<std::string>> List(
+      const std::string& dir) const override {
+    return base_->List(dir);
+  }
+  Status CreateDir(const std::string& dir) override {
+    return base_->CreateDir(dir);
+  }
+  Status SyncDir(const std::string& dir) override {
+    return base_->SyncDir(dir);
+  }
+  bool Exists(const std::string& path) const override {
+    return base_->Exists(path);
+  }
+
+  // The shard files created since the last call (path suffixes after
+  // the last '.', e.g. "shard0002"), and forgets them.
+  std::vector<std::string> TakeShardWrites() {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<std::string> shards;
+    for (const std::string& path : created_) {
+      const size_t dot = path.find_last_of('.');
+      if (path.compare(dot + 1, 5, "shard") == 0) {
+        shards.push_back(path.substr(dot + 1));
+      }
+    }
+    created_.clear();
+    return shards;
+  }
+
+ private:
+  std::shared_ptr<FileSystem> base_;
+  std::mutex mu_;
+  std::vector<std::string> created_;
+};
 
 // ---------------------------------------------------------------------------
 // FaultFs: the crash-injection harness itself
@@ -540,7 +641,7 @@ TEST(CheckpointTest, GarbageCollectRemovesSupersededFiles) {
   keep.generation = 2;
   keep.covered_lsn = 9;
   keep.manifest = wal::CheckpointManifestFileName(2);
-  ASSERT_TRUE(wal::GarbageCollect(*fs, "/c", keep).ok());
+  ASSERT_TRUE(wal::GarbageCollect(*fs, "/c", keep, /*keep_files=*/{}).ok());
 
   EXPECT_FALSE(fs->Exists("/c/" + wal::CheckpointMetaFileName(1)));
   EXPECT_FALSE(fs->Exists("/c/" + wal::CheckpointManifestFileName(1)));
@@ -550,6 +651,52 @@ TEST(CheckpointTest, GarbageCollectRemovesSupersededFiles) {
   EXPECT_TRUE(fs->Exists("/c/" + wal::SegmentFileName(2)));
   EXPECT_TRUE(fs->Exists("/c/" + wal::CheckpointMetaFileName(2)));
   EXPECT_TRUE(fs->Exists("/c/" + wal::CheckpointManifestFileName(2)));
+}
+
+TEST(CheckpointTest, GarbageCollectKeepsOlderFilesTheManifestNames) {
+  // Generation 3's manifest names a shard generation 1 wrote and one
+  // generation 2 wrote: both stay, every unnamed older file goes.
+  auto fs = std::make_shared<FaultFs>();
+  ASSERT_TRUE(fs->CreateDir("/c").ok());
+  auto put = [&](const std::string& name) {
+    auto file = std::move(fs->Create("/c/" + name)).value();
+    ASSERT_TRUE(file->Append(name).ok());
+    ASSERT_TRUE(file->Sync().ok());
+  };
+  const std::string m1 = wal::CheckpointManifestFileName(1);
+  const std::string m2 = wal::CheckpointManifestFileName(2);
+  const std::string m3 = wal::CheckpointManifestFileName(3);
+  for (const std::string& name :
+       {wal::CheckpointMetaFileName(1), m1, m1 + ".shard0000",
+        m1 + ".shard0001", wal::CheckpointMetaFileName(2), m2,
+        m2 + ".shard0001", m2 + ".shard0002", wal::CheckpointMetaFileName(3),
+        m3, m3 + ".shard0003"}) {
+    put(name);
+  }
+  ASSERT_TRUE(fs->SyncDir("/c").ok());
+
+  wal::CheckpointInfo keep;
+  keep.generation = 3;
+  keep.manifest = m3;
+  const std::vector<std::string> named = {m1 + ".shard0000", m2 + ".shard0001",
+                                          m2 + ".shard0002",
+                                          m3 + ".shard0003"};
+  ASSERT_TRUE(wal::GarbageCollect(*fs, "/c", keep, named).ok());
+
+  for (const std::string& name : named) {
+    EXPECT_TRUE(fs->Exists("/c/" + name)) << name;
+  }
+  EXPECT_TRUE(fs->Exists("/c/" + m3));
+  EXPECT_TRUE(fs->Exists("/c/" + wal::CheckpointMetaFileName(3)));
+  for (const std::string& name :
+       {wal::CheckpointMetaFileName(1), m1, m1 + ".shard0001",
+        wal::CheckpointMetaFileName(2), m2}) {
+    EXPECT_FALSE(fs->Exists("/c/" + name)) << name;
+  }
+  // The removals are durable: GC synced the directory.
+  auto durable = fs->DurableClone();
+  EXPECT_FALSE(durable->Exists("/c/" + m1 + ".shard0001"));
+  EXPECT_TRUE(durable->Exists("/c/" + m1 + ".shard0000"));
 }
 
 // ---------------------------------------------------------------------------
@@ -650,26 +797,41 @@ TEST(RecoveryTest, CheckpointPrunesWalAndReopens) {
   const std::string dir = FreshDir("recovery_checkpoint");
   const std::vector<std::string> docs = SmallDocs(4);
   size_t base = 0;
+  size_t nshards = 0;
   {
     auto store = TinyStore(collection);
     base = store->num_docs();
+    nshards = static_cast<size_t>(store->num_shards());
     ASSERT_TRUE(store->MakeDurable(dir).ok());
     for (const std::string& doc : docs) ASSERT_TRUE(store->Append(doc).ok());
     ASSERT_TRUE(store->Checkpoint().ok());
     EXPECT_EQ(store->checkpoint_generation(), 2u);
   }
-  // After the checkpoint every pre-checkpoint file is pruned: only
-  // generation-2 checkpoint files and uncovered WAL remain.
+  // After the checkpoint every superseded file is pruned: the live
+  // generation's meta and manifest, the shard files that manifest names
+  // (generation 1 wrote them; generation 2 only re-names them) and the
+  // uncovered WAL remain, nothing else.
+  const std::string manifest = wal::CheckpointManifestFileName(2);
+  const std::vector<std::string> named =
+      ManifestShardNames(ReadRaw(dir + "/" + manifest));
+  ASSERT_EQ(named.size(), nshards);
   size_t live_segments = 0;
+  size_t shard_files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
     uint64_t value = 0;
     if (wal::ParseSegmentFileName(name, &value)) {
       ++live_segments;
     } else if (name.rfind("ckpt-", 0) == 0) {
-      EXPECT_NE(name.find("0000000000000002"), std::string::npos) << name;
+      const bool is_named =
+          std::find(named.begin(), named.end(), name) != named.end();
+      shard_files += is_named ? 1 : 0;
+      EXPECT_TRUE(name == manifest || name == wal::CheckpointMetaFileName(2) ||
+                  is_named)
+          << name;
     }
   }
+  EXPECT_EQ(shard_files, named.size());  // every named file is present
   EXPECT_EQ(live_segments, 1u);  // just the fresh post-roll segment
 
   ShardedStore::RecoveryReport report;
@@ -684,6 +846,115 @@ TEST(RecoveryTest, CheckpointPrunesWalAndReopens) {
     ASSERT_TRUE(reopened->Get(base + i, &doc).ok());
     EXPECT_EQ(doc, docs[i]);
   }
+}
+
+TEST(RecoveryTest, CheckpointsWriteOnlyShardsNoCheckpointHolds) {
+  const Collection collection = TestCollection(1 << 18, 242);
+  auto fault = std::make_shared<FaultFs>();
+  auto fs = std::make_shared<CreateLogFs>(fault);
+  ShardedStoreOptions options;
+  options.num_shards = 2;
+  options.dict_bytes = 1 << 14;
+  options.live.tail_seal_bytes = 0;
+  options.live.compact_tombstone_fraction = 0.10;
+  auto store = ShardedStore::Build(collection, options);
+  const size_t base = store->num_docs();
+  const size_t shard0_docs = store->starts(1);
+  ASSERT_GT(shard0_docs, 1u);
+
+  // MakeDurable's checkpoint writes every shard; a second checkpoint with
+  // no mutation in between writes none, only manifest and meta.
+  ASSERT_TRUE(store->MakeDurable("/store", {}, fs).ok());
+  EXPECT_EQ(fs->TakeShardWrites(),
+            (std::vector<std::string>{"shard0000", "shard0001"}));
+  ASSERT_TRUE(store->Checkpoint().ok());
+  EXPECT_TRUE(fs->TakeShardWrites().empty());
+
+  // Appends and deletes change only the manifest; a seal adds one shard.
+  for (const std::string& doc : SmallDocs(3)) {
+    ASSERT_TRUE(store->Append(doc).ok());
+  }
+  ASSERT_TRUE(store->Delete(base + 1).ok());
+  ASSERT_TRUE(store->Checkpoint().ok());
+  EXPECT_TRUE(fs->TakeShardWrites().empty());
+  ASSERT_TRUE(store->SealTail().ok());
+  for (const std::string& doc : SmallDocs(2)) {
+    ASSERT_TRUE(store->Append(doc).ok());
+  }
+  ASSERT_TRUE(store->SealTail().ok());
+  ASSERT_EQ(store->num_shards(), 4);
+
+  // The compaction's checkpoint writes the rewritten shard and the two
+  // sealed since the last checkpoint; shard 1 keeps its generation-1 file.
+  for (size_t i = 0; i < shard0_docs; ++i) {
+    ASSERT_TRUE(store->Delete(i).ok());
+  }
+  auto report = store->CompactOnce();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->compacted);
+  ASSERT_EQ(report->shard, 0);
+  EXPECT_EQ(fs->TakeShardWrites(),
+            (std::vector<std::string>{"shard0000", "shard0002", "shard0003"}));
+  const uint64_t generation = store->checkpoint_generation();
+  const std::vector<std::string> named = ManifestShardNames(
+      *fault->Read("/store/" + wal::CheckpointManifestFileName(generation)));
+  EXPECT_EQ(named,
+            (std::vector<std::string>{
+                wal::CheckpointManifestFileName(generation) + ".shard0000",
+                wal::CheckpointManifestFileName(1) + ".shard0001",
+                wal::CheckpointManifestFileName(generation) + ".shard0002",
+                wal::CheckpointManifestFileName(generation) + ".shard0003"}));
+
+  // The directory reopens byte-identical, and the reopened store knows
+  // which files hold its shards: its first checkpoint writes none.
+  auto reopened_or =
+      ShardedStore::OpenDurable("/store", {}, {}, fault->DurableClone());
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  auto reopened = std::move(reopened_or).value();
+  ExpectSameStore(*store, *reopened);
+  store.reset();
+  auto reopen_fs = std::make_shared<CreateLogFs>(fault->DurableClone());
+  auto again_or = ShardedStore::OpenDurable("/store", {}, {}, reopen_fs);
+  ASSERT_TRUE(again_or.ok()) << again_or.status().ToString();
+  reopen_fs->TakeShardWrites();
+  ASSERT_TRUE((*again_or)->Checkpoint().ok());
+  EXPECT_TRUE(reopen_fs->TakeShardWrites().empty());
+}
+
+TEST(RecoveryTest, MakeDurableAfterOpenWritesEveryShard) {
+  // A store opened from a Save'd manifest knows the shard names of that
+  // manifest's directory; MakeDurable into another directory must not
+  // reuse them, or its checkpoint would name files that are not there.
+  const Collection collection = TestCollection(1 << 14, 243);
+  const std::string dir = FreshDir("recovery_durable_after_open");
+  const std::string manifest = dir + "/store.sharded";
+  auto store = TinyStore(collection);
+  ASSERT_TRUE(store->Append("appended before save").ok());
+  ASSERT_TRUE(store->SealTail().ok());
+  ASSERT_TRUE(store->Delete(1).ok());
+  ASSERT_TRUE(store->Save(manifest).ok());
+  auto opened_or = ShardedStore::Open(manifest);
+  ASSERT_TRUE(opened_or.ok()) << opened_or.status().ToString();
+  auto opened = std::move(opened_or).value();
+
+  auto fault = std::make_shared<FaultFs>();
+  auto fs = std::make_shared<CreateLogFs>(fault);
+  ASSERT_TRUE(opened->MakeDurable("/other", {}, fs).ok());
+  std::vector<std::string> every_shard;
+  for (int s = 0; s < opened->num_shards(); ++s) {
+    every_shard.push_back("shard000" + std::to_string(s));
+  }
+  EXPECT_EQ(fs->TakeShardWrites(), every_shard);
+  for (const std::string& name : ManifestShardNames(
+           *fault->Read("/other/" + wal::CheckpointManifestFileName(1)))) {
+    EXPECT_TRUE(fault->Exists("/other/" + name)) << name;
+  }
+
+  auto reopened_or =
+      ShardedStore::OpenDurable("/other", {}, {}, fault->DurableClone());
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  auto reopened = std::move(reopened_or).value();
+  ExpectSameStore(*store, *reopened);
 }
 
 TEST(RecoveryTest, CompactionCheckpointsDurably) {
@@ -1121,6 +1392,32 @@ TEST(RecoveryTest, KillAtEveryFsyncDuringMixedWorkload) {
   script.push_back({'C'});            // checkpoint mid-script
   script.push_back({'A'});
   script.push_back({'D', base + 3});  // the open tail
+  KillAtEveryFsync(script, wal::WalWriterOptions{}, /*max_lost_ops=*/0);
+}
+
+TEST(RecoveryTest, KillAtEveryFsyncAcrossFileReusingCheckpoints) {
+  // Three checkpoints after MakeDurable's: one after a seal (writes the
+  // new shard, re-names the older shards' files), one after deletes only
+  // (writes no shard), one after a second seal. Every barrier of a
+  // file-reusing checkpoint and of the GC that follows it gets a kill.
+  const Collection probe = TestCollection(1 << 13, 271);
+  const size_t base = probe.num_docs();
+  std::vector<ModelOp> script;
+  script.push_back({'A'});
+  script.push_back({'A'});
+  script.push_back({'S'});            // first sealed tail: [base, base + 2)
+  script.push_back({'C'});
+  script.push_back({'D', 0});         // sealed shard of the base corpus
+  script.push_back({'D', base + 1});  // the first sealed tail
+  script.push_back({'A'});
+  script.push_back({'A'});
+  script.push_back({'D', base + 3});  // the open tail
+  script.push_back({'C'});
+  script.push_back({'S'});            // second sealed tail: [base + 2, +4)
+  script.push_back({'A'});
+  script.push_back({'D', base + 2});  // the second sealed tail
+  script.push_back({'C'});
+  script.push_back({'A'});
   KillAtEveryFsync(script, wal::WalWriterOptions{}, /*max_lost_ops=*/0);
 }
 
