@@ -2,7 +2,8 @@
 // keeping a pipeline of K requests in flight against one epoll DocServer
 // over loopback TCP, sweeping connections x pipelining depth. The decode
 // cache is large and warmed so rows measure the network front end
-// (framing, event loop, coalescing batcher), not RLZ decode speed.
+// (framing, event loop, per-round request coalescing), not RLZ decode
+// speed.
 //
 // Two request shapes, matching the two serving stories:
 //  - snippet: GetRange of a 400-byte query-biased window (the paper's
@@ -106,8 +107,8 @@ struct NetLoadResult {
 // One closed-loop row: `connections` client threads, each keeping `depth`
 // requests in flight until it has received `requests_per_conn` responses.
 // Latencies are per-response round trips measured at the client. The
-// server (and its warm cache) is shared across rows; batcher counters
-// are reported as deltas.
+// server (and its warm cache) is shared across rows; its coalescing
+// counters are reported as deltas.
 NetLoadResult RunRow(net::DocServer& server, size_t num_docs, Shape shape,
                      int connections, size_t depth,
                      size_t requests_per_conn) {

@@ -242,8 +242,9 @@ int main(int argc, char** argv) {
   service_options.cache_bytes = 16 << 20;
   rlz::DocService service(store.get(), service_options);
 
-  // The network front end: an epoll loop on a loopback socket feeding
-  // the service through the coalescing batcher (DESIGN.md §13).
+  // The network front end: one epoll loop on a loopback socket that
+  // coalesces requests into the service's batched submissions
+  // (DESIGN.md §13).
   rlz::net::DocServerOptions server_options;
   server_options.port = requested_port;
   rlz::net::DocServer server(&service, server_options);
@@ -299,8 +300,8 @@ int main(int argc, char** argv) {
     std::printf("\nquery: %s\n", qstr.c_str());
     const auto hits = index.Query(query, 3);
     // The whole result page crosses the wire as one MultiGet frame; the
-    // batcher coalesces it (with anything else in flight) into a single
-    // ServeBatch submission.
+    // server's loop coalesces it (with anything else parsed in the same
+    // poll round) into a single ServeBatch submission.
     ids.clear();
     for (const auto& hit : hits) ids.push_back(hit.doc);
     auto page = client->MultiGet(ids);

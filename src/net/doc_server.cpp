@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_set>
 #include <utility>
 
 #include "serve/doc_service.h"
@@ -50,6 +49,37 @@ DocServerOptions DocServerOptions::Validated() const {
   return v;
 }
 
+// One parsed request in its connection's FIFO, answered when it reaches
+// the head and its results are in. `window` is null for ops answered
+// without decode: Stat, parse-time sheds, poison errors, and empty
+// MultiGets.
+struct DocServer::PendingOp {
+  MessageType type = MessageType::kGet;
+  uint8_t flags = 0;
+  // The service class, and so the window batch holding the results.
+  RequestPriority priority = RequestPriority::kNormal;
+  bool budgeted = false;  // holds one unit of the best-effort budget
+  // Non-kOk: shed at parse time (per-connection budget) — answered with
+  // this code + retry-after, no decode.
+  WireCode reject = WireCode::kOk;
+  Window* window = nullptr;
+  size_t off = 0;    // first result in window->batches[priority]
+  size_t count = 0;  // results: 1, or the MultiGet's id count
+  std::string error;  // kError/reject: the message to report
+};
+
+// The document requests of one poll round, one ServeBatch per priority
+// class. Lives in the loop's pool; workers only write the batches.
+struct DocServer::Window {
+  ServeBatch batches[kNumPriorities];
+  std::vector<BatchItem> items[kNumPriorities];  // staged, then submitted
+  // The loop has seen batches[c] finish (or it had nothing to submit);
+  // results are read only once this is set.
+  bool done[kNumPriorities] = {};
+  size_t refs = 0;              // queued ops that still read the results
+  std::vector<uint64_t> conns;  // connections with an op here
+};
+
 // Loop-thread-owned per-connection state: the read/write state machine
 // of DESIGN.md §13. No lock guards any field — only the loop touches it.
 struct DocServer::Connection {
@@ -59,8 +89,10 @@ struct DocServer::Connection {
   size_t in_off = 0;    // parsed prefix of `in` (compacted lazily)
   std::string out;      // serialized, not yet written response bytes
   size_t out_off = 0;   // written prefix of `out` (compacted lazily)
-  size_t inflight_ops = 0;  // parsed requests not yet answered
-  size_t best_effort_inflight = 0;  // of those, best-effort (budgeted)
+  // Parsed requests in request order; ops[ops_head..] are unanswered.
+  std::vector<PendingOp> ops;
+  size_t ops_head = 0;
+  size_t best_effort_inflight = 0;  // unanswered best-effort (budgeted)
   uint32_t interest = kPollRead;  // current epoll interest set
   bool bp_paused = false;   // reads paused for backpressure (hysteresis)
   bool poisoned = false;    // unparseable input: answer error, then close
@@ -72,6 +104,7 @@ struct DocServer::Connection {
   NetRequest scratch;       // reused request decoder state
 
   size_t unflushed() const { return out.size() - out_off; }
+  size_t unanswered() const { return ops.size() - ops_head; }
 };
 
 DocServer::DocServer(DocService* service, const DocServerOptions& options)
@@ -93,7 +126,6 @@ Status DocServer::Start() {
   RLZ_RETURN_IF_ERROR(poller_.Add(wake_fd_.get(), kWakeTag, kPollRead));
   started_.store(true);
   loop_thread_ = std::thread(&DocServer::LoopThread, this);
-  batcher_thread_ = std::thread(&DocServer::BatcherThread, this);
   return Status::OK();
 }
 
@@ -103,12 +135,6 @@ void DocServer::Shutdown() {
   shutdown_requested_.store(true, std::memory_order_release);
   WakeLoop();
   loop_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(handoff_mu_);
-    batcher_stop_ = true;
-    handoff_cv_.notify_all();
-  }
-  batcher_thread_.join();
   joined_ = true;
 }
 
@@ -187,7 +213,7 @@ WireStats DocServer::BuildWireStats() const {
 }
 
 // ---------------------------------------------------------------------
-// Loop thread: accept / read / parse / write / close.
+// Loop thread: accept / read / parse / submit / answer / write / close.
 
 void DocServer::LoopThread() {
   std::vector<PollerEvent> events;
@@ -225,7 +251,10 @@ void DocServer::LoopThread() {
         HandleWritable(it->second.get());
       }
     }
-    PumpCompletions();
+    // Everything parsed this round is one coalescing window: requests
+    // that arrived across connections ride one submission per class.
+    SubmitWindow();
+    CollectWindows();
     if (!draining_) SweepTimeouts();
     if (!draining_ && shutdown_requested_.load(std::memory_order_acquire)) {
       // Enter the drain: stop accepting, stop reading, keep answering.
@@ -244,9 +273,8 @@ void DocServer::LoopThread() {
       }
       for (uint64_t id : idle) CloseConnection(id);
     }
-    if (draining_ &&
-        ((outstanding_ops_ == 0 && connections_.empty()) ||
-         std::chrono::steady_clock::now() >= deadline)) {
+    if (draining_ && (connections_.empty() ||
+                      std::chrono::steady_clock::now() >= deadline)) {
       break;
     }
   }
@@ -257,6 +285,10 @@ void DocServer::LoopThread() {
   }
   connections_.clear();
   connections_active_.store(0, std::memory_order_relaxed);
+  // No worker may still write into a window once Shutdown returns.
+  for (auto& window : inflight_windows_) {
+    for (ServeBatch& batch : window->batches) batch.Wait();
+  }
 }
 
 void DocServer::HandleAccept() {
@@ -314,8 +346,7 @@ void DocServer::HandleReadable(Connection* conn) {
     return;
   }
   if (progress) conn->last_activity_ms = NowMs();
-  std::vector<PendingOp> ops;
-  ParseFrames(conn, &ops);
+  ParseFrames(conn);
   // Slow-loris clock: arm while a partial frame sits in the buffer,
   // disarm only when a complete frame clears it — trickled bytes reset
   // the idle clock but never this one.
@@ -324,23 +355,11 @@ void DocServer::HandleReadable(Connection* conn) {
   } else if (conn->partial_since_ms == 0) {
     conn->partial_since_ms = NowMs();
   }
-  if (!ops.empty()) {
-    conn->inflight_ops += ops.size();
-    outstanding_ops_ += ops.size();
-    {
-      std::lock_guard<std::mutex> lock(handoff_mu_);
-      for (PendingOp& op : ops) pending_.push_back(std::move(op));
-      handoff_cv_.notify_one();
-    }
-  }
-  if (ReadyToClose(*conn)) {
-    CloseConnection(conn->id);
-    return;
-  }
-  UpdateInterest(conn);
+  AnswerReady(conn);  // a Stat, shed or poison error may already be due
+  HandleWritable(conn);
 }
 
-void DocServer::ParseFrames(Connection* conn, std::vector<PendingOp>* ops) {
+void DocServer::ParseFrames(Connection* conn) {
   while (!conn->poisoned) {
     const std::string_view buf =
         std::string_view(conn->in).substr(conn->in_off);
@@ -352,65 +371,51 @@ void DocServer::ParseFrames(Connection* conn, std::vector<PendingOp>* ops) {
     const ParseResult r =
         ParseFrame(buf, &type, &flags, &body, &consumed, &error);
     if (r == ParseResult::kNeedMore) break;
-    PendingOp op;
-    op.conn_id = conn->id;
-    if (r == ParseResult::kError) {
+    Status decoded = Status::OK();
+    if (r == ParseResult::kFrame) {
+      conn->in_off += consumed;
+      frames_received_.fetch_add(1, std::memory_order_relaxed);
+      decoded = DecodeRequestBody(type, flags, body, &conn->scratch);
+      if (!decoded.ok()) error = decoded.message();
+    }
+    if (r == ParseResult::kError || !decoded.ok()) {
       // Poison: one in-order error response, then close after flush.
       // The rest of the inbound buffer is untrustworthy — discard it.
       conn->poisoned = true;
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       conn->in.clear();
       conn->in_off = 0;
+      PendingOp op;
       op.type = MessageType::kError;
-      op.error = error;
-      ops->push_back(std::move(op));
+      op.error = std::move(error);
+      Enqueue(conn, std::move(op));
       return;
     }
-    conn->in_off += consumed;
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
-    const Status decoded =
-        DecodeRequestBody(type, flags, body, &conn->scratch);
-    if (!decoded.ok()) {
-      conn->poisoned = true;
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      conn->in.clear();
-      conn->in_off = 0;
-      op.type = MessageType::kError;
-      op.error = decoded.message();
-      ops->push_back(std::move(op));
-      return;
-    }
-    op.type = conn->scratch.type;
-    op.flags = conn->scratch.flags;
-    op.id = conn->scratch.id;
-    op.offset = conn->scratch.offset;
-    op.length = conn->scratch.length;
-    op.priority = conn->scratch.priority;
-    if (conn->scratch.deadline_ms != 0) {
-      op.deadline_ns = NowNs() + static_cast<uint64_t>(
-                                     conn->scratch.deadline_ms) *
-                                     1'000'000;
-    }
+    const NetRequest& req = conn->scratch;
+    PendingOp op;
+    op.type = req.type;
+    op.flags = req.flags;
+    op.priority = req.priority;
     if (op.priority == RequestPriority::kHigh) {
       high_priority_frames_.fetch_add(1, std::memory_order_relaxed);
     } else if (op.priority == RequestPriority::kBestEffort) {
       best_effort_frames_.fetch_add(1, std::memory_order_relaxed);
       // Per-connection best-effort budget: over-budget doc requests are
-      // shed right here, before any decode work — the op still flows
-      // through the batcher so its kUnavailable answer stays in
-      // per-connection request order.
+      // shed right here, before any decode work; the shed still waits
+      // its turn in the connection's FIFO, so its kUnavailable answer
+      // stays in request order.
       if (op.type != MessageType::kStat) {
         if (conn->best_effort_inflight >= options_.max_best_effort_per_conn) {
           op.reject = WireCode::kUnavailable;
           op.error = "overloaded: best-effort budget exhausted";
           sheds_.fetch_add(1, std::memory_order_relaxed);
         } else {
+          op.budgeted = true;
           ++conn->best_effort_inflight;
         }
       }
     }
-    op.ids = std::move(conn->scratch.ids);
-    ops->push_back(std::move(op));
+    Enqueue(conn, std::move(op));
   }
   // Compact the parsed prefix so the buffer cannot grow without bound
   // across partially-received frames.
@@ -418,6 +423,54 @@ void DocServer::ParseFrames(Connection* conn, std::vector<PendingOp>* ops) {
     conn->in.erase(0, conn->in_off);
     conn->in_off = 0;
   }
+}
+
+void DocServer::Enqueue(Connection* conn, PendingOp op) {
+  const NetRequest& req = conn->scratch;
+  const bool decodes = op.reject == WireCode::kOk &&
+                       (op.type == MessageType::kGet ||
+                        op.type == MessageType::kGetRange ||
+                        (op.type == MessageType::kMultiGet &&
+                         !req.ids.empty()));
+  if (decodes) {
+    if (open_window_ == nullptr) {
+      if (free_windows_.empty()) {
+        open_window_ = std::make_unique<Window>();
+        for (ServeBatch& batch : open_window_->batches) {
+          batch.set_on_done([this] { WakeLoop(); });
+        }
+      } else {
+        open_window_ = std::move(free_windows_.back());
+        free_windows_.pop_back();
+      }
+    }
+    const uint64_t deadline_ns =
+        req.deadline_ms == 0
+            ? 0
+            : NowNs() + static_cast<uint64_t>(req.deadline_ms) * 1'000'000;
+    Window* window = open_window_.get();
+    std::vector<BatchItem>& items =
+        window->items[static_cast<int>(op.priority)];
+    op.window = window;
+    op.off = items.size();
+    if (op.type == MessageType::kMultiGet) {
+      for (uint64_t id : req.ids) {
+        items.push_back({id, 0, 0, false, op.priority, deadline_ns});
+      }
+    } else {
+      items.push_back({req.id, req.offset, req.length,
+                       op.type == MessageType::kGetRange, op.priority,
+                       deadline_ns});
+    }
+    op.count = items.size() - op.off;
+    ++window->refs;
+    // A connection is read once per poll round, so its ops arrive here
+    // together and one look at the back dedupes.
+    if (window->conns.empty() || window->conns.back() != conn->id) {
+      window->conns.push_back(conn->id);
+    }
+  }
+  conn->ops.push_back(std::move(op));
 }
 
 void DocServer::HandleWritable(Connection* conn) {
@@ -452,40 +505,144 @@ void DocServer::HandleWritable(Connection* conn) {
   UpdateInterest(conn);
 }
 
-void DocServer::PumpCompletions() {
-  std::vector<Completion> done;
-  {
-    std::lock_guard<std::mutex> lock(handoff_mu_);
-    if (completions_.empty()) return;
-    done.swap(completions_);
-  }
-  for (Completion& c : done) {
-    RLZ_CHECK(outstanding_ops_ > 0);
-    --outstanding_ops_;
-    auto it = connections_.find(c.conn_id);
-    if (it == connections_.end()) continue;  // closed mid-flight: drop
-    Connection* conn = it->second.get();
-    RLZ_CHECK(conn->inflight_ops > 0);
-    --conn->inflight_ops;
-    if (c.best_effort && conn->best_effort_inflight > 0) {
-      --conn->best_effort_inflight;
+void DocServer::SubmitWindow() {
+  if (open_window_ == nullptr) return;
+  Window* window = open_window_.get();
+  size_t total_items = 0;
+  for (int cls = 0; cls < kNumPriorities; ++cls) {
+    std::vector<BatchItem>& items = window->items[cls];
+    if (items.empty()) {
+      window->done[cls] = true;
+      continue;
     }
-    // Arm the write-stall clock when this frame starts a fresh outbound
-    // buffer (a peer that never drains it is reaped by the sweep).
-    if (conn->unflushed() == 0) conn->write_progress_ms = NowMs();
-    conn->out.append(c.frame);
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
+    // May block while every queue is full (kHigh/kNormal backpressure;
+    // best-effort sheds instead). Workers never wait on the loop, so
+    // this always returns.
+    service_->SubmitBatch(items.data(), items.size(),
+                          &window->batches[cls]);
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    total_items += items.size();
   }
-  // Opportunistic flush, once per touched connection (a second visit
-  // finds the frame already flushed or the connection gone).
-  for (const Completion& c : done) {
-    auto it = connections_.find(c.conn_id);
-    if (it == connections_.end()) continue;
-    if (it->second->unflushed() > 0 || ReadyToClose(*it->second)) {
+  coalesced_requests_.fetch_add(total_items, std::memory_order_relaxed);
+  inflight_windows_.push_back(std::move(open_window_));
+}
+
+void DocServer::CollectWindows() {
+  for (size_t i = 0; i < inflight_windows_.size();) {
+    Window* window = inflight_windows_[i].get();
+    bool finished = false;
+    bool all_done = true;
+    for (int cls = 0; cls < kNumPriorities; ++cls) {
+      if (!window->done[cls] && window->batches[cls].done()) {
+        window->done[cls] = finished = true;
+      }
+      all_done = all_done && window->done[cls];
+    }
+    // Every op a finished class made answerable belongs to a connection
+    // listed here: either it is now at its FIFO head, or an earlier op
+    // holds it back and answering that one later walks on to it.
+    for (size_t k = 0; finished && k < window->conns.size(); ++k) {
+      auto it = connections_.find(window->conns[k]);
+      if (it == connections_.end()) continue;
+      AnswerReady(it->second.get());
       HandleWritable(it->second.get());
-    } else {
-      UpdateInterest(it->second.get());
     }
+    if (window->refs > 0 || !all_done) {
+      ++i;
+      continue;
+    }
+    // Every op has been answered (or dropped with its connection) and
+    // every batch has finished: back to the pool.
+    for (auto& items : window->items) items.clear();
+    std::fill(std::begin(window->done), std::end(window->done), false);
+    window->conns.clear();
+    free_windows_.push_back(std::move(inflight_windows_[i]));
+    inflight_windows_[i] = std::move(inflight_windows_.back());
+    inflight_windows_.pop_back();
+  }
+}
+
+void DocServer::AnswerReady(Connection* conn) {
+  const size_t unflushed_before = conn->unflushed();
+  uint64_t answered = 0;
+  while (conn->ops_head < conn->ops.size()) {
+    const PendingOp& op = conn->ops[conn->ops_head];
+    Window* window = op.window;
+    if (window != nullptr && !window->done[static_cast<int>(op.priority)]) {
+      break;  // results still coming: later ops wait their turn
+    }
+    EncodeResponse(op, &conn->out);
+    if (op.budgeted) --conn->best_effort_inflight;
+    if (window != nullptr) --window->refs;
+    ++conn->ops_head;
+    ++answered;
+  }
+  if (answered == 0) return;
+  frames_sent_.fetch_add(answered, std::memory_order_relaxed);
+  // Arm the write-stall clock when these frames start a fresh outbound
+  // buffer (a peer that never drains it is reaped by the sweep).
+  if (unflushed_before == 0) conn->write_progress_ms = NowMs();
+  // Drop the answered prefix once it is at least half the FIFO: O(1)
+  // amortized per op, and the vector's capacity is kept for reuse.
+  if (2 * conn->ops_head >= conn->ops.size()) {
+    conn->ops.erase(conn->ops.begin(),
+                    conn->ops.begin() + static_cast<ptrdiff_t>(conn->ops_head));
+    conn->ops_head = 0;
+  }
+}
+
+void DocServer::EncodeResponse(const PendingOp& op, std::string* out) {
+  const bool crc = (op.flags & kFlagCrc) != 0;
+  if (op.reject != WireCode::kOk) {
+    EncodeRejectResponse(op.type, op.reject, service_->SuggestedRetryAfterMs(),
+                         op.error, crc, out);
+    return;
+  }
+  const GetResult* results =
+      op.window == nullptr
+          ? nullptr
+          : &op.window->batches[static_cast<int>(op.priority)]
+                 .results()[op.off];
+  switch (op.type) {
+    case MessageType::kGet:
+    case MessageType::kGetRange: {
+      const GetResult& r = results[0];
+      if (r.ok()) {
+        EncodeDocResponse(op.type, WireCode::kOk, *r.text, crc, out);
+      } else if (r.status.code() == StatusCode::kUnavailable) {
+        // Admission shed: attach the retry-after hint.
+        EncodeRejectResponse(op.type, WireCode::kUnavailable,
+                             service_->SuggestedRetryAfterMs(),
+                             r.status.message(), crc, out);
+      } else {
+        EncodeDocResponse(op.type, ToWireCode(r.status), r.status.message(),
+                          crc, out);
+      }
+      break;
+    }
+    case MessageType::kMultiGet: {
+      mgout_.clear();
+      for (size_t k = 0; k < op.count; ++k) {
+        const GetResult& r = results[k];
+        MultiGetOut o;
+        if (r.ok()) {
+          o.bytes = *r.text;
+        } else {
+          o.code = ToWireCode(r.status);
+          o.bytes = r.status.message();
+        }
+        mgout_.push_back(o);
+      }
+      EncodeMultiGetResponse(mgout_.data(), mgout_.size(), crc, out);
+      break;
+    }
+    case MessageType::kStat:
+      EncodeStatResponse(BuildWireStats(), crc, out);
+      break;
+    case MessageType::kError:
+      EncodeDocResponse(MessageType::kError, WireCode::kInvalidArgument,
+                        op.error, /*crc=*/false, out);
+      break;
   }
 }
 
@@ -494,9 +651,9 @@ void DocServer::UpdateInterest(Connection* conn) {
   // so a connection hovering at the cap does not thrash epoll_ctl.
   const size_t unflushed = conn->unflushed();
   const bool over = unflushed >= options_.max_outbound_bytes ||
-                    conn->inflight_ops >= options_.max_pipelined_requests;
+                    conn->unanswered() >= options_.max_pipelined_requests;
   const bool under = unflushed < options_.max_outbound_bytes / 2 + 1 &&
-                     conn->inflight_ops < options_.max_pipelined_requests / 2 + 1;
+                     conn->unanswered() < options_.max_pipelined_requests / 2 + 1;
   if (!conn->bp_paused && over) {
     conn->bp_paused = true;
     reads_paused_.fetch_add(1, std::memory_order_relaxed);
@@ -515,14 +672,20 @@ void DocServer::UpdateInterest(Connection* conn) {
 }
 
 bool DocServer::ReadyToClose(const Connection& conn) const {
-  if (conn.inflight_ops > 0 || conn.unflushed() > 0) return false;
+  if (conn.unanswered() > 0 || conn.unflushed() > 0) return false;
   return conn.poisoned || conn.read_eof || draining_;
 }
 
 void DocServer::CloseConnection(uint64_t conn_id) {
   auto it = connections_.find(conn_id);
   if (it == connections_.end()) return;
-  poller_.Remove(it->second->fd.get());
+  Connection* conn = it->second.get();
+  // Its unanswered ops stop holding their windows; their results, when
+  // they come, are dropped.
+  for (size_t i = conn->ops_head; i < conn->ops.size(); ++i) {
+    if (conn->ops[i].window != nullptr) --conn->ops[i].window->refs;
+  }
+  poller_.Remove(conn->fd.get());
   connections_.erase(it);
   connections_active_.fetch_sub(1, std::memory_order_relaxed);
 }
@@ -567,7 +730,7 @@ void DocServer::SweepTimeouts() {
       continue;
     }
     // Idle: quiet in both directions and owed nothing.
-    if (options_.idle_timeout_ms > 0 && c.inflight_ops == 0 &&
+    if (options_.idle_timeout_ms > 0 && c.unanswered() == 0 &&
         c.unflushed() == 0 &&
         now - c.last_activity_ms >=
             static_cast<uint64_t>(options_.idle_timeout_ms)) {
@@ -576,184 +739,6 @@ void DocServer::SweepTimeouts() {
     }
   }
   for (uint64_t id : doomed) CloseConnection(id);
-}
-
-// ---------------------------------------------------------------------
-// Batcher thread: coalesce parsed requests into per-priority DocService
-// submissions, serialize the responses in per-connection request order.
-//
-// Priority without inversion (DESIGN.md §14): each coalescing window is
-// split into one ServeBatch per class, all submitted together (the
-// queue's strict-priority pop does the actual ordering), then waited
-// high → normal → best-effort. After each class completes, an emission
-// pass walks the window in arrival order and releases every response
-// that is ready AND not behind an unanswered earlier request on the
-// same connection — positional pipelining requires per-connection
-// responses in request order, but responses for *different* connections
-// need not wait for the best-effort stragglers.
-
-void DocServer::BatcherThread() {
-  ServeBatch batches[kNumPriorities];  // reused: steady-state alloc-free
-  std::vector<PendingOp> ops;          // the coalescing window
-  std::vector<BatchItem> items[kNumPriorities];
-  // Per-op result location: which class batch, at what offset. cls -1 =
-  // no service work (Stat, poison error, parse-time reject).
-  struct OpPlan {
-    int cls = -1;
-    size_t off = 0;
-  };
-  std::vector<OpPlan> plan;
-  std::vector<char> emitted;           // per-op: response already sent
-  std::unordered_set<uint64_t> blocked; // conns waiting on an earlier op
-  std::vector<MultiGetOut> mgout;      // per-MultiGet response staging
-  std::vector<Completion> done;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(handoff_mu_);
-      handoff_cv_.wait(lock,
-                       [&] { return !pending_.empty() || batcher_stop_; });
-      if (pending_.empty() && batcher_stop_) return;
-      // Everything parsed since the last round is one coalescing
-      // window: requests that arrived across connections while the
-      // previous batch decoded ride the next submission together.
-      ops.clear();
-      ops.swap(pending_);
-    }
-    const size_t n = ops.size();
-    plan.assign(n, OpPlan{});
-    emitted.assign(n, 0);
-    for (auto& class_items : items) class_items.clear();
-    for (size_t i = 0; i < n; ++i) {
-      const PendingOp& op = ops[i];
-      if (op.reject != WireCode::kOk) continue;  // answered without decode
-      const int cls = static_cast<int>(op.priority);
-      switch (op.type) {
-        case MessageType::kGet:
-          plan[i] = {cls, items[cls].size()};
-          items[cls].push_back(
-              {op.id, 0, 0, false, op.priority, op.deadline_ns});
-          break;
-        case MessageType::kGetRange:
-          plan[i] = {cls, items[cls].size()};
-          items[cls].push_back({op.id, op.offset, op.length, true,
-                                op.priority, op.deadline_ns});
-          break;
-        case MessageType::kMultiGet:
-          plan[i] = {cls, items[cls].size()};
-          for (uint64_t id : op.ids) {
-            items[cls].push_back(
-                {id, 0, 0, false, op.priority, op.deadline_ns});
-          }
-          break;
-        default:  // kStat / kError: no decode work
-          break;
-      }
-    }
-    size_t total_items = 0;
-    for (auto& class_items : items) total_items += class_items.size();
-    for (int cls = 0; cls < kNumPriorities; ++cls) {
-      if (items[cls].empty()) continue;
-      service_->SubmitBatch(items[cls].data(), items[cls].size(),
-                            &batches[cls]);
-      batches_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (total_items > 0) {
-      coalesced_requests_.fetch_add(total_items, std::memory_order_relaxed);
-    }
-    size_t remaining = n;
-    bool cls_ready[kNumPriorities];
-    for (int cls = 0; cls < kNumPriorities; ++cls) {
-      cls_ready[cls] = items[cls].empty();
-    }
-    for (int stage = 0; stage < kNumPriorities && remaining > 0; ++stage) {
-      if (!items[stage].empty()) {
-        batches[stage].Wait();
-        cls_ready[stage] = true;
-      } else if (stage > 0) {
-        continue;  // nothing new became ready since the last pass
-      }
-      done.clear();
-      blocked.clear();
-      for (size_t i = 0; i < n; ++i) {
-        if (emitted[i]) continue;
-        const PendingOp& op = ops[i];
-        if (blocked.count(op.conn_id) != 0) continue;
-        if (plan[i].cls >= 0 && !cls_ready[plan[i].cls]) {
-          blocked.insert(op.conn_id);
-          continue;
-        }
-        Completion c;
-        c.conn_id = op.conn_id;
-        // Mirror of the ParseFrames budget increment, so the loop
-        // releases exactly what was charged.
-        c.best_effort = op.priority == RequestPriority::kBestEffort &&
-                        op.type != MessageType::kStat &&
-                        op.reject == WireCode::kOk;
-        const bool crc = (op.flags & kFlagCrc) != 0;
-        if (op.reject != WireCode::kOk) {
-          EncodeRejectResponse(op.type, op.reject,
-                               service_->SuggestedRetryAfterMs(), op.error,
-                               crc, &c.frame);
-        } else {
-          switch (op.type) {
-            case MessageType::kGet:
-            case MessageType::kGetRange: {
-              const GetResult& r =
-                  batches[plan[i].cls].results()[plan[i].off];
-              if (r.ok()) {
-                EncodeDocResponse(op.type, WireCode::kOk, *r.text, crc,
-                                  &c.frame);
-              } else if (r.status.code() == StatusCode::kUnavailable) {
-                // Admission shed: attach the retry-after hint.
-                EncodeRejectResponse(op.type, WireCode::kUnavailable,
-                                     service_->SuggestedRetryAfterMs(),
-                                     r.status.message(), crc, &c.frame);
-              } else {
-                EncodeDocResponse(op.type, ToWireCode(r.status),
-                                  r.status.message(), crc, &c.frame);
-              }
-              break;
-            }
-            case MessageType::kMultiGet: {
-              mgout.clear();
-              for (size_t k = 0; k < op.ids.size(); ++k) {
-                const GetResult& r =
-                    batches[plan[i].cls].results()[plan[i].off + k];
-                MultiGetOut o;
-                if (r.ok()) {
-                  o.bytes = *r.text;
-                } else {
-                  o.code = ToWireCode(r.status);
-                  o.bytes = r.status.message();
-                }
-                mgout.push_back(o);
-              }
-              EncodeMultiGetResponse(mgout.data(), mgout.size(), crc,
-                                     &c.frame);
-              break;
-            }
-            case MessageType::kStat:
-              EncodeStatResponse(BuildWireStats(), crc, &c.frame);
-              break;
-            case MessageType::kError:
-              EncodeDocResponse(MessageType::kError,
-                                WireCode::kInvalidArgument, op.error,
-                                /*crc=*/false, &c.frame);
-              break;
-          }
-        }
-        emitted[i] = 1;
-        --remaining;
-        done.push_back(std::move(c));
-      }
-      if (done.empty()) continue;
-      {
-        std::lock_guard<std::mutex> lock(handoff_mu_);
-        for (Completion& c : done) completions_.push_back(std::move(c));
-      }
-      WakeLoop();
-    }
-  }
 }
 
 }  // namespace net

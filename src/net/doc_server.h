@@ -2,17 +2,18 @@
 #define RLZ_NET_DOC_SERVER_H_
 
 /// \file
-/// The network front end (DESIGN.md §13): an epoll event loop accepting
-/// loopback TCP connections that speak the length-prefixed protocol of
-/// net/protocol.h, plus a batcher thread that coalesces requests
-/// arriving across connections into DocService batched submissions.
+/// The network front end (DESIGN.md §13): one epoll event loop thread
+/// that accepts loopback TCP connections speaking the length-prefixed
+/// protocol of net/protocol.h, coalesces the requests each poll round
+/// parses across connections into DocService batched submissions, and
+/// writes the responses.
 ///
 /// Threading: the *loop thread* owns every connection (accept, read,
-/// parse, write, close — no locks on connection state); the *batcher
-/// thread* owns one reused ServeBatch and the DocService submission;
-/// they meet at two mutex-guarded vectors (parsed ops in, serialized
-/// response frames out) and an eventfd that wakes the loop. DocService
-/// workers never touch a socket.
+/// parse, submit, answer, write, close — no locks on connection state).
+/// DocService workers decode and never touch a socket; the worker that
+/// finishes a submission wakes the loop through an eventfd (the
+/// ServeBatch completion hook), and the loop answers each connection's
+/// requests in its request order as their results come in.
 ///
 /// Backpressure: each connection has a bounded outbound buffer and a
 /// bounded count of parsed-but-unanswered requests; crossing either
@@ -31,7 +32,6 @@
 /// frame held past the header deadline), and write-stalled connections.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -114,7 +114,8 @@ struct NetServerStats {
   uint64_t bytes_received = 0;
   /// Bytes written to sockets.
   uint64_t bytes_sent = 0;
-  /// ServeBatch submissions made by the batcher.
+  /// ServeBatch submissions made by the loop (one per non-empty
+  /// priority class of a poll round).
   uint64_t batches = 0;
   /// Document requests coalesced into those submissions.
   uint64_t coalesced_requests = 0;
@@ -137,8 +138,8 @@ struct NetServerStats {
 };
 
 /// The socket front end over a DocService (DESIGN.md §13). Start() binds
-/// and spawns the loop and batcher threads; Shutdown() stops accepting,
-/// answers everything already parsed, flushes, and joins. The service
+/// and spawns the loop thread; Shutdown() stops accepting, answers
+/// everything already parsed, flushes, and joins. The service
 /// (and its archive) must outlive the server.
 class DocServer {
  public:
@@ -151,9 +152,9 @@ class DocServer {
   DocServer(const DocServer&) = delete;
   DocServer& operator=(const DocServer&) = delete;
 
-  /// Binds the loopback listen socket and spawns the loop and batcher
-  /// threads. Fails (and leaves the object inert) when the port is
-  /// taken or fd resources are exhausted.
+  /// Binds the loopback listen socket and spawns the loop thread. Fails
+  /// (and leaves the object inert) when the port is taken or fd
+  /// resources are exhausted.
   Status Start();
 
   /// The bound TCP port (valid after a successful Start()).
@@ -161,7 +162,7 @@ class DocServer {
 
   /// Graceful drain: stop accepting and reading, answer every request
   /// already parsed, flush every outbound buffer (up to
-  /// drain_timeout_ms), close all connections, join both threads.
+  /// drain_timeout_ms), close all connections, join the loop thread.
   /// Idempotent; safe to call concurrently with serving traffic.
   void Shutdown();
 
@@ -173,43 +174,36 @@ class DocServer {
   const DocServerOptions& options() const { return options_; }
 
  private:
-  // One parsed request (or a poisoned-connection error marker) on its
-  // way to the batcher, in per-connection parse order.
-  struct PendingOp {
-    uint64_t conn_id = 0;
-    MessageType type = MessageType::kGet;
-    uint8_t flags = 0;
-    uint64_t id = 0;
-    uint64_t offset = 0;
-    uint64_t length = 0;
-    RequestPriority priority = RequestPriority::kNormal;
-    uint64_t deadline_ns = 0;   // absolute steady-clock expiry; 0 = none
-    // Non-kOk: rejected at parse time (per-connection budget) — the
-    // batcher answers with this code + retry-after, no decode.
-    WireCode reject = WireCode::kOk;
-    std::vector<uint64_t> ids;  // kMultiGet
-    std::string error;          // kError/reject: the message to report
-  };
-
-  // One serialized response frame on its way back to the loop.
-  struct Completion {
-    uint64_t conn_id = 0;
-    bool best_effort = false;  // releases the per-conn best-effort budget
-    std::string frame;
-  };
-
+  // One parsed request in its connection's answer FIFO.
+  struct PendingOp;
   struct Connection;
+  // The document requests one poll round staged: a ServeBatch per class.
+  struct Window;
 
   void LoopThread();
-  void BatcherThread();
   void HandleAccept();
   void HandleReadable(Connection* conn);
+  // Writes what the socket takes, then closes the connection if it has
+  // nothing left to say, else re-arms its epoll interest.
   void HandleWritable(Connection* conn);
-  // Parses every complete frame in conn->in into pending ops; poisons
-  // the connection on malformed input.
-  void ParseFrames(Connection* conn, std::vector<PendingOp>* ops);
-  // Delivers serialized frames into their connections' outbound buffers.
-  void PumpCompletions();
+  // Parses every complete frame in conn->in onto the connection's FIFO,
+  // staging document requests into the open window; poisons the
+  // connection on malformed input.
+  void ParseFrames(Connection* conn);
+  // Stages `op`'s document requests (those of conn->scratch, when it
+  // has any) into the open window and appends it to the connection's
+  // FIFO.
+  void Enqueue(Connection* conn, PendingOp op);
+  // Submits the open window: one SubmitBatch per non-empty class.
+  void SubmitWindow();
+  // Notes the class batches that finished, answers the connections
+  // waiting on them, and returns finished, unreferenced windows to the
+  // pool.
+  void CollectWindows();
+  // Encodes the response of every answerable op at the head of the
+  // connection's FIFO into its outbound buffer.
+  void AnswerReady(Connection* conn);
+  void EncodeResponse(const PendingOp& op, std::string* out);
   // Recomputes and applies a connection's epoll interest set from its
   // pause/flush state.
   void UpdateInterest(Connection* conn);
@@ -240,18 +234,18 @@ class DocServer {
   ScopedFd wake_fd_;  // eventfd: completions ready / shutdown requested
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;
   uint64_t next_conn_id_ = 2;  // 0 = listener, 1 = wakeup
-  // Parsed ops not yet answered with a delivered completion; loop-thread
-  // only (drain termination condition).
-  size_t outstanding_ops_ = 0;
   // Loop-thread view of the drain state (set once shutdown_requested_
   // is observed; connections stop reading and close when flushed).
   bool draining_ = false;
 
-  std::mutex handoff_mu_;
-  std::condition_variable handoff_cv_;  // batcher: ops arrived / stop
-  std::vector<PendingOp> pending_;      // loop -> batcher (guarded)
-  std::vector<Completion> completions_; // batcher -> loop (guarded)
-  bool batcher_stop_ = false;           // guarded by handoff_mu_
+  // Windows, loop-thread only: the one staging this round's requests
+  // (null until a request needs it), the submitted ones whose results
+  // are still coming in or still being answered, and the idle pool —
+  // reused, so the steady state allocates nothing for completions.
+  std::unique_ptr<Window> open_window_;
+  std::vector<std::unique_ptr<Window>> inflight_windows_;
+  std::vector<std::unique_ptr<Window>> free_windows_;
+  std::vector<MultiGetOut> mgout_;  // MultiGet response staging
 
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<bool> started_{false};
@@ -277,7 +271,6 @@ class DocServer {
   std::mutex join_mu_;  // Shutdown is idempotent
   bool joined_ = false;
   std::thread loop_thread_;
-  std::thread batcher_thread_;
 };
 
 }  // namespace net

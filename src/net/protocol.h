@@ -185,7 +185,8 @@ struct WireStats {
   uint64_t net_bytes_received = 0;
   /// Bytes written to sockets.
   uint64_t net_bytes_sent = 0;
-  /// ServeBatch submissions the batcher made.
+  /// ServeBatch submissions the server's loop made (one per non-empty
+  /// priority class of a poll round).
   uint64_t net_batches = 0;
   /// Doc requests coalesced into those submissions (avg batch size =
   /// coalesced / batches).

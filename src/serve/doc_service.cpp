@@ -55,6 +55,7 @@ void ServeBatch::CountDown() {
   std::lock_guard<std::mutex> lock(mu_);
   if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     cv_.notify_all();
+    if (on_done_) on_done_();
   }
 }
 
@@ -176,7 +177,7 @@ bool DocService::PushWithBackpressure(const ServeRequest& request, int dest) {
     // This class's ring is full on every queue. Best-effort sheds rather
     // than blocks (DESIGN.md §14): a bulk flood must never stall the
     // submitting thread — for the network front end that thread is the
-    // batcher serving every connection.
+    // event loop serving every connection.
     if (request.priority == RequestPriority::kBestEffort) return false;
     // Higher classes: bounded-memory backpressure. The request was
     // already accepted (in_flight_ counts it), so workers stay alive

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -150,11 +151,12 @@ struct BatchItem {
 /// A reusable completion buffer for batched submission (DESIGN.md §10).
 /// DocService::SubmitBatch fills `results()` positionally and workers
 /// count the batch down as they finish; Wait() blocks until every result
-/// has landed. One ServeBatch belongs to one submitting caller at a time;
-/// reusing it across submissions reuses its buffers, so the steady-state
-/// request path allocates nothing for completion plumbing. The batch must
-/// outlive its in-flight requests — the destructor enforces this by
-/// waiting.
+/// has landed, and an optional completion hook lets an event loop learn
+/// of it without blocking (DESIGN.md §13). One ServeBatch belongs to one
+/// submitting caller at a time; reusing it across submissions reuses its
+/// buffers, so the steady-state request path allocates nothing for
+/// completion plumbing. The batch must outlive its in-flight requests —
+/// the destructor enforces this by waiting.
 class ServeBatch {
  public:
   ServeBatch() = default;
@@ -182,13 +184,24 @@ class ServeBatch {
   /// Number of requests in the current/last submission.
   size_t size() const { return results_.size(); }
 
+  /// Sets the completion hook. Once per non-empty submission, the thread
+  /// whose result completes it — a worker, or the submitter itself when
+  /// SubmitBatch completes items inline (sheds, expiries, a stopped
+  /// service) — calls the hook after every result is readable and
+  /// while still holding the batch's lock, so Wait(), re-submission and
+  /// destruction on another thread wait until it returns. The hook must
+  /// be brief and must not wait on, re-submit or destroy this batch; a
+  /// wakeup (an eventfd write, a notify) is the intended use. Set it
+  /// while the batch is idle.
+  void set_on_done(std::function<void()> hook) { on_done_ = std::move(hook); }
+
  private:
   friend class DocService;
 
   /// Worker-side completion: one count per delivered result. The final
-  /// decrement wakes Wait(). Runs entirely under mu_ so that a waiter
-  /// returning from Wait() (and possibly destroying the batch) can never
-  /// race a completing worker still inside this object.
+  /// decrement wakes Wait() and runs the hook. Runs entirely under mu_
+  /// so that a waiter returning from Wait() (and possibly destroying the
+  /// batch) can never race a completing worker still inside this object.
   void CountDown();
 
   std::vector<GetResult> results_;
@@ -197,6 +210,7 @@ class ServeBatch {
   std::atomic<size_t> remaining_{0};
   std::mutex mu_;
   std::condition_variable cv_;
+  std::function<void()> on_done_;
 };
 
 /// The request executor of the serving layer (DESIGN.md §6, §10): a fixed

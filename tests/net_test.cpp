@@ -3,8 +3,10 @@
 // epoll DocServer end to end over real loopback sockets — pipelined
 // multi-connection byte-identity against direct DocService calls,
 // poisoned-connection isolation, read backpressure, graceful drain with
-// requests in flight, and the Stat command. The multi-threaded tests run
-// under ThreadSanitizer via the `concurrency` ctest label.
+// requests in flight, per-connection response order across priority
+// classes and poll rounds, answers that never wait on another
+// connection's slow decode, and the Stat command. The multi-threaded
+// tests run under ThreadSanitizer via the `concurrency` ctest label.
 
 #include <algorithm>
 #include <atomic>
@@ -19,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "corpus/generator.h"
+#include "gated_archive.h"
 #include "net/doc_server.h"
 #include "net/net_client.h"
 #include "net/protocol.h"
@@ -952,6 +955,132 @@ TEST(DocServerTest, StalledReaderReapedByWriteStallDeadline) {
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
 }
 
+TEST(DocServerTest, OrderHoldsAcrossClassesAndPollRounds) {
+  // One connection pipelines requests of every class and kind, Stats and
+  // a parse-time shed among them, over two poll rounds: every response
+  // answers its own request, in request order, whichever class finishes
+  // first.
+  DocServerOptions options;
+  options.max_best_effort_per_conn = 1;
+  ServerHarness harness(options);
+  auto client = harness.Connect();
+  const Collection& collection = harness.collection();
+  RequestOptions normal;
+  RequestOptions high;
+  high.priority = RequestPriority::kHigh;
+  RequestOptions best_effort;
+  best_effort.priority = RequestPriority::kBestEffort;
+  const std::vector<uint64_t> ids = {0, 1, 4};
+
+  // What each response must be, in request order.
+  struct Expected {
+    MessageType type;
+    WireCode code;
+    std::string payload;  // kGet/kGetRange
+  };
+  std::vector<Expected> expected;
+  std::string wire;
+  EncodeGetRequest(2, best_effort, &wire);
+  expected.push_back({MessageType::kGet, WireCode::kOk,
+                      std::string(collection.doc(2))});
+  EncodeGetRangeRequest(3, 5, 40, high, &wire);
+  expected.push_back({MessageType::kGetRange, WireCode::kOk,
+                      std::string(collection.doc(3).substr(5, 40))});
+  EncodeStatRequest(/*crc=*/false, &wire);
+  expected.push_back({MessageType::kStat, WireCode::kOk, ""});
+  EncodeMultiGetRequest(ids.data(), ids.size(), normal, &wire);
+  expected.push_back({MessageType::kMultiGet, WireCode::kOk, ""});
+  // The first best-effort Get still holds the budget of one: shed.
+  EncodeGetRequest(5, best_effort, &wire);
+  expected.push_back({MessageType::kGet, WireCode::kUnavailable, ""});
+  client->SendRaw(wire);
+  ASSERT_TRUE(client->Flush().ok());
+
+  std::vector<NetResponse> responses;
+  auto first = client->Receive();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  responses.push_back(std::move(first).value());
+
+  // Second flush, a later poll round: the answered best-effort Get gave
+  // its budget back, so this best-effort range is served.
+  wire.clear();
+  EncodeGetRequest(6, high, &wire);
+  expected.push_back({MessageType::kGet, WireCode::kOk,
+                      std::string(collection.doc(6))});
+  EncodeGetRangeRequest(7, 0, 10, best_effort, &wire);
+  expected.push_back({MessageType::kGetRange, WireCode::kOk,
+                      std::string(collection.doc(7).substr(0, 10))});
+  EncodeStatRequest(/*crc=*/false, &wire);
+  expected.push_back({MessageType::kStat, WireCode::kOk, ""});
+  EncodeMultiGetRequest(ids.data(), ids.size(), best_effort, &wire);
+  expected.push_back({MessageType::kMultiGet, WireCode::kUnavailable, ""});
+  client->SendRaw(wire);
+  ASSERT_TRUE(client->Flush().ok());
+  while (responses.size() < expected.size()) {
+    auto response = client->Receive();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    responses.push_back(std::move(response).value());
+  }
+
+  for (size_t i = 0; i < expected.size(); ++i) {
+    SCOPED_TRACE("response " + std::to_string(i));
+    const NetResponse& r = responses[i];
+    ASSERT_EQ(r.type, expected[i].type);
+    ASSERT_EQ(r.code, expected[i].code) << r.payload;
+    if (r.code == WireCode::kUnavailable) {
+      EXPECT_GE(r.retry_after_ms, 1u);
+    } else if (r.type == MessageType::kStat) {
+      EXPECT_EQ(r.stats.archive_docs, collection.num_docs());
+    } else if (r.type == MessageType::kMultiGet) {
+      ASSERT_EQ(r.elements.size(), ids.size());
+      for (size_t k = 0; k < ids.size(); ++k) {
+        EXPECT_EQ(r.elements[k].bytes, collection.doc(ids[k]));
+      }
+    } else {
+      EXPECT_EQ(r.payload, expected[i].payload);
+    }
+  }
+  EXPECT_EQ(harness.server().stats().sheds, 2u);
+}
+
+TEST(DocServerTest, AnswersNeverWaitOnAnotherConnectionsDecode) {
+  // Connection A's Get is held in a worker by a gated decode. A request
+  // on connection B, parsed in a later poll round, must be answered
+  // meanwhile: no coalescing window waits for an earlier one to finish.
+  const Collection collection = TestCollection(1 << 18, 17);
+  auto store = ShardedStore::Build(collection, {});
+  GatedArchive gated(store.get(), /*gated_id=*/0);
+  DocServiceOptions service_options;
+  service_options.num_threads = 2;
+  service_options.cache_bytes = 0;
+  DocService service(&gated, service_options);
+  DocServer server(&service);
+  ASSERT_TRUE(server.Start().ok());
+  ReleaseOnExit release_on_exit(&gated);
+
+  auto a = NetClient::Connect(server.port());
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  (*a)->SendGet(0);
+  ASSERT_TRUE((*a)->Flush().ok());
+  ASSERT_TRUE(gated.WaitEntered());  // A's op is submitted and decoding
+
+  // The receive deadline turns a server that holds B back into a
+  // failure rather than a hang.
+  NetClientOptions b_options;
+  b_options.deadline_ms = 5000;
+  auto b = NetClient::Connect(server.port(), b_options);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  auto doc = (*b)->Get(1);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(*doc, collection.doc(1));
+
+  gated.Release();
+  auto held = (*a)->Receive();
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  ASSERT_TRUE(held->ok());
+  EXPECT_EQ(held->payload, collection.doc(0));
+}
+
 TEST(NetClientTest, HungServerSurfacesDeadlineExceeded) {
   // A listener that never answers (connections sit in the accept
   // backlog): the client's receive deadline must fire instead of
@@ -976,8 +1105,8 @@ TEST(NetClientTest, HungServerSurfacesDeadlineExceeded) {
 }
 
 // ---------------------------------------------------------------------------
-// The BatchItem submission path the batcher uses (mixed whole-doc and
-// range requests in one ServeBatch).
+// The BatchItem submission path the server's loop uses (mixed whole-doc
+// and range requests in one ServeBatch).
 
 TEST(DocServiceBatchItemTest, MixedItemsMatchDirectCalls) {
   const Collection collection = TestCollection(1 << 20, 13);

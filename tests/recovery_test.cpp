@@ -38,21 +38,27 @@
 namespace rlz {
 namespace {
 
+// 2 KB documents, so even the 8 KB collections hold several of them
+// (the web style's 18 KB average would make them one document each).
 Collection TestCollection(size_t target_bytes, uint64_t seed) {
   CorpusOptions options;
   options.target_bytes = target_bytes;
   options.seed = seed;
+  options.avg_doc_bytes = 2 << 10;
   return GenerateCorpus(options).collection;
 }
 
 // A tiny live store, deterministic for a given collection: crash sweeps
-// rebuild it from scratch every iteration.
+// rebuild it from scratch every iteration. Two shards, so every sweep
+// and round trip covers a multi-shard manifest.
 std::unique_ptr<ShardedStore> TinyStore(const Collection& collection) {
   ShardedStoreOptions options;
   options.num_shards = 2;
   options.dict_bytes = 1 << 12;
   options.live.tail_seal_bytes = 0;  // tests seal explicitly
-  return ShardedStore::Build(collection, options);
+  auto store = ShardedStore::Build(collection, options);
+  EXPECT_EQ(store->num_shards(), 2);
+  return store;
 }
 
 // A fresh (empty) directory under the test temp root, on the real disk.

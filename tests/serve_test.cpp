@@ -6,7 +6,10 @@
 // threads hitting different blocks corrupted the single-block cache.
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "corpus/generator.h"
+#include "gated_archive.h"
 #include "io/sim_disk.h"
 #include "serve/doc_service.h"
 #include "serve/sharded_store.h"
@@ -871,6 +875,188 @@ TEST(DocServiceTest, SubmitAfterShutdownCompletesUnavailable) {
   // Post-shutdown rejections are not counted as served requests.
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.requests, 1u);
+}
+
+// Counts a batch's completion-hook calls and checks, at each, that every
+// result of the submission had already been delivered.
+class HookProbe {
+ public:
+  explicit HookProbe(ServeBatch* batch) : batch_(batch) {
+    batch_->set_on_done([this] {
+      for (const GetResult& r : batch_->results()) {
+        // A delivered result failed or carries bytes; the slot a
+        // submission resets is ok() with no bytes.
+        if (r.ok() && r.text == nullptr) all_delivered_.store(false);
+      }
+      fired_.fetch_add(1);
+    });
+  }
+
+  int fired() const { return fired_.load(); }
+  bool all_delivered() const { return all_delivered_.load(); }
+
+ private:
+  ServeBatch* batch_;
+  std::atomic<int> fired_{0};
+  std::atomic<bool> all_delivered_{true};
+};
+
+uint64_t SteadyNowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+TEST(ServeBatchTest, CompletionHookFiresOncePerSubmission) {
+  const Collection collection = TestCollection(1 << 18, 102);
+  auto store = ShardedStore::Build(collection, {});
+  constexpr size_t kGatedId = 0;
+  const std::vector<size_t> ids = {1, 2, 3};
+  std::vector<BatchItem> items(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) items[i].id = ids[i];
+
+  {
+    SCOPED_TRACE("all served");
+    DocServiceOptions options;
+    options.num_threads = 2;
+    DocService service(store.get(), options);
+    ServeBatch batch;
+    HookProbe probe(&batch);
+    service.SubmitBatch(ids, &batch);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ASSERT_TRUE(batch.Wait()[i].ok());
+      EXPECT_EQ(*batch.results()[i].text, collection.doc(ids[i]));
+    }
+    EXPECT_EQ(probe.fired(), 1);
+    EXPECT_TRUE(probe.all_delivered());
+    // A reused batch fires again, once, for its next submission.
+    service.SubmitBatch(ids, &batch);
+    batch.Wait();
+    EXPECT_EQ(probe.fired(), 2);
+  }
+  // The next two paths hold the only worker in a gated decode, so the
+  // queue state at submission is known.
+  DocServiceOptions gated_options;
+  gated_options.num_threads = 1;
+  gated_options.cache_bytes = 0;
+  gated_options.queue_depth = 2;  // best-effort share: one slot
+  gated_options.shed_queue_delay_us = 0;  // sheds come from the class cap
+  {
+    SCOPED_TRACE("best-effort shed at admission");
+    GatedArchive gated(store.get(), kGatedId);
+    DocService service(&gated, gated_options);
+    ReleaseOnExit release_on_exit(&gated);
+    std::future<GetResult> held = service.Get(kGatedId);
+    ASSERT_TRUE(gated.WaitEntered());
+    std::vector<BatchItem> bulk = items;
+    for (BatchItem& item : bulk) item.priority = RequestPriority::kBestEffort;
+    ServeBatch batch;
+    HookProbe probe(&batch);
+    service.SubmitBatch(bulk.data(), bulk.size(), &batch);
+    // Two items were shed inline; the queued one still holds the batch.
+    EXPECT_FALSE(batch.done());
+    EXPECT_EQ(probe.fired(), 0);
+    gated.Release();
+    size_t served = 0;
+    for (size_t i = 0; i < bulk.size(); ++i) {
+      const GetResult& r = batch.Wait()[i];
+      if (r.ok()) {
+        EXPECT_EQ(*r.text, collection.doc(ids[i]));
+        ++served;
+      } else {
+        EXPECT_EQ(r.status.code(), StatusCode::kUnavailable);
+      }
+    }
+    EXPECT_EQ(served, 1u);
+    EXPECT_EQ(probe.fired(), 1);
+    EXPECT_TRUE(probe.all_delivered());
+    EXPECT_EQ(service.Stats().shed, 2u);
+    ASSERT_TRUE(held.get().ok());
+  }
+  {
+    SCOPED_TRACE("expired in queue");
+    GatedArchive gated(store.get(), kGatedId);
+    DocService service(&gated, gated_options);
+    ReleaseOnExit release_on_exit(&gated);
+    std::future<GetResult> held = service.Get(kGatedId);
+    ASSERT_TRUE(gated.WaitEntered());
+    std::vector<BatchItem> timed = items;
+    timed.resize(1);  // the normal share is one slot too
+    timed[0].deadline_ns = SteadyNowNs() + 50'000'000;
+    ServeBatch batch;
+    HookProbe probe(&batch);
+    service.SubmitBatch(timed.data(), timed.size(), &batch);
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    EXPECT_EQ(probe.fired(), 0);
+    gated.Release();
+    EXPECT_EQ(batch.Wait()[0].status.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(probe.fired(), 1);
+    EXPECT_TRUE(probe.all_delivered());
+    EXPECT_EQ(service.Stats().expired, 1u);
+    ASSERT_TRUE(held.get().ok());
+  }
+  {
+    SCOPED_TRACE("submitted after Shutdown");
+    DocService service(store.get(), {});
+    service.Shutdown();
+    ServeBatch batch;
+    HookProbe probe(&batch);
+    service.SubmitBatch(ids, &batch);
+    // Every item completed inside SubmitBatch, on this thread.
+    EXPECT_TRUE(batch.done());
+    EXPECT_EQ(probe.fired(), 1);
+    EXPECT_TRUE(probe.all_delivered());
+    for (const GetResult& r : batch.Wait()) {
+      EXPECT_EQ(r.status.code(), StatusCode::kUnavailable);
+    }
+  }
+}
+
+TEST(ConcurrencyTest, ResubmitFromTheThreadTheHookWakes) {
+  // The event-loop pattern: a worker's hook wakes another thread, which
+  // reads the results and re-submits the same batch while the worker may
+  // still be inside it.
+  const Collection collection = TestCollection(1 << 18, 103);
+  auto store = ShardedStore::Build(collection, {});
+  DocServiceOptions options;
+  options.num_threads = 2;
+  DocService service(store.get(), options);
+  ServeBatch batch;
+  std::mutex mu;
+  std::condition_variable cv;
+  int signals = 0;
+  batch.set_on_done([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    ++signals;
+    cv.notify_one();
+  });
+  std::vector<size_t> ids(16);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = (i * 7) % collection.num_docs();
+  }
+  constexpr int kRounds = 50;
+  std::atomic<int> failures{0};
+  std::thread resubmitter([&] {
+    for (int round = 1; round <= kRounds; ++round) {
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return signals >= round; });
+      }
+      if (!batch.done()) ++failures;
+      for (size_t i = 0; i < ids.size(); ++i) {
+        const GetResult& r = batch.results()[i];
+        if (!r.ok() || *r.text != collection.doc(ids[i])) ++failures;
+      }
+      if (round < kRounds) service.SubmitBatch(ids, &batch);
+    }
+  });
+  service.SubmitBatch(ids, &batch);
+  resubmitter.join();
+  batch.Wait();
+  EXPECT_EQ(failures.load(), 0);
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(signals, kRounds);
 }
 
 TEST(ConcurrencyTest, ShutdownWhileSubmitting) {
