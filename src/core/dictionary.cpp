@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "io/file.h"
 #include "store/format.h"
 #include "util/logging.h"
 
@@ -33,14 +32,7 @@ Status Dictionary::Save(const std::string& path) const {
 
 StatusOr<std::unique_ptr<Dictionary>> Dictionary::Load(
     const std::string& path, bool build_suffix_array) {
-  RLZ_ASSIGN_OR_RETURN(std::string raw, ReadFile(path));
-  // Envelope files carry the container magic; anything else is a legacy
-  // bare-text dictionary (the pre-envelope Save wrote the raw text).
-  if (!LooksLikeEnvelope(raw)) {
-    return std::make_unique<Dictionary>(std::move(raw), build_suffix_array);
-  }
-  RLZ_ASSIGN_OR_RETURN(ParsedEnvelope envelope,
-                       ParsedEnvelope::FromBytes(std::move(raw), path));
+  RLZ_ASSIGN_OR_RETURN(ParsedEnvelope envelope, ReadEnvelopeFile(path));
   RLZ_RETURN_IF_ERROR(
       CheckEnvelopeFormat(envelope, kFormatId, kFormatVersion));
   // Zero-copy: the dictionary text aliases the loaded file bytes, which

@@ -61,16 +61,16 @@ class Dictionary {
 
   /// On-disk format id inside the container envelope ("dict").
   static constexpr char kFormatId[] = "dict";
-  /// Current format version. Version 1 is the legacy bare-text file
-  /// (no envelope), which Load still reads.
+  /// The format version Save writes and the only one Load reads.
   static constexpr uint32_t kFormatVersion = 2;
 
   /// Serializes the dictionary text in a container envelope
   /// (store/format.h). The suffix array is derived data and is rebuilt
   /// on load.
   Status Save(const std::string& path) const;
-  /// Loads a dictionary written by Save — or a legacy bare-text file —
-  /// and rebuilds its suffix array unless `build_suffix_array` is false.
+  /// Loads a dictionary written by Save and rebuilds its suffix array
+  /// unless `build_suffix_array` is false. Anything but an intact
+  /// envelope, bare text included, is Corruption.
   static StatusOr<std::unique_ptr<Dictionary>> Load(
       const std::string& path, bool build_suffix_array = true);
 

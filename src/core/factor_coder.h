@@ -83,7 +83,7 @@ class FactorCoder {
   /// a raw or compressed stream of kMaxZStreamBytes or more would be
   /// silently truncated to 32 bits in the stream headers and round-trip
   /// corrupt. Exposed so tests can exercise the guard without allocating
-  /// 4 GiB (the same pattern as RlzArchive::CheckFormatLimits).
+  /// 4 GiB.
   static Status CheckZStreamLimits(uint64_t raw_bytes, uint64_t z_bytes);
 
   /// Upper bound (exclusive) for CheckZStreamLimits: 4 GiB.

@@ -1,12 +1,8 @@
 #include "core/rlz_archive.h"
 
-#include <algorithm>
-
-#include "codecs/int_codecs.h"
 #include "io/file.h"
 #include "io/mmap_file.h"
 #include "store/format.h"
-#include "util/crc32.h"
 #include "util/logging.h"
 
 // RlzArchive::Build lives in src/build/archive_builder.cpp: it drives the
@@ -14,8 +10,6 @@
 
 namespace rlz {
 namespace {
-constexpr char kArchiveMagic[4] = {'R', 'L', 'Z', 'A'};
-constexpr uint8_t kLegacyArchiveVersion = 1;
 
 // Validates a (pos, len) coding byte pair through the name round-trip,
 // rejecting invalid enum bytes from crafted files.
@@ -42,24 +36,6 @@ std::unique_ptr<RlzArchive> RlzArchive::BuildFromFactors(
     archive->AppendEncodedDoc(factors);
   }
   return archive;
-}
-
-Status RlzArchive::CheckFormatLimits(uint64_t dict_bytes, uint64_t num_docs,
-                                     uint64_t max_doc_bytes) {
-  if (dict_bytes > kMaxFormatValue) {
-    return Status::InvalidArgument(
-        "rlz archive: dictionary exceeds the v1 format's 32-bit size field");
-  }
-  if (num_docs > kMaxFormatValue) {
-    return Status::InvalidArgument(
-        "rlz archive: document count exceeds the v1 format's 32-bit field");
-  }
-  if (max_doc_bytes > kMaxFormatValue) {
-    return Status::InvalidArgument(
-        "rlz archive: an encoded document exceeds the v1 format's 32-bit "
-        "size field");
-  }
-  return Status::OK();
 }
 
 std::string RlzArchive::Serialize() const {
@@ -112,117 +88,11 @@ StatusOr<std::unique_ptr<RlzArchive>> RlzArchive::FromEnvelope(
 StatusOr<std::unique_ptr<RlzArchive>> RlzArchive::Load(
     const std::string& path, const OpenOptions& options) {
   RLZ_ASSIGN_OR_RETURN(RawContainerFile raw, ReadContainerFile(path, options));
-  if (IsLegacyRlzV1(raw.view)) {
-    return LoadLegacyV1(std::string(raw.view), path, options);
-  }
   RLZ_ASSIGN_OR_RETURN(
       ParsedEnvelope envelope,
       ParsedEnvelope::FromView(raw.view, raw.owner, path));
   if (raw.map != nullptr) raw.map->Advise(MmapFile::Access::kRandom);
   return FromEnvelope(envelope, options);
-}
-
-Status RlzArchive::SaveLegacyV1(const std::string& path) const {
-  uint64_t max_doc_bytes = 0;
-  for (size_t i = 0; i < num_docs(); ++i) {
-    max_doc_bytes = std::max<uint64_t>(max_doc_bytes, map_.size(i));
-  }
-  RLZ_RETURN_IF_ERROR(
-      CheckFormatLimits(dict_->size(), num_docs(), max_doc_bytes));
-
-  std::string out;
-  out.append(kArchiveMagic, 4);
-  out.push_back(static_cast<char>(kLegacyArchiveVersion));
-  out.push_back(static_cast<char>(coder_.coding().pos));
-  out.push_back(static_cast<char>(coder_.coding().len));
-  VByteCodec::Put(static_cast<uint32_t>(dict_->size()), &out);
-  out.append(dict_->text());
-  VByteCodec::Put(static_cast<uint32_t>(num_docs()), &out);
-  for (size_t i = 0; i < num_docs(); ++i) {
-    VByteCodec::Put(static_cast<uint32_t>(map_.size(i)), &out);
-  }
-  out.append(payload());
-  const uint32_t crc = Crc32(out);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
-  }
-  return WriteFile(path, out);
-}
-
-StatusOr<std::unique_ptr<RlzArchive>> RlzArchive::LoadLegacyV1(
-    std::string raw_bytes, const std::string& path,
-    const OpenOptions& options) {
-  // The file bytes move into a shared backing so the dictionary and the
-  // payload can alias them zero-copy, exactly as the envelope path does.
-  auto backing = std::make_shared<const std::string>(std::move(raw_bytes));
-  const std::string& raw = *backing;
-  if (raw.size() < 11 ||
-      std::string_view(raw.data(), 4) != std::string_view(kArchiveMagic, 4)) {
-    return Status::Corruption("rlz archive: bad magic in " + path);
-  }
-  uint32_t want_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    want_crc |= static_cast<uint32_t>(
-                    static_cast<uint8_t>(raw[raw.size() - 4 + i]))
-                << (8 * i);
-  }
-  if (Crc32(raw.data(), raw.size() - 4) != want_crc) {
-    return Status::Corruption("rlz archive: checksum mismatch in " + path);
-  }
-  size_t pos = 4;
-  const uint8_t version = static_cast<uint8_t>(raw[pos++]);
-  if (version != kLegacyArchiveVersion) {
-    return Status::Corruption("rlz archive: unsupported version");
-  }
-  PairCoding coding;
-  RLZ_RETURN_IF_ERROR(ValidateCoding(static_cast<uint8_t>(raw[pos]),
-                                     static_cast<uint8_t>(raw[pos + 1]),
-                                     &coding));
-  pos += 2;
-
-  // Everything before the 4-byte CRC trailer is header + payload; the
-  // size-11 check above guarantees payload_end >= pos here. All subsequent
-  // reads must stay below payload_end — vbyte reads are bounds-checked
-  // against the full buffer, so without these explicit checks a truncated
-  // size table would silently consume the CRC trailer.
-  const size_t payload_end = raw.size() - 4;
-
-  uint32_t dict_size = 0;
-  RLZ_RETURN_IF_ERROR(VByteCodec::Get(raw, &pos, &dict_size));
-  if (pos > payload_end || dict_size > payload_end - pos) {
-    return Status::Corruption("rlz archive: truncated dictionary");
-  }
-  auto dict = std::make_shared<const Dictionary>(
-      std::string_view(raw).substr(pos, dict_size), backing,
-      options.build_suffix_array);
-  pos += dict_size;
-
-  uint32_t ndocs = 0;
-  RLZ_RETURN_IF_ERROR(VByteCodec::Get(raw, &pos, &ndocs));
-  // Each size-table entry occupies at least one byte, so ndocs can never
-  // exceed the bytes left before the trailer; checking before the
-  // allocation below keeps a crafted count from forcing a huge allocation.
-  if (pos > payload_end || ndocs > payload_end - pos) {
-    return Status::Corruption("rlz archive: document count exceeds file");
-  }
-  std::unique_ptr<RlzArchive> archive(
-      new RlzArchive(std::move(dict), coding));
-  uint64_t payload_size = 0;
-  std::vector<uint32_t> sizes(ndocs);
-  for (uint32_t i = 0; i < ndocs; ++i) {
-    RLZ_RETURN_IF_ERROR(VByteCodec::Get(raw, &pos, &sizes[i]));
-    payload_size += sizes[i];
-  }
-  if (pos > payload_end) {
-    return Status::Corruption("rlz archive: truncated size table");
-  }
-  if (payload_end - pos != payload_size) {
-    return Status::Corruption("rlz archive: payload size mismatch");
-  }
-  for (uint32_t i = 0; i < ndocs; ++i) archive->map_.Add(sizes[i]);
-  archive->backing_ = backing;
-  archive->payload_view_ = std::string_view(raw).substr(pos, payload_size);
-  return archive;
 }
 
 Status RlzArchive::Get(size_t id, std::string* doc, SimDisk* disk,

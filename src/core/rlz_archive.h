@@ -2,7 +2,7 @@
 #define RLZ_CORE_RLZ_ARCHIVE_H_
 
 /// \file
-/// The RLZ document store: build options, the archive, and its v1 file format.
+/// The RLZ document store: build options, the archive, and its file format.
 
 #include <memory>
 #include <string>
@@ -122,26 +122,12 @@ class RlzArchive final : public Archive {
 
   /// On-disk format id inside the container envelope ("rlz").
   static constexpr char kFormatId[] = "rlz";
-  /// Current format version. Version 1 is the legacy pre-envelope layout,
-  /// which Load and OpenArchive still read (see LoadLegacyV1).
+  /// The format version Save writes and the only one Load reads.
   static constexpr uint32_t kFormatVersion = 2;
 
-  /// The legacy v1 file format stores the dictionary size, document count,
-  /// and per-document payload sizes as 32-bit vbytes. The v2 envelope
-  /// format is 64-bit clean and has no such ceiling.
-  static constexpr uint64_t kMaxFormatValue = 0xFFFFFFFFull;
-
-  /// Rejects archives the legacy v1 format cannot represent: a dictionary,
-  /// document count, or single encoded document of more than
-  /// kMaxFormatValue bytes would otherwise be truncated to 32 bits on
-  /// SaveLegacyV1 and round-trip corrupt under a valid CRC. Exposed so
-  /// tests can exercise the guard without allocating 4 GiB.
-  static Status CheckFormatLimits(uint64_t dict_bytes, uint64_t num_docs,
-                                  uint64_t max_doc_bytes);
-
   /// Serializes the archive (coding, dictionary text, document map,
-  /// payload) as a format-v2 container envelope (store/format.h). The
-  /// suffix array is derived data and rebuilt on load.
+  /// payload) as a container envelope (store/format.h). The suffix array
+  /// is derived data and rebuilt on load.
   Status Save(const std::string& path) const override;
 
   /// The complete container bytes Save would write — for callers that
@@ -150,30 +136,19 @@ class RlzArchive final : public Archive {
   /// barriers; DESIGN.md §12).
   std::string Serialize() const;
 
-  /// Writes the pre-envelope v1 layout. Retained so read-compat with
-  /// files written by older builds stays testable; new code uses Save.
-  /// Returns InvalidArgument if the archive exceeds the v1 format limits
-  /// (see CheckFormatLimits).
-  Status SaveLegacyV1(const std::string& path) const;
-
-  /// Opens an archive written by Save (either the v2 envelope or the
-  /// legacy v1 layout). Returns Corruption on format or checksum errors.
+  /// Opens an archive written by Save. Returns Corruption on format or
+  /// checksum errors and InvalidArgument for another format or version.
   /// A serving-only caller passes OpenOptions::build_suffix_array = false
   /// to skip the dictionary suffix-array rebuild (Get/GetRange never use
   /// it; only factorizing new documents does).
   static StatusOr<std::unique_ptr<RlzArchive>> Load(
       const std::string& path, const OpenOptions& options = {});
 
-  /// Materializes an archive from a parsed v2 envelope — the OpenArchive
+  /// Materializes an archive from a parsed envelope — the OpenArchive
   /// registry hook. Fails with InvalidArgument if the envelope is not a
   /// readable "rlz" container.
   static StatusOr<std::unique_ptr<RlzArchive>> FromEnvelope(
       const ParsedEnvelope& envelope, const OpenOptions& options);
-
-  /// Parses the pre-envelope v1 layout from `raw` (the whole file's
-  /// bytes; `path` is used in error messages only).
-  static StatusOr<std::unique_ptr<RlzArchive>> LoadLegacyV1(
-      std::string raw, const std::string& path, const OpenOptions& options);
 
  private:
   /// The streaming builder (src/build/) appends encoded documents and

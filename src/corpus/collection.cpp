@@ -1,16 +1,11 @@
 #include "corpus/collection.h"
 
-#include "codecs/int_codecs.h"
-#include "io/file.h"
 #include "store/format.h"
 
 namespace rlz {
 namespace {
-// The pre-envelope collection file: "RCO1", vbyte doc count, vbyte32
-// per-doc sizes, raw data. Still readable; Save writes the envelope.
-constexpr char kLegacyMagic[4] = {'R', 'C', 'O', '1'};
 constexpr char kFormatId[] = "collection";
-constexpr uint32_t kFormatVersion = 2;  // v1 == the legacy RCO1 layout
+constexpr uint32_t kFormatVersion = 2;
 }  // namespace
 
 Status Collection::Save(const std::string& path) const {
@@ -23,45 +18,8 @@ Status Collection::Save(const std::string& path) const {
   return std::move(writer).WriteTo(path);
 }
 
-namespace {
-
-StatusOr<Collection> LoadLegacy(const std::string& raw,
-                                const std::string& path) {
-  size_t pos = 4;
-  uint32_t ndocs = 0;
-  RLZ_RETURN_IF_ERROR(VByteCodec::Get(raw, &pos, &ndocs));
-  if (ndocs > raw.size() - pos) {
-    return Status::Corruption("collection: document count exceeds " + path);
-  }
-  std::vector<uint32_t> sizes(ndocs);
-  uint64_t total = 0;
-  for (uint32_t i = 0; i < ndocs; ++i) {
-    RLZ_RETURN_IF_ERROR(VByteCodec::Get(raw, &pos, &sizes[i]));
-    total += sizes[i];
-  }
-  if (raw.size() - pos != total) {
-    return Status::Corruption("collection: size mismatch in " + path);
-  }
-  Collection c;
-  c.Reserve(total, ndocs);
-  size_t off = pos;
-  for (uint32_t i = 0; i < ndocs; ++i) {
-    c.Append(std::string_view(raw).substr(off, sizes[i]));
-    off += sizes[i];
-  }
-  return c;
-}
-
-}  // namespace
-
 StatusOr<Collection> Collection::Load(const std::string& path) {
-  RLZ_ASSIGN_OR_RETURN(std::string raw, ReadFile(path));
-  if (raw.size() >= 4 && std::string_view(raw.data(), 4) ==
-                             std::string_view(kLegacyMagic, 4)) {
-    return LoadLegacy(raw, path);
-  }
-  RLZ_ASSIGN_OR_RETURN(ParsedEnvelope envelope,
-                       ParsedEnvelope::FromBytes(std::move(raw), path));
+  RLZ_ASSIGN_OR_RETURN(ParsedEnvelope envelope, ReadEnvelopeFile(path));
   RLZ_RETURN_IF_ERROR(
       CheckEnvelopeFormat(envelope, kFormatId, kFormatVersion));
   EnvelopeReader reader = envelope.reader();

@@ -50,8 +50,9 @@ class Collection {
   /// Serializes to a container envelope (store/format.h): per-doc sizes
   /// then the raw data, CRC-protected.
   Status Save(const std::string& path) const;
-  /// Loads a collection written by Save — the envelope, or the legacy
-  /// pre-envelope "RCO1" layout, which remains readable.
+  /// Loads a collection written by Save. Returns Corruption for anything
+  /// but an intact envelope, InvalidArgument for another format id or
+  /// version.
   static StatusOr<Collection> Load(const std::string& path);
 
   /// Reserves capacity to avoid reallocation while generating.

@@ -85,11 +85,6 @@ class BoundedRequestQueue {
     }
   }
 
-  /// Convenience: one capacity shared by every class (legacy shape used
-  /// by tests; the service passes per-class shares).
-  explicit BoundedRequestQueue(size_t capacity)
-      : BoundedRequestQueue({capacity, capacity, capacity}) {}
-
   BoundedRequestQueue(const BoundedRequestQueue&) = delete;
   BoundedRequestQueue& operator=(const BoundedRequestQueue&) = delete;
 

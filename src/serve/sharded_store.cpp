@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "build/archive_builder.h"
@@ -39,75 +38,24 @@ void SplitPath(const std::string& path, std::string* dir,
   }
 }
 
-// Serializes a FactorStats triple as three varints.
-void PutStats(const FactorStats& stats, EnvelopeWriter* writer) {
-  writer->PutVarint64(stats.num_factors);
-  writer->PutVarint64(stats.num_literals);
-  writer->PutVarint64(stats.text_bytes);
-}
-
-Status ReadStats(EnvelopeReader* reader, FactorStats* stats) {
-  RLZ_RETURN_IF_ERROR(reader->ReadVarint64(&stats->num_factors));
-  RLZ_RETURN_IF_ERROR(reader->ReadVarint64(&stats->num_literals));
-  return reader->ReadVarint64(&stats->text_bytes);
-}
-
-// A double round-trips through its IEEE-754 bit pattern (varint-encoded;
-// small fractions have high-entropy mantissas, but the manifest is tiny).
-uint64_t DoubleBits(double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-double DoubleFromBits(uint64_t bits) {
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-// Serializes a tombstone bitmap as a count plus the ascending set-bit
-// indices (sparse: deletes are rare relative to documents). A null bitmap
-// writes count 0.
-void PutTombstones(const Bitmap* bm, EnvelopeWriter* writer) {
-  if (bm == nullptr) {
-    writer->PutVarint64(0);
-    return;
-  }
-  writer->PutVarint64(bm->CountSet());
+// The ascending positions of `bm`'s set bits (none for a null bitmap).
+std::vector<uint64_t> SetBits(const Bitmap* bm) {
+  std::vector<uint64_t> ids;
+  if (bm == nullptr) return ids;
   for (size_t i = 0; i < bm->size(); ++i) {
-    if (bm->Test(i)) writer->PutVarint64(i);
+    if (bm->Test(i)) ids.push_back(i);
   }
+  return ids;
 }
 
-// Reads a tombstone section back into a bitmap over `bits` bits (null
-// when the section is empty). Rejects out-of-range or non-ascending
-// indices as Corruption.
-Status ReadTombstones(EnvelopeReader* reader, size_t bits,
-                      const std::string& context,
-                      std::shared_ptr<const Bitmap>* out) {
-  uint64_t count = 0;
-  RLZ_RETURN_IF_ERROR(reader->ReadVarint64(&count));
-  if (count == 0) {
-    out->reset();
-    return Status::OK();
-  }
-  if (count > bits || count > reader->remaining()) {
-    return Status::Corruption(context + ": bad tombstone count");
-  }
+// A `bits`-wide bitmap with `ids` set (each < bits); null when `ids` is
+// empty.
+std::shared_ptr<const Bitmap> BitmapOf(const std::vector<uint64_t>& ids,
+                                       size_t bits) {
+  if (ids.empty()) return nullptr;
   Bitmap bm(bits);
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t index = 0;
-    RLZ_RETURN_IF_ERROR(reader->ReadVarint64(&index));
-    if (index >= bits || (i > 0 && index <= prev)) {
-      return Status::Corruption(context + ": bad tombstone index");
-    }
-    bm.Set(static_cast<size_t>(index));
-    prev = index;
-  }
-  *out = std::make_shared<const Bitmap>(std::move(bm));
-  return Status::OK();
+  for (uint64_t id : ids) bm.Set(static_cast<size_t>(id));
+  return std::make_shared<const Bitmap>(std::move(bm));
 }
 
 // Builder options of the live store's seals and compaction rebuilds:
@@ -205,7 +153,6 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
 
   // Health bookkeeping: per-shard stats/coverage plus the store-wide
   // baseline the staleness trigger compares against.
-  store->generations_.assign(nshards, 0);
   store->tombstones_.assign(nshards, nullptr);
   store->shard_files_.assign(nshards, std::string());
   store->meta_.resize(nshards);
@@ -251,7 +198,10 @@ void ShardedStore::PublishLocked() {
   auto next = std::shared_ptr<CorpusEpoch>(new CorpusEpoch());
   next->sequence_ = next_sequence_++;
   next->shards_ = shards_;
-  next->generations_ = generations_;
+  next->generations_.reserve(meta_.size());
+  for (const ShardHealth& health : meta_) {
+    next->generations_.push_back(health.generation);
+  }
   next->router_ = router_;
   next->tombstones_ = tombstones_;
   next->tail_tombstones_ = tail_tombstones_;
@@ -293,13 +243,7 @@ bool ShardedStore::IsLive(size_t id) const {
 ShardHealth ShardedStore::shard_health(int s) const {
   std::lock_guard<std::mutex> lock(writer_mu_);
   RLZ_CHECK_LT(static_cast<size_t>(s), meta_.size());
-  const ShardMeta& meta = meta_[static_cast<size_t>(s)];
-  ShardHealth health;
-  health.generation = meta.generation;
-  health.tombstoned_payload_bytes = meta.tombstoned_payload_bytes;
-  health.unused_dict_fraction = meta.unused_dict_fraction;
-  health.stats = meta.stats;
-  return health;
+  return meta_[static_cast<size_t>(s)];
 }
 
 FactorStats ShardedStore::baseline_stats() const {
@@ -321,8 +265,8 @@ StatusOr<size_t> ShardedStore::Append(std::string_view doc) {
   if (append_dict_ == nullptr || !append_dict_->has_matcher()) {
     // Gate up front so Append fails cleanly on serving-only opens.
     return Status::InvalidArgument(
-        "sharded store: no append dictionary (v1 manifest or serving-only "
-        "open); appends are disabled");
+        "sharded store: no append dictionary (serving-only open); appends "
+        "are disabled");
   }
   const size_t id = ApplyAppendLocked(doc);
   // Log before publish: once the epoch containing this document is
@@ -383,7 +327,7 @@ Status ShardedStore::ApplySealLocked() {
   // Health record for the new shard; tail documents deleted before the
   // seal carry their tombstones (and their now-stored-but-dead encoded
   // bytes) into the sealed shard.
-  ShardMeta meta;
+  ShardHealth meta;
   meta.stats = report.stats;
   meta.unused_dict_fraction = report.unused_dictionary_fraction;
   if (tail_tombstones_ != nullptr) {
@@ -403,7 +347,6 @@ Status ShardedStore::ApplySealLocked() {
   starts.push_back(router_->num_docs() + tail_docs_.size());
 
   shards_.push_back(std::move(sealed));
-  generations_.push_back(0);
   shard_files_.emplace_back();  // no checkpoint holds it yet
   meta_.push_back(meta);
   // The tail bitmap is lazily sized to the tail length at its last
@@ -617,10 +560,9 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
     report.bytes_before = shards_[victim]->stored_bytes();
     report.bytes_after = rebuilt->stored_bytes();
     shards_[victim] = std::move(rebuilt);
-    generations_[victim] += 1;
     shard_files_[victim].clear();  // the next checkpoint writes the rewrite
-    ShardMeta& meta = meta_[victim];
-    meta.generation = generations_[victim];
+    ShardHealth& meta = meta_[victim];
+    meta.generation += 1;
     meta.stats = rebuild_report.stats;
     meta.unused_dict_fraction = rebuild_report.unused_dictionary_fraction;
     meta.tombstoned_payload_bytes = 0;
@@ -634,7 +576,7 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
         if (!reclaimed) meta.tombstoned_payload_bytes += map.size(i);
       }
     }
-    report.generation = generations_[victim];
+    report.generation = meta.generation;
     PublishLocked();
     durable = wal_ != nullptr;
   }
@@ -698,203 +640,69 @@ void ShardedStore::CompactorLoop(std::chrono::milliseconds interval) {
 
 // --- Persistence ----------------------------------------------------------
 
+Manifest ShardedStore::ManifestLocked(
+    std::shared_ptr<const CorpusEpoch>* snapshot) const {
+  // The epoch pins the shards, tombstones and tail; the health records
+  // are copied under the writer lock that every mutation holds while
+  // publishing, so both describe the same state.
+  {
+    std::lock_guard<std::mutex> epoch_lock(epoch_mu_);
+    *snapshot = epoch_;
+  }
+  const CorpusEpoch& epoch = **snapshot;
+  Manifest manifest;
+  manifest.sequence = epoch.sequence();
+  manifest.router = epoch.router_ptr();
+  manifest.health = meta_;
+  manifest.baseline = baseline_stats_;
+  for (int s = 0; s < epoch.num_shards(); ++s) {
+    manifest.tombstones.push_back(SetBits(epoch.tombstones(s)));
+  }
+  manifest.tail_tombstones = SetBits(epoch.tail_tombstones());
+  if (epoch.tail() != nullptr) manifest.tail_docs = epoch.tail()->docs;
+  if (append_dict_ != nullptr) {
+    manifest.append_dict_text.assign(append_dict_->text());
+  }
+  return manifest;
+}
+
 Status ShardedStore::Save(const std::string& path) const {
-  // A consistent snapshot: the epoch pins the shards/tombstones/tail, and
-  // the health records are copied under the same writer lock that every
-  // mutation holds while publishing.
   std::shared_ptr<const CorpusEpoch> snapshot;
-  std::vector<ShardMeta> meta;
-  FactorStats baseline;
-  std::string append_dict_text;
+  Manifest manifest;
   {
     std::lock_guard<std::mutex> lock(writer_mu_);
-    {
-      std::lock_guard<std::mutex> epoch_lock(epoch_mu_);
-      snapshot = epoch_;
-    }
-    meta = meta_;
-    baseline = baseline_stats_;
-    if (append_dict_ != nullptr) {
-      append_dict_text.assign(append_dict_->text());
-    }
+    manifest = ManifestLocked(&snapshot);
   }
 
   std::string dir;
   std::string base;
   SplitPath(path, &dir, &base);
-  const size_t nshards = static_cast<size_t>(snapshot->num_shards());
   // Shards first, manifest last: a torn save leaves orphan shard files,
   // never a manifest that names missing ones.
-  std::vector<std::string> shard_names(nshards);
-  for (size_t s = 0; s < nshards; ++s) {
-    shard_names[s] = ShardFileName(base, s);
+  for (int s = 0; s < snapshot->num_shards(); ++s) {
+    manifest.shard_names.push_back(
+        ShardFileName(base, static_cast<size_t>(s)));
     RLZ_RETURN_IF_ERROR(
-        snapshot->shard(static_cast<int>(s)).Save(dir + shard_names[s]));
+        snapshot->shard(s).Save(dir + manifest.shard_names.back()));
   }
-  return WriteFile(path, SerializeManifest(*snapshot, meta, baseline,
-                                           append_dict_text, shard_names));
-}
-
-std::string ShardedStore::SerializeManifest(
-    const CorpusEpoch& snapshot, const std::vector<ShardMeta>& meta,
-    const FactorStats& baseline, std::string_view append_dict_text,
-    const std::vector<std::string>& shard_names) {
-  const size_t nshards = static_cast<size_t>(snapshot.num_shards());
-  EnvelopeWriter writer(kFormatId, kFormatVersion);
-  // The v1-compatible prefix: shard count, boundaries, shard file names.
-  writer.PutVarint64(nshards);
-  for (size_t s = 0; s <= nshards; ++s) {
-    writer.PutVarint64(snapshot.router().start(s));
-  }
-  for (size_t s = 0; s < nshards; ++s) {
-    writer.PutLengthPrefixed(shard_names[s]);
-  }
-  // v2 sections: the epoch and its mutation state.
-  writer.PutVarint64(snapshot.sequence());
-  for (size_t s = 0; s < nshards; ++s) {
-    writer.PutVarint64(snapshot.shard_generation(static_cast<int>(s)));
-    writer.PutVarint64(meta[s].tombstoned_payload_bytes);
-    writer.PutVarint64(DoubleBits(meta[s].unused_dict_fraction));
-    PutStats(meta[s].stats, &writer);
-  }
-  PutStats(baseline, &writer);
-  for (size_t s = 0; s < nshards; ++s) {
-    PutTombstones(snapshot.tombstones(static_cast<int>(s)), &writer);
-  }
-  PutTombstones(snapshot.tail_tombstones(), &writer);
-  const TailSegment* tail = snapshot.tail();
-  writer.PutVarint64(tail == nullptr ? 0 : tail->docs.size());
-  if (tail != nullptr) {
-    for (const auto& doc : tail->docs) writer.PutLengthPrefixed(*doc);
-  }
-  writer.PutLengthPrefixed(append_dict_text);
-  return std::move(writer).Seal();
+  return WriteFile(path, manifest.Encode());
 }
 
 StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromEnvelope(
     const ParsedEnvelope& envelope, const std::string& path,
     const OpenOptions& options) {
-  return FromManifest(envelope, path, options, /*shard_names=*/nullptr);
+  RLZ_ASSIGN_OR_RETURN(Manifest manifest, Manifest::Parse(envelope));
+  return FromManifest(std::move(manifest), path, options);
 }
 
 StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
-    const ParsedEnvelope& envelope, const std::string& path,
-    const OpenOptions& options, std::vector<std::string>* shard_names) {
-  RLZ_RETURN_IF_ERROR(
-      CheckEnvelopeFormat(envelope, kFormatId, kFormatVersion));
-  EnvelopeReader reader = envelope.reader();
-
-  uint64_t nshards = 0;
-  RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&nshards));
-  if (nshards == 0 || nshards > reader.remaining()) {
-    return Status::Corruption(envelope.context() +
-                              ": bad manifest shard count");
-  }
-  std::unique_ptr<ShardedStore> store(new ShardedStore());
-  std::vector<size_t> starts(nshards + 1);
-  for (size_t s = 0; s <= nshards; ++s) {
-    uint64_t start = 0;
-    RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&start));
-    starts[s] = start;
-    if ((s == 0 && start != 0) || (s > 0 && start < starts[s - 1])) {
-      return Status::Corruption(envelope.context() +
-                                ": manifest boundaries not monotone");
-    }
-  }
-  store->router_ = std::make_shared<const ShardRouter>(std::move(starts));
+    Manifest manifest, const std::string& path, const OpenOptions& options) {
   std::string dir;
   std::string base;
   SplitPath(path, &dir, &base);
-  std::vector<std::string> shard_paths(nshards);
-  for (size_t s = 0; s < nshards; ++s) {
-    std::string_view name;
-    RLZ_RETURN_IF_ERROR(reader.ReadLengthPrefixed(&name));
-    if (name.empty() || name.find('/') != std::string_view::npos) {
-      return Status::Corruption(envelope.context() +
-                                ": manifest shard name must be a sibling "
-                                "file name");
-    }
-    shard_paths[s] = dir + std::string(name);
-    if (shard_names != nullptr) shard_names->emplace_back(name);
-  }
-
-  // v2 sections: epoch sequence, per-shard health, tombstones, the raw
-  // open tail, and the append dictionary. A v1 manifest is a build-once
-  // snapshot: sequence 0, generation 0, nothing deleted, empty tail, no
-  // append dictionary (appends disabled until rebuilt).
-  store->generations_.assign(nshards, 0);
-  store->tombstones_.assign(nshards, nullptr);
-  store->shard_files_.assign(nshards, std::string());
-  store->meta_.resize(nshards);
-  uint64_t sequence = 0;
-  std::string_view append_dict_text;
-  if (envelope.version() >= 2) {
-    RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&sequence));
-    for (size_t s = 0; s < nshards; ++s) {
-      RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&store->generations_[s]));
-      ShardMeta& meta = store->meta_[s];
-      meta.generation = store->generations_[s];
-      RLZ_RETURN_IF_ERROR(
-          reader.ReadVarint64(&meta.tombstoned_payload_bytes));
-      uint64_t fraction_bits = 0;
-      RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&fraction_bits));
-      meta.unused_dict_fraction = DoubleFromBits(fraction_bits);
-      RLZ_RETURN_IF_ERROR(ReadStats(&reader, &meta.stats));
-    }
-    RLZ_RETURN_IF_ERROR(ReadStats(&reader, &store->baseline_stats_));
-    for (size_t s = 0; s < nshards; ++s) {
-      const size_t shard_docs =
-          store->router_->start(s + 1) - store->router_->start(s);
-      RLZ_RETURN_IF_ERROR(ReadTombstones(&reader, shard_docs,
-                                         envelope.context(),
-                                         &store->tombstones_[s]));
-      if (store->tombstones_[s] != nullptr) {
-        store->deleted_docs_ += store->tombstones_[s]->CountSet();
-      }
-    }
-    uint64_t tail_count = 0;
-    {
-      // The tail tombstone section precedes the tail documents, so its
-      // bitmap bound comes from the doc count read after it; parse the
-      // raw section first and validate once the count is known.
-      std::shared_ptr<const Bitmap> tail_tombstones;
-      // A tail bitmap can never address more docs than bytes remain in
-      // the body (each doc costs at least one length byte).
-      RLZ_RETURN_IF_ERROR(ReadTombstones(&reader, reader.remaining(),
-                                         envelope.context(),
-                                         &tail_tombstones));
-      RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&tail_count));
-      if (tail_count > reader.remaining()) {
-        return Status::Corruption(envelope.context() +
-                                  ": bad manifest tail count");
-      }
-      if (tail_tombstones != nullptr &&
-          tail_tombstones->size() > 0) {
-        // Re-bound the bitmap against the real tail size.
-        uint64_t max_index = 0;
-        for (size_t i = 0; i < tail_tombstones->size(); ++i) {
-          if (tail_tombstones->Test(i)) max_index = i;
-        }
-        if (max_index >= tail_count) {
-          return Status::Corruption(envelope.context() +
-                                    ": tail tombstone out of range");
-        }
-        store->deleted_docs_ += tail_tombstones->CountSet();
-      }
-      store->tail_tombstones_ = std::move(tail_tombstones);
-    }
-    store->tail_docs_.reserve(tail_count);
-    for (uint64_t i = 0; i < tail_count; ++i) {
-      std::string_view doc;
-      RLZ_RETURN_IF_ERROR(reader.ReadLengthPrefixed(&doc));
-      store->tail_docs_.push_back(
-          std::make_shared<const std::string>(doc));
-      store->tail_bytes_ += doc.size();
-    }
-    RLZ_RETURN_IF_ERROR(reader.ReadLengthPrefixed(&append_dict_text));
-  }
-  RLZ_RETURN_IF_ERROR(reader.ExpectConsumed());
-  store->next_sequence_ = sequence;
+  const ShardRouter& router = *manifest.router;
+  const size_t nshards = router.num_shards();
+  std::unique_ptr<ShardedStore> store(new ShardedStore());
 
   // Shard files open in parallel: each is an independent rlz container.
   // No shard gets a suffix array, on any open: the store never
@@ -905,19 +713,18 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   OpenOptions shard_options = options;
   shard_options.build_suffix_array = false;
   BuildPipelineOptions pipeline_options;
-  // `nshards` comes from the (untrusted, CRC-valid) manifest: the default
-  // thread count is capped at the process's CPUs so a crafted count
-  // cannot fan out thousands of threads — the per-shard opens then fail
-  // cleanly on the missing files.
-  pipeline_options.num_threads = static_cast<int>(std::min<uint64_t>(
-      nshards, options.open_threads > 0
-                   ? static_cast<uint64_t>(options.open_threads)
-                   : static_cast<uint64_t>(AvailableCpus())));
+  // `nshards` comes from the (untrusted, CRC-valid) manifest: the worker
+  // count is capped at the process's CPUs so a crafted count cannot fan
+  // out thousands of threads — the per-shard opens then fail cleanly on
+  // the missing files.
+  pipeline_options.num_threads = static_cast<int>(
+      std::min<size_t>(nshards, static_cast<size_t>(AvailableCpus())));
   BuildPipeline pipeline(pipeline_options);
   for (size_t s = 0; s < nshards; ++s) {
     pipeline.Submit(
         [&, s](int) {
-          auto shard = RlzArchive::Load(shard_paths[s], shard_options);
+          auto shard =
+              RlzArchive::Load(dir + manifest.shard_names[s], shard_options);
           if (shard.ok()) {
             store->shards_[s] = std::move(shard).value();
           } else {
@@ -930,14 +737,28 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   for (const Status& status : statuses) {
     RLZ_RETURN_IF_ERROR(status);
   }
+  store->tombstones_.resize(nshards);
   for (size_t s = 0; s < nshards; ++s) {
-    if (store->shards_[s]->num_docs() !=
-        store->router_->start(s + 1) - store->router_->start(s)) {
-      return Status::Corruption(shard_paths[s] +
+    const size_t shard_docs = router.start(s + 1) - router.start(s);
+    if (store->shards_[s]->num_docs() != shard_docs) {
+      return Status::Corruption(dir + manifest.shard_names[s] +
                                 ": shard document count disagrees with "
                                 "the manifest");
     }
+    store->tombstones_[s] = BitmapOf(manifest.tombstones[s], shard_docs);
+    store->deleted_docs_ += manifest.tombstones[s].size();
   }
+
+  store->router_ = std::move(manifest.router);
+  store->shard_files_.assign(nshards, std::string());
+  store->meta_ = std::move(manifest.health);
+  store->baseline_stats_ = manifest.baseline;
+  store->next_sequence_ = manifest.sequence;
+  store->tail_tombstones_ =
+      BitmapOf(manifest.tail_tombstones, manifest.tail_docs.size());
+  store->deleted_docs_ += manifest.tail_tombstones.size();
+  for (const auto& doc : manifest.tail_docs) store->tail_bytes_ += doc->size();
+  store->tail_docs_ = std::move(manifest.tail_docs);
 
   // Restore the mutation path: the coding comes from shard 0 (every shard
   // encodes with the same pair) and the append dictionary from its
@@ -947,9 +768,9 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   store->options_.coding = store->shards_[0]->coder().coding();
   store->shard_dict_bytes_ =
       std::max<uint64_t>(1, store->shards_[0]->dictionary().size());
-  if (!append_dict_text.empty()) {
+  if (!manifest.append_dict_text.empty()) {
     store->append_dict_ = std::make_shared<const Dictionary>(
-        std::string(append_dict_text), options.build_suffix_array);
+        std::move(manifest.append_dict_text), options.build_suffix_array);
   }
   {
     std::lock_guard<std::mutex> lock(store->writer_mu_);
@@ -1013,10 +834,7 @@ Status ShardedStore::Checkpoint() {
   // sync-and-roll plus the snapshot copy below, not for the shard writes.
   std::lock_guard<std::mutex> checkpoint_lock(checkpoint_mu_);
   std::shared_ptr<const CorpusEpoch> snapshot;
-  std::vector<ShardMeta> meta;
-  FactorStats baseline;
-  std::string append_dict_text;
-  std::vector<std::string> shard_names;
+  Manifest manifest;
   uint64_t generation = 0;
   uint64_t covered = 0;
   {
@@ -1030,16 +848,8 @@ Status ShardedStore::Checkpoint() {
     generation = checkpoint_generation_ + 1;
     covered = wal_->next_lsn();
     RLZ_RETURN_IF_ERROR(wal_->Roll(generation));
-    {
-      std::lock_guard<std::mutex> epoch_lock(epoch_mu_);
-      snapshot = epoch_;
-    }
-    meta = meta_;
-    baseline = baseline_stats_;
-    if (append_dict_ != nullptr) {
-      append_dict_text.assign(append_dict_->text());
-    }
-    shard_names = shard_files_;
+    manifest = ManifestLocked(&snapshot);
+    manifest.shard_names = shard_files_;
   }
 
   // Write-new: every new file lands under the next generation, fsync'd,
@@ -1049,6 +859,7 @@ Status ShardedStore::Checkpoint() {
   // names that file again instead of rewriting it (DESIGN.md §12).
   const std::string manifest_name =
       wal::CheckpointManifestFileName(generation);
+  std::vector<std::string>& shard_names = manifest.shard_names;
   const size_t nshards = static_cast<size_t>(snapshot->num_shards());
   RLZ_CHECK_EQ(shard_names.size(), nshards);
   for (size_t s = 0; s < nshards; ++s) {
@@ -1058,10 +869,8 @@ Status ShardedStore::Checkpoint() {
         durable_dir_ + "/" + shard_names[s],
         snapshot->shard(static_cast<int>(s)).Serialize()));
   }
-  RLZ_RETURN_IF_ERROR(fs_->WriteFileSynced(
-      durable_dir_ + "/" + manifest_name,
-      SerializeManifest(*snapshot, meta, baseline, append_dict_text,
-                        shard_names)));
+  RLZ_RETURN_IF_ERROR(fs_->WriteFileSynced(durable_dir_ + "/" + manifest_name,
+                                           manifest.Encode()));
   wal::CheckpointInfo info;
   info.generation = generation;
   info.covered_lsn = covered;
@@ -1128,10 +937,11 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::OpenFromCheckpoint(
   RLZ_ASSIGN_OR_RETURN(
       ParsedEnvelope envelope,
       ParsedEnvelope::FromBytes(std::move(raw), manifest_path));
-  std::vector<std::string> shard_names;
+  RLZ_ASSIGN_OR_RETURN(Manifest manifest, Manifest::Parse(envelope));
+  std::vector<std::string> shard_names = manifest.shard_names;
   RLZ_ASSIGN_OR_RETURN(
       std::unique_ptr<ShardedStore> store,
-      FromManifest(envelope, manifest_path, open_options, &shard_names));
+      FromManifest(std::move(manifest), manifest_path, open_options));
   // Every loaded shard is already in `dir`, under the manifest's names.
   store->shard_files_ = std::move(shard_names);
 

@@ -23,6 +23,7 @@
 #include "corpus/collection.h"
 #include "io/file_system.h"
 #include "serve/corpus_epoch.h"
+#include "serve/manifest.h"
 #include "serve/shard_router.h"
 #include "store/archive.h"
 #include "store/open_archive.h"
@@ -113,21 +114,6 @@ struct CompactionReport {
   size_t dead_docs = 0;
 };
 
-/// Health and provenance of one sealed shard — the compactor's scoring
-/// input (ShardedStore::shard_health).
-struct ShardHealth {
-  /// Rewrite generation (0 = as first sealed; +1 per compaction swap).
-  uint64_t generation = 0;
-  /// Encoded payload bytes owned by tombstoned ids that a rewrite has not
-  /// yet reclaimed.
-  uint64_t tombstoned_payload_bytes = 0;
-  /// Fraction of the shard's dictionary never referenced by any factor
-  /// (coverage decay; 1.0 - Bitmap::FractionSet of the build coverage).
-  double unused_dict_fraction = 0.0;
-  /// Factor statistics of the shard's most recent (re)build.
-  FactorStats stats;
-};
-
 /// Partitions a collection into independent RlzArchive shards behind the
 /// Archive interface — the scale-out unit of the serving layer (DESIGN.md
 /// §6) — and keeps the corpus *live*: documents can be appended (to a raw
@@ -188,9 +174,8 @@ class ShardedStore final : public Archive {
   /// The document is stored raw, not encoded, and serves reads until the
   /// tail seals. Crossing LiveStoreOptions::tail_seal_bytes seals the
   /// tail before returning. Thread-safe against concurrent readers and
-  /// other mutators. Fails with InvalidArgument on a store opened
-  /// without an append dictionary (a v1 manifest or a serving-only
-  /// open).
+  /// other mutators. Fails with InvalidArgument on a store without an
+  /// append dictionary (a serving-only open).
   StatusOr<size_t> Append(std::string_view doc);
 
   /// Tombstones document `id` and publishes the epoch that hides it:
@@ -278,30 +263,21 @@ class ShardedStore final : public Archive {
   /// compares against (FactorStats::avg_factor_decay).
   FactorStats baseline_stats() const;
 
-  /// On-disk format id of the manifest envelope ("sharded").
-  static constexpr char kFormatId[] = "sharded";
-  /// Current manifest format version. Version 1 (read-compat) is the
-  /// build-once manifest: boundaries and shard file names only. Version 2
-  /// adds the epoch sequence, per-shard generations and health, tombstone
-  /// sections, the raw open-tail documents, and the append dictionary —
-  /// Save/Open round-trips a live epoch.
-  static constexpr uint32_t kFormatVersion = 2;
-
   /// Serializes the current epoch as one file per shard plus a manifest:
   /// each sealed shard is written as an rlz container at
-  /// `path + ".shardNNNN"`, then the manifest (epoch sequence, shard
-  /// boundaries, generations, relative shard file names, tombstones, raw
-  /// tail documents, append dictionary) is written at `path` — last, so a
+  /// `path + ".shardNNNN"`, then the Manifest (epoch sequence, shard
+  /// boundaries, relative shard file names, health, tombstones, raw tail
+  /// documents, append dictionary) is written at `path` — last, so a
   /// crash mid-save never leaves a manifest pointing at missing shards.
   /// The directory can be moved as a unit: shard names are stored
   /// relative to the manifest.
   Status Save(const std::string& path) const override;
 
   /// Opens a store written by Save: reads the manifest, then loads every
-  /// shard file in parallel (options.open_threads workers; by default one
-  /// per shard, capped at the process's CPUs, AvailableCpus). A v2
-  /// manifest restores the full epoch: tombstones, generations, the raw
-  /// open tail, and the append dictionary. Shard dictionaries never get a
+  /// shard file in parallel (one worker per shard, capped at the
+  /// process's CPUs, AvailableCpus), restoring the full epoch:
+  /// tombstones, generations, the raw open tail, and the append
+  /// dictionary. Shard dictionaries never get a
   /// suffix array (the store never factorizes against one). A writable
   /// open (the default OpenOptions::build_suffix_array = true) builds
   /// only the append dictionary's; a serving-only reopen passes false,
@@ -383,14 +359,6 @@ class ShardedStore final : public Archive {
   uint64_t checkpoint_generation() const;
 
  private:
-  /// Mutable per-shard bookkeeping behind the published ShardHealth.
-  struct ShardMeta {
-    uint64_t generation = 0;
-    uint64_t tombstoned_payload_bytes = 0;
-    double unused_dict_fraction = 0.0;
-    FactorStats stats;
-  };
-
   ShardedStore() = default;
 
   /// Builds the epoch that reflects the current writer state and swaps it
@@ -413,18 +381,14 @@ class ShardedStore final : public Archive {
   /// Appends one WAL record under the group-commit policy. Requires
   /// writer_mu_ and wal_ != nullptr.
   Status LogLocked(wal::RecordType type, std::string_view payload);
-  /// The manifest envelope bytes for `snapshot`, naming shard s's file
-  /// `shard_names[s]` (relative to the manifest) — shared by Save and the
-  /// checkpoint writer so both produce the same format.
-  static std::string SerializeManifest(
-      const CorpusEpoch& snapshot, const std::vector<ShardMeta>& meta,
-      const FactorStats& baseline, std::string_view append_dict_text,
-      const std::vector<std::string>& shard_names);
-  /// FromEnvelope, also appending the manifest's relative shard file
-  /// names to `shard_names` when it is non-null.
+  /// The manifest of the published epoch, which it pins in `snapshot`;
+  /// shard names are left to the caller. Shared by Save and Checkpoint.
+  /// Requires writer_mu_.
+  Manifest ManifestLocked(std::shared_ptr<const CorpusEpoch>* snapshot) const;
+  /// Opens the shard files `manifest` names next to `path` and installs
+  /// the manifest's state in a new store.
   static StatusOr<std::unique_ptr<ShardedStore>> FromManifest(
-      const ParsedEnvelope& envelope, const std::string& path,
-      const OpenOptions& options, std::vector<std::string>* shard_names);
+      Manifest manifest, const std::string& path, const OpenOptions& options);
   /// Loads checkpoint `info` from `dir` and replays the WAL over it.
   static StatusOr<std::unique_ptr<ShardedStore>> OpenFromCheckpoint(
       const std::string& dir, const wal::CheckpointInfo& info,
@@ -451,13 +415,14 @@ class ShardedStore final : public Archive {
   mutable std::mutex writer_mu_;
   uint64_t next_sequence_ = 1;
   std::vector<std::shared_ptr<const RlzArchive>> shards_;
-  std::vector<uint64_t> generations_;
   // Per shard, the file in durable_dir_ that a committed checkpoint wrote
   // its bytes to, or empty when no checkpoint holds it yet (DESIGN.md
   // §12). Set after a CURRENT flip; cleared by seal, compaction swap and
   // MakeDurable. The next checkpoint rewrites only the unnamed shards.
   std::vector<std::string> shard_files_;
-  std::vector<ShardMeta> meta_;
+  // Per shard, its health record; its generation is the one PublishLocked
+  // gives the epoch.
+  std::vector<ShardHealth> meta_;
   std::shared_ptr<const ShardRouter> router_;
   std::vector<std::shared_ptr<const Bitmap>> tombstones_;
   std::shared_ptr<const Bitmap> tail_tombstones_;

@@ -21,18 +21,6 @@ void PutVarintImpl(uint64_t value, std::string* out) {
 
 }  // namespace
 
-bool IsLegacyRlzV1(std::string_view raw) {
-  return raw.size() >= 5 &&
-         raw.substr(0, 4) == std::string_view(kEnvelopeMagic, 4) &&
-         static_cast<uint8_t>(raw[4]) == 1;
-}
-
-bool LooksLikeEnvelope(std::string_view raw) {
-  return raw.size() >= 5 &&
-         raw.substr(0, 4) == std::string_view(kEnvelopeMagic, 4) &&
-         static_cast<uint8_t>(raw[4]) != 1;
-}
-
 EnvelopeWriter::EnvelopeWriter(std::string_view format_id, uint32_t version)
     : format_id_(format_id), version_(version) {
   RLZ_CHECK(!format_id_.empty() && format_id_.size() <= kMaxFormatIdLength)
@@ -96,6 +84,12 @@ Status EnvelopeReader::ReadVarint64(uint64_t* value) {
     }
     v |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) {
+      // Writers emit the shortest encoding; a zero final byte past the
+      // first would let two byte strings decode to one value, so a parsed
+      // section would no longer re-encode to the bytes read.
+      if (byte == 0 && shift > 0) {
+        return Status::Corruption(context_ + ": varint not minimal");
+      }
       *value = v;
       return Status::OK();
     }
@@ -182,12 +176,6 @@ StatusOr<ParsedEnvelope> ParsedEnvelope::FromView(
     return Status::Corruption(context + ": truncated container header");
   }
   const uint8_t layout = static_cast<uint8_t>(raw[4]);
-  if (layout == 1) {
-    // The pre-envelope RlzArchive layout; callers that support it check
-    // IsLegacyRlzV1 before parsing the envelope.
-    return Status::Corruption(context +
-                              ": pre-envelope legacy layout (rlz v1)");
-  }
   if (layout > kContainerLayoutVersion) {
     return Status::InvalidArgument(
         context + ": container layout " + std::to_string(layout) +
@@ -247,19 +235,18 @@ StatusOr<ParsedEnvelope> ReadEnvelopeFile(const std::string& path) {
 }
 
 Status CheckEnvelopeFormat(const ParsedEnvelope& envelope,
-                           std::string_view format_id, uint32_t max_version) {
+                           std::string_view format_id, uint32_t version) {
   if (envelope.format_id() != format_id) {
     return Status::InvalidArgument(
         envelope.context() + ": this file is a '" + envelope.format_id() +
         "' container, expected '" + std::string(format_id) + "'");
   }
-  if (envelope.version() > max_version) {
+  if (envelope.version() != version) {
     return Status::InvalidArgument(
         envelope.context() + ": '" + envelope.format_id() + "' version " +
         std::to_string(envelope.version()) +
-        " was written by a future version of this library (this build reads "
-        "up to version " +
-        std::to_string(max_version) + ")");
+        " is not readable (this build reads only version " +
+        std::to_string(version) + ")");
   }
   return Status::OK();
 }

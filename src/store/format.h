@@ -8,8 +8,7 @@
 /// Every file this library writes is a *format envelope*:
 ///
 ///   offset 0   magic "RLZA" (4 bytes)
-///   offset 4   container-layout byte (kContainerLayoutVersion; legacy
-///              pre-envelope rlz archives carry 0x01 here)
+///   offset 4   container-layout byte (kContainerLayoutVersion)
 ///   then       vbyte(format-id length) + format-id bytes
 ///              vbyte(format version)
 ///              vbyte64(body size)
@@ -18,8 +17,8 @@
 ///
 /// The envelope makes files self-describing: a reader can open any
 /// artifact without out-of-band type knowledge (OpenArchive sniffs the
-/// format id and dispatches), reject artifacts written by a future
-/// library version, and detect truncation at every prefix — the header
+/// format id and dispatches), reject artifacts of any format version but
+/// the current one, and detect truncation at every prefix — the header
 /// records the exact body size, so a shortened or padded file is a
 /// structural error even when the CRC happens to collide.
 ///
@@ -40,23 +39,11 @@ namespace rlz {
 /// 4-byte magic that opens every container file.
 inline constexpr char kEnvelopeMagic[4] = {'R', 'L', 'Z', 'A'};
 
-/// Current container-layout version, stored at offset 4. Layout 1 is the
-/// legacy pre-envelope RlzArchive file (magic + version byte 0x01); the
-/// envelope began at 2. Bytes above the current layout are rejected as
-/// InvalidArgument ("written by a future version").
+/// Current container-layout version, stored at offset 4. Bytes above it
+/// are rejected as InvalidArgument ("written by a future version"); any
+/// other byte, including the 0x01 of the dropped pre-envelope rlz layout
+/// (DESIGN.md §8), is Corruption.
 inline constexpr uint8_t kContainerLayoutVersion = 2;
-
-/// True if `raw` opens with the pre-envelope v1 RlzArchive layout (magic
-/// "RLZA" followed by the version byte 0x01). Such files predate the
-/// envelope and are still readable through RlzArchive's legacy loader.
-bool IsLegacyRlzV1(std::string_view raw);
-
-/// True if `raw` opens with the envelope magic and a container-layout
-/// byte (anything but the legacy 0x01). Loaders with a pre-envelope
-/// fallback (Dictionary's bare text, Collection's RCO1) use this to
-/// decide which parser applies — so a *damaged* envelope is reported as
-/// Corruption instead of being misread as legacy bytes.
-bool LooksLikeEnvelope(std::string_view raw);
 
 /// Serializes one envelope: construct with the format id and version,
 /// append body sections with the Put methods, then Seal or WriteTo.
@@ -157,8 +144,8 @@ class ParsedEnvelope {
  public:
   /// Parses and validates `raw` (an entire container file). `context`
   /// names the source for error messages. Returns Corruption for
-  /// structural damage (bad magic, truncation, CRC mismatch, legacy v1
-  /// layout) and InvalidArgument for a future container layout.
+  /// structural damage (bad magic, truncation, CRC mismatch, unknown
+  /// layout byte) and InvalidArgument for a future container layout.
   static StatusOr<ParsedEnvelope> FromBytes(std::string raw,
                                             std::string context);
 
@@ -204,12 +191,13 @@ class ParsedEnvelope {
 /// Reads `path` and parses it as an envelope (see ParsedEnvelope::FromBytes).
 StatusOr<ParsedEnvelope> ReadEnvelopeFile(const std::string& path);
 
-/// Checks that `envelope` carries `format_id` at a version this build can
-/// read. Returns InvalidArgument naming both ids on a mismatch ("this file
-/// is a 'blocked' container, expected 'rlz'") and InvalidArgument for
-/// versions above `max_version` (written by a future library version).
+/// Checks that `envelope` carries `format_id` at exactly `version`, the
+/// one version each format reads (DESIGN.md §8). Returns InvalidArgument
+/// naming both ids on a mismatch ("this file is a 'blocked' container,
+/// expected 'rlz'") and InvalidArgument for any other version, older or
+/// newer.
 Status CheckEnvelopeFormat(const ParsedEnvelope& envelope,
-                           std::string_view format_id, uint32_t max_version);
+                           std::string_view format_id, uint32_t version);
 
 }  // namespace rlz
 

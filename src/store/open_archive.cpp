@@ -73,7 +73,7 @@ std::map<std::string, ArchiveLoader>& Registry() {
           {AsciiArchive::kFormatId, &LoadAscii},
           {BlockedArchive::kFormatId, &LoadBlocked},
           {SemiStaticArchive::kFormatId, &LoadSemiStatic},
-          {ShardedStore::kFormatId, &LoadSharded},
+          {Manifest::kFormatId, &LoadSharded},
       };
   return *registry;
 }
@@ -126,15 +126,10 @@ void RegisterArchiveFormat(const std::string& format_id,
 
 StatusOr<ArchiveFormatInfo> SniffArchiveFile(const std::string& path) {
   RLZ_ASSIGN_OR_RETURN(RawContainerFile raw, ReadContainerFile(path, {}));
-  ArchiveFormatInfo info;
-  if (IsLegacyRlzV1(raw.view)) {
-    info.format_id = RlzArchive::kFormatId;
-    info.version = 1;
-    return info;
-  }
   RLZ_ASSIGN_OR_RETURN(
       ParsedEnvelope envelope,
       ParsedEnvelope::FromView(raw.view, std::move(raw.owner), path));
+  ArchiveFormatInfo info;
   info.format_id = envelope.format_id();
   info.version = envelope.version();
   return info;
@@ -144,18 +139,6 @@ StatusOr<std::unique_ptr<Archive>> OpenArchive(const std::string& path,
                                                const OpenOptions& options,
                                                ArchiveFormatInfo* sniffed) {
   RLZ_ASSIGN_OR_RETURN(RawContainerFile raw, ReadContainerFile(path, options));
-  if (IsLegacyRlzV1(raw.view)) {
-    if (sniffed != nullptr) {
-      sniffed->format_id = RlzArchive::kFormatId;
-      sniffed->version = 1;
-    }
-    // The legacy loader owns its bytes; a copy off the mapping is fine
-    // for a format that exists only for compatibility.
-    RLZ_ASSIGN_OR_RETURN(
-        std::unique_ptr<RlzArchive> archive,
-        RlzArchive::LoadLegacyV1(std::string(raw.view), path, options));
-    return std::unique_ptr<Archive>(std::move(archive));
-  }
   RLZ_ASSIGN_OR_RETURN(
       ParsedEnvelope envelope,
       ParsedEnvelope::FromView(raw.view, raw.owner, path));

@@ -26,11 +26,6 @@ struct OpenOptions {
   /// restart-cost table). ShardedStore never builds one for a shard: it
   /// reads this as "writable", building only its append dictionary's.
   bool build_suffix_array = true;
-  /// Worker threads for multi-file opens (ShardedStore loads its shards
-  /// in parallel). 0 means auto: one thread per shard, capped at the
-  /// process's CPUs, AvailableCpus() (the shard count comes from an
-  /// untrusted manifest, so it cannot dictate the fan-out on its own).
-  int open_threads = 0;
   /// Decode-cache budget in bytes for formats that serve through a block
   /// cache (BlockedArchive). 0 means auto-size to two maximum blocks —
   /// the same default the build constructor uses.
@@ -67,9 +62,9 @@ StatusOr<RawContainerFile> ReadContainerFile(const std::string& path,
 /// What SniffArchiveFile learned from a container header.
 struct ArchiveFormatInfo {
   /// The envelope's format id ("rlz", "ascii", "blocked", "semistatic",
-  /// "sharded"); legacy pre-envelope rlz archives report "rlz".
+  /// "sharded").
   std::string format_id;
-  /// The format version (legacy pre-envelope rlz archives report 1).
+  /// The format version.
   uint32_t version = 0;
 };
 
@@ -93,9 +88,9 @@ using ArchiveLoader = StatusOr<std::unique_ptr<Archive>> (*)(
 void RegisterArchiveFormat(const std::string& format_id, ArchiveLoader loader);
 
 /// Opens any saved archive: sniffs the container's format id and
-/// dispatches to the registered loader. Legacy pre-envelope rlz v1 files
-/// open through RlzArchive's compat loader. Returns InvalidArgument for an
-/// unregistered format id or a future format version, Corruption for
+/// dispatches to the registered loader. Returns InvalidArgument for an
+/// unregistered format id or a format version other than the current
+/// one, Corruption for
 /// structural damage, IOError if the file cannot be read. If `sniffed` is
 /// non-null it receives the container's format id and version (the same
 /// data SniffArchiveFile reports, without reading the file twice); it is

@@ -139,51 +139,15 @@ TEST(ArchiveIoEdgeTest, EmptyCollection) {
   std::remove(path.c_str());
 }
 
-// The v1 format stores the dictionary size, document count, and per-doc
-// payload sizes as 32-bit vbytes; Save must refuse anything larger instead
-// of truncating it under a valid CRC. The guard is tested directly so no
-// 4 GiB allocations are needed.
-TEST(ArchiveFormatLimitsTest, AcceptsSizesUpToTheLimit) {
-  EXPECT_TRUE(RlzArchive::CheckFormatLimits(0, 0, 0).ok());
-  EXPECT_TRUE(RlzArchive::CheckFormatLimits(RlzArchive::kMaxFormatValue,
-                                            RlzArchive::kMaxFormatValue,
-                                            RlzArchive::kMaxFormatValue)
-                  .ok());
-}
-
-TEST(ArchiveFormatLimitsTest, RejectsOversizedDictionary) {
-  const Status s =
-      RlzArchive::CheckFormatLimits(RlzArchive::kMaxFormatValue + 1, 0, 0);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
-}
-
-TEST(ArchiveFormatLimitsTest, RejectsOversizedDocCount) {
-  const Status s =
-      RlzArchive::CheckFormatLimits(0, RlzArchive::kMaxFormatValue + 1, 0);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
-}
-
-TEST(ArchiveFormatLimitsTest, RejectsOversizedEncodedDoc) {
-  const Status s =
-      RlzArchive::CheckFormatLimits(0, 0, RlzArchive::kMaxFormatValue + 1);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
-}
-
-// Wraps `header_and_payload` in the v1 container: magic, version, a valid
-// ZV coding pair, and a correct CRC trailer — so Load gets past the
-// checksum and must reject the malformed header on its own.
-std::string CraftArchive(const std::string& header_and_payload) {
-  std::string out;
-  out.append("RLZA", 4);
-  out.push_back(1);  // kArchiveVersion
-  out.push_back(1);  // PosCoding::kZlib  ("Z")
-  out.push_back(0);  // LenCoding::kVByte ("V")
-  out.append(header_and_payload);
-  const uint32_t crc = Crc32(out);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
-  }
-  return out;
+// Wraps `body` (everything after the coding bytes) in a CRC-valid rlz
+// envelope with the ZV coding pair, so Load gets past the checksum and the
+// envelope header and must reject the malformed body on its own.
+std::string CraftArchive(const std::string& body) {
+  EnvelopeWriter writer(RlzArchive::kFormatId, RlzArchive::kFormatVersion);
+  writer.PutByte(1);  // PosCoding::kZlib  ("Z")
+  writer.PutByte(0);  // LenCoding::kVByte ("V")
+  writer.PutBytes(body);
+  return std::move(writer).Seal();
 }
 
 TEST(ArchiveIoEdgeTest, TruncationAtEveryPrefixIsDetected) {
@@ -211,10 +175,10 @@ TEST(ArchiveIoEdgeTest, TruncationAtEveryPrefixIsDetected) {
 }
 
 TEST(ArchiveIoEdgeTest, SizeTableRunningIntoTrailerIsCorruption) {
-  // One document whose size vbyte never terminates inside the body: the
-  // two continuation bytes make the read spill into the CRC trailer (the
-  // trailer's third byte, 0x4a, terminates it past payload_end), so the
-  // header must be rejected even though the checksum is valid.
+  // One document whose size varint never terminates inside the body: the
+  // two continuation bytes would make an unbounded read spill into the
+  // CRC trailer, so the body must be rejected even though the checksum is
+  // valid.
   std::string body;
   VByteCodec::Put(0, &body);  // dictionary: empty
   VByteCodec::Put(1, &body);  // num_docs
@@ -226,7 +190,7 @@ TEST(ArchiveIoEdgeTest, SizeTableRunningIntoTrailerIsCorruption) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
       << loaded.status().ToString();
-  EXPECT_NE(loaded.status().ToString().find("truncated size table"),
+  EXPECT_NE(loaded.status().ToString().find("truncated varint"),
             std::string::npos)
       << loaded.status().ToString();
   std::remove(path.c_str());
@@ -264,7 +228,7 @@ TEST(ArchiveIoEdgeTest, PayloadSizeMismatchIsCorruption) {
 }
 
 TEST(ArchiveIoEdgeTest, DictionaryRunningIntoTrailerIsCorruption) {
-  // Dictionary size field claims more bytes than exist before the trailer.
+  // Dictionary length field claims more bytes than the body holds.
   std::string body;
   VByteCodec::Put(64, &body);  // dictionary size, but only 2 bytes follow
   body.append("ab");
@@ -337,7 +301,7 @@ std::vector<FormatCase> AllFormats() {
        [](const Collection& c) -> std::unique_ptr<Archive> {
          return SemiStaticArchive::Build(c, SemiStaticScheme::kPlainHuffman);
        }},
-      {"Sharded", ShardedStore::kFormatId,
+      {"Sharded", Manifest::kFormatId,
        [](const Collection& c) -> std::unique_ptr<Archive> {
          ShardedStoreOptions options;
          options.num_shards = 3;
@@ -562,6 +526,10 @@ TEST(ContainerEnvelopeTest, OverlongVarintIsCorruption) {
   EnvelopeReader reader(overlong, "overlong varint");
   uint64_t value = 0;
   EXPECT_EQ(reader.ReadVarint64(&value).code(), StatusCode::kCorruption);
+  // 5 padded to two bytes: writers never emit it, and accepting it would
+  // give one value two encodings.
+  EnvelopeReader padded(std::string_view("\x85\x00", 2), "padded varint");
+  EXPECT_EQ(padded.ReadVarint64(&value).code(), StatusCode::kCorruption);
   // The largest encodable value (2^64-1: nine 0xFF then 0x01) still decodes.
   const std::string max_value("\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\x01", 10);
   EnvelopeReader max_reader(max_value, "max varint");
@@ -585,40 +553,91 @@ TEST(ContainerEnvelopeTest, OverlongVarintFieldIsCorruption) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy read-compat and the serving-only (no suffix array) open path.
+// Dropped layouts and old versions: each format reads exactly its current
+// version (DESIGN.md §8), and everything else fails with a clean Status.
 
-TEST(LegacyCompatTest, LegacyV1RlzFileStillLoads) {
-  CorpusOptions options;
-  options.target_bytes = 64 << 10;
-  options.seed = 29;
-  const Collection collection = GenerateCorpus(options).collection;
-  RlzOptions rlz_options;
-  rlz_options.dict_bytes = 8 << 10;
-  auto archive = CompressCollection(collection, rlz_options);
+TEST(DroppedLayoutTest, OldLayoutsAndVersionsFailCleanly) {
+  const std::string path = ::testing::TempDir() + "/fmt_dropped.bin";
 
-  const std::string path = ::testing::TempDir() + "/fmt_legacy_v1.bin";
-  ASSERT_TRUE(archive->SaveLegacyV1(path).ok());
+  // The pre-envelope rlz v1 file: magic, version byte 0x01, the ZV coding
+  // pair, vbyte dictionary size and text, vbyte document count (none
+  // here), payload, then a CRC-32 trailer over everything before it.
+  std::string rlz_v1 = "RLZA";
+  rlz_v1 += std::string("\x01\x01\x00", 3);
+  VByteCodec::Put(3, &rlz_v1);
+  rlz_v1 += "abc";
+  VByteCodec::Put(0, &rlz_v1);
+  const uint32_t crc = Crc32(rlz_v1);
+  for (int i = 0; i < 4; ++i) {
+    rlz_v1.push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
+  }
+  ASSERT_TRUE(WriteFile(path, rlz_v1).ok());
+  EXPECT_EQ(RlzArchive::Load(path).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(OpenArchive(path).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(SniffArchiveFile(path).status().code(), StatusCode::kCorruption);
 
-  auto info = SniffArchiveFile(path);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->format_id, "rlz");
-  EXPECT_EQ(info->version, 1u);
+  // The pre-envelope "RCO1" collection: vbyte count, vbyte sizes, data.
+  std::string rco1 = "RCO1";
+  VByteCodec::Put(2, &rco1);
+  VByteCodec::Put(5, &rco1);
+  VByteCodec::Put(3, &rco1);
+  rco1 += "helloabc";
+  ASSERT_TRUE(WriteFile(path, rco1).ok());
+  EXPECT_EQ(Collection::Load(path).status().code(), StatusCode::kCorruption);
 
-  // Both the typed loader and the registry open the pre-envelope layout.
-  auto typed = RlzArchive::Load(path);
-  ASSERT_TRUE(typed.ok()) << typed.status().ToString();
-  auto open = OpenArchive(path);
-  ASSERT_TRUE(open.ok()) << open.status().ToString();
-  std::string a;
-  std::string b;
-  for (size_t i = 0; i < collection.num_docs(); i += 5) {
-    ASSERT_TRUE((*typed)->Get(i, &a).ok());
-    ASSERT_TRUE((*open)->Get(i, &b).ok());
-    ASSERT_EQ(a, collection.doc(i));
-    ASSERT_EQ(b, collection.doc(i));
+  // The pre-envelope dictionary: bare text.
+  ASSERT_TRUE(WriteFile(path, "bare dictionary text").ok());
+  EXPECT_EQ(Dictionary::Load(path).status().code(), StatusCode::kCorruption);
+
+  // The v1 manifest: shard count, boundaries and shard names only.
+  {
+    EnvelopeWriter writer(Manifest::kFormatId, /*version=*/1);
+    writer.PutVarint64(1);
+    writer.PutVarint64(0);
+    writer.PutVarint64(2);
+    writer.PutLengthPrefixed("fmt_dropped.bin.shard0000");
+    ASSERT_TRUE(std::move(writer).WriteTo(path).ok());
+    EXPECT_EQ(ShardedStore::Open(path).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(OpenArchive(path).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+
+  // Any format one version below its current one, whatever the body.
+  struct Versioned {
+    const char* format_id;
+    uint32_t version;
+    std::function<Status()> load;
+  };
+  const auto open = [&] { return OpenArchive(path).status(); };
+  const Versioned formats[] = {
+      {RlzArchive::kFormatId, RlzArchive::kFormatVersion, open},
+      {AsciiArchive::kFormatId, AsciiArchive::kFormatVersion, open},
+      {BlockedArchive::kFormatId, BlockedArchive::kFormatVersion, open},
+      {SemiStaticArchive::kFormatId, SemiStaticArchive::kFormatVersion, open},
+      {Manifest::kFormatId, Manifest::kFormatVersion, open},
+      {"collection", 2, [&] { return Collection::Load(path).status(); }},
+      {Dictionary::kFormatId, Dictionary::kFormatVersion,
+       [&] { return Dictionary::Load(path).status(); }},
+  };
+  for (const Versioned& format : formats) {
+    EnvelopeWriter current(format.format_id, format.version);
+    ASSERT_TRUE(std::move(current).WriteTo(path).ok());
+    // At the current version an empty body is at worst Corruption...
+    EXPECT_NE(format.load().code(), StatusCode::kInvalidArgument)
+        << format.format_id;
+    EnvelopeWriter older(format.format_id, format.version - 1);
+    ASSERT_TRUE(std::move(older).WriteTo(path).ok());
+    // ...one version below, the version gate refuses it.
+    const Status status = format.load();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << format.format_id << ": " << status.ToString();
   }
   std::remove(path.c_str());
 }
+
+// ---------------------------------------------------------------------------
+// Serving-only opens (no suffix array) and the sharded manifest.
 
 TEST(ServingOnlyOpenTest, GetWorksWithoutSuffixArray) {
   CorpusOptions options;
@@ -719,9 +738,116 @@ TEST(ShardedStorePersistenceTest, MissingShardFileFailsToOpen) {
   std::remove(path.c_str());
 }
 
-// ---------------------------------------------------------------------------
-// Collection and Dictionary on the shared envelope (satellite: one
-// CRC/bounds-check implementation, read-compat for pre-envelope files).
+// Parses `bytes` as a manifest envelope.
+StatusOr<Manifest> ParseManifest(std::string bytes) {
+  RLZ_ASSIGN_OR_RETURN(ParsedEnvelope envelope,
+                       ParsedEnvelope::FromBytes(std::move(bytes), "manifest"));
+  return Manifest::Parse(envelope);
+}
+
+TEST(ManifestTest, EncodeThenParseIsIdentity) {
+  Manifest manifest;
+  manifest.sequence = 42;
+  manifest.router =
+      std::make_shared<const ShardRouter>(std::vector<size_t>{0, 3, 3, 10});
+  manifest.shard_names = {"m.shard0000", "m.shard0001", "m.shard0002"};
+  manifest.health.resize(3);
+  manifest.health[0].generation = 2;
+  manifest.health[0].tombstoned_payload_bytes = 977;
+  manifest.health[0].unused_dict_fraction = 0.3125;
+  manifest.health[2].stats = {1000, 17, 90000};
+  manifest.baseline = {5000, 40, 700000};
+  manifest.tombstones = {{0, 2}, {}, {1, 6}};
+  manifest.tail_tombstones = {0, 3};
+  for (const char* doc : {"alpha", "", "gamma", "delta"}) {
+    manifest.tail_docs.push_back(std::make_shared<const std::string>(doc));
+  }
+  // An empty append dictionary: a store whose appends are disabled.
+  const std::string bytes = manifest.Encode();
+
+  auto parsed = ParseManifest(bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->sequence, 42u);
+  ASSERT_EQ(parsed->router->num_shards(), 3u);
+  for (size_t s = 0; s <= 3; ++s) {
+    EXPECT_EQ(parsed->router->start(s), manifest.router->start(s));
+  }
+  EXPECT_EQ(parsed->shard_names, manifest.shard_names);
+  ASSERT_EQ(parsed->health.size(), 3u);
+  for (size_t s = 0; s < 3; ++s) {
+    const ShardHealth& want = manifest.health[s];
+    const ShardHealth& got = parsed->health[s];
+    EXPECT_EQ(got.generation, want.generation);
+    EXPECT_EQ(got.tombstoned_payload_bytes, want.tombstoned_payload_bytes);
+    EXPECT_EQ(got.unused_dict_fraction, want.unused_dict_fraction);
+    EXPECT_EQ(got.stats.num_factors, want.stats.num_factors);
+    EXPECT_EQ(got.stats.num_literals, want.stats.num_literals);
+    EXPECT_EQ(got.stats.text_bytes, want.stats.text_bytes);
+  }
+  EXPECT_EQ(parsed->baseline.num_factors, 5000u);
+  EXPECT_EQ(parsed->baseline.num_literals, 40u);
+  EXPECT_EQ(parsed->baseline.text_bytes, 700000u);
+  EXPECT_EQ(parsed->tombstones, manifest.tombstones);
+  EXPECT_EQ(parsed->tail_tombstones, manifest.tail_tombstones);
+  ASSERT_EQ(parsed->tail_docs.size(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(*parsed->tail_docs[i], *manifest.tail_docs[i]);
+  }
+  EXPECT_EQ(parsed->append_dict_text, "");
+  EXPECT_EQ(parsed->Encode(), bytes);
+}
+
+TEST(ManifestTest, ImpossibleSectionsAreCorruption) {
+  const auto encode = [](const std::function<void(Manifest*)>& edit) {
+    Manifest manifest;
+    manifest.router =
+        std::make_shared<const ShardRouter>(std::vector<size_t>{0, 4});
+    manifest.shard_names = {"m.shard0000"};
+    manifest.health.resize(1);
+    manifest.tombstones.resize(1);
+    manifest.tail_docs.push_back(std::make_shared<const std::string>("t"));
+    manifest.append_dict_text = "dictionary";
+    edit(&manifest);
+    return manifest.Encode();
+  };
+  ASSERT_TRUE(ParseManifest(encode([](Manifest*) {})).ok());
+  const std::function<void(Manifest*)> bad[] = {
+      [](Manifest* m) {
+        m->router = std::make_shared<const ShardRouter>(
+            std::vector<size_t>{1, 4});
+      },
+      [](Manifest* m) { m->shard_names = {""}; },
+      [](Manifest* m) { m->shard_names = {"../m.shard0000"}; },
+      [](Manifest* m) { m->tombstones = {{4}}; },
+      [](Manifest* m) { m->tombstones = {{2, 2}}; },
+      [](Manifest* m) { m->tombstones = {{0, 1, 2, 3, 3}}; },
+      [](Manifest* m) { m->tail_tombstones = {1}; },
+  };
+  for (size_t i = 0; i < std::size(bad); ++i) {
+    const auto parsed = ParseManifest(encode(bad[i]));
+    EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption) << "case " << i;
+  }
+}
+
+TEST(ManifestTest, HugeShardBoundaryAllocatesNothingUpFront) {
+  // A CRC-valid manifest may claim a shard of 2^62 documents with a
+  // tombstone in it. Parsing keeps the tombstone as an id, not as a
+  // 2^62-bit bitmap; the open then fails on the missing shard file.
+  Manifest manifest;
+  manifest.router = std::make_shared<const ShardRouter>(
+      std::vector<size_t>{0, size_t{1} << 62});
+  manifest.shard_names = {"fmt_huge.sharded.shard0000"};
+  manifest.health.resize(1);
+  manifest.tombstones = {{(uint64_t{1} << 62) - 1}};
+  auto parsed = ParseManifest(manifest.Encode());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->tombstones, manifest.tombstones);
+
+  const std::string path = ::testing::TempDir() + "/fmt_huge.sharded";
+  ASSERT_TRUE(WriteFile(path, manifest.Encode()).ok());
+  EXPECT_EQ(ShardedStore::Open(path).status().code(), StatusCode::kIOError);
+  std::remove(path.c_str());
+}
 
 // ---------------------------------------------------------------------------
 // Pinned encoder output. The CRC-32 of every file the encoders write for a
@@ -845,24 +971,6 @@ TEST(PinnedEncoderTest, OutputBytesMatchRecordedCrcs) {
   }
 }
 
-TEST(CollectionPersistenceTest, LegacyRco1FileStillLoads) {
-  // Hand-craft the pre-envelope layout: "RCO1", vbyte count, vbyte sizes,
-  // raw data — what every collection file on disk looked like before.
-  std::string raw = "RCO1";
-  VByteCodec::Put(2, &raw);
-  VByteCodec::Put(5, &raw);
-  VByteCodec::Put(3, &raw);
-  raw += "helloabc";
-  const std::string path = ::testing::TempDir() + "/fmt_legacy.rcol";
-  ASSERT_TRUE(WriteFile(path, raw).ok());
-  auto loaded = Collection::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->num_docs(), 2u);
-  EXPECT_EQ(loaded->doc(0), "hello");
-  EXPECT_EQ(loaded->doc(1), "abc");
-  std::remove(path.c_str());
-}
-
 TEST(CollectionPersistenceTest, EnvelopeSaveIsCrcProtected) {
   Collection c;
   c.Append("some document text");
@@ -871,12 +979,11 @@ TEST(CollectionPersistenceTest, EnvelopeSaveIsCrcProtected) {
   ASSERT_TRUE(c.Save(path).ok());
   auto raw = ReadFile(path);
   ASSERT_TRUE(raw.ok());
-  // The new writer emits the shared envelope...
+  // The writer emits the shared envelope...
   auto info = SniffArchiveFile(path);
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->format_id, "collection");
-  // ...so a flipped payload byte is now detected (the legacy layout had
-  // no checksum at all).
+  // ...so a flipped payload byte is detected.
   std::string corrupt = *raw;
   corrupt[corrupt.size() / 2] ^= 0x20;
   ASSERT_TRUE(WriteFile(path, corrupt).ok());
@@ -884,7 +991,7 @@ TEST(CollectionPersistenceTest, EnvelopeSaveIsCrcProtected) {
   std::remove(path.c_str());
 }
 
-TEST(DictionaryPersistenceTest, EnvelopeAndLegacyBothLoad) {
+TEST(DictionaryPersistenceTest, EnvelopeLoadsAndDamageIsDetected) {
   const std::string path = ::testing::TempDir() + "/fmt_dict.bin";
   Dictionary dict("structure structure structure text");
   ASSERT_TRUE(dict.Save(path).ok());
@@ -899,15 +1006,7 @@ TEST(DictionaryPersistenceTest, EnvelopeAndLegacyBothLoad) {
   EXPECT_EQ((*serving)->text(), dict.text());
   EXPECT_FALSE((*serving)->has_matcher());
 
-  // A pre-envelope dictionary is bare text; it must keep loading as-is.
-  ASSERT_TRUE(WriteFile(path, "legacy bare dictionary bytes").ok());
-  auto legacy = Dictionary::Load(path);
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ((*legacy)->text(), "legacy bare dictionary bytes");
-
-  // A *damaged* envelope must surface as an error, not be misread as a
-  // legacy bare-text dictionary.
-  ASSERT_TRUE(dict.Save(path).ok());
+  // A damaged envelope surfaces as an error.
   auto raw = ReadFile(path);
   ASSERT_TRUE(raw.ok());
   std::string corrupt = *raw;

@@ -22,7 +22,6 @@
 #include "serve/corpus_epoch.h"
 #include "serve/doc_service.h"
 #include "serve/sharded_store.h"
-#include "store/format.h"
 #include "util/random.h"
 
 namespace rlz {
@@ -390,7 +389,7 @@ TEST(LiveStoreTest, CompactionOfFullyDeletedShardYieldsEmptyRewrite) {
 }
 
 // ---------------------------------------------------------------------------
-// Persistence (manifest v2 + v1 read-compat)
+// Persistence (the manifest round-trips a live epoch)
 
 TEST(LiveStoreTest, SaveOpenRoundTripsLiveEpoch) {
   const Collection collection = TestCollection(1 << 18, 111);
@@ -524,40 +523,6 @@ TEST(LiveStoreTest, ServingOnlyOpenDisablesAppends) {
   auto full_or = ShardedStore::Open(path2);
   ASSERT_TRUE(full_or.ok());
   EXPECT_TRUE(full_or.value()->Append("yes").ok());
-}
-
-TEST(LiveStoreTest, ReadsV1ManifestAsFrozenStore) {
-  // Write shard files via a v2 Save, then hand-craft the v1 manifest the
-  // pre-epoch format produced: shard count, boundaries, names — nothing
-  // else. The store must open frozen: serving works, appends are gated.
-  const Collection collection = TestCollection(1 << 17, 131);
-  auto store = SmallLiveStore(collection);
-  const std::string path = TempPath("live_v1_compat.sharded");
-  ASSERT_TRUE(store->Save(path).ok());
-
-  auto router = store->router_snapshot();
-  EnvelopeWriter writer(ShardedStore::kFormatId, /*version=*/1);
-  const size_t nshards = router->num_shards();
-  writer.PutVarint64(nshards);
-  for (size_t s = 0; s <= nshards; ++s) writer.PutVarint64(router->start(s));
-  for (size_t s = 0; s < nshards; ++s) {
-    char suffix[32];
-    std::snprintf(suffix, sizeof(suffix), ".shard%04llu",
-                  static_cast<unsigned long long>(s));
-    writer.PutLengthPrefixed("live_v1_compat.sharded" + std::string(suffix));
-  }
-  ASSERT_TRUE(std::move(writer).WriteTo(path).ok());
-
-  auto reopened_or = ShardedStore::Open(path);
-  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
-  auto reopened = std::move(reopened_or).value();
-  EXPECT_EQ(reopened->num_docs(), collection.num_docs());
-  EXPECT_EQ(reopened->epoch_sequence(), 0u);
-  std::string doc;
-  ASSERT_TRUE(reopened->Get(1, &doc).ok());
-  EXPECT_EQ(doc, collection.doc(1));
-  EXPECT_EQ(reopened->Append("frozen").status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(LiveStoreTest, SealedTailTombstonesSurviveManifestRoundTrip) {

@@ -395,7 +395,8 @@ TEST(DocServiceTest, DrainWaitsForSubmittedWork) {
 // admission, load shedding, and deadline expiry.
 
 TEST(RequestQueueTest, StrictPriorityPopOrder) {
-  BoundedRequestQueue queue(/*capacity=*/8);
+  const size_t caps[kNumPriorities] = {8, 8, 8};
+  BoundedRequestQueue queue(caps);
   ServeRequest request;
   // Enqueue in worst-case order: best-effort first, high last.
   request.id = 1;
