@@ -1,8 +1,8 @@
 // Dynamic-update scenario (§3.6), live: a ShardedStore built on an
 // initial crawl keeps serving through DocService while fresh — and
 // *drifted* — content streams in via Append, stale documents are
-// Delete()d, and the background compaction re-samples a drifted shard's
-// dictionary. Prints per-epoch compression ratios so the §3.6 staleness
+// Delete()d, and a compaction pass (CompactOnce) re-samples a drifted
+// shard's dictionary. Prints per-epoch compression ratios so the §3.6 staleness
 // narrative is visible as it happens: tail seals encoded against the
 // build-time append dictionary degrade Enc.% (Table 10's story), and the
 // stale-dictionary compaction recovers it.

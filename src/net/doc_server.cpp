@@ -16,6 +16,10 @@ namespace {
 
 constexpr uint64_t kListenTag = 0;
 constexpr uint64_t kWakeTag = 1;
+// Read quantum per poll round per connection. Polling is
+// level-triggered, so the remainder is picked up next round and one
+// firehose connection cannot starve the loop.
+constexpr size_t kReadChunkBytes = 64u << 10;
 
 // Steady-clock stamps for the timeout sweep (ms) and request deadlines
 // (ns, the clock ServeRequest::deadline_ns is compared against).
@@ -40,7 +44,6 @@ DocServerOptions DocServerOptions::Validated() const {
   if (v.max_connections < 1) v.max_connections = 1;
   if (v.max_outbound_bytes < (4u << 10)) v.max_outbound_bytes = 4u << 10;
   if (v.max_pipelined_requests < 1) v.max_pipelined_requests = 1;
-  if (v.read_chunk_bytes < (4u << 10)) v.read_chunk_bytes = 4u << 10;
   if (v.drain_timeout_ms < 0) v.drain_timeout_ms = 0;
   if (v.idle_timeout_ms < 0) v.idle_timeout_ms = 0;
   if (v.header_timeout_ms < 0) v.header_timeout_ms = 0;
@@ -318,7 +321,7 @@ void DocServer::HandleReadable(Connection* conn) {
     return;
   }
   char buf[16384];
-  size_t budget = options_.read_chunk_bytes;
+  size_t budget = kReadChunkBytes;
   bool fatal = false;
   bool progress = false;
   while (budget > 0) {

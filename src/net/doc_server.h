@@ -67,10 +67,6 @@ struct DocServerOptions {
   /// yet answered. Crossing it pauses reads until half are answered.
   /// Floor: 1.
   size_t max_pipelined_requests = 1024;
-  /// Read quantum per poll round per connection (level-triggered: the
-  /// remainder is picked up next round, so one firehose connection
-  /// cannot starve the loop). Floor: 4 KB.
-  size_t read_chunk_bytes = 64u << 10;
   /// Graceful-drain deadline for Shutdown(): connections still
   /// unflushed after this are closed anyway. Floor: 0 (immediate).
   int drain_timeout_ms = 5000;

@@ -7,8 +7,8 @@
 /// A CorpusEpoch is the unit of isolation between the mutation path and
 /// the serving path: every reader pins one epoch (a shared_ptr copy) for
 /// the duration of a request and decodes exclusively against that
-/// snapshot, so an Append, Delete, tail seal, or background compaction
-/// swap can never race a decode in flight. Epochs share unchanged state
+/// snapshot, so an Append, Delete, tail seal, or compaction swap can
+/// never race a decode in flight. Epochs share unchanged state
 /// structurally — sealed shards, tombstone bitmaps, and tail documents
 /// are carried by shared_ptr from one epoch to the next — so publishing
 /// a new epoch copies pointers, never payload bytes.

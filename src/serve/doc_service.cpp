@@ -11,6 +11,15 @@
 namespace rlz {
 namespace {
 
+// Mutex stripes of the decode cache (LruCache rounds to a power of two).
+constexpr int kCacheShards = 16;
+// kNormal's share of queue_depth: just under 1, so a normal-priority
+// flood can never take the last slots a high-priority burst needs.
+constexpr double kNormalQueueFraction = 0.9;
+// kBestEffort's share: bulk traffic rides along at light load and hits
+// its cap (shedding instead of queue-building) under heavy load.
+constexpr double kBestEffortQueueFraction = 0.5;
+
 // Steady-clock stamp for queue+service latency accounting.
 uint64_t NowNs() {
   return static_cast<uint64_t>(
@@ -24,14 +33,7 @@ uint64_t NowNs() {
 DocServiceOptions DocServiceOptions::Validated() const {
   DocServiceOptions v = *this;
   if (v.num_threads < 1) v.num_threads = 1;
-  if (v.cache_shards < 1) v.cache_shards = 1;
   if (v.queue_depth < 1) v.queue_depth = 1;
-  // Class fractions are shares of queue_depth; the rings floor at one
-  // slot, so clamping to [0, 1] is enough.
-  v.normal_queue_fraction =
-      std::min(1.0, std::max(0.0, v.normal_queue_fraction));
-  v.best_effort_queue_fraction =
-      std::min(1.0, std::max(0.0, v.best_effort_queue_fraction));
   // A capacity that cannot admit even an empty value is a disabled cache.
   if (v.cache_bytes > 0 && v.cache_bytes <= LruCache::kEntryOverheadBytes) {
     v.cache_bytes = 0;
@@ -63,7 +65,7 @@ DocService::DocService(const Archive* archive,
                        const DocServiceOptions& options)
     : archive_(archive),
       options_(options.Validated()),
-      cache_(options_.cache_bytes, options_.cache_shards) {
+      cache_(options_.cache_bytes, kCacheShards) {
   RLZ_CHECK(archive != nullptr);
   // Queue-per-shard routing: when the archive is sharded, its router maps
   // doc ids to shards, and requests for one shard always land on the same
@@ -81,14 +83,13 @@ DocService::DocService(const Archive* archive,
   queues_.reserve(num_threads);
   threads_.reserve(num_threads);
   // Weighted class capacities (DESIGN.md §14): kHigh owns the full
-  // depth; lower classes get their configured shares, so the gap between
-  // a lower class's cap and the full depth is headroom only higher
-  // classes can use.
+  // depth; lower classes get fixed shares, so the gap between a lower
+  // class's cap and the full depth is headroom only higher classes can
+  // use.
   const size_t depth = static_cast<size_t>(options_.queue_depth);
   const size_t class_caps[kNumPriorities] = {
-      depth,
-      static_cast<size_t>(depth * options_.normal_queue_fraction),
-      static_cast<size_t>(depth * options_.best_effort_queue_fraction)};
+      depth, static_cast<size_t>(depth * kNormalQueueFraction),
+      static_cast<size_t>(depth * kBestEffortQueueFraction)};
   for (int i = 0; i < num_threads; ++i) {
     workers_.push_back(std::make_unique<Worker>());
     queues_.push_back(std::make_unique<BoundedRequestQueue>(class_caps));

@@ -38,27 +38,18 @@ struct DocServiceOptions {
   /// capacity too small to ever admit an entry (at most
   /// LruCache::kEntryOverheadBytes) is clamped to 0 — a cache that can
   /// never hold anything is a disabled cache, stated rather than silent.
+  /// The cache has 16 mutex stripes: documents larger than
+  /// cache_bytes / 16 are served but never cached.
   uint64_t cache_bytes = 32 << 20;
-  /// Mutex stripes of the cache (rounded up to a power of two). Documents
-  /// larger than cache_bytes / cache_shards are served but never cached —
-  /// lower this for collections of multi-megabyte documents. Floor: 1.
-  int cache_shards = 16;
   /// Capacity of each worker's bounded request queue — the service's
   /// backpressure unit: when every queue is full, submission blocks until
   /// a worker frees a slot, so queued work is bounded by
   /// num_threads * queue_depth regardless of producer count. Floor: 1.
-  /// This is the kHigh class's capacity; lower classes get the fractions
-  /// below, so high-priority traffic always has headroom that bulk
-  /// traffic cannot consume (DESIGN.md §14).
+  /// This is the kHigh class's capacity; kNormal gets 90% of it and
+  /// kBestEffort half (each at least one slot), so high-priority traffic
+  /// always has headroom that bulk traffic cannot consume (DESIGN.md
+  /// §14).
   int queue_depth = 1024;
-  /// kNormal's share of queue_depth (floor: one slot). Defaults just
-  /// under 1 so a normal-priority flood can never take the last slots a
-  /// high-priority burst needs.
-  double normal_queue_fraction = 0.9;
-  /// kBestEffort's share of queue_depth (floor: one slot). Half by
-  /// default: bulk traffic rides along at light load and hits its cap —
-  /// shedding instead of queue-building — under heavy load.
-  double best_effort_queue_fraction = 0.5;
   /// Queue-latency watermark (microseconds): when the estimated queue
   /// wait (queued requests × EWMA service time / workers) exceeds this,
   /// newly submitted kBestEffort requests are shed immediately with

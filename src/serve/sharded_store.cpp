@@ -15,6 +15,11 @@
 namespace rlz {
 namespace {
 
+// Sample size of every dictionary the store samples: shard dictionaries,
+// the append dictionary and compaction's re-samples (the paper's 1 KB
+// default, §3.3).
+constexpr size_t kSampleBytes = 1024;
+
 // Relative name of shard `s` next to a manifest named `manifest_base`
 // (the manifest's own basename): "<base>.shard0007".
 std::string ShardFileName(const std::string& manifest_base, size_t s) {
@@ -105,9 +110,6 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
   starts.push_back(ndocs);
   store->router_ = std::make_shared<const ShardRouter>(std::move(starts));
 
-  const int build_threads =
-      options.build_threads > 0 ? options.build_threads
-                                : static_cast<int>(nshards);
   const size_t shard_dict_bytes =
       std::max<size_t>(1, options.dict_bytes / nshards);
   store->shard_dict_bytes_ = shard_dict_bytes;
@@ -125,10 +127,9 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
                                  collection.doc_offset(end) -
                                      collection.doc_offset(begin));
     std::shared_ptr<const Dictionary> dict = DictionaryBuilder::BuildSampled(
-        shard_text, shard_dict_bytes, options.sample_bytes);
+        shard_text, shard_dict_bytes, kSampleBytes);
     ArchiveBuilderOptions builder_options;
     builder_options.coding = options.coding;
-    builder_options.num_threads = std::max(1, options.threads_per_shard);
     // Coverage feeds the shard-health record the compactor scores
     // (DESIGN.md §11); it never changes the output bytes.
     builder_options.track_coverage = true;
@@ -139,12 +140,12 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
     store->shards_[s] = std::move(builder).Finish(&reports[s]);
   };
 
-  // One pipeline chunk per shard: shards build concurrently and land in
-  // their slots (merge order is irrelevant here — slots are disjoint —
-  // but the pipeline's ordered-merge guarantee costs nothing).
+  // One pipeline chunk and one worker per shard, each shard factorized
+  // serially: shards build concurrently and land in their slots (merge
+  // order is irrelevant here — slots are disjoint — but the pipeline's
+  // ordered-merge guarantee costs nothing).
   BuildPipelineOptions pipeline_options;
-  pipeline_options.num_threads = static_cast<int>(std::min<size_t>(
-      nshards, static_cast<size_t>(std::max(1, build_threads))));
+  pipeline_options.num_threads = static_cast<int>(nshards);
   BuildPipeline pipeline(pipeline_options);
   for (size_t s = 0; s < nshards; ++s) {
     pipeline.Submit([&, s](int) { build_shard(s); }, [] {});
@@ -168,7 +169,7 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
   // — and go stale as the crawl drifts (§3.6), which is exactly what the
   // compactor's coverage-decay trigger watches for.
   store->append_dict_ = DictionaryBuilder::BuildSampled(
-      collection.data(), shard_dict_bytes, options.sample_bytes);
+      collection.data(), shard_dict_bytes, kSampleBytes);
 
   {
     std::lock_guard<std::mutex> lock(store->writer_mu_);
@@ -179,7 +180,6 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
 }
 
 ShardedStore::~ShardedStore() {
-  StopCompactor();
   std::lock_guard<std::mutex> lock(writer_mu_);
   if (wal_ != nullptr) {
     // Everything acked was already durable per the group-commit policy;
@@ -262,12 +262,7 @@ size_t ShardedStore::ApplyAppendLocked(std::string_view doc) {
 StatusOr<size_t> ShardedStore::Append(std::string_view doc) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   RLZ_RETURN_IF_ERROR(CheckWritableLocked());
-  if (append_dict_ == nullptr || !append_dict_->has_matcher()) {
-    // Gate up front so Append fails cleanly on serving-only opens.
-    return Status::InvalidArgument(
-        "sharded store: no append dictionary (serving-only open); appends "
-        "are disabled");
-  }
+  RLZ_RETURN_IF_ERROR(CheckAppendDictionaryLocked());
   const size_t id = ApplyAppendLocked(doc);
   // Log before publish: once the epoch containing this document is
   // visible (and the id returned), the WAL record is on its way to disk
@@ -286,6 +281,7 @@ StatusOr<size_t> ShardedStore::Append(std::string_view doc) {
 Status ShardedStore::SealTail() {
   std::lock_guard<std::mutex> lock(writer_mu_);
   RLZ_RETURN_IF_ERROR(CheckWritableLocked());
+  RLZ_RETURN_IF_ERROR(CheckAppendDictionaryLocked());
   return SealTailLocked();
 }
 
@@ -303,21 +299,11 @@ Status ShardedStore::ApplySealLocked() {
   if (tail_docs_.empty()) return Status::OK();
 
   // The raw tail is encoded once, here, as one batch on the build
-  // pipeline (byte-identical to a serial encode; DESIGN.md §7). A fresh
-  // dictionary is sampled from the tail when the options ask for one or
-  // the append dictionary has no matcher (a serving-only Open).
-  std::shared_ptr<const Dictionary> dict = append_dict_;
-  if (!options_.live.reuse_append_dictionary || dict == nullptr ||
-      !dict->has_matcher()) {
-    std::string text;
-    text.reserve(tail_bytes_);
-    for (const auto& d : tail_docs_) text.append(*d);
-    dict = DictionaryBuilder::BuildSampled(
-        text.empty() ? std::string_view(" ") : std::string_view(text),
-        shard_dict_bytes_, options_.sample_bytes);
-  }
+  // pipeline against the append dictionary (byte-identical to a serial
+  // encode; DESIGN.md §7). Its matcher exists: SealTail and Append gate
+  // on it, and WAL replay seals only on a writable open, which builds it.
   RlzArchiveBuilder builder(
-      std::move(dict),
+      append_dict_,
       BackgroundBuilderOptions(options_.coding, tail_docs_.size()));
   for (const auto& d : tail_docs_) builder.AddBorrowedDocument(*d);
   ArchiveBuildReport report;
@@ -377,17 +363,11 @@ Status ShardedStore::ApplyDeleteLocked(size_t id) {
   if (id < sealed) {
     const size_t s = router_->shard_of(id);
     const size_t local = id - router_->start(s);
-    const size_t shard_docs = router_->start(s + 1) - router_->start(s);
-    // Always copy into a full-width bitmap: a stored bitmap may be
-    // narrower than the shard (older manifests carry the lazily sized
-    // sealed-tail form) and Set past size() is out of range.
-    Bitmap bm(shard_docs);
-    if (tombstones_[s] != nullptr) {
-      const Bitmap& old = *tombstones_[s];
-      for (size_t i = 0; i < old.size() && i < shard_docs; ++i) {
-        if (old.Test(i)) bm.Set(i);
-      }
-    }
+    // A sealed shard's bitmap, where there is one, is as wide as the
+    // shard: FromManifest and the seal both size it so.
+    Bitmap bm = tombstones_[s] != nullptr
+                    ? *tombstones_[s]
+                    : Bitmap(router_->start(s + 1) - router_->start(s));
     if (bm.Test(local)) {
       return Status::NotFound("sharded store: document already deleted");
     }
@@ -523,7 +503,7 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
     DecodeScratch scratch;
     std::string buf;
     for (size_t i = 0; i < shard_docs; ++i) {
-      if (dead != nullptr && i < dead->size() && dead->Test(i)) continue;
+      if (dead != nullptr && dead->Test(i)) continue;
       const Status status =
           old_shard.Get(i, &buf, /*disk=*/nullptr, &scratch);
       if (!status.ok()) return status;
@@ -533,13 +513,13 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
   }
   std::shared_ptr<const Dictionary> dict = DictionaryBuilder::BuildSampled(
       text.empty() ? std::string_view(" ") : std::string_view(text),
-      shard_dict_bytes_, options_.sample_bytes);
+      shard_dict_bytes_, kSampleBytes);
   RlzArchiveBuilder builder(
       std::move(dict), BackgroundBuilderOptions(options_.coding, shard_docs));
   size_t offset = 0;
   size_t live_docs = 0;
   for (size_t i = 0; i < shard_docs; ++i) {
-    if (dead != nullptr && i < dead->size() && dead->Test(i)) {
+    if (dead != nullptr && dead->Test(i)) {
       builder.AddBorrowedDocument(std::string_view());
       continue;
     }
@@ -571,8 +551,7 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
       const DocMap& map = shards_[victim]->doc_map();
       for (size_t i = 0; i < now_dead->size(); ++i) {
         if (!now_dead->Test(i)) continue;
-        const bool reclaimed =
-            dead != nullptr && i < dead->size() && dead->Test(i);
+        const bool reclaimed = dead != nullptr && dead->Test(i);
         if (!reclaimed) meta.tombstoned_payload_bytes += map.size(i);
       }
     }
@@ -605,39 +584,6 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
   return report;
 }
 
-void ShardedStore::StartCompactor(std::chrono::milliseconds interval) {
-  std::lock_guard<std::mutex> lock(compactor_mu_);
-  if (compactor_.joinable()) return;
-  compactor_stop_.store(false);
-  compactor_ = std::thread(&ShardedStore::CompactorLoop, this, interval);
-}
-
-void ShardedStore::StopCompactor() {
-  std::lock_guard<std::mutex> lock(compactor_mu_);
-  if (!compactor_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> wait_lock(compactor_wait_mu_);
-    compactor_stop_.store(true);
-  }
-  compactor_cv_.notify_all();
-  compactor_.join();
-  compactor_ = std::thread();
-}
-
-void ShardedStore::CompactorLoop(std::chrono::milliseconds interval) {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(compactor_wait_mu_);
-      compactor_cv_.wait_for(lock, interval,
-                             [&] { return compactor_stop_.load(); });
-      if (compactor_stop_.load()) return;
-    }
-    // A failed pass (e.g. decode Corruption) is retried next interval;
-    // the store itself is untouched — the rebuild never swaps on error.
-    (void)CompactOnce();
-  }
-}
-
 // --- Persistence ----------------------------------------------------------
 
 Manifest ShardedStore::ManifestLocked(
@@ -660,9 +606,7 @@ Manifest ShardedStore::ManifestLocked(
   }
   manifest.tail_tombstones = SetBits(epoch.tail_tombstones());
   if (epoch.tail() != nullptr) manifest.tail_docs = epoch.tail()->docs;
-  if (append_dict_ != nullptr) {
-    manifest.append_dict_text.assign(append_dict_->text());
-  }
+  manifest.append_dict_text.assign(append_dict_->text());
   return manifest;
 }
 
@@ -707,7 +651,7 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   // Shard files open in parallel: each is an independent rlz container.
   // No shard gets a suffix array, on any open: the store never
   // factorizes against a sealed shard's dictionary (seals use the append
-  // dictionary or sample a fresh one; so does compaction).
+  // dictionary; compaction samples a fresh one).
   store->shards_.resize(nshards);
   std::vector<Status> statuses(nshards);
   OpenOptions shard_options = options;
@@ -762,16 +706,15 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
 
   // Restore the mutation path: the coding comes from shard 0 (every shard
   // encodes with the same pair) and the append dictionary from its
-  // persisted text. Its suffix array — the only one the store queries —
-  // is built on a writable open only; matcher-less, appends fail
-  // cleanly. The open tail stays raw until it seals.
+  // persisted text, empty for a store built from no documents. Its
+  // suffix array — the only one the store queries — is built on a
+  // writable open only; matcher-less, appends and seals fail cleanly.
+  // The open tail stays raw until it seals.
   store->options_.coding = store->shards_[0]->coder().coding();
   store->shard_dict_bytes_ =
       std::max<uint64_t>(1, store->shards_[0]->dictionary().size());
-  if (!manifest.append_dict_text.empty()) {
-    store->append_dict_ = std::make_shared<const Dictionary>(
-        std::move(manifest.append_dict_text), options.build_suffix_array);
-  }
+  store->append_dict_ = std::make_shared<const Dictionary>(
+      std::move(manifest.append_dict_text), options.build_suffix_array);
   {
     std::lock_guard<std::mutex> lock(store->writer_mu_);
     store->PublishLocked();
@@ -791,6 +734,15 @@ Status ShardedStore::CheckWritableLocked() const {
   if (read_only_) {
     return Status::InvalidArgument(
         "sharded store: serving-only durable open is read-only");
+  }
+  return Status::OK();
+}
+
+Status ShardedStore::CheckAppendDictionaryLocked() const {
+  if (!append_dict_->has_matcher()) {
+    return Status::InvalidArgument(
+        "sharded store: no append dictionary (serving-only open); appends "
+        "and seals are disabled");
   }
   return Status::OK();
 }

@@ -6,15 +6,11 @@
 /// tail segment behind one Archive interface, published to readers as
 /// immutable epoch snapshots (DESIGN.md §6, §11).
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "core/factor_coder.h"
@@ -51,11 +47,6 @@ struct LiveStoreOptions {
   /// at least this fraction against the store's build-time baseline
   /// (FactorStats::avg_factor_decay) is stale-dictionary.
   double compact_stale_decay = 0.5;
-  /// When true, sealed tails reuse the store's append dictionary (cheap
-  /// seals, but the dictionary goes stale as content drifts — the §3.6
-  /// setting compaction recovers from). When false, every seal samples a
-  /// fresh dictionary from its own tail documents.
-  bool reuse_append_dictionary = true;
 };
 
 /// Build-time knobs for ShardedStore::Build.
@@ -68,20 +59,8 @@ struct ShardedStoreOptions {
   /// and an unsharded archive with the same `dict_bytes` are comparable in
   /// the paper's Enc. % terms.
   size_t dict_bytes = 1 << 20;
-  /// Sample size for each shard's dictionary (the paper's 1 KB default).
-  size_t sample_bytes = 1024;
   /// Position/length coding pair used by every shard.
   PairCoding coding = kZV;
-  /// Worker threads for the build: shards build concurrently on the build
-  /// pipeline, at most one worker per shard (0 means one per shard). Each
-  /// shard streams through RlzArchiveBuilder, which is byte-identical to
-  /// RlzArchive::Build — so the store is deterministic for any thread
-  /// count.
-  int build_threads = 0;
-  /// Factorization workers inside each shard's RlzArchiveBuilder
-  /// (DESIGN.md §7). The default 1 is right when shards already saturate
-  /// the machine; raise it for few-shard builds on many-core hosts.
-  int threads_per_shard = 1;
   /// Mutation-path knobs (tail sealing, compaction triggers).
   LiveStoreOptions live;
 };
@@ -118,9 +97,9 @@ struct CompactionReport {
 /// Archive interface — the scale-out unit of the serving layer (DESIGN.md
 /// §6) — and keeps the corpus *live*: documents can be appended (to a raw
 /// open tail segment that is encoded once, when it seals, on the build
-/// pipeline), deleted (tombstoned), and compacted (a tombstone-heavy or
-/// stale-dictionary shard is rewritten in the background and swapped into
-/// the next epoch).
+/// pipeline), deleted (tombstoned), and compacted (CompactOnce rewrites a
+/// tombstone-heavy or stale-dictionary shard off the writer lock and swaps
+/// it into the next epoch).
 ///
 /// Concurrency model (DESIGN.md §11): all reads resolve against an
 /// immutable CorpusEpoch published through an atomically swapped
@@ -134,14 +113,16 @@ class ShardedStore final : public Archive {
   /// Signature of the cache-invalidation hook (see SetEvictionListener).
   using EvictionListener = std::function<void(size_t id)>;
 
-  /// Partitions `collection`, samples one dictionary per shard, and
-  /// builds every shard (concurrently per options.build_threads). Also
-  /// samples the append dictionary that future tail seals encode against
-  /// and publishes epoch 0.
+  /// Partitions `collection`, samples one dictionary per shard (1 KB
+  /// samples, the paper's default), and builds the shards concurrently,
+  /// one build pipeline worker per shard, each shard byte-identical to a
+  /// serial RlzArchive::Build of its documents. Also samples the append
+  /// dictionary that every tail seal encodes against and publishes
+  /// epoch 0.
   static std::unique_ptr<ShardedStore> Build(
       const Collection& collection, const ShardedStoreOptions& options = {});
 
-  /// Joins the background compactor (if running) and closes the WAL.
+  /// Closes the WAL, if durable.
   ~ShardedStore() override;
 
   /// The scratch-less convenience overloads stay visible alongside the
@@ -174,8 +155,8 @@ class ShardedStore final : public Archive {
   /// The document is stored raw, not encoded, and serves reads until the
   /// tail seals. Crossing LiveStoreOptions::tail_seal_bytes seals the
   /// tail before returning. Thread-safe against concurrent readers and
-  /// other mutators. Fails with InvalidArgument on a store without an
-  /// append dictionary (a serving-only open).
+  /// other mutators. Fails with InvalidArgument on a store whose append
+  /// dictionary has no matcher (a serving-only open).
   StatusOr<size_t> Append(std::string_view doc);
 
   /// Tombstones document `id` and publishes the epoch that hides it:
@@ -192,10 +173,11 @@ class ShardedStore final : public Archive {
   /// Seals the open tail into a new compressed shard (growing the router
   /// by one range) and publishes the epoch containing it. The tail is
   /// encoded here, in one batch on the build pipeline, byte-identical to
-  /// a serial RlzArchive::Build against the append dictionary (or a
-  /// fresh one sampled from the tail, see reuse_append_dictionary).
-  /// No-op when the tail is empty. Called automatically when an Append
-  /// crosses LiveStoreOptions::tail_seal_bytes.
+  /// a serial RlzArchive::Build against the append dictionary. No-op when
+  /// the tail is empty. Called automatically when an Append crosses
+  /// LiveStoreOptions::tail_seal_bytes. Fails with InvalidArgument, as
+  /// Append does, when the append dictionary has no matcher (a
+  /// serving-only open).
   Status SealTail();
 
   /// One compaction pass: scores every sealed shard (tombstoned-payload
@@ -208,13 +190,6 @@ class ShardedStore final : public Archive {
   /// they drain. Returns a report (compacted == false when no shard
   /// crossed a trigger).
   StatusOr<CompactionReport> CompactOnce();
-
-  /// Starts a background thread that runs CompactOnce every `interval`
-  /// until StopCompactor (or destruction). No-op if already running.
-  void StartCompactor(std::chrono::milliseconds interval);
-
-  /// Stops and joins the background compactor, if running.
-  void StopCompactor();
 
   /// Registers (or, with nullptr, clears) the invalidation hook the
   /// mutation path calls with each tombstoned id — after the tombstoning
@@ -277,13 +252,13 @@ class ShardedStore final : public Archive {
   /// shard file in parallel (one worker per shard, capped at the
   /// process's CPUs, AvailableCpus), restoring the full epoch:
   /// tombstones, generations, the raw open tail, and the append
-  /// dictionary. Shard dictionaries never get a
-  /// suffix array (the store never factorizes against one). A writable
-  /// open (the default OpenOptions::build_suffix_array = true) builds
-  /// only the append dictionary's; a serving-only reopen passes false,
-  /// builds none, and disables Append (InvalidArgument). Fails with
-  /// IOError if a shard file named by the manifest is missing,
-  /// Corruption if a shard's document count disagrees with the manifest.
+  /// dictionary. Shard dictionaries never get a suffix array (the store
+  /// never factorizes against one). A writable open (the default
+  /// OpenOptions::build_suffix_array = true) builds only the append
+  /// dictionary's; a serving-only reopen passes false, builds none, and
+  /// disables Append and SealTail (InvalidArgument). Fails with IOError
+  /// if a shard file named by the manifest is missing, Corruption if a
+  /// shard's document count disagrees with the manifest.
   static StatusOr<std::unique_ptr<ShardedStore>> Open(
       const std::string& path, const OpenOptions& options = {});
 
@@ -378,6 +353,9 @@ class ShardedStore final : public Archive {
 
   /// InvalidArgument on a read-only (serving-only durable) open.
   Status CheckWritableLocked() const;
+  /// InvalidArgument when the append dictionary has no matcher (a
+  /// serving-only open): nothing can be encoded against it.
+  Status CheckAppendDictionaryLocked() const;
   /// Appends one WAL record under the group-commit policy. Requires
   /// writer_mu_ and wal_ != nullptr.
   Status LogLocked(wal::RecordType type, std::string_view payload);
@@ -396,8 +374,6 @@ class ShardedStore final : public Archive {
       const std::shared_ptr<FileSystem>& fs, RecoveryReport* report);
   /// Invokes the eviction listener (if any) for `id`, outside writer_mu_.
   void NotifyEviction(size_t id) const;
-  /// Background compactor loop.
-  void CompactorLoop(std::chrono::milliseconds interval);
   /// Scores sealed shards against the compaction triggers; fills the
   /// reason and returns the victim index, or -1. Requires writer_mu_.
   int PickCompactionVictimLocked(CompactionReport::Reason* reason) const;
@@ -431,9 +407,10 @@ class ShardedStore final : public Archive {
   uint64_t deleted_docs_ = 0;
   FactorStats baseline_stats_;
   // Per-shard dictionary budget (dict_bytes / initial shard count): the
-  // sample size for fresh-dictionary seals and compaction re-samples.
+  // size of compaction's re-sampled dictionaries.
   size_t shard_dict_bytes_ = 1 << 20;
-  std::shared_ptr<const Dictionary> append_dict_;  // null: appends disabled
+  // No matcher (a serving-only open): appends and seals are disabled.
+  std::shared_ptr<const Dictionary> append_dict_;
 
   // Durability state (DESIGN.md §12). wal_ non-null once
   // MakeDurable/OpenDurable attached a log; all guarded by writer_mu_
@@ -450,11 +427,6 @@ class ShardedStore final : public Archive {
   // One compaction rebuild at a time; the rebuild holds compact_mu_ but
   // not writer_mu_, so mutators keep running while it decodes/re-encodes.
   std::mutex compact_mu_;
-  std::thread compactor_;
-  std::mutex compactor_mu_;       // guards compactor_ start/stop/join
-  std::mutex compactor_wait_mu_;  // guards the loop's interval wait
-  std::condition_variable compactor_cv_;
-  std::atomic<bool> compactor_stop_{false};
 
   // Eviction listener: registration and every invocation hold
   // listener_mu_, so clearing the listener synchronizes with in-flight

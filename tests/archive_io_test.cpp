@@ -868,7 +868,7 @@ struct PinnedCrc {
 };
 
 // In build order: "rlz.ZV", "rlz.UV", "rlz.ZZ", a gzipx blocked archive
-// (64 KB blocks), then per live-store mode the sealed tail shard, and the
+// (64 KB blocks), then the live store's sealed tail shard, and its
 // manifest and every shard file after build, append, seal and compaction.
 // ZZ and the blocked archive run the gzipx Huffman builder on symbol mixes
 // ZV does not: zlib-coded lengths, and whole text blocks. On a mismatch the
@@ -879,10 +879,7 @@ constexpr PinnedCrc kPinnedCrcs[] = {
     {"reuse.sealed", 0x98e9a801},    {"reuse", 0x83fda205},
     {"reuse.shard0000", 0x81138095}, {"reuse.shard0001", 0x5c5dbfdb},
     {"reuse.shard0002", 0xe207715e}, {"reuse.shard0003", 0x20d5407a},
-    {"reuse.shard0004", 0x4060d51a}, {"fresh.sealed", 0x4060d51a},
-    {"fresh", 0x7f337961},           {"fresh.shard0000", 0xaa12148f},
-    {"fresh.shard0001", 0x5c5dbfdb}, {"fresh.shard0002", 0xe207715e},
-    {"fresh.shard0003", 0x20d5407a}, {"fresh.shard0004", 0x4060d51a},
+    {"reuse.shard0004", 0x4060d51a},
 };
 
 TEST(PinnedEncoderTest, OutputBytesMatchRecordedCrcs) {
@@ -914,12 +911,11 @@ TEST(PinnedEncoderTest, OutputBytesMatchRecordedCrcs) {
     std::remove(path.c_str());
   }
 
-  for (const bool reuse : {true, false}) {
+  {
     ShardedStoreOptions store_options;
     store_options.num_shards = 4;
     store_options.dict_bytes = 64 << 10;
     store_options.live.tail_seal_bytes = 0;
-    store_options.live.reuse_append_dictionary = reuse;
     store_options.live.compact_tombstone_fraction = 0.10;
     auto store = ShardedStore::Build(collection, store_options);
     for (size_t i = 0; i < appended.num_docs(); ++i) {
@@ -928,8 +924,9 @@ TEST(PinnedEncoderTest, OutputBytesMatchRecordedCrcs) {
     ASSERT_TRUE(store->SealTail().ok());
     ASSERT_EQ(store->num_shards(), 5);
     // The compaction below may rewrite the sealed shard (stale
-    // dictionary), so pin the seal's output before it runs.
-    const std::string mode = reuse ? "reuse" : "fresh";
+    // dictionary), so pin the seal's output before it runs. "reuse": the
+    // seal encodes against the store's reused append dictionary.
+    const std::string mode = "reuse";
     got.emplace_back(mode + ".sealed", BodyCrc(store->shard(4).Serialize()));
     for (size_t id = 0; id < store->starts(1); id += 3) {
       ASSERT_TRUE(store->Delete(id).ok());

@@ -1,9 +1,9 @@
 // Live-corpus tests (DESIGN.md §11): epoch snapshots, Append/Delete/seal,
-// background compaction, manifest v2 round trips, and the concurrency
-// regression suite for the mutation path. Every *Concurrent* test here is
-// also run under ThreadSanitizer by the `tsan` CI job (ctest label:
-// concurrency) — the epoch-pinning invariants only mean something if they
-// hold with readers, mutators, and the compactor genuinely racing.
+// compaction, manifest round trips, and the concurrency regression suite
+// for the mutation path. Every *Concurrent* test here is also run under
+// ThreadSanitizer by the `tsan` CI job (ctest label: concurrency) — the
+// epoch-pinning invariants only mean something if they hold with readers,
+// mutators, and a thread looping CompactOnce genuinely racing.
 
 #include <atomic>
 #include <chrono>
@@ -47,6 +47,18 @@ std::unique_ptr<ShardedStore> SmallLiveStore(
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + name;
+}
+
+// Runs CompactOnce on `store`, 1 ms apart, until `stop` is set: the
+// compaction side of the concurrency tests.
+std::thread CompactInLoop(ShardedStore* store, const std::atomic<bool>* stop) {
+  return std::thread([store, stop] {
+    while (!stop->load(std::memory_order_acquire)) {
+      const auto report = store->CompactOnce();
+      EXPECT_TRUE(report.ok()) << report.status().ToString();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -127,45 +139,34 @@ TEST(LiveStoreTest, AutoSealAtThreshold) {
   }
 }
 
-TEST(LiveStoreTest, SealedTailEqualsSerialBuildInBothDictionaryModes) {
+TEST(LiveStoreTest, SealedTailEqualsSerialBuild) {
   // The tail is encoded once, at seal, on the build pipeline with one
   // worker per CPU. Whatever that count is, the sealed shard must be the
-  // archive a serial RlzArchive::Build makes from the same documents and
-  // the dictionary the mode names: the append dictionary (sampled from
-  // the build corpus) or one sampled from the tail itself.
+  // archive a serial RlzArchive::Build makes from the same documents
+  // against the append dictionary (1 KB samples of the build corpus,
+  // dict_bytes / num_shards in all).
   const Collection collection = TestCollection(1 << 18, 41);
   const Collection extra = TestCollection(1 << 18, 42);
   ASSERT_GE(extra.num_docs(), 8u);
-  for (const bool reuse : {true, false}) {
-    SCOPED_TRACE(reuse ? "reuse_append_dictionary" : "fresh dictionary");
-    ShardedStoreOptions options;
-    options.num_shards = 2;
-    options.dict_bytes = 1 << 16;
-    options.live.tail_seal_bytes = 0;
-    options.live.reuse_append_dictionary = reuse;
-    auto store = ShardedStore::Build(collection, options);
-    for (size_t i = 0; i < extra.num_docs(); ++i) {
-      ASSERT_TRUE(store->Append(extra.doc(i)).ok());
-    }
-    ASSERT_TRUE(store->SealTail().ok());
-    const int sealed = store->num_shards() - 1;
-
-    const size_t shard_dict_bytes = options.dict_bytes / 2;
-    std::shared_ptr<const Dictionary> dict = DictionaryBuilder::BuildSampled(
-        reuse ? collection.data() : extra.data(), shard_dict_bytes,
-        options.sample_bytes);
-    RlzBuildOptions build_options;
-    build_options.coding = options.coding;
-    build_options.num_threads = 1;
-    RlzBuildInfo info;
-    const auto serial =
-        RlzArchive::Build(extra, std::move(dict), build_options, &info);
-    EXPECT_EQ(store->shard(sealed).Serialize(), serial->Serialize());
-    const ShardHealth health = store->shard_health(sealed);
-    EXPECT_EQ(health.stats.num_factors, info.stats.num_factors);
-    EXPECT_EQ(health.stats.num_literals, info.stats.num_literals);
-    EXPECT_EQ(health.stats.text_bytes, info.stats.text_bytes);
+  auto store = SmallLiveStore(collection);
+  for (size_t i = 0; i < extra.num_docs(); ++i) {
+    ASSERT_TRUE(store->Append(extra.doc(i)).ok());
   }
+  ASSERT_TRUE(store->SealTail().ok());
+  const int sealed = store->num_shards() - 1;
+
+  std::shared_ptr<const Dictionary> dict =
+      DictionaryBuilder::BuildSampled(collection.data(), (1 << 16) / 2, 1024);
+  RlzBuildOptions build_options;
+  build_options.num_threads = 1;
+  RlzBuildInfo info;
+  const auto serial =
+      RlzArchive::Build(extra, std::move(dict), build_options, &info);
+  EXPECT_EQ(store->shard(sealed).Serialize(), serial->Serialize());
+  const ShardHealth health = store->shard_health(sealed);
+  EXPECT_EQ(health.stats.num_factors, info.stats.num_factors);
+  EXPECT_EQ(health.stats.num_literals, info.stats.num_literals);
+  EXPECT_EQ(health.stats.text_bytes, info.stats.text_bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -314,13 +315,12 @@ TEST(LiveStoreTest, PinnedReadersDrainAcrossCompactionSwap) {
 
 TEST(LiveStoreTest, StaleDictionarySealTriggersResample) {
   // Build on corpus A, then append *drifted* content (a different seed —
-  // new hosts, new vocabulary) with reuse_append_dictionary: the sealed
-  // tail encodes against A's dictionary and comes out stale (§3.6).
+  // new hosts, new vocabulary): the sealed tail encodes against A's
+  // append dictionary and comes out stale (§3.6).
   const Collection collection = TestCollection(1 << 18, 91);
   ShardedStoreOptions options;
   options.num_shards = 2;
   options.dict_bytes = 1 << 16;
-  options.live.reuse_append_dictionary = true;
   // Only the staleness trigger is armed.
   options.live.compact_tombstone_fraction = 2.0;
   options.live.compact_stale_unused_fraction = 2.0;
@@ -525,6 +525,34 @@ TEST(LiveStoreTest, ServingOnlyOpenDisablesAppends) {
   EXPECT_TRUE(full_or.value()->Append("yes").ok());
 }
 
+TEST(LiveStoreTest, ServingOnlyOpenRejectsSeal) {
+  // A serving-only open builds no suffix array for the append dictionary,
+  // so its raw tail cannot be encoded: SealTail fails as Append does and
+  // publishes nothing.
+  const Collection collection = TestCollection(1 << 17, 122);
+  auto store = SmallLiveStore(collection);
+  ASSERT_TRUE(store->Append("tail doc 0").ok());
+  ASSERT_TRUE(store->Append("tail doc 1").ok());
+  const std::string path = TempPath("live_serving_only_seal.sharded");
+  ASSERT_TRUE(store->Save(path).ok());
+
+  OpenOptions options;
+  options.build_suffix_array = false;
+  auto reopened_or = ShardedStore::Open(path, options);
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  auto reopened = std::move(reopened_or).value();
+  const std::shared_ptr<const CorpusEpoch> before = reopened->epoch();
+
+  EXPECT_EQ(reopened->SealTail().code(), StatusCode::kInvalidArgument);
+  const std::shared_ptr<const CorpusEpoch> after = reopened->epoch();
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(after->num_shards(), store->num_shards());
+  EXPECT_EQ(after->tail_docs(), 2u);
+  std::string doc;
+  ASSERT_TRUE(reopened->Get(collection.num_docs() + 1, &doc).ok());
+  EXPECT_EQ(doc, "tail doc 1");
+}
+
 TEST(LiveStoreTest, SealedTailTombstonesSurviveManifestRoundTrip) {
   // Regression: the tail tombstone bitmap is lazily sized to the tail
   // length at its last delete. Sealing used to carry the narrow bitmap
@@ -650,8 +678,8 @@ TEST(LiveStoreTest, ServiceInvalidatesCacheOnDelete) {
 // ---------------------------------------------------------------------------
 // Concurrency regression suite (run under TSan in CI)
 
-// Readers pin epochs while appenders, deleters, and the background
-// compactor publish new ones. Invariant: against a pinned epoch, every id
+// Readers pin epochs while appenders, deleters, and a CompactOnce loop
+// publish new ones. Invariant: against a pinned epoch, every id
 // either decodes to exactly its expected bytes or is NotFound-because-
 // tombstoned *in that epoch* — never torn bytes, never a transient error.
 TEST(LiveStoreTest, ConcurrentReadersAppsDeletesCompactions) {
@@ -673,7 +701,8 @@ TEST(LiveStoreTest, ConcurrentReadersAppsDeletesCompactions) {
     expected.emplace_back(extra.doc(i));
   }
 
-  store->StartCompactor(std::chrono::milliseconds(1));
+  std::atomic<bool> stop_compactor{false};
+  std::thread compactor = CompactInLoop(store.get(), &stop_compactor);
   std::atomic<bool> stop{false};
   std::atomic<size_t> reads{0};
 
@@ -726,7 +755,8 @@ TEST(LiveStoreTest, ConcurrentReadersAppsDeletesCompactions) {
   }
   stop.store(true, std::memory_order_release);
   for (std::thread& reader : readers) reader.join();
-  store->StopCompactor();
+  stop_compactor.store(true, std::memory_order_release);
+  compactor.join();
 
   // Final consistency: every id answers correctly in the final epoch.
   std::shared_ptr<const CorpusEpoch> final_epoch = store->epoch();
@@ -759,7 +789,8 @@ TEST(LiveStoreTest, ConcurrentServiceReadsWithMutations) {
   DocServiceOptions service_options;
   service_options.num_threads = 4;
   DocService service(store.get(), service_options);
-  store->StartCompactor(std::chrono::milliseconds(1));
+  std::atomic<bool> stop_compactor{false};
+  std::thread compactor = CompactInLoop(store.get(), &stop_compactor);
 
   const Collection extra = TestCollection(1 << 16, 162);
   std::vector<std::string> expected;
@@ -818,7 +849,8 @@ TEST(LiveStoreTest, ConcurrentServiceReadsWithMutations) {
   appender.join();
   deleter.join();
   for (std::thread& client : clients) client.join();
-  store->StopCompactor();
+  stop_compactor.store(true, std::memory_order_release);
+  compactor.join();
   service.Drain();
 
   // Deletes are fully published: the service must answer NotFound for

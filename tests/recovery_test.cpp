@@ -1157,6 +1157,30 @@ TEST(RecoveryTest, ReplayedSealsAreByteIdenticalAndBuildNoShardMatchers) {
   EXPECT_TRUE(reloaded->Append("appended after the second recovery").ok());
 }
 
+TEST(RecoveryTest, EmptyBuildReplaysSealsByteIdentical) {
+  // A store built from no documents has an empty append dictionary, and
+  // its manifest records the empty text. Recovery restores that
+  // dictionary, so the replayed seal encodes against it as the crashed
+  // store's seal did, and the recovered store still appends.
+  auto fs = std::make_shared<FaultFs>();
+  ShardedStoreOptions options;
+  options.live.tail_seal_bytes = 0;
+  auto store = ShardedStore::Build(Collection(), options);
+  ASSERT_TRUE(store->MakeDurable("/store", {}, fs).ok());
+  for (const std::string& doc : SmallDocs(4)) {
+    ASSERT_TRUE(store->Append(doc).ok());
+  }
+  ASSERT_TRUE(store->SealTail().ok());
+  ASSERT_TRUE(store->Append("still in the tail").ok());
+
+  auto recovered_or =
+      ShardedStore::OpenDurable("/store", {}, {}, fs->DurableClone());
+  ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
+  auto recovered = std::move(recovered_or).value();
+  ExpectSameStore(*store, *recovered);
+  EXPECT_TRUE(recovered->Append("appended after recovery").ok());
+}
+
 TEST(RecoveryTest, MmapOpenServesByteIdentical) {
   const Collection collection = TestCollection(1 << 15, 261);
   const std::string dir = FreshDir("recovery_mmap");

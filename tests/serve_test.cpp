@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dictionary.h"
+#include "core/rlz_archive.h"
 #include "corpus/generator.h"
 #include "gated_archive.h"
 #include "io/sim_disk.h"
@@ -257,21 +259,32 @@ TEST(ShardedStoreTest, OutOfRangeAndName) {
 }
 
 TEST(ShardedStoreTest, ParallelBuildIsDeterministic) {
+  // Build runs one pipeline worker per shard. Whatever the interleaving,
+  // each shard must be the archive a serial RlzArchive::Build makes from
+  // that shard's documents against the same dictionary: 1 KB samples of
+  // the shard's own text, dict_bytes / num_shards in all.
   const Collection collection = TestCollection(1 << 19, 75);
-  ShardedStoreOptions serial;
-  serial.num_shards = 4;
-  serial.build_threads = 1;
-  ShardedStoreOptions parallel = serial;
-  parallel.build_threads = 8;
-  auto a = ShardedStore::Build(collection, serial);
-  auto b = ShardedStore::Build(collection, parallel);
-  ASSERT_EQ(a->num_docs(), b->num_docs());
-  EXPECT_EQ(a->stored_bytes(), b->stored_bytes());
-  std::string doc_a, doc_b;
-  for (size_t i = 0; i < a->num_docs(); i += 7) {
-    ASSERT_TRUE(a->Get(i, &doc_a).ok());
-    ASSERT_TRUE(b->Get(i, &doc_b).ok());
-    ASSERT_EQ(doc_a, doc_b);
+  ShardedStoreOptions options;
+  options.num_shards = 4;
+  options.dict_bytes = 64 << 10;
+  auto store = ShardedStore::Build(collection, options);
+  ASSERT_EQ(store->num_shards(), 4);
+  const std::shared_ptr<const ShardRouter> router = store->router_snapshot();
+  for (int s = 0; s < store->num_shards(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    Collection docs;
+    const size_t end = router->start(static_cast<size_t>(s) + 1);
+    for (size_t i = router->start(static_cast<size_t>(s)); i < end; ++i) {
+      docs.Append(collection.doc(i));
+    }
+    RlzBuildOptions build_options;
+    build_options.coding = options.coding;
+    const auto serial = RlzArchive::Build(
+        docs,
+        DictionaryBuilder::BuildSampled(docs.data(), options.dict_bytes / 4,
+                                        1024),
+        build_options);
+    EXPECT_EQ(store->shard(s).Serialize(), serial->Serialize());
   }
 }
 
@@ -738,12 +751,10 @@ TEST(ConcurrencyTest, DocServiceConcurrentClients) {
 TEST(DocServiceTest, OptionsValidationClampsToDocumentedFloors) {
   DocServiceOptions options;
   options.num_threads = -3;
-  options.cache_shards = 0;
   options.queue_depth = -1;
   options.cache_bytes = LruCache::kEntryOverheadBytes;  // can't admit anything
   const DocServiceOptions v = options.Validated();
   EXPECT_EQ(v.num_threads, 1);
-  EXPECT_EQ(v.cache_shards, 1);
   EXPECT_EQ(v.queue_depth, 1);
   EXPECT_EQ(v.cache_bytes, 0u);  // too-small cache is a disabled cache
 
@@ -751,16 +762,14 @@ TEST(DocServiceTest, OptionsValidationClampsToDocumentedFloors) {
   DocServiceOptions fine;
   fine.num_threads = 2;
   fine.cache_bytes = 1 << 20;
-  fine.cache_shards = 4;
   fine.queue_depth = 8;
   const DocServiceOptions kept = fine.Validated();
   EXPECT_EQ(kept.num_threads, 2);
   EXPECT_EQ(kept.cache_bytes, 1u << 20);
-  EXPECT_EQ(kept.cache_shards, 4);
   EXPECT_EQ(kept.queue_depth, 8);
 
   // The constructor applies Validated(): a service built with hostile
-  // options runs (one worker, one stripe, depth-1 queues) and serves.
+  // options runs (one worker, depth-1 queues) and serves.
   const Collection collection = TestCollection(1 << 16, 87);
   auto store = ShardedStore::Build(collection, {});
   DocService service(store.get(), options);
