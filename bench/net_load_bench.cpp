@@ -18,7 +18,9 @@
 //
 // Reports wall-clock requests/s plus client-observed round-trip latency
 // percentiles per row (at depth > 1 latency includes pipeline queueing,
-// which is the point), and writes machine-readable JSON (default
+// which is the point), the share of requests the server's loop answered
+// from the decode cache, and the average size of the batches it
+// submitted for the rest; writes machine-readable JSON (default
 // BENCH_net.json).
 //
 // The smoke gate asserts the subsystem's reason to exist: at 4
@@ -102,17 +104,19 @@ struct NetLoadResult {
   uint64_t payload_bytes = 0;
   uint64_t batches = 0;    // server-side coalescing window count (delta)
   uint64_t coalesced = 0;  // doc requests in those windows (delta)
+  uint64_t loop_answered = 0;  // answered from the cache on the loop (delta)
 };
 
 // One closed-loop row: `connections` client threads, each keeping `depth`
 // requests in flight until it has received `requests_per_conn` responses.
 // Latencies are per-response round trips measured at the client. The
-// server (and its warm cache) is shared across rows; its coalescing
-// counters are reported as deltas.
-NetLoadResult RunRow(net::DocServer& server, size_t num_docs, Shape shape,
-                     int connections, size_t depth,
-                     size_t requests_per_conn) {
+// server (and its warm cache) is shared across rows; its coalescing and
+// cache-answer counters are reported as deltas.
+NetLoadResult RunRow(net::DocServer& server, const DocService& service,
+                     size_t num_docs, Shape shape, int connections,
+                     size_t depth, size_t requests_per_conn) {
   const net::NetServerStats before = server.stats();
+  const uint64_t cached_before = service.Stats().cached;
   std::vector<std::vector<double>> latencies(connections);
   std::vector<uint64_t> bytes(connections, 0);
   Timer wall;
@@ -166,6 +170,7 @@ NetLoadResult RunRow(net::DocServer& server, size_t num_docs, Shape shape,
   for (std::thread& t : threads) t.join();
   const double wall_seconds = wall.ElapsedSeconds();
   const net::NetServerStats after = server.stats();
+  const uint64_t cached_after = service.Stats().cached;
 
   NetLoadResult result;
   std::vector<double> merged;
@@ -187,15 +192,28 @@ NetLoadResult RunRow(net::DocServer& server, size_t num_docs, Shape shape,
   result.p999_us = pct(0.999);
   result.batches = after.batches - before.batches;
   result.coalesced = after.coalesced_requests - before.coalesced_requests;
+  result.loop_answered = cached_after - cached_before;
   return result;
+}
+
+// Share of the row's requests the loop answered from the decode cache.
+double LoopShare(const NetLoadResult& r) {
+  return r.requests > 0 ? static_cast<double>(r.loop_answered) / r.requests
+                        : 0.0;
 }
 
 void PrintRow(const char* shape, int connections, size_t depth,
               const NetLoadResult& r) {
-  std::printf("%-8s %-12d %-8zu %10.0f %9.1f %9.1f %9.1f %8.1f\n", shape,
+  // avg/bat averages over the submitted requests only; a row whose
+  // requests were all answered on the loop submitted no batch.
+  char avg[16] = "-";
+  if (r.batches > 0) {
+    std::snprintf(avg, sizeof(avg), "%.1f",
+                  static_cast<double>(r.coalesced) / r.batches);
+  }
+  std::printf("%-8s %-12d %-8zu %10.0f %9.1f %9.1f %9.1f %8s %6.1f\n", shape,
               connections, depth, r.wall_rps, r.p50_us, r.p99_us, r.p999_us,
-              r.batches > 0 ? static_cast<double>(r.coalesced) / r.batches
-                            : 0.0);
+              avg, 100.0 * LoopShare(r));
 }
 
 void AppendJsonRow(const char* shape, int connections, size_t depth,
@@ -206,13 +224,16 @@ void AppendJsonRow(const char* shape, int connections, size_t depth,
       "    {\"shape\": \"%s\", \"connections\": %d, \"depth\": %zu, "
       "\"requests\": %llu, \"wall_rps\": %.0f, \"p50_us\": %.1f, "
       "\"p99_us\": %.1f, \"p999_us\": %.1f, \"payload_bytes\": %llu, "
-      "\"batches\": %llu, \"coalesced\": %llu}%s\n",
+      "\"batches\": %llu, \"coalesced\": %llu, \"loop_answered\": %llu, "
+      "\"loop_share\": %.3f}%s\n",
       shape, connections, depth,
       static_cast<unsigned long long>(r.requests), r.wall_rps, r.p50_us,
       r.p99_us, r.p999_us,
       static_cast<unsigned long long>(r.payload_bytes),
       static_cast<unsigned long long>(r.batches),
-      static_cast<unsigned long long>(r.coalesced), last ? "" : ",");
+      static_cast<unsigned long long>(r.coalesced),
+      static_cast<unsigned long long>(r.loop_answered), LoopShare(r),
+      last ? "" : ",");
   json->append(buf);
 }
 
@@ -467,9 +488,9 @@ int Run(bool smoke, bool overload, const std::string& out_path) {
               smoke ? "smoke" : "full", num_docs,
               collection.size_bytes() / (1024.0 * 1024.0),
               store->name().c_str(), hw, kSnippetBytes, kPageDocs);
-  std::printf("%-8s %-12s %-8s %10s %9s %9s %9s %8s\n", "shape",
+  std::printf("%-8s %-12s %-8s %10s %9s %9s %9s %8s %6s\n", "shape",
               "connections", "depth", "req/s", "p50 us", "p99 us",
-              "p999 us", "avg/bat");
+              "p999 us", "avg/bat", "loop%");
 
   std::string json;
   char buf[512];
@@ -506,8 +527,9 @@ int Run(bool smoke, bool overload, const std::string& out_path) {
       NetLoadResult best;
       const int repeats = (smoke && gated) ? kGateRepeats : 1;
       for (int rep = 0; rep < repeats; ++rep) {
-        const NetLoadResult r = RunRow(server, num_docs, Shape::kSnippet,
-                                       conns, depth, snippet_requests);
+        const NetLoadResult r = RunRow(server, service, num_docs,
+                                       Shape::kSnippet, conns, depth,
+                                       snippet_requests);
         if (rep == 0 || r.wall_rps > best.wall_rps) best = r;
       }
       if (conns == 4 && depth == 1) gate_shallow = best;
@@ -518,8 +540,8 @@ int Run(bool smoke, bool overload, const std::string& out_path) {
   }
   // The bulk pair: bandwidth-bound result pages, recorded ungated.
   for (const size_t depth : {size_t{1}, size_t{16}}) {
-    const NetLoadResult r =
-        RunRow(server, num_docs, Shape::kBulk, 4, depth, bulk_requests);
+    const NetLoadResult r = RunRow(server, service, num_docs, Shape::kBulk,
+                                   4, depth, bulk_requests);
     PrintRow("bulk", 4, depth, r);
     AppendJsonRow("bulk", 4, depth, r, /*last=*/depth == 16, &json);
   }

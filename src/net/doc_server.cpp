@@ -53,9 +53,9 @@ DocServerOptions DocServerOptions::Validated() const {
 }
 
 // One parsed request in its connection's FIFO, answered when it reaches
-// the head and its results are in. `window` is null for ops answered
-// without decode: Stat, parse-time sheds, poison errors, and empty
-// MultiGets.
+// the head and its results are in. `window` is null for ops that are
+// ready at parse time: decode-cache hits, Stat, parse-time sheds, poison
+// errors, and empty MultiGets.
 struct DocServer::PendingOp {
   MessageType type = MessageType::kGet;
   uint8_t flags = 0;
@@ -69,6 +69,7 @@ struct DocServer::PendingOp {
   size_t off = 0;    // first result in window->batches[priority]
   size_t count = 0;  // results: 1, or the MultiGet's id count
   std::string error;  // kError/reject: the message to report
+  GetResult hit;      // a Get/GetRange DocService::GetCached answered
 };
 
 // The document requests of one poll round, one ServeBatch per priority
@@ -430,11 +431,17 @@ void DocServer::ParseFrames(Connection* conn) {
 
 void DocServer::Enqueue(Connection* conn, PendingOp op) {
   const NetRequest& req = conn->scratch;
-  const bool decodes = op.reject == WireCode::kOk &&
-                       (op.type == MessageType::kGet ||
-                        op.type == MessageType::kGetRange ||
-                        (op.type == MessageType::kMultiGet &&
-                         !req.ids.empty()));
+  const bool single = op.type == MessageType::kGet ||
+                      op.type == MessageType::kGetRange;
+  BatchItem item{req.id, req.offset, req.length,
+                 op.type == MessageType::kGetRange, op.priority, 0};
+  bool decodes = false;
+  if (op.reject == WireCode::kOk) {
+    // A cache hit is answered now, on this thread, and waits in the FIFO
+    // only for the ops ahead of it; only a miss is staged for a worker.
+    decodes = single ? !service_->GetCached(item, &op.hit)
+                     : op.type == MessageType::kMultiGet && !req.ids.empty();
+  }
   if (decodes) {
     if (open_window_ == nullptr) {
       if (free_windows_.empty()) {
@@ -447,7 +454,7 @@ void DocServer::Enqueue(Connection* conn, PendingOp op) {
         free_windows_.pop_back();
       }
     }
-    const uint64_t deadline_ns =
+    item.deadline_ns =
         req.deadline_ms == 0
             ? 0
             : NowNs() + static_cast<uint64_t>(req.deadline_ms) * 1'000'000;
@@ -456,14 +463,12 @@ void DocServer::Enqueue(Connection* conn, PendingOp op) {
         window->items[static_cast<int>(op.priority)];
     op.window = window;
     op.off = items.size();
-    if (op.type == MessageType::kMultiGet) {
-      for (uint64_t id : req.ids) {
-        items.push_back({id, 0, 0, false, op.priority, deadline_ns});
-      }
+    if (single) {
+      items.push_back(item);
     } else {
-      items.push_back({req.id, req.offset, req.length,
-                       op.type == MessageType::kGetRange, op.priority,
-                       deadline_ns});
+      for (uint64_t id : req.ids) {
+        items.push_back({id, 0, 0, false, op.priority, item.deadline_ns});
+      }
     }
     op.count = items.size() - op.off;
     ++window->refs;
@@ -603,7 +608,7 @@ void DocServer::EncodeResponse(const PendingOp& op, std::string* out) {
   }
   const GetResult* results =
       op.window == nullptr
-          ? nullptr
+          ? &op.hit
           : &op.window->batches[static_cast<int>(op.priority)]
                  .results()[op.off];
   switch (op.type) {

@@ -10,10 +10,13 @@
 ///
 /// Threading: the *loop thread* owns every connection (accept, read,
 /// parse, submit, answer, write, close — no locks on connection state).
-/// DocService workers decode and never touch a socket; the worker that
-/// finishes a submission wakes the loop through an eventfd (the
-/// ServeBatch completion hook), and the loop answers each connection's
-/// requests in its request order as their results come in.
+/// A Get or GetRange whose document is in the decode cache is answered
+/// by the loop itself at parse time (DocService::GetCached); everything
+/// else goes to DocService workers, which decode and never touch a
+/// socket. The worker that finishes a submission wakes the loop through
+/// an eventfd (the ServeBatch completion hook), and the loop answers
+/// each connection's requests in its request order as their results
+/// come in.
 ///
 /// Backpressure: each connection has a bounded outbound buffer and a
 /// bounded count of parsed-but-unanswered requests; crossing either
@@ -113,7 +116,9 @@ struct NetServerStats {
   /// ServeBatch submissions made by the loop (one per non-empty
   /// priority class of a poll round).
   uint64_t batches = 0;
-  /// Document requests coalesced into those submissions.
+  /// Document requests coalesced into those submissions. Requests the
+  /// loop answered from the decode cache were never submitted and are
+  /// not counted (DocService's ServiceStats::cached counts them).
   uint64_t coalesced_requests = 0;
   /// Times a connection's reads were paused for backpressure.
   uint64_t reads_paused = 0;
@@ -186,9 +191,9 @@ class DocServer {
   // staging document requests into the open window; poisons the
   // connection on malformed input.
   void ParseFrames(Connection* conn);
-  // Stages `op`'s document requests (those of conn->scratch, when it
-  // has any) into the open window and appends it to the connection's
-  // FIFO.
+  // Appends `op` to the connection's FIFO. A Get or GetRange the decode
+  // cache answers is ready at once; any other document request (those
+  // of conn->scratch) is staged into the open window.
   void Enqueue(Connection* conn, PendingOp op);
   // Submits the open window: one SubmitBatch per non-empty class.
   void SubmitWindow();

@@ -28,6 +28,17 @@ uint64_t NowNs() {
           .count());
 }
 
+// The answer to a range request from its resident whole document:
+// bytes [offset, offset + length), clamped to the document's end.
+std::shared_ptr<const std::string> Slice(const std::string& doc,
+                                         size_t offset, size_t length) {
+  std::string slice;
+  if (offset < doc.size()) {
+    slice.assign(doc, offset, std::min(length, doc.size() - offset));
+  }
+  return std::make_shared<const std::string>(std::move(slice));
+}
+
 }  // namespace
 
 DocServiceOptions DocServiceOptions::Validated() const {
@@ -73,8 +84,8 @@ DocService::DocService(const Archive* archive,
   // shard. Other archives route by id. The router is re-snapshotted per
   // submission (the store is live and grows shards); the eviction hook
   // keeps the decode cache honest across Delete and compaction.
-  if (const auto* sharded = dynamic_cast<const ShardedStore*>(archive)) {
-    live_store_ = sharded;
+  live_store_ = archive->live_store();
+  if (live_store_ != nullptr) {
     live_store_->SetEvictionListener(
         [this](size_t id) { cache_.Erase(id); });
   }
@@ -475,9 +486,24 @@ void DocService::FinishOne() {
   }
 }
 
+std::shared_ptr<const std::string> DocService::CachedLive(size_t id,
+                                                         bool count_miss) {
+  std::shared_ptr<const std::string> doc = cache_.Get(id, count_miss);
+  // DoGet inserts a decode and then re-checks liveness, so a decode that
+  // raced a Delete can sit in the cache for a moment after Delete has
+  // returned. A dead id is never answered from the cache: its entry is
+  // dropped, and the caller decodes against the current epoch
+  // (NotFound).
+  if (doc != nullptr && live_store_ != nullptr && !live_store_->IsLive(id)) {
+    cache_.Erase(id);
+    return nullptr;
+  }
+  return doc;
+}
+
 GetResult DocService::DoGet(size_t id, Worker* worker) {
   GetResult result;
-  result.text = cache_.Get(id);
+  result.text = CachedLive(id, /*count_miss=*/true);
   if (result.text == nullptr) {
     // Decode runs lock-free: the scratch is worker-owned, and cache
     // admission below synchronizes only inside the cache's own stripe.
@@ -505,12 +531,9 @@ GetResult DocService::DoGetRange(size_t id, size_t offset, size_t length,
                                  Worker* worker) {
   GetResult result;
   // A resident full document serves any range without touching the archive.
-  if (std::shared_ptr<const std::string> doc = cache_.Get(id)) {
-    std::string slice;
-    if (offset < doc->size()) {
-      slice.assign(*doc, offset, std::min(length, doc->size() - offset));
-    }
-    result.text = std::make_shared<const std::string>(std::move(slice));
+  if (std::shared_ptr<const std::string> doc =
+          CachedLive(id, /*count_miss=*/true)) {
+    result.text = Slice(*doc, offset, length);
   } else {
     std::string slice;
     result.status = archive_->GetRange(id, offset, length, &slice,
@@ -520,6 +543,18 @@ GetResult DocService::DoGetRange(size_t id, size_t offset, size_t length,
     }
   }
   return result;
+}
+
+bool DocService::GetCached(const BatchItem& item, GetResult* result) {
+  if (stopping_.load(std::memory_order_relaxed)) return false;
+  std::shared_ptr<const std::string> doc =
+      CachedLive(item.id, /*count_miss=*/false);
+  if (doc == nullptr) return false;
+  result->status = Status::OK();
+  result->text =
+      item.is_range ? Slice(*doc, item.offset, item.length) : std::move(doc);
+  cached_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void DocService::Drain() {
@@ -543,6 +578,8 @@ ServiceStats DocService::Stats() const {
   ServiceStats stats;
   stats.num_threads = static_cast<int>(workers_.size());
   stats.cache = cache_.stats();
+  stats.cached = cached_.load(std::memory_order_relaxed);
+  stats.requests = stats.cached;
   stats.queued = queued_.load(std::memory_order_relaxed);
   stats.shed = shed_.load(std::memory_order_relaxed);
   stats.expired = expired_.load(std::memory_order_relaxed);

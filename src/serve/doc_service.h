@@ -82,9 +82,21 @@ struct GetResult {
 /// may also be called mid-flight — workers publish their counters as
 /// atomics, so reading them never blocks serving (counters are internally
 /// consistent per worker but requests may land between worker snapshots).
+///
+/// Each request looks the decode cache up once, so cache.hits +
+/// cache.misses counts the Get and GetRange requests served (a request
+/// GetCached found a deleted document's stale entry for counts a hit
+/// there and a lookup again on the worker that serves it). A request
+/// GetCached answers on the caller's thread counts once in `requests`,
+/// once in `cached` and once in cache.hits; it never queues, so it is in
+/// none of the worker figures (cpu_seconds, latency percentiles).
 struct ServiceStats {
-  /// Requests executed (Get + MultiGet elements + GetRange).
+  /// Requests executed (Get + MultiGet elements + GetRange), `cached`
+  /// included.
   uint64_t requests = 0;
+  /// Requests GetCached answered from the decode cache on the caller's
+  /// thread (DESIGN.md §10).
+  uint64_t cached = 0;
   /// Requests that returned a non-OK status.
   uint64_t failures = 0;
   /// Requests a worker popped from another worker's queue.
@@ -108,7 +120,9 @@ struct ServiceStats {
   /// RlzArchiveInfo::build_critical_path_seconds is for the build. Never
   /// exceeds cpu_seconds.
   double critical_path_seconds = 0.0;
-  /// Request latency (enqueue to completion, microseconds): median.
+  /// Request latency (enqueue to completion, microseconds) of the
+  /// requests a worker served: median. GetCached answers never queue and
+  /// are not in it.
   double latency_p50_us = 0.0;
   /// Request latency: 99th percentile.
   double latency_p99_us = 0.0;
@@ -221,10 +235,10 @@ class ServeBatch {
 class DocService {
  public:
   /// Starts the worker pool in front of `archive` (not owned; must be
-  /// thread-safe and outlive the service). A live ShardedStore archive is
-  /// recognized: the service routes from its epoch snapshots and
-  /// registers as its eviction listener, so deletes invalidate cached
-  /// decodes (DESIGN.md §11).
+  /// thread-safe and outlive the service). An archive with a live store
+  /// (Archive::live_store) is recognized: the service routes from its
+  /// epoch snapshots and registers as its eviction listener, so deletes
+  /// invalidate cached decodes (DESIGN.md §11).
   explicit DocService(const Archive* archive,
                       const DocServiceOptions& options = {});
   /// Unregisters the eviction listener (if any), Shutdown() (drains
@@ -271,6 +285,19 @@ class DocService {
   /// as one batch, so ranges ride the same shard-affine queues and
   /// completion buffer as whole documents.
   void SubmitBatch(const BatchItem* items, size_t count, ServeBatch* batch);
+
+  /// Answers `item`, a whole-document or range request, from the decode
+  /// cache on the calling thread: the network loop's fast path (DESIGN.md
+  /// §10, §13). On a hit, fills `*result` — a whole document shares the
+  /// cached bytes — counts the request and the hit, and returns true. On
+  /// a miss returns false and counts nothing, so the caller submits the
+  /// item and the worker's lookup is the one counted. Also false once the
+  /// service is stopping (the batch path then answers Unavailable), and
+  /// for a live store's id that is no longer live: no request sent after
+  /// Delete returned is answered from the cache, on this path or a
+  /// worker's. Priority and deadline are ignored: a hit neither queues
+  /// nor waits.
+  bool GetCached(const BatchItem& item, GetResult* result);
 
   /// Blocks until the service is momentarily idle (no queued or executing
   /// requests). Under sustained submission from other threads this keeps
@@ -354,6 +381,11 @@ class DocService {
   /// Completion bookkeeping shared by served and rejected requests.
   void FinishOne();
 
+  /// The decode cache's entry for `id`, or null. Counts the hit, and
+  /// the miss too when `count_miss`. A live store's id that is no longer
+  /// live is never returned: its stale entry is dropped (the lookup still
+  /// counted as a hit).
+  std::shared_ptr<const std::string> CachedLive(size_t id, bool count_miss);
   GetResult DoGet(size_t id, Worker* worker);
   GetResult DoGetRange(size_t id, size_t offset, size_t length,
                        Worker* worker);
@@ -362,14 +394,16 @@ class DocService {
   const Archive* archive_;
   DocServiceOptions options_;  // validated copy
   LruCache cache_;
-  // Non-null when the archive is a live ShardedStore: the service then
-  // routes from per-submission epoch snapshots, registers itself as the
-  // store's eviction listener (Delete/compaction erase stale cache
-  // entries), and re-checks liveness after every cache insert.
+  // The archive's live store, or null. When set, the service routes from
+  // per-submission epoch snapshots, registers itself as the store's
+  // eviction listener (Delete/compaction erase stale cache entries),
+  // re-checks liveness after every cache insert, and checks it on every
+  // cache hit (CachedLive).
   const ShardedStore* live_store_ = nullptr;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<BoundedRequestQueue>> queues_;
 
+  std::atomic<uint64_t> cached_{0};     // requests GetCached answered
   std::atomic<uint64_t> in_flight_{0};  // accepted, not yet completed
   std::atomic<uint64_t> queued_{0};     // enqueued, not yet popped
   std::atomic<uint64_t> shed_{0};       // best-effort sheds at admission

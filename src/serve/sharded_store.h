@@ -147,6 +147,8 @@ class ShardedStore final : public Archive {
                   SimDisk* disk, DecodeScratch* scratch) const override;
   /// Sum of every sealed shard's stored bytes plus the raw open tail.
   uint64_t stored_bytes() const override { return epoch()->stored_bytes(); }
+  /// This store.
+  const ShardedStore* live_store() const override { return this; }
 
   // --- Mutation API (DESIGN.md §11) -------------------------------------
 

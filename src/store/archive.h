@@ -14,6 +14,8 @@
 
 namespace rlz {
 
+class ShardedStore;
+
 /// A compressed document store supporting random access by document id —
 /// the interface every system in the paper's evaluation implements
 /// (raw ASCII, blocked zlib/lzma, and RLZ).
@@ -95,6 +97,12 @@ class Archive {
   /// from it. Returns InvalidArgument if the archive holds state the
   /// format cannot represent (e.g. an unregistered compressor).
   virtual Status Save(const std::string& path) const = 0;
+
+  /// The live store this archive reads from, or null (the default). A
+  /// DocService over a live store routes from its epochs and keeps its
+  /// decode cache honest across deletes (DESIGN.md §11); an archive that
+  /// forwards its reads to a live store forwards this too.
+  virtual const ShardedStore* live_store() const { return nullptr; }
 };
 
 }  // namespace rlz

@@ -67,13 +67,16 @@ class LruCache {
   LruCache& operator=(const LruCache&) = delete;
 
   /// Returns the cached value for `key` (promoting it to most recently
-  /// used) or nullptr on a miss.
-  std::shared_ptr<const std::string> Get(uint64_t key) {
+  /// used) or nullptr on a miss. `count_miss` false leaves a miss out of
+  /// the stats, for a caller that falls back to a counted Get of the same
+  /// key, so one request stays one lookup.
+  std::shared_ptr<const std::string> Get(uint64_t key,
+                                         bool count_miss = true) {
     Shard& s = shard(key);
     std::lock_guard<std::mutex> lock(s.mu);
     auto it = s.index.find(key);
     if (it == s.index.end()) {
-      ++s.misses;
+      if (count_miss) ++s.misses;
       return nullptr;
     }
     ++s.hits;

@@ -2,9 +2,12 @@
 #define RLZ_TESTS_GATED_ARCHIVE_H_
 
 // An archive that serves another one, except that a Get (or GetRange) of
-// one chosen id blocks until Release(): a decode that takes exactly as
-// long as a test wants, so it can hold one request in a worker and check
-// what the rest of the serving stack does meanwhile.
+// one chosen id decodes and then blocks until Release(): a decode that
+// takes exactly as long as a test wants, so it can hold one request in a
+// worker and check what the rest of the serving stack does meanwhile.
+// The bytes are read before the block, so a held decode of a live
+// store's document returns what that document was when the decode
+// started, even if it was deleted meanwhile.
 
 #include <chrono>
 #include <condition_variable>
@@ -27,15 +30,20 @@ class GatedArchive : public Archive {
     return Status::InvalidArgument("a gated archive is not saved");
   }
 
+  const ShardedStore* live_store() const override {
+    return inner_->live_store();
+  }
+
   Status Get(size_t id, std::string* doc, SimDisk* disk,
              DecodeScratch* scratch) const override {
+    Status status = inner_->Get(id, doc, disk, scratch);
     if (id == gated_id_) {
       std::unique_lock<std::mutex> lock(mu_);
       entered_ = true;
       cv_.notify_all();
       cv_.wait(lock, [&] { return released_; });
     }
-    return inner_->Get(id, doc, disk, scratch);
+    return status;
   }
 
   // True once a Get of the gated id has started (and is blocked, unless

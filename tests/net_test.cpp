@@ -551,6 +551,7 @@ class ServerHarness {
   }
 
   const Collection& collection() const { return collection_; }
+  ShardedStore& store() { return *store_; }
   DocService& service() { return *service_; }
   DocServer& server() { return *server_; }
   uint16_t port() const { return server_->port(); }
@@ -1079,6 +1080,311 @@ TEST(DocServerTest, AnswersNeverWaitOnAnotherConnectionsDecode) {
   ASSERT_TRUE(held.ok()) << held.status().ToString();
   ASSERT_TRUE(held->ok());
   EXPECT_EQ(held->payload, collection.doc(0));
+}
+
+TEST(DocServerTest, HitsKeepRequestOrderBehindAHeldMiss) {
+  // Connection A pipelines a miss held in a worker, then two cache hits:
+  // the hits are ready at parse time but are answered after the miss, in
+  // request order. A hit on connection B is answered while A's decode is
+  // still held.
+  const Collection collection = TestCollection(1 << 18, 17);
+  auto store = ShardedStore::Build(collection, {});
+  constexpr size_t kHeld = 0;
+  constexpr size_t kCached = 1;
+  GatedArchive gated(store.get(), kHeld);
+  DocServiceOptions service_options;
+  service_options.num_threads = 2;
+  DocService service(&gated, service_options);
+  ASSERT_TRUE(service.Get(kCached).get().ok());  // now cached
+  DocServer server(&service);
+  ASSERT_TRUE(server.Start().ok());
+  ReleaseOnExit release_on_exit(&gated);
+
+  auto a = NetClient::Connect(server.port());
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  (*a)->SendGet(kHeld);
+  (*a)->SendGetRange(kCached, 3, 50);
+  (*a)->SendGet(kCached);
+  ASSERT_TRUE((*a)->Flush().ok());
+  ASSERT_TRUE(gated.WaitEntered());
+
+  NetClientOptions b_options;
+  b_options.deadline_ms = 5000;
+  auto b = NetClient::Connect(server.port(), b_options);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  auto range = (*b)->GetRange(kCached, 10, 20);
+  ASSERT_TRUE(range.ok()) << range.status().ToString();
+  EXPECT_EQ(*range, collection.doc(kCached).substr(10, 20));
+  // B's hit and A's two were answered on the loop; only A's miss was
+  // submitted.
+  EXPECT_EQ(service.Stats().cached, 3u);
+  EXPECT_EQ(server.stats().coalesced_requests, 1u);
+
+  gated.Release();
+  const std::string expected[] = {
+      std::string(collection.doc(kHeld)),
+      std::string(collection.doc(kCached).substr(3, 50)),
+      std::string(collection.doc(kCached))};
+  for (const std::string& want : expected) {
+    auto response = (*a)->Receive();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response->ok()) << response->payload;
+    EXPECT_EQ(response->payload, want);
+  }
+}
+
+TEST(DocServerTest, CacheHitsCountOnceAndSkipTheBatch) {
+  // Pipelined GetRanges over ids of which some are cached: every request
+  // counts once in `requests` and is one cache lookup, hits are answered
+  // on the loop, and only the misses reach a submitted batch.
+  ServerHarness harness;
+  const Collection& collection = harness.collection();
+  constexpr size_t kCachedIds = 8;
+  std::vector<size_t> warm(kCachedIds);
+  for (size_t i = 0; i < kCachedIds; ++i) warm[i] = i;
+  for (const GetResult& r : harness.service().MultiGet(warm)) {
+    ASSERT_TRUE(r.ok()) << r.status.ToString();
+  }
+  const ServiceStats before = harness.service().Stats();
+  auto client = harness.Connect();
+  // Every fourth request asks for an uncached id. A range miss decodes
+  // only the range and never fills the cache, so it misses every time.
+  constexpr size_t kRequests = 64;
+  std::vector<uint64_t> ids;
+  size_t misses = 0;
+  for (size_t i = 0; i < kRequests; ++i) {
+    const bool miss = i % 4 == 3;
+    ids.push_back(miss ? kCachedIds + i % 5 : i % kCachedIds);
+    misses += miss;
+    client->SendGetRange(ids.back(), 2, 30);
+  }
+  ASSERT_TRUE(client->Flush().ok());
+  for (size_t i = 0; i < kRequests; ++i) {
+    auto response = client->Receive();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response->ok()) << response->payload;
+    EXPECT_EQ(response->payload, collection.doc(ids[i]).substr(2, 30))
+        << "response " << i;
+  }
+  auto wire = client->Stat();
+  ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+  const ServiceStats after = harness.service().Stats();
+  const size_t hits = kRequests - misses;
+  EXPECT_EQ(after.requests - before.requests, kRequests);
+  EXPECT_EQ(after.cached - before.cached, hits);
+  EXPECT_EQ(after.cache.hits - before.cache.hits, hits);
+  EXPECT_EQ(after.cache.misses - before.cache.misses, misses);
+  EXPECT_EQ(wire->requests, after.requests);
+  EXPECT_EQ(wire->cache_hits + wire->cache_misses,
+            before.cache.hits + before.cache.misses + kRequests);
+  EXPECT_EQ(wire->net_coalesced_requests, misses);
+}
+
+TEST(DocServerTest, CachedDocumentAfterServiceShutdownIsUnavailable) {
+  // A stopped service answers every request Unavailable, cache hits too.
+  ServerHarness harness;
+  auto client = harness.Connect();
+  ASSERT_TRUE(client->Get(2).ok());  // the worker caches it
+  ASSERT_TRUE(client->GetRange(2, 0, 8).ok());
+  ASSERT_EQ(harness.service().Stats().cached, 1u);
+  harness.service().Shutdown();
+  EXPECT_EQ(client->Get(2).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(client->GetRange(2, 0, 8).status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(harness.service().Stats().cached, 1u);
+}
+
+TEST(DocServerTest, DeletedDocumentIsNotAnsweredFromTheCache) {
+  // Cached, then deleted: once Delete has returned, a Get or GetRange
+  // answers NotFound.
+  ServerHarness harness;
+  auto client = harness.Connect();
+  ASSERT_TRUE(client->Get(5).ok());
+  ASSERT_TRUE(client->GetRange(5, 0, 10).ok());
+  ASSERT_EQ(harness.service().Stats().cached, 1u);
+  ASSERT_TRUE(harness.store().Delete(5).ok());
+  EXPECT_EQ(client->Get(5).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(client->GetRange(5, 0, 10).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(harness.service().Stats().cached, 1u);
+
+  // The state a decode racing a Delete leaves for a moment (DoGet caches
+  // it, then re-checks liveness): a deleted document still in the cache.
+  // With the eviction hook unhooked, Delete leaves doc 6 cached, and only
+  // the liveness check at lookup keeps it from being answered.
+  ASSERT_TRUE(client->Get(6).ok());
+  harness.store().SetEvictionListener(nullptr);
+  ASSERT_TRUE(harness.store().Delete(6).ok());
+  EXPECT_EQ(client->GetRange(6, 0, 10).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(client->Get(6).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(harness.service().Stats().cached, 1u);
+}
+
+TEST(DocServerTest, DecodeHeldAcrossDeleteIsNeverAnsweredFromTheCache) {
+  // A's Get decodes the document, then is held across its Delete. When
+  // released, the worker caches those pre-delete bytes and only then
+  // re-checks liveness and drops them. B asks for the document all along,
+  // every request sent after Delete returned: each answer is NotFound.
+  const Collection collection = TestCollection(1 << 18, 19);
+  auto store = ShardedStore::Build(collection, {});
+  constexpr size_t kVictim = 3;
+  GatedArchive gated(store.get(), kVictim);
+  DocServiceOptions service_options;
+  service_options.num_threads = 2;
+  DocService service(&gated, service_options);
+  DocServer server(&service);
+  ASSERT_TRUE(server.Start().ok());
+  ReleaseOnExit release_on_exit(&gated);
+
+  auto a = NetClient::Connect(server.port());
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  (*a)->SendGet(kVictim);
+  ASSERT_TRUE((*a)->Flush().ok());
+  ASSERT_TRUE(gated.WaitEntered());
+  ASSERT_TRUE(store->Delete(kVictim).ok());
+
+  std::atomic<bool> held_answered{false};
+  std::atomic<int> wrong{0};
+  std::thread b_thread([&] {
+    NetClientOptions b_options;
+    b_options.deadline_ms = 5000;
+    auto b = NetClient::Connect(server.port(), b_options);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    // Keep asking until a few rounds after A's answer came back.
+    for (int after = 0; after < 20;) {
+      if (held_answered.load()) ++after;
+      for (int k = 0; k < 8; ++k) {
+        if (k % 2 == 0) {
+          (*b)->SendGet(kVictim);
+        } else {
+          (*b)->SendGetRange(kVictim, 0, 16);
+        }
+      }
+      ASSERT_TRUE((*b)->Flush().ok());
+      for (int k = 0; k < 8; ++k) {
+        auto response = (*b)->Receive();
+        ASSERT_TRUE(response.ok()) << response.status().ToString();
+        if (response->code != WireCode::kNotFound) wrong.fetch_add(1);
+      }
+    }
+  });
+  gated.Release();
+  // A's decode started before the Delete: it answers the old bytes.
+  auto held = (*a)->Receive();
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  ASSERT_TRUE(held->ok()) << held->payload;
+  EXPECT_EQ(held->payload, collection.doc(kVictim));
+  held_answered.store(true);
+  b_thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(service.Get(kVictim).get().status.code(), StatusCode::kNotFound);
+}
+
+TEST(DocServerTest, CachedRangesStayExactUnderAppendsAndDeletes) {
+  // The race the loop's cache answers add: connections hammer cached
+  // GetRanges and Gets while a writer appends documents and deletes
+  // others. Every served byte is the document's own; a deleted id may
+  // answer NotFound once its Delete has started, and must once it has
+  // returned. Runs under ThreadSanitizer (the `concurrency` label).
+  const Collection collection = TestCollection(1 << 18, 23);
+  ShardedStoreOptions store_options;
+  store_options.num_shards = 2;
+  store_options.dict_bytes = 1 << 16;
+  store_options.live.tail_seal_bytes = 1 << 15;
+  auto store = ShardedStore::Build(collection, store_options);
+  const size_t built = store->num_docs();
+  DocServiceOptions service_options;
+  service_options.num_threads = 2;
+  DocService service(store.get(), service_options);
+  DocServer server(&service);
+  ASSERT_TRUE(server.Start().ok());
+
+  const Collection extra = TestCollection(1 << 15, 24);
+  std::vector<std::string> expected;
+  for (size_t i = 0; i < built; ++i) expected.emplace_back(collection.doc(i));
+  for (size_t i = 0; i < extra.num_docs(); ++i) {
+    expected.emplace_back(extra.doc(i));
+  }
+  std::vector<size_t> warm(built);
+  for (size_t i = 0; i < built; ++i) warm[i] = i;
+  for (const GetResult& r : service.MultiGet(warm)) ASSERT_TRUE(r.ok());
+  // 1: Delete(id) has started; 2: it has returned.
+  std::vector<std::atomic<int>> deleted(built);
+  for (auto& state : deleted) state.store(0);
+  std::atomic<size_t> appended{0};
+
+  std::thread writer([&] {
+    for (size_t i = 0; i < extra.num_docs(); ++i) {
+      auto id = store->Append(extra.doc(i));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      ASSERT_EQ(*id, built + i);
+      appended.store(i + 1);
+      if (i % 2 == 0 && 5 * i < built) {
+        const size_t victim = 5 * i;
+        deleted[victim].store(1);
+        ASSERT_TRUE(store->Delete(victim).ok());
+        deleted[victim].store(2);
+      }
+    }
+  });
+  constexpr int kConnections = 3;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int c = 0; c < kConnections; ++c) {
+    readers.emplace_back([&, c] {
+      auto client = NetClient::Connect(server.port());
+      ASSERT_TRUE(client.ok()) << client.status().ToString();
+      Rng rng(500 + c);
+      struct Sent {
+        size_t id, offset;
+        int deleted_state;
+      };
+      std::vector<Sent> sent;
+      for (int round = 0; round < 60; ++round) {
+        sent.clear();
+        const size_t limit = built + appended.load();
+        for (int k = 0; k < 8; ++k) {
+          const size_t id = rng.Uniform(limit);
+          const size_t offset = rng.Uniform(64);
+          const int state = id < built ? deleted[id].load() : 0;
+          sent.push_back({id, offset, state});
+          if (k == 0) {
+            (*client)->SendGet(id);
+          } else {
+            (*client)->SendGetRange(id, offset, 100);
+          }
+        }
+        ASSERT_TRUE((*client)->Flush().ok());
+        for (size_t k = 0; k < sent.size(); ++k) {
+          auto response = (*client)->Receive();
+          ASSERT_TRUE(response.ok()) << response.status().ToString();
+          const Sent& s = sent[k];
+          const std::string& doc = expected[s.id];
+          if (response->ok()) {
+            const std::string want =
+                k == 0 ? doc
+                       : doc.substr(std::min(s.offset, doc.size()), 100);
+            if (s.deleted_state == 2 || response->payload != want) {
+              wrong.fetch_add(1);
+              ADD_FAILURE() << "id " << s.id << " served wrong bytes";
+            }
+          } else if (response->code != WireCode::kNotFound ||
+                     s.id >= built || deleted[s.id].load() == 0) {
+            wrong.fetch_add(1);
+            ADD_FAILURE() << "id " << s.id << ": "
+                          << WireCodeToString(response->code);
+          }
+        }
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(service.Stats().cached, 0u);
+  server.Shutdown();
+  service.Shutdown();
 }
 
 TEST(NetClientTest, HungServerSurfacesDeadlineExceeded) {
