@@ -22,6 +22,8 @@
 //   ./build/examples/snippet_server --client PORT [N [DEPTH]]
 //       Load client for a --serve instance: N pipelined MultiGet
 //       result-page fetches (pipelining depth DEPTH), then p50/p99.
+//       Exits 1 unless the server's Stat then shows no failures and at
+//       least 3 x N more serve.requests.
 
 #include <unistd.h>
 
@@ -103,7 +105,7 @@ int RunClient(uint16_t port, size_t num_requests, size_t depth) {
     std::fprintf(stderr, "stat failed: %s\n", stat.status().ToString().c_str());
     return 1;
   }
-  const uint64_t num_docs = stat->archive_docs;
+  const uint64_t num_docs = stat->U64("archive.docs");
   if (num_docs == 0) {
     std::fprintf(stderr, "server reports an empty archive\n");
     return 1;
@@ -157,6 +159,31 @@ int RunClient(uint16_t port, size_t num_requests, size_t depth) {
               payload_bytes / (1024.0 * 1024.0), elapsed,
               num_requests / elapsed);
   std::printf("latency: p50 %.1f us, p99 %.1f us\n", pct(0.50), pct(0.99));
+
+  // The server's own count must agree: every page's documents served,
+  // none failed.
+  const auto after = client->Stat();
+  if (!after.ok()) {
+    std::fprintf(stderr, "stat failed: %s\n",
+                 after.status().ToString().c_str());
+    return 1;
+  }
+  if (after->Find("serve.requests") == nullptr ||
+      after->Find("serve.failures") == nullptr) {
+    std::fprintf(stderr, "server Stat lacks serve.requests/failures\n");
+    return 1;
+  }
+  const uint64_t served =
+      after->U64("serve.requests") - stat->U64("serve.requests");
+  const uint64_t failed = after->U64("serve.failures");
+  std::printf("server counted %llu requests, %llu failed\n",
+              static_cast<unsigned long long>(served),
+              static_cast<unsigned long long>(failed));
+  if (failed != 0 || served < num_requests * kPageDocs) {
+    std::fprintf(stderr, "server Stat disagrees with the load: want >= %zu "
+                 "requests and 0 failures\n", num_requests * kPageDocs);
+    return 1;
+  }
   return 0;
 }
 
@@ -332,28 +359,14 @@ int main(int argc, char** argv) {
   }
   server.Shutdown();
   service.Shutdown();
-  std::printf(
-      "\nservice: %llu requests (%llu failed), cache %llu hits / %llu "
-      "misses (%llu entries, %.1f MB), worker CPU %.1f ms (busiest "
-      "%.1f ms)\n",
-      static_cast<unsigned long long>(wire->requests),
-      static_cast<unsigned long long>(wire->failures),
-      static_cast<unsigned long long>(wire->cache_hits),
-      static_cast<unsigned long long>(wire->cache_misses),
-      static_cast<unsigned long long>(wire->cache_entries),
-      wire->cache_bytes / (1024.0 * 1024.0), 1e3 * wire->cpu_seconds,
-      1e3 * wire->critical_path_seconds);
-  std::printf(
-      "latency: p50 %.1f us, p99 %.1f us over %u workers (%llu steals)\n",
-      wire->latency_p50_us, wire->latency_p99_us, wire->num_threads,
-      static_cast<unsigned long long>(wire->steals));
-  std::printf(
-      "network: %llu frames in / %llu out over %llu connections, %llu "
-      "batches coalescing %llu requests\n",
-      static_cast<unsigned long long>(wire->net_frames_received),
-      static_cast<unsigned long long>(wire->net_frames_sent),
-      static_cast<unsigned long long>(wire->net_connections_accepted),
-      static_cast<unsigned long long>(wire->net_batches),
-      static_cast<unsigned long long>(wire->net_coalesced_requests));
+  std::printf("\nshutdown report (Stat entries):\n");
+  for (const rlz::net::StatEntry& e : wire->entries) {
+    if (e.kind == rlz::net::StatKind::kF64) {
+      std::printf("  %-32s %.6g\n", e.name.c_str(), e.f64);
+    } else {
+      std::printf("  %-32s %llu\n", e.name.c_str(),
+                  static_cast<unsigned long long>(e.u64));
+    }
+  }
   return 0;
 }

@@ -143,27 +143,26 @@ void DocServer::Shutdown() {
 }
 
 NetServerStats DocServer::stats() const {
+  const auto load = [](const std::atomic<uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
   NetServerStats s;
-  s.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  s.connections_active = connections_active_.load(std::memory_order_relaxed);
-  s.frames_received = frames_received_.load(std::memory_order_relaxed);
-  s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
-  s.bytes_received = bytes_received_.load(std::memory_order_relaxed);
-  s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.coalesced_requests =
-      coalesced_requests_.load(std::memory_order_relaxed);
-  s.reads_paused = reads_paused_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.sheds = sheds_.load(std::memory_order_relaxed);
-  s.idle_closed = idle_closed_.load(std::memory_order_relaxed);
-  s.header_timeout_closed =
-      header_timeout_closed_.load(std::memory_order_relaxed);
-  s.write_stall_closed = write_stall_closed_.load(std::memory_order_relaxed);
-  s.high_priority_frames =
-      high_priority_frames_.load(std::memory_order_relaxed);
-  s.best_effort_frames = best_effort_frames_.load(std::memory_order_relaxed);
+  s.connections_accepted = load(connections_accepted_);
+  s.connections_active = load(connections_active_);
+  s.frames_received = load(frames_received_);
+  s.frames_sent = load(frames_sent_);
+  s.bytes_received = load(bytes_received_);
+  s.bytes_sent = load(bytes_sent_);
+  s.batches = load(batches_);
+  s.coalesced_requests = load(coalesced_requests_);
+  s.reads_paused = load(reads_paused_);
+  s.protocol_errors = load(protocol_errors_);
+  s.sheds = load(sheds_);
+  s.idle_closed = load(idle_closed_);
+  s.header_timeout_closed = load(header_timeout_closed_);
+  s.write_stall_closed = load(write_stall_closed_);
+  s.high_priority_frames = load(high_priority_frames_);
+  s.best_effort_frames = load(best_effort_frames_);
   return s;
 }
 
@@ -172,48 +171,6 @@ void DocServer::WakeLoop() {
   // A full eventfd counter still wakes the loop; the result is advisory.
   [[maybe_unused]] const ssize_t n =
       ::write(wake_fd_.get(), &one, sizeof(one));
-}
-
-WireStats DocServer::BuildWireStats() const {
-  const ServiceStats s = service_->Stats();
-  const NetServerStats n = stats();
-  WireStats w;
-  w.requests = s.requests;
-  w.failures = s.failures;
-  w.steals = s.steals;
-  w.queued = s.queued;
-  w.cache_hits = s.cache.hits;
-  w.cache_misses = s.cache.misses;
-  w.cache_evictions = s.cache.evictions;
-  w.cache_erased = s.cache.erased;
-  w.cache_entries = s.cache.entries;
-  w.cache_bytes = s.cache.bytes;
-  w.archive_docs = service_->archive().num_docs();
-  w.cpu_seconds = s.cpu_seconds;
-  w.critical_path_seconds = s.critical_path_seconds;
-  w.latency_p50_us = s.latency_p50_us;
-  w.latency_p99_us = s.latency_p99_us;
-  w.latency_p999_us = s.latency_p999_us;
-  w.num_threads = static_cast<uint32_t>(s.num_threads);
-  w.net_connections_accepted = n.connections_accepted;
-  w.net_connections_active = n.connections_active;
-  w.net_frames_received = n.frames_received;
-  w.net_frames_sent = n.frames_sent;
-  w.net_bytes_received = n.bytes_received;
-  w.net_bytes_sent = n.bytes_sent;
-  w.net_batches = n.batches;
-  w.net_coalesced_requests = n.coalesced_requests;
-  w.net_reads_paused = n.reads_paused;
-  w.net_protocol_errors = n.protocol_errors;
-  w.shed = s.shed;
-  w.expired = s.expired;
-  w.net_sheds = n.sheds;
-  w.net_idle_closed = n.idle_closed;
-  w.net_header_timeout_closed = n.header_timeout_closed;
-  w.net_write_stall_closed = n.write_stall_closed;
-  w.net_high_priority_frames = n.high_priority_frames;
-  w.net_best_effort_frames = n.best_effort_frames;
-  return w;
 }
 
 // ---------------------------------------------------------------------
@@ -644,9 +601,14 @@ void DocServer::EncodeResponse(const PendingOp& op, std::string* out) {
       EncodeMultiGetResponse(mgout_.data(), mgout_.size(), crc, out);
       break;
     }
-    case MessageType::kStat:
-      EncodeStatResponse(BuildWireStats(), crc, out);
+    case MessageType::kStat: {
+      WireStats wire;
+      wire.AddFields(service_->Stats());
+      wire.AddFields(stats());
+      wire.Add("archive.docs", service_->archive().num_docs());
+      EncodeStatResponse(wire, crc, out);
       break;
+    }
     case MessageType::kError:
       EncodeDocResponse(MessageType::kError, WireCode::kInvalidArgument,
                         op.error, /*crc=*/false, out);

@@ -98,8 +98,8 @@ struct DocServerOptions {
 };
 
 /// Server-side network counters (monotonic since Start, except
-/// connections_active). Also travel on the wire inside the Stat
-/// response (WireStats net_* fields).
+/// connections_active). The Stat response carries each under its
+/// ForEachField name.
 struct NetServerStats {
   /// Connections accepted.
   uint64_t connections_accepted = 0;
@@ -136,7 +136,32 @@ struct NetServerStats {
   uint64_t high_priority_frames = 0;
   /// Request frames flagged best-effort.
   uint64_t best_effort_frames = 0;
+
+  /// Calls `f(name, value)` once per field, under the name the Stat
+  /// response carries (DESIGN.md §13).
+  template <typename F>
+  void ForEachField(F&& f) const {
+    f("net.connections_accepted", connections_accepted);
+    f("net.connections_active", connections_active);
+    f("net.frames_received", frames_received);
+    f("net.frames_sent", frames_sent);
+    f("net.bytes_received", bytes_received);
+    f("net.bytes_sent", bytes_sent);
+    f("net.batches", batches);
+    f("net.coalesced_requests", coalesced_requests);
+    f("net.reads_paused", reads_paused);
+    f("net.protocol_errors", protocol_errors);
+    f("net.sheds", sheds);
+    f("net.idle_closed", idle_closed);
+    f("net.header_timeout_closed", header_timeout_closed);
+    f("net.write_stall_closed", write_stall_closed);
+    f("net.high_priority_frames", high_priority_frames);
+    f("net.best_effort_frames", best_effort_frames);
+  }
 };
+// A field added without its ForEachField entry fails here.
+static_assert(sizeof(NetServerStats) == 16 * sizeof(uint64_t),
+              "list the new NetServerStats field in ForEachField");
 
 /// The socket front end over a DocService (DESIGN.md §13). Start() binds
 /// and spawns the loop thread; Shutdown() stops accepting, answers
@@ -223,8 +248,6 @@ class DocServer {
   void SweepTimeouts();
   // Wakes the loop thread (eventfd write); callable from any thread.
   void WakeLoop();
-  // Builds the wire Stat payload: DocService stats + net counters.
-  WireStats BuildWireStats() const;
 
   DocService* service_;
   DocServerOptions options_;  // validated copy

@@ -96,7 +96,7 @@ class NetClient {
   /// Round-trip convenience: one MultiGet (per-element codes inside).
   StatusOr<std::vector<MultiGetElement>> MultiGet(
       const std::vector<uint64_t>& ids);
-  /// Round-trip convenience: one Stat snapshot.
+  /// Round-trip convenience: one Stat snapshot (WireStats entries).
   StatusOr<WireStats> Stat();
 
  private:

@@ -1,5 +1,7 @@
 #include "net/protocol.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "util/crc32.h"
@@ -70,12 +72,68 @@ void CloseFrame(size_t at, bool crc, std::string* out) {
   std::memcpy(out->data() + at, &body_len, sizeof(body_len));
 }
 
-// v2 appended the overload counters (shed/expired/net_* defenses); v3
-// removed three v2 fields (DESIGN.md §13). A peer on another version
-// rejects the version byte rather than misreading the layout.
-constexpr uint8_t kStatVersion = 3;
+// The Stat payload's layout version: [u32 count] then per entry
+// [u8 name_len][name][u8 kind][8-byte value] (DESIGN.md §13).
+constexpr uint8_t kStatVersion = 4;
+// The smallest entry: a one-byte name, its length, the kind and value.
+constexpr size_t kMinStatEntryBytes = 1 + 1 + 1 + 8;
+
+// Decodes a Stat payload after its status byte. The entry count is
+// checked against the bytes left before anything is reserved, and names
+// must be non-empty and unique; the decoder interprets none of them.
+Status DecodeStatEntries(std::string_view body, WireStats* stats) {
+  uint8_t version;
+  if (!Get(&body, &version) || version != kStatVersion) {
+    return Status::InvalidArgument("Stat response version unsupported");
+  }
+  uint32_t count;
+  if (!Get(&body, &count) || count > body.size() / kMinStatEntryBytes) {
+    return Status::InvalidArgument("Stat entry count exceeds the payload");
+  }
+  stats->entries.reserve(count);
+  std::vector<std::string_view> names;
+  names.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    uint8_t name_len;
+    if (!Get(&body, &name_len) || name_len == 0 || body.size() < name_len) {
+      return Status::InvalidArgument("Stat entry name malformed");
+    }
+    StatEntry& e = stats->entries.emplace_back();
+    e.name.assign(body.data(), name_len);
+    names.push_back(body.substr(0, name_len));
+    body.remove_prefix(name_len);
+    uint8_t kind;
+    if (!Get(&body, &kind) || kind > static_cast<uint8_t>(StatKind::kF64)) {
+      return Status::InvalidArgument("Stat entry kind missing or unknown");
+    }
+    e.kind = static_cast<StatKind>(kind);
+    const bool ok = e.kind == StatKind::kF64 ? Get(&body, &e.f64)
+                                             : Get(&body, &e.u64);
+    if (!ok) return Status::InvalidArgument("Stat entry value truncated");
+  }
+  if (!body.empty()) {
+    return Status::InvalidArgument("Stat response has trailing bytes");
+  }
+  std::sort(names.begin(), names.end());
+  if (std::adjacent_find(names.begin(), names.end()) != names.end()) {
+    return Status::InvalidArgument("Stat entry name repeated");
+  }
+  return Status::OK();
+}
 
 }  // namespace
+
+const StatEntry* WireStats::Find(std::string_view name) const {
+  for (const StatEntry& e : entries) {
+    if (e.name == name) return &e;
+  }
+  return nullptr;
+}
+
+uint64_t WireStats::U64(std::string_view name) const {
+  const StatEntry* e = Find(name);
+  return e != nullptr && e->kind == StatKind::kU64 ? e->u64 : 0;
+}
 
 uint8_t PriorityToWireBits(RequestPriority priority) {
   // Wire values: 0 = normal (so a v1 client's zero flags mean kNormal),
@@ -214,41 +272,18 @@ void EncodeStatResponse(const WireStats& stats, bool crc, std::string* out) {
   const size_t at = OpenFrame(MessageType::kStat, crc, out);
   Put<uint8_t>(static_cast<uint8_t>(WireCode::kOk), out);
   Put<uint8_t>(kStatVersion, out);
-  Put<uint64_t>(stats.requests, out);
-  Put<uint64_t>(stats.failures, out);
-  Put<uint64_t>(stats.steals, out);
-  Put<uint64_t>(stats.queued, out);
-  Put<uint64_t>(stats.cache_hits, out);
-  Put<uint64_t>(stats.cache_misses, out);
-  Put<uint64_t>(stats.cache_evictions, out);
-  Put<uint64_t>(stats.cache_erased, out);
-  Put<uint64_t>(stats.cache_entries, out);
-  Put<uint64_t>(stats.cache_bytes, out);
-  Put<uint64_t>(stats.archive_docs, out);
-  Put<double>(stats.cpu_seconds, out);
-  Put<double>(stats.critical_path_seconds, out);
-  Put<double>(stats.latency_p50_us, out);
-  Put<double>(stats.latency_p99_us, out);
-  Put<double>(stats.latency_p999_us, out);
-  Put<uint32_t>(stats.num_threads, out);
-  Put<uint64_t>(stats.net_connections_accepted, out);
-  Put<uint64_t>(stats.net_connections_active, out);
-  Put<uint64_t>(stats.net_frames_received, out);
-  Put<uint64_t>(stats.net_frames_sent, out);
-  Put<uint64_t>(stats.net_bytes_received, out);
-  Put<uint64_t>(stats.net_bytes_sent, out);
-  Put<uint64_t>(stats.net_batches, out);
-  Put<uint64_t>(stats.net_coalesced_requests, out);
-  Put<uint64_t>(stats.net_reads_paused, out);
-  Put<uint64_t>(stats.net_protocol_errors, out);
-  Put<uint64_t>(stats.shed, out);
-  Put<uint64_t>(stats.expired, out);
-  Put<uint64_t>(stats.net_sheds, out);
-  Put<uint64_t>(stats.net_idle_closed, out);
-  Put<uint64_t>(stats.net_header_timeout_closed, out);
-  Put<uint64_t>(stats.net_write_stall_closed, out);
-  Put<uint64_t>(stats.net_high_priority_frames, out);
-  Put<uint64_t>(stats.net_best_effort_frames, out);
+  Put<uint32_t>(static_cast<uint32_t>(stats.entries.size()), out);
+  for (const StatEntry& e : stats.entries) {
+    assert(!e.name.empty() && e.name.size() <= 255);
+    Put<uint8_t>(static_cast<uint8_t>(e.name.size()), out);
+    out->append(e.name);
+    Put<uint8_t>(static_cast<uint8_t>(e.kind), out);
+    if (e.kind == StatKind::kF64) {
+      Put<double>(e.f64, out);
+    } else {
+      Put<uint64_t>(e.u64, out);
+    }
+  }
   CloseFrame(at, crc, out);
 }
 
@@ -428,42 +463,8 @@ Status DecodeResponseBody(MessageType type, uint8_t flags,
       }
       return Status::OK();
     }
-    case MessageType::kStat: {
-      uint8_t version;
-      if (!Get(&body, &version) || version != kStatVersion) {
-        return Status::InvalidArgument("Stat response version unsupported");
-      }
-      WireStats& s = out->stats;
-      const bool ok =
-          Get(&body, &s.requests) && Get(&body, &s.failures) &&
-          Get(&body, &s.steals) && Get(&body, &s.queued) &&
-          Get(&body, &s.cache_hits) && Get(&body, &s.cache_misses) &&
-          Get(&body, &s.cache_evictions) && Get(&body, &s.cache_erased) &&
-          Get(&body, &s.cache_entries) && Get(&body, &s.cache_bytes) &&
-          Get(&body, &s.archive_docs) && Get(&body, &s.cpu_seconds) &&
-          Get(&body, &s.critical_path_seconds) &&
-          Get(&body, &s.latency_p50_us) && Get(&body, &s.latency_p99_us) &&
-          Get(&body, &s.latency_p999_us) && Get(&body, &s.num_threads) &&
-          Get(&body, &s.net_connections_accepted) &&
-          Get(&body, &s.net_connections_active) &&
-          Get(&body, &s.net_frames_received) &&
-          Get(&body, &s.net_frames_sent) &&
-          Get(&body, &s.net_bytes_received) &&
-          Get(&body, &s.net_bytes_sent) && Get(&body, &s.net_batches) &&
-          Get(&body, &s.net_coalesced_requests) &&
-          Get(&body, &s.net_reads_paused) &&
-          Get(&body, &s.net_protocol_errors) && Get(&body, &s.shed) &&
-          Get(&body, &s.expired) && Get(&body, &s.net_sheds) &&
-          Get(&body, &s.net_idle_closed) &&
-          Get(&body, &s.net_header_timeout_closed) &&
-          Get(&body, &s.net_write_stall_closed) &&
-          Get(&body, &s.net_high_priority_frames) &&
-          Get(&body, &s.net_best_effort_frames);
-      if (!ok || !body.empty()) {
-        return Status::InvalidArgument("Stat response payload malformed");
-      }
-      return Status::OK();
-    }
+    case MessageType::kStat:
+      return DecodeStatEntries(body, &out->stats);
   }
   return Status::InvalidArgument("unknown response type");
 }

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "serve/request_queue.h"  // RequestPriority travels on the wire
@@ -135,84 +136,54 @@ struct RequestOptions {
   uint32_t deadline_ms = 0;
 };
 
-/// The Stat response payload: the DocService ServiceStats snapshot plus
-/// the server's own network counters, field-for-field on the wire
-/// (version-tagged so either side can reject a future layout).
+/// Value kind of one Stat entry (the wire byte after its name).
+enum class StatKind : uint8_t {
+  kU64 = 0,  ///< an unsigned 64-bit counter or gauge
+  kF64 = 1,  ///< an IEEE-754 double (seconds, microseconds)
+};
+
+/// One named value of a Stat response.
+struct StatEntry {
+  /// Dotted name, e.g. "net.batches" (1..255 bytes).
+  std::string name;
+  /// Which of the two values below is meaningful.
+  StatKind kind = StatKind::kU64;
+  /// The value when kind is kU64.
+  uint64_t u64 = 0;
+  /// The value when kind is kF64.
+  double f64 = 0.0;
+};
+
+/// The Stat response payload (DESIGN.md §13): self-describing (name,
+/// kind, value) entries. The codec knows no counter names; the server
+/// fills the list from its stats structs' field lists, so a new counter
+/// needs no protocol change.
 struct WireStats {
-  /// Requests executed by the DocService workers.
-  uint64_t requests = 0;
-  /// Requests that completed with a non-OK status.
-  uint64_t failures = 0;
-  /// Requests popped from another worker's queue.
-  uint64_t steals = 0;
-  /// Requests sitting in worker queues at snapshot time.
-  uint64_t queued = 0;
-  /// Decode-cache hits.
-  uint64_t cache_hits = 0;
-  /// Decode-cache misses.
-  uint64_t cache_misses = 0;
-  /// Decode-cache capacity evictions.
-  uint64_t cache_evictions = 0;
-  /// Decode-cache explicit invalidations (live-store deletes).
-  uint64_t cache_erased = 0;
-  /// Decode-cache resident entries.
-  uint64_t cache_entries = 0;
-  /// Decode-cache charged bytes.
-  uint64_t cache_bytes = 0;
-  /// Documents in the served archive (lets a thin client pick ids).
-  uint64_t archive_docs = 0;
-  /// Worker thread-CPU seconds.
-  double cpu_seconds = 0.0;
-  /// The busiest worker's thread-CPU seconds (DESIGN.md §6).
-  double critical_path_seconds = 0.0;
-  /// Request latency p50, microseconds.
-  double latency_p50_us = 0.0;
-  /// Request latency p99, microseconds.
-  double latency_p99_us = 0.0;
-  /// Request latency p99.9, microseconds.
-  double latency_p999_us = 0.0;
-  /// DocService worker-pool size.
-  uint32_t num_threads = 0;
-  /// Connections accepted since the server started.
-  uint64_t net_connections_accepted = 0;
-  /// Connections currently open.
-  uint64_t net_connections_active = 0;
-  /// Request frames parsed.
-  uint64_t net_frames_received = 0;
-  /// Response frames written.
-  uint64_t net_frames_sent = 0;
-  /// Bytes read off sockets.
-  uint64_t net_bytes_received = 0;
-  /// Bytes written to sockets.
-  uint64_t net_bytes_sent = 0;
-  /// ServeBatch submissions the server's loop made (one per non-empty
-  /// priority class of a poll round).
-  uint64_t net_batches = 0;
-  /// Doc requests coalesced into those submissions (avg batch size =
-  /// coalesced / batches).
-  uint64_t net_coalesced_requests = 0;
-  /// Times a connection's reads were paused for outbound backpressure.
-  uint64_t net_reads_paused = 0;
-  /// Connections dropped for unparseable input.
-  uint64_t net_protocol_errors = 0;
-  // --- added by Stat version 2 (DESIGN.md §14) ---
-  /// Best-effort requests shed by DocService admission.
-  uint64_t shed = 0;
-  /// Requests expired in queue (kDeadlineExceeded without decoding).
-  uint64_t expired = 0;
-  /// Requests the server shed at parse time (per-connection budget).
-  uint64_t net_sheds = 0;
-  /// Connections closed by the idle timeout.
-  uint64_t net_idle_closed = 0;
-  /// Connections closed for holding a partial frame past the header
-  /// deadline (slow-loris).
-  uint64_t net_header_timeout_closed = 0;
-  /// Connections closed for not draining their outbound buffer.
-  uint64_t net_write_stall_closed = 0;
-  /// Request frames that arrived flagged high priority.
-  uint64_t net_high_priority_frames = 0;
-  /// Request frames that arrived flagged best-effort.
-  uint64_t net_best_effort_frames = 0;
+  /// Entries in wire order; names are unique.
+  std::vector<StatEntry> entries;
+
+  /// Appends an entry: integers as kU64, floating point as kF64.
+  template <typename T>
+  void Add(std::string_view name, T value) {
+    StatEntry& e = entries.emplace_back();
+    e.name.assign(name.data(), name.size());
+    if constexpr (std::is_floating_point_v<T>) {
+      e.kind = StatKind::kF64;
+      e.f64 = static_cast<double>(value);
+    } else {
+      e.u64 = static_cast<uint64_t>(value);
+    }
+  }
+  /// Appends one entry per field of `stats`, named by its ForEachField.
+  template <typename Stats>
+  void AddFields(const Stats& stats) {
+    stats.ForEachField(
+        [this](const char* name, auto value) { Add(name, value); });
+  }
+  /// The entry named `name`, or nullptr.
+  const StatEntry* Find(std::string_view name) const;
+  /// The named kU64 entry's value; 0 when absent or of another kind.
+  uint64_t U64(std::string_view name) const;
 };
 
 /// One element of a MultiGet response: a per-id status byte and, when

@@ -130,7 +130,37 @@ struct ServiceStats {
   double latency_p999_us = 0.0;
   /// Worker-pool size the service ran with.
   int num_threads = 0;
+
+  /// Calls `f(name, value)` once per field, `cache`'s included, under the
+  /// name the Stat response carries (DESIGN.md §13).
+  template <typename F>
+  void ForEachField(F&& f) const {
+    f("serve.requests", requests);
+    f("serve.cached", cached);
+    f("serve.failures", failures);
+    f("serve.steals", steals);
+    f("serve.shed", shed);
+    f("serve.expired", expired);
+    f("serve.queued", queued);
+    f("serve.cache.hits", cache.hits);
+    f("serve.cache.misses", cache.misses);
+    f("serve.cache.evictions", cache.evictions);
+    f("serve.cache.erased", cache.erased);
+    f("serve.cache.entries", cache.entries);
+    f("serve.cache.bytes", cache.bytes);
+    f("serve.cache.capacity_bytes", cache.capacity_bytes);
+    f("serve.cpu_seconds", cpu_seconds);
+    f("serve.critical_path_seconds", critical_path_seconds);
+    f("serve.latency_p50_us", latency_p50_us);
+    f("serve.latency_p99_us", latency_p99_us);
+    f("serve.latency_p999_us", latency_p999_us);
+    f("serve.num_threads", num_threads);
+  }
 };
+// 19 eight-byte fields and num_threads, padded to eight: a field added
+// without its ForEachField entry fails here.
+static_assert(sizeof(ServiceStats) == 20 * sizeof(uint64_t),
+              "list the new ServiceStats field in ForEachField");
 
 /// One request of a mixed batched submission: a whole document
 /// (is_range false, offset/length ignored) or a byte range (the snippet

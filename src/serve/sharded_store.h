@@ -260,7 +260,10 @@ class ShardedStore final : public Archive {
   /// dictionary's; a serving-only reopen passes false, builds none, and
   /// disables Append and SealTail (InvalidArgument). Fails with IOError
   /// if a shard file named by the manifest is missing, Corruption if a
-  /// shard's document count disagrees with the manifest.
+  /// shard's document count disagrees with the manifest. The manifest
+  /// carries no LiveStoreOptions: the reopened store seals and compacts
+  /// with the defaults (tail_seal_bytes 1 MB, triggers 0.25 / 0.5 /
+  /// 0.5), whatever the saved store used.
   static StatusOr<std::unique_ptr<ShardedStore>> Open(
       const std::string& path, const OpenOptions& options = {});
 
@@ -308,7 +311,9 @@ class ShardedStore final : public Archive {
   /// (read_only() becomes true). `fs` non-null routes ALL I/O —
   /// checkpoint, shards, WAL — through it (the crash-injection tests'
   /// hook); otherwise shard reads honor options.use_mmap/options.fs and
-  /// the WAL uses the real file system.
+  /// the WAL uses the real file system. As with Open, the recovered
+  /// store runs with default LiveStoreOptions, not the crashed store's:
+  /// it seals at 1 MB of tail and compacts at the default triggers.
   static StatusOr<std::unique_ptr<ShardedStore>> OpenDurable(
       const std::string& dir, const OpenOptions& options = {},
       const wal::WalWriterOptions& wal_options = {},

@@ -3,6 +3,8 @@
 // mutated valid streams.
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,9 @@
 #include "core/rlz.h"
 #include "corpus/collection.h"
 #include "io/file.h"
+#include "net/doc_server.h"  // NetServerStats
+#include "net/protocol.h"
+#include "serve/doc_service.h"
 #include "serve/sharded_store.h"
 #include "store/decode_scratch.h"
 #include "store/format.h"
@@ -346,6 +351,125 @@ TEST(FuzzTest, ManifestTruncationsAndByteFlips) {
   // Flips inside the append dictionary and tail documents parse as other
   // text; the count shows the round-trip check ran on real manifests.
   EXPECT_GT(parsed_ok, body.size());
+}
+
+// The Stat decoder through DecodeResponseBody: every truncation and every
+// byte value at every offset of a real body carrying every entry the
+// server sends. Each input sits in a buffer of exactly its size, so a
+// read past the body is a heap overflow under ASan, and the decoded list
+// never reserves more entries than the body could hold. Crafted bodies
+// pin each rejection rule.
+Status DecodeStat(std::string_view bytes, size_t* decoded_entries) {
+  std::unique_ptr<char[]> exact(new char[bytes.size()]);
+  std::memcpy(exact.get(), bytes.data(), bytes.size());
+  net::NetResponse resp;
+  const Status status = net::DecodeResponseBody(
+      net::MessageType::kStat, 0, std::string_view(exact.get(), bytes.size()),
+      &resp);
+  // [u8 len][name >= 1][u8 kind][8-byte value]: 11 bytes at least.
+  EXPECT_LE(resp.stats.entries.capacity(), bytes.size() / 11);
+  *decoded_entries = resp.stats.entries.size();
+  return status;
+}
+
+// [u8 name_len][name][u8 kind][8-byte value].
+std::string StatEntryBytes(std::string_view name, uint8_t kind,
+                           uint64_t value) {
+  std::string e(1, static_cast<char>(name.size()));
+  e.append(name.data(), name.size());
+  e.push_back(static_cast<char>(kind));
+  e.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  return e;
+}
+
+// An OK Stat body: status byte, version 4, `count`, then `entries`.
+std::string StatBody(uint32_t count, std::string_view entries) {
+  std::string body = {'\0', '\4'};
+  body.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  body.append(entries.data(), entries.size());
+  return body;
+}
+
+TEST(FuzzTest, StatResponseTruncationsAndByteFlips) {
+  ServiceStats service;
+  service.requests = 7;
+  service.latency_p99_us = 12.5;
+  net::NetServerStats network;
+  network.batches = 3;
+  net::WireStats stats;
+  stats.AddFields(service);
+  stats.AddFields(network);
+  stats.Add("archive.docs", 42);
+  std::string frame;
+  net::EncodeStatResponse(stats, /*crc=*/false, &frame);
+  net::MessageType type;
+  uint8_t flags;
+  std::string_view body;
+  size_t consumed = 0;
+  std::string error;
+  ASSERT_EQ(net::ParseFrame(frame, &type, &flags, &body, &consumed, &error),
+            net::ParseResult::kFrame);
+
+  size_t entries = 0;
+  ASSERT_TRUE(DecodeStat(body, &entries).ok());
+  ASSERT_EQ(entries, stats.entries.size());
+  for (size_t keep = 0; keep < body.size(); ++keep) {
+    EXPECT_EQ(DecodeStat(body.substr(0, keep), &entries).code(),
+              StatusCode::kInvalidArgument)
+        << "prefix of " << keep;
+  }
+  size_t decoded_ok = 0;
+  std::string mutated(body);
+  for (size_t pos = 0; pos < body.size(); ++pos) {
+    for (int value = 0; value < 256; ++value) {
+      if (value == static_cast<uint8_t>(body[pos])) continue;
+      mutated[pos] = static_cast<char>(value);
+      const Status status = DecodeStat(mutated, &entries);
+      if (status.ok()) {
+        ++decoded_ok;
+      } else {
+        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+            << "byte " << pos << " = " << value;
+      }
+    }
+    mutated[pos] = body[pos];
+  }
+  // Flips inside names and values decode as other entries; the count
+  // shows the mutations reached the entry loop.
+  EXPECT_GT(decoded_ok, body.size());
+
+  const std::string requests = StatEntryBytes("serve.requests", 0, 5);
+  const auto rejected = [](const std::string& crafted) {
+    size_t n = 0;
+    return DecodeStat(crafted, &n).code() == StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(rejected(StatBody(0xFFFFFFFFu, requests)));  // count past body
+  EXPECT_TRUE(rejected(StatBody(2, requests)));  // one entry short
+  std::string long_name(1, static_cast<char>(200));
+  long_name.append(20, 'n');  // a name length past the end
+  EXPECT_TRUE(rejected(StatBody(1, long_name)));
+  std::string empty_name = StatEntryBytes("", 0, 5);
+  empty_name.push_back('\0');  // long enough to pass the count bound
+  EXPECT_TRUE(rejected(StatBody(1, empty_name)));
+  EXPECT_TRUE(rejected(StatBody(1, StatEntryBytes("serve.requests", 7, 5))));
+  EXPECT_TRUE(rejected(StatBody(2, requests + requests)));  // duplicate
+  EXPECT_TRUE(rejected(StatBody(1, requests + "x")));  // trailing byte
+
+  // An unknown name with a valid kind decodes: the decoder knows no names.
+  const double seconds = 2.5;
+  uint64_t bits;
+  std::memcpy(&bits, &seconds, sizeof(bits));
+  const std::string unknown =
+      StatBody(2, requests + StatEntryBytes("no.such.counter", 1, bits));
+  net::NetResponse resp;
+  ASSERT_TRUE(
+      net::DecodeResponseBody(net::MessageType::kStat, 0, unknown, &resp)
+          .ok());
+  EXPECT_EQ(resp.stats.U64("serve.requests"), 5u);
+  const net::StatEntry* unknown_entry = resp.stats.Find("no.such.counter");
+  ASSERT_NE(unknown_entry, nullptr);
+  EXPECT_EQ(unknown_entry->kind, net::StatKind::kF64);
+  EXPECT_EQ(unknown_entry->f64, 2.5);
 }
 
 }  // namespace

@@ -12,10 +12,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -259,75 +261,31 @@ TEST(ProtocolTest, BackToBackFramesParseIndividually) {
   EXPECT_EQ(flags & kFlagCrc, kFlagCrc);
 }
 
-// Every WireStats field by type, so the Stat tests can set and compare
-// them all. The size check fails to compile when a field is added without
-// being listed here.
-constexpr uint64_t WireStats::*kStatsU64Fields[] = {
-    &WireStats::requests,
-    &WireStats::failures,
-    &WireStats::steals,
-    &WireStats::queued,
-    &WireStats::cache_hits,
-    &WireStats::cache_misses,
-    &WireStats::cache_evictions,
-    &WireStats::cache_erased,
-    &WireStats::cache_entries,
-    &WireStats::cache_bytes,
-    &WireStats::archive_docs,
-    &WireStats::net_connections_accepted,
-    &WireStats::net_connections_active,
-    &WireStats::net_frames_received,
-    &WireStats::net_frames_sent,
-    &WireStats::net_bytes_received,
-    &WireStats::net_bytes_sent,
-    &WireStats::net_batches,
-    &WireStats::net_coalesced_requests,
-    &WireStats::net_reads_paused,
-    &WireStats::net_protocol_errors,
-    &WireStats::shed,
-    &WireStats::expired,
-    &WireStats::net_sheds,
-    &WireStats::net_idle_closed,
-    &WireStats::net_header_timeout_closed,
-    &WireStats::net_write_stall_closed,
-    &WireStats::net_high_priority_frames,
-    &WireStats::net_best_effort_frames,
-};
-constexpr double WireStats::*kStatsDoubleFields[] = {
-    &WireStats::cpu_seconds,    &WireStats::critical_path_seconds,
-    &WireStats::latency_p50_us, &WireStats::latency_p99_us,
-    &WireStats::latency_p999_us,
-};
-// Every field is 8 bytes wide except num_threads, which pads to 8.
-static_assert(sizeof(WireStats) ==
-                  8 * (std::size(kStatsU64Fields) +
-                       std::size(kStatsDoubleFields) + 1),
-              "list the new WireStats field above");
-
-// A WireStats whose every field holds a different value, so an encoder
-// and decoder that disagree on the order of any two fields cannot
-// round-trip it.
+// A Stat entry list of both kinds whose every value differs, so an
+// encoder and decoder that misplace any entry's value cannot round-trip
+// it.
 WireStats DistinctStats() {
   WireStats stats;
-  uint64_t next = 1001;
-  for (auto field : kStatsU64Fields) stats.*field = next++;
-  for (auto field : kStatsDoubleFields) {
-    stats.*field = 0.25 + static_cast<double>(next++);
-  }
-  stats.num_threads = static_cast<uint32_t>(next);
+  stats.Add("serve.requests", uint64_t{1001});
+  stats.Add("serve.latency_p99_us", 1002.25);
+  stats.Add("net.batches", uint64_t{1003});
+  stats.Add("archive.docs", uint64_t{1} << 40);
+  stats.Add("serve.cpu_seconds", 0.5);
+  stats.Add("x", uint64_t{0});
+  stats.Add(std::string(255, 'n'), ~uint64_t{0});
   return stats;
 }
 
 void ExpectStatsEqual(const WireStats& got, const WireStats& want) {
-  for (size_t i = 0; i < std::size(kStatsU64Fields); ++i) {
-    EXPECT_EQ(got.*kStatsU64Fields[i], want.*kStatsU64Fields[i])
-        << "integer field " << i;
+  ASSERT_EQ(got.entries.size(), want.entries.size());
+  for (size_t i = 0; i < want.entries.size(); ++i) {
+    const StatEntry& g = got.entries[i];
+    const StatEntry& w = want.entries[i];
+    EXPECT_EQ(g.name, w.name) << "entry " << i;
+    EXPECT_EQ(g.kind, w.kind) << w.name;
+    EXPECT_EQ(g.u64, w.u64) << w.name;
+    EXPECT_EQ(g.f64, w.f64) << w.name;
   }
-  for (size_t i = 0; i < std::size(kStatsDoubleFields); ++i) {
-    EXPECT_EQ(got.*kStatsDoubleFields[i], want.*kStatsDoubleFields[i])
-        << "double field " << i;
-  }
-  EXPECT_EQ(got.num_threads, want.num_threads);
 }
 
 TEST(ProtocolTest, ResponseRoundTrips) {
@@ -379,7 +337,8 @@ TEST(ProtocolTest, ResponseRoundTrips) {
     EXPECT_EQ(resp.elements[1].bytes, "no such doc");
     EXPECT_EQ(resp.elements[2].bytes, "");
 
-    // Stat response: every field survives the trip.
+    // Stat response: every entry survives the trip, in order, and the
+    // lookups find each by name and kind.
     wire.clear();
     EncodeStatResponse(DistinctStats(), crc, &wire);
     ASSERT_EQ(ParseFrame(wire, &type, &flags, &body, &consumed, &error),
@@ -387,6 +346,21 @@ TEST(ProtocolTest, ResponseRoundTrips) {
     ASSERT_TRUE(DecodeResponseBody(type, flags, body, &resp).ok());
     EXPECT_TRUE(resp.ok());
     ExpectStatsEqual(resp.stats, DistinctStats());
+    EXPECT_EQ(resp.stats.U64("net.batches"), 1003u);
+    EXPECT_EQ(resp.stats.U64("archive.docs"), uint64_t{1} << 40);
+    const StatEntry* p99 = resp.stats.Find("serve.latency_p99_us");
+    ASSERT_NE(p99, nullptr);
+    EXPECT_EQ(p99->f64, 1002.25);
+    EXPECT_EQ(resp.stats.U64("serve.latency_p99_us"), 0u);  // wrong kind
+    EXPECT_EQ(resp.stats.Find("net.missing"), nullptr);
+
+    // An empty entry list is a valid Stat.
+    wire.clear();
+    EncodeStatResponse(WireStats(), crc, &wire);
+    ASSERT_EQ(ParseFrame(wire, &type, &flags, &body, &consumed, &error),
+              ParseResult::kFrame);
+    ASSERT_TRUE(DecodeResponseBody(type, flags, body, &resp).ok());
+    EXPECT_TRUE(resp.stats.entries.empty());
   }
 }
 
@@ -484,7 +458,8 @@ TEST(ProtocolTest, MalformedBodiesAreDecodeErrors) {
                    .ok());
 
   // Stat responses: a valid payload cut short anywhere, with a trailing
-  // byte, or tagged with the previous layout version.
+  // byte, or tagged with the previous layout version (tests/fuzz_test.cpp
+  // covers single-byte mutations and crafted entries).
   std::string wire;
   EncodeStatResponse(DistinctStats(), /*crc=*/false, &wire);
   MessageType type;
@@ -506,10 +481,10 @@ TEST(ProtocolTest, MalformedBodiesAreDecodeErrors) {
   longer.push_back('\0');
   EXPECT_EQ(DecodeResponseBody(type, flags, longer, &resp).code(),
             StatusCode::kInvalidArgument);
-  std::string version2(stat_body);
-  ASSERT_EQ(version2[1], 3);  // [0] is the status byte, [1] the version
-  version2[1] = 2;
-  EXPECT_EQ(DecodeResponseBody(type, flags, version2, &resp).code(),
+  std::string version3(stat_body);
+  ASSERT_EQ(version3[1], 4);  // [0] is the status byte, [1] the version
+  version3[1] = 3;
+  EXPECT_EQ(DecodeResponseBody(type, flags, version3, &resp).code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -800,19 +775,51 @@ TEST(DocServerTest, StatCarriesServiceAndNetworkCounters) {
   for (uint64_t id = 0; id < 5; ++id) ASSERT_TRUE(client->Get(id).ok());
   auto stats = client->Stat();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->archive_docs, harness.collection().num_docs());
-  EXPECT_EQ(stats->num_threads, 4u);
-  EXPECT_GE(stats->requests, 5u);
-  EXPECT_GE(stats->net_frames_received, 6u);  // 5 Gets + the Stat itself
-  EXPECT_GE(stats->net_frames_sent, 5u);
-  EXPECT_EQ(stats->net_connections_active, 1u);
-  EXPECT_GE(stats->net_batches, 1u);
-  EXPECT_GE(stats->net_coalesced_requests, 5u);
-  EXPECT_GT(stats->net_bytes_received, 0u);
-  EXPECT_GT(stats->net_bytes_sent, 0u);
+  EXPECT_EQ(stats->U64("archive.docs"), harness.collection().num_docs());
+  EXPECT_EQ(stats->U64("serve.num_threads"), 4u);
+  EXPECT_GE(stats->U64("serve.requests"), 5u);
+  EXPECT_GE(stats->U64("net.frames_received"), 6u);  // 5 Gets + the Stat
+  EXPECT_GE(stats->U64("net.frames_sent"), 5u);
+  EXPECT_EQ(stats->U64("net.connections_active"), 1u);
+  EXPECT_GE(stats->U64("net.batches"), 1u);
+  EXPECT_GE(stats->U64("net.coalesced_requests"), 5u);
+  EXPECT_GT(stats->U64("net.bytes_received"), 0u);
+  EXPECT_GT(stats->U64("net.bytes_sent"), 0u);
+  EXPECT_EQ(stats->U64("serve.cache.capacity_bytes"),
+            harness.service().Stats().cache.capacity_bytes);
   // The wire stats agree with the in-process service view.
   const ServiceStats direct = harness.service().Stats();
-  EXPECT_GE(direct.requests, stats->requests - 1);
+  EXPECT_GE(direct.requests, stats->U64("serve.requests") - 1);
+
+  // Every field of both stats structs is on the wire under its
+  // ForEachField name, with its kind, plus the archive's document count;
+  // nothing else is. Each list has one entry per eight-byte field
+  // (num_threads pads to eight), so a dropped entry fails too.
+  std::set<std::string> want = {"archive.docs"};
+  std::map<std::string, StatKind> want_kind = {
+      {"archive.docs", StatKind::kU64}};
+  size_t fields = 0;
+  const auto expect = [&](const char* name, auto value) {
+    ++fields;
+    EXPECT_TRUE(want.insert(name).second) << "field list repeats " << name;
+    want_kind[name] = std::is_floating_point_v<decltype(value)>
+                          ? StatKind::kF64
+                          : StatKind::kU64;
+  };
+  ServiceStats().ForEachField(expect);
+  EXPECT_EQ(fields * sizeof(uint64_t), sizeof(ServiceStats));
+  fields = 0;
+  NetServerStats().ForEachField(expect);
+  EXPECT_EQ(fields * sizeof(uint64_t), sizeof(NetServerStats));
+  std::set<std::string> got;
+  for (const StatEntry& e : stats->entries) {
+    got.insert(e.name);
+    EXPECT_EQ(e.kind, want_kind[e.name]) << e.name;
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got.size(), stats->entries.size());
+  EXPECT_TRUE(got.count("serve.cached"));
+  EXPECT_TRUE(got.count("serve.cache.capacity_bytes"));
 }
 
 // ---------------------------------------------------------------------------
@@ -1031,7 +1038,7 @@ TEST(DocServerTest, OrderHoldsAcrossClassesAndPollRounds) {
     if (r.code == WireCode::kUnavailable) {
       EXPECT_GE(r.retry_after_ms, 1u);
     } else if (r.type == MessageType::kStat) {
-      EXPECT_EQ(r.stats.archive_docs, collection.num_docs());
+      EXPECT_EQ(r.stats.U64("archive.docs"), collection.num_docs());
     } else if (r.type == MessageType::kMultiGet) {
       ASSERT_EQ(r.elements.size(), ids.size());
       for (size_t k = 0; k < ids.size(); ++k) {
@@ -1174,10 +1181,11 @@ TEST(DocServerTest, CacheHitsCountOnceAndSkipTheBatch) {
   EXPECT_EQ(after.cached - before.cached, hits);
   EXPECT_EQ(after.cache.hits - before.cache.hits, hits);
   EXPECT_EQ(after.cache.misses - before.cache.misses, misses);
-  EXPECT_EQ(wire->requests, after.requests);
-  EXPECT_EQ(wire->cache_hits + wire->cache_misses,
+  EXPECT_EQ(wire->U64("serve.requests"), after.requests);
+  EXPECT_EQ(wire->U64("serve.cached"), after.cached);
+  EXPECT_EQ(wire->U64("serve.cache.hits") + wire->U64("serve.cache.misses"),
             before.cache.hits + before.cache.misses + kRequests);
-  EXPECT_EQ(wire->net_coalesced_requests, misses);
+  EXPECT_EQ(wire->U64("net.coalesced_requests"), misses);
 }
 
 TEST(DocServerTest, CachedDocumentAfterServiceShutdownIsUnavailable) {
