@@ -63,14 +63,16 @@ namespace {
 // fresh-allocation (legacy) baseline by at least these factors on the
 // smoke corpus. UV is the paper's fastest-decode coding, where decode is
 // allocation-bound. ZV is the paper's recommended coding. Its legacy
-// replica inflates the position stream with the same gzipx kernels, so a
-// faster kernel speeds both sides and the ratio moves only with the share
-// of decode time the kernels take: 1.17-1.42 with the bytewise CRC and
-// per-symbol table fill of the previous kernels, 1.53-1.74 with the
-// current ones (smoke runs on a 4-vCPU Xeon VM). The ZV gate sits between
-// the two, so it fails if the kernels slow back down. A ratio is the
-// median over rounds of one legacy and one scratch pass run back to back
-// (RunDecodeSweep), so host noise moves both sides of each ratio alike.
+// replica inflates the position stream with the same gzipx kernels and
+// CRC, so a faster kernel speeds both sides and the ratio moves only with
+// the share of decode time the kernels take: 1.17-1.42 with the bytewise
+// CRC and per-symbol table fill of the earliest kernels, 1.51-1.78 with
+// the slicing-by-8 CRC, 1.64-1.68 with the carry-less-multiply CRC (smoke
+// runs on a 4-vCPU Xeon VM; full runs read 1.41-1.52 and 1.55-1.60). The
+// ZV gate sits above the earliest kernels' range, so it fails if the
+// kernels slow back down. A ratio is the median over rounds of one legacy
+// and one scratch pass run back to back (RunDecodeSweep), so host noise
+// moves both sides of each ratio alike.
 struct SmokeGate {
   const char* coding;
   double min_ratio;

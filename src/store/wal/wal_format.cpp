@@ -62,16 +62,19 @@ StatusOr<SegmentHeader> DecodeSegmentHeader(std::string_view segment,
   if (std::memcmp(segment.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
     return Status::Corruption(context + ": bad wal magic");
   }
-  const uint8_t version = static_cast<uint8_t>(segment[4]);
-  if (version > kWalVersion) {
-    return Status::InvalidArgument(
-        context + ": wal version " + std::to_string(version) +
-        " was written by a future version of this library");
-  }
+  // CRC first, so a damaged version byte is Corruption; only an intact
+  // header of another version is InvalidArgument.
   const uint32_t want_crc = GetFixed32(segment.data() + kSegmentHeaderSize - 4);
   if (Crc32(segment.data(), kSegmentHeaderSize - 4) != want_crc) {
     return Status::Corruption(context + ": wal segment header checksum "
                                         "mismatch");
+  }
+  const uint8_t version = static_cast<uint8_t>(segment[4]);
+  if (version != kWalVersion) {
+    return Status::InvalidArgument(
+        context + ": wal version " + std::to_string(version) +
+        " is not readable (this build reads only version " +
+        std::to_string(kWalVersion) + ")");
   }
   SegmentHeader header;
   header.generation = GetFixed64(segment.data() + 5);

@@ -70,7 +70,8 @@ struct SegmentHeader {
 std::string EncodeSegmentHeader(const SegmentHeader& header);
 
 /// Parses and validates the header at the front of `segment`. Corruption
-/// on bad magic/CRC/truncation; InvalidArgument for a future version.
+/// on bad magic/CRC/truncation; InvalidArgument for an intact header of any
+/// version other than kWalVersion.
 StatusOr<SegmentHeader> DecodeSegmentHeader(std::string_view segment,
                                             const std::string& context);
 

@@ -33,6 +33,7 @@
 #include "store/wal/wal_format.h"
 #include "store/wal/wal_reader.h"
 #include "store/wal/wal_writer.h"
+#include "util/crc32.h"
 #include "util/random.h"
 
 namespace rlz {
@@ -284,8 +285,9 @@ TEST(WalFormatTest, SegmentHeaderRoundTripAndDamage) {
   EXPECT_EQ(decoded->generation, 7u);
   EXPECT_EQ(decoded->start_lsn, 123456789u);
 
-  // Truncation, bad magic, and a flipped byte are all Corruption; only a
-  // future version is InvalidArgument (an upgrade problem, not damage).
+  // Truncation, bad magic, and a flipped byte (the version byte included)
+  // are all Corruption; only an intact header of another version is
+  // InvalidArgument (a version problem, not damage).
   EXPECT_EQ(wal::DecodeSegmentHeader(
                 std::string_view(encoded).substr(0, encoded.size() - 1), "t")
                 .status()
@@ -295,13 +297,19 @@ TEST(WalFormatTest, SegmentHeaderRoundTripAndDamage) {
   bad_magic[0] = 'X';
   EXPECT_EQ(wal::DecodeSegmentHeader(bad_magic, "t").status().code(),
             StatusCode::kCorruption);
+  for (const uint8_t version : {0, 2}) {
+    std::string other = encoded.substr(0, wal::kSegmentHeaderSize - 4);
+    other[4] = static_cast<char>(version);
+    wal::PutFixed32(&other, Crc32(other));
+    EXPECT_EQ(wal::DecodeSegmentHeader(other, "t").status().code(),
+              StatusCode::kInvalidArgument)
+        << "version " << int{version};
+  }
   for (size_t i = 0; i < encoded.size(); ++i) {
     std::string flipped = encoded;
     flipped[i] = static_cast<char>(flipped[i] ^ 0x20);
-    auto status = wal::DecodeSegmentHeader(flipped, "t").status();
-    EXPECT_FALSE(status.ok()) << "byte " << i;
-    EXPECT_TRUE(status.code() == StatusCode::kCorruption ||
-                status.code() == StatusCode::kInvalidArgument)
+    EXPECT_EQ(wal::DecodeSegmentHeader(flipped, "t").status().code(),
+              StatusCode::kCorruption)
         << "byte " << i;
   }
 }

@@ -248,6 +248,38 @@ TEST(Crc32Test, SeedChainingAcrossSplitPoints) {
   }
 }
 
+// Crc32 may dispatch to the carry-less-multiply kernel (64 bytes and up,
+// bulk in 64- then 16-byte steps, tail through the tables); it must equal
+// the portable table code for every length, alignment, seed and chaining
+// split, including every kernel boundary.
+TEST(Crc32Test, DispatchedMatchesPortable) {
+  Rng rng(33);
+  std::vector<uint8_t> buf((1 << 20) + 64);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (const uint32_t seed : {0u, 0xDEADBEEFu}) {
+    for (size_t offset = 0; offset < 16; ++offset) {
+      for (size_t len = 0; len <= 4096; ++len) {
+        const uint8_t* p = buf.data() + offset;
+        ASSERT_EQ(Crc32(p, len, seed), Crc32Portable(p, len, seed))
+            << "seed " << seed << " offset " << offset << " len " << len;
+      }
+    }
+  }
+  for (size_t extra = 0; extra < 64; ++extra) {
+    const size_t len = (1 << 20) + extra;
+    ASSERT_EQ(Crc32(buf.data(), len), Crc32Portable(buf.data(), len))
+        << "len " << len;
+  }
+  const size_t total = 200 + 64;
+  const uint32_t whole = Crc32Portable(buf.data(), total);
+  for (size_t split = 0; split <= 200; ++split) {
+    const uint32_t head = Crc32(buf.data(), split);
+    ASSERT_EQ(head, Crc32Portable(buf.data(), split)) << "split " << split;
+    ASSERT_EQ(Crc32(buf.data() + split, total - split, head), whole)
+        << "split " << split;
+  }
+}
+
 TEST(Crc32Test, DetectsSingleBitFlip) {
   std::string data(1024, 'a');
   const uint32_t before = Crc32(data);
