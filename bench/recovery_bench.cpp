@@ -26,9 +26,10 @@
 //         every recovered store must serve the acked workload back
 //         byte-identically, else exit 1 (run by the perf-smoke CI job)
 //   ./build/bench/recovery_bench --crash-smoke   bounded kill-at-fsync
-//         sweep through FaultFs (release-mode CI sanity): recovery after
-//         every injected crash must yield a durable prefix of the acked
-//         appends, else exit 1
+//         sweeps through FaultFs (release-mode CI sanity) under
+//         fsync_every_n = 1 and 8: recovery after every injected crash
+//         must yield a prefix of the appends that lost at most n - 1
+//         acked ones, else exit 1
 //   ./build/bench/recovery_bench --out FILE      JSON destination
 
 #include <cstdint>
@@ -352,25 +353,21 @@ void Run(bool smoke, const std::string& out_path) {
 
 // Bounded kill-at-every-fsync sweep through FaultFs — the release-CI
 // cousin of tests/recovery_test.cpp's exhaustive suites. Appends under
-// fsync_every_n = 1; kills the writer at up to kMaxKills barriers (both
+// `fsync_every_n`; kills the writer at up to kMaxKills barriers (both
 // entering and leaving each); after every crash the recovered store must
-// hold every acked append byte-identically.
-void RunCrashSmoke() {
+// hold a byte-identical prefix of the attempted appends that lost at most
+// fsync_every_n - 1 acked ones (none under n = 1). Returns the failures.
+int CrashSweep(const Collection& collection,
+               const std::vector<std::string>& docs, int fsync_every_n) {
   constexpr int kMaxKills = 24;
-  constexpr size_t kAppends = 6;
-  CorpusOptions corpus_options;
-  corpus_options.target_bytes = 1u << 18;
-  corpus_options.seed = 20110615;
-  const Collection collection = GenerateCorpus(corpus_options).collection;
-  std::vector<std::string> docs;
-  for (size_t i = 0; i < kAppends; ++i) {
-    docs.push_back("crash smoke doc " + std::to_string(i));
-  }
+  wal::WalWriterOptions wal_options;
+  wal_options.fsync_every_n = fsync_every_n;
+  const size_t max_lost = static_cast<size_t>(fsync_every_n - 1);
 
   auto run_workload = [&](const std::shared_ptr<FaultFs>& fs,
                           bool* made_durable) {
     auto store = BuildStore(collection);
-    *made_durable = store->MakeDurable("/store", {}, fs).ok();
+    *made_durable = store->MakeDurable("/store", wal_options, fs).ok();
     size_t acked = 0;
     if (!*made_durable) return acked;
     for (const std::string& doc : docs) {
@@ -404,25 +401,25 @@ void RunCrashSmoke() {
       bool made_durable = false;
       const size_t acked = run_workload(fs, &made_durable);
       auto reopened = ShardedStore::OpenDurable(
-          "/store", OpenOptions{}, wal::WalWriterOptions{},
-          fs->DurableClone(), nullptr);
+          "/store", OpenOptions{}, wal_options, fs->DurableClone(), nullptr);
       if (!made_durable) {
         continue;  // crash inside MakeDurable: nothing was promised
       }
       if (!reopened.ok()) {
-        std::fprintf(stderr, "CRASH-SMOKE FAIL k=%d before=%d: %s\n", k,
-                     before, reopened.status().ToString().c_str());
+        std::fprintf(stderr, "CRASH-SMOKE FAIL n=%d k=%d before=%d: %s\n",
+                     fsync_every_n, k, before,
+                     reopened.status().ToString().c_str());
         ++failures;
         continue;
       }
       const size_t recovered = reopened.value()->num_docs() - base;
-      // acked appends must survive; one in-flight append may also have
-      // reached the disk before the crash.
-      if (recovered < acked || recovered > acked + 1) {
+      // At most the unsynced batch of acked appends is lost; one in-flight
+      // append may also have reached the disk before the crash.
+      if (recovered + max_lost < acked || recovered > acked + 1) {
         std::fprintf(stderr,
-                     "CRASH-SMOKE FAIL k=%d before=%d: acked %zu, "
+                     "CRASH-SMOKE FAIL n=%d k=%d before=%d: acked %zu, "
                      "recovered %zu\n",
-                     k, before, acked, recovered);
+                     fsync_every_n, k, before, acked, recovered);
         ++failures;
         continue;
       }
@@ -430,17 +427,35 @@ void RunCrashSmoke() {
       for (size_t i2 = 0; i2 < recovered; ++i2) {
         const Status status = reopened.value()->Get(base + i2, &doc);
         if (!status.ok() || doc != docs[i2]) {
-          std::fprintf(stderr, "CRASH-SMOKE FAIL k=%d before=%d: doc %zu\n",
-                       k, before, i2);
+          std::fprintf(stderr,
+                       "CRASH-SMOKE FAIL n=%d k=%d before=%d: doc %zu\n",
+                       fsync_every_n, k, before, i2);
           ++failures;
           break;
         }
       }
     }
   }
-  std::printf("crash smoke: %d kill points (%d barriers total), %d sweeps, "
-              "%d failures\n",
-              kills, total_barriers, sweeps, failures);
+  std::printf("crash smoke (fsync_every_n = %d): %d kill points (%d "
+              "barriers total), %d sweeps, %d failures\n",
+              fsync_every_n, kills, total_barriers, sweeps, failures);
+  return failures;
+}
+
+// The crash sweep under strict durability and under perfbench's group
+// commit, whose loss window now includes a process crash.
+void RunCrashSmoke() {
+  constexpr size_t kAppends = 20;
+  CorpusOptions corpus_options;
+  corpus_options.target_bytes = 1u << 18;
+  corpus_options.seed = 20110615;
+  const Collection collection = GenerateCorpus(corpus_options).collection;
+  std::vector<std::string> docs;
+  for (size_t i = 0; i < kAppends; ++i) {
+    docs.push_back("crash smoke doc " + std::to_string(i));
+  }
+  int failures = 0;
+  for (const int n : {1, 8}) failures += CrashSweep(collection, docs, n);
   if (failures > 0) std::exit(1);
 }
 

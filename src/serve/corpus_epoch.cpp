@@ -14,11 +14,28 @@ bool TestTombstone(const Bitmap* bm, size_t i) {
 
 }  // namespace
 
+void TailSegment::Append(std::shared_ptr<const std::string> doc) {
+  if (num_docs_ % kChunkDocs == 0) {
+    // The current chunk is full (or there is none): publish a longer list.
+    // Snapshots taken so far keep the old list, which still names every
+    // chunk they can read.
+    auto chunks = chunks_ == nullptr ? std::make_shared<ChunkList>()
+                                     : std::make_shared<ChunkList>(*chunks_);
+    chunks->push_back(std::make_shared<Chunk>());
+    chunks_ = std::move(chunks);
+  }
+  bytes_ += doc->size();
+  (*chunks_)[num_docs_ / kChunkDocs]->at(num_docs_ % kChunkDocs) =
+      std::move(doc);
+  ++num_docs_;
+}
+
 bool CorpusEpoch::IsDeleted(size_t id) const {
   const size_t sealed = sealed_docs();
   if (id < sealed) {
-    const size_t s = router_->shard_of(id);
-    return TestTombstone(tombstones_[s].get(), id - router_->start(s));
+    const size_t s = router().shard_of(id);
+    return TestTombstone(tombstones(static_cast<int>(s)),
+                         id - router().start(s));
   }
   return TestTombstone(tail_tombstones_.get(), id - sealed);
 }
@@ -35,12 +52,12 @@ Status CorpusEpoch::Get(size_t id, std::string* doc,
   if (id >= sealed) {
     // Tail documents are raw, memory-resident bytes — the store's
     // memtable. No decode (DESIGN.md §11).
-    doc->assign(*tail_->docs[id - sealed]);
+    doc->assign(*tail_.doc(id - sealed));
     return Status::OK();
   }
-  const size_t s = router_->shard_of(id);
-  return shards_[s]->Get(id - router_->start(s), doc, /*disk=*/nullptr,
-                         scratch);
+  const size_t s = router().shard_of(id);
+  return sealed_->shards[s]->Get(id - router().start(s), doc,
+                                 /*disk=*/nullptr, scratch);
 }
 
 Status CorpusEpoch::GetRange(size_t id, size_t offset, size_t length,
@@ -53,22 +70,22 @@ Status CorpusEpoch::GetRange(size_t id, size_t offset, size_t length,
   }
   const size_t sealed = sealed_docs();
   if (id >= sealed) {
-    const std::string& raw = *tail_->docs[id - sealed];
+    const std::string& raw = *tail_.doc(id - sealed);
     text->clear();
     if (offset < raw.size()) {
       text->assign(raw, offset, std::min(length, raw.size() - offset));
     }
     return Status::OK();
   }
-  const size_t s = router_->shard_of(id);
-  return shards_[s]->GetRange(id - router_->start(s), offset, length, text,
-                              /*disk=*/nullptr, scratch);
+  const size_t s = router().shard_of(id);
+  return sealed_->shards[s]->GetRange(id - router().start(s), offset, length,
+                                      text, /*disk=*/nullptr, scratch);
 }
 
 uint64_t CorpusEpoch::stored_bytes() const {
   uint64_t bytes = 0;
-  for (const auto& shard : shards_) bytes += shard->stored_bytes();
-  if (tail_ != nullptr) bytes += tail_->bytes;
+  for (const auto& shard : sealed_->shards) bytes += shard->stored_bytes();
+  bytes += tail_.bytes();
   return bytes;
 }
 

@@ -9,16 +9,19 @@
 /// the duration of a request and decodes exclusively against that
 /// snapshot, so an Append, Delete, tail seal, or compaction swap can
 /// never race a decode in flight. Epochs share unchanged state
-/// structurally — sealed shards, tombstone bitmaps, and tail documents
-/// are carried by shared_ptr from one epoch to the next — so publishing
-/// a new epoch copies pointers, never payload bytes.
+/// structurally — the sealed shard set and the tail's chunks are carried
+/// by shared_ptr from one epoch to the next — so publishing an append
+/// copies a few pointers, never payload bytes and never a per-shard or
+/// per-document vector.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/rlz_archive.h"
+#include "serve/manifest.h"
 #include "serve/shard_router.h"
 #include "store/decode_scratch.h"
 #include "util/bitmap.h"
@@ -26,25 +29,69 @@
 
 namespace rlz {
 
-/// An immutable snapshot of the open tail segment: the raw bytes of every
-/// document appended since the last seal, in append order. The tail is
-/// the live store's memtable — documents are served from these
-/// memory-resident bytes (no decode) until the segment seals into a
-/// compressed shard. Snapshots share document strings structurally:
-/// appending copies the pointer vector, never the text.
-struct TailSegment {
-  /// The appended documents, in id order (doc `sealed_docs + i` is
-  /// `docs[i]`).
-  std::vector<std::shared_ptr<const std::string>> docs;
-  /// Total raw bytes across `docs`.
-  uint64_t bytes = 0;
+/// The sealed half of an epoch: the compressed shards, the doc-id router
+/// over them, and each shard's health record and tombstones. A set is
+/// immutable once published; epochs share one set until a seal, a
+/// compaction swap or a delete in a sealed shard publishes a new one.
+struct ShardSet {
+  std::vector<std::shared_ptr<const RlzArchive>> shards;
+  /// Parallel to `shards`.
+  std::vector<ShardHealth> health;
+  /// Parallel to `shards`; a null entry means "no tombstones in this
+  /// shard". Bit i covers the shard-local document i.
+  std::vector<std::shared_ptr<const Bitmap>> tombstones;
+  /// Shard s owns doc ids [router->start(s), router->start(s + 1)).
+  std::shared_ptr<const ShardRouter> router;
 };
 
-/// One immutable snapshot of a live ShardedStore: the sealed compressed
-/// shards, the doc-id router over them, per-shard tombstone bitmaps, and
-/// a snapshot of the open tail segment. All state is immutable — readers
-/// holding an epoch observe byte-identical documents no matter what the
-/// mutation path publishes after them (DESIGN.md §11).
+/// A snapshot of the open tail segment: the raw bytes of the first
+/// num_docs() documents appended since the last seal, in append order.
+/// The tail is the live store's memtable — documents are served from
+/// these memory-resident bytes (no decode) until the segment seals into a
+/// compressed shard.
+///
+/// The documents sit in fixed-size chunks that every snapshot of one
+/// tail shares. The store's writer fills the slot past its own count —
+/// past the count of every snapshot published so far — and only then
+/// publishes a snapshot that counts it; a slot is never written twice.
+/// So an append copies the chunk list's pointer (the list itself only
+/// when a chunk fills), never the text and never a pointer per document.
+class TailSegment {
+ public:
+  /// Documents per chunk.
+  static constexpr size_t kChunkDocs = 64;
+
+  /// Documents in this snapshot.
+  size_t num_docs() const { return num_docs_; }
+  /// Total raw bytes across the documents.
+  uint64_t bytes() const { return bytes_; }
+  /// Document `i` (i must be < num_docs()); tail doc i has id
+  /// `sealed_docs + i`.
+  const std::shared_ptr<const std::string>& doc(size_t i) const {
+    return (*chunks_)[i / kChunkDocs]->at(i % kChunkDocs);
+  }
+
+ private:
+  friend class ShardedStore;
+  using Chunk = std::array<std::shared_ptr<const std::string>, kChunkDocs>;
+  using ChunkList = std::vector<std::shared_ptr<Chunk>>;
+
+  // Writer side (the store's own tail, never a published copy): fills the
+  // next slot and counts it.
+  void Append(std::shared_ptr<const std::string> doc);
+
+  // The chunks; the list is replaced, not grown, when a chunk fills.
+  std::shared_ptr<const ChunkList> chunks_;
+  size_t num_docs_ = 0;
+  uint64_t bytes_ = 0;
+};
+
+/// One immutable snapshot of a live ShardedStore: a sealed shard set
+/// (compressed shards, the doc-id router over them, health records and
+/// tombstone bitmaps) and a snapshot of the open tail segment. All state
+/// is immutable — readers holding an epoch observe byte-identical
+/// documents no matter what the mutation path publishes after them
+/// (DESIGN.md §11).
 ///
 /// Doc-id model: ids are dense and permanent. Sealed shards own
 /// [0, sealed_docs()); tail documents continue at sealed_docs(). Deleting
@@ -61,11 +108,9 @@ class CorpusEpoch {
   /// tombstoned ids.
   size_t num_docs() const { return sealed_docs() + tail_docs(); }
   /// Documents owned by sealed shards.
-  size_t sealed_docs() const { return router_->num_docs(); }
+  size_t sealed_docs() const { return sealed_->router->num_docs(); }
   /// Documents in the tail snapshot.
-  size_t tail_docs() const {
-    return tail_ == nullptr ? 0 : tail_->docs.size();
-  }
+  size_t tail_docs() const { return tail_.num_docs(); }
   /// Tombstoned ids in this epoch (sealed + tail).
   uint64_t deleted_docs() const { return deleted_docs_; }
   /// Documents that Get would serve (num_docs() - deleted_docs()).
@@ -88,29 +133,32 @@ class CorpusEpoch {
                   DecodeScratch* scratch) const;
 
   /// Number of sealed shards.
-  int num_shards() const { return static_cast<int>(shards_.size()); }
+  int num_shards() const { return static_cast<int>(sealed_->shards.size()); }
   /// Sealed shard `s` (s must be < num_shards()).
-  const RlzArchive& shard(int s) const { return *shards_[s]; }
-  /// Shared handle to sealed shard `s` — lets a compactor decode from a
-  /// pinned shard while later epochs have already replaced it.
-  std::shared_ptr<const RlzArchive> shard_ptr(int s) const {
-    return shards_[static_cast<size_t>(s)];
+  const RlzArchive& shard(int s) const {
+    return *sealed_->shards[static_cast<size_t>(s)];
+  }
+  /// Health record of sealed shard `s` as of this epoch.
+  const ShardHealth& shard_health(int s) const {
+    return sealed_->health[static_cast<size_t>(s)];
   }
   /// Rewrite generation of shard `s`: 0 when first sealed, +1 per
   /// compaction that swapped a rewrite in.
   uint64_t shard_generation(int s) const {
-    return generations_[static_cast<size_t>(s)];
+    return shard_health(s).generation;
   }
   /// The doc-id → shard map over the sealed shards.
-  const ShardRouter& router() const { return *router_; }
+  const ShardRouter& router() const { return *sealed_->router; }
   /// Shared handle to the router (the serving layer's routing snapshot).
-  std::shared_ptr<const ShardRouter> router_ptr() const { return router_; }
-  /// The tail snapshot; may be null when no documents are unsealed.
-  const TailSegment* tail() const { return tail_.get(); }
+  std::shared_ptr<const ShardRouter> router_ptr() const {
+    return sealed_->router;
+  }
+  /// The tail snapshot (num_docs() 0 when no documents are unsealed).
+  const TailSegment& tail() const { return tail_; }
   /// Tombstone bitmap of sealed shard `s`; null when the shard has no
   /// tombstones. Bit i covers the shard-local document i.
   const Bitmap* tombstones(int s) const {
-    return tombstones_[static_cast<size_t>(s)].get();
+    return sealed_->tombstones[static_cast<size_t>(s)].get();
   }
   /// Tombstone bitmap over tail documents (bit i covers tail doc i); null
   /// when no tail document is tombstoned. May address fewer bits than
@@ -127,13 +175,9 @@ class CorpusEpoch {
   CorpusEpoch() = default;
 
   uint64_t sequence_ = 0;
-  std::vector<std::shared_ptr<const RlzArchive>> shards_;
-  std::vector<uint64_t> generations_;  // parallel to shards_
-  std::shared_ptr<const ShardRouter> router_;
-  // Parallel to shards_; a null entry means "no tombstones in this shard".
-  std::vector<std::shared_ptr<const Bitmap>> tombstones_;
+  std::shared_ptr<const ShardSet> sealed_;
+  TailSegment tail_;
   std::shared_ptr<const Bitmap> tail_tombstones_;  // null = none
-  std::shared_ptr<const TailSegment> tail_;        // null = empty tail
   uint64_t deleted_docs_ = 0;
 };
 

@@ -108,17 +108,19 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
     starts.push_back(doc);
   }
   starts.push_back(ndocs);
-  store->router_ = std::make_shared<const ShardRouter>(std::move(starts));
+  auto sealed = std::make_shared<ShardSet>();
+  sealed->router = std::make_shared<const ShardRouter>(std::move(starts));
+  const ShardRouter& router = *sealed->router;
 
   const size_t shard_dict_bytes =
       std::max<size_t>(1, options.dict_bytes / nshards);
   store->shard_dict_bytes_ = shard_dict_bytes;
 
-  store->shards_.resize(nshards);
+  sealed->shards.resize(nshards);
   std::vector<ArchiveBuildReport> reports(nshards);
   auto build_shard = [&](size_t s) {
-    const size_t begin = store->router_->start(s);
-    const size_t end = store->router_->start(s + 1);
+    const size_t begin = router.start(s);
+    const size_t end = router.start(s + 1);
     // A shard's documents are contiguous in the source collection, so
     // dictionary sampling and the streaming build both work off views —
     // no per-shard copy of the text (peak memory stays one corpus).
@@ -137,7 +139,7 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
     for (size_t i = begin; i < end; ++i) {
       builder.AddBorrowedDocument(collection.doc(i));
     }
-    store->shards_[s] = std::move(builder).Finish(&reports[s]);
+    sealed->shards[s] = std::move(builder).Finish(&reports[s]);
   };
 
   // One pipeline chunk and one worker per shard, each shard factorized
@@ -154,15 +156,16 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
 
   // Health bookkeeping: per-shard stats/coverage plus the store-wide
   // baseline the staleness trigger compares against.
-  store->tombstones_.assign(nshards, nullptr);
-  store->shard_files_.assign(nshards, std::string());
-  store->meta_.resize(nshards);
+  sealed->tombstones.assign(nshards, nullptr);
+  sealed->health.resize(nshards);
   for (size_t s = 0; s < nshards; ++s) {
-    store->meta_[s].stats = reports[s].stats;
-    store->meta_[s].unused_dict_fraction =
+    sealed->health[s].stats = reports[s].stats;
+    sealed->health[s].unused_dict_fraction =
         reports[s].unused_dictionary_fraction;
     store->baseline_stats_.Merge(reports[s].stats);
   }
+  store->sealed_ = std::move(sealed);
+  store->shard_files_.assign(nshards, std::string());
 
   // The append dictionary: sampled across the whole build-time corpus, so
   // tail seals encode against content representative of the initial crawl
@@ -197,21 +200,11 @@ std::shared_ptr<const CorpusEpoch> ShardedStore::epoch() const {
 void ShardedStore::PublishLocked() {
   auto next = std::shared_ptr<CorpusEpoch>(new CorpusEpoch());
   next->sequence_ = next_sequence_++;
-  next->shards_ = shards_;
-  next->generations_.reserve(meta_.size());
-  for (const ShardHealth& health : meta_) {
-    next->generations_.push_back(health.generation);
-  }
-  next->router_ = router_;
-  next->tombstones_ = tombstones_;
+  // O(1): the shard set and the tail's chunks are shared, not copied.
+  next->sealed_ = sealed_;
+  next->tail_ = tail_;
   next->tail_tombstones_ = tail_tombstones_;
   next->deleted_docs_ = deleted_docs_;
-  if (!tail_docs_.empty()) {
-    auto tail = std::make_shared<TailSegment>();
-    tail->docs = tail_docs_;
-    tail->bytes = tail_bytes_;
-    next->tail_ = std::move(tail);
-  }
   std::lock_guard<std::mutex> lock(epoch_mu_);
   epoch_ = std::move(next);
 }
@@ -241,9 +234,9 @@ bool ShardedStore::IsLive(size_t id) const {
 }
 
 ShardHealth ShardedStore::shard_health(int s) const {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  RLZ_CHECK_LT(static_cast<size_t>(s), meta_.size());
-  return meta_[static_cast<size_t>(s)];
+  auto snapshot = epoch();
+  RLZ_CHECK_LT(s, snapshot->num_shards());
+  return snapshot->shard_health(s);
 }
 
 FactorStats ShardedStore::baseline_stats() const {
@@ -254,25 +247,25 @@ FactorStats ShardedStore::baseline_stats() const {
 // --- Mutation path --------------------------------------------------------
 
 size_t ShardedStore::ApplyAppendLocked(std::string_view doc) {
-  tail_bytes_ += doc.size();
-  tail_docs_.push_back(std::make_shared<const std::string>(doc));
-  return router_->num_docs() + tail_docs_.size() - 1;
+  tail_.Append(std::make_shared<const std::string>(doc));
+  return sealed_->router->num_docs() + tail_.num_docs() - 1;
 }
 
 StatusOr<size_t> ShardedStore::Append(std::string_view doc) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   RLZ_RETURN_IF_ERROR(CheckWritableLocked());
   RLZ_RETURN_IF_ERROR(CheckAppendDictionaryLocked());
-  const size_t id = ApplyAppendLocked(doc);
-  // Log before publish: once the epoch containing this document is
-  // visible (and the id returned), the WAL record is on its way to disk
-  // — durably there already under fsync_every_n == 1 (DESIGN.md §12).
+  // Log before apply and publish: a document whose record failed never
+  // enters the tail, and once the epoch containing it is visible (and the
+  // id returned) the record is framed for the disk — durably there
+  // already under fsync_every_n == 1 (DESIGN.md §12).
   if (wal_ != nullptr) {
     RLZ_RETURN_IF_ERROR(LogLocked(wal::RecordType::kAppend, doc));
   }
+  const size_t id = ApplyAppendLocked(doc);
   PublishLocked();
   if (options_.live.tail_seal_bytes > 0 &&
-      tail_bytes_ >= options_.live.tail_seal_bytes) {
+      tail_.bytes() >= options_.live.tail_seal_bytes) {
     RLZ_RETURN_IF_ERROR(SealTailLocked());
   }
   return id;
@@ -286,7 +279,7 @@ Status ShardedStore::SealTail() {
 }
 
 Status ShardedStore::SealTailLocked() {
-  if (tail_docs_.empty()) return Status::OK();
+  if (tail_.num_docs() == 0) return Status::OK();
   if (wal_ != nullptr) {
     RLZ_RETURN_IF_ERROR(LogLocked(wal::RecordType::kSeal, std::string_view()));
   }
@@ -296,7 +289,8 @@ Status ShardedStore::SealTailLocked() {
 }
 
 Status ShardedStore::ApplySealLocked() {
-  if (tail_docs_.empty()) return Status::OK();
+  const size_t tail_docs = tail_.num_docs();
+  if (tail_docs == 0) return Status::OK();
 
   // The raw tail is encoded once, here, as one batch on the build
   // pipeline against the append dictionary (byte-identical to a serial
@@ -304,8 +298,10 @@ Status ShardedStore::ApplySealLocked() {
   // on it, and WAL replay seals only on a writable open, which builds it.
   RlzArchiveBuilder builder(
       append_dict_,
-      BackgroundBuilderOptions(options_.coding, tail_docs_.size()));
-  for (const auto& d : tail_docs_) builder.AddBorrowedDocument(*d);
+      BackgroundBuilderOptions(options_.coding, tail_docs));
+  for (size_t i = 0; i < tail_docs; ++i) {
+    builder.AddBorrowedDocument(*tail_.doc(i));
+  }
   ArchiveBuildReport report;
   std::shared_ptr<const RlzArchive> sealed =
       std::move(builder).Finish(&report);
@@ -325,60 +321,68 @@ Status ShardedStore::ApplySealLocked() {
   }
 
   // Router growth: the sealed shard owns the next contiguous id range.
+  const size_t nshards = sealed_->shards.size();
   std::vector<size_t> starts;
-  starts.reserve(shards_.size() + 2);
-  for (size_t s = 0; s <= shards_.size(); ++s) {
-    starts.push_back(router_->start(s));
+  starts.reserve(nshards + 2);
+  for (size_t s = 0; s <= nshards; ++s) {
+    starts.push_back(sealed_->router->start(s));
   }
-  starts.push_back(router_->num_docs() + tail_docs_.size());
+  starts.push_back(sealed_->router->num_docs() + tail_docs);
 
-  shards_.push_back(std::move(sealed));
-  shard_files_.emplace_back();  // no checkpoint holds it yet
-  meta_.push_back(meta);
+  auto next = std::make_shared<ShardSet>(*sealed_);
+  next->shards.push_back(std::move(sealed));
+  next->health.push_back(meta);
   // The tail bitmap is lazily sized to the tail length at its last
   // delete; widen it to the full shard so every later bitmap copy (and
   // Bitmap::Set) stays in range.
   std::shared_ptr<const Bitmap> sealed_tombstones;
   if (tail_tombstones_ != nullptr) {
-    Bitmap bm(tail_docs_.size());
+    Bitmap bm(tail_docs);
     for (size_t i = 0; i < tail_tombstones_->size(); ++i) {
       if (tail_tombstones_->Test(i)) bm.Set(i);
     }
     sealed_tombstones = std::make_shared<const Bitmap>(std::move(bm));
   }
-  tombstones_.push_back(std::move(sealed_tombstones));
-  router_ = std::make_shared<const ShardRouter>(std::move(starts));
-  tail_docs_.clear();
-  tail_bytes_ = 0;
+  next->tombstones.push_back(std::move(sealed_tombstones));
+  next->router = std::make_shared<const ShardRouter>(std::move(starts));
+  sealed_ = std::move(next);
+  shard_files_.emplace_back();  // no checkpoint holds it yet
+  // Published epochs keep the old tail's chunks; the next append starts a
+  // fresh chunk list.
+  tail_ = TailSegment();
   tail_tombstones_.reset();
   return Status::OK();
 }
 
 Status ShardedStore::ApplyDeleteLocked(size_t id) {
-  const size_t sealed = router_->num_docs();
-  const size_t total = sealed + tail_docs_.size();
+  const ShardRouter& router = *sealed_->router;
+  const size_t sealed = router.num_docs();
+  const size_t total = sealed + tail_.num_docs();
   if (id >= total) {
     return Status::OutOfRange("sharded store: bad doc id");
   }
   if (id < sealed) {
-    const size_t s = router_->shard_of(id);
-    const size_t local = id - router_->start(s);
+    const size_t s = router.shard_of(id);
+    const size_t local = id - router.start(s);
     // A sealed shard's bitmap, where there is one, is as wide as the
     // shard: FromManifest and the seal both size it so.
-    Bitmap bm = tombstones_[s] != nullptr
-                    ? *tombstones_[s]
-                    : Bitmap(router_->start(s + 1) - router_->start(s));
+    const Bitmap* old = sealed_->tombstones[s].get();
+    Bitmap bm =
+        old != nullptr ? *old : Bitmap(router.start(s + 1) - router.start(s));
     if (bm.Test(local)) {
       return Status::NotFound("sharded store: document already deleted");
     }
     bm.Set(local);
-    tombstones_[s] = std::make_shared<const Bitmap>(std::move(bm));
-    meta_[s].tombstoned_payload_bytes += shards_[s]->doc_map().size(local);
+    auto next = std::make_shared<ShardSet>(*sealed_);
+    next->tombstones[s] = std::make_shared<const Bitmap>(std::move(bm));
+    next->health[s].tombstoned_payload_bytes +=
+        next->shards[s]->doc_map().size(local);
+    sealed_ = std::move(next);
   } else {
     const size_t local = id - sealed;
     // The tail bitmap is sized lazily to the tail's current length;
     // bits past an older bitmap's end are live by construction.
-    Bitmap bm(tail_docs_.size());
+    Bitmap bm(tail_.num_docs());
     if (tail_tombstones_ != nullptr) {
       for (size_t i = 0; i < tail_tombstones_->size(); ++i) {
         if (tail_tombstones_->Test(i)) bm.Set(i);
@@ -430,29 +434,30 @@ int ShardedStore::PickCompactionVictimLocked(
   int victim = -1;
   double victim_score = 0.0;
   CompactionReport::Reason victim_reason = CompactionReport::Reason::kNone;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const uint64_t payload = shards_[s]->payload_bytes();
+  for (size_t s = 0; s < sealed_->shards.size(); ++s) {
+    const uint64_t payload = sealed_->shards[s]->payload_bytes();
     if (payload == 0) continue;
+    const ShardHealth& health = sealed_->health[s];
     const double tomb_frac =
-        static_cast<double>(meta_[s].tombstoned_payload_bytes) /
+        static_cast<double>(health.tombstoned_payload_bytes) /
         static_cast<double>(payload);
-    const double decay = meta_[s].stats.avg_factor_decay(baseline_stats_);
+    const double decay = health.stats.avg_factor_decay(baseline_stats_);
     const bool stale =
-        meta_[s].unused_dict_fraction >= live.compact_stale_unused_fraction ||
+        health.unused_dict_fraction >= live.compact_stale_unused_fraction ||
         decay >= live.compact_stale_decay;
     // Tombstone reclamation scores by wasted-byte fraction; staleness by
     // how far the dictionary has decayed. Either trigger qualifies; the
     // worst offender wins.
     double score = 0.0;
     CompactionReport::Reason shard_reason = CompactionReport::Reason::kNone;
-    if (meta_[s].tombstoned_payload_bytes > 0 &&
+    if (health.tombstoned_payload_bytes > 0 &&
         tomb_frac >= live.compact_tombstone_fraction) {
       score = tomb_frac;
       shard_reason = CompactionReport::Reason::kTombstones;
     }
     if (stale) {
       const double stale_score =
-          std::max(meta_[s].unused_dict_fraction, decay);
+          std::max(health.unused_dict_fraction, decay);
       if (stale_score > score) {
         score = stale_score;
         shard_reason = CompactionReport::Reason::kStaleDictionary;
@@ -537,18 +542,21 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
   // (tombstoned-but-stored) and a later pass reclaims them.
   {
     std::lock_guard<std::mutex> lock(writer_mu_);
-    report.bytes_before = shards_[victim]->stored_bytes();
+    // A WAL that failed during the rebuild stops the swap: a failed store
+    // publishes nothing more.
+    RLZ_RETURN_IF_ERROR(CheckWritableLocked());
+    auto next = std::make_shared<ShardSet>(*sealed_);
+    report.bytes_before = next->shards[victim]->stored_bytes();
     report.bytes_after = rebuilt->stored_bytes();
-    shards_[victim] = std::move(rebuilt);
-    shard_files_[victim].clear();  // the next checkpoint writes the rewrite
-    ShardHealth& meta = meta_[victim];
+    next->shards[victim] = std::move(rebuilt);
+    ShardHealth& meta = next->health[victim];
     meta.generation += 1;
     meta.stats = rebuild_report.stats;
     meta.unused_dict_fraction = rebuild_report.unused_dictionary_fraction;
     meta.tombstoned_payload_bytes = 0;
-    const Bitmap* now_dead = tombstones_[victim].get();
+    const Bitmap* now_dead = next->tombstones[victim].get();
     if (now_dead != nullptr) {
-      const DocMap& map = shards_[victim]->doc_map();
+      const DocMap& map = next->shards[victim]->doc_map();
       for (size_t i = 0; i < now_dead->size(); ++i) {
         if (!now_dead->Test(i)) continue;
         const bool reclaimed = dead != nullptr && dead->Test(i);
@@ -556,6 +564,8 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
       }
     }
     report.generation = meta.generation;
+    sealed_ = std::move(next);
+    shard_files_[victim].clear();  // the next checkpoint writes the rewrite
     PublishLocked();
     durable = wal_ != nullptr;
   }
@@ -588,9 +598,8 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
 
 Manifest ShardedStore::ManifestLocked(
     std::shared_ptr<const CorpusEpoch>* snapshot) const {
-  // The epoch pins the shards, tombstones and tail; the health records
-  // are copied under the writer lock that every mutation holds while
-  // publishing, so both describe the same state.
+  // The epoch pins the shards, health records, tombstones and tail; the
+  // baseline and append dictionary are fixed once the store is built.
   {
     std::lock_guard<std::mutex> epoch_lock(epoch_mu_);
     *snapshot = epoch_;
@@ -599,13 +608,17 @@ Manifest ShardedStore::ManifestLocked(
   Manifest manifest;
   manifest.sequence = epoch.sequence();
   manifest.router = epoch.router_ptr();
-  manifest.health = meta_;
+  manifest.health = epoch.sealed_->health;
   manifest.baseline = baseline_stats_;
   for (int s = 0; s < epoch.num_shards(); ++s) {
     manifest.tombstones.push_back(SetBits(epoch.tombstones(s)));
   }
   manifest.tail_tombstones = SetBits(epoch.tail_tombstones());
-  if (epoch.tail() != nullptr) manifest.tail_docs = epoch.tail()->docs;
+  const TailSegment& tail = epoch.tail();
+  manifest.tail_docs.reserve(tail.num_docs());
+  for (size_t i = 0; i < tail.num_docs(); ++i) {
+    manifest.tail_docs.push_back(tail.doc(i));
+  }
   manifest.append_dict_text.assign(append_dict_->text());
   return manifest;
 }
@@ -652,7 +665,8 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   // No shard gets a suffix array, on any open: the store never
   // factorizes against a sealed shard's dictionary (seals use the append
   // dictionary; compaction samples a fresh one).
-  store->shards_.resize(nshards);
+  auto sealed = std::make_shared<ShardSet>();
+  sealed->shards.resize(nshards);
   std::vector<Status> statuses(nshards);
   OpenOptions shard_options = options;
   shard_options.build_suffix_array = false;
@@ -670,7 +684,7 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
           auto shard =
               RlzArchive::Load(dir + manifest.shard_names[s], shard_options);
           if (shard.ok()) {
-            store->shards_[s] = std::move(shard).value();
+            sealed->shards[s] = std::move(shard).value();
           } else {
             statuses[s] = shard.status();
           }
@@ -681,28 +695,28 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   for (const Status& status : statuses) {
     RLZ_RETURN_IF_ERROR(status);
   }
-  store->tombstones_.resize(nshards);
+  sealed->tombstones.resize(nshards);
   for (size_t s = 0; s < nshards; ++s) {
     const size_t shard_docs = router.start(s + 1) - router.start(s);
-    if (store->shards_[s]->num_docs() != shard_docs) {
+    if (sealed->shards[s]->num_docs() != shard_docs) {
       return Status::Corruption(dir + manifest.shard_names[s] +
                                 ": shard document count disagrees with "
                                 "the manifest");
     }
-    store->tombstones_[s] = BitmapOf(manifest.tombstones[s], shard_docs);
+    sealed->tombstones[s] = BitmapOf(manifest.tombstones[s], shard_docs);
     store->deleted_docs_ += manifest.tombstones[s].size();
   }
 
-  store->router_ = std::move(manifest.router);
+  sealed->router = std::move(manifest.router);
+  sealed->health = std::move(manifest.health);
+  store->sealed_ = std::move(sealed);
   store->shard_files_.assign(nshards, std::string());
-  store->meta_ = std::move(manifest.health);
   store->baseline_stats_ = manifest.baseline;
   store->next_sequence_ = manifest.sequence;
   store->tail_tombstones_ =
       BitmapOf(manifest.tail_tombstones, manifest.tail_docs.size());
   store->deleted_docs_ += manifest.tail_tombstones.size();
-  for (const auto& doc : manifest.tail_docs) store->tail_bytes_ += doc->size();
-  store->tail_docs_ = std::move(manifest.tail_docs);
+  for (auto& doc : manifest.tail_docs) store->tail_.Append(std::move(doc));
 
   // Restore the mutation path: the coding comes from shard 0 (every shard
   // encodes with the same pair) and the append dictionary from its
@@ -710,9 +724,10 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   // suffix array — the only one the store queries — is built on a
   // writable open only; matcher-less, appends and seals fail cleanly.
   // The open tail stays raw until it seals.
-  store->options_.coding = store->shards_[0]->coder().coding();
+  const RlzArchive& shard0 = *store->sealed_->shards[0];
+  store->options_.coding = shard0.coder().coding();
   store->shard_dict_bytes_ =
-      std::max<uint64_t>(1, store->shards_[0]->dictionary().size());
+      std::max<uint64_t>(1, shard0.dictionary().size());
   store->append_dict_ = std::make_shared<const Dictionary>(
       std::move(manifest.append_dict_text), options.build_suffix_array);
   {
@@ -735,7 +750,8 @@ Status ShardedStore::CheckWritableLocked() const {
     return Status::InvalidArgument(
         "sharded store: serving-only durable open is read-only");
   }
-  return Status::OK();
+  // A failed WAL is fail-stop: its latched error refuses every mutation.
+  return wal_ != nullptr ? wal_->status() : Status::OK();
 }
 
 Status ShardedStore::CheckAppendDictionaryLocked() const {
@@ -748,10 +764,11 @@ Status ShardedStore::CheckAppendDictionaryLocked() const {
 }
 
 Status ShardedStore::LogLocked(wal::RecordType type, std::string_view payload) {
-  // A WAL write failure is fail-stop: the in-memory mutation already
-  // happened, so acking it without the log record would break the
-  // durability contract. Callers propagate the error and the store's
-  // next log attempt fails the same way.
+  // A WAL failure is fail-stop: the writer latches its first I/O error,
+  // so this call and every later one (and CheckWritableLocked) return it,
+  // and the store publishes no mutation after the fault. Acking without
+  // the log record would break the durability contract; writing after a
+  // partial frame would hide later records behind a torn tail.
   return wal_->Append(type, payload).status();
 }
 
@@ -769,7 +786,7 @@ Status ShardedStore::MakeDurable(const std::string& dir,
     wal_options_ = wal_options;
     // Names a manifest gave the shards point into another directory (or
     // none): the first checkpoint writes every shard into this one.
-    shard_files_.assign(shards_.size(), std::string());
+    shard_files_.assign(sealed_->shards.size(), std::string());
     RLZ_RETURN_IF_ERROR(fs_->CreateDir(dir));
     RLZ_ASSIGN_OR_RETURN(
         wal_, wal::WalWriter::Create(fs_, dir, /*generation=*/1, /*seq=*/0,
@@ -838,7 +855,7 @@ Status ShardedStore::Checkpoint() {
     // Shards still identical to the snapshot's are now held by the live
     // checkpoint; a shard sealed or compacted since stays unnamed.
     for (size_t s = 0; s < nshards; ++s) {
-      if (shards_[s].get() == &snapshot->shard(static_cast<int>(s))) {
+      if (sealed_->shards[s].get() == &snapshot->shard(static_cast<int>(s))) {
         shard_files_[s] = shard_names[s];
       }
     }

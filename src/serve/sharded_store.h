@@ -292,9 +292,13 @@ class ShardedStore final : public Archive {
   /// current state. From then on every Append/Delete/SealTail is logged
   /// before its epoch publishes — under the default
   /// wal::WalWriterOptions (fsync_every_n = 1) an acknowledged mutation
-  /// survives any crash; relaxed group-commit settings bound the loss to
-  /// the unsynced batch. Compaction triggers a fresh checkpoint after
-  /// its swap. `fs` null means the real file system.
+  /// is written and synced before it returns and survives any crash.
+  /// Under fsync_every_n = n > 1 up to n-1 acknowledged mutations sit in
+  /// the writer's buffer, and a process crash as well as an OS crash
+  /// loses them; SyncWal bounds that window. The first WAL I/O error is
+  /// fail-stop: every later mutation, Checkpoint and SyncWal returns it.
+  /// Compaction triggers a fresh checkpoint after its swap. `fs` null
+  /// means the real file system.
   Status MakeDurable(const std::string& dir,
                      const wal::WalWriterOptions& wal_options = {},
                      std::shared_ptr<FileSystem> fs = nullptr);
@@ -397,20 +401,17 @@ class ShardedStore final : public Archive {
   // current epoch that the next PublishLocked snapshots.
   mutable std::mutex writer_mu_;
   uint64_t next_sequence_ = 1;
-  std::vector<std::shared_ptr<const RlzArchive>> shards_;
+  // The sealed shard set of the next epoch. Mutations replace it with a
+  // modified copy (the published one is shared and immutable).
+  std::shared_ptr<const ShardSet> sealed_;
   // Per shard, the file in durable_dir_ that a committed checkpoint wrote
   // its bytes to, or empty when no checkpoint holds it yet (DESIGN.md
   // §12). Set after a CURRENT flip; cleared by seal, compaction swap and
   // MakeDurable. The next checkpoint rewrites only the unnamed shards.
   std::vector<std::string> shard_files_;
-  // Per shard, its health record; its generation is the one PublishLocked
-  // gives the epoch.
-  std::vector<ShardHealth> meta_;
-  std::shared_ptr<const ShardRouter> router_;
-  std::vector<std::shared_ptr<const Bitmap>> tombstones_;
+  // The open tail; only this copy appends (TailSegment).
+  TailSegment tail_;
   std::shared_ptr<const Bitmap> tail_tombstones_;
-  std::vector<std::shared_ptr<const std::string>> tail_docs_;
-  uint64_t tail_bytes_ = 0;
   uint64_t deleted_docs_ = 0;
   FactorStats baseline_stats_;
   // Per-shard dictionary budget (dict_bytes / initial shard count): the

@@ -82,13 +82,19 @@ StatusOr<SegmentHeader> DecodeSegmentHeader(std::string_view segment,
   return header;
 }
 
+void AppendRecord(std::string* dst, RecordType type,
+                  std::string_view payload) {
+  const size_t start = dst->size();
+  dst->push_back(static_cast<char>(type));
+  PutFixed32(dst, static_cast<uint32_t>(payload.size()));
+  dst->append(payload);
+  PutFixed32(dst, Crc32(dst->data() + start, dst->size() - start));
+}
+
 std::string EncodeRecord(RecordType type, std::string_view payload) {
   std::string out;
   out.reserve(kFrameOverhead + payload.size());
-  out.push_back(static_cast<char>(type));
-  PutFixed32(&out, static_cast<uint32_t>(payload.size()));
-  out.append(payload);
-  PutFixed32(&out, Crc32(out.data(), out.size()));
+  AppendRecord(&out, type, payload);
   return out;
 }
 

@@ -78,6 +78,10 @@ StatusOr<SegmentHeader> DecodeSegmentHeader(std::string_view segment,
 /// Serializes one record frame.
 std::string EncodeRecord(RecordType type, std::string_view payload);
 
+/// Appends one record frame to `dst` in place — EncodeRecord's bytes,
+/// without a string per frame.
+void AppendRecord(std::string* dst, RecordType type, std::string_view payload);
+
 /// One parsed record plus the bytes it consumed.
 struct ParsedRecord {
   RecordType type = RecordType::kAppend;

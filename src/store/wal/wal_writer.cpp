@@ -36,8 +36,14 @@ Status WalWriter::OpenSegmentLocked(uint64_t generation, uint64_t seq) {
   return Status::OK();
 }
 
+Status WalWriter::Latch(Status status) {
+  if (!status.ok() && status_.ok()) status_ = status;
+  return status;
+}
+
 StatusOr<uint64_t> WalWriter::Append(RecordType type,
                                      std::string_view payload) {
+  RLZ_RETURN_IF_ERROR(status_);
   if (file_ == nullptr) {
     return Status::Internal("wal writer: append after close");
   }
@@ -46,55 +52,70 @@ StatusOr<uint64_t> WalWriter::Append(RecordType type,
           options_.segment_bytes) {
     RLZ_RETURN_IF_ERROR(Roll(generation_));
   }
-  const std::string frame = EncodeRecord(type, payload);
-  RLZ_RETURN_IF_ERROR(file_->Append(frame));
-  segment_bytes_ += frame.size();
+  AppendRecord(&buffer_, type, payload);
+  segment_bytes_ += kFrameOverhead + payload.size();
   const uint64_t lsn = next_lsn_++;
   ++unsynced_records_;
-  RLZ_RETURN_IF_ERROR(MaybeSyncLocked());
-  return lsn;
-}
-
-Status WalWriter::MaybeSyncLocked() {
-  if (unsynced_records_ == 0) return Status::OK();
   bool due = options_.fsync_every_n > 0 &&
              unsynced_records_ >= options_.fsync_every_n;
   if (!due && options_.fsync_interval_ms > 0) {
     const auto elapsed = std::chrono::steady_clock::now() - last_sync_;
     due = elapsed >= std::chrono::milliseconds(options_.fsync_interval_ms);
   }
-  if (!due) return Status::OK();
-  return Sync();
+  if (due) {
+    RLZ_RETURN_IF_ERROR(SyncLocked());
+  } else if (buffer_.size() >= kMaxBufferedBytes) {
+    RLZ_RETURN_IF_ERROR(FlushLocked());
+  }
+  return lsn;
 }
 
-Status WalWriter::Sync() {
-  if (file_ == nullptr) {
-    return Status::Internal("wal writer: sync after close");
-  }
-  RLZ_RETURN_IF_ERROR(file_->Sync());
+Status WalWriter::FlushLocked() {
+  if (buffer_.empty()) return Status::OK();
+  const Status status = file_->Append(buffer_);
+  buffer_.clear();
+  // One huge record must not pin a huge buffer for the writer's life.
+  if (buffer_.capacity() > 2 * kMaxBufferedBytes) std::string().swap(buffer_);
+  return Latch(status);
+}
+
+Status WalWriter::SyncLocked() {
+  RLZ_RETURN_IF_ERROR(FlushLocked());
+  RLZ_RETURN_IF_ERROR(Latch(file_->Sync()));
   unsynced_records_ = 0;
   last_sync_ = std::chrono::steady_clock::now();
   return Status::OK();
 }
 
+Status WalWriter::Sync() {
+  RLZ_RETURN_IF_ERROR(status_);
+  if (file_ == nullptr) {
+    return Status::Internal("wal writer: sync after close");
+  }
+  return SyncLocked();
+}
+
 Status WalWriter::Close() {
-  if (file_ == nullptr) return Status::OK();
-  RLZ_RETURN_IF_ERROR(file_->Sync());
-  const Status status = file_->Close();
+  if (file_ == nullptr) return status_;
+  // After a latched error nothing more is written; the file still closes.
+  Status status = status_.ok() ? SyncLocked() : status_;
+  const Status closed = file_->Close();
   file_ = nullptr;
+  if (status.ok()) status = Latch(closed);
   return status;
 }
 
 Status WalWriter::Roll(uint64_t generation) {
+  RLZ_RETURN_IF_ERROR(status_);
   if (file_ == nullptr) {
     return Status::Internal("wal writer: roll after close");
   }
   // Seal the old segment durably first so recovery's invariant holds:
   // once a newer segment exists, every older one is complete.
-  RLZ_RETURN_IF_ERROR(file_->Sync());
-  RLZ_RETURN_IF_ERROR(file_->Close());
+  RLZ_RETURN_IF_ERROR(SyncLocked());
+  RLZ_RETURN_IF_ERROR(Latch(file_->Close()));
   file_ = nullptr;
-  return OpenSegmentLocked(generation, seq_ + 1);
+  return Latch(OpenSegmentLocked(generation, seq_ + 1));
 }
 
 }  // namespace wal

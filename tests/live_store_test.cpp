@@ -773,6 +773,84 @@ TEST(LiveStoreTest, ConcurrentReadersAppsDeletesCompactions) {
   }
 }
 
+// Epochs share the tail's chunks with the writer, which fills slots past
+// every published count. Readers pin epochs in the middle of a chunk and
+// re-read every tail id of each while the writer fills that chunk, seals,
+// and starts new chunks: a pinned epoch must keep its num_docs() and
+// serve byte-identical documents throughout.
+TEST(LiveStoreTest, ConcurrentPinnedTailEpochsAcrossChunksAndSeals) {
+  const Collection collection = TestCollection(1 << 17, 171);
+  auto store = SmallLiveStore(collection);  // seals only when told
+  const size_t built = store->num_docs();
+  constexpr size_t kChunk = TailSegment::kChunkDocs;
+  std::vector<std::string> expected;
+  for (size_t i = 0; i < built; ++i) expected.emplace_back(collection.doc(i));
+  for (size_t i = 0; i < 5 * kChunk; ++i) {
+    expected.push_back(
+        "tail doc " + std::to_string(i) + " " +
+        std::string(64 + i % 97, static_cast<char>('a' + i % 26)));
+  }
+  size_t next = built;
+  auto append = [&](size_t count) {
+    for (size_t k = 0; k < count; ++k) {
+      auto id = store->Append(expected[next]);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      ASSERT_EQ(*id, next);
+      ++next;
+    }
+  };
+  append(kChunk / 2);
+  const std::shared_ptr<const CorpusEpoch> mid_chunk = store->epoch();
+  ASSERT_EQ(mid_chunk->tail_docs(), kChunk / 2);
+
+  struct Pinned {
+    std::shared_ptr<const CorpusEpoch> epoch;
+    size_t num_docs;
+  };
+  // Every tail id of `pinned` still serves its bytes, and the epoch still
+  // counts what it counted when pinned.
+  auto check = [&](const Pinned& pinned, std::string* doc) {
+    ASSERT_EQ(pinned.epoch->num_docs(), pinned.num_docs);
+    for (size_t id = pinned.epoch->sealed_docs(); id < pinned.num_docs; ++id) {
+      ASSERT_TRUE(pinned.epoch->Get(id, doc, nullptr).ok()) << id;
+      ASSERT_EQ(*doc, expected[id]) << "id " << id << " epoch "
+                                    << pinned.epoch->sequence();
+    }
+  };
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      std::vector<Pinned> pinned = {{mid_chunk, mid_chunk->num_docs()}};
+      std::string doc;
+      while (!stop.load(std::memory_order_acquire)) {
+        auto epoch = store->epoch();
+        const size_t num_docs = epoch->num_docs();
+        if (pinned.size() < 32) pinned.push_back({std::move(epoch), num_docs});
+        for (const Pinned& p : pinned) check(p, &doc);
+      }
+      for (const Pinned& p : pinned) check(p, &doc);
+    });
+  }
+
+  // Fill the pinned chunk and the next, seal, start a fresh chunk list,
+  // cross a chunk boundary in it, seal again, and leave half a chunk open.
+  append(kChunk + kChunk / 2 + 3);
+  ASSERT_TRUE(store->SealTail().ok());
+  append(kChunk + 5);
+  ASSERT_TRUE(store->SealTail().ok());
+  append(kChunk / 2);
+  stop.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+
+  std::string doc;
+  check({mid_chunk, built + kChunk / 2}, &doc);
+  const auto last = store->epoch();
+  ASSERT_EQ(last->num_docs(), next);
+  check({last, next}, &doc);
+}
+
 // The service-level version: batched readers through DocService (decode
 // cache on) against concurrent appends, deletes, and compaction. After a
 // delete is published, no request may serve the stale cached bytes.

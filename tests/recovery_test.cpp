@@ -8,6 +8,7 @@
 // `durability` ctest label and runs under ASan in CI.
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -127,11 +128,11 @@ void ExpectSameStore(const ShardedStore& want, const ShardedStore& got) {
   }
 }
 
-// A FileSystem that forwards to another and records every file it
-// creates: what a checkpoint wrote, counted from the outside.
-class CreateLogFs final : public FileSystem {
+// A FileSystem that forwards every call to another; the wrappers below
+// override what they observe or break.
+class ForwardingFs : public FileSystem {
  public:
-  explicit CreateLogFs(std::shared_ptr<FileSystem> base)
+  explicit ForwardingFs(std::shared_ptr<FileSystem> base)
       : base_(std::move(base)) {}
 
   StatusOr<std::string> Read(const std::string& path) const override {
@@ -139,10 +140,6 @@ class CreateLogFs final : public FileSystem {
   }
   StatusOr<std::unique_ptr<WritableFile>> Create(
       const std::string& path) override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      created_.push_back(path);
-    }
     return base_->Create(path);
   }
   Status Rename(const std::string& from, const std::string& to) override {
@@ -165,6 +162,25 @@ class CreateLogFs final : public FileSystem {
     return base_->Exists(path);
   }
 
+ private:
+  std::shared_ptr<FileSystem> base_;
+};
+
+// Records every file it creates: what a checkpoint wrote, counted from
+// the outside.
+class CreateLogFs final : public ForwardingFs {
+ public:
+  using ForwardingFs::ForwardingFs;
+
+  StatusOr<std::unique_ptr<WritableFile>> Create(
+      const std::string& path) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      created_.push_back(path);
+    }
+    return ForwardingFs::Create(path);
+  }
+
   // The shard files created since the last call (path suffixes after
   // the last '.', e.g. "shard0002"), and forgets them.
   std::vector<std::string> TakeShardWrites() {
@@ -181,9 +197,61 @@ class CreateLogFs final : public FileSystem {
   }
 
  private:
-  std::shared_ptr<FileSystem> base_;
   std::mutex mu_;
   std::vector<std::string> created_;
+};
+
+// Fails one write or one fsync of a WAL segment file once, when armed: a
+// transient I/O error, after which every call succeeds again. The failed
+// write first lands half its bytes, as a short write(2) does.
+class FlakyWalFs final : public ForwardingFs {
+ public:
+  enum class Fault { kNone, kWrite, kSync };
+
+  using ForwardingFs::ForwardingFs;
+
+  void Arm(Fault fault) { armed_ = fault; }
+  bool fired() const { return fired_; }
+
+  StatusOr<std::unique_ptr<WritableFile>> Create(
+      const std::string& path) override {
+    RLZ_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
+                         ForwardingFs::Create(path));
+    if (path.find("/wal-") == std::string::npos) return file;
+    return std::unique_ptr<WritableFile>(new File(this, std::move(file)));
+  }
+
+ private:
+  class File final : public WritableFile {
+   public:
+    File(FlakyWalFs* fs, std::unique_ptr<WritableFile> base)
+        : fs_(fs), base_(std::move(base)) {}
+    Status Append(std::string_view data) override {
+      if (!fs_->Fire(Fault::kWrite)) return base_->Append(data);
+      (void)base_->Append(data.substr(0, data.size() / 2));
+      return Status::IOError("injected write error");
+    }
+    Status Sync() override {
+      if (!fs_->Fire(Fault::kSync)) return base_->Sync();
+      return Status::IOError("injected fsync error");
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    FlakyWalFs* fs_;
+    std::unique_ptr<WritableFile> base_;
+  };
+
+  // True (and disarmed) when `fault` is the armed one.
+  bool Fire(Fault fault) {
+    if (armed_ != fault) return false;
+    armed_ = Fault::kNone;
+    fired_ = true;
+    return true;
+  }
+
+  Fault armed_ = Fault::kNone;
+  bool fired_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -573,6 +641,114 @@ TEST(WalTest, MissingSegmentIsCorruption) {
   auto result = Replay(fs, dir, 0, &records);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+}
+
+TEST(WalTest, SegmentBytesAreHeaderPlusFramesUnderEveryPolicy) {
+  // The writer buffers frames and writes them at sync points, but the
+  // files must hold exactly what writing each frame on arrival produced:
+  // each segment's header followed by EncodeRecord frames, rolled at the
+  // same records. The expected segments are built here by that rule.
+  constexpr uint64_t kSegmentBytes = 5u << 18;
+  struct Op {
+    bool roll;  // a checkpoint's Roll(generation 2) instead of a record
+    wal::RecordType type;
+    std::string payload;
+  };
+  std::vector<Op> ops;
+  for (int i = 0; i < 40; ++i) {
+    // Small records, and every 4th a 300 KB one: the big ones cross the
+    // size roll and the in-memory buffer's cap.
+    const std::string payload =
+        i % 4 == 1 ? std::string(300 << 10, static_cast<char>('a' + i % 26))
+                   : "record " + std::to_string(i);
+    ops.push_back({false, wal::RecordType::kAppend, payload});
+    if (i == 17) {
+      std::string id;
+      wal::PutFixed64(&id, 5);
+      ops.push_back({false, wal::RecordType::kDelete, id});
+      ops.push_back({false, wal::RecordType::kSeal, ""});
+      ops.push_back({true, wal::RecordType::kAppend, ""});
+    }
+  }
+
+  std::vector<std::string> want;
+  uint64_t generation = 1;
+  uint64_t lsn = 0;
+  auto open_segment = [&] {
+    wal::SegmentHeader header;
+    header.generation = generation;
+    header.start_lsn = lsn;
+    want.push_back(wal::EncodeSegmentHeader(header));
+  };
+  open_segment();
+  for (const Op& op : ops) {
+    if (op.roll) {
+      generation = 2;
+      open_segment();
+      continue;
+    }
+    const std::string frame = wal::EncodeRecord(op.type, op.payload);
+    if (want.back().size() > wal::kSegmentHeaderSize &&
+        want.back().size() + frame.size() > kSegmentBytes) {
+      open_segment();
+    }
+    want.back() += frame;
+    ++lsn;
+  }
+  ASSERT_GE(want.size(), 4u);  // size rolls on both sides of the Roll
+
+  for (const int n : {0, 1, 8, 64}) {
+    auto fs = std::make_shared<FaultFs>();
+    ASSERT_TRUE(fs->CreateDir("/w").ok());
+    wal::WalWriterOptions options;
+    options.segment_bytes = kSegmentBytes;
+    options.fsync_every_n = n;
+    auto writer =
+        std::move(wal::WalWriter::Create(fs, "/w", 1, 0, 0, options)).value();
+    for (const Op& op : ops) {
+      if (op.roll) {
+        ASSERT_TRUE(writer->Roll(2).ok()) << "n=" << n;
+      } else {
+        ASSERT_TRUE(writer->Append(op.type, op.payload).ok()) << "n=" << n;
+      }
+    }
+    ASSERT_TRUE(writer->Close().ok()) << "n=" << n;
+    for (size_t seq = 0; seq < want.size(); ++seq) {
+      auto got = fs->DurableRead("/w/" + wal::SegmentFileName(seq));
+      ASSERT_TRUE(got.ok()) << "n=" << n << " seq " << seq;
+      EXPECT_TRUE(*got == want[seq]) << "n=" << n << " seq " << seq;
+    }
+    EXPECT_FALSE(fs->Exists("/w/" + wal::SegmentFileName(want.size())))
+        << "n=" << n;
+  }
+}
+
+TEST(WalTest, UnsyncedBufferIsWrittenAtItsCapWithoutSync) {
+  // With no count trigger nothing reaches the file until the buffer hits
+  // its cap; then it is written, and still not synced.
+  auto fs = std::make_shared<FaultFs>();
+  ASSERT_TRUE(fs->CreateDir("/w").ok());
+  wal::WalWriterOptions options;
+  options.fsync_every_n = 0;
+  auto writer =
+      std::move(wal::WalWriter::Create(fs, "/w", 1, 0, 0, options)).value();
+  const std::string path = "/w/" + wal::SegmentFileName(0);
+  const int barriers = fs->sync_count();
+  const std::string payload(100 << 10, 'x');
+  size_t framed = wal::kSegmentHeaderSize;
+  while (framed + wal::kFrameOverhead + payload.size() <
+         wal::WalWriter::kMaxBufferedBytes + wal::kSegmentHeaderSize) {
+    ASSERT_TRUE(writer->Append(wal::RecordType::kAppend, payload).ok());
+    framed += wal::kFrameOverhead + payload.size();
+    EXPECT_EQ(fs->Read(path)->size(), wal::kSegmentHeaderSize);
+  }
+  ASSERT_TRUE(writer->Append(wal::RecordType::kAppend, payload).ok());
+  framed += wal::kFrameOverhead + payload.size();
+  EXPECT_EQ(fs->Read(path)->size(), framed);
+  EXPECT_EQ(fs->sync_count(), barriers);
+  EXPECT_EQ(fs->DurableRead(path)->size(), wal::kSegmentHeaderSize);
+  ASSERT_TRUE(writer->Sync().ok());
+  EXPECT_EQ(fs->DurableRead(path)->size(), framed);
 }
 
 // ---------------------------------------------------------------------------
@@ -1467,6 +1643,112 @@ TEST(RecoveryTest, GroupCommitBoundsLossToUnsyncedBatch) {
   wal::WalWriterOptions wal_options;
   wal_options.fsync_every_n = 4;
   KillAtEveryFsync(script, wal_options, /*max_lost_ops=*/3);
+}
+
+// One transient WAL I/O error, injected by FlakyWalFs after two acked
+// appends: the store must fail the faulted append and every mutation
+// after it, publish nothing more, and reopen with every acked append and
+// nothing acked after the fault.
+void ExpectWalFaultIsFailStop(FlakyWalFs::Fault fault) {
+  const Collection collection = TestCollection(1 << 13, 331);
+  const std::vector<std::string> docs = SmallDocs(4);
+  auto disk = std::make_shared<FaultFs>();
+  auto fs = std::make_shared<FlakyWalFs>(disk);
+  size_t base = 0;
+  {
+    auto store = TinyStore(collection);
+    base = store->num_docs();
+    ASSERT_TRUE(store->MakeDurable("/store", {}, fs).ok());
+    ASSERT_TRUE(store->Append(docs[0]).ok());
+    ASSERT_TRUE(store->Append(docs[1]).ok());
+    fs->Arm(fault);
+    EXPECT_FALSE(store->Append(docs[2]).ok());
+    ASSERT_TRUE(fs->fired());
+    // The file system works again; the store must not.
+    EXPECT_FALSE(store->Append(docs[3]).ok());
+    EXPECT_FALSE(store->Delete(0).ok());
+    EXPECT_FALSE(store->SealTail().ok());
+    EXPECT_FALSE(store->Checkpoint().ok());
+    EXPECT_FALSE(store->SyncWal().ok());
+    EXPECT_FALSE(store->CompactOnce().ok());
+    // Nothing after the fault was published.
+    EXPECT_EQ(store->num_docs(), base + 2);
+    std::string doc;
+    EXPECT_TRUE(store->Get(0, &doc).ok());
+  }  // the destructor's Close must not write past the fault either
+
+  auto reopened_or = ShardedStore::OpenDurable("/store", OpenOptions{}, {},
+                                               disk->DurableClone());
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  const ShardedStore& reopened = **reopened_or;
+  // The faulted append was never acked, but its record may have reached
+  // the disk whole before the error (an fsync error after the write).
+  ASSERT_GE(reopened.num_docs(), base + 2);
+  ASSERT_LE(reopened.num_docs(), base + 3);
+  std::string doc;
+  for (size_t i = base; i < reopened.num_docs(); ++i) {
+    ASSERT_TRUE(reopened.Get(i, &doc).ok()) << i;
+    EXPECT_EQ(doc, docs[i - base]) << i;
+  }
+  EXPECT_TRUE(reopened.Get(0, &doc).ok());  // the refused delete
+}
+
+TEST(RecoveryTest, WalWriteErrorIsFailStop) {
+  ExpectWalFaultIsFailStop(FlakyWalFs::Fault::kWrite);
+}
+
+TEST(RecoveryTest, WalSyncErrorIsFailStop) {
+  ExpectWalFaultIsFailStop(FlakyWalFs::Fault::kSync);
+}
+
+// A real process death: a child appends under `n`, syncs the WAL once,
+// and exits without Close or any destructor. The frames buffered since
+// the last sync point die with it; what reached the file must recover.
+void ExpectProcessDeathLosesOnlyUnsyncedBatch(int n) {
+  const Collection collection = TestCollection(1 << 13, 341);
+  const std::vector<std::string> docs = SmallDocs(20);
+  constexpr size_t kSyncedAt = 5;  // SyncWal after this many appends
+  const std::string dir = FreshDir("process_death_" + std::to_string(n));
+  wal::WalWriterOptions wal_options;
+  wal_options.fsync_every_n = n;
+  EXPECT_EXIT(
+      {
+        auto store = TinyStore(collection);
+        if (!store->MakeDurable(dir, wal_options).ok()) std::_Exit(1);
+        for (size_t i = 0; i < docs.size(); ++i) {
+          if (!store->Append(docs[i]).ok()) std::_Exit(1);
+          if (i + 1 == kSyncedAt && !store->SyncWal().ok()) std::_Exit(1);
+        }
+        std::_Exit(0);  // every append acked; no Close, no destructors
+      },
+      testing::ExitedWithCode(0), "");
+
+  auto reopened_or =
+      ShardedStore::OpenDurable(dir, OpenOptions{}, wal_options);
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  const ShardedStore& reopened = **reopened_or;
+  const size_t base = collection.num_docs();
+  ASSERT_GE(reopened.num_docs(), base + kSyncedAt) << "n=" << n;
+  ASSERT_LE(reopened.num_docs(), base + docs.size()) << "n=" << n;
+  const size_t lost = base + docs.size() - reopened.num_docs();
+  EXPECT_LE(lost, static_cast<size_t>(n - 1)) << "n=" << n;
+  // Frames reach the file exactly at sync points: every n-th append
+  // since the SyncWal. What followed the last one died with the child.
+  EXPECT_EQ(lost, (docs.size() - kSyncedAt) % static_cast<size_t>(n))
+      << "n=" << n;
+  std::string doc;
+  for (size_t i = base; i < reopened.num_docs(); ++i) {
+    ASSERT_TRUE(reopened.Get(i, &doc).ok()) << "n=" << n << " id " << i;
+    EXPECT_EQ(doc, docs[i - base]) << "n=" << n << " id " << i;
+  }
+}
+
+TEST(RecoveryTest, ProcessDeathLosesNothingUnderStrictSync) {
+  ExpectProcessDeathLosesOnlyUnsyncedBatch(1);
+}
+
+TEST(RecoveryTest, ProcessDeathLosesAtMostTheUnsyncedBatch) {
+  ExpectProcessDeathLosesOnlyUnsyncedBatch(8);
 }
 
 // ---------------------------------------------------------------------------
