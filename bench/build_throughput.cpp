@@ -17,8 +17,10 @@
 // property-tested in tests/build_test.cpp).
 //
 //   ./build/bench/build_throughput            (RLZ_BENCH_SCALE shrinks/grows)
-//   ./build/bench/build_throughput --smoke    (tiny corpus; CI smoke test)
+//   ./build/bench/build_throughput --smoke    (8 MB corpus, best of 3 per
+//                                              row; CI smoke test)
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -63,12 +65,33 @@ BuildRun RunOne(const Collection& collection,
   return run;
 }
 
+// The best of `repeats` runs: the highest modeled speedup and wall MB/s
+// (host noise only ever slows a run down).
+BuildRun BestOf(int repeats, const Collection& collection,
+                const std::shared_ptr<const Dictionary>& dict, int threads,
+                size_t chunk_docs, double serial_cpu_seconds) {
+  BuildRun best;
+  for (int r = 0; r < repeats; ++r) {
+    const BuildRun run =
+        RunOne(collection, dict, threads, chunk_docs, serial_cpu_seconds);
+    const double wall_mbps = std::max(best.wall_mbps, run.wall_mbps);
+    if (r == 0 || run.modeled_speedup > best.modeled_speedup) best = run;
+    best.wall_mbps = wall_mbps;
+  }
+  return best;
+}
+
 int Run(bool smoke) {
+  // A smoke serial build of 2 MB took 0.06 s, and one noisy chunk moved
+  // its modeled 4-thread speedup across the gate: 8 MB and the best of 3
+  // runs per row (the serial baseline's lowest CPU time) keep host noise
+  // out of the gate.
+  const int repeats = smoke ? 3 : 1;
   Collection smoke_collection;
   const Collection* collection = nullptr;
   if (smoke) {
     CorpusOptions options;
-    options.target_bytes = 2 << 20;
+    options.target_bytes = 8 << 20;
     options.seed = 20110613;
     smoke_collection = GenerateCorpus(options).collection;
     collection = &smoke_collection;
@@ -88,14 +111,20 @@ int Run(bool smoke) {
   // speedup, and its stats are the identity reference.
   RlzBuildOptions serial_options;
   serial_options.coding = kZV;
-  Timer serial_wall;
+  double serial_seconds = 0.0;
+  double serial_cpu = 0.0;
   RlzBuildInfo serial_info;
-  auto serial_archive =
-      RlzArchive::Build(*collection, dict, serial_options, &serial_info);
-  const double serial_seconds = serial_wall.ElapsedSeconds();
-  const double serial_cpu = serial_info.build_cpu_seconds;
-  const uint64_t serial_payload = serial_archive->payload_bytes();
-  serial_archive.reset();
+  uint64_t serial_payload = 0;
+  for (int r = 0; r < repeats; ++r) {
+    Timer serial_wall;
+    const auto archive =
+        RlzArchive::Build(*collection, dict, serial_options, &serial_info);
+    const double seconds = serial_wall.ElapsedSeconds();
+    serial_seconds = r == 0 ? seconds : std::min(serial_seconds, seconds);
+    serial_cpu = r == 0 ? serial_info.build_cpu_seconds
+                        : std::min(serial_cpu, serial_info.build_cpu_seconds);
+    serial_payload = archive->payload_bytes();
+  }
   std::printf("serial baseline: %.2fs wall, %.2fs cpu, %.1f MB/s\n\n",
               serial_seconds, serial_cpu,
               collection->size_bytes() / (1024.0 * 1024.0) / serial_seconds);
@@ -104,7 +133,7 @@ int Run(bool smoke) {
 
   const int thread_rows_full[] = {1, 2, 4, 8};
   const int thread_rows_smoke[] = {1, 2, 4};
-  // Smoke corpora have ~100 docs, so the smoke chunk must be small enough
+  // Smoke corpora have ~400 docs, so the smoke chunk must be small enough
   // to give every worker several chunks.
   const size_t chunk_rows_full[] = {16, 64, 256};
   const size_t chunk_rows_smoke[] = {8};
@@ -117,7 +146,7 @@ int Run(bool smoke) {
   bool all_identical = true;
   for (size_t t = 0; t < num_thread_rows; ++t) {
     for (size_t c = 0; c < num_chunk_rows; ++c) {
-      const BuildRun run = RunOne(*collection, dict, thread_rows[t],
+      const BuildRun run = BestOf(repeats, *collection, dict, thread_rows[t],
                                   chunk_rows[c], serial_cpu);
       const bool identical = run.payload_bytes == serial_payload &&
                              run.num_factors == serial_info.stats.num_factors;

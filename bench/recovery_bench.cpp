@@ -4,8 +4,13 @@
 //   appends/s vs fsync policy — the same append workload against a
 //       durable ShardedStore under fsync_every_n = 1 (every acked
 //       mutation durable), 8, and 64 (group commit, loss bounded to the
-//       unsynced batch). The spread is the price of the WAL's durability
-//       knob, EXPERIMENTS.md "Durability cost".
+//       unsynced batch), with the tail never sealing, so recovery
+//       replays every append. The spread is the price of the WAL's
+//       durability knob, EXPERIMENTS.md "Durability cost". A fourth row
+//       seals at 1 MB of tail under fsync_every_n = 8: each seal
+//       checkpoints, so recovery replays only the appends since the last
+//       one. Appends and each recovery run in their own forked child, so
+//       a recovery starts from the heap a fresh process has.
 //   cold start — reopening the same directory three ways: OpenDurable
 //       with the whole workload still in the WAL (replay-bound),
 //       OpenDurable after a checkpoint (load-bound), and a plain saved
@@ -27,15 +32,21 @@
 //         byte-identically, else exit 1 (run by the perf-smoke CI job)
 //   ./build/bench/recovery_bench --crash-smoke   bounded kill-at-fsync
 //         sweeps through FaultFs (release-mode CI sanity) under
-//         fsync_every_n = 1 and 8: recovery after every injected crash
-//         must yield a prefix of the appends that lost at most n - 1
-//         acked ones, else exit 1
+//         fsync_every_n = 1 and 8, and under 1 with auto-seals and their
+//         checkpoints: recovery after every injected crash must yield a
+//         prefix of the appends that lost at most n - 1 acked ones, with
+//         the uncrashed run's shards, else exit 1
 //   ./build/bench/recovery_bench --out FILE      JSON destination
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <type_traits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -66,38 +77,97 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-std::unique_ptr<ShardedStore> BuildStore(const Collection& collection) {
+// `tail_seal_bytes` 0 keeps every append in the WAL'd tail.
+std::unique_ptr<ShardedStore> BuildStore(const Collection& collection,
+                                         size_t tail_seal_bytes = 0) {
   ShardedStoreOptions options;
   options.num_shards = 4;
   options.dict_bytes = 1 << 16;
-  options.live.tail_seal_bytes = 0;  // keep every append in the WAL'd tail
+  options.live.tail_seal_bytes = tail_seal_bytes;
   return ShardedStore::Build(collection, options);
+}
+
+// Runs `fn` in a forked child and returns the value it produced there:
+// whatever heap the child grew and freed, the parent never held it. The
+// value crosses a pipe as bytes.
+template <typename Fn>
+auto InChild(const Fn& fn) {
+  using T = decltype(fn());
+  static_assert(std::is_trivially_copyable_v<T>);
+  int fds[2];
+  RLZ_CHECK(::pipe(fds) == 0);
+  std::fflush(nullptr);  // the child must not re-print buffered output
+  const pid_t pid = ::fork();
+  RLZ_CHECK(pid >= 0);
+  if (pid == 0) {
+    ::close(fds[0]);
+    const T value = fn();
+    const bool written =
+        ::write(fds[1], &value, sizeof(value)) ==
+        static_cast<ssize_t>(sizeof(value));
+    std::fflush(nullptr);
+    std::_Exit(written ? 0 : 1);
+  }
+  ::close(fds[1]);
+  T value{};
+  const bool read =
+      ::read(fds[0], &value, sizeof(value)) ==
+      static_cast<ssize_t>(sizeof(value));
+  ::close(fds[0]);
+  int wstatus = 0;
+  RLZ_CHECK(::waitpid(pid, &wstatus, 0) == pid);
+  RLZ_CHECK(read && WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0)
+      << "benchmark child failed";
+  return value;
 }
 
 struct PolicyResult {
   std::string name;
   uint64_t fsync_every_n = 1;
+  uint64_t tail_seal_bytes = 0;
   double appends_per_s = 0;
   double append_mb_per_s = 0;
+  uint64_t seals = 0;
   double recover_ms = 0;
+  uint64_t replayed_records = 0;
   double replays_per_s = 0;
 };
 
+// What the appending child reports.
+struct AppendOutcome {
+  size_t base = 0;
+  double seconds = 0;
+  uint64_t seals = 0;
+  uint64_t tail_docs = 0;  // appends no checkpoint covers
+};
+
+// What the recovering child reports.
+struct RecoverOutcome {
+  double ms = 0;
+  uint64_t replayed = 0;
+  bool pass = false;
+};
+
 // One append workload under one fsync policy, then a cold-start reopen
-// that replays the whole workload from the WAL.
+// that replays the log: every append when the tail never seals, the
+// appends since the last seal's checkpoint when it does.
 PolicyResult RunPolicy(const Collection& collection,
                        const std::vector<std::string>& docs,
                        const std::string& name, uint64_t fsync_every_n,
-                       bool* gate_pass) {
+                       size_t tail_seal_bytes, bool* gate_pass) {
   PolicyResult result;
   result.name = name;
   result.fsync_every_n = fsync_every_n;
+  result.tail_seal_bytes = tail_seal_bytes;
   const std::string dir = FreshDir("rlz_recovery_bench_" + name);
-  size_t base = 0;
   uint64_t appended_bytes = 0;
-  {
-    auto store = BuildStore(collection);
-    base = store->num_docs();
+  for (const std::string& doc : docs) appended_bytes += doc.size();
+
+  const AppendOutcome appended = InChild([&] {
+    AppendOutcome outcome;
+    auto store = BuildStore(collection, tail_seal_bytes);
+    outcome.base = store->num_docs();
+    const int shards = store->num_shards();
     wal::WalWriterOptions wal_options;
     wal_options.fsync_every_n = fsync_every_n;
     const Status status = store->MakeDurable(dir, wal_options);
@@ -105,43 +175,58 @@ PolicyResult RunPolicy(const Collection& collection,
     Timer append_timer;
     for (const std::string& doc : docs) {
       RLZ_CHECK(store->Append(doc).ok());
-      appended_bytes += doc.size();
     }
     // The trailing barrier: every policy pays for full durability before
     // the clock stops, so relaxed policies are not credited for work
     // they left unsynced.
     RLZ_CHECK(store->SyncWal().ok());
-    const double seconds = append_timer.ElapsedSeconds();
-    result.appends_per_s = docs.size() / seconds;
-    result.append_mb_per_s = appended_bytes / (1024.0 * 1024.0) / seconds;
-  }
+    outcome.seconds = append_timer.ElapsedSeconds();
+    outcome.seals = static_cast<uint64_t>(store->num_shards() - shards);
+    outcome.tail_docs = store->epoch()->tail_docs();
+    return outcome;
+  });
+  result.appends_per_s = docs.size() / appended.seconds;
+  result.append_mb_per_s =
+      appended_bytes / (1024.0 * 1024.0) / appended.seconds;
+  result.seals = appended.seals;
 
-  Timer recover_timer;
-  ShardedStore::RecoveryReport report;
-  auto reopened = ShardedStore::OpenDurable(dir, {}, {}, nullptr, &report);
-  RLZ_CHECK(reopened.ok()) << reopened.status().ToString();
-  result.recover_ms = recover_timer.ElapsedMillis();
-  result.replays_per_s = report.replayed_records / (result.recover_ms / 1e3);
-
-  // The gate: the recovered store serves the acked workload back
-  // byte-identically.
-  if (reopened.value()->num_docs() != base + docs.size() ||
-      report.replayed_records != docs.size()) {
-    std::fprintf(stderr, "GATE FAIL %s: recovered %zu docs, replayed %llu\n",
-                 name.c_str(), reopened.value()->num_docs(),
-                 static_cast<unsigned long long>(report.replayed_records));
-    *gate_pass = false;
-  }
-  std::string doc;
-  for (size_t i = 0; i < docs.size(); i += 97) {
-    const Status status = reopened.value()->Get(base + i, &doc);
-    if (!status.ok() || doc != docs[i]) {
-      std::fprintf(stderr, "GATE FAIL %s: doc %zu mismatch\n", name.c_str(),
-                   base + i);
-      *gate_pass = false;
-      break;
+  const RecoverOutcome recovered = InChild([&] {
+    RecoverOutcome outcome;
+    Timer recover_timer;
+    ShardedStore::RecoveryReport report;
+    auto reopened = ShardedStore::OpenDurable(dir, {}, {}, nullptr, &report);
+    RLZ_CHECK(reopened.ok()) << reopened.status().ToString();
+    outcome.ms = recover_timer.ElapsedMillis();
+    outcome.replayed = report.replayed_records;
+    // The gate: the recovered store serves the acked workload back
+    // byte-identically, having replayed exactly the appends no
+    // checkpoint covers.
+    outcome.pass = true;
+    if (reopened.value()->num_docs() != appended.base + docs.size() ||
+        report.replayed_records != appended.tail_docs) {
+      std::fprintf(stderr,
+                   "GATE FAIL %s: recovered %zu docs, replayed %llu of %llu\n",
+                   name.c_str(), reopened.value()->num_docs(),
+                   static_cast<unsigned long long>(report.replayed_records),
+                   static_cast<unsigned long long>(appended.tail_docs));
+      outcome.pass = false;
     }
-  }
+    std::string doc;
+    for (size_t i = 0; i < docs.size(); i += 97) {
+      const Status status = reopened.value()->Get(appended.base + i, &doc);
+      if (!status.ok() || doc != docs[i]) {
+        std::fprintf(stderr, "GATE FAIL %s: doc %zu mismatch\n",
+                     name.c_str(), appended.base + i);
+        outcome.pass = false;
+        break;
+      }
+    }
+    return outcome;
+  });
+  result.recover_ms = recovered.ms;
+  result.replayed_records = recovered.replayed;
+  result.replays_per_s = recovered.replayed / (recovered.ms / 1e3);
+  if (!recovered.pass) *gate_pass = false;
   std::filesystem::remove_all(dir);
   return result;
 }
@@ -290,15 +375,19 @@ void Run(bool smoke, const std::string& out_path) {
 
   bool gate_pass = true;
   std::vector<PolicyResult> policies;
-  policies.push_back(RunPolicy(collection, docs, "fsync_1", 1, &gate_pass));
-  policies.push_back(RunPolicy(collection, docs, "fsync_8", 8, &gate_pass));
-  policies.push_back(RunPolicy(collection, docs, "fsync_64", 64, &gate_pass));
+  policies.push_back(RunPolicy(collection, docs, "fsync_1", 1, 0, &gate_pass));
+  policies.push_back(RunPolicy(collection, docs, "fsync_8", 8, 0, &gate_pass));
+  policies.push_back(
+      RunPolicy(collection, docs, "fsync_64", 64, 0, &gate_pass));
+  policies.push_back(RunPolicy(collection, docs, "fsync_8_seal_1mb", 8,
+                               1 << 20, &gate_pass));
   for (const PolicyResult& p : policies) {
     std::printf(
-        "  %-9s %8.0f appends/s  %6.1f MB/s  recover %6.1f ms "
-        "(%.0f records/s)\n",
-        p.name.c_str(), p.appends_per_s, p.append_mb_per_s, p.recover_ms,
-        p.replays_per_s);
+        "  %-16s %8.0f appends/s  %6.1f MB/s  %3llu seals  recover %6.1f ms "
+        "(%llu records, %.0f records/s)\n",
+        p.name.c_str(), p.appends_per_s, p.append_mb_per_s,
+        static_cast<unsigned long long>(p.seals), p.recover_ms,
+        static_cast<unsigned long long>(p.replayed_records), p.replays_per_s);
   }
 
   const ColdStartResult cold =
@@ -326,11 +415,16 @@ void Run(bool smoke, const std::string& out_path) {
     const PolicyResult& p = policies[i];
     std::snprintf(buf, sizeof(buf),
                   "    \"%s\": {\"fsync_every_n\": %llu, "
+                  "\"tail_seal_bytes\": %llu, "
                   "\"appends_per_s\": %.0f, \"append_mb_per_s\": %.2f, "
-                  "\"recover_ms\": %.2f, \"replays_per_s\": %.0f}%s\n",
+                  "\"seals\": %llu, \"recover_ms\": %.2f, "
+                  "\"replayed_records\": %llu, \"replays_per_s\": %.0f}%s\n",
                   p.name.c_str(),
                   static_cast<unsigned long long>(p.fsync_every_n),
-                  p.appends_per_s, p.append_mb_per_s, p.recover_ms,
+                  static_cast<unsigned long long>(p.tail_seal_bytes),
+                  p.appends_per_s, p.append_mb_per_s,
+                  static_cast<unsigned long long>(p.seals), p.recover_ms,
+                  static_cast<unsigned long long>(p.replayed_records),
                   p.replays_per_s, i + 1 < policies.size() ? "," : "");
     json.append(buf);
   }
@@ -353,26 +447,33 @@ void Run(bool smoke, const std::string& out_path) {
 
 // Bounded kill-at-every-fsync sweep through FaultFs — the release-CI
 // cousin of tests/recovery_test.cpp's exhaustive suites. Appends under
-// `fsync_every_n`; kills the writer at up to kMaxKills barriers (both
+// `fsync_every_n`, auto-sealing (and checkpointing) at `tail_seal_bytes`
+// when it is not 0; kills the writer at up to kMaxKills barriers (both
 // entering and leaving each); after every crash the recovered store must
 // hold a byte-identical prefix of the attempted appends that lost at most
-// fsync_every_n - 1 acked ones (none under n = 1). Returns the failures.
+// fsync_every_n - 1 acked ones (none under n = 1), and a prefix of the
+// uncrashed run's shards. Returns the failures.
 int CrashSweep(const Collection& collection,
-               const std::vector<std::string>& docs, int fsync_every_n) {
+               const std::vector<std::string>& docs, int fsync_every_n,
+               size_t tail_seal_bytes) {
   constexpr int kMaxKills = 24;
   wal::WalWriterOptions wal_options;
   wal_options.fsync_every_n = fsync_every_n;
   const size_t max_lost = static_cast<size_t>(fsync_every_n - 1);
 
+  std::vector<std::string> twin_shards;
   auto run_workload = [&](const std::shared_ptr<FaultFs>& fs,
-                          bool* made_durable) {
-    auto store = BuildStore(collection);
+                          bool* made_durable, bool keep_shards) {
+    auto store = BuildStore(collection, tail_seal_bytes);
     *made_durable = store->MakeDurable("/store", wal_options, fs).ok();
     size_t acked = 0;
     if (!*made_durable) return acked;
     for (const std::string& doc : docs) {
       if (!store->Append(doc).ok()) break;
       ++acked;
+    }
+    for (int s = 0; keep_shards && s < store->num_shards(); ++s) {
+      twin_shards.push_back(store->shard(s).Serialize());
     }
     return acked;
   };
@@ -382,7 +483,7 @@ int CrashSweep(const Collection& collection,
   {
     auto fs = std::make_shared<FaultFs>();
     bool made_durable = false;
-    const size_t acked = run_workload(fs, &made_durable);
+    const size_t acked = run_workload(fs, &made_durable, true);
     RLZ_CHECK(made_durable && acked == docs.size());
     total_barriers = fs->sync_count();
     base = BuildStore(collection)->num_docs();
@@ -399,7 +500,7 @@ int CrashSweep(const Collection& collection,
       auto fs = std::make_shared<FaultFs>();
       fs->ArmCrash(k, before);
       bool made_durable = false;
-      const size_t acked = run_workload(fs, &made_durable);
+      const size_t acked = run_workload(fs, &made_durable, false);
       auto reopened = ShardedStore::OpenDurable(
           "/store", OpenOptions{}, wal_options, fs->DurableClone(), nullptr);
       if (!made_durable) {
@@ -409,6 +510,21 @@ int CrashSweep(const Collection& collection,
         std::fprintf(stderr, "CRASH-SMOKE FAIL n=%d k=%d before=%d: %s\n",
                      fsync_every_n, k, before,
                      reopened.status().ToString().c_str());
+        ++failures;
+        continue;
+      }
+      const ShardedStore& store = *reopened.value();
+      bool same_shards =
+          static_cast<size_t>(store.num_shards()) <= twin_shards.size();
+      for (int s = 0; same_shards && s < store.num_shards(); ++s) {
+        same_shards = store.shard(s).Serialize() == twin_shards[s];
+      }
+      if (!same_shards) {
+        std::fprintf(stderr,
+                     "CRASH-SMOKE FAIL n=%d k=%d before=%d: %d shards, not "
+                     "a prefix of the uncrashed run's %zu\n",
+                     fsync_every_n, k, before, store.num_shards(),
+                     twin_shards.size());
         ++failures;
         continue;
       }
@@ -436,14 +552,18 @@ int CrashSweep(const Collection& collection,
       }
     }
   }
-  std::printf("crash smoke (fsync_every_n = %d): %d kill points (%d "
-              "barriers total), %d sweeps, %d failures\n",
-              fsync_every_n, kills, total_barriers, sweeps, failures);
+  std::printf("crash smoke (fsync_every_n = %d, tail_seal_bytes = %zu, %zu "
+              "shards): %d kill points (%d barriers total), %d sweeps, %d "
+              "failures\n",
+              fsync_every_n, tail_seal_bytes, twin_shards.size(), kills,
+              total_barriers, sweeps, failures);
   return failures;
 }
 
 // The crash sweep under strict durability and under perfbench's group
-// commit, whose loss window now includes a process crash.
+// commit, whose loss window now includes a process crash, and under
+// strict durability with a seal, and its checkpoint, every third or
+// fourth append.
 void RunCrashSmoke() {
   constexpr size_t kAppends = 20;
   CorpusOptions corpus_options;
@@ -454,8 +574,10 @@ void RunCrashSmoke() {
   for (size_t i = 0; i < kAppends; ++i) {
     docs.push_back("crash smoke doc " + std::to_string(i));
   }
+  const size_t seal_bytes = 3 * docs[0].size() + 1;
   int failures = 0;
-  for (const int n : {1, 8}) failures += CrashSweep(collection, docs, n);
+  for (const int n : {1, 8}) failures += CrashSweep(collection, docs, n, 0);
+  failures += CrashSweep(collection, docs, 1, seal_bytes);
   if (failures > 0) std::exit(1);
 }
 

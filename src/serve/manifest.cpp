@@ -92,6 +92,11 @@ std::string Manifest::Encode() const {
   writer.PutVarint64(tail_docs.size());
   for (const auto& doc : tail_docs) writer.PutLengthPrefixed(*doc);
   writer.PutLengthPrefixed(append_dict_text);
+  writer.PutVarint64(live.tail_seal_bytes);
+  writer.PutVarint64(DoubleBits(live.compact_tombstone_fraction));
+  writer.PutVarint64(DoubleBits(live.compact_stale_unused_fraction));
+  writer.PutVarint64(DoubleBits(live.compact_stale_decay));
+  writer.PutVarint64(shard_dict_bytes);
   return std::move(writer).Seal();
 }
 
@@ -172,6 +177,17 @@ StatusOr<Manifest> Manifest::Parse(const ParsedEnvelope& envelope) {
   std::string_view append_dict_text;
   RLZ_RETURN_IF_ERROR(reader.ReadLengthPrefixed(&append_dict_text));
   manifest.append_dict_text.assign(append_dict_text);
+  uint64_t tail_seal_bytes = 0;
+  RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&tail_seal_bytes));
+  manifest.live.tail_seal_bytes = static_cast<size_t>(tail_seal_bytes);
+  for (double* trigger : {&manifest.live.compact_tombstone_fraction,
+                          &manifest.live.compact_stale_unused_fraction,
+                          &manifest.live.compact_stale_decay}) {
+    uint64_t bits = 0;
+    RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&bits));
+    *trigger = DoubleFromBits(bits);
+  }
+  RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&manifest.shard_dict_bytes));
   RLZ_RETURN_IF_ERROR(reader.ExpectConsumed());
   return manifest;
 }

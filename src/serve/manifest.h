@@ -20,6 +20,30 @@
 
 namespace rlz {
 
+/// Mutation-path knobs of a live ShardedStore (DESIGN.md §11). The
+/// manifest persists them, so a reopened or recovered store seals and
+/// compacts as the store that wrote it did.
+struct LiveStoreOptions {
+  /// Raw tail bytes that trigger an automatic seal: once the open tail
+  /// segment holds at least this much appended text, the Append that
+  /// crossed the threshold seals it into a new compressed shard (paying
+  /// the whole tail's encode, and on a durable store the checkpoint that
+  /// makes the new shard durable) before returning. 0 disables auto-seal
+  /// (callers seal explicitly).
+  size_t tail_seal_bytes = 1 << 20;
+  /// Compaction trigger: a shard whose tombstoned-but-still-stored
+  /// payload fraction reaches this is tombstone-heavy.
+  double compact_tombstone_fraction = 0.25;
+  /// Compaction trigger: a shard whose dictionary has at least this
+  /// fraction of never-referenced bytes (coverage decay, §3.6) is
+  /// stale-dictionary.
+  double compact_stale_unused_fraction = 0.5;
+  /// Compaction trigger: a shard whose average factor length decayed by
+  /// at least this fraction against the store's build-time baseline
+  /// (FactorStats::avg_factor_decay) is stale-dictionary.
+  double compact_stale_decay = 0.5;
+};
+
 /// Health and provenance of one sealed shard — the compactor's scoring
 /// input (ShardedStore::shard_health), persisted in the manifest.
 struct ShardHealth {
@@ -42,9 +66,10 @@ struct ShardHealth {
 struct Manifest {
   /// On-disk format id of the manifest envelope.
   static constexpr char kFormatId[] = "sharded";
-  /// The one manifest version written and read. Version 1 (boundaries and
-  /// shard names only) is no longer read (DESIGN.md §8).
-  static constexpr uint32_t kFormatVersion = 2;
+  /// The one manifest version written and read. Versions 1 (boundaries
+  /// and shard names only) and 2 (no live options) are no longer read
+  /// (DESIGN.md §8).
+  static constexpr uint32_t kFormatVersion = 3;
 
   /// The epoch's publication sequence number.
   uint64_t sequence = 0;
@@ -66,6 +91,10 @@ struct Manifest {
   std::vector<std::shared_ptr<const std::string>> tail_docs;
   /// The append dictionary's text; empty when appends are disabled.
   std::string append_dict_text;
+  /// The store's seal and compaction knobs.
+  LiveStoreOptions live;
+  /// The size of compaction's re-sampled dictionaries.
+  uint64_t shard_dict_bytes = 0;
 
   /// The complete envelope bytes. `router` must be set, and every
   /// per-shard vector must have one entry per shard (checked).

@@ -252,34 +252,48 @@ size_t ShardedStore::ApplyAppendLocked(std::string_view doc) {
 }
 
 StatusOr<size_t> ShardedStore::Append(std::string_view doc) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  RLZ_RETURN_IF_ERROR(CheckWritableLocked());
-  RLZ_RETURN_IF_ERROR(CheckAppendDictionaryLocked());
-  // Log before apply and publish: a document whose record failed never
-  // enters the tail, and once the epoch containing it is visible (and the
-  // id returned) the record is framed for the disk — durably there
-  // already under fsync_every_n == 1 (DESIGN.md §12).
-  if (wal_ != nullptr) {
-    RLZ_RETURN_IF_ERROR(LogLocked(wal::RecordType::kAppend, doc));
+  size_t id = 0;
+  bool checkpoint = false;
+  {
+    std::lock_guard<std::mutex> lock(writer_mu_);
+    RLZ_RETURN_IF_ERROR(CheckWritableLocked());
+    RLZ_RETURN_IF_ERROR(CheckAppendDictionaryLocked());
+    // Log before apply and publish: a document whose record failed never
+    // enters the tail, and once the epoch containing it is visible (and
+    // the id returned) the record is framed for the disk — durably there
+    // already under fsync_every_n == 1 (DESIGN.md §12).
+    if (wal_ != nullptr) {
+      RLZ_RETURN_IF_ERROR(LogLocked(wal::RecordType::kAppend, doc));
+    }
+    id = ApplyAppendLocked(doc);
+    PublishLocked();
+    if (options_.live.tail_seal_bytes > 0 &&
+        tail_.bytes() >= options_.live.tail_seal_bytes) {
+      RLZ_RETURN_IF_ERROR(SealTailLocked());
+      checkpoint = wal_ != nullptr;
+    }
   }
-  const size_t id = ApplyAppendLocked(doc);
-  PublishLocked();
-  if (options_.live.tail_seal_bytes > 0 &&
-      tail_.bytes() >= options_.live.tail_seal_bytes) {
-    RLZ_RETURN_IF_ERROR(SealTailLocked());
-  }
+  // After writer_mu_ is released: a checkpoint takes checkpoint_mu_
+  // before writer_mu_.
+  if (checkpoint) CheckpointAfterSeal();
   return id;
 }
 
 Status ShardedStore::SealTail() {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  RLZ_RETURN_IF_ERROR(CheckWritableLocked());
-  RLZ_RETURN_IF_ERROR(CheckAppendDictionaryLocked());
-  return SealTailLocked();
+  bool checkpoint = false;
+  {
+    std::lock_guard<std::mutex> lock(writer_mu_);
+    RLZ_RETURN_IF_ERROR(CheckWritableLocked());
+    RLZ_RETURN_IF_ERROR(CheckAppendDictionaryLocked());
+    if (tail_.num_docs() == 0) return Status::OK();
+    RLZ_RETURN_IF_ERROR(SealTailLocked());
+    checkpoint = wal_ != nullptr;
+  }
+  if (checkpoint) CheckpointAfterSeal();
+  return Status::OK();
 }
 
 Status ShardedStore::SealTailLocked() {
-  if (tail_.num_docs() == 0) return Status::OK();
   if (wal_ != nullptr) {
     RLZ_RETURN_IF_ERROR(LogLocked(wal::RecordType::kSeal, std::string_view()));
   }
@@ -575,7 +589,7 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
   // fresh checkpoint makes the reclaimed bytes durable so a crash does
   // not resurrect the pre-compaction shard files forever.
   if (durable) {
-    RLZ_RETURN_IF_ERROR(Checkpoint());
+    RLZ_RETURN_IF_ERROR(WriteCheckpoint());
   }
 
   report.compacted = true;
@@ -620,6 +634,8 @@ Manifest ShardedStore::ManifestLocked(
     manifest.tail_docs.push_back(tail.doc(i));
   }
   manifest.append_dict_text.assign(append_dict_->text());
+  manifest.live = options_.live;
+  manifest.shard_dict_bytes = shard_dict_bytes_;
   return manifest;
 }
 
@@ -719,15 +735,15 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   for (auto& doc : manifest.tail_docs) store->tail_.Append(std::move(doc));
 
   // Restore the mutation path: the coding comes from shard 0 (every shard
-  // encodes with the same pair) and the append dictionary from its
-  // persisted text, empty for a store built from no documents. Its
-  // suffix array — the only one the store queries — is built on a
-  // writable open only; matcher-less, appends and seals fail cleanly.
-  // The open tail stays raw until it seals.
-  const RlzArchive& shard0 = *store->sealed_->shards[0];
-  store->options_.coding = shard0.coder().coding();
-  store->shard_dict_bytes_ =
-      std::max<uint64_t>(1, shard0.dictionary().size());
+  // encodes with the same pair), the seal and compaction knobs from the
+  // manifest, and the append dictionary from its persisted text, empty
+  // for a store built from no documents. Its suffix array — the only one
+  // the store queries — is built on a writable open only; matcher-less,
+  // appends and seals fail cleanly. The open tail stays raw until it
+  // seals.
+  store->options_.coding = store->sealed_->shards[0]->coder().coding();
+  store->options_.live = manifest.live;
+  store->shard_dict_bytes_ = std::max<uint64_t>(1, manifest.shard_dict_bytes);
   store->append_dict_ = std::make_shared<const Dictionary>(
       std::move(manifest.append_dict_text), options.build_suffix_array);
   {
@@ -795,10 +811,26 @@ Status ShardedStore::MakeDurable(const std::string& dir,
   // Checkpoint generation 1 captures the pre-durability state; until its
   // CURRENT lands the directory is not yet openable, so a crash inside
   // this call loses nothing that was ever acked as durable.
-  return Checkpoint();
+  return WriteCheckpoint();
 }
 
 Status ShardedStore::Checkpoint() {
+  const Status status = WriteCheckpoint();
+  std::lock_guard<std::mutex> checkpoint_lock(checkpoint_mu_);
+  const Status first = std::exchange(post_seal_error_, Status::OK());
+  return first.ok() ? status : first;
+}
+
+void ShardedStore::CheckpointAfterSeal() {
+  // The seal's record is already logged, so a failure here loses
+  // nothing: the previous checkpoint stays live and replay re-seals.
+  const Status status = WriteCheckpoint();
+  if (status.ok()) return;
+  std::lock_guard<std::mutex> checkpoint_lock(checkpoint_mu_);
+  if (post_seal_error_.ok()) post_seal_error_ = status;
+}
+
+Status ShardedStore::WriteCheckpoint() {
   // One checkpoint at a time; mutators are blocked only for the
   // sync-and-roll plus the snapshot copy below, not for the shard writes.
   std::lock_guard<std::mutex> checkpoint_lock(checkpoint_mu_);

@@ -28,27 +28,6 @@
 
 namespace rlz {
 
-/// Mutation-path knobs of a live ShardedStore (DESIGN.md §11).
-struct LiveStoreOptions {
-  /// Raw tail bytes that trigger an automatic seal: once the open tail
-  /// segment holds at least this much appended text, the Append that
-  /// crossed the threshold seals it into a new compressed shard (paying
-  /// the whole tail's encode) before returning. 0 disables auto-seal
-  /// (callers seal explicitly).
-  size_t tail_seal_bytes = 1 << 20;
-  /// Compaction trigger: a shard whose tombstoned-but-still-stored
-  /// payload fraction reaches this is tombstone-heavy.
-  double compact_tombstone_fraction = 0.25;
-  /// Compaction trigger: a shard whose dictionary has at least this
-  /// fraction of never-referenced bytes (coverage decay, §3.6) is
-  /// stale-dictionary.
-  double compact_stale_unused_fraction = 0.5;
-  /// Compaction trigger: a shard whose average factor length decayed by
-  /// at least this fraction against the store's build-time baseline
-  /// (FactorStats::avg_factor_decay) is stale-dictionary.
-  double compact_stale_decay = 0.5;
-};
-
 /// Build-time knobs for ShardedStore::Build.
 struct ShardedStoreOptions {
   /// Number of partitions. Clamped to [1, num_docs]. Shards are contiguous
@@ -156,8 +135,9 @@ class ShardedStore final : public Archive {
   /// epoch that contains it. Returns the new document's permanent id.
   /// The document is stored raw, not encoded, and serves reads until the
   /// tail seals. Crossing LiveStoreOptions::tail_seal_bytes seals the
-  /// tail before returning. Thread-safe against concurrent readers and
-  /// other mutators. Fails with InvalidArgument on a store whose append
+  /// tail before returning, and on a durable store checkpoints the new
+  /// shard (SealTail). Thread-safe against concurrent readers and other
+  /// mutators. Fails with InvalidArgument on a store whose append
   /// dictionary has no matcher (a serving-only open).
   StatusOr<size_t> Append(std::string_view doc);
 
@@ -177,9 +157,14 @@ class ShardedStore final : public Archive {
   /// encoded here, in one batch on the build pipeline, byte-identical to
   /// a serial RlzArchive::Build against the append dictionary. No-op when
   /// the tail is empty. Called automatically when an Append crosses
-  /// LiveStoreOptions::tail_seal_bytes. Fails with InvalidArgument, as
-  /// Append does, when the append dictionary has no matcher (a
-  /// serving-only open).
+  /// LiveStoreOptions::tail_seal_bytes. On a durable store the seal is
+  /// then made durable as a shard by an incremental Checkpoint, which
+  /// writes the new shard and rolls the WAL past the seal, so recovery
+  /// replays at most the open tail's raw appends (DESIGN.md §12). A
+  /// failure of that checkpoint does not fail the seal, whose record is
+  /// already logged: the first such error is kept and returned by the
+  /// next Checkpoint(). Fails with InvalidArgument, as Append does, when
+  /// the append dictionary has no matcher (a serving-only open).
   Status SealTail();
 
   /// One compaction pass: scores every sealed shard (tombstoned-payload
@@ -260,10 +245,9 @@ class ShardedStore final : public Archive {
   /// dictionary's; a serving-only reopen passes false, builds none, and
   /// disables Append and SealTail (InvalidArgument). Fails with IOError
   /// if a shard file named by the manifest is missing, Corruption if a
-  /// shard's document count disagrees with the manifest. The manifest
-  /// carries no LiveStoreOptions: the reopened store seals and compacts
-  /// with the defaults (tail_seal_bytes 1 MB, triggers 0.25 / 0.5 /
-  /// 0.5), whatever the saved store used.
+  /// shard's document count disagrees with the manifest. The reopened
+  /// store seals and compacts with the saved store's LiveStoreOptions,
+  /// which the manifest carries.
   static StatusOr<std::unique_ptr<ShardedStore>> Open(
       const std::string& path, const OpenOptions& options = {});
 
@@ -297,7 +281,8 @@ class ShardedStore final : public Archive {
   /// the writer's buffer, and a process crash as well as an OS crash
   /// loses them; SyncWal bounds that window. The first WAL I/O error is
   /// fail-stop: every later mutation, Checkpoint and SyncWal returns it.
-  /// Compaction triggers a fresh checkpoint after its swap. `fs` null
+  /// A seal and a compaction each trigger a fresh checkpoint after they
+  /// publish. `fs` null
   /// means the real file system.
   Status MakeDurable(const std::string& dir,
                      const wal::WalWriterOptions& wal_options = {},
@@ -316,8 +301,8 @@ class ShardedStore final : public Archive {
   /// checkpoint, shards, WAL — through it (the crash-injection tests'
   /// hook); otherwise shard reads honor options.use_mmap/options.fs and
   /// the WAL uses the real file system. As with Open, the recovered
-  /// store runs with default LiveStoreOptions, not the crashed store's:
-  /// it seals at 1 MB of tail and compacts at the default triggers.
+  /// store runs with the checkpointed store's LiveStoreOptions. Replay
+  /// itself writes no checkpoint.
   static StatusOr<std::unique_ptr<ShardedStore>> OpenDurable(
       const std::string& dir, const OpenOptions& options = {},
       const wal::WalWriterOptions& wal_options = {},
@@ -331,6 +316,9 @@ class ShardedStore final : public Archive {
   /// names the existing files of the rest, and garbage collection keeps
   /// them. Mutators are blocked only while the WAL is synced and rolled,
   /// not while shards are written. InvalidArgument when not durable.
+  /// Returns the first error of a post-seal checkpoint (SealTail) since
+  /// the last call, if there was one, even when this checkpoint
+  /// committed.
   Status Checkpoint();
 
   /// Explicit WAL durability barrier — makes every acknowledged mutation
@@ -350,9 +338,15 @@ class ShardedStore final : public Archive {
   /// Builds the epoch that reflects the current writer state and swaps it
   /// in. Requires writer_mu_.
   void PublishLocked();
-  /// Logs (when durable) and seals the open tail into a new shard.
-  /// Requires writer_mu_.
+  /// Logs (when durable) and seals the non-empty open tail into a new
+  /// shard. Requires writer_mu_.
   Status SealTailLocked();
+  /// Checkpoint's work without the post-seal error: takes checkpoint_mu_,
+  /// then writer_mu_.
+  Status WriteCheckpoint();
+  /// The checkpoint that follows a seal on a durable store; keeps its
+  /// first error for the next Checkpoint(). Called without writer_mu_.
+  void CheckpointAfterSeal();
 
   // The non-logging mutation cores, shared by the live path (which logs
   // first) and WAL replay (which must not log, publish per record, or
@@ -431,6 +425,9 @@ class ShardedStore final : public Archive {
   uint64_t covered_lsn_ = 0;
   bool read_only_ = false;
   std::mutex checkpoint_mu_;
+  // The first failed post-seal checkpoint's error, until Checkpoint()
+  // returns it. Guarded by checkpoint_mu_.
+  Status post_seal_error_;
 
   // One compaction rebuild at a time; the rebuild holds compact_mu_ but
   // not writer_mu_, so mutators keep running while it decodes/re-encodes.

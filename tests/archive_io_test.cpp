@@ -762,6 +762,11 @@ TEST(ManifestTest, EncodeThenParseIsIdentity) {
   for (const char* doc : {"alpha", "", "gamma", "delta"}) {
     manifest.tail_docs.push_back(std::make_shared<const std::string>(doc));
   }
+  manifest.live.tail_seal_bytes = 12345;
+  manifest.live.compact_tombstone_fraction = 0.125;
+  manifest.live.compact_stale_unused_fraction = 0.75;
+  manifest.live.compact_stale_decay = 0.0625;
+  manifest.shard_dict_bytes = 4096;
   // An empty append dictionary: a store whose appends are disabled.
   const std::string bytes = manifest.Encode();
 
@@ -794,6 +799,11 @@ TEST(ManifestTest, EncodeThenParseIsIdentity) {
     EXPECT_EQ(*parsed->tail_docs[i], *manifest.tail_docs[i]);
   }
   EXPECT_EQ(parsed->append_dict_text, "");
+  EXPECT_EQ(parsed->live.tail_seal_bytes, 12345u);
+  EXPECT_EQ(parsed->live.compact_tombstone_fraction, 0.125);
+  EXPECT_EQ(parsed->live.compact_stale_unused_fraction, 0.75);
+  EXPECT_EQ(parsed->live.compact_stale_decay, 0.0625);
+  EXPECT_EQ(parsed->shard_dict_bytes, 4096u);
   EXPECT_EQ(parsed->Encode(), bytes);
 }
 
@@ -876,7 +886,7 @@ struct PinnedCrc {
 constexpr PinnedCrc kPinnedCrcs[] = {
     {"rlz.ZV", 0x7600c994},          {"rlz.UV", 0x1c3bf823},
     {"rlz.ZZ", 0x02c3a630},          {"blocked.gzipx", 0x2d59789e},
-    {"reuse.sealed", 0x98e9a801},    {"reuse", 0x83fda205},
+    {"reuse.sealed", 0x98e9a801},    {"reuse", 0x8699d39f},
     {"reuse.shard0000", 0x81138095}, {"reuse.shard0001", 0x5c5dbfdb},
     {"reuse.shard0002", 0xe207715e}, {"reuse.shard0003", 0x20d5407a},
     {"reuse.shard0004", 0x4060d51a},

@@ -52,12 +52,14 @@ Collection TestCollection(size_t target_bytes, uint64_t seed) {
 
 // A tiny live store, deterministic for a given collection: crash sweeps
 // rebuild it from scratch every iteration. Two shards, so every sweep
-// and round trip covers a multi-shard manifest.
-std::unique_ptr<ShardedStore> TinyStore(const Collection& collection) {
+// and round trip covers a multi-shard manifest. Most tests seal
+// explicitly (`tail_seal_bytes` 0).
+std::unique_ptr<ShardedStore> TinyStore(const Collection& collection,
+                                        size_t tail_seal_bytes = 0) {
   ShardedStoreOptions options;
   options.num_shards = 2;
   options.dict_bytes = 1 << 12;
-  options.live.tail_seal_bytes = 0;  // tests seal explicitly
+  options.live.tail_seal_bytes = tail_seal_bytes;
   auto store = ShardedStore::Build(collection, options);
   EXPECT_EQ(store->num_shards(), 2);
   return store;
@@ -251,6 +253,31 @@ class FlakyWalFs final : public ForwardingFs {
   }
 
   Fault armed_ = Fault::kNone;
+  bool fired_ = false;
+};
+
+// Fails the next Create of a path that contains the armed substring,
+// once: a checkpoint file that cannot be written, on a disk whose WAL
+// keeps working.
+class FailCreateOnceFs final : public ForwardingFs {
+ public:
+  using ForwardingFs::ForwardingFs;
+
+  void Arm(std::string substring) { armed_ = std::move(substring); }
+  bool fired() const { return fired_; }
+
+  StatusOr<std::unique_ptr<WritableFile>> Create(
+      const std::string& path) override {
+    if (!armed_.empty() && path.find(armed_) != std::string::npos) {
+      armed_.clear();
+      fired_ = true;
+      return Status::IOError("injected create error: " + path);
+    }
+    return ForwardingFs::Create(path);
+  }
+
+ private:
+  std::string armed_;
   bool fired_ = false;
 };
 
@@ -1060,7 +1087,8 @@ TEST(RecoveryTest, CheckpointsWriteOnlyShardsNoCheckpointHolds) {
   ASSERT_TRUE(store->Checkpoint().ok());
   EXPECT_TRUE(fs->TakeShardWrites().empty());
 
-  // Appends and deletes change only the manifest; a seal adds one shard.
+  // Appends and deletes change only the manifest; a seal adds one shard,
+  // which the seal's own checkpoint writes.
   for (const std::string& doc : SmallDocs(3)) {
     ASSERT_TRUE(store->Append(doc).ok());
   }
@@ -1068,14 +1096,19 @@ TEST(RecoveryTest, CheckpointsWriteOnlyShardsNoCheckpointHolds) {
   ASSERT_TRUE(store->Checkpoint().ok());
   EXPECT_TRUE(fs->TakeShardWrites().empty());
   ASSERT_TRUE(store->SealTail().ok());
+  EXPECT_EQ(fs->TakeShardWrites(), (std::vector<std::string>{"shard0002"}));
+  const uint64_t first_seal = store->checkpoint_generation();
   for (const std::string& doc : SmallDocs(2)) {
     ASSERT_TRUE(store->Append(doc).ok());
   }
   ASSERT_TRUE(store->SealTail().ok());
+  EXPECT_EQ(fs->TakeShardWrites(), (std::vector<std::string>{"shard0003"}));
+  const uint64_t second_seal = store->checkpoint_generation();
+  EXPECT_EQ(second_seal, first_seal + 1);
   ASSERT_EQ(store->num_shards(), 4);
 
-  // The compaction's checkpoint writes the rewritten shard and the two
-  // sealed since the last checkpoint; shard 1 keeps its generation-1 file.
+  // The compaction's checkpoint writes only the rewritten shard; the
+  // others keep the files of the checkpoints that first held them.
   for (size_t i = 0; i < shard0_docs; ++i) {
     ASSERT_TRUE(store->Delete(i).ok());
   }
@@ -1083,8 +1116,7 @@ TEST(RecoveryTest, CheckpointsWriteOnlyShardsNoCheckpointHolds) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_TRUE(report->compacted);
   ASSERT_EQ(report->shard, 0);
-  EXPECT_EQ(fs->TakeShardWrites(),
-            (std::vector<std::string>{"shard0000", "shard0002", "shard0003"}));
+  EXPECT_EQ(fs->TakeShardWrites(), (std::vector<std::string>{"shard0000"}));
   const uint64_t generation = store->checkpoint_generation();
   const std::vector<std::string> named = ManifestShardNames(
       *fault->Read("/store/" + wal::CheckpointManifestFileName(generation)));
@@ -1092,8 +1124,8 @@ TEST(RecoveryTest, CheckpointsWriteOnlyShardsNoCheckpointHolds) {
             (std::vector<std::string>{
                 wal::CheckpointManifestFileName(generation) + ".shard0000",
                 wal::CheckpointManifestFileName(1) + ".shard0001",
-                wal::CheckpointManifestFileName(generation) + ".shard0002",
-                wal::CheckpointManifestFileName(generation) + ".shard0003"}));
+                wal::CheckpointManifestFileName(first_seal) + ".shard0002",
+                wal::CheckpointManifestFileName(second_seal) + ".shard0003"}));
 
   // The directory reopens byte-identical, and the reopened store knows
   // which files hold its shards: its first checkpoint writes none.
@@ -1239,39 +1271,80 @@ TEST(RecoveryTest, ServingOnlyRecoveryIsReadOnly) {
 
 TEST(RecoveryTest, ReplayedSealsAreByteIdenticalAndBuildNoShardMatchers) {
   // Appends, deletes and seals — auto and explicit, on both sides of a
-  // checkpoint — then a crash image of the still-running store. Replay
-  // pushes appends raw and encodes each tail only at its logged seal,
-  // so every recovered shard must equal the crashed store's byte for
-  // byte. A writable recovery builds one suffix array, the append
-  // dictionary's: shards loaded from the checkpoint get none, and shards
-  // sealed by replay share the append dictionary. The recovered store
-  // still appends, seals and compacts.
+  // checkpoint — then a crash inside the last seal's checkpoint: its
+  // kSeal record is synced, its CURRENT flip is not. Replay pushes the
+  // appends logged since the previous seal's checkpoint raw and encodes
+  // them only at the logged seal, so every recovered shard must equal
+  // the crashed store's byte for byte. A writable recovery builds one
+  // suffix array, the append dictionary's: shards loaded from the
+  // checkpoint get none, and shards sealed by replay share the append
+  // dictionary. The recovered store still appends, seals and compacts.
   const Collection collection = TestCollection(1 << 16, 271);
   const Collection extra = TestCollection(1 << 17, 272);
   ASSERT_GE(extra.num_docs(), 6u);
-  auto fs = std::make_shared<FaultFs>();
   ShardedStoreOptions options;
   options.num_shards = 2;
   options.dict_bytes = 1 << 13;
   options.live.tail_seal_bytes = extra.size_bytes() / 3;
-  auto store = ShardedStore::Build(collection, options);
-  const size_t base = store->num_docs();
-  ASSERT_TRUE(store->MakeDurable("/store", {}, fs).ok());
-  for (size_t i = 0; i < extra.num_docs(); ++i) {
-    ASSERT_TRUE(store->Append(extra.doc(i)).ok());
-    if (i == 1) {
-      ASSERT_TRUE(store->Checkpoint().ok());
+
+  // The workload on `fs`, cut short by a crash armed before append
+  // `crash_at` at the third barrier from there: the append's record and
+  // the seal's are the first two, the seal's checkpoint follows. Sets
+  // `last_seal` to the last append that sealed, and `logged` to the
+  // records no committed checkpoint covers.
+  size_t last_seal = 0;
+  uint64_t logged = 0;
+  const auto run = [&](const std::shared_ptr<FaultFs>& fs, size_t crash_at) {
+    auto store = ShardedStore::Build(collection, options);
+    const size_t base = store->num_docs();
+    EXPECT_TRUE(store->MakeDurable("/store", {}, fs).ok());
+    uint64_t generation = store->checkpoint_generation();
+    logged = 0;
+    // Counts an op's `records`, or restarts the count at zero when the
+    // op committed a checkpoint (which covers everything logged so far).
+    const auto count = [&](uint64_t records) {
+      if (store->checkpoint_generation() != generation) {
+        generation = store->checkpoint_generation();
+        logged = 0;
+      } else {
+        logged += records;
+      }
+    };
+    EXPECT_TRUE(store->Delete(1).ok());
+    count(1);
+    for (size_t i = 0; i < extra.num_docs(); ++i) {
+      if (i == crash_at) fs->ArmCrash(3, /*before=*/true);
+      const int shards = store->num_shards();
+      EXPECT_TRUE(store->Append(extra.doc(i)).ok());
+      const bool sealed = store->num_shards() > shards;
+      if (sealed) last_seal = i;
+      count(sealed ? 2 : 1);
+      if (i == crash_at) break;
+      if (i == 1) {
+        EXPECT_TRUE(store->Checkpoint().ok());
+        count(0);
+      }
+      if (i == 2) {
+        EXPECT_TRUE(store->SealTail().ok());
+        count(1);
+      }
+      if (i % 3 == 0) {
+        EXPECT_TRUE(store->Delete(base + i).ok());
+        count(1);
+      }
     }
-    if (i == 2) {
-      ASSERT_TRUE(store->SealTail().ok());
-    }
-    if (i % 3 == 0) {
-      ASSERT_TRUE(store->Delete(base + i).ok());
-    }
-  }
-  ASSERT_TRUE(store->Delete(1).ok());
+    return store;
+  };
+  run(std::make_shared<FaultFs>(), extra.num_docs());
+  const size_t crash_at = last_seal;
+  ASSERT_GT(crash_at, 2u);  // an auto-seal after the explicit one
+  auto fs = std::make_shared<FaultFs>();
+  auto store = run(fs, crash_at);
+  ASSERT_TRUE(fs->crashed());
+  ASSERT_EQ(last_seal, crash_at);
   ASSERT_GT(store->num_shards(), options.num_shards + 1);
-  ASSERT_GT(store->epoch()->tail_docs(), 0u);
+  // The appends since the previous seal, some deletes, and the seal.
+  ASSERT_GT(logged, 2u);
 
   ShardedStore::RecoveryReport report;
   const std::shared_ptr<FaultFs> crashed = fs->DurableClone();
@@ -1279,7 +1352,10 @@ TEST(RecoveryTest, ReplayedSealsAreByteIdenticalAndBuildNoShardMatchers) {
       ShardedStore::OpenDurable("/store", {}, {}, crashed, &report);
   ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
   auto recovered = std::move(recovered_or).value();
-  EXPECT_GT(report.replayed_records, 0u);
+  // Recovery started from the previous seal's checkpoint and replayed the
+  // crashed seal's record with the rest.
+  EXPECT_EQ(report.generation, store->checkpoint_generation());
+  EXPECT_EQ(report.replayed_records, logged);
   ASSERT_EQ(recovered->num_shards(), store->num_shards());
   ASSERT_EQ(recovered->num_docs(), store->num_docs());
   std::set<const Dictionary*> matchers;
@@ -1345,8 +1421,11 @@ TEST(RecoveryTest, EmptyBuildReplaysSealsByteIdentical) {
   // A store built from no documents has an empty append dictionary, and
   // its manifest records the empty text. Recovery restores that
   // dictionary, so the replayed seal encodes against it as the crashed
-  // store's seal did, and the recovered store still appends.
-  auto fs = std::make_shared<FaultFs>();
+  // store's seal did, and the recovered store still appends. The seal's
+  // own checkpoint fails to write its shard, so the seal stays in the
+  // log for replay.
+  auto disk = std::make_shared<FaultFs>();
+  auto fs = std::make_shared<FailCreateOnceFs>(disk);
   ShardedStoreOptions options;
   options.live.tail_seal_bytes = 0;
   auto store = ShardedStore::Build(Collection(), options);
@@ -1354,15 +1433,148 @@ TEST(RecoveryTest, EmptyBuildReplaysSealsByteIdentical) {
   for (const std::string& doc : SmallDocs(4)) {
     ASSERT_TRUE(store->Append(doc).ok());
   }
+  fs->Arm(".shard");
   ASSERT_TRUE(store->SealTail().ok());
+  ASSERT_TRUE(fs->fired());
   ASSERT_TRUE(store->Append("still in the tail").ok());
 
-  auto recovered_or =
-      ShardedStore::OpenDurable("/store", {}, {}, fs->DurableClone());
+  ShardedStore::RecoveryReport report;
+  auto recovered_or = ShardedStore::OpenDurable("/store", {}, {},
+                                                disk->DurableClone(), &report);
   ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
   auto recovered = std::move(recovered_or).value();
+  EXPECT_EQ(report.generation, 1u);
+  EXPECT_EQ(report.replayed_records, 6u);  // 4 appends, the seal, 1 append
   ExpectSameStore(*store, *recovered);
   EXPECT_TRUE(recovered->Append("appended after recovery").ok());
+}
+
+TEST(RecoveryTest, FailedPostSealCheckpointKeepsTheAppendAndReportsLater) {
+  // The append that auto-seals checkpoints the new shard after its own
+  // record and the seal's are logged. When that checkpoint fails, the
+  // append is still acknowledged, the previous checkpoint stays live and
+  // replays the seal, and the next Checkpoint() returns the kept error
+  // once.
+  const Collection collection = TestCollection(1 << 14, 351);
+  const std::vector<std::string> docs = SmallDocs(3);
+  auto disk = std::make_shared<FaultFs>();
+  auto fs = std::make_shared<FailCreateOnceFs>(disk);
+  ShardedStoreOptions options;
+  options.num_shards = 2;
+  options.dict_bytes = 1 << 12;
+  options.live.tail_seal_bytes = docs[0].size() + docs[1].size();
+  auto store = ShardedStore::Build(collection, options);
+  const size_t base = store->num_docs();
+  ASSERT_TRUE(store->MakeDurable("/store", {}, fs).ok());
+  ASSERT_TRUE(store->Append(docs[0]).ok());
+  fs->Arm(".shard");
+  auto id = store->Append(docs[1]);  // seals; its checkpoint fails
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(*id, base + 1);
+  ASSERT_TRUE(fs->fired());
+  EXPECT_EQ(store->num_shards(), 3);
+  EXPECT_EQ(store->checkpoint_generation(), 1u);
+  ASSERT_TRUE(store->Append(docs[2]).ok());  // the log keeps working
+
+  ShardedStore::RecoveryReport report;
+  auto recovered_or = ShardedStore::OpenDurable("/store", {}, {},
+                                                disk->DurableClone(), &report);
+  ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
+  EXPECT_EQ(report.generation, 1u);
+  EXPECT_EQ(report.replayed_records, 4u);  // 2 appends, the seal, 1 append
+  ExpectSameStore(*store, **recovered_or);
+
+  // The next checkpoint commits and still reports the failure; the one
+  // after it reports nothing.
+  const Status kept = store->Checkpoint();
+  EXPECT_EQ(kept.code(), StatusCode::kIOError) << kept.ToString();
+  EXPECT_NE(kept.message().find("injected create error"), std::string::npos);
+  EXPECT_EQ(store->checkpoint_generation(), 2u);
+  EXPECT_TRUE(store->Checkpoint().ok());
+  auto reopened_or = ShardedStore::OpenDurable("/store", {}, {},
+                                               disk->DurableClone(), &report);
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  EXPECT_EQ(report.replayed_records, 0u);
+  ExpectSameStore(*store, **reopened_or);
+}
+
+TEST(RecoveryTest, RecoveredStoreKeepsItsOptions) {
+  // A non-default seal size and compaction triggers survive a crash: the
+  // recovered store seals at the same appends and compacts the same
+  // victim as an uncrashed twin, so the two end with byte-identical
+  // shards. With the defaults it would never seal here (1 MB), and the
+  // 25% trigger would not compact base shard 1 with one document in
+  // eight tombstoned. Base shard 0 is compacted before the crash down
+  // to one document, so its dictionary is smaller than the store's
+  // budget: compaction's re-samples must keep the budget after
+  // recovery.
+  const Collection collection = TestCollection(1 << 16, 361);
+  const Collection extra = TestCollection(1 << 15, 362);
+  ShardedStoreOptions options;
+  options.num_shards = 2;
+  options.dict_bytes = 1 << 13;
+  options.live.tail_seal_bytes = 5 << 10;
+  options.live.compact_tombstone_fraction = 0.05;
+  options.live.compact_stale_unused_fraction = 2.0;  // never stale
+  options.live.compact_stale_decay = 2.0;
+  const size_t half = extra.num_docs() / 2;
+  // Appends docs [from, to) of `extra` to both stores and checks that
+  // `twin` seals exactly when `store` does.
+  const auto append = [&](ShardedStore* store, ShardedStore* twin,
+                          size_t from, size_t to) {
+    for (size_t i = from; i < to; ++i) {
+      ASSERT_TRUE(store->Append(extra.doc(i)).ok());
+      ASSERT_TRUE(twin->Append(extra.doc(i)).ok());
+      ASSERT_EQ(store->num_shards(), twin->num_shards()) << "append " << i;
+    }
+  };
+
+  auto twin_fs = std::make_shared<FaultFs>();
+  auto twin = ShardedStore::Build(collection, options);
+  ASSERT_TRUE(twin->MakeDurable("/store", {}, twin_fs).ok());
+  auto fs = std::make_shared<FaultFs>();
+  auto store = ShardedStore::Build(collection, options);
+  ASSERT_TRUE(store->MakeDurable("/store", {}, fs).ok());
+  append(store.get(), twin.get(), 0, half);
+  for (size_t id = 1; id < store->starts(1); ++id) {
+    ASSERT_TRUE(store->Delete(id).ok());
+    ASSERT_TRUE(twin->Delete(id).ok());
+  }
+  for (ShardedStore* s : {store.get(), twin.get()}) {
+    auto compacted = s->CompactOnce();
+    ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+    ASSERT_EQ(compacted->shard, 0);
+  }
+  ASSERT_LT(store->shard(0).dictionary().size(), options.dict_bytes / 2);
+  const int sealed_before_crash = store->num_shards();
+  ASSERT_GT(sealed_before_crash, options.num_shards);
+  ASSERT_GT(store->epoch()->tail_docs(), 0u);  // the crash cuts a tail
+
+  const std::shared_ptr<FaultFs> image = fs->DurableClone();
+  store.reset();
+  auto recovered_or = ShardedStore::OpenDurable("/store", {}, {}, image);
+  ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
+  auto recovered = std::move(recovered_or).value();
+  append(recovered.get(), twin.get(), half, extra.num_docs());
+  ASSERT_GT(recovered->num_shards(), sealed_before_crash);
+
+  // Tombstone ~12% of base shard 1: over the 5% trigger, under 25%.
+  for (size_t id = recovered->starts(1); id < recovered->starts(2);
+       id += 8) {
+    ASSERT_TRUE(recovered->Delete(id).ok());
+    ASSERT_TRUE(twin->Delete(id).ok());
+  }
+  auto want = twin->CompactOnce();
+  auto got = recovered->CompactOnce();
+  ASSERT_TRUE(want.ok() && got.ok());
+  ASSERT_TRUE(want->compacted);
+  EXPECT_EQ(want->shard, 1);
+  EXPECT_EQ(want->reason, CompactionReport::Reason::kTombstones);
+  EXPECT_EQ(got->compacted, want->compacted);
+  EXPECT_EQ(got->shard, want->shard);
+  EXPECT_EQ(got->reason, want->reason);
+  EXPECT_EQ(got->bytes_after, want->bytes_after);
+  ExpectSameStore(*twin, *recovered);
 }
 
 TEST(RecoveryTest, MmapOpenServesByteIdentical) {
@@ -1469,17 +1681,23 @@ bool MatchesModel(const ShardedStore& store, const Model& model,
   return true;
 }
 
-// Runs the scripted workload against a fresh store on `fs`. Returns the
-// number of ops that were acknowledged (the crash, if armed, cuts the
-// script short).
+// Runs the scripted workload against a fresh store on `fs` that
+// auto-seals at `tail_seal_bytes` (0: only 'S' seals). Returns the number
+// of ops that were acknowledged (the crash, if armed, cuts the script
+// short). `shards_after`, when set, receives the shard count before the
+// first op and after each acknowledged one; `shard_bytes` every shard's
+// bytes at the end.
 size_t RunScript(const std::shared_ptr<FaultFs>& fs,
                  const Collection& collection,
                  const std::vector<ModelOp>& script,
                  const std::vector<std::string>& tail_docs,
                  const wal::WalWriterOptions& wal_options,
-                 bool* made_durable) {
-  auto store = TinyStore(collection);
+                 size_t tail_seal_bytes, bool* made_durable,
+                 std::vector<int>* shards_after = nullptr,
+                 std::vector<std::string>* shard_bytes = nullptr) {
+  auto store = TinyStore(collection, tail_seal_bytes);
   *made_durable = store->MakeDurable("/store", wal_options, fs).ok();
+  if (shards_after != nullptr) shards_after->assign(1, store->num_shards());
   if (!*made_durable) return 0;
   size_t acked = 0;
   size_t next_doc = 0;
@@ -1501,6 +1719,12 @@ size_t RunScript(const std::shared_ptr<FaultFs>& fs,
     }
     if (!status.ok()) break;
     ++acked;
+    if (shards_after != nullptr) shards_after->push_back(store->num_shards());
+  }
+  if (shard_bytes != nullptr) {
+    for (int s = 0; s < store->num_shards(); ++s) {
+      shard_bytes->push_back(store->shard(s).Serialize());
+    }
   }
   return acked;
 }
@@ -1509,19 +1733,24 @@ size_t RunScript(const std::shared_ptr<FaultFs>& fs,
 // then kill the writer at every barrier K (both entering and leaving the
 // barrier) and recover from the durable view. The recovered store must
 // match the model after the acked ops — or after acked + 1 when the
-// in-flight op's record reached the disk before the crash.
+// in-flight op's record reached the disk before the crash — and hold
+// the uncrashed twin's shards byte for byte.
 void KillAtEveryFsync(const std::vector<ModelOp>& script,
                       const wal::WalWriterOptions& wal_options,
-                      size_t max_lost_ops) {
+                      size_t max_lost_ops, size_t tail_seal_bytes = 0) {
   const Collection collection = TestCollection(1 << 13, 271);
   const std::vector<std::string> tail_docs = SmallDocs(script.size());
 
   int total_barriers = 0;
+  std::vector<int> twin_shards_after;
+  std::vector<std::string> twin_shards;
   {
     auto fs = std::make_shared<FaultFs>();
     bool made_durable = false;
-    const size_t acked = RunScript(fs, collection, script, tail_docs,
-                                   wal_options, &made_durable);
+    const size_t acked =
+        RunScript(fs, collection, script, tail_docs, wal_options,
+                  tail_seal_bytes, &made_durable, &twin_shards_after,
+                  &twin_shards);
     ASSERT_TRUE(made_durable);
     ASSERT_EQ(acked, script.size());
     total_barriers = fs->sync_count();
@@ -1534,7 +1763,8 @@ void KillAtEveryFsync(const std::vector<ModelOp>& script,
       fs->ArmCrash(k, before);
       bool made_durable = false;
       const size_t acked = RunScript(fs, collection, script, tail_docs,
-                                     wal_options, &made_durable);
+                                     wal_options, tail_seal_bytes,
+                                     &made_durable);
       auto clone = fs->DurableClone();
 
       auto reopened_or = ShardedStore::OpenDurable(
@@ -1580,6 +1810,24 @@ void KillAtEveryFsync(const std::vector<ModelOp>& script,
       }
       EXPECT_TRUE(matched) << "k=" << k << " before=" << before << " acked="
                            << acked << ": " << last_why;
+      if (!matched) continue;
+
+      // Seals only ever add shards, so the recovered ones are a prefix of
+      // the twin's. After `applied` ops the store holds the twin's count
+      // then — or one fewer when the last op is an append whose record
+      // reached the disk but whose seal's did not.
+      const int want = twin_shards_after[applied];
+      const int fewest = applied > 0 && script[applied - 1].kind == 'A'
+                             ? twin_shards_after[applied - 1]
+                             : want;
+      EXPECT_GE(reopened->num_shards(), fewest)
+          << "k=" << k << " before=" << before;
+      EXPECT_LE(reopened->num_shards(), want)
+          << "k=" << k << " before=" << before;
+      for (int s = 0; s < reopened->num_shards() && s < want; ++s) {
+        EXPECT_EQ(reopened->shard(s).Serialize(), twin_shards[s])
+            << "k=" << k << " before=" << before << " shard " << s;
+      }
     }
   }
 }
@@ -1633,6 +1881,32 @@ TEST(RecoveryTest, KillAtEveryFsyncAcrossFileReusingCheckpoints) {
   script.push_back({'C'});
   script.push_back({'A'});
   KillAtEveryFsync(script, wal::WalWriterOptions{}, /*max_lost_ops=*/0);
+}
+
+TEST(RecoveryTest, KillAtEveryFsyncDuringAutoSeals) {
+  // Appends that seal every third document, each seal followed by its
+  // checkpoint, with deletes in sealed and open ranges: kills land in the
+  // seal's record, in the post-seal checkpoint's shard, manifest, CURRENT
+  // and GC barriers, and between them.
+  const Collection probe = TestCollection(1 << 13, 271);
+  const size_t base = probe.num_docs();
+  const std::vector<std::string> docs = SmallDocs(3);
+  // Two documents stay under the threshold; the third crosses it.
+  const size_t seal_bytes = docs[0].size() + docs[1].size() + 1;
+  std::vector<ModelOp> script;
+  script.push_back({'A'});
+  script.push_back({'A'});
+  script.push_back({'A'});            // seals [base, base + 3)
+  script.push_back({'D', base + 1});  // the first sealed tail
+  script.push_back({'A'});
+  script.push_back({'A'});
+  script.push_back({'D', base + 4});  // the open tail
+  script.push_back({'A'});            // seals [base + 3, base + 6)
+  script.push_back({'D', 0});         // a base shard
+  script.push_back({'A'});
+  script.push_back({'A'});
+  KillAtEveryFsync(script, wal::WalWriterOptions{}, /*max_lost_ops=*/0,
+                   seal_bytes);
 }
 
 TEST(RecoveryTest, GroupCommitBoundsLossToUnsyncedBatch) {
