@@ -7,10 +7,14 @@
 //       unsynced batch), with the tail never sealing, so recovery
 //       replays every append. The spread is the price of the WAL's
 //       durability knob, EXPERIMENTS.md "Durability cost". A fourth row
-//       seals at 1 MB of tail under fsync_every_n = 8: each seal
+//       seals at 1 MB of tail under fsync_every_n = 8, with perfbench's
+//       160 KB dictionaries (the other rows use 16 KB): each seal
 //       checkpoints, so recovery replays only the appends since the last
-//       one. Appends and each recovery run in their own forked child, so
-//       a recovery starts from the heap a fresh process has.
+//       one, and the row reports the bytes each of those checkpoints
+//       writes (checkpoint_bytes_per_seal: shard, manifest, meta and
+//       CURRENT files, counted as they are written). Appends and each
+//       recovery run in their own forked child, so a recovery starts from
+//       the heap a fresh process has.
 //   cold start — reopening the same directory three ways: OpenDurable
 //       with the whole workload still in the WAL (replay-bound),
 //       OpenDurable after a checkpoint (load-bound), and a plain saved
@@ -41,6 +45,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -77,12 +82,85 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
+// The real file system, counting the bytes written to every file but the
+// WAL's segments: what the store's checkpoints write.
+class CheckpointBytesFs final : public FileSystem {
+ public:
+  uint64_t bytes() const { return bytes_.load(); }
+
+  StatusOr<std::string> Read(const std::string& path) const override {
+    return base_->Read(path);
+  }
+  StatusOr<std::unique_ptr<WritableFile>> Create(
+      const std::string& path) override {
+    RLZ_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
+                         base_->Create(path));
+    uint64_t seq = 0;
+    if (wal::ParseSegmentFileName(
+            std::string_view(path).substr(path.find_last_of('/') + 1),
+            &seq)) {
+      return file;
+    }
+    return std::unique_ptr<WritableFile>(
+        new CountedFile(std::move(file), &bytes_));
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return base_->Rename(from, to);
+  }
+  Status Remove(const std::string& path) override {
+    return base_->Remove(path);
+  }
+  StatusOr<std::vector<std::string>> List(
+      const std::string& dir) const override {
+    return base_->List(dir);
+  }
+  Status CreateDir(const std::string& dir) override {
+    return base_->CreateDir(dir);
+  }
+  Status SyncDir(const std::string& dir) override {
+    return base_->SyncDir(dir);
+  }
+  bool Exists(const std::string& path) const override {
+    return base_->Exists(path);
+  }
+
+ private:
+  class CountedFile final : public WritableFile {
+   public:
+    CountedFile(std::unique_ptr<WritableFile> base,
+                std::atomic<uint64_t>* bytes)
+        : base_(std::move(base)), bytes_(bytes) {}
+    Status Append(std::string_view data) override {
+      *bytes_ += data.size();
+      return base_->Append(data);
+    }
+    Status Sync() override { return base_->Sync(); }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    std::unique_ptr<WritableFile> base_;
+    std::atomic<uint64_t>* bytes_;
+  };
+
+  std::shared_ptr<FileSystem> base_ = DefaultFileSystem();
+  std::atomic<uint64_t> bytes_{0};
+};
+
+// The dictionary budget of every store but the auto-sealing row's.
+constexpr size_t kDictBytes = 1 << 16;
+// The auto-sealing row's budget: 160 KB per shard and for the append
+// dictionary, the size perfbench's 64 MB store samples (1% over 4
+// shards), so its per-seal checkpoint bytes weigh the dictionary against
+// a 1 MB seal as that store's do.
+constexpr size_t kSealingDictBytes = 640 << 10;
+
 // `tail_seal_bytes` 0 keeps every append in the WAL'd tail.
 std::unique_ptr<ShardedStore> BuildStore(const Collection& collection,
-                                         size_t tail_seal_bytes = 0) {
+                                         size_t tail_seal_bytes = 0,
+                                         size_t dict_bytes = kDictBytes) {
   ShardedStoreOptions options;
   options.num_shards = 4;
-  options.dict_bytes = 1 << 16;
+  options.dict_bytes = dict_bytes;
   options.live.tail_seal_bytes = tail_seal_bytes;
   return ShardedStore::Build(collection, options);
 }
@@ -125,9 +203,11 @@ struct PolicyResult {
   std::string name;
   uint64_t fsync_every_n = 1;
   uint64_t tail_seal_bytes = 0;
+  uint64_t dict_bytes = 0;
   double appends_per_s = 0;
   double append_mb_per_s = 0;
   uint64_t seals = 0;
+  uint64_t checkpoint_bytes_per_seal = 0;  // 0 when the row never seals
   double recover_ms = 0;
   uint64_t replayed_records = 0;
   double replays_per_s = 0;
@@ -139,6 +219,7 @@ struct AppendOutcome {
   double seconds = 0;
   uint64_t seals = 0;
   uint64_t tail_docs = 0;  // appends no checkpoint covers
+  uint64_t checkpoint_bytes = 0;  // written by the seals' checkpoints
 };
 
 // What the recovering child reports.
@@ -159,19 +240,22 @@ PolicyResult RunPolicy(const Collection& collection,
   result.name = name;
   result.fsync_every_n = fsync_every_n;
   result.tail_seal_bytes = tail_seal_bytes;
+  result.dict_bytes = tail_seal_bytes > 0 ? kSealingDictBytes : kDictBytes;
   const std::string dir = FreshDir("rlz_recovery_bench_" + name);
   uint64_t appended_bytes = 0;
   for (const std::string& doc : docs) appended_bytes += doc.size();
 
   const AppendOutcome appended = InChild([&] {
     AppendOutcome outcome;
-    auto store = BuildStore(collection, tail_seal_bytes);
+    auto store = BuildStore(collection, tail_seal_bytes, result.dict_bytes);
     outcome.base = store->num_docs();
     const int shards = store->num_shards();
     wal::WalWriterOptions wal_options;
     wal_options.fsync_every_n = fsync_every_n;
-    const Status status = store->MakeDurable(dir, wal_options);
+    auto fs = std::make_shared<CheckpointBytesFs>();
+    const Status status = store->MakeDurable(dir, wal_options, fs);
     RLZ_CHECK(status.ok()) << status.ToString();
+    const uint64_t initial_checkpoint_bytes = fs->bytes();
     Timer append_timer;
     for (const std::string& doc : docs) {
       RLZ_CHECK(store->Append(doc).ok());
@@ -183,12 +267,17 @@ PolicyResult RunPolicy(const Collection& collection,
     outcome.seconds = append_timer.ElapsedSeconds();
     outcome.seals = static_cast<uint64_t>(store->num_shards() - shards);
     outcome.tail_docs = store->epoch()->tail_docs();
+    outcome.checkpoint_bytes = fs->bytes() - initial_checkpoint_bytes;
     return outcome;
   });
   result.appends_per_s = docs.size() / appended.seconds;
   result.append_mb_per_s =
       appended_bytes / (1024.0 * 1024.0) / appended.seconds;
   result.seals = appended.seals;
+  if (appended.seals > 0) {
+    result.checkpoint_bytes_per_seal =
+        appended.checkpoint_bytes / appended.seals;
+  }
 
   const RecoverOutcome recovered = InChild([&] {
     RecoverOutcome outcome;
@@ -383,10 +472,13 @@ void Run(bool smoke, const std::string& out_path) {
                                1 << 20, &gate_pass));
   for (const PolicyResult& p : policies) {
     std::printf(
-        "  %-16s %8.0f appends/s  %6.1f MB/s  %3llu seals  recover %6.1f ms "
-        "(%llu records, %.0f records/s)\n",
+        "  %-16s %8.0f appends/s  %6.1f MB/s  %3llu seals  %7llu "
+        "checkpoint B/seal  recover %6.1f ms (%llu records, %.0f "
+        "records/s)\n",
         p.name.c_str(), p.appends_per_s, p.append_mb_per_s,
-        static_cast<unsigned long long>(p.seals), p.recover_ms,
+        static_cast<unsigned long long>(p.seals),
+        static_cast<unsigned long long>(p.checkpoint_bytes_per_seal),
+        p.recover_ms,
         static_cast<unsigned long long>(p.replayed_records), p.replays_per_s);
   }
 
@@ -415,15 +507,19 @@ void Run(bool smoke, const std::string& out_path) {
     const PolicyResult& p = policies[i];
     std::snprintf(buf, sizeof(buf),
                   "    \"%s\": {\"fsync_every_n\": %llu, "
-                  "\"tail_seal_bytes\": %llu, "
+                  "\"tail_seal_bytes\": %llu, \"dict_bytes\": %llu, "
                   "\"appends_per_s\": %.0f, \"append_mb_per_s\": %.2f, "
-                  "\"seals\": %llu, \"recover_ms\": %.2f, "
+                  "\"seals\": %llu, \"checkpoint_bytes_per_seal\": %llu, "
+                  "\"recover_ms\": %.2f, "
                   "\"replayed_records\": %llu, \"replays_per_s\": %.0f}%s\n",
                   p.name.c_str(),
                   static_cast<unsigned long long>(p.fsync_every_n),
                   static_cast<unsigned long long>(p.tail_seal_bytes),
+                  static_cast<unsigned long long>(p.dict_bytes),
                   p.appends_per_s, p.append_mb_per_s,
-                  static_cast<unsigned long long>(p.seals), p.recover_ms,
+                  static_cast<unsigned long long>(p.seals),
+                  static_cast<unsigned long long>(p.checkpoint_bytes_per_seal),
+                  p.recover_ms,
                   static_cast<unsigned long long>(p.replayed_records),
                   p.replays_per_s, i + 1 < policies.size() ? "," : "");
     json.append(buf);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "io/file.h"
 #include "store/format.h"
 #include "util/logging.h"
 
@@ -24,15 +25,24 @@ Dictionary::Dictionary(std::string_view text,
   }
 }
 
-Status Dictionary::Save(const std::string& path) const {
+std::string Dictionary::Serialize() const {
   EnvelopeWriter writer(kFormatId, kFormatVersion);
   writer.PutBytes(view_);
-  return std::move(writer).WriteTo(path);
+  return std::move(writer).Seal();
+}
+
+Status Dictionary::Save(const std::string& path) const {
+  return WriteFile(path, Serialize());
 }
 
 StatusOr<std::unique_ptr<Dictionary>> Dictionary::Load(
     const std::string& path, bool build_suffix_array) {
   RLZ_ASSIGN_OR_RETURN(ParsedEnvelope envelope, ReadEnvelopeFile(path));
+  return FromEnvelope(envelope, build_suffix_array);
+}
+
+StatusOr<std::unique_ptr<Dictionary>> Dictionary::FromEnvelope(
+    const ParsedEnvelope& envelope, bool build_suffix_array) {
   RLZ_RETURN_IF_ERROR(
       CheckEnvelopeFormat(envelope, kFormatId, kFormatVersion));
   // Zero-copy: the dictionary text aliases the loaded file bytes, which

@@ -16,6 +16,8 @@
 
 namespace rlz {
 
+class ParsedEnvelope;
+
 /// An RLZ dictionary: the sampled text plus its suffix array wrapped in a
 /// SuffixMatcher. Immutable once built; memory-resident by design (this is
 /// the property that makes RLZ random access fast, §3.1).
@@ -68,11 +70,18 @@ class Dictionary {
   /// (store/format.h). The suffix array is derived data and is rebuilt
   /// on load.
   Status Save(const std::string& path) const;
+  /// The complete container bytes Save would write (the durable store
+  /// writes its append dictionary through its own FileSystem).
+  std::string Serialize() const;
   /// Loads a dictionary written by Save and rebuilds its suffix array
   /// unless `build_suffix_array` is false. Anything but an intact
   /// envelope, bare text included, is Corruption.
   static StatusOr<std::unique_ptr<Dictionary>> Load(
       const std::string& path, bool build_suffix_array = true);
+  /// As Load, from a parsed envelope; the text aliases the envelope's
+  /// bytes, which the dictionary keeps alive (DESIGN.md §9).
+  static StatusOr<std::unique_ptr<Dictionary>> FromEnvelope(
+      const ParsedEnvelope& envelope, bool build_suffix_array = true);
 
  private:
   std::string text_;        // owned storage (empty when aliasing)

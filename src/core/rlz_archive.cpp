@@ -3,6 +3,7 @@
 #include "io/file.h"
 #include "io/mmap_file.h"
 #include "store/format.h"
+#include "util/crc32.h"
 #include "util/logging.h"
 
 // RlzArchive::Build lives in src/build/archive_builder.cpp: it drives the
@@ -38,11 +39,18 @@ std::unique_ptr<RlzArchive> RlzArchive::BuildFromFactors(
   return archive;
 }
 
-std::string RlzArchive::Serialize() const {
-  EnvelopeWriter writer(kFormatId, kFormatVersion);
+std::string RlzArchive::Encode(bool embed_dictionary) const {
+  EnvelopeWriter writer(embed_dictionary ? kFormatId : kShardFormatId,
+                        embed_dictionary ? kFormatVersion
+                                         : kShardFormatVersion);
   writer.PutByte(static_cast<uint8_t>(coder_.coding().pos));
   writer.PutByte(static_cast<uint8_t>(coder_.coding().len));
-  writer.PutLengthPrefixed(dict_->text());
+  if (embed_dictionary) {
+    writer.PutLengthPrefixed(dict_->text());
+  } else {
+    writer.PutVarint64(dict_->size());
+    writer.PutVarint32(Crc32(dict_->text()));
+  }
   writer.PutVarint64(num_docs());
   for (size_t i = 0; i < num_docs(); ++i) {
     writer.PutVarint64(map_.size(i));
@@ -51,14 +59,31 @@ std::string RlzArchive::Serialize() const {
   return std::move(writer).Seal();
 }
 
+std::string RlzArchive::Serialize() const { return Encode(true); }
+
+std::string RlzArchive::SerializeShard() const { return Encode(false); }
+
 Status RlzArchive::Save(const std::string& path) const {
   return WriteFile(path, Serialize());
 }
 
 StatusOr<std::unique_ptr<RlzArchive>> RlzArchive::FromEnvelope(
-    const ParsedEnvelope& envelope, const OpenOptions& options) {
-  RLZ_RETURN_IF_ERROR(
-      CheckEnvelopeFormat(envelope, kFormatId, kFormatVersion));
+    const ParsedEnvelope& envelope, const OpenOptions& options,
+    std::shared_ptr<const Dictionary> dict) {
+  const bool embedded = envelope.format_id() != kShardFormatId;
+  if (embedded) {
+    RLZ_RETURN_IF_ERROR(
+        CheckEnvelopeFormat(envelope, kFormatId, kFormatVersion));
+  } else {
+    RLZ_RETURN_IF_ERROR(
+        CheckEnvelopeFormat(envelope, kShardFormatId, kShardFormatVersion));
+    if (dict == nullptr) {
+      return Status::InvalidArgument(
+          envelope.context() +
+          ": an 'rlzshard' container needs its store's dictionary; open "
+          "the store's manifest instead");
+    }
+  }
   EnvelopeReader reader = envelope.reader();
   uint8_t pos_byte = 0;
   uint8_t len_byte = 0;
@@ -67,13 +92,26 @@ StatusOr<std::unique_ptr<RlzArchive>> RlzArchive::FromEnvelope(
   PairCoding coding;
   RLZ_RETURN_IF_ERROR(ValidateCoding(pos_byte, len_byte, &coding));
 
-  // Zero-copy open (DESIGN.md §9): the dictionary text and the payload
-  // alias the loaded file bytes, which the envelope's shared backing
-  // keeps alive — nothing is re-copied on open.
-  std::string_view dict_text;
-  RLZ_RETURN_IF_ERROR(reader.ReadLengthPrefixed(&dict_text));
-  auto dict = std::make_shared<const Dictionary>(
-      dict_text, envelope.backing(), options.build_suffix_array);
+  if (embedded) {
+    // Zero-copy open (DESIGN.md §9): the dictionary text and the payload
+    // alias the loaded file bytes, which the envelope's shared backing
+    // keeps alive — nothing is re-copied on open.
+    std::string_view dict_text;
+    RLZ_RETURN_IF_ERROR(reader.ReadLengthPrefixed(&dict_text));
+    dict = std::make_shared<const Dictionary>(
+        dict_text, envelope.backing(), options.build_suffix_array);
+  } else {
+    // The factor positions index `dict`: a shard opened against any
+    // other text would decode garbage, so the binding must match.
+    uint64_t dict_size = 0;
+    uint32_t dict_crc = 0;
+    RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&dict_size));
+    RLZ_RETURN_IF_ERROR(reader.ReadVarint32(&dict_crc));
+    if (dict_size != dict->size() || dict_crc != Crc32(dict->text())) {
+      return Status::Corruption(envelope.context() +
+                                ": shard is bound to another dictionary");
+    }
+  }
 
   std::unique_ptr<RlzArchive> archive(
       new RlzArchive(std::move(dict), coding));
@@ -86,13 +124,14 @@ StatusOr<std::unique_ptr<RlzArchive>> RlzArchive::FromEnvelope(
 }
 
 StatusOr<std::unique_ptr<RlzArchive>> RlzArchive::Load(
-    const std::string& path, const OpenOptions& options) {
+    const std::string& path, const OpenOptions& options,
+    std::shared_ptr<const Dictionary> dict) {
   RLZ_ASSIGN_OR_RETURN(RawContainerFile raw, ReadContainerFile(path, options));
   RLZ_ASSIGN_OR_RETURN(
       ParsedEnvelope envelope,
       ParsedEnvelope::FromView(raw.view, raw.owner, path));
   if (raw.map != nullptr) raw.map->Advise(MmapFile::Access::kRandom);
-  return FromEnvelope(envelope, options);
+  return FromEnvelope(envelope, options, std::move(dict));
 }
 
 Status RlzArchive::Get(size_t id, std::string* doc, SimDisk* disk,

@@ -112,6 +112,11 @@ class RlzArchive final : public Archive {
 
   /// The shared dictionary the archive decodes against.
   const Dictionary& dictionary() const { return *dict_; }
+  /// True if this archive decodes against `dict` itself (the same object,
+  /// not merely equal text).
+  bool SharesDictionary(const Dictionary& dict) const {
+    return dict_.get() == &dict;
+  }
   /// The position/length factor coder.
   const FactorCoder& coder() const { return coder_; }
   /// Total encoded factor-stream bytes (excluding map and dictionary).
@@ -124,6 +129,11 @@ class RlzArchive final : public Archive {
   static constexpr char kFormatId[] = "rlz";
   /// The format version Save writes and the only one Load reads.
   static constexpr uint32_t kFormatVersion = 2;
+  /// Format id of a store shard that references a dictionary the store
+  /// keeps in its own file ("rlzshard"; DESIGN.md §8).
+  static constexpr char kShardFormatId[] = "rlzshard";
+  /// The "rlzshard" version SerializeShard writes and the only one read.
+  static constexpr uint32_t kShardFormatVersion = 1;
 
   /// Serializes the archive (coding, dictionary text, document map,
   /// payload) as a container envelope (store/format.h). The suffix array
@@ -136,19 +146,30 @@ class RlzArchive final : public Archive {
   /// barriers; DESIGN.md §12).
   std::string Serialize() const;
 
-  /// Opens an archive written by Save. Returns Corruption on format or
-  /// checksum errors and InvalidArgument for another format or version.
-  /// A serving-only caller passes OpenOptions::build_suffix_array = false
-  /// to skip the dictionary suffix-array rebuild (Get/GetRange never use
-  /// it; only factorizing new documents does).
-  static StatusOr<std::unique_ptr<RlzArchive>> Load(
-      const std::string& path, const OpenOptions& options = {});
+  /// The "rlzshard" container: Serialize's body with the dictionary text
+  /// replaced by a binding to it (its length and CRC-32). The document
+  /// map and payload bytes are the same as Serialize's. Opens only
+  /// against the dictionary it was encoded with (Load's `dict`).
+  std::string SerializeShard() const;
 
-  /// Materializes an archive from a parsed envelope — the OpenArchive
-  /// registry hook. Fails with InvalidArgument if the envelope is not a
-  /// readable "rlz" container.
+  /// Opens an archive written by Save, or by SerializeShard when `dict`
+  /// is the dictionary the shard was encoded against (ignored for an
+  /// "rlz" file, which carries its own). Returns Corruption on format or
+  /// checksum errors and on a shard whose binding does not match `dict`,
+  /// and InvalidArgument for another format or version, or for an
+  /// "rlzshard" file opened without a dictionary. A serving-only caller
+  /// passes OpenOptions::build_suffix_array = false to skip the
+  /// dictionary suffix-array rebuild (Get/GetRange never use it; only
+  /// factorizing new documents does).
+  static StatusOr<std::unique_ptr<RlzArchive>> Load(
+      const std::string& path, const OpenOptions& options = {},
+      std::shared_ptr<const Dictionary> dict = nullptr);
+
+  /// Materializes an archive from a parsed envelope, as Load does — the
+  /// OpenArchive registry hook, which passes no dictionary.
   static StatusOr<std::unique_ptr<RlzArchive>> FromEnvelope(
-      const ParsedEnvelope& envelope, const OpenOptions& options);
+      const ParsedEnvelope& envelope, const OpenOptions& options,
+      std::shared_ptr<const Dictionary> dict = nullptr);
 
  private:
   /// The streaming builder (src/build/) appends encoded documents and
@@ -157,6 +178,10 @@ class RlzArchive final : public Archive {
 
   RlzArchive(std::shared_ptr<const Dictionary> dict, PairCoding coding)
       : dict_(std::move(dict)), coder_(coding) {}
+
+  /// The one body writer of both formats: the dictionary text ("rlz") or
+  /// its binding ("rlzshard") between the coding and the size table.
+  std::string Encode(bool embed_dictionary) const;
 
   /// For RlzArchiveBuilder: an archive with no documents yet.
   static std::unique_ptr<RlzArchive> NewEmpty(

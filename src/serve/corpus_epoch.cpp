@@ -83,9 +83,16 @@ Status CorpusEpoch::GetRange(size_t id, size_t offset, size_t length,
 }
 
 uint64_t CorpusEpoch::stored_bytes() const {
-  uint64_t bytes = 0;
-  for (const auto& shard : sealed_->shards) bytes += shard->stored_bytes();
-  bytes += tail_.bytes();
+  const Dictionary& append_dict = append_dictionary();
+  uint64_t bytes = append_dict.size() + tail_.bytes();
+  for (const auto& shard : sealed_->shards) {
+    bytes += shard->payload_bytes() + shard->doc_map().serialized_bytes();
+    // A base or compacted shard holds its own dictionary; a sealed one
+    // references the append dictionary, counted once above.
+    if (!shard->SharesDictionary(append_dict)) {
+      bytes += shard->dictionary().size();
+    }
+  }
   return bytes;
 }
 

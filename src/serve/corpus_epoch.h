@@ -42,6 +42,10 @@ struct ShardSet {
   std::vector<std::shared_ptr<const Bitmap>> tombstones;
   /// Shard s owns doc ids [router->start(s), router->start(s + 1)).
   std::shared_ptr<const ShardRouter> router;
+  /// The dictionary every tail seal encodes against, fixed for the
+  /// store's life. The shards sealed from the tail share this object
+  /// (RlzArchive::SharesDictionary), and the store persists it once.
+  std::shared_ptr<const Dictionary> append_dict;
 };
 
 /// A snapshot of the open tail segment: the raw bytes of the first
@@ -164,9 +168,15 @@ class CorpusEpoch {
   /// when no tail document is tombstoned. May address fewer bits than
   /// tail_docs() — ids past its end are live.
   const Bitmap* tail_tombstones() const { return tail_tombstones_.get(); }
+  /// The store's append dictionary (ShardSet::append_dict).
+  const Dictionary& append_dictionary() const {
+    return *sealed_->append_dict;
+  }
 
-  /// Sum of sealed shard bytes plus raw tail bytes — the epoch's "Enc."
-  /// numerator.
+  /// Sealed shard payloads and document maps, each distinct dictionary
+  /// once (the append dictionary, which the shards sealed from the tail
+  /// share, and every other shard's own), plus the raw tail bytes — the
+  /// epoch's "Enc." numerator, and what the store's files hold.
   uint64_t stored_bytes() const;
 
  private:

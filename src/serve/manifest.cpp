@@ -65,6 +65,21 @@ Status ReadTombstones(EnvelopeReader* reader, uint64_t bound,
   return Status::OK();
 }
 
+// Reads the name of a file the manifest names: non-empty, no '/', so it
+// resolves next to the manifest.
+Status ReadSiblingName(EnvelopeReader* reader, const std::string& context,
+                       std::string* name) {
+  std::string_view view;
+  RLZ_RETURN_IF_ERROR(reader->ReadLengthPrefixed(&view));
+  if (view.empty() || view.find('/') != std::string_view::npos) {
+    return Status::Corruption(context +
+                              ": manifest file name must be a sibling "
+                              "file name");
+  }
+  name->assign(view);
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string Manifest::Encode() const {
@@ -91,7 +106,7 @@ std::string Manifest::Encode() const {
   PutTombstones(tail_tombstones, &writer);
   writer.PutVarint64(tail_docs.size());
   for (const auto& doc : tail_docs) writer.PutLengthPrefixed(*doc);
-  writer.PutLengthPrefixed(append_dict_text);
+  writer.PutLengthPrefixed(append_dict_name);
   writer.PutVarint64(live.tail_seal_bytes);
   writer.PutVarint64(DoubleBits(live.compact_tombstone_fraction));
   writer.PutVarint64(DoubleBits(live.compact_stale_unused_fraction));
@@ -125,14 +140,7 @@ StatusOr<Manifest> Manifest::Parse(const ParsedEnvelope& envelope) {
   manifest.router = std::make_shared<const ShardRouter>(std::move(starts));
   manifest.shard_names.resize(nshards);
   for (std::string& name : manifest.shard_names) {
-    std::string_view view;
-    RLZ_RETURN_IF_ERROR(reader.ReadLengthPrefixed(&view));
-    if (view.empty() || view.find('/') != std::string_view::npos) {
-      return Status::Corruption(context +
-                                ": manifest shard name must be a sibling "
-                                "file name");
-    }
-    name.assign(view);
+    RLZ_RETURN_IF_ERROR(ReadSiblingName(&reader, context, &name));
   }
 
   RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&manifest.sequence));
@@ -174,9 +182,8 @@ StatusOr<Manifest> Manifest::Parse(const ParsedEnvelope& envelope) {
     RLZ_RETURN_IF_ERROR(reader.ReadLengthPrefixed(&view));
     doc = std::make_shared<const std::string>(view);
   }
-  std::string_view append_dict_text;
-  RLZ_RETURN_IF_ERROR(reader.ReadLengthPrefixed(&append_dict_text));
-  manifest.append_dict_text.assign(append_dict_text);
+  RLZ_RETURN_IF_ERROR(
+      ReadSiblingName(&reader, context, &manifest.append_dict_name));
   uint64_t tail_seal_bytes = 0;
   RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&tail_seal_bytes));
   manifest.live.tail_seal_bytes = static_cast<size_t>(tail_seal_bytes);

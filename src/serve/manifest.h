@@ -67,9 +67,9 @@ struct Manifest {
   /// On-disk format id of the manifest envelope.
   static constexpr char kFormatId[] = "sharded";
   /// The one manifest version written and read. Versions 1 (boundaries
-  /// and shard names only) and 2 (no live options) are no longer read
-  /// (DESIGN.md §8).
-  static constexpr uint32_t kFormatVersion = 3;
+  /// and shard names only), 2 (no live options) and 3 (the append
+  /// dictionary's text inline) are no longer read (DESIGN.md §8).
+  static constexpr uint32_t kFormatVersion = 4;
 
   /// The epoch's publication sequence number.
   uint64_t sequence = 0;
@@ -89,8 +89,10 @@ struct Manifest {
   std::vector<uint64_t> tail_tombstones;
   /// The raw open-tail documents, in id order.
   std::vector<std::shared_ptr<const std::string>> tail_docs;
-  /// The append dictionary's text; empty when appends are disabled.
-  std::string append_dict_text;
+  /// The file holding the append dictionary ("dict" container),
+  /// relative to the manifest (no '/'). Every "rlzshard" shard the
+  /// manifest names is bound to it.
+  std::string append_dict_name;
   /// The store's seal and compaction knobs.
   LiveStoreOptions live;
   /// The size of compaction's re-sampled dictionaries.
@@ -102,7 +104,7 @@ struct Manifest {
 
   /// Parses and validates a manifest envelope. InvalidArgument for another
   /// format id or version; Corruption for a malformed body (a shard count,
-  /// boundary, name, tombstone id or tail count that cannot hold, or
+  /// boundary, file name, tombstone id or tail count that cannot hold, or
   /// trailing bytes). Allocates at most in proportion to the body size.
   static StatusOr<Manifest> Parse(const ParsedEnvelope& envelope);
 };

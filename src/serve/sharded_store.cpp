@@ -20,6 +20,10 @@ namespace {
 // default, §3.3).
 constexpr size_t kSampleBytes = 1024;
 
+// Suffix of the append dictionary's file name after the manifest's:
+// "<base>.dict".
+constexpr char kAppendDictSuffix[] = ".dict";
+
 // Relative name of shard `s` next to a manifest named `manifest_base`
 // (the manifest's own basename): "<base>.shard0007".
 std::string ShardFileName(const std::string& manifest_base, size_t s) {
@@ -61,6 +65,16 @@ std::shared_ptr<const Bitmap> BitmapOf(const std::vector<uint64_t>& ids,
   Bitmap bm(bits);
   for (uint64_t id : ids) bm.Set(static_cast<size_t>(id));
   return std::make_shared<const Bitmap>(std::move(bm));
+}
+
+// The file bytes of shard `s` of `epoch`: a shard sealed from the tail
+// references the append dictionary, which the store writes once
+// ("rlzshard"); a base or compacted shard carries its own ("rlz").
+std::string ShardFileBytes(const CorpusEpoch& epoch, int s) {
+  const RlzArchive& shard = epoch.shard(s);
+  return shard.SharesDictionary(epoch.append_dictionary())
+             ? shard.SerializeShard()
+             : shard.Serialize();
 }
 
 // Builder options of the live store's seals and compaction rebuilds:
@@ -164,15 +178,14 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
         reports[s].unused_dictionary_fraction;
     store->baseline_stats_.Merge(reports[s].stats);
   }
-  store->sealed_ = std::move(sealed);
-  store->shard_files_.assign(nshards, std::string());
-
   // The append dictionary: sampled across the whole build-time corpus, so
   // tail seals encode against content representative of the initial crawl
   // — and go stale as the crawl drifts (§3.6), which is exactly what the
   // compactor's coverage-decay trigger watches for.
-  store->append_dict_ = DictionaryBuilder::BuildSampled(
+  sealed->append_dict = DictionaryBuilder::BuildSampled(
       collection.data(), shard_dict_bytes, kSampleBytes);
+  store->sealed_ = std::move(sealed);
+  store->shard_files_.assign(nshards, std::string());
 
   {
     std::lock_guard<std::mutex> lock(store->writer_mu_);
@@ -267,10 +280,13 @@ StatusOr<size_t> ShardedStore::Append(std::string_view doc) {
     }
     id = ApplyAppendLocked(doc);
     PublishLocked();
+    // From here the append is logged and visible, so it returns its id
+    // whatever the seal does. A seal that fails could not log its
+    // record; the WAL latched that error and refuses every later
+    // mutation.
     if (options_.live.tail_seal_bytes > 0 &&
         tail_.bytes() >= options_.live.tail_seal_bytes) {
-      RLZ_RETURN_IF_ERROR(SealTailLocked());
-      checkpoint = wal_ != nullptr;
+      checkpoint = SealTailLocked().ok() && wal_ != nullptr;
     }
   }
   // After writer_mu_ is released: a checkpoint takes checkpoint_mu_
@@ -311,7 +327,7 @@ Status ShardedStore::ApplySealLocked() {
   // encode; DESIGN.md §7). Its matcher exists: SealTail and Append gate
   // on it, and WAL replay seals only on a writable open, which builds it.
   RlzArchiveBuilder builder(
-      append_dict_,
+      sealed_->append_dict,
       BackgroundBuilderOptions(options_.coding, tail_docs));
   for (size_t i = 0; i < tail_docs; ++i) {
     builder.AddBorrowedDocument(*tail_.doc(i));
@@ -613,7 +629,7 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
 Manifest ShardedStore::ManifestLocked(
     std::shared_ptr<const CorpusEpoch>* snapshot) const {
   // The epoch pins the shards, health records, tombstones and tail; the
-  // baseline and append dictionary are fixed once the store is built.
+  // baseline is fixed once the store is built.
   {
     std::lock_guard<std::mutex> epoch_lock(epoch_mu_);
     *snapshot = epoch_;
@@ -633,7 +649,6 @@ Manifest ShardedStore::ManifestLocked(
   for (size_t i = 0; i < tail.num_docs(); ++i) {
     manifest.tail_docs.push_back(tail.doc(i));
   }
-  manifest.append_dict_text.assign(append_dict_->text());
   manifest.live = options_.live;
   manifest.shard_dict_bytes = shard_dict_bytes_;
   return manifest;
@@ -650,14 +665,17 @@ Status ShardedStore::Save(const std::string& path) const {
   std::string dir;
   std::string base;
   SplitPath(path, &dir, &base);
-  // Shards first, manifest last: a torn save leaves orphan shard files,
-  // never a manifest that names missing ones.
+  // Shards and dictionary first, manifest last: a torn save leaves
+  // orphan files, never a manifest that names missing ones.
   for (int s = 0; s < snapshot->num_shards(); ++s) {
     manifest.shard_names.push_back(
         ShardFileName(base, static_cast<size_t>(s)));
-    RLZ_RETURN_IF_ERROR(
-        snapshot->shard(s).Save(dir + manifest.shard_names.back()));
+    RLZ_RETURN_IF_ERROR(WriteFile(dir + manifest.shard_names.back(),
+                                  ShardFileBytes(*snapshot, s)));
   }
+  manifest.append_dict_name = base + kAppendDictSuffix;
+  RLZ_RETURN_IF_ERROR(WriteFile(dir + manifest.append_dict_name,
+                                snapshot->append_dictionary().Serialize()));
   return WriteFile(path, manifest.Encode());
 }
 
@@ -677,11 +695,28 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   const size_t nshards = router.num_shards();
   std::unique_ptr<ShardedStore> store(new ShardedStore());
 
-  // Shard files open in parallel: each is an independent rlz container.
-  // No shard gets a suffix array, on any open: the store never
-  // factorizes against a sealed shard's dictionary (seals use the append
-  // dictionary; compaction samples a fresh one).
+  // The append dictionary first: every "rlzshard" shard decodes against
+  // this one object. Its suffix array — the only one the store queries —
+  // is built on a writable open only; matcher-less, appends and seals
+  // fail cleanly.
   auto sealed = std::make_shared<ShardSet>();
+  {
+    const std::string dict_path = dir + manifest.append_dict_name;
+    RLZ_ASSIGN_OR_RETURN(RawContainerFile raw,
+                         ReadContainerFile(dict_path, options));
+    RLZ_ASSIGN_OR_RETURN(
+        ParsedEnvelope envelope,
+        ParsedEnvelope::FromView(raw.view, raw.owner, dict_path));
+    RLZ_ASSIGN_OR_RETURN(
+        sealed->append_dict,
+        Dictionary::FromEnvelope(envelope, options.build_suffix_array));
+  }
+
+  // Shard files open in parallel: an "rlz" container carries its own
+  // dictionary, an "rlzshard" one is bound to the append dictionary. No
+  // shard gets a suffix array, on any open: the store never factorizes
+  // against a sealed shard's dictionary (seals use the append
+  // dictionary; compaction samples a fresh one).
   sealed->shards.resize(nshards);
   std::vector<Status> statuses(nshards);
   OpenOptions shard_options = options;
@@ -697,8 +732,8 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   for (size_t s = 0; s < nshards; ++s) {
     pipeline.Submit(
         [&, s](int) {
-          auto shard =
-              RlzArchive::Load(dir + manifest.shard_names[s], shard_options);
+          auto shard = RlzArchive::Load(dir + manifest.shard_names[s],
+                                        shard_options, sealed->append_dict);
           if (shard.ok()) {
             sealed->shards[s] = std::move(shard).value();
           } else {
@@ -736,16 +771,10 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
 
   // Restore the mutation path: the coding comes from shard 0 (every shard
   // encodes with the same pair), the seal and compaction knobs from the
-  // manifest, and the append dictionary from its persisted text, empty
-  // for a store built from no documents. Its suffix array — the only one
-  // the store queries — is built on a writable open only; matcher-less,
-  // appends and seals fail cleanly. The open tail stays raw until it
-  // seals.
+  // manifest. The open tail stays raw until it seals.
   store->options_.coding = store->sealed_->shards[0]->coder().coding();
   store->options_.live = manifest.live;
   store->shard_dict_bytes_ = std::max<uint64_t>(1, manifest.shard_dict_bytes);
-  store->append_dict_ = std::make_shared<const Dictionary>(
-      std::move(manifest.append_dict_text), options.build_suffix_array);
   {
     std::lock_guard<std::mutex> lock(store->writer_mu_);
     store->PublishLocked();
@@ -771,7 +800,7 @@ Status ShardedStore::CheckWritableLocked() const {
 }
 
 Status ShardedStore::CheckAppendDictionaryLocked() const {
-  if (!append_dict_->has_matcher()) {
+  if (!sealed_->append_dict->has_matcher()) {
     return Status::InvalidArgument(
         "sharded store: no append dictionary (serving-only open); appends "
         "and seals are disabled");
@@ -800,9 +829,11 @@ Status ShardedStore::MakeDurable(const std::string& dir,
     fs_ = fs != nullptr ? std::move(fs) : DefaultFileSystem();
     durable_dir_ = dir;
     wal_options_ = wal_options;
-    // Names a manifest gave the shards point into another directory (or
-    // none): the first checkpoint writes every shard into this one.
+    // Names a manifest gave the files point into another directory (or
+    // none): the first checkpoint writes every shard and the append
+    // dictionary into this one.
     shard_files_.assign(sealed_->shards.size(), std::string());
+    append_dict_file_.clear();
     RLZ_RETURN_IF_ERROR(fs_->CreateDir(dir));
     RLZ_ASSIGN_OR_RETURN(
         wal_, wal::WalWriter::Create(fs_, dir, /*generation=*/1, /*seq=*/0,
@@ -851,6 +882,7 @@ Status ShardedStore::WriteCheckpoint() {
     RLZ_RETURN_IF_ERROR(wal_->Roll(generation));
     manifest = ManifestLocked(&snapshot);
     manifest.shard_names = shard_files_;
+    manifest.append_dict_name = append_dict_file_;
   }
 
   // Write-new: every new file lands under the next generation, fsync'd,
@@ -868,7 +900,15 @@ Status ShardedStore::WriteCheckpoint() {
     shard_names[s] = ShardFileName(manifest_name, s);
     RLZ_RETURN_IF_ERROR(fs_->WriteFileSynced(
         durable_dir_ + "/" + shard_names[s],
-        snapshot->shard(static_cast<int>(s)).Serialize()));
+        ShardFileBytes(*snapshot, static_cast<int>(s))));
+  }
+  // The append dictionary never changes: the first checkpoint writes it
+  // and every later one names that file again.
+  if (manifest.append_dict_name.empty()) {
+    manifest.append_dict_name = manifest_name + kAppendDictSuffix;
+    RLZ_RETURN_IF_ERROR(fs_->WriteFileSynced(
+        durable_dir_ + "/" + manifest.append_dict_name,
+        snapshot->append_dictionary().Serialize()));
   }
   RLZ_RETURN_IF_ERROR(fs_->WriteFileSynced(durable_dir_ + "/" + manifest_name,
                                            manifest.Encode()));
@@ -884,6 +924,7 @@ Status ShardedStore::WriteCheckpoint() {
     std::lock_guard<std::mutex> lock(writer_mu_);
     checkpoint_generation_ = generation;
     covered_lsn_ = covered;
+    append_dict_file_ = manifest.append_dict_name;
     // Shards still identical to the snapshot's are now held by the live
     // checkpoint; a shard sealed or compacted since stays unnamed.
     for (size_t s = 0; s < nshards; ++s) {
@@ -894,7 +935,9 @@ Status ShardedStore::WriteCheckpoint() {
   }
   // Best-effort cleanup of superseded files and covered WAL; files the
   // new manifest names survive whatever generation wrote them.
-  return wal::GarbageCollect(*fs_, durable_dir_, info, shard_names);
+  std::vector<std::string> keep = shard_names;
+  keep.push_back(manifest.append_dict_name);
+  return wal::GarbageCollect(*fs_, durable_dir_, info, keep);
 }
 
 Status ShardedStore::SyncWal() {
@@ -940,11 +983,13 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::OpenFromCheckpoint(
       ParsedEnvelope::FromBytes(std::move(raw), manifest_path));
   RLZ_ASSIGN_OR_RETURN(Manifest manifest, Manifest::Parse(envelope));
   std::vector<std::string> shard_names = manifest.shard_names;
+  std::string append_dict_name = manifest.append_dict_name;
   RLZ_ASSIGN_OR_RETURN(
       std::unique_ptr<ShardedStore> store,
       FromManifest(std::move(manifest), manifest_path, open_options));
-  // Every loaded shard is already in `dir`, under the manifest's names.
+  // Every loaded file is already in `dir`, under the manifest's names.
   store->shard_files_ = std::move(shard_names);
+  store->append_dict_file_ = std::move(append_dict_name);
 
   store->fs_ = io;
   store->durable_dir_ = dir;

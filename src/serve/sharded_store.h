@@ -132,7 +132,9 @@ class ShardedStore final : public Archive {
   // --- Mutation API (DESIGN.md §11) -------------------------------------
 
   /// Appends one document to the open tail segment and publishes the
-  /// epoch that contains it. Returns the new document's permanent id.
+  /// epoch that contains it. Returns the new document's permanent id,
+  /// also when the seal it triggers fails (that error is latched by the
+  /// WAL and returned by the next mutation).
   /// The document is stored raw, not encoded, and serves reads until the
   /// tail seals. Crossing LiveStoreOptions::tail_seal_bytes seals the
   /// tail before returning, and on a durable store checkpoints the new
@@ -225,27 +227,31 @@ class ShardedStore final : public Archive {
   /// compares against (FactorStats::avg_factor_decay).
   FactorStats baseline_stats() const;
 
-  /// Serializes the current epoch as one file per shard plus a manifest:
-  /// each sealed shard is written as an rlz container at
-  /// `path + ".shardNNNN"`, then the Manifest (epoch sequence, shard
-  /// boundaries, relative shard file names, health, tombstones, raw tail
-  /// documents, append dictionary) is written at `path` — last, so a
-  /// crash mid-save never leaves a manifest pointing at missing shards.
-  /// The directory can be moved as a unit: shard names are stored
-  /// relative to the manifest.
+  /// Serializes the current epoch as one file per shard, the append
+  /// dictionary and a manifest: each sealed shard is written at
+  /// `path + ".shardNNNN"` (a shard sealed from the tail as an "rlzshard"
+  /// container bound to the append dictionary, any other as an "rlz"
+  /// container with its own), the append dictionary once at
+  /// `path + ".dict"`, then the Manifest (epoch sequence, shard
+  /// boundaries, relative file names, health, tombstones, raw tail
+  /// documents) at `path` — last, so a crash mid-save never leaves a
+  /// manifest pointing at missing files. The directory can be moved as a
+  /// unit: file names are stored relative to the manifest.
   Status Save(const std::string& path) const override;
 
-  /// Opens a store written by Save: reads the manifest, then loads every
-  /// shard file in parallel (one worker per shard, capped at the
-  /// process's CPUs, AvailableCpus), restoring the full epoch:
-  /// tombstones, generations, the raw open tail, and the append
-  /// dictionary. Shard dictionaries never get a suffix array (the store
-  /// never factorizes against one). A writable open (the default
+  /// Opens a store written by Save: reads the manifest and the append
+  /// dictionary, then loads every shard file in parallel (one worker per
+  /// shard, capped at the process's CPUs, AvailableCpus), restoring the
+  /// full epoch: tombstones, generations and the raw open tail. Every
+  /// "rlzshard" shard decodes against the one append dictionary object.
+  /// Shard dictionaries never get a suffix array (the store never
+  /// factorizes against one). A writable open (the default
   /// OpenOptions::build_suffix_array = true) builds only the append
   /// dictionary's; a serving-only reopen passes false, builds none, and
   /// disables Append and SealTail (InvalidArgument). Fails with IOError
-  /// if a shard file named by the manifest is missing, Corruption if a
-  /// shard's document count disagrees with the manifest. The reopened
+  /// if a file named by the manifest is missing, Corruption if a shard's
+  /// document count disagrees with the manifest or its dictionary binding
+  /// with the append dictionary. The reopened
   /// store seals and compacts with the saved store's LiveStoreOptions,
   /// which the manifest carries.
   static StatusOr<std::unique_ptr<ShardedStore>> Open(
@@ -312,9 +318,10 @@ class ShardedStore final : public Archive {
   /// Writes a new checkpoint of the current epoch (write-new -> fsync ->
   /// rename; see store/wal/checkpoint.h) and prunes the WAL it covers.
   /// Only shards no committed checkpoint holds yet (sealed or compacted
-  /// since, or all of them after MakeDurable) are written; the manifest
-  /// names the existing files of the rest, and garbage collection keeps
-  /// them. Mutators are blocked only while the WAL is synced and rolled,
+  /// since, or all of them after MakeDurable) are written, and the append
+  /// dictionary only by the first checkpoint after MakeDurable; the
+  /// manifest names the existing files of the rest, and garbage
+  /// collection keeps them. Mutators are blocked only while the WAL is synced and rolled,
   /// not while shards are written. InvalidArgument when not durable.
   /// Returns the first error of a post-seal checkpoint (SealTail) since
   /// the last call, if there was one, even when this checkpoint
@@ -403,6 +410,9 @@ class ShardedStore final : public Archive {
   // §12). Set after a CURRENT flip; cleared by seal, compaction swap and
   // MakeDurable. The next checkpoint rewrites only the unnamed shards.
   std::vector<std::string> shard_files_;
+  // The same for the append dictionary's file: written by the first
+  // checkpoint after MakeDurable, then named again by every later one.
+  std::string append_dict_file_;
   // The open tail; only this copy appends (TailSegment).
   TailSegment tail_;
   std::shared_ptr<const Bitmap> tail_tombstones_;
@@ -411,8 +421,6 @@ class ShardedStore final : public Archive {
   // Per-shard dictionary budget (dict_bytes / initial shard count): the
   // size of compaction's re-sampled dictionaries.
   size_t shard_dict_bytes_ = 1 << 20;
-  // No matcher (a serving-only open): appends and seals are disabled.
-  std::shared_ptr<const Dictionary> append_dict_;
 
   // Durability state (DESIGN.md §12). wal_ non-null once
   // MakeDurable/OpenDurable attached a log; all guarded by writer_mu_

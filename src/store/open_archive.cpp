@@ -70,6 +70,9 @@ std::map<std::string, ArchiveLoader>& Registry() {
   static std::map<std::string, ArchiveLoader>* registry =
       new std::map<std::string, ArchiveLoader>{
           {RlzArchive::kFormatId, &LoadRlz},
+          // Refused with InvalidArgument: a store shard opens only
+          // through its manifest, which supplies the dictionary.
+          {RlzArchive::kShardFormatId, &LoadRlz},
           {AsciiArchive::kFormatId, &LoadAscii},
           {BlockedArchive::kFormatId, &LoadBlocked},
           {SemiStaticArchive::kFormatId, &LoadSemiStatic},
@@ -129,6 +132,10 @@ StatusOr<ArchiveFormatInfo> SniffArchiveFile(const std::string& path) {
   RLZ_ASSIGN_OR_RETURN(
       ParsedEnvelope envelope,
       ParsedEnvelope::FromView(raw.view, std::move(raw.owner), path));
+  if (envelope.format_id() == RlzArchive::kShardFormatId) {
+    // Its header parses, but alone it is not a readable archive.
+    return RlzArchive::FromEnvelope(envelope, {}).status();
+  }
   ArchiveFormatInfo info;
   info.format_id = envelope.format_id();
   info.version = envelope.version();

@@ -71,8 +71,11 @@ struct ArchiveFormatInfo {
 /// Reads `path` and reports its container format id and version without
 /// materializing the archive. The whole file is read and its envelope
 /// (including the CRC trailer) validated, so a Corruption result means
-/// the file is damaged, not merely unrecognized. To both sniff and open
-/// in one read, pass OpenArchive's `sniffed` out-parameter instead.
+/// the file is damaged, not merely unrecognized. A store's
+/// dictionary-less shard ("rlzshard") is InvalidArgument: it is readable
+/// only through the manifest that names its dictionary. To both sniff
+/// and open in one read, pass OpenArchive's `sniffed` out-parameter
+/// instead.
 StatusOr<ArchiveFormatInfo> SniffArchiveFile(const std::string& path);
 
 /// A format loader: materializes an archive from its parsed envelope.

@@ -603,6 +603,27 @@ TEST(DroppedLayoutTest, OldLayoutsAndVersionsFailCleanly) {
               StatusCode::kInvalidArgument);
   }
 
+  // The v3 manifest: the same sections as v4, with the append
+  // dictionary's text inline where v4 names its file.
+  {
+    Manifest manifest;
+    manifest.router =
+        std::make_shared<const ShardRouter>(std::vector<size_t>{0, 2});
+    manifest.shard_names = {"fmt_dropped.bin.shard0000"};
+    manifest.health.resize(1);
+    manifest.tombstones.resize(1);
+    manifest.append_dict_name = "append dictionary text";
+    auto v4 = ParsedEnvelope::FromBytes(manifest.Encode(), "v4");
+    ASSERT_TRUE(v4.ok());
+    EnvelopeWriter writer(Manifest::kFormatId, /*version=*/3);
+    writer.PutBytes(v4->body());
+    ASSERT_TRUE(std::move(writer).WriteTo(path).ok());
+    EXPECT_EQ(ShardedStore::Open(path).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(OpenArchive(path).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+
   // Any format one version below its current one, whatever the body.
   struct Versioned {
     const char* format_id;
@@ -610,8 +631,11 @@ TEST(DroppedLayoutTest, OldLayoutsAndVersionsFailCleanly) {
     std::function<Status()> load;
   };
   const auto open = [&] { return OpenArchive(path).status(); };
+  const auto shared_dict = std::make_shared<const Dictionary>("dictionary");
   const Versioned formats[] = {
       {RlzArchive::kFormatId, RlzArchive::kFormatVersion, open},
+      {RlzArchive::kShardFormatId, RlzArchive::kShardFormatVersion,
+       [&] { return RlzArchive::Load(path, {}, shared_dict).status(); }},
       {AsciiArchive::kFormatId, AsciiArchive::kFormatVersion, open},
       {BlockedArchive::kFormatId, BlockedArchive::kFormatVersion, open},
       {SemiStaticArchive::kFormatId, SemiStaticArchive::kFormatVersion, open},
@@ -710,6 +734,7 @@ TEST(ShardedStorePersistenceTest, RoundTripsAndServesWithoutSuffixArrays) {
     std::snprintf(suffix, sizeof(suffix), ".shard%04d", s);
     std::remove((path + suffix).c_str());
   }
+  std::remove((path + ".dict").c_str());
   std::remove(path.c_str());
 }
 
@@ -735,6 +760,7 @@ TEST(ShardedStorePersistenceTest, MissingShardFileFailsToOpen) {
 
   std::remove((path + ".shard0000").c_str());
   std::remove((path + ".shard0002").c_str());
+  std::remove((path + ".dict").c_str());
   std::remove(path.c_str());
 }
 
@@ -767,7 +793,7 @@ TEST(ManifestTest, EncodeThenParseIsIdentity) {
   manifest.live.compact_stale_unused_fraction = 0.75;
   manifest.live.compact_stale_decay = 0.0625;
   manifest.shard_dict_bytes = 4096;
-  // An empty append dictionary: a store whose appends are disabled.
+  manifest.append_dict_name = "m.dict";
   const std::string bytes = manifest.Encode();
 
   auto parsed = ParseManifest(bytes);
@@ -798,7 +824,7 @@ TEST(ManifestTest, EncodeThenParseIsIdentity) {
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(*parsed->tail_docs[i], *manifest.tail_docs[i]);
   }
-  EXPECT_EQ(parsed->append_dict_text, "");
+  EXPECT_EQ(parsed->append_dict_name, "m.dict");
   EXPECT_EQ(parsed->live.tail_seal_bytes, 12345u);
   EXPECT_EQ(parsed->live.compact_tombstone_fraction, 0.125);
   EXPECT_EQ(parsed->live.compact_stale_unused_fraction, 0.75);
@@ -816,7 +842,7 @@ TEST(ManifestTest, ImpossibleSectionsAreCorruption) {
     manifest.health.resize(1);
     manifest.tombstones.resize(1);
     manifest.tail_docs.push_back(std::make_shared<const std::string>("t"));
-    manifest.append_dict_text = "dictionary";
+    manifest.append_dict_name = "m.dict";
     edit(&manifest);
     return manifest.Encode();
   };
@@ -828,6 +854,8 @@ TEST(ManifestTest, ImpossibleSectionsAreCorruption) {
       },
       [](Manifest* m) { m->shard_names = {""}; },
       [](Manifest* m) { m->shard_names = {"../m.shard0000"}; },
+      [](Manifest* m) { m->append_dict_name = ""; },
+      [](Manifest* m) { m->append_dict_name = "/tmp/m.dict"; },
       [](Manifest* m) { m->tombstones = {{4}}; },
       [](Manifest* m) { m->tombstones = {{2, 2}}; },
       [](Manifest* m) { m->tombstones = {{0, 1, 2, 3, 3}}; },
@@ -842,11 +870,12 @@ TEST(ManifestTest, ImpossibleSectionsAreCorruption) {
 TEST(ManifestTest, HugeShardBoundaryAllocatesNothingUpFront) {
   // A CRC-valid manifest may claim a shard of 2^62 documents with a
   // tombstone in it. Parsing keeps the tombstone as an id, not as a
-  // 2^62-bit bitmap; the open then fails on the missing shard file.
+  // 2^62-bit bitmap; the open then fails on the missing files.
   Manifest manifest;
   manifest.router = std::make_shared<const ShardRouter>(
       std::vector<size_t>{0, size_t{1} << 62});
   manifest.shard_names = {"fmt_huge.sharded.shard0000"};
+  manifest.append_dict_name = "fmt_huge.sharded.dict";
   manifest.health.resize(1);
   manifest.tombstones = {{(uint64_t{1} << 62) - 1}};
   auto parsed = ParseManifest(manifest.Encode());
@@ -878,18 +907,21 @@ struct PinnedCrc {
 };
 
 // In build order: "rlz.ZV", "rlz.UV", "rlz.ZZ", a gzipx blocked archive
-// (64 KB blocks), then the live store's sealed tail shard, and its
-// manifest and every shard file after build, append, seal and compaction.
+// (64 KB blocks), then the live store's sealed tail shard in both
+// containers ("rlz" with its dictionary, "rlzshard" bound to the store's
+// append dictionary), and its manifest, every shard file and the append
+// dictionary's file after build, append, seal and compaction.
 // ZZ and the blocked archive run the gzipx Huffman builder on symbol mixes
 // ZV does not: zlib-coded lengths, and whole text blocks. On a mismatch the
 // test prints the new table.
 constexpr PinnedCrc kPinnedCrcs[] = {
     {"rlz.ZV", 0x7600c994},          {"rlz.UV", 0x1c3bf823},
     {"rlz.ZZ", 0x02c3a630},          {"blocked.gzipx", 0x2d59789e},
-    {"reuse.sealed", 0x98e9a801},    {"reuse", 0x8699d39f},
-    {"reuse.shard0000", 0x81138095}, {"reuse.shard0001", 0x5c5dbfdb},
-    {"reuse.shard0002", 0xe207715e}, {"reuse.shard0003", 0x20d5407a},
-    {"reuse.shard0004", 0x4060d51a},
+    {"reuse.sealed", 0x98e9a801},    {"reuse.sealed.rlzshard", 0x3216a645},
+    {"reuse", 0x01b21605},           {"reuse.shard0000", 0x81138095},
+    {"reuse.shard0001", 0x5c5dbfdb}, {"reuse.shard0002", 0xe207715e},
+    {"reuse.shard0003", 0x20d5407a}, {"reuse.shard0004", 0x4060d51a},
+    {"reuse.dict", 0x98bdf8a1},
 };
 
 TEST(PinnedEncoderTest, OutputBytesMatchRecordedCrcs) {
@@ -938,6 +970,8 @@ TEST(PinnedEncoderTest, OutputBytesMatchRecordedCrcs) {
     // seal encodes against the store's reused append dictionary.
     const std::string mode = "reuse";
     got.emplace_back(mode + ".sealed", BodyCrc(store->shard(4).Serialize()));
+    got.emplace_back(mode + ".sealed.rlzshard",
+                     BodyCrc(store->shard(4).SerializeShard()));
     for (size_t id = 0; id < store->starts(1); id += 3) {
       ASSERT_TRUE(store->Delete(id).ok());
     }
@@ -954,6 +988,7 @@ TEST(PinnedEncoderTest, OutputBytesMatchRecordedCrcs) {
       std::snprintf(suffix, sizeof(suffix), ".shard%04d", s);
       files.push_back(path + suffix);
     }
+    files.push_back(path + ".dict");
     for (const std::string& file : files) {
       auto bytes = ReadFile(file);
       ASSERT_TRUE(bytes.ok()) << file;

@@ -280,9 +280,10 @@ TEST(FuzzTest, CollectionLoadArbitraryFiles) {
 
 // The sharded manifest through Manifest::Parse: every truncation and
 // every single-byte flip of a real multi-shard manifest body (base-shard
-// and tail tombstones, tail documents, an append dictionary), re-sealed
-// with a valid CRC so the body parser sees each one. Every result is a
-// Status or a manifest that encodes back to exactly the bytes parsed.
+// and tail tombstones, tail documents, the append dictionary's file
+// name), re-sealed with a valid CRC so the body parser sees each one.
+// Every result is a Status or a manifest that encodes back to exactly the
+// bytes parsed.
 TEST(FuzzTest, ManifestTruncationsAndByteFlips) {
   Collection collection;
   for (int i = 0; i < 12; ++i) {
@@ -314,6 +315,7 @@ TEST(FuzzTest, ManifestTruncationsAndByteFlips) {
   ASSERT_TRUE(envelope.ok()) << envelope.status().ToString();
   const std::string body(envelope->body());
   std::remove(path.c_str());
+  std::remove((path + ".dict").c_str());
   for (int s = 0; s < store->num_shards(); ++s) {
     char suffix[32];
     std::snprintf(suffix, sizeof(suffix), ".shard%04d", s);
@@ -348,8 +350,8 @@ TEST(FuzzTest, ManifestTruncationsAndByteFlips) {
     }
     mutated[pos] = body[pos];
   }
-  // Flips inside the append dictionary and tail documents parse as other
-  // text; the count shows the round-trip check ran on real manifests.
+  // Flips inside file names and tail documents parse as other text; the
+  // count shows the round-trip check ran on real manifests.
   EXPECT_GT(parsed_ok, body.size());
 }
 

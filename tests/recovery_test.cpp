@@ -205,14 +205,18 @@ class CreateLogFs final : public ForwardingFs {
 
 // Fails one write or one fsync of a WAL segment file once, when armed: a
 // transient I/O error, after which every call succeeds again. The failed
-// write first lands half its bytes, as a short write(2) does.
+// write first lands half its bytes, as a short write(2) does. `skip` lets
+// that many calls of the armed kind through first.
 class FlakyWalFs final : public ForwardingFs {
  public:
   enum class Fault { kNone, kWrite, kSync };
 
   using ForwardingFs::ForwardingFs;
 
-  void Arm(Fault fault) { armed_ = fault; }
+  void Arm(Fault fault, int skip = 0) {
+    armed_ = fault;
+    skip_ = skip;
+  }
   bool fired() const { return fired_; }
 
   StatusOr<std::unique_ptr<WritableFile>> Create(
@@ -244,15 +248,21 @@ class FlakyWalFs final : public ForwardingFs {
     std::unique_ptr<WritableFile> base_;
   };
 
-  // True (and disarmed) when `fault` is the armed one.
+  // True (and disarmed) when `fault` is the armed one and no skips are
+  // left.
   bool Fire(Fault fault) {
     if (armed_ != fault) return false;
+    if (skip_ > 0) {
+      --skip_;
+      return false;
+    }
     armed_ = Fault::kNone;
     fired_ = true;
     return true;
   }
 
   Fault armed_ = Fault::kNone;
+  int skip_ = 0;
   bool fired_ = false;
 };
 
@@ -1025,15 +1035,17 @@ TEST(RecoveryTest, CheckpointPrunesWalAndReopens) {
     EXPECT_EQ(store->checkpoint_generation(), 2u);
   }
   // After the checkpoint every superseded file is pruned: the live
-  // generation's meta and manifest, the shard files that manifest names
-  // (generation 1 wrote them; generation 2 only re-names them) and the
-  // uncovered WAL remain, nothing else.
+  // generation's meta and manifest, the shard files and the append
+  // dictionary's file that manifest names (generation 1 wrote them;
+  // generation 2 only re-names them) and the uncovered WAL remain,
+  // nothing else.
   const std::string manifest = wal::CheckpointManifestFileName(2);
-  const std::vector<std::string> named =
+  std::vector<std::string> named =
       ManifestShardNames(ReadRaw(dir + "/" + manifest));
   ASSERT_EQ(named.size(), nshards);
+  named.push_back(wal::CheckpointManifestFileName(1) + ".dict");
   size_t live_segments = 0;
-  size_t shard_files = 0;
+  size_t named_files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
     uint64_t value = 0;
@@ -1042,13 +1054,13 @@ TEST(RecoveryTest, CheckpointPrunesWalAndReopens) {
     } else if (name.rfind("ckpt-", 0) == 0) {
       const bool is_named =
           std::find(named.begin(), named.end(), name) != named.end();
-      shard_files += is_named ? 1 : 0;
+      named_files += is_named ? 1 : 0;
       EXPECT_TRUE(name == manifest || name == wal::CheckpointMetaFileName(2) ||
                   is_named)
           << name;
     }
   }
-  EXPECT_EQ(shard_files, named.size());  // every named file is present
+  EXPECT_EQ(named_files, named.size());  // every named file is present
   EXPECT_EQ(live_segments, 1u);  // just the fresh post-roll segment
 
   ShardedStore::RecoveryReport report;
@@ -1393,13 +1405,19 @@ TEST(RecoveryTest, ReplayedSealsAreByteIdenticalAndBuildNoShardMatchers) {
   EXPECT_TRUE(compaction->compacted);
 
   // The compaction checkpointed, so a second writable recovery loads
-  // every shard from checkpoint files: none gets a suffix array.
+  // every shard from checkpoint files: the sealed ones share the append
+  // dictionary, its suffix array the only one, and no other shard gets
+  // one.
   auto reloaded_or =
       ShardedStore::OpenDurable("/store", {}, {}, crashed->DurableClone());
   ASSERT_TRUE(reloaded_or.ok()) << reloaded_or.status().ToString();
   auto reloaded = std::move(reloaded_or).value();
-  for (int s = 0; s < reloaded->num_shards(); ++s) {
-    EXPECT_FALSE(reloaded->shard(s).dictionary().has_matcher()) << s;
+  const auto reloaded_epoch = reloaded->epoch();
+  for (int s = 0; s < reloaded_epoch->num_shards(); ++s) {
+    const RlzArchive& shard = reloaded_epoch->shard(s);
+    if (!shard.SharesDictionary(reloaded_epoch->append_dictionary())) {
+      EXPECT_FALSE(shard.dictionary().has_matcher()) << s;
+    }
   }
   std::string doc;
   for (const ShardedStore* check : {recovered.get(), reloaded.get()}) {
@@ -1973,6 +1991,56 @@ TEST(RecoveryTest, WalWriteErrorIsFailStop) {
 
 TEST(RecoveryTest, WalSyncErrorIsFailStop) {
   ExpectWalFaultIsFailStop(FlakyWalFs::Fault::kSync);
+}
+
+// The append that crosses the seal threshold is logged and published
+// before its seal logs a record. When that kSeal write fails, the append
+// still returns its id and serves; the WAL's latched error refuses the
+// next mutation, and recovery keeps every acked append (strict sync
+// loses none) with the tail unsealed.
+TEST(RecoveryTest, FailedSealRecordKeepsTheAppendThatTriggeredIt) {
+  const Collection collection = TestCollection(1 << 13, 351);
+  const std::vector<std::string> docs = SmallDocs(4);
+  auto disk = std::make_shared<FaultFs>();
+  auto fs = std::make_shared<FlakyWalFs>(disk);
+  size_t base = 0;
+  {
+    // The third append reaches the threshold and seals.
+    auto store =
+        TinyStore(collection, docs[0].size() + docs[1].size() + docs[2].size());
+    base = store->num_docs();
+    ASSERT_TRUE(store->MakeDurable("/store", {}, fs).ok());
+    ASSERT_TRUE(store->Append(docs[0]).ok());
+    ASSERT_TRUE(store->Append(docs[1]).ok());
+    // Under fsync_every_n = 1 each record is one write: the append's
+    // goes through, the seal's fails.
+    fs->Arm(FlakyWalFs::Fault::kWrite, /*skip=*/1);
+    auto id = store->Append(docs[2]);
+    ASSERT_TRUE(fs->fired());
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    EXPECT_EQ(*id, base + 2);
+    std::string doc;
+    ASSERT_TRUE(store->Get(*id, &doc).ok());
+    EXPECT_EQ(doc, docs[2]);
+    EXPECT_EQ(store->num_shards(), 2);  // the seal did not happen
+    const auto next = store->Append(docs[3]);
+    ASSERT_FALSE(next.ok());
+    EXPECT_EQ(next.status().code(), StatusCode::kIOError)
+        << next.status().ToString();
+    EXPECT_EQ(store->num_docs(), base + 3);
+  }
+
+  auto reopened_or = ShardedStore::OpenDurable("/store", OpenOptions{}, {},
+                                               disk->DurableClone());
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  const ShardedStore& reopened = **reopened_or;
+  ASSERT_EQ(reopened.num_docs(), base + 3);
+  EXPECT_EQ(reopened.num_shards(), 2);
+  std::string doc;
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(reopened.Get(base + i, &doc).ok()) << i;
+    EXPECT_EQ(doc, docs[i]) << i;
+  }
 }
 
 // A real process death: a child appends under `n`, syncs the WAL once,
