@@ -15,11 +15,11 @@
 // All three run over the same per-document encoded factor streams, so the
 // comparison isolates the decode kernel. The bench also times factorize
 // against `refine_baseline`, a replica of the per-character Fig. 1 Refine
-// loop the matcher used before its whole-pattern search, times it again
-// against a short-factor dictionary (`short_dict`, the seal's shape),
-// times ZV encode of those short-factor streams (`encode.ZV_short_dict`,
-// recorded, not gated), and splits ZV decode into its stages (code-length
-// read plus table build, symbol loop, CRC, vbyte plus copy expansion).
+// loop the matcher used before its whole-pattern search, splits a seal's
+// CPU time into factorize, gzipx and the rest of ZV encode plus the
+// dictionary's suffix-array build (`seal`, recorded, not gated), and
+// splits ZV decode into its stages (code-length read plus table build,
+// symbol loop, CRC, vbyte plus copy expansion).
 // Serving throughput through DocService is serve_load_bench's job.
 // Results are printed and written as machine-readable JSON (default
 // BENCH_hot_path.json in the working directory) so the repo's perf
@@ -48,6 +48,7 @@
 #include "core/factor_coder.h"
 #include "core/factorizer.h"
 #include "suffix/matcher.h"
+#include "suffix/suffix_array.h"
 #include "corpus/generator.h"
 #include "io/file.h"
 #include "util/crc32.h"
@@ -479,6 +480,102 @@ void AppendJsonDecode(const char* name, const DecodeResult& r,
   out->append(buf);
 }
 
+// Best of `repeats` wall seconds of `fn`.
+template <typename Fn>
+double BestSeconds(int repeats, Fn fn) {
+  double best = 0.0;
+  for (int r = 0; r < repeats; ++r) {
+    Timer pass;
+    fn();
+    const double seconds = pass.ElapsedSeconds();
+    if (best == 0.0 || seconds < best) best = seconds;
+  }
+  return best;
+}
+
+// A seal's CPU split, in ms per MiB of document text: factorize against
+// the append dictionary, gzipx over the position streams, and the rest of
+// ZV encode (gathering the streams, U32 and vbyte coding, framing); plus
+// the dictionary's suffix-array build.
+struct SealSplit {
+  size_t dict_bytes = 0;
+  uint64_t doc_bytes = 0;
+  double doc_mib = 0.0;
+  double avg_factor_len = 0.0;
+  double factorize_ms = 0.0;
+  double gzipx_ms = 0.0;
+  double other_ms = 0.0;
+  double sa_build_ms = 0.0;
+  uint64_t encoded_bytes = 0;
+};
+
+// The seal's shape: documents of a second corpus (seed + 1) against a
+// 170 KB dictionary sampled from `collection` with match keys, as
+// perfbench's page_cold store seals appended documents against its
+// append dictionary. Factors average about 5.4 B, so the per-factor
+// fixed costs dominate: the search's, and gzipx's per-stream ones.
+SealSplit RunSealSplit(const Collection& collection,
+                       const CorpusOptions& corpus_options, int repeats) {
+  constexpr size_t kSealDictBytes = 171000;
+  std::unique_ptr<Dictionary> dict = DictionaryBuilder::BuildSampled(
+      collection.data(), kSealDictBytes, 1024);
+  dict->BuildMatchKeys();
+  CorpusOptions doc_options = corpus_options;
+  doc_options.seed = corpus_options.seed + 1;
+  const Collection docs = GenerateCorpus(doc_options).collection;
+
+  SealSplit split;
+  split.dict_bytes = dict->size();
+  split.doc_bytes = docs.size_bytes();
+  split.doc_mib = split.doc_bytes / (1024.0 * 1024.0);
+  split.sa_build_ms = 1e3 * BestSeconds(repeats, [&] {
+    RLZ_CHECK_EQ(BuildSuffixArray(dict->text()).size(), dict->size());
+  });
+
+  std::vector<std::vector<Factor>> factors(docs.num_docs());
+  Factorizer factorizer(dict.get());
+  const double factorize_s = BestSeconds(repeats, [&] {
+    for (size_t i = 0; i < docs.num_docs(); ++i) {
+      factors[i].clear();
+      factorizer.Factorize(docs.doc(i), &factors[i]);
+    }
+  });
+  split.avg_factor_len = factorizer.stats().avg_factor_length();
+
+  const FactorCoder zv_coder(kZV);
+  std::vector<std::string> encoded(docs.num_docs());
+  const double encode_s = BestSeconds(repeats, [&] {
+    for (size_t i = 0; i < docs.num_docs(); ++i) {
+      encoded[i].clear();
+      RLZ_CHECK(zv_coder.EncodeDoc(factors[i], &encoded[i]).ok());
+    }
+  });
+  for (const std::string& e : encoded) split.encoded_bytes += e.size();
+
+  // EncodeDoc's gzipx call on the same position streams, with the
+  // factor coder's options.
+  std::vector<std::string> raw(docs.num_docs());
+  for (size_t i = 0; i < docs.num_docs(); ++i) {
+    std::vector<uint32_t> positions;
+    for (const Factor& f : factors[i]) positions.push_back(f.pos);
+    GetIntCodec(IntCodecId::kU32)->Encode(positions, &raw[i]);
+  }
+  const GzipxCompressor gzipx(
+      GzipxOptions{.max_chain = 512, .nice_length = 258, .lazy = true});
+  std::string z;
+  const double gzipx_s = BestSeconds(repeats, [&] {
+    for (const std::string& r : raw) {
+      z.clear();
+      gzipx.Compress(r, &z);
+    }
+  });
+
+  split.factorize_ms = 1e3 * factorize_s / split.doc_mib;
+  split.gzipx_ms = 1e3 * gzipx_s / split.doc_mib;
+  split.other_ms = 1e3 * std::max(0.0, encode_s - gzipx_s) / split.doc_mib;
+  return split;
+}
+
 void Run(bool smoke, const std::string& out_path) {
   CorpusOptions corpus_options;
   corpus_options.target_bytes = smoke ? (4u << 20) : (16u << 20);
@@ -512,45 +609,7 @@ void Run(bool smoke, const std::string& out_path) {
   const double factorize_mb_per_s = corpus_mb / factorize_seconds;
   const double refine_mb_per_s = corpus_mb / refine_seconds;
 
-  // The seal's shape: the same documents against a 160 KB dictionary
-  // sampled from another seed's corpus, as a page_cold store's append
-  // dictionary meets appended documents. Factors average about 5.5 B, so
-  // the per-factor cost of the search dominates, not its comparisons.
-  CorpusOptions other_options = corpus_options;
-  other_options.seed = corpus_options.seed + 1;
-  const std::shared_ptr<const Dictionary> short_dict =
-      DictionaryBuilder::BuildSampled(
-          GenerateCorpus(other_options).collection.data(), 160 << 10, 1024);
-  Factorizer short_factorizer(short_dict.get());
-  std::vector<std::vector<Factor>> short_docs(collection.num_docs());
-  const double short_seconds = TimeFactorize(
-      collection, repeats,
-      [&](std::string_view doc, std::vector<Factor>* out) {
-        short_factorizer.Factorize(doc, out);
-      },
-      &short_docs);
-  const double short_mb_per_s = corpus_mb / short_seconds;
-  const double short_avg_len = short_factorizer.stats().avg_factor_length();
-
-  // ZV encode of those factor streams: the other half of a seal's CPU
-  // time (gzipx over each document's 4-byte positions, vbyte lengths).
-  const FactorCoder zv_coder(kZV);
-  std::vector<std::string> zv_encoded(collection.num_docs());
-  double encode_seconds = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    Timer pass;
-    for (size_t i = 0; i < short_docs.size(); ++i) {
-      zv_encoded[i].clear();
-      RLZ_CHECK(zv_coder.EncodeDoc(short_docs[i], &zv_encoded[i]).ok());
-    }
-    const double seconds = pass.ElapsedSeconds();
-    if (encode_seconds == 0.0 || seconds < encode_seconds) {
-      encode_seconds = seconds;
-    }
-  }
-  uint64_t zv_bytes = 0;
-  for (const std::string& e : zv_encoded) zv_bytes += e.size();
-  const double encode_mb_per_s = corpus_mb / encode_seconds;
+  const SealSplit seal = RunSealSplit(collection, corpus_options, repeats);
   const double vs_refine = refine_seconds / factorize_seconds;
   const double factorize_min_ratio =
       smoke ? kFactorizeGate.smoke_ratio : kFactorizeGate.full_ratio;
@@ -561,14 +620,12 @@ void Run(bool smoke, const std::string& out_path) {
       factorizer.stats().avg_factor_length(),
       refine_mb_per_s, vs_refine);
   std::printf(
-      "factorize, short-factor dictionary (%zu B): %.1f MB/s (%.3fs, avg "
-      "factor %.1f)\n",
-      short_dict->size(), short_mb_per_s, short_seconds, short_avg_len);
-  std::printf(
-      "ZV encode of the short-factor streams: %.1f MB/s (%.3fs, %llu B "
-      "encoded)\n",
-      encode_mb_per_s, encode_seconds,
-      static_cast<unsigned long long>(zv_bytes));
+      "seal (%.1f MiB against a %zu B dictionary with match keys, avg "
+      "factor %.1f): factorize %.1f + gzipx %.1f + other %.1f = %.1f ms/MiB; "
+      "suffix array %.2f ms\n",
+      seal.doc_mib, seal.dict_bytes, seal.avg_factor_len, seal.factorize_ms,
+      seal.gzipx_ms, seal.other_ms,
+      seal.factorize_ms + seal.gzipx_ms + seal.other_ms, seal.sa_build_ms);
 
   std::string json;
   json.append("{\n  \"bench\": \"hot_path\",\n");
@@ -586,18 +643,22 @@ void Run(bool smoke, const std::string& out_path) {
   std::snprintf(buf, sizeof(buf),
                 "  \"factorize\": {\"mb_per_s\": %.1f, \"seconds\": %.3f, "
                 "\"refine_baseline\": {\"mb_per_s\": %.1f, "
-                "\"seconds\": %.3f}, \"vs_refine\": %.2f, "
-                "\"short_dict\": {\"mb_per_s\": %.1f, \"seconds\": %.3f, "
-                "\"avg_factor_len\": %.1f, \"dict_bytes\": %zu}},\n",
+                "\"seconds\": %.3f}, \"vs_refine\": %.2f},\n",
                 factorize_mb_per_s, factorize_seconds, refine_mb_per_s,
-                refine_seconds, vs_refine, short_mb_per_s, short_seconds,
-                short_avg_len, short_dict->size());
+                refine_seconds, vs_refine);
   json.append(buf);
   std::snprintf(buf, sizeof(buf),
-                "  \"encode\": {\"ZV_short_dict\": {\"mb_per_s\": %.1f, "
-                "\"seconds\": %.3f, \"encoded_bytes\": %llu}},\n",
-                encode_mb_per_s, encode_seconds,
-                static_cast<unsigned long long>(zv_bytes));
+                "  \"seal\": {\"doc_bytes\": %llu, \"dict_bytes\": %zu, "
+                "\"match_keys\": true, \"avg_factor_len\": %.1f, "
+                "\"ms_per_mib\": {\"factorize\": %.2f, \"gzipx\": %.2f, "
+                "\"other\": %.2f, \"total\": %.2f}, \"encoded_bytes\": "
+                "%llu, \"sa_build_ms\": %.2f},\n",
+                static_cast<unsigned long long>(seal.doc_bytes),
+                seal.dict_bytes, seal.avg_factor_len, seal.factorize_ms,
+                seal.gzipx_ms, seal.other_ms,
+                seal.factorize_ms + seal.gzipx_ms + seal.other_ms,
+                static_cast<unsigned long long>(seal.encoded_bytes),
+                seal.sa_build_ms);
   json.append(buf);
   // The one-time "before" record: the real pre-scratch FactorCoder
   // measured from a pristine build of commit d02bb1b on the reference

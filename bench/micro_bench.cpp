@@ -1,6 +1,6 @@
 // Micro benchmarks (google-benchmark): throughput of the individual
 // substrates — suffix-array construction, longest-match queries with and
-// without the 4-byte prefix table (the starting-interval ablation of
+// without the 4-byte prefix table and its match keys (the ablation of
 // DESIGN.md §5.1), factorization, the general-purpose compressors, and the
 // integer codecs.
 
@@ -51,6 +51,7 @@ void BM_LongestMatch(benchmark::State& state) {
   const bool prefix_table = state.range(0) != 0;
   const std::string text = DictText(256 << 10);
   SuffixMatcher matcher(text, {}, prefix_table);
+  if (state.range(1) != 0) matcher.BuildMatchKeys();
   const Collection& c = BenchCollection();
   const std::string_view doc = c.doc(0);
   size_t i = 0;
@@ -61,8 +62,13 @@ void BM_LongestMatch(benchmark::State& state) {
     if (i >= doc.size()) i = 0;
   }
 }
-// prefix_table:0 starts every search from the whole SA.
-BENCHMARK(BM_LongestMatch)->ArgName("prefix_table")->Arg(0)->Arg(1);
+// prefix_table:0 starts every search from the whole SA; match_keys:1
+// adds the key array over the table's runs (DESIGN.md §5.1).
+BENCHMARK(BM_LongestMatch)
+    ->ArgNames({"prefix_table", "match_keys"})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({1, 1});
 
 void BM_Factorize(benchmark::State& state) {
   const Collection& c = BenchCollection();

@@ -61,6 +61,14 @@ class Dictionary {
     return *matcher_;
   }
 
+  /// Adds the match-key array to the matcher, which speeds up
+  /// factorizing against this dictionary for 4 bytes per dictionary byte
+  /// (SuffixMatcher::BuildMatchKeys, DESIGN.md §5.1). Does nothing
+  /// without a matcher. Call it before the dictionary is shared.
+  void BuildMatchKeys() {
+    if (matcher_ != nullptr) matcher_->BuildMatchKeys();
+  }
+
   /// On-disk format id inside the container envelope ("dict").
   static constexpr char kFormatId[] = "dict";
   /// The format version Save writes and the only one Load reads.

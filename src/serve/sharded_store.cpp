@@ -181,9 +181,12 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
   // The append dictionary: sampled across the whole build-time corpus, so
   // tail seals encode against content representative of the initial crawl
   // — and go stale as the crawl drifts (§3.6), which is exactly what the
-  // compactor's coverage-decay trigger watches for.
-  sealed->append_dict = DictionaryBuilder::BuildSampled(
+  // compactor's coverage-decay trigger watches for. Every seal
+  // factorizes against it, so it alone carries match keys.
+  std::unique_ptr<Dictionary> append_dict = DictionaryBuilder::BuildSampled(
       collection.data(), shard_dict_bytes, kSampleBytes);
+  append_dict->BuildMatchKeys();
+  sealed->append_dict = std::move(append_dict);
   store->sealed_ = std::move(sealed);
   store->shard_files_.assign(nshards, std::string());
 
@@ -696,9 +699,9 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   std::unique_ptr<ShardedStore> store(new ShardedStore());
 
   // The append dictionary first: every "rlzshard" shard decodes against
-  // this one object. Its suffix array — the only one the store queries —
-  // is built on a writable open only; matcher-less, appends and seals
-  // fail cleanly.
+  // this one object. Its suffix array and match keys — the only ones the
+  // store queries — are built on a writable open only; matcher-less,
+  // appends and seals fail cleanly.
   auto sealed = std::make_shared<ShardSet>();
   {
     const std::string dict_path = dir + manifest.append_dict_name;
@@ -708,8 +711,10 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
         ParsedEnvelope envelope,
         ParsedEnvelope::FromView(raw.view, raw.owner, dict_path));
     RLZ_ASSIGN_OR_RETURN(
-        sealed->append_dict,
+        std::unique_ptr<Dictionary> append_dict,
         Dictionary::FromEnvelope(envelope, options.build_suffix_array));
+    append_dict->BuildMatchKeys();
+    sealed->append_dict = std::move(append_dict);
   }
 
   // Shard files open in parallel: an "rlz" container carries its own
@@ -869,6 +874,8 @@ Status ShardedStore::WriteCheckpoint() {
   Manifest manifest;
   uint64_t generation = 0;
   uint64_t covered = 0;
+  std::vector<wal::SegmentStart> segments;
+  uint64_t live_segment = 0;
   {
     std::lock_guard<std::mutex> lock(writer_mu_);
     if (wal_ == nullptr) {
@@ -880,6 +887,8 @@ Status ShardedStore::WriteCheckpoint() {
     generation = checkpoint_generation_ + 1;
     covered = wal_->next_lsn();
     RLZ_RETURN_IF_ERROR(wal_->Roll(generation));
+    segments = wal_->segment_starts();
+    live_segment = wal_->segment_seq();
     manifest = ManifestLocked(&snapshot);
     manifest.shard_names = shard_files_;
     manifest.append_dict_name = append_dict_file_;
@@ -934,10 +943,16 @@ Status ShardedStore::WriteCheckpoint() {
     }
   }
   // Best-effort cleanup of superseded files and covered WAL; files the
-  // new manifest names survive whatever generation wrote them.
+  // new manifest names survive whatever generation wrote them. The
+  // segments this process wrote are known without reading them; every
+  // one before the roll is covered, so a clean GC deletes them all.
   std::vector<std::string> keep = shard_names;
   keep.push_back(manifest.append_dict_name);
-  return wal::GarbageCollect(*fs_, durable_dir_, info, keep);
+  RLZ_RETURN_IF_ERROR(
+      wal::GarbageCollect(*fs_, durable_dir_, info, keep, segments));
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  if (wal_ != nullptr) wal_->ForgetSegmentsBefore(live_segment);
+  return Status::OK();
 }
 
 Status ShardedStore::SyncWal() {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "store/format.h"
-#include "store/wal/wal_format.h"
 
 namespace rlz {
 namespace wal {
@@ -136,7 +135,8 @@ StatusOr<std::vector<CheckpointInfo>> ListCheckpoints(FileSystem& fs,
 
 Status GarbageCollect(FileSystem& fs, const std::string& dir,
                       const CheckpointInfo& keep,
-                      const std::vector<std::string>& keep_files) {
+                      const std::vector<std::string>& keep_files,
+                      const std::vector<SegmentStart>& known_segments) {
   RLZ_ASSIGN_OR_RETURN(std::vector<std::string> names, fs.List(dir));
   std::sort(names.begin(), names.end());
 
@@ -145,6 +145,13 @@ Status GarbageCollect(FileSystem& fs, const std::string& dir,
   for (const std::string& name : names) {
     uint64_t seq = 0;
     if (!ParseSegmentFileName(name, &seq)) continue;
+    auto known = std::find_if(
+        known_segments.begin(), known_segments.end(),
+        [seq](const SegmentStart& start) { return start.seq == seq; });
+    if (known != known_segments.end()) {
+      segments.emplace_back(seq, known->start_lsn);
+      continue;
+    }
     RLZ_ASSIGN_OR_RETURN(std::string raw, fs.Read(dir + "/" + name));
     StatusOr<SegmentHeader> header = DecodeSegmentHeader(raw, name);
     if (!header.ok()) continue;  // recovery's problem, not GC's

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "io/file_system.h"
+#include "store/wal/wal_format.h"
 #include "util/status.h"
 
 namespace rlz {
@@ -86,12 +87,16 @@ StatusOr<std::vector<CheckpointInfo>> ListCheckpoints(FileSystem& fs,
 /// generations that `keep_files` (the file names keep's manifest names,
 /// relative to `dir`) does not list, and WAL segments every record of
 /// which is covered (a segment is removable when its successor starts at
-/// or below keep.covered_lsn). Best-effort by design — a crash mid-GC
+/// or below keep.covered_lsn). A segment's start LSN comes from
+/// `known_segments` (the live WalWriter's segment_starts()) when listed
+/// there; only the header of any other segment, one an earlier process
+/// left, is read from disk. Best-effort by design — a crash mid-GC
 /// leaves stale files that the next GC removes; correctness never
 /// depends on deletion.
 Status GarbageCollect(FileSystem& fs, const std::string& dir,
                       const CheckpointInfo& keep,
-                      const std::vector<std::string>& keep_files);
+                      const std::vector<std::string>& keep_files,
+                      const std::vector<SegmentStart>& known_segments = {});
 
 }  // namespace wal
 }  // namespace rlz

@@ -66,6 +66,13 @@ struct SegmentHeader {
   uint64_t start_lsn = 0;
 };
 
+/// Where a segment's records start: its sequence number and the LSN of
+/// its first record, as its header records them.
+struct SegmentStart {
+  uint64_t seq = 0;
+  uint64_t start_lsn = 0;
+};
+
 /// Serializes a segment header.
 std::string EncodeSegmentHeader(const SegmentHeader& header);
 

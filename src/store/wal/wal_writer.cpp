@@ -1,5 +1,6 @@
 #include "store/wal/wal_writer.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace rlz {
@@ -30,10 +31,18 @@ Status WalWriter::OpenSegmentLocked(uint64_t generation, uint64_t seq) {
   file_ = std::move(file);
   generation_ = generation;
   seq_ = seq;
+  segment_starts_.push_back(SegmentStart{seq, next_lsn_});
   segment_bytes_ = kSegmentHeaderSize;
   unsynced_records_ = 0;
   last_sync_ = std::chrono::steady_clock::now();
   return Status::OK();
+}
+
+void WalWriter::ForgetSegmentsBefore(uint64_t seq) {
+  auto first_kept = std::find_if(
+      segment_starts_.begin(), segment_starts_.end(),
+      [seq](const SegmentStart& start) { return start.seq >= seq; });
+  segment_starts_.erase(segment_starts_.begin(), first_kept);
 }
 
 Status WalWriter::Latch(Status status) {

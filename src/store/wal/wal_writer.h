@@ -37,6 +37,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "io/file_system.h"
 #include "store/wal/wal_format.h"
@@ -105,6 +106,16 @@ class WalWriter {
   /// Sequence number of the segment currently being written.
   uint64_t segment_seq() const { return seq_; }
 
+  /// The segments this writer created, oldest first, less those dropped
+  /// by ForgetSegmentsBefore: checkpoint GC takes their start LSNs from
+  /// here instead of reading each segment's header back from disk.
+  const std::vector<SegmentStart>& segment_starts() const {
+    return segment_starts_;
+  }
+  /// Drops the entries of segments numbered below `seq` (those a GC has
+  /// deleted).
+  void ForgetSegmentsBefore(uint64_t seq);
+
  private:
   WalWriter(std::shared_ptr<FileSystem> fs, std::string dir,
             const WalWriterOptions& options)
@@ -126,6 +137,7 @@ class WalWriter {
   uint64_t next_lsn_ = 0;
   uint64_t segment_bytes_ = 0;  // bytes framed into the current segment
   std::string buffer_;          // frames not yet written to file_
+  std::vector<SegmentStart> segment_starts_;
   int unsynced_records_ = 0;
   Status status_;
   std::chrono::steady_clock::time_point last_sync_ =

@@ -37,6 +37,34 @@ uint32_t LoadPrefix(const char* p) {
   return key;
 }
 
+// The four bytes at `p` as a big-endian word, so that words compare as
+// the byte strings do.
+uint32_t LoadKey(const char* p) { return __builtin_bswap32(LoadPrefix(p)); }
+
+// Ranges of at most this many keys (4 cache lines) are finished by a
+// count instead of a search: the loads are independent, so they overlap,
+// where each halving step waits on the previous one's load.
+constexpr int32_t kKeyScan = 64;
+
+// First index in [lo, hi) (non-empty) whose key is not below `key`, or
+// whose key is above it when `upper`. Branch-free: each step halves the
+// range with a conditional add instead of a mispredicted branch, and the
+// last kKeyScan or fewer keys are counted.
+template <bool upper>
+int32_t KeyBound(const uint32_t* keys, int32_t lo, int32_t hi, uint32_t key) {
+  const uint32_t* base = keys + lo;
+  int32_t len = hi - lo;
+  auto before = [key](uint32_t k) { return upper ? k <= key : k < key; };
+  while (len > kKeyScan) {
+    const int32_t half = len / 2;
+    base += before(base[half]) ? half : 0;
+    len -= half;
+  }
+  int32_t count = 0;
+  for (int32_t k = 0; k < len; ++k) count += before(base[k]) ? 1 : 0;
+  return static_cast<int32_t>(base - keys) + count;
+}
+
 }  // namespace
 
 SuffixMatcher::SuffixMatcher(std::string_view text, std::vector<int32_t> sa,
@@ -101,6 +129,25 @@ SuffixMatcher::SuffixMatcher(std::string_view text, std::vector<int32_t> sa,
   });
 }
 
+void SuffixMatcher::BuildMatchKeys() {
+  const char* t = text_.data();
+  const size_t n = sa_.size();
+  if (prefix_table_.empty() || n < 8 || !keys_.empty()) return;
+  keys_.resize(n);
+  int shorts = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t p = static_cast<size_t>(sa_[i]);
+    if (p + 8 <= n) {
+      keys_[i] = LoadKey(t + p + 4);
+      continue;
+    }
+    char padded[4] = {0, 0, 0, 0};
+    if (p + 4 < n) std::memcpy(padded, t + p + 4, n - p - 4);
+    keys_[i] = LoadKey(padded);
+    if (p + 4 <= n) short_ranks_[shorts++] = static_cast<int32_t>(i);
+  }
+}
+
 bool SuffixMatcher::Refine(int32_t* lb, int32_t* rb, int32_t offset,
                            uint8_t c) const {
   if (*lb > *rb) return false;
@@ -133,6 +180,41 @@ bool SuffixMatcher::Refine(int32_t* lb, int32_t* rb, int32_t offset,
   return true;
 }
 
+bool SuffixMatcher::KeyMatch(const char* pattern, int32_t lo, int32_t hi,
+                             Match* m, int32_t* match_lo,
+                             int32_t* match_hi) const {
+  const uint32_t* keys = keys_.data();
+  const uint32_t key = LoadKey(pattern + 4);
+  const int32_t i = KeyBound<false>(keys, lo, hi, key);
+  if (i < hi && keys[i] == key) {
+    *match_lo = i;
+    *match_hi = KeyBound<true>(keys, i, hi, key);
+    return false;
+  }
+  // No suffix shares bytes 4-7, so the keys on either side of the
+  // insertion point give the two candidate lengths: 4 plus the leading
+  // bytes their word shares with the pattern's.
+  auto shared = [key](uint32_t k) {
+    return 4 + (__builtin_clz(k ^ key) >> 3);
+  };
+  const int32_t below = i > lo ? shared(keys[i - 1]) : 0;
+  const int32_t above = i < hi ? shared(keys[i]) : 0;
+  if (above > below) {
+    *m = Match{sa_[i], above};
+    return true;
+  }
+  // Fig. 1's SA[lb]: the first suffix of the run whose key starts with
+  // the pattern's `below - 4` matched key bytes; with none, the run's
+  // first suffix.
+  if (below == 4) {
+    *m = Match{sa_[lo], 4};
+    return true;
+  }
+  const uint32_t head = key & ~(0xFFFFFFFFu >> (8 * (below - 4)));
+  *m = Match{sa_[KeyBound<false>(keys, lo, i, head)], below};
+  return true;
+}
+
 Match SuffixMatcher::LongestMatch(std::string_view pattern) const {
   Match m;
   // No match is longer than the text, so the clamp loses nothing and
@@ -149,7 +231,8 @@ Match SuffixMatcher::LongestMatch(std::string_view pattern) const {
   // suffix strictly inside shares at least min(llcp, rlcp) characters
   // with P, so each probe resumes its comparison there (Manber & Myers).
   // The ends start as sentinels whose lcp is what the whole interval is
-  // known to share with P: four bytes after a prefix-table hit, else none.
+  // known to share with P: eight bytes after a match-key hit, four after
+  // a prefix-table hit, else none.
   int32_t lo = -1;
   int32_t hi = n;
   int32_t llcp = 0;
@@ -159,12 +242,20 @@ Match SuffixMatcher::LongestMatch(std::string_view pattern) const {
     const size_t mask = prefix_table_.size() - 1;
     for (size_t i = PrefixHome(key); prefix_table_[i].hi != 0;
          i = (i + 1) & mask) {
-      if (prefix_table_[i].key == key) {
-        lo = prefix_table_[i].lo - 1;
-        hi = prefix_table_[i].hi;
-        llcp = rlcp = 4;
-        break;
+      const PrefixSlot& slot = prefix_table_[i];
+      if (slot.key != key) continue;
+      lo = slot.lo - 1;
+      hi = slot.hi;
+      llcp = rlcp = 4;
+      int32_t match_lo = 0;
+      if (plen >= 8 && !keys_.empty() &&
+          !HoldsShortSuffix(slot.lo, slot.hi)) {
+        if (KeyMatch(p, slot.lo, slot.hi, &m, &match_lo, &hi)) return m;
+        // The text search continues among the suffixes sharing 8 bytes.
+        lo = match_lo - 1;
+        llcp = rlcp = 8;
       }
+      break;
     }
   }
   const int32_t first = lo;

@@ -2,132 +2,148 @@
 
 #include <algorithm>
 #include <numeric>
+#include <type_traits>
 
 #include "util/logging.h"
 
 namespace rlz {
 namespace {
 
-void GetCounts(const int32_t* s, int32_t n, int32_t k,
-               std::vector<int32_t>* cnt) {
-  cnt->assign(k, 0);
-  for (int32_t i = 0; i < n; ++i) ++(*cnt)[s[i]];
-}
-
-// bkt[c] = start (end=false) or one-past-end (end=true) of bucket c.
-void GetBuckets(const std::vector<int32_t>& cnt, std::vector<int32_t>* bkt,
-                bool end) {
-  bkt->resize(cnt.size());
-  int32_t sum = 0;
-  for (size_t c = 0; c < cnt.size(); ++c) {
-    sum += cnt[c];
-    (*bkt)[c] = end ? sum : sum - cnt[c];
-  }
-}
-
-// Induces L-suffixes left-to-right, then S-suffixes right-to-left, from the
-// already-placed entries in sa (LMS positions or -1).
-void Induce(const int32_t* s, int32_t* sa, int32_t n, int32_t k,
-            const std::vector<bool>& is_s) {
-  std::vector<int32_t> cnt;
-  std::vector<int32_t> bkt;
-  GetCounts(s, n, k, &cnt);
-
-  GetBuckets(cnt, &bkt, /*end=*/false);
-  for (int32_t i = 0; i < n; ++i) {
-    const int32_t j = sa[i] - 1;
-    if (sa[i] > 0 && !is_s[j]) sa[bkt[s[j]]++] = j;
-  }
-
-  GetBuckets(cnt, &bkt, /*end=*/true);
-  for (int32_t i = n - 1; i >= 0; --i) {
-    const int32_t j = sa[i] - 1;
-    if (sa[i] > 0 && is_s[j]) sa[--bkt[s[j]]] = j;
-  }
-}
-
-// Core SA-IS over an integer alphabet [0, k). s[n-1] must be a unique
-// smallest sentinel (value 0).
-void SaIs(const int32_t* s, int32_t* sa, int32_t n, int32_t k) {
-  RLZ_DCHECK(n > 0 && s[n - 1] == 0);
+// SA-IS (Nong, Zhang, Chan 2009) over s[0, n), characters in [0, k),
+// into sa[0, n). The text ends in a virtual sentinel: the empty suffix
+// n sorts before every other suffix and is not stored. The top level
+// reads the text bytes as they are (Char = uint8_t); each recursion
+// level reads its reduced string of LMS-substring names (int32_t).
+template <typename Char>
+void SaIs(const Char* s, int32_t n, int32_t k, int32_t* sa) {
+  if (n == 0) return;
   if (n == 1) {
     sa[0] = 0;
     return;
   }
 
-  // Classify suffixes: is_s[i] == true iff suffix i is S-type.
-  std::vector<bool> is_s(n);
-  is_s[n - 1] = true;
+  // Each character with its suffix's type in the two low bits, kL or
+  // kS (S: smaller than the next suffix), so one random read in an
+  // induction scan yields both. The last suffix is L, as it is larger
+  // than the empty one. ct[-2] and ct[-1] are neither type: a scan that
+  // meets an empty entry (-1) or suffix 0 reads its predecessor there
+  // and skips it with no branch of its own. The scans' branches are on
+  // the text's types, which no predictor learns, so every branch not
+  // needed is gone: types, LMS positions and the LMS compaction are
+  // computed with bitwise operations on bools.
+  using Packed = typename std::conditional<sizeof(Char) == 1, uint16_t,
+                                           uint32_t>::type;
+  constexpr Packed kL = 1;
+  constexpr Packed kS = 2;
+  std::vector<Packed> ct_buf(n + 2, 0);
+  Packed* const ct = ct_buf.data() + 2;
+  // The LMS positions in text order, found in the same right-to-left
+  // pass: they fill lms_buf[cap - m, cap) backwards, each write
+  // unconditional and kept only if its position is LMS.
+  const int32_t cap = n / 2 + 1;
+  std::vector<int32_t> lms_buf(cap);
+  int32_t m = 0;
+  bool next_is_s = false;  // suffix n - 1 is L
+  ct[n - 1] = static_cast<Packed>((static_cast<Packed>(s[n - 1]) << 2) | kL);
   for (int32_t i = n - 2; i >= 0; --i) {
-    is_s[i] = s[i] < s[i + 1] || (s[i] == s[i + 1] && is_s[i + 1]);
+    const bool is_s = (s[i] < s[i + 1]) | ((s[i] == s[i + 1]) & next_is_s);
+    ct[i] = static_cast<Packed>((static_cast<Packed>(s[i]) << 2) |
+                                (is_s ? kS : kL));
+    lms_buf[cap - 1 - m] = i + 1;
+    m += next_is_s & !is_s;
+    next_is_s = is_s;
   }
-  auto is_lms = [&](int32_t i) { return i > 0 && is_s[i] && !is_s[i - 1]; };
+  const int32_t* const lms = lms_buf.data() + cap - m;
+  // False for -1 and 0 too, through the padding.
+  auto is_lms = [&](int32_t i) {
+    return ((ct[i] & kS) != 0) & ((ct[i - 1] & kL) != 0);
+  };
 
-  std::vector<int32_t> cnt;
-  std::vector<int32_t> bkt;
-  GetCounts(s, n, k, &cnt);
+  // Bucket c is sa[start[c], start[c + 1]); computed once per level.
+  std::vector<int32_t> start(k + 1, 0);
+  for (int32_t i = 0; i < n; ++i) ++start[s[i] + 1];
+  for (int32_t c = 0; c < k; ++c) start[c + 1] += start[c];
+  std::vector<int32_t> cursor(k);
 
-  // Stage 1: sort LMS substrings by one round of induced sorting.
-  std::fill(sa, sa + n, -1);
-  GetBuckets(cnt, &bkt, /*end=*/true);
-  for (int32_t i = 1; i < n; ++i) {
-    if (is_lms(i)) sa[--bkt[s[i]]] = i;
+  // Places the LMS suffixes lms[0, m) at their bucket ends (their order
+  // within a bucket kept), then induces the L-suffixes left to right and
+  // the S-suffixes right to left.
+  auto induce = [&](const int32_t* lms, int32_t m) {
+    std::fill(sa, sa + n, -1);
+    std::copy(start.begin() + 1, start.end(), cursor.begin());
+    for (int32_t j = m - 1; j >= 0; --j) sa[--cursor[s[lms[j]]]] = lms[j];
+    std::copy(start.begin(), start.end() - 1, cursor.begin());
+    // The sentinel comes first; its predecessor, n - 1, is L.
+    sa[cursor[s[n - 1]]++] = n - 1;
+    for (int32_t i = 0; i < n; ++i) {
+      const int32_t j = sa[i] - 1;
+      const Packed c = ct[j];
+      if (c & kL) sa[cursor[c >> 2]++] = j;
+    }
+    std::copy(start.begin() + 1, start.end(), cursor.begin());
+    for (int32_t i = n - 1; i >= 0; --i) {
+      const int32_t j = sa[i] - 1;
+      const Packed c = ct[j];
+      if (c & kS) sa[--cursor[c >> 2]] = j;
+    }
+  };
+
+  // Stage 1: sort the LMS substrings by one round of induced sorting.
+  if (m == 0) {
+    // All L (a non-increasing text): induction from the sentinel alone.
+    induce(nullptr, 0);
+    return;
   }
-  Induce(s, sa, n, k, is_s);
-
-  // Compact the sorted LMS positions into sa[0..n1).
-  int32_t n1 = 0;
+  induce(lms, m);
+  // The sorted LMS positions, compacted into sa[0, m) (branch-free).
+  int32_t kept = 0;
   for (int32_t i = 0; i < n; ++i) {
-    if (is_lms(sa[i])) sa[n1++] = sa[i];
+    const int32_t p = sa[i];
+    sa[kept] = p;
+    kept += is_lms(p);
   }
 
-  // Name each LMS substring; identical substrings get equal names.
-  std::fill(sa + n1, sa + n, -1);
-  int32_t name = 0;
-  int32_t prev = -1;
-  for (int32_t i = 0; i < n1; ++i) {
-    const int32_t pos = sa[i];
-    bool diff = false;
-    for (int32_t d = 0; d < n; ++d) {
-      if (prev == -1 || s[pos + d] != s[prev + d] ||
-          is_s[pos + d] != is_s[prev + d]) {
-        diff = true;
-        break;
-      }
-      if (d > 0 && (is_lms(pos + d) || is_lms(prev + d))) break;
-    }
-    if (diff) {
-      ++name;
-      prev = pos;
-    }
-    sa[n1 + pos / 2] = name - 1;
+  // Name the LMS substrings in sorted order; equal substrings share a
+  // name. A substring runs from its LMS position through the next one;
+  // the last runs into the sentinel and so equals no other (len 0 below).
+  // Equal characters over equal lengths imply equal types.
+  // by_half[p / 2] holds the next LMS position after p, then p's name
+  // (LMS positions are at least two apart).
+  std::vector<int32_t> by_half(n / 2 + 1);
+  for (int32_t j = 0; j < m; ++j) {
+    by_half[lms[j] / 2] = j + 1 < m ? lms[j + 1] : n;
   }
-  for (int32_t i = n - 1, j = n - 1; i >= n1; --i) {
-    if (sa[i] >= 0) sa[j--] = sa[i];
+  int32_t names = 0;
+  int32_t prev = 0;
+  int32_t prev_len = 0;  // 0: no previous substring
+  for (int32_t i = 0; i < m; ++i) {
+    const int32_t p = sa[i];
+    const int32_t end = by_half[p / 2];
+    const int32_t len = end < n ? end - p + 1 : 0;
+    names += len == 0 || len != prev_len ||
+             !std::equal(s + p, s + p + len, s + prev);
+    by_half[p / 2] = names - 1;
+    prev = p;
+    prev_len = len;
   }
 
-  // Stage 2: order the LMS suffixes, recursing if names are not unique.
-  int32_t* sa1 = sa;
-  int32_t* s1 = sa + n - n1;
-  if (name < n1) {
-    SaIs(s1, sa1, n1, name);
+  // Stage 2: order the LMS suffixes into sa[0, m), recursing if names
+  // are not unique.
+  std::vector<int32_t> s1(m);
+  for (int32_t j = 0; j < m; ++j) s1[j] = by_half[lms[j] / 2];
+  std::vector<int32_t>().swap(by_half);
+  int32_t* const sa1 = sa;
+  if (names < m) {
+    SaIs(s1.data(), m, names, sa1);
   } else {
-    for (int32_t i = 0; i < n1; ++i) sa1[s1[i]] = i;
+    for (int32_t j = 0; j < m; ++j) sa1[s1[j]] = j;
   }
 
-  // Stage 3: induce the full order from the sorted LMS suffixes.
-  for (int32_t i = 1, j = 0; i < n; ++i) {
-    if (is_lms(i)) s1[j++] = i;
-  }
-  for (int32_t i = 0; i < n1; ++i) sa1[i] = s1[sa1[i]];
-  std::fill(sa + n1, sa + n, -1);
-  GetBuckets(cnt, &bkt, /*end=*/true);
-  for (int32_t i = n1 - 1; i >= 0; --i) {
-    const int32_t j = sa[i];
-    sa[i] = -1;
-    sa[--bkt[s[j]]] = j;
-  }
-  Induce(s, sa, n, k, is_s);
+  // Stage 3: induce the full order from the sorted LMS suffixes, placed
+  // from s1 (no longer needed as the reduced string) since induce first
+  // clears sa.
+  for (int32_t j = 0; j < m; ++j) s1[j] = lms[sa1[j]];
+  induce(s1.data(), m);
 }
 
 }  // namespace
@@ -136,18 +152,10 @@ std::vector<int32_t> BuildSuffixArray(std::string_view text) {
   const size_t n = text.size();
   RLZ_CHECK_LE(n, static_cast<size_t>(INT32_MAX) - 1)
       << "text too large for int32 suffix array";
-  if (n == 0) return {};
-  // Shift the byte alphabet by one and append a unique 0 sentinel so the
-  // core algorithm never has to special-case text containing NUL bytes.
-  std::vector<int32_t> s(n + 1);
-  for (size_t i = 0; i < n; ++i) {
-    s[i] = static_cast<int32_t>(static_cast<uint8_t>(text[i])) + 1;
-  }
-  s[n] = 0;
-  std::vector<int32_t> sa(n + 1);
-  SaIs(s.data(), sa.data(), static_cast<int32_t>(n + 1), 257);
-  // sa[0] is the sentinel suffix; drop it.
-  return std::vector<int32_t>(sa.begin() + 1, sa.end());
+  std::vector<int32_t> sa(n);
+  SaIs(reinterpret_cast<const uint8_t*>(text.data()), static_cast<int32_t>(n),
+       256, sa.data());
+  return sa;
 }
 
 std::vector<int32_t> BuildSuffixArrayNaive(std::string_view text) {

@@ -106,28 +106,90 @@ uint32_t HashAt(const uint8_t* p) {
   return (v * kHashMul) >> (32 - kHashBits);
 }
 
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "MatchLength reads the first mismatch from the low byte");
+
+// Length of the common prefix of a and b, at most `max_len`. Compares 8
+// bytes per step: the lowest set byte of the XOR of two little-endian
+// words is the first mismatch. The loads are memcpy, which compiles to
+// one load; LoadLe64's byte loop did not fuse here and made the search
+// slower than the byte loop it replaces.
+size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t max_len) {
+  size_t l = 0;
+  while (l + 8 <= max_len) {
+    uint64_t x;
+    uint64_t y;
+    std::memcpy(&x, a + l, 8);
+    std::memcpy(&y, b + l, 8);
+    const uint64_t diff = x ^ y;
+    if (diff != 0) return l + (__builtin_ctzll(diff) >> 3);
+    l += 8;
+  }
+  while (l < max_len && a[l] == b[l]) ++l;
+  return l;
+}
+
+// Compress's per-thread working memory, kept across calls. The head
+// table holds absolute positions: a call's input starts at `base`, so an
+// entry below it is from an earlier call and reads as empty, and a call
+// never refills the 256 KB table. It is cleared only when the next call's
+// positions would pass 2^32. The chain links in `prev` are positions
+// within the call (-1 ends a chain), written before they are read.
+struct CompressState {
+  std::vector<uint32_t> head = std::vector<uint32_t>(1 << kHashBits, 0);
+  std::vector<int32_t> prev;
+  uint32_t base = 1;  // above every head entry; 0 is never a position
+  std::vector<Token> tokens;
+  std::vector<uint8_t> block;
+};
+
+CompressState& ThreadCompressState() {
+  thread_local CompressState state;
+  return state;
+}
+
+// Chains and tokens above this many elements are released after the
+// call, so one huge input does not pin its memory for the thread's life.
+// (The block buffer is bounded by kTokensPerBlock.)
+constexpr size_t kKeepElements = size_t{1} << 18;
+
 // LZ77 tokenizer with hash chains and optional one-step lazy matching.
 void Tokenize(std::string_view in, const GzipxOptions& options,
-              std::vector<Token>* tokens) {
+              CompressState* state) {
   const uint8_t* data = reinterpret_cast<const uint8_t*>(in.data());
   const size_t n = in.size();
+  std::vector<Token>* tokens = &state->tokens;
+  tokens->clear();
   tokens->reserve(n / 4);
 
-  std::vector<int32_t> head(1 << kHashBits, -1);
-  std::vector<int32_t> prev(n, -1);
+  RLZ_CHECK_LT(n, size_t{UINT32_MAX});
+  if (n > UINT32_MAX - state->base) {
+    std::fill(state->head.begin(), state->head.end(), 0);
+    state->base = 1;
+  }
+  const uint32_t base = state->base;
+  state->base += static_cast<uint32_t>(n);
+  uint32_t* const head = state->head.data();
+  if (state->prev.size() < n) state->prev.resize(n);
+  int32_t* const prev = state->prev.data();
+  // The call-relative position a head entry names, or -1 for one from an
+  // earlier call. Chain walks then follow `prev` with no base arithmetic.
+  auto relative = [base](uint32_t entry) {
+    return entry >= base ? static_cast<int32_t>(entry - base) : -1;
+  };
 
   auto insert = [&](size_t pos) {
     if (pos + 4 > n) return;
     const uint32_t h = HashAt(data + pos);
-    prev[pos] = head[h];
-    head[h] = static_cast<int32_t>(pos);
+    prev[pos] = relative(head[h]);
+    head[h] = base + static_cast<uint32_t>(pos);
   };
 
   auto find_match = [&](size_t pos) -> std::pair<int, int> {
     // Returns (len, dist); len < kMinMatch means none.
     if (pos + 4 > n) return {0, 0};
     const uint32_t h = HashAt(data + pos);
-    int32_t cand = head[h];
+    int32_t cand = relative(head[h]);
     const size_t max_len = std::min<size_t>(GzipxCompressor::kMaxMatch,
                                             n - pos);
     int best_len = 0;
@@ -142,8 +204,7 @@ void Tokenize(std::string_view in, const GzipxOptions& options,
         cand = prev[cand];
         continue;
       }
-      size_t l = 0;
-      while (l < max_len && data[cand + l] == data[pos + l]) ++l;
+      const size_t l = MatchLength(data + cand, data + pos, max_len);
       if (static_cast<int>(l) > best_len) {
         best_len = static_cast<int>(l);
         best_dist = static_cast<int>(dist);
@@ -240,8 +301,8 @@ class WordBitWriter {
 // lengths, then symbol bits) and returns its size. `buf` holds at least
 // MaxBlockBytes(end - begin) bytes.
 size_t EncodeBlock(const Token* begin, const Token* end, uint8_t* buf) {
-  std::vector<uint64_t> lit_freq(kNumLitLen, 0);
-  std::vector<uint64_t> dist_freq(kNumDist, 0);
+  uint64_t lit_freq[kNumLitLen] = {};
+  uint64_t dist_freq[kNumDist] = {};
   for (const Token* tk = begin; tk != end; ++tk) {
     if (tk->dist == 0) {
       ++lit_freq[tk->len_or_lit];
@@ -250,16 +311,20 @@ size_t EncodeBlock(const Token* begin, const Token* end, uint8_t* buf) {
       ++dist_freq[DistSlot(tk->dist)];
     }
   }
-  const std::vector<uint8_t> lit_lens = BuildHuffmanCodeLengths(lit_freq);
-  std::vector<uint8_t> dist_lens = BuildHuffmanCodeLengths(dist_freq);
+  uint8_t lit_lens[kNumLitLen];
+  uint8_t dist_lens[kNumDist];
+  BuildHuffmanCodeLengths(lit_freq, kNumLitLen, lit_lens);
+  BuildHuffmanCodeLengths(dist_freq, kNumDist, dist_lens);
   // The decoder requires at least one distance symbol to build a table;
   // pad with a dummy if the block is all literals.
-  if (std::all_of(dist_lens.begin(), dist_lens.end(),
+  if (std::all_of(dist_lens, dist_lens + kNumDist,
                   [](uint8_t l) { return l == 0; })) {
     dist_lens[0] = 1;
   }
-  const HuffmanEncoder lit_enc(lit_lens);
-  const HuffmanEncoder dist_enc(dist_lens);
+  uint16_t lit_codes[kNumLitLen];
+  uint16_t dist_codes[kNumDist];
+  CanonicalHuffmanCodes(lit_lens, kNumLitLen, lit_codes);
+  CanonicalHuffmanCodes(dist_lens, kNumDist, dist_codes);
 
   // The 316 4-bit code lengths, two per byte, low nibble first.
   uint8_t* p = buf;
@@ -278,25 +343,24 @@ size_t EncodeBlock(const Token* begin, const Token* end, uint8_t* buf) {
        len <= GzipxCompressor::kMaxMatch; ++len) {
     const int ls = LengthSlot(len);
     const uint32_t sym = 257 + static_cast<uint32_t>(ls);
-    if (lit_enc.length(sym) == 0) continue;  // no match of this slot
-    len_bits[len] = lit_enc.code(sym) |
+    if (lit_lens[sym] == 0) continue;  // no match of this slot
+    len_bits[len] = lit_codes[sym] |
                     (static_cast<uint32_t>(len - kLenBase[ls])
-                     << lit_enc.length(sym));
-    len_nbits[len] =
-        static_cast<uint8_t>(lit_enc.length(sym) + kLenExtra[ls]);
+                     << lit_lens[sym]);
+    len_nbits[len] = static_cast<uint8_t>(lit_lens[sym] + kLenExtra[ls]);
   }
 
   WordBitWriter w(p);
   for (const Token* tk = begin; tk != end; ++tk) {
     if (tk->dist == 0) {
-      w.Put(lit_enc.code(tk->len_or_lit), lit_enc.length(tk->len_or_lit));
+      w.Put(lit_codes[tk->len_or_lit], lit_lens[tk->len_or_lit]);
     } else {
       w.Put(len_bits[tk->len_or_lit], len_nbits[tk->len_or_lit]);
       const int ds = DistSlot(tk->dist);
-      w.Put(dist_enc.code(ds) |
+      w.Put(dist_codes[ds] |
                 (static_cast<uint32_t>(tk->dist - kDistBase[ds])
-                 << dist_enc.length(ds)),
-            dist_enc.length(ds) + kDistExtra[ds]);
+                 << dist_lens[ds]),
+            dist_lens[ds] + kDistExtra[ds]);
     }
     w.Flush();
   }
@@ -429,15 +493,15 @@ void GzipxCompressor::Compress(std::string_view in, std::string* out) const {
   out->push_back(static_cast<char>(kMagic));
   VByteCodec::Put(static_cast<uint32_t>(in.size()), out);
 
-  std::vector<Token> tokens;
-  Tokenize(in, options_, &tokens);
-  std::vector<uint8_t> block(
-      MaxBlockBytes(std::min(tokens.size(), kTokensPerBlock)));
+  CompressState& state = ThreadCompressState();
+  Tokenize(in, options_, &state);
+  const std::vector<Token>& tokens = state.tokens;
+  std::vector<uint8_t>& block = state.block;
+  block.resize(MaxBlockBytes(std::min(tokens.size(), kTokensPerBlock)));
 
   size_t tok_i = 0;
   size_t in_off = 0;
-  while (tok_i < tokens.size() || (in.empty() && tok_i == 0)) {
-    if (in.empty()) break;
+  while (tok_i < tokens.size()) {
     const size_t tok_end = std::min(tokens.size(), tok_i + kTokensPerBlock);
     // Uncompressed span covered by this token chunk.
     size_t span = 0;
@@ -463,6 +527,12 @@ void GzipxCompressor::Compress(std::string_view in, std::string* out) const {
     }
     in_off += span;
     tok_i = tok_end;
+  }
+  if (state.prev.size() > kKeepElements) {
+    std::vector<int32_t>().swap(state.prev);
+  }
+  if (state.tokens.capacity() > kKeepElements) {
+    std::vector<Token>().swap(state.tokens);
   }
 
   const uint32_t crc = Crc32(in);
@@ -574,5 +644,17 @@ Status GzipxCompressor::Decompress(std::string_view in, std::string* out,
   if (want != got) return fail(Status::Corruption("gzipx: crc mismatch"));
   return Status::OK();
 }
+
+namespace gzipx_testing {
+
+uint32_t PositionBase() { return ThreadCompressState().base; }
+
+void RaisePositionBase(uint32_t base) {
+  CompressState& state = ThreadCompressState();
+  RLZ_CHECK_GE(base, state.base);
+  state.base = base;
+}
+
+}  // namespace gzipx_testing
 
 }  // namespace rlz

@@ -73,6 +73,19 @@ class GzipxCompressor final : public Compressor {
   GzipxOptions options_;
 };
 
+/// Test access to the calling thread's compressor state. Compress keeps
+/// its hash chains across calls, tagged by a position base that each call
+/// advances by its input size, and clears them only when a call's input
+/// would carry the base past 2^32.
+namespace gzipx_testing {
+/// The base the next Compress on this thread starts from.
+uint32_t PositionBase();
+/// Moves the base up to `base` (never down, so no live entry is
+/// mistaken for a current one): a base near 2^32 makes the next Compress
+/// take the table-clearing branch.
+void RaisePositionBase(uint32_t base);
+}  // namespace gzipx_testing
+
 }  // namespace rlz
 
 #endif  // RLZ_ZIP_GZIPX_H_

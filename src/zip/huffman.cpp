@@ -24,30 +24,82 @@ constexpr std::array<uint16_t, 1 << kRootBits> BuildReverseRoot() {
 constexpr std::array<uint16_t, 1 << kRootBits> kReverseRoot =
     BuildReverseRoot();
 
-uint32_t ReverseBits(uint32_t v, int nbits) {
-  uint32_t r = 0;
-  for (int i = 0; i < nbits; ++i) {
-    r = (r << 1) | (v & 1);
-    v >>= 1;
+// kReverseByte[b] is b with its 8 bits reversed.
+constexpr std::array<uint8_t, 256> BuildReverseByte() {
+  std::array<uint8_t, 256> r{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t v = 0;
+    for (int b = 0; b < 8; ++b) v |= ((i >> b) & 1) << (7 - b);
+    r[i] = static_cast<uint8_t>(v);
   }
   return r;
+}
+constexpr std::array<uint8_t, 256> kReverseByte = BuildReverseByte();
+
+// The low `nbits` (at most 16) bits of v, reversed.
+uint32_t ReverseBits(uint32_t v, int nbits) {
+  const uint32_t r16 = (static_cast<uint32_t>(kReverseByte[v & 0xFF]) << 8) |
+                       kReverseByte[(v >> 8) & 0xFF];
+  return r16 >> (16 - nbits);
+}
+
+// Sorts the leaf ids 0..m-1 (m >= 2) by (weight, id) into `leaves`: an
+// LSD radix sort of (weight << id_bits | id) keys, one 8-bit digit per
+// pass up to the largest key's top byte, so no pass branches on a
+// comparison: a gzipx block builds two codes, and comparison sorts of
+// its ~286 leaves mispredicted on frequencies enough to dominate the
+// build (EXPERIMENTS.md "Seal CPU"). `keys` holds 2m entries. A weight
+// too large to leave room for the id falls back to a comparison sort.
+void SortLeaves(const uint64_t* weight, size_t m, uint32_t* leaves,
+                uint64_t* keys) {
+  int id_bits = 1;
+  while ((size_t{1} << id_bits) < m) ++id_bits;
+  const uint64_t max_weight = *std::max_element(weight, weight + m);
+  if ((max_weight >> (64 - id_bits)) != 0) {
+    for (size_t i = 0; i < m; ++i) leaves[i] = static_cast<uint32_t>(i);
+    std::sort(leaves, leaves + m, [&](uint32_t a, uint32_t b) {
+      return weight[a] != weight[b] ? weight[a] < weight[b] : a < b;
+    });
+    return;
+  }
+  uint64_t* from = keys;
+  uint64_t* to = keys + m;
+  for (size_t i = 0; i < m; ++i) from[i] = (weight[i] << id_bits) | i;
+  const uint64_t max_key = (max_weight << id_bits) | (m - 1);
+  for (int shift = 0; shift < 64 && (max_key >> shift) != 0; shift += 8) {
+    size_t start[257] = {};
+    for (size_t i = 0; i < m; ++i) ++start[((from[i] >> shift) & 0xFF) + 1];
+    for (int d = 0; d < 256; ++d) start[d + 1] += start[d];
+    for (size_t i = 0; i < m; ++i) {
+      to[start[(from[i] >> shift) & 0xFF]++] = from[i];
+    }
+    std::swap(from, to);
+  }
+  const uint64_t id_mask = (uint64_t{1} << id_bits) - 1;
+  for (size_t i = 0; i < m; ++i) {
+    leaves[i] = static_cast<uint32_t>(from[i] & id_mask);
+  }
 }
 
 }  // namespace
 
-std::vector<uint8_t> BuildHuffmanCodeLengths(const std::vector<uint64_t>& freqs,
-                                             int max_bits) {
-  const size_t n = freqs.size();
-  std::vector<uint8_t> lengths(n, 0);
-
-  std::vector<size_t> used;
+void BuildHuffmanCodeLengths(const uint64_t* freqs, size_t n,
+                             uint8_t* lengths, int max_bits) {
+  RLZ_CHECK_LE(n, kMaxHuffmanSymbols);
+  uint32_t used[kMaxHuffmanSymbols];
+  uint32_t leaves[kMaxHuffmanSymbols];
+  uint64_t keys[2 * kMaxHuffmanSymbols];
+  uint64_t weight[2 * kMaxHuffmanSymbols];
+  uint32_t parent[2 * kMaxHuffmanSymbols];
+  std::fill(lengths, lengths + n, 0);
+  size_t m = 0;
   for (size_t s = 0; s < n; ++s) {
-    if (freqs[s] > 0) used.push_back(s);
+    if (freqs[s] > 0) used[m++] = static_cast<uint32_t>(s);
   }
-  if (used.empty()) return lengths;
-  if (used.size() == 1) {
+  if (m == 0) return;
+  if (m == 1) {
     lengths[used[0]] = 1;
-    return lengths;
+    return;
   }
 
   // Huffman tree by the two-queue construction. Node ids: the leaves
@@ -57,17 +109,8 @@ std::vector<uint8_t> BuildHuffmanCodeLengths(const std::vector<uint64_t>& freqs,
   // tie the leaf goes first, as its id is smaller: nodes leave the two
   // queues in the (freq, id) order of a min-heap over all nodes, so the
   // tree and every code length match a heap construction's.
-  const size_t m = used.size();
-  std::vector<uint64_t> weight(2 * m - 1);
-  std::vector<uint32_t> parent(2 * m - 1);
-  std::vector<uint32_t> leaves(m);
-  for (size_t i = 0; i < m; ++i) {
-    weight[i] = freqs[used[i]];
-    leaves[i] = static_cast<uint32_t>(i);
-  }
-  std::stable_sort(leaves.begin(), leaves.end(), [&](uint32_t a, uint32_t b) {
-    return weight[a] < weight[b];
-  });
+  for (size_t i = 0; i < m; ++i) weight[i] = freqs[used[i]];
+  SortLeaves(weight, m, leaves, keys);
   size_t next_leaf = 0;
   size_t next_node = m;
   for (size_t node = m; node < 2 * m - 1; ++node) {
@@ -93,7 +136,7 @@ std::vector<uint8_t> BuildHuffmanCodeLengths(const std::vector<uint64_t>& freqs,
   for (size_t i = 2 * m - 2; i-- > 0;) parent[i] = parent[parent[i]] + 1;
 
   // Histogram of code lengths, clamped to max_bits.
-  std::vector<int> num_codes(max_bits + 1, 0);
+  int num_codes[kMaxHuffmanBits + 1] = {};
   for (size_t i = 0; i < m; ++i) {
     ++num_codes[std::min(static_cast<int>(parent[i]), max_bits)];
   }
@@ -118,43 +161,44 @@ std::vector<uint8_t> BuildHuffmanCodeLengths(const std::vector<uint64_t>& freqs,
     --total;
   }
 
-  // Assign lengths: most frequent symbol gets the shortest length.
-  std::vector<size_t> order(used.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return freqs[used[a]] > freqs[used[b]];
-  });
-  size_t k = 0;
-  for (int len = 1; len <= max_bits; ++len) {
-    for (int c = 0; c < num_codes[len]; ++c) {
-      RLZ_CHECK_LT(k, order.size());
-      lengths[used[order[k++]]] = static_cast<uint8_t>(len);
+  // Assign lengths: most frequent symbol gets the shortest length, ties
+  // to the lower symbol. That order is `leaves` backwards, except that
+  // each run of equal weights keeps its ascending ids.
+  int len = 1;
+  int left = num_codes[1];
+  size_t hi = m;
+  while (hi > 0) {
+    size_t lo = hi - 1;
+    while (lo > 0 && weight[leaves[lo - 1]] == weight[leaves[hi - 1]]) --lo;
+    for (size_t k = lo; k < hi; ++k) {
+      while (left == 0) {
+        RLZ_CHECK_LT(len, max_bits);
+        left = num_codes[++len];
+      }
+      lengths[used[leaves[k]]] = static_cast<uint8_t>(len);
+      --left;
     }
+    hi = lo;
   }
-  RLZ_CHECK_EQ(k, order.size());
-  return lengths;
 }
 
-HuffmanEncoder::HuffmanEncoder(const std::vector<uint8_t>& lengths)
-    : lengths_(lengths) {
-  const size_t n = lengths.size();
-  codes_.assign(n, 0);
+void CanonicalHuffmanCodes(const uint8_t* lengths, size_t n,
+                           uint16_t* codes) {
   // Canonical code assignment: codes of equal length are consecutive,
   // ordered by symbol.
-  std::vector<int> count(kMaxHuffmanBits + 1, 0);
-  for (uint8_t l : lengths) {
-    if (l > 0) ++count[l];
-  }
-  std::vector<uint32_t> next(kMaxHuffmanBits + 2, 0);
+  uint32_t count[kMaxHuffmanBits + 1] = {};
+  for (size_t s = 0; s < n; ++s) ++count[lengths[s]];
+  count[0] = 0;
+  uint32_t next[kMaxHuffmanBits + 1] = {};
   uint32_t code = 0;
   for (int l = 1; l <= kMaxHuffmanBits; ++l) {
     code = (code + count[l - 1]) << 1;
     next[l] = code;
   }
   for (size_t s = 0; s < n; ++s) {
-    if (lengths[s] == 0) continue;
-    codes_[s] =
-        static_cast<uint16_t>(ReverseBits(next[lengths[s]]++, lengths[s]));
+    const int len = lengths[s];
+    codes[s] = len == 0 ? 0
+                        : static_cast<uint16_t>(ReverseBits(next[len]++, len));
   }
 }
 

@@ -13,37 +13,27 @@ namespace rlz {
 /// Maximum Huffman code length supported by the encoder/decoder tables.
 inline constexpr int kMaxHuffmanBits = 15;
 
-/// Computes length-limited Huffman code lengths for `freqs` (0 for unused
-/// symbols). Builds the tree from two sorted queues (the leaves, and the
-/// internal nodes in creation order), then runs the zlib/miniz
-/// Kraft-repair pass to enforce `max_bits`. Symbols with nonzero frequency
-/// always receive a length in [1, max_bits]. If only one symbol is used it
-/// gets length 1.
-std::vector<uint8_t> BuildHuffmanCodeLengths(const std::vector<uint64_t>& freqs,
-                                             int max_bits = kMaxHuffmanBits);
+/// Largest alphabet BuildHuffmanCodeLengths takes: deflate's 286
+/// literal/length symbols, rounded up. Its work space lives on the stack,
+/// so gzipx's two codes per block allocate nothing.
+inline constexpr size_t kMaxHuffmanSymbols = 288;
 
-/// Canonical Huffman encoder: assigns canonical codes from lengths and
-/// writes bit-reversed codes through a BitWriter (LSB-first stream, the
-/// deflate convention).
-class HuffmanEncoder {
- public:
-  /// `lengths[s]` is the code length of symbol s (0 = unused).
-  explicit HuffmanEncoder(const std::vector<uint8_t>& lengths);
+/// Computes length-limited Huffman code lengths for freqs[0, n) (0 for
+/// unused symbols) into lengths[0, n), n at most kMaxHuffmanSymbols.
+/// Builds the tree from two sorted queues (the leaves, and the internal
+/// nodes in creation order), then runs the zlib/miniz Kraft-repair pass
+/// to enforce `max_bits`. Symbols with nonzero frequency always receive a
+/// length in [1, max_bits]. If only one symbol is used it gets length 1.
+void BuildHuffmanCodeLengths(const uint64_t* freqs, size_t n,
+                             uint8_t* lengths,
+                             int max_bits = kMaxHuffmanBits);
 
-  void Write(BitWriter* bw, uint32_t symbol) const {
-    RLZ_DCHECK_LT(symbol, codes_.size());
-    RLZ_DCHECK(lengths_[symbol] > 0);
-    bw->WriteBits(codes_[symbol], lengths_[symbol]);
-  }
-
-  uint8_t length(uint32_t symbol) const { return lengths_[symbol]; }
-  /// The bit-reversed code of `symbol`, ready for an LSB-first stream.
-  uint16_t code(uint32_t symbol) const { return codes_[symbol]; }
-
- private:
-  std::vector<uint16_t> codes_;  // bit-reversed canonical codes
-  std::vector<uint8_t> lengths_;
-};
+/// Bit-reversed canonical codes for lengths[0, n) into codes[0, n)
+/// (unused symbols get 0): codes of equal length are consecutive and
+/// ordered by symbol, reversed for an LSB-first stream (the deflate
+/// convention), so symbol s is written as the low lengths[s] bits of
+/// codes[s].
+void CanonicalHuffmanCodes(const uint8_t* lengths, size_t n, uint16_t* codes);
 
 /// Table-driven canonical Huffman decoder. Codes of up to kRootBits bits
 /// resolve through a single root-table lookup; longer (rare) codes fall

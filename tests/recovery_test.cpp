@@ -17,6 +17,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -201,6 +202,50 @@ class CreateLogFs final : public ForwardingFs {
  private:
   std::mutex mu_;
   std::vector<std::string> created_;
+};
+
+// Counts the bytes read from and the creations of WAL segment files, by
+// file name: which segments a checkpoint's GC read back.
+class SegmentReadCountFs final : public ForwardingFs {
+ public:
+  using ForwardingFs::ForwardingFs;
+
+  StatusOr<std::string> Read(const std::string& path) const override {
+    StatusOr<std::string> bytes = ForwardingFs::Read(path);
+    const std::string name = path.substr(path.find_last_of('/') + 1);
+    uint64_t seq = 0;
+    if (bytes.ok() && wal::ParseSegmentFileName(name, &seq)) {
+      std::lock_guard<std::mutex> lock(mu_);
+      read_[seq] += bytes->size();
+    }
+    return bytes;
+  }
+  StatusOr<std::unique_ptr<WritableFile>> Create(
+      const std::string& path) override {
+    const std::string name = path.substr(path.find_last_of('/') + 1);
+    uint64_t seq = 0;
+    if (wal::ParseSegmentFileName(name, &seq)) {
+      std::lock_guard<std::mutex> lock(mu_);
+      created_.push_back(seq);
+    }
+    return ForwardingFs::Create(path);
+  }
+
+  // Segment seq -> bytes read since the last call, and forgets them.
+  std::map<uint64_t, uint64_t> TakeReads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(read_, {});
+  }
+  // Segments created since the last call, and forgets them.
+  std::vector<uint64_t> TakeCreated() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(created_, {});
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::map<uint64_t, uint64_t> read_;
+  std::vector<uint64_t> created_;
 };
 
 // Fails one write or one fsync of a WAL segment file once, when armed: a
@@ -1075,6 +1120,62 @@ TEST(RecoveryTest, CheckpointPrunesWalAndReopens) {
     ASSERT_TRUE(reopened->Get(base + i, &doc).ok());
     EXPECT_EQ(doc, docs[i]);
   }
+}
+
+TEST(RecoveryTest, PostSealCheckpointReadsNoSegmentThisProcessWrote) {
+  // GC needs each segment's start LSN. Those of the segments the live
+  // WAL writer created come from the writer; only a segment an earlier
+  // process left is read back, for its header.
+  const Collection collection = TestCollection(1 << 18, 243);
+  auto fault = std::make_shared<FaultFs>();
+  auto fs = std::make_shared<SegmentReadCountFs>(fault);
+  ShardedStoreOptions options;
+  options.num_shards = 2;
+  options.dict_bytes = 1 << 14;
+  options.live.tail_seal_bytes = 0;
+  auto store = ShardedStore::Build(collection, options);
+  ASSERT_TRUE(store->MakeDurable("/store", {}, fs).ok());
+  for (int seal = 0; seal < 3; ++seal) {
+    for (const std::string& doc : SmallDocs(4)) {
+      ASSERT_TRUE(store->Append(doc).ok());
+    }
+    ASSERT_TRUE(store->SealTail().ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+  }
+  EXPECT_EQ(fs->TakeReads(), (std::map<uint64_t, uint64_t>{}));
+  // Every segment but the live one is gone.
+  EXPECT_GE(fs->TakeCreated().size(), 7u);
+  const std::vector<std::string> names = *fault->List("/store");
+  EXPECT_EQ(std::count_if(names.begin(), names.end(),
+                          [](const std::string& name) {
+                            uint64_t seq = 0;
+                            return wal::ParseSegmentFileName(name, &seq);
+                          }),
+            1);
+  for (const std::string& doc : SmallDocs(2)) {
+    ASSERT_TRUE(store->Append(doc).ok());
+  }
+  store.reset();
+
+  // After a reopen, the first checkpoint reads the header of the segment
+  // the first process left (replay read it too) and none it wrote itself.
+  auto reopened_or = ShardedStore::OpenDurable("/store", {}, {}, fs);
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  auto reopened = std::move(reopened_or).value();
+  fs->TakeReads();
+  const std::vector<uint64_t> opened = fs->TakeCreated();
+  ASSERT_EQ(opened.size(), 1u);
+  for (const std::string& doc : SmallDocs(3)) {
+    ASSERT_TRUE(reopened->Append(doc).ok());
+  }
+  ASSERT_TRUE(reopened->SealTail().ok());
+  std::map<uint64_t, uint64_t> reads = fs->TakeReads();
+  const std::vector<uint64_t> created = fs->TakeCreated();
+  EXPECT_EQ(reads.size(), 1u);
+  EXPECT_LT(reads.begin()->first, opened[0]);
+  for (const uint64_t seq : created) EXPECT_EQ(reads.count(seq), 0u) << seq;
+  ASSERT_TRUE(reopened->Checkpoint().ok());
+  EXPECT_EQ(fs->TakeReads(), (std::map<uint64_t, uint64_t>{}));
 }
 
 TEST(RecoveryTest, CheckpointsWriteOnlyShardsNoCheckpointHolds) {

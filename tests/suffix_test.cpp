@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dictionary.h"
+#include "corpus/generator.h"
 #include "fig1_reference.h"
 #include "suffix/matcher.h"
 #include "suffix/suffix_array.h"
@@ -100,6 +102,88 @@ INSTANTIATE_TEST_SUITE_P(
                       SaCase{"repetitive", 800, 3},
                       SaCase{"large_binary", 3000, 2}),
     [](const auto& info) { return info.param.name; });
+
+// SA-IS against the sort-based reference, and IsValidSuffixArray, on one
+// text.
+void ExpectSaIsMatchesNaive(const std::string& s, const std::string& label) {
+  const std::vector<int32_t> sa = BuildSuffixArray(s);
+  ASSERT_EQ(sa, BuildSuffixArrayNaive(s)) << label;
+  ASSERT_TRUE(IsValidSuffixArray(s, sa)) << label;
+}
+
+TEST(SuffixArrayTest, EverySizeUpTo64) {
+  // Small texts hit every early exit of the recursion: no LMS position,
+  // one, or names that are all unique on the first level.
+  Rng rng(64);
+  for (size_t n = 1; n <= 64; ++n) {
+    for (const int alphabet : {1, 2, 3, 256}) {
+      for (int iter = 0; iter < 4; ++iter) {
+        std::string s(n, '\0');
+        for (auto& c : s) c = static_cast<char>(rng.Uniform(alphabet));
+        ExpectSaIsMatchesNaive(s, "n=" + std::to_string(n) + " alphabet=" +
+                                      std::to_string(alphabet));
+      }
+    }
+    // Strictly decreasing and increasing texts: all L, all S but the last.
+    std::string down(n, '\0');
+    std::string up(n, '\0');
+    for (size_t i = 0; i < n; ++i) {
+      down[i] = static_cast<char>(200 - i);
+      up[i] = static_cast<char>(10 + i);
+    }
+    ExpectSaIsMatchesNaive(down, "decreasing n=" + std::to_string(n));
+    ExpectSaIsMatchesNaive(up, "increasing n=" + std::to_string(n));
+  }
+}
+
+TEST(SuffixArrayTest, AllEqualBytesOfEverySize) {
+  for (const size_t n : {1, 2, 3, 7, 8, 9, 63, 64, 65, 1000, 4097}) {
+    for (const char c : {'\0', 'a', '\xFF'}) {
+      ExpectSaIsMatchesNaive(std::string(n, c),
+                             "all-equal n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(SuffixArrayTest, NulAndFfRuns) {
+  // Runs of the smallest and the largest byte, of random lengths: long
+  // equal-character runs make long L and S runs and equal LMS substrings.
+  Rng rng(255);
+  for (int iter = 0; iter < 20; ++iter) {
+    std::string s;
+    while (s.size() < 2000) {
+      const char c = rng.Uniform(2) == 0 ? '\0' : '\xFF';
+      s.append(1 + rng.Uniform(iter < 10 ? 4 : 40), c);
+      if (rng.Uniform(8) == 0) s.push_back('a');
+    }
+    ExpectSaIsMatchesNaive(s, "runs iter " + std::to_string(iter));
+  }
+}
+
+TEST(SuffixArrayTest, RandomSmallAlphabetTexts) {
+  Rng rng(3);
+  for (const size_t n : {100, 1000, 5000, 20000}) {
+    for (const int alphabet : {2, 3, 4}) {
+      ExpectSaIsMatchesNaive(RandomString(rng, n, alphabet),
+                             "n=" + std::to_string(n) + " alphabet=" +
+                                 std::to_string(alphabet));
+    }
+  }
+}
+
+TEST(SuffixArrayTest, SampledDictionary) {
+  // A 170 KB dictionary sampled from a generated web corpus, the size of
+  // a 64 MB store's per-shard append dictionary: boilerplate shared
+  // across pages gives it deep recursion levels.
+  CorpusOptions options;
+  options.target_bytes = 4u << 20;
+  options.seed = 20110613;
+  const Corpus corpus = GenerateCorpus(options);
+  const std::unique_ptr<Dictionary> dict = DictionaryBuilder::BuildSampled(
+      corpus.collection.data(), 171000, 1024);
+  ASSERT_GT(dict->size(), 160000u);
+  ExpectSaIsMatchesNaive(std::string(dict->text()), "sampled dictionary");
+}
 
 TEST(SuffixArrayTest, PeriodicStrings) {
   for (const char* pat : {"ab", "abc", "aab", "abab"}) {
@@ -238,27 +322,39 @@ TEST(MatcherTest, SingleCharText) {
 
 // Runs every pattern through both matchers (shared suffix array, built
 // once) and requires the Fig. 1 reference's Match from each.
+// Three matchers: no table, the prefix table, and the table with match
+// keys.
 void CrossCheckMatchers(const std::string& text,
                         const std::vector<std::string>& patterns,
                         const char* label) {
   const std::vector<int32_t> sa = BuildSuffixArray(text);
-  for (const bool table : {true, false}) {
-    const SuffixMatcher matcher(text, sa, table);
-    // The prefix table never outgrows the SA.
+  for (const int arm : {0, 1, 2}) {
+    const bool table = arm > 0;
+    SuffixMatcher matcher(text, sa, table);
+    if (arm == 2) matcher.BuildMatchKeys();
+    const char* name =
+        arm == 0 ? " (no table)" : arm == 1 ? " (table)" : " (keys)";
+    // The prefix table never outgrows the SA; the keys take 4 bytes per
+    // text byte when built.
     ASSERT_LE(matcher.prefix_table_bytes(), sa.size() * sizeof(int32_t))
         << label;
     if (!table) {
       ASSERT_EQ(matcher.prefix_table_bytes(), 0u) << label;
     }
+    const bool keyed = arm == 2 && matcher.prefix_table_bytes() > 0 &&
+                       text.size() >= 8;
+    ASSERT_EQ(matcher.match_keys_bytes(),
+              keyed ? text.size() * sizeof(uint32_t) : 0u)
+        << label;
     for (const std::string& pattern : patterns) {
       const Match got = matcher.LongestMatch(pattern);
       const Match want = Fig1LongestMatch(matcher, pattern);
       ASSERT_EQ(got.len, want.len)
-          << label << (table ? " (table)" : " (no table)")
-          << ": length diverged on pattern of size " << pattern.size();
+          << label << name << ": length diverged on pattern of size "
+          << pattern.size();
       ASSERT_EQ(got.pos, want.pos)
-          << label << (table ? " (table)" : " (no table)")
-          << ": position diverged on pattern of size " << pattern.size();
+          << label << name << ": position diverged on pattern of size "
+          << pattern.size();
     }
   }
 }
@@ -470,6 +566,119 @@ TEST(MatcherPropertyTest, PrefixTableMemoryBoundOnRandomBytes) {
     patterns.push_back(text.substr(pos, 4 + rng.Uniform(12)));
   }
   CrossCheckMatchers(text, patterns, "random bytes");
+}
+
+// Every pattern of exactly 4 to 9 bytes taken from `text`, each also
+// with its last byte changed, plus random ones over `alphabet`.
+std::vector<std::string> KeyLengthPatterns(const std::string& text,
+                                           const std::string& alphabet,
+                                           Rng& rng) {
+  std::vector<std::string> patterns;
+  for (size_t len = 4; len <= 9; ++len) {
+    for (int i = 0; i < 60 && text.size() >= len; ++i) {
+      std::string p = text.substr(rng.Uniform(text.size() - len + 1), len);
+      patterns.push_back(p);
+      p.back() = alphabet[rng.Uniform(alphabet.size())];
+      patterns.push_back(p);
+    }
+    for (int i = 0; i < 40; ++i) {
+      std::string p(len, '\0');
+      for (auto& c : p) c = alphabet[rng.Uniform(alphabet.size())];
+      patterns.push_back(p);
+    }
+  }
+  return patterns;
+}
+
+TEST(MatcherPropertyTest, MatchKeysOnSmallAlphabets) {
+  // Over 2-3 letters most suffixes of a 4-byte run also share bytes 4-7,
+  // so equal keys are common and the text search inside them runs often.
+  Rng rng(808);
+  for (const int alphabet : {2, 3}) {
+    const std::string letters = std::string("abc").substr(0, alphabet);
+    const std::string text = RandomString(rng, 3000, alphabet);
+    std::vector<std::string> patterns = StressPatterns(text, rng);
+    const std::vector<std::string> keyed =
+        KeyLengthPatterns(text, letters, rng);
+    patterns.insert(patterns.end(), keyed.begin(), keyed.end());
+    CrossCheckMatchers(text, patterns, "small alphabet");
+  }
+}
+
+TEST(MatcherPropertyTest, MatchKeysWithNulAndFfBytes) {
+  // 0x00 and 0xFF are the ends of the key order, and 0x00 is also the
+  // padding of a short suffix's key.
+  Rng rng(909);
+  const std::string alphabet("\0\xFF" "a", 3);
+  std::string text;
+  while (text.size() < 3000) {
+    text.append(1 + rng.Uniform(9), alphabet[rng.Uniform(3)]);
+  }
+  std::vector<std::string> patterns = StressPatterns(text, rng);
+  const std::vector<std::string> keyed = KeyLengthPatterns(text, alphabet, rng);
+  patterns.insert(patterns.end(), keyed.begin(), keyed.end());
+  for (const char c : alphabet) {
+    for (size_t len = 4; len <= 12; ++len) {
+      patterns.push_back(std::string(len, c));
+    }
+  }
+  CrossCheckMatchers(text, patterns, "nul/ff");
+}
+
+TEST(MatcherPropertyTest, MatchKeysRunHoldingShortSuffix) {
+  // "wxyz" starts many suffixes, and the text ends in "wxyz" plus 0 to 3
+  // more bytes, so the run also holds a suffix of 4 to 7 bytes whose key
+  // is zero-padded: a pattern continuing with NULs gives both the same
+  // key, and the matcher must search that run in the text instead.
+  Rng rng(1010);
+  for (size_t tail = 0; tail <= 3; ++tail) {
+    std::string text = RandomString(rng, 1500, 3);
+    for (int i = 0; i < 40; ++i) {
+      text.insert(rng.Uniform(text.size()),
+                  std::string("wxyz") + static_cast<char>('a' + i % 3) +
+                      std::string(i % 4, '\0') + "b");
+    }
+    const std::string end = std::string("wxyz") + std::string("abc", tail);
+    text += end;
+    std::vector<std::string> patterns = {end, end + "a", end + "b"};
+    for (size_t pad = 1; pad <= 5; ++pad) {
+      patterns.push_back(end + std::string(pad, '\0'));
+      patterns.push_back(end + std::string(pad, '\0') + "b");
+      patterns.push_back(end.substr(0, 4 + tail / 2) +
+                         std::string(pad, '\0'));
+    }
+    for (const char c : {'a', 'b', 'c'}) {
+      patterns.push_back(std::string("wxyz") + c + std::string(4, '\0'));
+      patterns.push_back(std::string("wxyz") + c + "\0\0b");
+    }
+    const std::vector<std::string> keyed =
+        KeyLengthPatterns(text, std::string("abcwxyz\0", 8), rng);
+    patterns.insert(patterns.end(), keyed.begin(), keyed.end());
+    CrossCheckMatchers(text, patterns, "short suffix in run");
+  }
+}
+
+TEST(MatcherPropertyTest, MatchKeysOnSampledDictionary) {
+  // The store's case: a sampled web dictionary against patterns of 4 to
+  // 9 bytes and documents of another seed's corpus.
+  CorpusOptions options;
+  options.target_bytes = 2u << 20;
+  options.seed = 7;
+  const std::unique_ptr<Dictionary> dict = DictionaryBuilder::BuildSampled(
+      GenerateCorpus(options).collection.data(), 64 << 10, 1024);
+  options.seed = 8;
+  const Corpus other = GenerateCorpus(options);
+  const std::string text(dict->text());
+  Rng rng(1111);
+  std::vector<std::string> patterns =
+      KeyLengthPatterns(text, "<>/ abcdefghijklmnopqrstuvwxyz", rng);
+  for (int i = 0; i < 400; ++i) {
+    const std::string_view doc =
+        other.collection.doc(rng.Uniform(other.collection.num_docs()));
+    const size_t pos = rng.Uniform(doc.size());
+    patterns.push_back(std::string(doc.substr(pos, 64)));
+  }
+  CrossCheckMatchers(text, patterns, "sampled dictionary");
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +21,14 @@ namespace {
 // Huffman
 // ---------------------------------------------------------------------------
 
+std::vector<uint8_t> CodeLengths(const std::vector<uint64_t>& freqs,
+                                 int max_bits = kMaxHuffmanBits) {
+  std::vector<uint8_t> lengths(freqs.size());
+  BuildHuffmanCodeLengths(freqs.data(), freqs.size(), lengths.data(),
+                          max_bits);
+  return lengths;
+}
+
 TEST(HuffmanTest, LengthsSatisfyKraft) {
   Rng rng(1);
   for (int iter = 0; iter < 20; ++iter) {
@@ -27,7 +37,7 @@ TEST(HuffmanTest, LengthsSatisfyKraft) {
     for (int i = 0; i < used; ++i) {
       freqs[rng.Uniform(freqs.size())] = 1 + rng.Uniform(100000);
     }
-    const auto lengths = BuildHuffmanCodeLengths(freqs);
+    const auto lengths = CodeLengths(freqs);
     double kraft = 0.0;
     for (size_t s = 0; s < freqs.size(); ++s) {
       EXPECT_EQ(lengths[s] > 0, freqs[s] > 0);
@@ -43,13 +53,13 @@ TEST(HuffmanTest, LengthsSatisfyKraft) {
 TEST(HuffmanTest, SingleSymbolGetsLengthOne) {
   std::vector<uint64_t> freqs(10, 0);
   freqs[3] = 42;
-  const auto lengths = BuildHuffmanCodeLengths(freqs);
+  const auto lengths = CodeLengths(freqs);
   EXPECT_EQ(lengths[3], 1);
 }
 
 TEST(HuffmanTest, SkewedFrequenciesGetShortCodes) {
   std::vector<uint64_t> freqs = {1000000, 10, 10, 10, 10, 1};
-  const auto lengths = BuildHuffmanCodeLengths(freqs);
+  const auto lengths = CodeLengths(freqs);
   for (size_t s = 1; s < freqs.size(); ++s) {
     EXPECT_LE(lengths[0], lengths[s]);
   }
@@ -66,7 +76,7 @@ TEST(HuffmanTest, LengthLimitEnforcedOnPathologicalInput) {
     a = b;
     b = next;
   }
-  const auto lengths = BuildHuffmanCodeLengths(freqs, 15);
+  const auto lengths = CodeLengths(freqs, 15);
   double kraft = 0.0;
   for (uint8_t l : lengths) {
     ASSERT_GT(l, 0);
@@ -76,14 +86,35 @@ TEST(HuffmanTest, LengthLimitEnforcedOnPathologicalInput) {
   EXPECT_LE(kraft, 1.0 + 1e-9);
 }
 
+// Writes `symbols` in the canonical code of `lengths`.
+std::string EncodeSymbols(const std::vector<uint8_t>& lengths,
+                          const std::vector<uint32_t>& symbols) {
+  std::vector<uint16_t> codes(lengths.size());
+  CanonicalHuffmanCodes(lengths.data(), lengths.size(), codes.data());
+  std::string buf;
+  BitWriter bw(&buf);
+  for (const uint32_t s : symbols) bw.WriteBits(codes[s], lengths[s]);
+  bw.Finish();
+  return buf;
+}
+
+TEST(HuffmanTest, HugeFrequenciesMatchScaledOnes) {
+  // Weights this large leave no room for the symbol id beside them, so
+  // the leaves are sorted by comparison instead of by radix; scaling
+  // every frequency by 2^60 keeps every tie and comparison of the tree.
+  const std::vector<uint64_t> small = {3, 1, 4, 1, 0, 2};
+  std::vector<uint64_t> huge = small;
+  for (uint64_t& f : huge) f <<= 60;
+  EXPECT_EQ(CodeLengths(huge), CodeLengths(small));
+}
+
 TEST(HuffmanTest, EncodeDecodeRoundTrip) {
   Rng rng(2);
   for (int iter = 0; iter < 10; ++iter) {
     std::vector<uint64_t> freqs(64, 0);
     for (auto& f : freqs) f = rng.Uniform(1000);
     freqs[0] = 1;  // ensure at least one symbol
-    const auto lengths = BuildHuffmanCodeLengths(freqs);
-    HuffmanEncoder enc(lengths);
+    const auto lengths = CodeLengths(freqs);
     HuffmanDecoder dec;
     ASSERT_TRUE(dec.Init(lengths).ok());
 
@@ -93,10 +124,7 @@ TEST(HuffmanTest, EncodeDecodeRoundTrip) {
       while (freqs[s] == 0) s = static_cast<uint32_t>(rng.Uniform(freqs.size()));
       symbols.push_back(s);
     }
-    std::string buf;
-    BitWriter bw(&buf);
-    for (uint32_t s : symbols) enc.Write(&bw, s);
-    bw.Finish();
+    const std::string buf = EncodeSymbols(lengths, symbols);
     BitReader br(buf);
     for (uint32_t s : symbols) {
       ASSERT_EQ(dec.Decode(&br), static_cast<int32_t>(s));
@@ -118,16 +146,14 @@ TEST(HuffmanTest, ReusedDecoderHandlesLongAndUnderfullCodes) {
     a = b;
     b = c;
   }
-  const auto lengths = BuildHuffmanCodeLengths(freqs);
+  const auto lengths = CodeLengths(freqs);
   ASSERT_GT(*std::max_element(lengths.begin(), lengths.end()),
             HuffmanDecoder::kRootBits);
-  HuffmanEncoder enc(lengths);
   HuffmanDecoder dec;
   ASSERT_TRUE(dec.Init(lengths).ok());
-  std::string buf;
-  BitWriter bw(&buf);
-  for (uint32_t s = 0; s < freqs.size(); ++s) enc.Write(&bw, s);
-  bw.Finish();
+  std::vector<uint32_t> symbols(freqs.size());
+  for (uint32_t s = 0; s < freqs.size(); ++s) symbols[s] = s;
+  const std::string buf = EncodeSymbols(lengths, symbols);
   BitReader br(buf);
   for (uint32_t s = 0; s < freqs.size(); ++s) {
     ASSERT_EQ(dec.Decode(&br), static_cast<int32_t>(s));
@@ -376,6 +402,79 @@ TEST(GzipxTest, WindowLimitRespected) {
   std::string output;
   ASSERT_TRUE(gz.Decompress(compressed, &output).ok());
   EXPECT_EQ(output, input);
+}
+
+// gzipx output of `input` from a thread that has never compressed, so
+// its match-finder state is fresh.
+std::string CompressOnFreshThread(const GzipxCompressor& gz,
+                                  const std::string& input) {
+  std::string out;
+  std::thread([&] { gz.Compress(input, &out); }).join();
+  return out;
+}
+
+TEST(GzipxTest, ReusedStateGivesFreshStateBytes) {
+  // Compress keeps its hash chains across calls on a thread. A sequence
+  // of inputs of every shape, compressed back to back on this thread,
+  // must give exactly the bytes each gives on a fresh thread.
+  Rng rng(12);
+  std::string window_crossing(40 * 1024, '\0');
+  for (auto& c : window_crossing) c = static_cast<char>('a' + rng.Uniform(4));
+  // 1 MB of 4-byte words with a zero high byte, the shape of a factor
+  // position stream: several Huffman blocks.
+  std::string big(1 << 20, '\0');
+  for (size_t i = 0; i < big.size(); ++i) {
+    const uint64_t range = i % 4 == 2 ? 3 : 256;
+    big[i] = static_cast<char>(i % 4 == 3 ? 0 : rng.Uniform(range));
+  }
+  const std::vector<std::string> inputs = {
+      "", "a", "ab", "abc", window_crossing + window_crossing, big, "abc",
+      "", window_crossing, "xyz"};
+  for (const GzipxOptions options :
+       {GzipxOptions{}, GzipxOptions{.max_chain = 512, .nice_length = 258,
+                                     .lazy = true}}) {
+    const GzipxCompressor gz(options);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      std::string reused;
+      gz.Compress(inputs[i], &reused);
+      EXPECT_EQ(reused, CompressOnFreshThread(gz, inputs[i]))
+          << "input " << i << " (" << inputs[i].size() << " bytes)";
+      std::string output;
+      ASSERT_TRUE(gz.Decompress(reused, &output).ok());
+      EXPECT_EQ(output, inputs[i]);
+    }
+  }
+}
+
+TEST(GzipxTest, PositionBaseWrapClearsTheTable) {
+  // The chains tag positions with a 32-bit base that each call advances
+  // by its input size. Raised to just below 2^32, the next input does not
+  // fit: Compress clears the table and restarts the base at 1. The
+  // output is the fresh thread's before, at and after the wrap.
+  Rng rng(13);
+  std::string input(5000, '\0');
+  for (auto& c : input) c = static_cast<char>('a' + rng.Uniform(3));
+  const GzipxCompressor gz;
+  const std::string want = CompressOnFreshThread(gz, input);
+  std::string out;
+  gz.Compress(input, &out);
+  EXPECT_EQ(out, want);
+  EXPECT_GT(gzipx_testing::PositionBase(), input.size());
+
+  gzipx_testing::RaisePositionBase(UINT32_MAX - 6000);
+  out.clear();
+  gz.Compress(input, &out);  // fits: the base ends 1000 below 2^32
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(gzipx_testing::PositionBase(), UINT32_MAX - 1000);
+
+  out.clear();
+  gz.Compress(input, &out);  // does not fit: cleared, base restarts at 1
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(gzipx_testing::PositionBase(), 1 + input.size());
+
+  out.clear();
+  gz.Compress(input, &out);
+  EXPECT_EQ(out, want);
 }
 
 TEST(LzmaxTest, RepMatchesExploitStructuredData) {
