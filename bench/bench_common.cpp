@@ -1,13 +1,14 @@
 #include "bench_common.h"
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <string_view>
 #include <thread>
 
 #include "build/build_pipeline.h"
 #include "core/rlz.h"
+#include "io/file.h"
 #include "search/inverted_index.h"
 #include "search/query_log.h"
 #include "store/ascii_archive.h"
@@ -18,22 +19,90 @@
 namespace rlz {
 namespace bench {
 
-std::string HostJson() {
-  const auto quoted = [](std::string_view text) {
-    std::string out = "\"";
-    for (const char c : text) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out + "\"";
-  };
-  return "{\"commit\": " + quoted(RLZ_BENCH_COMMIT) +
-         ", \"compiler\": " + quoted(__VERSION__) +
-         ", \"build_type\": " + quoted(RLZ_BENCH_BUILD_TYPE) +
-         ", \"cxx_flags\": " + quoted(RLZ_BENCH_CXX_FLAGS) +
-         ", \"hardware_concurrency\": " +
-         std::to_string(std::thread::hardware_concurrency()) +
-         ", \"available_cpus\": " + std::to_string(AvailableCpus()) + "}";
+JsonWriter::JsonWriter(std::string_view bench, bool smoke) {
+  Object({}, kLines).Str("bench", bench).Str("mode", smoke ? "smoke" : "full");
+}
+
+JsonWriter& JsonWriter::End() {
+  const Level level = open_.back();
+  open_.pop_back();
+  if (level.lines && !level.empty) Newline();
+  out_ += level.close;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Str(std::string_view key, std::string_view value) {
+  std::string quoted = "\"";
+  for (const char c : value) {
+    if (c == '"' || c == '\\') quoted += '\\';
+    quoted += c;
+  }
+  return Value(key, quoted + '"');
+}
+
+JsonWriter& JsonWriter::Num(std::string_view key, double value, int decimals) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
+  return Value(key, buf);
+}
+
+JsonWriter& JsonWriter::Host() {
+  return Object("host")
+      .Str("commit", RLZ_BENCH_COMMIT)
+      .Str("compiler", __VERSION__)
+      .Str("build_type", RLZ_BENCH_BUILD_TYPE)
+      .Str("cxx_flags", RLZ_BENCH_CXX_FLAGS)
+      .Int("hardware_concurrency", std::thread::hardware_concurrency())
+      .Int("available_cpus", AvailableCpus())
+      .End();
+}
+
+void JsonWriter::Write(const std::string& path) {
+  End();
+  RLZ_CHECK(open_.empty()) << "unclosed JSON container";
+  const Status status = WriteFile(path, out_ + '\n');
+  RLZ_CHECK(status.ok()) << status.ToString();
+  std::printf("wrote %s\n", path.c_str());
+}
+
+JsonWriter& JsonWriter::Open(std::string_view key, char bracket,
+                             Layout layout) {
+  const bool lines = layout == kLines && (open_.empty() || open_.back().lines);
+  Value(key, std::string_view(&bracket, 1));
+  open_.push_back({bracket == '{' ? '}' : ']', lines});
+  return *this;
+}
+
+JsonWriter& JsonWriter::Value(std::string_view key, std::string_view text) {
+  if (!open_.empty()) {
+    Level& level = open_.back();
+    RLZ_CHECK_EQ(key.empty(), level.close == ']');  // keys name members
+    if (!level.empty) out_ += level.lines ? "," : ", ";
+    if (level.lines) Newline();
+    level.empty = false;
+    if (!key.empty()) out_.append("\"").append(key).append("\": ");
+  }
+  out_ += text;
+  return *this;
+}
+
+void JsonWriter::Newline() {
+  out_ += '\n';
+  out_.append(2 * open_.size(), ' ');
+}
+
+Gates::Gates(bool enforced)
+    : enforced_(enforced), wall_basis_(AvailableCpus() >= 4) {}
+
+bool Gates::Check(bool pass, const char* format, ...) {
+  if (!enforced_) return pass;
+  va_list args;
+  va_start(args, format);
+  std::vprintf(format, args);
+  va_end(args);
+  std::printf(": %s\n", pass ? "PASS" : "FAIL");
+  failed_ = failed_ || !pass;
+  return pass;
 }
 
 double BenchScale() {

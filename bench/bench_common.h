@@ -2,21 +2,121 @@
 #define RLZ_BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "corpus/generator.h"
 #include "store/archive.h"
+#include "util/timer.h"
 
 namespace rlz {
 namespace bench {
 
-/// The "host" object every BENCH_*.json records, as one JSON object: the
-/// commit the build was configured at ("unknown" outside a git checkout),
-/// the compiler version, the build type and C++ flags, the hardware
-/// threads, and the CPUs this process may run on (AvailableCpus, which
-/// a `taskset` pin shrinks).
-std::string HostJson();
+/// Writes one BENCH_*.json document, member by member. A container opens
+/// on its own lines (kLines: one member per line, two spaces of indent per
+/// level) or inline; everything inside an inline container is inline. An
+/// object's members take a key, an array's elements an empty one. Strings
+/// escape only '"' and '\\'; a double prints with its field's decimals.
+class JsonWriter {
+ public:
+  enum Layout { kInline, kLines };
+
+  /// Opens the document with the "bench" and "mode" members.
+  JsonWriter(std::string_view bench, bool smoke);
+
+  JsonWriter& Object(std::string_view key = {}, Layout layout = kInline) {
+    return Open(key, '{', layout);
+  }
+  JsonWriter& Array(std::string_view key, Layout layout = kInline) {
+    return Open(key, '[', layout);
+  }
+  /// Closes the innermost open object or array.
+  JsonWriter& End();
+
+  JsonWriter& Str(std::string_view key, std::string_view value);
+  JsonWriter& Bool(std::string_view key, bool value) {
+    return Value(key, value ? "true" : "false");
+  }
+  JsonWriter& Num(std::string_view key, double value, int decimals);
+  template <typename T, typename = std::enable_if_t<std::is_integral_v<T>>>
+  JsonWriter& Int(std::string_view key, T value) {
+    return Value(key, std::to_string(value));
+  }
+
+  /// The "host" member: the commit the build was configured at ("unknown"
+  /// outside a git checkout; "-dirty" if the tree differed), compiler,
+  /// build type, C++ flags, hardware threads and AvailableCpus.
+  JsonWriter& Host();
+
+  /// Closes the document, writes it to `path` and prints "wrote <path>".
+  void Write(const std::string& path);
+
+ private:
+  JsonWriter& Open(std::string_view key, char bracket, Layout layout);
+  JsonWriter& Value(std::string_view key, std::string_view text);
+  void Newline();
+
+  struct Level {
+    char close;
+    bool lines;
+    bool empty = true;
+  };
+  std::string out_;
+  std::vector<Level> open_;
+};
+
+/// The best of `repeats` (at least one) calls of `run`: the earliest
+/// result no later one beats, where `better(a, b)` says a beats b (the
+/// default keeps the lowest, as for seconds). Host noise only ever slows
+/// a run down. A `run` that returns nothing is timed: the result is its
+/// lowest wall seconds.
+template <typename Run, typename Better = std::less<>>
+auto BestOf(int repeats, Run run, Better better = {}) {
+  if constexpr (std::is_void_v<decltype(run())>) {
+    return BestOf(repeats, [&] {
+      Timer timer;
+      run();
+      return timer.ElapsedSeconds();
+    });
+  } else {
+    auto best = run();
+    for (int r = 1; r < repeats; ++r) {
+      auto next = run();
+      if (better(next, best)) best = std::move(next);
+    }
+    return best;
+  }
+}
+
+/// A bench's gates. When enforced (in a smoke run, say), Check prints one
+/// line per gate ending in PASS or FAIL, and ExitCode is 1 once one
+/// failed; otherwise Check only returns the verdict for the JSON record.
+/// Throughput gates compare on
+/// wall-clock rates when this process may run on 4 or more CPUs
+/// (AvailableCpus), else on the busiest worker's thread-CPU rates, since
+/// wall scaling is physically impossible there.
+class Gates {
+ public:
+  explicit Gates(bool enforced);
+
+  const char* basis() const { return wall_basis_ ? "wall" : "cpu"; }
+  double Pick(double wall_rate, double cpu_rate) const {
+    return wall_basis_ ? wall_rate : cpu_rate;
+  }
+  /// Returns `pass`; if enforced, first prints the printf-formatted gate
+  /// and ": PASS" or ": FAIL".
+  bool Check(bool pass, const char* format, ...)
+      __attribute__((format(printf, 3, 4)));
+  int ExitCode() const { return failed_ ? 1 : 0; }
+
+ private:
+  bool enforced_;
+  bool wall_basis_;
+  bool failed_ = false;
+};
 
 /// Scaled-down stand-ins for the paper's corpora (DESIGN.md §3/§4):
 /// gov2s ~ 24 MB web crawl (GOV2 426 GB), wikis ~ 16 MB encyclopedia

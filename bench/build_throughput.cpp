@@ -20,10 +20,10 @@
 //   ./build/bench/build_throughput --smoke    (8 MB corpus, best of 3 per
 //                                              row; CI smoke test)
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/rlz.h"
@@ -34,9 +34,13 @@ namespace rlz {
 namespace bench {
 namespace {
 
+// The gate, in every mode: the modeled 4-thread speedup must reach this.
+constexpr double kMinSpeedupAt4 = 2.5;
+
 struct BuildRun {
   double wall_mbps = 0.0;
   double modeled_speedup = 0.0;
+  double cpu_seconds = 0.0;
   size_t chunks = 0;
   uint64_t payload_bytes = 0;
   uint64_t num_factors = 0;
@@ -59,26 +63,11 @@ BuildRun RunOne(const Collection& collection,
       info.build_critical_path_seconds > 0.0
           ? serial_cpu_seconds / info.build_critical_path_seconds
           : 0.0;
+  run.cpu_seconds = info.build_cpu_seconds;
   run.chunks = info.build_chunks;
   run.payload_bytes = archive->payload_bytes();
   run.num_factors = info.stats.num_factors;
   return run;
-}
-
-// The best of `repeats` runs: the highest modeled speedup and wall MB/s
-// (host noise only ever slows a run down).
-BuildRun BestOf(int repeats, const Collection& collection,
-                const std::shared_ptr<const Dictionary>& dict, int threads,
-                size_t chunk_docs, double serial_cpu_seconds) {
-  BuildRun best;
-  for (int r = 0; r < repeats; ++r) {
-    const BuildRun run =
-        RunOne(collection, dict, threads, chunk_docs, serial_cpu_seconds);
-    const double wall_mbps = std::max(best.wall_mbps, run.wall_mbps);
-    if (r == 0 || run.modeled_speedup > best.modeled_speedup) best = run;
-    best.wall_mbps = wall_mbps;
-  }
-  return best;
 }
 
 int Run(bool smoke) {
@@ -107,67 +96,59 @@ int Run(bool smoke) {
       DictionaryBuilder::BuildSampled(collection->data(),
                                       collection->size_bytes() / 100, 1024);
 
-  // Serial baseline: its CPU time is the numerator of every modeled
-  // speedup, and its stats are the identity reference.
-  RlzBuildOptions serial_options;
-  serial_options.coding = kZV;
-  double serial_seconds = 0.0;
-  double serial_cpu = 0.0;
-  RlzBuildInfo serial_info;
-  uint64_t serial_payload = 0;
-  for (int r = 0; r < repeats; ++r) {
-    Timer serial_wall;
-    const auto archive =
-        RlzArchive::Build(*collection, dict, serial_options, &serial_info);
-    const double seconds = serial_wall.ElapsedSeconds();
-    serial_seconds = r == 0 ? seconds : std::min(serial_seconds, seconds);
-    serial_cpu = r == 0 ? serial_info.build_cpu_seconds
-                        : std::min(serial_cpu, serial_info.build_cpu_seconds);
-    serial_payload = archive->payload_bytes();
-  }
+  // Serial baseline (one thread, no chunking): its CPU time is the
+  // numerator of every modeled speedup, and its output is the identity
+  // reference. Its best run is the one with the least CPU time.
+  const BuildRun serial = BestOf(
+      repeats, [&] { return RunOne(*collection, dict, 1, 0, 0.0); },
+      [](const BuildRun& a, const BuildRun& b) {
+        return a.cpu_seconds < b.cpu_seconds;
+      });
+  const double serial_cpu = serial.cpu_seconds;
   std::printf("serial baseline: %.2fs wall, %.2fs cpu, %.1f MB/s\n\n",
-              serial_seconds, serial_cpu,
-              collection->size_bytes() / (1024.0 * 1024.0) / serial_seconds);
+              collection->size_bytes() / (1024.0 * 1024.0) / serial.wall_mbps,
+              serial_cpu, serial.wall_mbps);
   std::printf("%-8s %-11s %8s %12s %10s %10s\n", "threads", "chunk_docs",
               "chunks", "wall MB/s", "modeled", "payload=");
 
-  const int thread_rows_full[] = {1, 2, 4, 8};
-  const int thread_rows_smoke[] = {1, 2, 4};
+  const std::vector<int> thread_rows =
+      smoke ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
   // Smoke corpora have ~400 docs, so the smoke chunk must be small enough
   // to give every worker several chunks.
-  const size_t chunk_rows_full[] = {16, 64, 256};
-  const size_t chunk_rows_smoke[] = {8};
-  const int* thread_rows = smoke ? thread_rows_smoke : thread_rows_full;
-  const size_t num_thread_rows = smoke ? 3 : 4;
-  const size_t* chunk_rows = smoke ? chunk_rows_smoke : chunk_rows_full;
-  const size_t num_chunk_rows = smoke ? 1 : 3;
+  const std::vector<size_t> chunk_rows =
+      smoke ? std::vector<size_t>{8} : std::vector<size_t>{16, 64, 256};
 
   double speedup_at_4 = 0.0;
   bool all_identical = true;
-  for (size_t t = 0; t < num_thread_rows; ++t) {
-    for (size_t c = 0; c < num_chunk_rows; ++c) {
-      const BuildRun run = BestOf(repeats, *collection, dict, thread_rows[t],
-                                  chunk_rows[c], serial_cpu);
-      const bool identical = run.payload_bytes == serial_payload &&
-                             run.num_factors == serial_info.stats.num_factors;
+  for (const int threads : thread_rows) {
+    for (const size_t chunk_docs : chunk_rows) {
+      const BuildRun run = BestOf(
+          repeats,
+          [&] {
+            return RunOne(*collection, dict, threads, chunk_docs, serial_cpu);
+          },
+          [](const BuildRun& a, const BuildRun& b) {
+            return a.modeled_speedup > b.modeled_speedup;
+          });
+      const bool identical = run.payload_bytes == serial.payload_bytes &&
+                             run.num_factors == serial.num_factors;
       all_identical = all_identical && identical;
-      std::printf("%-8d %-11zu %8zu %12.1f %9.2fx %10s\n", thread_rows[t],
-                  chunk_rows[c], run.chunks, run.wall_mbps,
-                  run.modeled_speedup, identical ? "yes" : "NO");
-      if (thread_rows[t] == 4 && chunk_rows[c] == (smoke ? 8u : 64u)) {
+      std::printf("%-8d %-11zu %8zu %12.1f %9.2fx %10s\n", threads,
+                  chunk_docs, run.chunks, run.wall_mbps, run.modeled_speedup,
+                  identical ? "yes" : "NO");
+      if (threads == 4 && chunk_docs == (smoke ? 8u : 64u)) {
         speedup_at_4 = run.modeled_speedup;
       }
     }
   }
 
-  std::printf("\nmodeled speedup at 4 threads (chunk %u): %.2fx\n",
-              smoke ? 8u : 64u, speedup_at_4);
   RLZ_CHECK(all_identical) << "a parallel build diverged from serial";
-  if (speedup_at_4 < 2.5) {
-    std::printf("WARNING: modeled 4-thread speedup below 2.5x\n");
-    return 1;
-  }
-  return 0;
+  Gates gates(/*enforced=*/true);
+  gates.Check(speedup_at_4 >= kMinSpeedupAt4,
+              "\ngate: modeled speedup at 4 threads (chunk %u) >= %.2fx "
+              "(%.2fx)",
+              smoke ? 8u : 64u, kMinSpeedupAt4, speedup_at_4);
+  return gates.ExitCode();
 }
 
 }  // namespace

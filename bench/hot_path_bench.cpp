@@ -50,7 +50,6 @@
 #include "suffix/matcher.h"
 #include "suffix/suffix_array.h"
 #include "corpus/generator.h"
-#include "io/file.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -185,17 +184,12 @@ void RefineFactorize(const RefineMatcher& matcher, std::string_view doc,
 template <typename Parse>
 double TimeFactorize(const Collection& collection, int repeats, Parse parse,
                      std::vector<std::vector<Factor>>* docs) {
-  double best_seconds = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    for (auto& d : *docs) d.clear();
-    Timer pass;
+  return BestOf(repeats, [&] {
     for (size_t i = 0; i < collection.num_docs(); ++i) {
+      (*docs)[i].clear();
       parse(collection.doc(i), &(*docs)[i]);
     }
-    const double seconds = pass.ElapsedSeconds();
-    if (best_seconds == 0.0 || seconds < best_seconds) best_seconds = seconds;
-  }
-  return best_seconds;
+  });
 }
 
 // Best-of-`repeats` seconds of the Refine-loop replica over every
@@ -425,16 +419,12 @@ StageSplit RunZvStageSplit(const FactorCoder& coder, const Dictionary& dict,
   DecodeScratch scratch;
   std::string buf;
   const size_t n = encoded.size();
-  // Best-of-repeats seconds of one pass of `body` over every document.
+  // Best-of-repeats microseconds per document of a pass of `body`.
   auto best = [&](auto&& body) {
-    double best_seconds = 0.0;
-    for (int r = 0; r < repeats; ++r) {
-      Timer pass;
+    const double seconds = BestOf(repeats, [&] {
       for (size_t i = 0; i < n; ++i) body(i);
-      const double seconds = pass.ElapsedSeconds();
-      if (best_seconds == 0.0 || seconds < best_seconds) best_seconds = seconds;
-    }
-    return 1e6 * best_seconds / static_cast<double>(n);
+    });
+    return 1e6 * seconds / static_cast<double>(n);
   };
   const double decode_us = best([&](size_t i) {
     buf.clear();
@@ -470,27 +460,14 @@ StageSplit RunZvStageSplit(const FactorCoder& coder, const Dictionary& dict,
   return split;
 }
 
-void AppendJsonDecode(const char* name, const DecodeResult& r,
-                      std::string* out) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "      \"%s\": {\"mb_per_s\": %.1f, \"docs_per_s\": %.0f, "
-                "\"p50_us\": %.2f, \"p99_us\": %.2f}",
-                name, r.mb_per_s, r.docs_per_s, r.p50_us, r.p99_us);
-  out->append(buf);
-}
-
-// Best of `repeats` wall seconds of `fn`.
-template <typename Fn>
-double BestSeconds(int repeats, Fn fn) {
-  double best = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    Timer pass;
-    fn();
-    const double seconds = pass.ElapsedSeconds();
-    if (best == 0.0 || seconds < best) best = seconds;
-  }
-  return best;
+// One decode configuration's figures as an inline JSON object.
+void DecodeJson(JsonWriter& json, const char* name, const DecodeResult& r) {
+  json.Object(name)
+      .Num("mb_per_s", r.mb_per_s, 1)
+      .Num("docs_per_s", r.docs_per_s, 0)
+      .Num("p50_us", r.p50_us, 2)
+      .Num("p99_us", r.p99_us, 2)
+      .End();
 }
 
 // A seal's CPU split, in ms per MiB of document text: factorize against
@@ -528,13 +505,13 @@ SealSplit RunSealSplit(const Collection& collection,
   split.dict_bytes = dict->size();
   split.doc_bytes = docs.size_bytes();
   split.doc_mib = split.doc_bytes / (1024.0 * 1024.0);
-  split.sa_build_ms = 1e3 * BestSeconds(repeats, [&] {
+  split.sa_build_ms = 1e3 * BestOf(repeats, [&] {
     RLZ_CHECK_EQ(BuildSuffixArray(dict->text()).size(), dict->size());
   });
 
   std::vector<std::vector<Factor>> factors(docs.num_docs());
   Factorizer factorizer(dict.get());
-  const double factorize_s = BestSeconds(repeats, [&] {
+  const double factorize_s = BestOf(repeats, [&] {
     for (size_t i = 0; i < docs.num_docs(); ++i) {
       factors[i].clear();
       factorizer.Factorize(docs.doc(i), &factors[i]);
@@ -544,7 +521,7 @@ SealSplit RunSealSplit(const Collection& collection,
 
   const FactorCoder zv_coder(kZV);
   std::vector<std::string> encoded(docs.num_docs());
-  const double encode_s = BestSeconds(repeats, [&] {
+  const double encode_s = BestOf(repeats, [&] {
     for (size_t i = 0; i < docs.num_docs(); ++i) {
       encoded[i].clear();
       RLZ_CHECK(zv_coder.EncodeDoc(factors[i], &encoded[i]).ok());
@@ -563,7 +540,7 @@ SealSplit RunSealSplit(const Collection& collection,
   const GzipxCompressor gzipx(
       GzipxOptions{.max_chain = 512, .nice_length = 258, .lazy = true});
   std::string z;
-  const double gzipx_s = BestSeconds(repeats, [&] {
+  const double gzipx_s = BestOf(repeats, [&] {
     for (const std::string& r : raw) {
       z.clear();
       gzipx.Compress(r, &z);
@@ -576,7 +553,7 @@ SealSplit RunSealSplit(const Collection& collection,
   return split;
 }
 
-void Run(bool smoke, const std::string& out_path) {
+int Run(bool smoke, const std::string& out_path) {
   CorpusOptions corpus_options;
   corpus_options.target_bytes = smoke ? (4u << 20) : (16u << 20);
   corpus_options.seed = 20110613;
@@ -627,71 +604,65 @@ void Run(bool smoke, const std::string& out_path) {
       seal.gzipx_ms, seal.other_ms,
       seal.factorize_ms + seal.gzipx_ms + seal.other_ms, seal.sa_build_ms);
 
-  std::string json;
-  json.append("{\n  \"bench\": \"hot_path\",\n");
-  json.append(smoke ? "  \"mode\": \"smoke\",\n" : "  \"mode\": \"full\",\n");
-  json.append("  \"host\": " + HostJson() + ",\n");
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "  \"corpus\": {\"docs\": %zu, \"bytes\": %llu, "
-                "\"dict_bytes\": %zu, \"seed\": %llu},\n",
-                collection.num_docs(),
-                static_cast<unsigned long long>(collection.size_bytes()),
-                dict->size(),
-                static_cast<unsigned long long>(corpus_options.seed));
-  json.append(buf);
-  std::snprintf(buf, sizeof(buf),
-                "  \"factorize\": {\"mb_per_s\": %.1f, \"seconds\": %.3f, "
-                "\"refine_baseline\": {\"mb_per_s\": %.1f, "
-                "\"seconds\": %.3f}, \"vs_refine\": %.2f},\n",
-                factorize_mb_per_s, factorize_seconds, refine_mb_per_s,
-                refine_seconds, vs_refine);
-  json.append(buf);
-  std::snprintf(buf, sizeof(buf),
-                "  \"seal\": {\"doc_bytes\": %llu, \"dict_bytes\": %zu, "
-                "\"match_keys\": true, \"avg_factor_len\": %.1f, "
-                "\"ms_per_mib\": {\"factorize\": %.2f, \"gzipx\": %.2f, "
-                "\"other\": %.2f, \"total\": %.2f}, \"encoded_bytes\": "
-                "%llu, \"sa_build_ms\": %.2f},\n",
-                static_cast<unsigned long long>(seal.doc_bytes),
-                seal.dict_bytes, seal.avg_factor_len, seal.factorize_ms,
-                seal.gzipx_ms, seal.other_ms,
-                seal.factorize_ms + seal.gzipx_ms + seal.other_ms,
-                static_cast<unsigned long long>(seal.encoded_bytes),
-                seal.sa_build_ms);
-  json.append(buf);
+  JsonWriter json("hot_path", smoke);
+  json.Host();
+  json.Object("corpus")
+      .Int("docs", collection.num_docs())
+      .Int("bytes", collection.size_bytes())
+      .Int("dict_bytes", dict->size())
+      .Int("seed", corpus_options.seed)
+      .End();
+  json.Object("factorize")
+      .Num("mb_per_s", factorize_mb_per_s, 1)
+      .Num("seconds", factorize_seconds, 3)
+      .Object("refine_baseline")
+      .Num("mb_per_s", refine_mb_per_s, 1)
+      .Num("seconds", refine_seconds, 3)
+      .End()
+      .Num("vs_refine", vs_refine, 2)
+      .End();
+  json.Object("seal")
+      .Int("doc_bytes", seal.doc_bytes)
+      .Int("dict_bytes", seal.dict_bytes)
+      .Bool("match_keys", true)
+      .Num("avg_factor_len", seal.avg_factor_len, 1)
+      .Object("ms_per_mib")
+      .Num("factorize", seal.factorize_ms, 2)
+      .Num("gzipx", seal.gzipx_ms, 2)
+      .Num("other", seal.other_ms, 2)
+      .Num("total", seal.factorize_ms + seal.gzipx_ms + seal.other_ms, 2)
+      .End()
+      .Int("encoded_bytes", seal.encoded_bytes)
+      .Num("sa_build_ms", seal.sa_build_ms, 2)
+      .End();
   // The one-time "before" record: the real pre-scratch FactorCoder
   // measured from a pristine build of commit d02bb1b on the reference
   // host (full 16 MB corpus). Emitted as constants so regenerating the
   // checked-in BENCH_hot_path.json cannot lose the trajectory's origin;
   // the re-measurable stand-in on the current host is
   // decode.*.legacy_baseline.
-  json.append(
-      "  \"pre_pr_baseline\": {\n"
-      "    \"comment\": \"Measured once at PR 5 from a pristine build of "
-      "commit d02bb1b (the pre-PR tree) on the reference host, full 16 MB "
-      "corpus, via the real pre-PR FactorCoder::DecodeDoc. Constants "
-      "emitted by hot_path_bench; the re-measurable stand-in is "
-      "decode.*.legacy_baseline.\",\n"
-      "    \"factorize_mb_per_s\": 50.7,\n"
-      "    \"decode\": {\n"
-      "      \"ZV\": {\"mb_per_s\": 445.1, \"docs_per_s\": 24840, "
-      "\"p50_us\": 36.78, \"p99_us\": 77.11},\n"
-      "      \"UV\": {\"mb_per_s\": 1536.2, \"docs_per_s\": 85731, "
-      "\"p50_us\": 9.72, \"p99_us\": 25.77}\n"
-      "    }\n"
-      "  },\n");
-  json.append("  \"decode\": {\n");
+  json.Object("pre_pr_baseline", JsonWriter::kLines)
+      .Str("comment",
+           "Measured once at PR 5 from a pristine build of commit d02bb1b "
+           "(the pre-PR tree) on the reference host, full 16 MB corpus, via "
+           "the real pre-PR FactorCoder::DecodeDoc. Constants emitted by "
+           "hot_path_bench; the re-measurable stand-in is "
+           "decode.*.legacy_baseline.")
+      .Num("factorize_mb_per_s", 50.7, 1)
+      .Object("decode", JsonWriter::kLines);
+  DecodeJson(json, "ZV", {445.1, 24840, 36.78, 77.11});
+  DecodeJson(json, "UV", {1536.2, 85731, 9.72, 25.77});
+  json.End().End();
+  json.Object("decode", JsonWriter::kLines);
 
   // The decode sweep: the paper's recommended pair (ZV) and the
   // fastest-decode pair (UV), legacy vs fresh vs scratch.
   double gate_ratios[2] = {0.0, 0.0};  // per kSmokeGates entry
   StageSplit split;
-  const PairCoding codings[] = {kZV, kUV};
   std::printf("\n%-7s %-8s %10s %12s %9s %9s %8s\n", "coding", "path",
               "MB/s", "docs/s", "p50 us", "p99 us", "vs base");
-  for (size_t c = 0; c < 2; ++c) {
-    const FactorCoder coder(codings[c]);
+  for (const PairCoding coding : {kZV, kUV}) {
+    const FactorCoder coder(coding);
     std::vector<std::string> encoded(collection.num_docs());
     for (size_t i = 0; i < collection.num_docs(); ++i) {
       RLZ_CHECK(coder.EncodeDoc(docs[i], &encoded[i]).ok());
@@ -699,93 +670,73 @@ void Run(bool smoke, const std::string& out_path) {
     const DecodeSweep sweep = RunDecodeSweep(coder, *dict, encoded,
                                              collection, repeats,
                                              min_pass_seconds);
-    const DecodeResult& legacy = sweep.legacy;
-    const DecodeResult& fresh = sweep.fresh;
-    const DecodeResult& scratch = sweep.scratch;
-    const double vs_legacy = sweep.scratch_vs_legacy;
-    const double fresh_vs_legacy = sweep.fresh_vs_legacy;
     const std::string name = coder.coding().name();
-    std::printf("%-7s %-8s %10.1f %12.0f %9.2f %9.2f %8s\n", name.c_str(),
-                "legacy", legacy.mb_per_s, legacy.docs_per_s, legacy.p50_us,
-                legacy.p99_us, "1.00x");
-    std::printf("%-7s %-8s %10.1f %12.0f %9.2f %9.2f %7.2fx\n", name.c_str(),
-                "fresh", fresh.mb_per_s, fresh.docs_per_s, fresh.p50_us,
-                fresh.p99_us, fresh_vs_legacy);
-    std::printf("%-7s %-8s %10.1f %12.0f %9.2f %9.2f %7.2fx\n", name.c_str(),
-                "scratch", scratch.mb_per_s, scratch.docs_per_s,
-                scratch.p50_us, scratch.p99_us, vs_legacy);
+    const auto print = [&](const char* path, const DecodeResult& r,
+                           double vs_legacy) {
+      std::printf("%-7s %-8s %10.1f %12.0f %9.2f %9.2f %7.2fx\n",
+                  name.c_str(), path, r.mb_per_s, r.docs_per_s, r.p50_us,
+                  r.p99_us, vs_legacy);
+    };
+    print("legacy", sweep.legacy, 1.0);
+    print("fresh", sweep.fresh, sweep.fresh_vs_legacy);
+    print("scratch", sweep.scratch, sweep.scratch_vs_legacy);
 
-    json.append("    \"" + name + "\": {\n");
-    AppendJsonDecode("legacy_baseline", legacy, &json);
-    json.append(",\n");
-    AppendJsonDecode("fresh", fresh, &json);
-    json.append(",\n");
-    AppendJsonDecode("scratch", scratch, &json);
-    json.append(",\n");
-    std::snprintf(buf, sizeof(buf),
-                  "      \"scratch_vs_legacy\": %.2f,\n"
-                  "      \"fresh_vs_legacy\": %.2f\n    }%s\n",
-                  vs_legacy, fresh_vs_legacy, c + 1 < 2 ? "," : "");
-    json.append(buf);
+    json.Object(name, JsonWriter::kLines);
+    DecodeJson(json, "legacy_baseline", sweep.legacy);
+    DecodeJson(json, "fresh", sweep.fresh);
+    DecodeJson(json, "scratch", sweep.scratch);
+    json.Num("scratch_vs_legacy", sweep.scratch_vs_legacy, 2)
+        .Num("fresh_vs_legacy", sweep.fresh_vs_legacy, 2)
+        .End();
 
     for (size_t g = 0; g < 2; ++g) {
-      if (name == kSmokeGates[g].coding) gate_ratios[g] = vs_legacy;
+      if (name == kSmokeGates[g].coding) {
+        gate_ratios[g] = sweep.scratch_vs_legacy;
+      }
     }
     if (name == "ZV") split = RunZvStageSplit(coder, *dict, encoded, repeats);
   }
-  json.append("  },\n");
+  json.End();
 
   std::printf(
       "\nZV stages (us/doc): tables %.2f  symbols %.2f  crc %.2f  "
       "expand %.2f  = DecodeDoc %.2f\n",
       split.tables_us, split.symbols_us, split.crc_us, split.expand_us,
       split.total_us);
-  std::snprintf(buf, sizeof(buf),
-                "  \"zv_stages_us_per_doc\": {\"tables\": %.2f, "
-                "\"symbols\": %.2f, \"crc\": %.2f, \"expand\": %.2f, "
-                "\"decode_doc\": %.2f},\n",
-                split.tables_us, split.symbols_us, split.crc_us,
-                split.expand_us, split.total_us);
-  json.append(buf);
+  json.Object("zv_stages_us_per_doc")
+      .Num("tables", split.tables_us, 2)
+      .Num("symbols", split.symbols_us, 2)
+      .Num("crc", split.crc_us, 2)
+      .Num("expand", split.expand_us, 2)
+      .Num("decode_doc", split.total_us, 2)
+      .End();
 
-  bool gate_pass = true;
-  json.append("  \"gates\": [\n");
+  Gates gates(smoke);
+  json.Array("gates", JsonWriter::kLines);
   for (size_t g = 0; g < 2; ++g) {
-    const bool pass = gate_ratios[g] >= kSmokeGates[g].min_ratio;
-    gate_pass = gate_pass && pass;
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"coding\": \"%s\", \"min_ratio_required\": %.2f, "
-                  "\"scratch_vs_legacy\": %.2f, \"pass\": %s},\n",
-                  kSmokeGates[g].coding, kSmokeGates[g].min_ratio,
-                  gate_ratios[g], pass ? "true" : "false");
-    json.append(buf);
+    const SmokeGate& gate = kSmokeGates[g];
+    json.Object()
+        .Str("coding", gate.coding)
+        .Num("min_ratio_required", gate.min_ratio, 2)
+        .Num("scratch_vs_legacy", gate_ratios[g], 2)
+        .Bool("pass", gates.Check(gate_ratios[g] >= gate.min_ratio,
+                                  "smoke gate: %s scratch >= %.2fx legacy "
+                                  "(%.2fx)",
+                                  gate.coding, gate.min_ratio, gate_ratios[g]))
+        .End();
   }
-  const bool factorize_pass = vs_refine >= factorize_min_ratio;
-  gate_pass = gate_pass && factorize_pass;
-  std::snprintf(buf, sizeof(buf),
-                "    {\"path\": \"factorize\", \"min_ratio_required\": "
-                "%.2f, \"vs_refine\": %.2f, \"pass\": %s}\n",
-                factorize_min_ratio, vs_refine,
-                factorize_pass ? "true" : "false");
-  json.append(buf);
-  json.append("  ]\n}\n");
-
-  const Status write_status = WriteFile(out_path, json);
-  RLZ_CHECK(write_status.ok()) << write_status.ToString();
-  std::printf("\nwrote %s\n", out_path.c_str());
-
-  if (smoke) {
-    for (size_t g = 0; g < 2; ++g) {
-      std::printf("smoke gate: %s scratch >= %.2fx legacy: %s (%.2fx)\n",
-                  kSmokeGates[g].coding, kSmokeGates[g].min_ratio,
-                  gate_ratios[g] >= kSmokeGates[g].min_ratio ? "PASS" : "FAIL",
-                  gate_ratios[g]);
-    }
-    std::printf("smoke gate: factorize >= %.2fx Refine loop: %s (%.2fx)\n",
-                factorize_min_ratio, factorize_pass ? "PASS" : "FAIL",
-                vs_refine);
-    if (!gate_pass) std::exit(1);
-  }
+  json.Object()
+      .Str("path", "factorize")
+      .Num("min_ratio_required", factorize_min_ratio, 2)
+      .Num("vs_refine", vs_refine, 2)
+      .Bool("pass", gates.Check(vs_refine >= factorize_min_ratio,
+                                "smoke gate: factorize >= %.2fx Refine loop "
+                                "(%.2fx)",
+                                factorize_min_ratio, vs_refine))
+      .End();
+  json.End();
+  json.Write(out_path);
+  return gates.ExitCode();
 }
 
 }  // namespace
@@ -805,6 +756,5 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  rlz::bench::Run(smoke, out_path);
-  return 0;
+  return rlz::bench::Run(smoke, out_path);
 }

@@ -59,7 +59,6 @@
 
 #include "bench_common.h"
 #include "corpus/generator.h"
-#include "io/file.h"
 #include "net/doc_server.h"
 #include "net/net_client.h"
 #include "serve/doc_service.h"
@@ -106,6 +105,34 @@ struct NetLoadResult {
   uint64_t coalesced = 0;  // doc requests in those windows (delta)
   uint64_t loop_answered = 0;  // answered from the cache on the loop (delta)
 };
+
+// Touches every document once, so `service`'s decode cache holds them.
+void WarmCache(DocService& service, size_t num_docs) {
+  ServeBatch batch;
+  std::vector<size_t> ids(num_docs);
+  for (size_t i = 0; i < num_docs; ++i) ids[i] = i;
+  service.SubmitBatch(ids, &batch);
+  for (const GetResult& r : batch.Wait()) {
+    RLZ_CHECK(r.ok()) << r.status.ToString();
+  }
+}
+
+// Percentile (µs) over a vector of latencies in seconds (copies + sorts).
+double PercentileUs(std::vector<double> latencies, double p) {
+  if (latencies.empty()) return 0.0;
+  std::sort(latencies.begin(), latencies.end());
+  return 1e6 * latencies[std::min(latencies.size() - 1,
+                                  static_cast<size_t>(p * latencies.size()))];
+}
+
+// The per-connection latency vectors as one.
+std::vector<double> Merge(const std::vector<std::vector<double>>& per_conn) {
+  std::vector<double> merged;
+  for (const auto& lat : per_conn) {
+    merged.insert(merged.end(), lat.begin(), lat.end());
+  }
+  return merged;
+}
 
 // One closed-loop row: `connections` client threads, each keeping `depth`
 // requests in flight until it has received `requests_per_conn` responses.
@@ -173,23 +200,13 @@ NetLoadResult RunRow(net::DocServer& server, const DocService& service,
   const uint64_t cached_after = service.Stats().cached;
 
   NetLoadResult result;
-  std::vector<double> merged;
-  for (auto& lat : latencies) {
-    merged.insert(merged.end(), lat.begin(), lat.end());
-  }
-  std::sort(merged.begin(), merged.end());
-  const auto pct = [&](double p) {
-    return merged.empty()
-               ? 0.0
-               : 1e6 * merged[std::min(merged.size() - 1,
-                                       static_cast<size_t>(p * merged.size()))];
-  };
+  const std::vector<double> merged = Merge(latencies);
   result.requests = merged.size();
   for (uint64_t b : bytes) result.payload_bytes += b;
   result.wall_rps = result.requests / wall_seconds;
-  result.p50_us = pct(0.50);
-  result.p99_us = pct(0.99);
-  result.p999_us = pct(0.999);
+  result.p50_us = PercentileUs(merged, 0.50);
+  result.p99_us = PercentileUs(merged, 0.99);
+  result.p999_us = PercentileUs(merged, 0.999);
   result.batches = after.batches - before.batches;
   result.coalesced = after.coalesced_requests - before.coalesced_requests;
   result.loop_answered = cached_after - cached_before;
@@ -202,8 +219,9 @@ double LoopShare(const NetLoadResult& r) {
                         : 0.0;
 }
 
-void PrintRow(const char* shape, int connections, size_t depth,
-              const NetLoadResult& r) {
+// Prints one row and records it in `json`'s open rows array.
+void Row(JsonWriter& json, const char* shape, int connections, size_t depth,
+         const NetLoadResult& r) {
   // avg/bat averages over the submitted requests only; a row whose
   // requests were all answered on the loop submitted no batch.
   char avg[16] = "-";
@@ -214,36 +232,21 @@ void PrintRow(const char* shape, int connections, size_t depth,
   std::printf("%-8s %-12d %-8zu %10.0f %9.1f %9.1f %9.1f %8s %6.1f\n", shape,
               connections, depth, r.wall_rps, r.p50_us, r.p99_us, r.p999_us,
               avg, 100.0 * LoopShare(r));
-}
-
-void AppendJsonRow(const char* shape, int connections, size_t depth,
-                   const NetLoadResult& r, bool last, std::string* json) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "    {\"shape\": \"%s\", \"connections\": %d, \"depth\": %zu, "
-      "\"requests\": %llu, \"wall_rps\": %.0f, \"p50_us\": %.1f, "
-      "\"p99_us\": %.1f, \"p999_us\": %.1f, \"payload_bytes\": %llu, "
-      "\"batches\": %llu, \"coalesced\": %llu, \"loop_answered\": %llu, "
-      "\"loop_share\": %.3f}%s\n",
-      shape, connections, depth,
-      static_cast<unsigned long long>(r.requests), r.wall_rps, r.p50_us,
-      r.p99_us, r.p999_us,
-      static_cast<unsigned long long>(r.payload_bytes),
-      static_cast<unsigned long long>(r.batches),
-      static_cast<unsigned long long>(r.coalesced),
-      static_cast<unsigned long long>(r.loop_answered), LoopShare(r),
-      last ? "" : ",");
-  json->append(buf);
-}
-
-// Percentile (µs) over a vector of latencies in seconds (copies + sorts;
-// overload-phase vectors are small).
-double PercentileUs(std::vector<double> latencies, double p) {
-  if (latencies.empty()) return 0.0;
-  std::sort(latencies.begin(), latencies.end());
-  return 1e6 * latencies[std::min(latencies.size() - 1,
-                                  static_cast<size_t>(p * latencies.size()))];
+  json.Object()
+      .Str("shape", shape)
+      .Int("connections", connections)
+      .Int("depth", depth)
+      .Int("requests", r.requests)
+      .Num("wall_rps", r.wall_rps, 0)
+      .Num("p50_us", r.p50_us, 1)
+      .Num("p99_us", r.p99_us, 1)
+      .Num("p999_us", r.p999_us, 1)
+      .Int("payload_bytes", r.payload_bytes)
+      .Int("batches", r.batches)
+      .Int("coalesced", r.coalesced)
+      .Int("loop_answered", r.loop_answered)
+      .Num("loop_share", LoopShare(r), 3)
+      .End();
 }
 
 // The overload phase's measured load: `connections` paced (depth-1)
@@ -279,11 +282,7 @@ std::vector<double> RunPacedHigh(uint16_t port, size_t num_docs,
     });
   }
   for (std::thread& t : threads) t.join();
-  std::vector<double> merged;
-  for (auto& lat : latencies) {
-    merged.insert(merged.end(), lat.begin(), lat.end());
-  }
-  return merged;
+  return Merge(latencies);
 }
 
 // One best-effort flood connection: bursts of `depth` pipelined Get
@@ -364,25 +363,16 @@ OverloadPhase RunOverload(ShardedStore* store, size_t num_docs,
   net::DocServer server(&service, server_options);
   const Status started = server.Start();
   RLZ_CHECK(started.ok()) << started.ToString();
-  {
-    // Warm this service's cache too: the phase measures admission and
-    // shedding, not decode speed.
-    ServeBatch batch;
-    std::vector<size_t> ids(num_docs);
-    for (size_t i = 0; i < num_docs; ++i) ids[i] = i;
-    service.SubmitBatch(ids, &batch);
-    for (const GetResult& r : batch.Wait()) {
-      RLZ_CHECK(r.ok()) << r.status.ToString();
-    }
-  }
+  // Warm this service's cache too: the phase measures admission and
+  // shedding, not decode speed.
+  WarmCache(service, num_docs);
 
   const int measured_conns = 2;
   const size_t measured_requests = smoke ? 1500 : 4000;
   const int flood_conns = 4;
   const size_t flood_depth = 16;
 
-  OverloadPhase best;
-  for (int rep = 0; rep < kGateRepeats; ++rep) {
+  const OverloadPhase best = BestOf(kGateRepeats, [&] {
     OverloadPhase r;
     std::vector<double> unsat =
         RunPacedHigh(server.port(), num_docs, measured_conns,
@@ -414,18 +404,18 @@ OverloadPhase RunOverload(ShardedStore* store, size_t num_docs,
     r.accepted = accepted.size();
     r.accepted_p50_us = PercentileUs(accepted, 0.50);
     r.accepted_p99_us = PercentileUs(accepted, 0.99);
-    std::vector<double> shed_merged;
     for (int f = 0; f < flood_conns; ++f) {
-      shed_merged.insert(shed_merged.end(), shed_latencies[f].begin(),
-                         shed_latencies[f].end());
       r.sheds += sheds[f];
       r.flood_served += served[f];
     }
     RLZ_CHECK(r.sheds > 0) << "overload phase produced no sheds";
-    r.shed_p50_us = PercentileUs(shed_merged, 0.50);
-    r.shed_p99_us = PercentileUs(shed_merged, 0.99);
-    if (rep == 0 || r.accepted_p99_us < best.accepted_p99_us) best = r;
-  }
+    const std::vector<double> shed = Merge(shed_latencies);
+    r.shed_p50_us = PercentileUs(shed, 0.50);
+    r.shed_p99_us = PercentileUs(shed, 0.99);
+    return r;
+  }, [](const OverloadPhase& a, const OverloadPhase& b) {
+    return a.accepted_p99_us < b.accepted_p99_us;
+  });
   server.Shutdown();
   service.Shutdown();
   return best;
@@ -469,16 +459,7 @@ int Run(bool smoke, bool overload, const std::string& out_path) {
       RLZ_CHECK(*wire == *direct.text) << "wire/direct mismatch doc " << id;
     }
   }
-  // Cache warmup: touch every document once.
-  {
-    ServeBatch batch;
-    std::vector<size_t> ids(num_docs);
-    for (size_t i = 0; i < num_docs; ++i) ids[i] = i;
-    service.SubmitBatch(ids, &batch);
-    for (const GetResult& r : batch.Wait()) {
-      RLZ_CHECK(r.ok()) << r.status.ToString();
-    }
-  }
+  WarmCache(service, num_docs);
 
   const unsigned hw = std::thread::hardware_concurrency();
   const size_t snippet_requests = smoke ? 3000 : 10000;
@@ -492,26 +473,21 @@ int Run(bool smoke, bool overload, const std::string& out_path) {
               "connections", "depth", "req/s", "p50 us", "p99 us",
               "p999 us", "avg/bat", "loop%");
 
-  std::string json;
-  char buf[512];
-  json.append("{\n  \"bench\": \"net_load\",\n");
-  json.append(smoke ? "  \"mode\": \"smoke\",\n" : "  \"mode\": \"full\",\n");
-  std::snprintf(buf, sizeof(buf),
-                "  \"corpus\": {\"docs\": %zu, \"bytes\": %llu, "
-                "\"seed\": %llu},\n",
-                num_docs,
-                static_cast<unsigned long long>(collection.size_bytes()),
-                static_cast<unsigned long long>(corpus_options.seed));
-  json.append(buf);
-  json.append("  \"store\": \"" + store->name() + "\",\n");
-  json.append("  \"host\": " + HostJson() + ",\n");
-  std::snprintf(buf, sizeof(buf),
-                "  \"config\": {\"snippet_bytes\": %zu, \"page_docs\": %zu, "
-                "\"snippet_requests_per_conn\": %zu, "
-                "\"bulk_requests_per_conn\": %zu, \"cache_warm\": true},\n",
-                kSnippetBytes, kPageDocs, snippet_requests, bulk_requests);
-  json.append(buf);
-  json.append("  \"rows\": [\n");
+  JsonWriter json("net_load", smoke);
+  json.Object("corpus")
+      .Int("docs", num_docs)
+      .Int("bytes", collection.size_bytes())
+      .Int("seed", corpus_options.seed)
+      .End();
+  json.Str("store", store->name()).Host();
+  json.Object("config")
+      .Int("snippet_bytes", kSnippetBytes)
+      .Int("page_docs", kPageDocs)
+      .Int("snippet_requests_per_conn", snippet_requests)
+      .Int("bulk_requests_per_conn", bulk_requests)
+      .Bool("cache_warm", true)
+      .End();
+  json.Array("rows", JsonWriter::kLines);
 
   // The snippet sweep. The gated pair (4 connections, depth 1 vs 16) is
   // measured kGateRepeats times in smoke mode; the best run is recorded
@@ -524,50 +500,42 @@ int Run(bool smoke, bool overload, const std::string& out_path) {
   for (const int conns : conn_sweep) {
     for (const size_t depth : depth_sweep) {
       const bool gated = conns == 4 && (depth == 1 || depth == 16);
-      NetLoadResult best;
-      const int repeats = (smoke && gated) ? kGateRepeats : 1;
-      for (int rep = 0; rep < repeats; ++rep) {
-        const NetLoadResult r = RunRow(server, service, num_docs,
-                                       Shape::kSnippet, conns, depth,
-                                       snippet_requests);
-        if (rep == 0 || r.wall_rps > best.wall_rps) best = r;
-      }
+      const NetLoadResult best = BestOf(
+          (smoke && gated) ? kGateRepeats : 1,
+          [&] {
+            return RunRow(server, service, num_docs, Shape::kSnippet, conns,
+                          depth, snippet_requests);
+          },
+          [](const NetLoadResult& a, const NetLoadResult& b) {
+            return a.wall_rps > b.wall_rps;
+          });
       if (conns == 4 && depth == 1) gate_shallow = best;
       if (conns == 4 && depth == 16) gate_deep = best;
-      PrintRow("snippet", conns, depth, best);
-      AppendJsonRow("snippet", conns, depth, best, /*last=*/false, &json);
+      Row(json, "snippet", conns, depth, best);
     }
   }
   // The bulk pair: bandwidth-bound result pages, recorded ungated.
   for (const size_t depth : {size_t{1}, size_t{16}}) {
-    const NetLoadResult r = RunRow(server, service, num_docs, Shape::kBulk,
-                                   4, depth, bulk_requests);
-    PrintRow("bulk", 4, depth, r);
-    AppendJsonRow("bulk", 4, depth, r, /*last=*/depth == 16, &json);
+    Row(json, "bulk", 4, depth,
+        RunRow(server, service, num_docs, Shape::kBulk, 4, depth,
+               bulk_requests));
   }
-  json.append("  ],\n");
+  json.End();
 
   const net::NetServerStats net_stats = server.stats();
-  std::snprintf(
-      buf, sizeof(buf),
-      "  \"server\": {\"connections_accepted\": %llu, "
-      "\"frames_received\": %llu, \"bytes_sent\": %llu, "
-      "\"reads_paused\": %llu, \"protocol_errors\": %llu},\n",
-      static_cast<unsigned long long>(net_stats.connections_accepted),
-      static_cast<unsigned long long>(net_stats.frames_received),
-      static_cast<unsigned long long>(net_stats.bytes_sent),
-      static_cast<unsigned long long>(net_stats.reads_paused),
-      static_cast<unsigned long long>(net_stats.protocol_errors));
-  json.append(buf);
+  json.Object("server")
+      .Int("connections_accepted", net_stats.connections_accepted)
+      .Int("frames_received", net_stats.frames_received)
+      .Int("bytes_sent", net_stats.bytes_sent)
+      .Int("reads_paused", net_stats.reads_paused)
+      .Int("protocol_errors", net_stats.protocol_errors)
+      .End();
 
-  bool overload_pass = true;
+  Gates overload_gates(/*enforced=*/true);  // whenever the phase runs
   if (overload) {
     const OverloadPhase o = RunOverload(store.get(), num_docs, smoke);
     const double basis = std::max(o.unsat_p99_us, kOverloadBasisFloorUs);
     const double p99_ratio = o.accepted_p99_us / basis;
-    const bool shed_pass = o.shed_p50_us < kMaxShedP50Us;
-    const bool p99_pass = o.accepted_p99_us <= kMaxOverloadP99Ratio * basis;
-    overload_pass = shed_pass && p99_pass;
     std::printf(
         "overload: 4x16 best-effort flood (budget 4/conn) vs 2x depth-1 "
         "high\n"
@@ -581,61 +549,56 @@ int Run(bool smoke, bool overload, const std::string& out_path) {
         o.shed_p50_us, o.shed_p99_us,
         static_cast<unsigned long long>(o.sheds),
         static_cast<unsigned long long>(o.flood_served));
-    std::printf(
-        "overload gate: shed p50 < %.0f us: %s (%.1f us); accepted p99 <= "
-        "%.1fx basis %.1f us: %s (%.2fx)\n",
-        kMaxShedP50Us, shed_pass ? "PASS" : "FAIL", o.shed_p50_us,
-        kMaxOverloadP99Ratio, basis, p99_pass ? "PASS" : "FAIL", p99_ratio);
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"overload\": {\"unsat_p50_us\": %.1f, \"unsat_p99_us\": %.1f, "
-        "\"unsat_requests\": %llu, \"accepted_p50_us\": %.1f, "
-        "\"accepted_p99_us\": %.1f, \"accepted\": %llu,\n",
-        o.unsat_p50_us, o.unsat_p99_us,
-        static_cast<unsigned long long>(o.unsat_requests), o.accepted_p50_us,
-        o.accepted_p99_us, static_cast<unsigned long long>(o.accepted));
-    json.append(buf);
-    std::snprintf(
-        buf, sizeof(buf),
-        "    \"shed_p50_us\": %.1f, \"shed_p99_us\": %.1f, \"sheds\": %llu, "
-        "\"flood_served\": %llu, \"max_shed_p50_us\": %.0f, "
-        "\"max_p99_ratio\": %.1f, \"p99_basis_us\": %.1f, "
-        "\"p99_ratio\": %.2f, \"pass\": %s},\n",
-        o.shed_p50_us, o.shed_p99_us,
-        static_cast<unsigned long long>(o.sheds),
-        static_cast<unsigned long long>(o.flood_served), kMaxShedP50Us,
-        kMaxOverloadP99Ratio, basis, p99_ratio,
-        overload_pass ? "true" : "false");
-    json.append(buf);
+    const bool shed_pass =
+        overload_gates.Check(o.shed_p50_us < kMaxShedP50Us,
+                             "overload gate: shed p50 < %.0f us (%.1f us)",
+                             kMaxShedP50Us, o.shed_p50_us);
+    const bool p99_pass = overload_gates.Check(
+        o.accepted_p99_us <= kMaxOverloadP99Ratio * basis,
+        "overload gate: accepted p99 <= %.1fx basis %.1f us (%.2fx)",
+        kMaxOverloadP99Ratio, basis, p99_ratio);
+    json.Object("overload")
+        .Num("unsat_p50_us", o.unsat_p50_us, 1)
+        .Num("unsat_p99_us", o.unsat_p99_us, 1)
+        .Int("unsat_requests", o.unsat_requests)
+        .Num("accepted_p50_us", o.accepted_p50_us, 1)
+        .Num("accepted_p99_us", o.accepted_p99_us, 1)
+        .Int("accepted", o.accepted)
+        .Num("shed_p50_us", o.shed_p50_us, 1)
+        .Num("shed_p99_us", o.shed_p99_us, 1)
+        .Int("sheds", o.sheds)
+        .Int("flood_served", o.flood_served)
+        .Num("max_shed_p50_us", kMaxShedP50Us, 0)
+        .Num("max_p99_ratio", kMaxOverloadP99Ratio, 1)
+        .Num("p99_basis_us", basis, 1)
+        .Num("p99_ratio", p99_ratio, 2)
+        .Bool("pass", shed_pass && p99_pass)
+        .End();
   }
 
   const double ratio = gate_shallow.wall_rps > 0
                            ? gate_deep.wall_rps / gate_shallow.wall_rps
                            : 0.0;
-  const bool gate_pass = ratio >= kMinPipelineRatio;
-  std::snprintf(
-      buf, sizeof(buf),
-      "  \"gate\": {\"basis\": \"wall\", \"shape\": \"snippet\", "
-      "\"min_pipeline_ratio\": %.2f, \"depth1_rps\": %.0f, "
-      "\"depth16_rps\": %.0f, \"ratio\": %.2f, \"pass\": %s}\n}\n",
-      kMinPipelineRatio, gate_shallow.wall_rps, gate_deep.wall_rps, ratio,
-      gate_pass ? "true" : "false");
-  json.append(buf);
-
-  const Status write_status = WriteFile(out_path, json);
-  RLZ_CHECK(write_status.ok()) << write_status.ToString();
-  std::printf("wrote %s\n", out_path.c_str());
+  Gates gates(smoke);
+  const bool gate_pass = gates.Check(
+      ratio >= kMinPipelineRatio,
+      "smoke gate (wall basis, snippet): 4-conn depth-16 >= %.2fx depth-1 "
+      "(%.2fx)",
+      kMinPipelineRatio, ratio);
+  json.Object("gate")
+      .Str("basis", "wall")
+      .Str("shape", "snippet")
+      .Num("min_pipeline_ratio", kMinPipelineRatio, 2)
+      .Num("depth1_rps", gate_shallow.wall_rps, 0)
+      .Num("depth16_rps", gate_deep.wall_rps, 0)
+      .Num("ratio", ratio, 2)
+      .Bool("pass", gate_pass)
+      .End();
+  json.Write(out_path);
 
   server.Shutdown();
   service.Shutdown();
-  if (smoke) {
-    std::printf("smoke gate (wall basis, snippet): 4-conn depth-16 >= "
-                "%.2fx depth-1: %s (%.2fx)\n",
-                kMinPipelineRatio, gate_pass ? "PASS" : "FAIL", ratio);
-    if (!gate_pass) return 1;
-  }
-  if (!overload_pass) return 1;
-  return 0;
+  return std::max(gates.ExitCode(), overload_gates.ExitCode());
 }
 
 }  // namespace

@@ -443,7 +443,7 @@ void RestartCost(const Collection& collection) {
   std::filesystem::remove_all(dir);
 }
 
-void Run(bool smoke, const std::string& out_path) {
+int Run(bool smoke, const std::string& out_path) {
   CorpusOptions corpus_options;
   corpus_options.target_bytes = smoke ? (1u << 20) : (8u << 20);
   corpus_options.seed = 20110613;
@@ -489,56 +489,42 @@ void Run(bool smoke, const std::string& out_path) {
       cold.checkpointed_open_ms, cold.readall_open_ms, cold.mmap_open_ms);
   if (!smoke) RestartCost(Gov2Crawl().collection);
 
-  std::string json;
-  json.append("{\n  \"bench\": \"recovery\",\n");
-  json.append(smoke ? "  \"mode\": \"smoke\",\n" : "  \"mode\": \"full\",\n");
-  json.append("  \"host\": " + HostJson() + ",\n");
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "  \"corpus\": {\"docs\": %zu, \"bytes\": %llu, "
-                "\"appends\": %zu, \"seed\": %llu},\n",
-                collection.num_docs(),
-                static_cast<unsigned long long>(collection.size_bytes()),
-                docs.size(),
-                static_cast<unsigned long long>(corpus_options.seed));
-  json.append(buf);
-  json.append("  \"fsync_policies\": {\n");
-  for (size_t i = 0; i < policies.size(); ++i) {
-    const PolicyResult& p = policies[i];
-    std::snprintf(buf, sizeof(buf),
-                  "    \"%s\": {\"fsync_every_n\": %llu, "
-                  "\"tail_seal_bytes\": %llu, \"dict_bytes\": %llu, "
-                  "\"appends_per_s\": %.0f, \"append_mb_per_s\": %.2f, "
-                  "\"seals\": %llu, \"checkpoint_bytes_per_seal\": %llu, "
-                  "\"recover_ms\": %.2f, "
-                  "\"replayed_records\": %llu, \"replays_per_s\": %.0f}%s\n",
-                  p.name.c_str(),
-                  static_cast<unsigned long long>(p.fsync_every_n),
-                  static_cast<unsigned long long>(p.tail_seal_bytes),
-                  static_cast<unsigned long long>(p.dict_bytes),
-                  p.appends_per_s, p.append_mb_per_s,
-                  static_cast<unsigned long long>(p.seals),
-                  static_cast<unsigned long long>(p.checkpoint_bytes_per_seal),
-                  p.recover_ms,
-                  static_cast<unsigned long long>(p.replayed_records),
-                  p.replays_per_s, i + 1 < policies.size() ? "," : "");
-    json.append(buf);
+  JsonWriter json("recovery", smoke);
+  json.Host();
+  json.Object("corpus")
+      .Int("docs", collection.num_docs())
+      .Int("bytes", collection.size_bytes())
+      .Int("appends", docs.size())
+      .Int("seed", corpus_options.seed)
+      .End();
+  json.Object("fsync_policies", JsonWriter::kLines);
+  for (const PolicyResult& p : policies) {
+    json.Object(p.name)
+        .Int("fsync_every_n", p.fsync_every_n)
+        .Int("tail_seal_bytes", p.tail_seal_bytes)
+        .Int("dict_bytes", p.dict_bytes)
+        .Num("appends_per_s", p.appends_per_s, 0)
+        .Num("append_mb_per_s", p.append_mb_per_s, 2)
+        .Int("seals", p.seals)
+        .Int("checkpoint_bytes_per_seal", p.checkpoint_bytes_per_seal)
+        .Num("recover_ms", p.recover_ms, 2)
+        .Int("replayed_records", p.replayed_records)
+        .Num("replays_per_s", p.replays_per_s, 0)
+        .End();
   }
-  json.append("  },\n");
-  std::snprintf(buf, sizeof(buf),
-                "  \"cold_start_ms\": {\"checkpointed\": %.2f, "
-                "\"readall\": %.2f, \"mmap\": %.2f},\n",
-                cold.checkpointed_open_ms, cold.readall_open_ms,
-                cold.mmap_open_ms);
-  json.append(buf);
-  std::snprintf(buf, sizeof(buf), "  \"gate\": \"%s\"\n}\n",
-                gate_pass ? "pass" : "fail");
-  json.append(buf);
-
-  const Status write_status = WriteFile(out_path, json);
-  RLZ_CHECK(write_status.ok()) << write_status.ToString();
-  std::printf("wrote %s\n", out_path.c_str());
-  if (smoke && !gate_pass) std::exit(1);
+  json.End();
+  json.Object("cold_start_ms")
+      .Num("checkpointed", cold.checkpointed_open_ms, 2)
+      .Num("readall", cold.readall_open_ms, 2)
+      .Num("mmap", cold.mmap_open_ms, 2)
+      .End();
+  json.Str("gate", gate_pass ? "pass" : "fail");
+  Gates gates(smoke);
+  gates.Check(gate_pass,
+              "smoke gate: every recovered store serves the acked workload "
+              "back byte-identically");
+  json.Write(out_path);
+  return gates.ExitCode();
 }
 
 // Bounded kill-at-every-fsync sweep through FaultFs — the release-CI
@@ -703,6 +689,5 @@ int main(int argc, char** argv) {
     rlz::bench::RunCrashSmoke();
     return 0;
   }
-  rlz::bench::Run(smoke, out_path);
-  return 0;
+  return rlz::bench::Run(smoke, out_path);
 }

@@ -44,12 +44,12 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "build/build_pipeline.h"
 #include "corpus/generator.h"
-#include "io/file.h"
 #include "serve/doc_service.h"
 #include "serve/sharded_store.h"
 #include "util/logging.h"
@@ -72,6 +72,8 @@ constexpr double kZipfTheta = 0.99;
 // Ingest-mode gate: read docs/s under mixed read/append load must retain
 // at least this fraction of the read-only baseline (same basis rules).
 constexpr double kMinReadRetention = 0.70;
+// The store's open tail seals into a new shard at this size.
+constexpr size_t kTailSealBytes = 1 << 20;
 
 struct LoadResult {
   double wall_dps = 0.0;
@@ -98,12 +100,13 @@ LoadResult ResultOf(const ServiceStats& stats, double wall_seconds) {
   return result;
 }
 
-// The gate's docs/s for `r` on the host's basis (see header).
-double BasisDps(const LoadResult& r, bool wall_basis) {
-  return wall_basis ? r.wall_dps : r.cpu_dps;
+// Orders runs by docs/s on the gate's basis (see header), fastest first.
+auto FasterOn(const Gates& gates) {
+  return [&gates](const LoadResult& a, const LoadResult& b) {
+    return gates.Pick(a.wall_dps, a.cpu_dps) >
+           gates.Pick(b.wall_dps, b.cpu_dps);
+  };
 }
-
-const char* BasisName(bool wall_basis) { return wall_basis ? "wall" : "cpu"; }
 
 // One closed-loop run: `producers` threads, each submitting kInFlight-id
 // batches and waiting for completion, until `total_rounds` batches have
@@ -160,11 +163,12 @@ struct IngestStats {
 // per completed read request (the configurable ingest fraction). The
 // writer cycles through `fresh` if readers outlast it, and stops when the
 // readers finish. Read throughput/latency land in the returned
-// LoadResult; writer volume and MB/s land in `ingest`.
-LoadResult RunMixed(ShardedStore* store, int workers, int producers,
-                    size_t read_docs, size_t total_rounds,
-                    const Collection& fresh, double fraction,
-                    IngestStats* ingest) {
+// LoadResult; writer volume and MB/s in the IngestStats.
+std::pair<LoadResult, IngestStats> RunMixed(ShardedStore* store, int workers,
+                                            int producers, size_t read_docs,
+                                            size_t total_rounds,
+                                            const Collection& fresh,
+                                            double fraction) {
   DocServiceOptions options;
   options.num_threads = workers;
   options.cache_bytes = 0;  // every request decodes
@@ -174,6 +178,7 @@ LoadResult RunMixed(ShardedStore* store, int workers, int producers,
     std::atomic<size_t> rounds{0};
     std::atomic<size_t> rounds_done{0};
     std::atomic<bool> readers_done{false};
+    IngestStats ingest;
     Timer wall;
     std::thread writer([&] {
       Timer ingest_wall;
@@ -197,9 +202,9 @@ LoadResult RunMixed(ShardedStore* store, int workers, int producers,
         bytes += doc.size();
       }
       const double seconds = ingest_wall.ElapsedSeconds();
-      ingest->docs = appended;
-      ingest->bytes = bytes;
-      ingest->mb_per_s =
+      ingest.docs = appended;
+      ingest.bytes = bytes;
+      ingest.mb_per_s =
           seconds > 0 ? bytes / (1048576.0 * seconds) : 0.0;
     });
     std::vector<std::thread> threads;
@@ -224,114 +229,120 @@ LoadResult RunMixed(ShardedStore* store, int workers, int producers,
     writer.join();
     service.Drain();
     const double wall_seconds = wall.ElapsedSeconds();
-    return ResultOf(service.Stats(), wall_seconds);
+    return {ResultOf(service.Stats(), wall_seconds), ingest};
   }
 }
 
-void AppendJsonRow(int workers, int producers, const char* skew,
-                   const LoadResult& r, bool last, std::string* json) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "    {\"workers\": %d, \"producers\": %d, \"skew\": \"%s\", "
-      "\"requests\": %llu, \"wall_dps\": %.0f, \"cpu_dps\": %.0f, "
-      "\"p50_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f, "
-      "\"steals\": %llu}%s\n",
-      workers, producers, skew,
-      static_cast<unsigned long long>(r.requests), r.wall_dps, r.cpu_dps,
-      r.p50_us, r.p99_us, r.p999_us,
-      static_cast<unsigned long long>(r.steals), last ? "" : ",");
-  json->append(buf);
+// The figures every row records, into the row's open JSON object.
+JsonWriter& LoadJson(JsonWriter& json, const LoadResult& r) {
+  return json.Int("requests", r.requests)
+      .Num("wall_dps", r.wall_dps, 0)
+      .Num("cpu_dps", r.cpu_dps, 0)
+      .Num("p50_us", r.p50_us, 1)
+      .Num("p99_us", r.p99_us, 1)
+      .Num("p999_us", r.p999_us, 1)
+      .Int("steals", r.steals);
 }
 
-void PrintRow(int workers, int producers, const char* skew,
-              const LoadResult& r) {
+// Prints one row; with `json`, also records it in json's open rows array.
+void Row(JsonWriter* json, int workers, int producers, const char* skew,
+         const LoadResult& r) {
   std::printf("%-8d %-10d %-8s %12.0f %14.0f %9.1f %9.1f %9.1f %8llu\n",
               workers, producers, skew, r.wall_dps, r.cpu_dps, r.p50_us,
               r.p99_us, r.p999_us,
               static_cast<unsigned long long>(r.steals));
+  if (json == nullptr) return;
+  json->Object()
+      .Int("workers", workers)
+      .Int("producers", producers)
+      .Str("skew", skew);
+  LoadJson(*json, r).End();
 }
 
-void Run(bool smoke, const std::string& out_path) {
+// What both modes serve: a generated corpus in a 4-shard store whose
+// open tail seals at kTailSealBytes, and the closed loop's length.
+struct Setup {
   CorpusOptions corpus_options;
-  corpus_options.target_bytes = smoke ? (4u << 20) : (16u << 20);
-  corpus_options.seed = 20110613;
-  const Corpus corpus = GenerateCorpus(corpus_options);
-  const Collection& collection = corpus.collection;
+  Collection collection;
+  std::unique_ptr<ShardedStore> store;
+  size_t total_rounds = 0;
 
-  ShardedStoreOptions store_options;
-  store_options.num_shards = 4;
-  store_options.dict_bytes = collection.size_bytes() / 100;
-  const auto store = ShardedStore::Build(collection, store_options);
+  explicit Setup(bool smoke) {
+    corpus_options.target_bytes = smoke ? (4u << 20) : (16u << 20);
+    corpus_options.seed = 20110613;
+    collection = GenerateCorpus(corpus_options).collection;
+    ShardedStoreOptions store_options;
+    store_options.num_shards = 4;
+    store_options.dict_bytes = collection.size_bytes() / 100;
+    store_options.live.tail_seal_bytes = kTailSealBytes;
+    store = ShardedStore::Build(collection, store_options);
+    total_rounds = (smoke ? 16000 : 64000) / kInFlight;
+  }
 
-  const int cpus = AvailableCpus();
-  const bool wall_basis = cpus >= 4;
-  const size_t total_requests = smoke ? 16000 : 64000;
-  const size_t total_rounds = total_requests / kInFlight;
+  // Both modes' JSON header: corpus, store, host, and an open config.
+  JsonWriter& Json(JsonWriter& json) const {
+    json.Object("corpus")
+        .Int("docs", collection.num_docs())
+        .Int("bytes", collection.size_bytes())
+        .Int("seed", corpus_options.seed)
+        .End();
+    return json.Str("store", store->name())
+        .Host()
+        .Object("config")
+        .Int("in_flight_per_producer", kInFlight)
+        .Num("zipf_theta", kZipfTheta, 2)
+        .Int("requests_per_row", total_rounds * kInFlight);
+  }
+};
+
+int Run(bool smoke, const std::string& out_path) {
+  const Setup setup(smoke);
+  const Collection& collection = setup.collection;
+  const ShardedStore* store = setup.store.get();
+  const size_t total_rounds = setup.total_rounds;
+  Gates gates(smoke);
 
   std::printf("serve_load_bench (%s): %zu docs, %.1f MB, %s, cpus=%d\n",
               smoke ? "smoke" : "full", collection.num_docs(),
               collection.size_bytes() / (1024.0 * 1024.0),
-              store->name().c_str(), cpus);
+              store->name().c_str(), AvailableCpus());
   std::printf("%-8s %-10s %-8s %12s %14s %9s %9s %9s %8s\n", "workers",
               "producers", "skew", "wall dps", "cpu dps", "p50 us",
               "p99 us", "p999 us", "steals");
 
-  std::string json;
-  char buf[512];
-  json.append("{\n  \"bench\": \"serve_load\",\n");
-  json.append(smoke ? "  \"mode\": \"smoke\",\n" : "  \"mode\": \"full\",\n");
-  std::snprintf(buf, sizeof(buf),
-                "  \"corpus\": {\"docs\": %zu, \"bytes\": %llu, "
-                "\"seed\": %llu},\n",
-                collection.num_docs(),
-                static_cast<unsigned long long>(collection.size_bytes()),
-                static_cast<unsigned long long>(corpus_options.seed));
-  json.append(buf);
-  json.append("  \"store\": \"" + store->name() + "\",\n");
-  json.append("  \"host\": " + HostJson() + ",\n");
-  std::snprintf(buf, sizeof(buf),
-                "  \"config\": {\"in_flight_per_producer\": %zu, "
-                "\"zipf_theta\": %.2f, \"requests_per_row\": %zu},\n",
-                kInFlight, kZipfTheta, total_rounds * kInFlight);
-  json.append(buf);
+  JsonWriter json("serve_load", smoke);
+  setup.Json(json).End();
   // The one-time "before" record: the pre-PR DocService (single
   // mutex/deque funnel, promise-per-request) measured from a pristine
   // build of commit 6be0460 via hot_path_bench's serve rows (rlz-ZV,
   // cache off, 20k MultiGet requests) on the 1-core reference host.
   // Emitted as constants so regenerating this file cannot lose the
   // trajectory's origin.
-  json.append(
-      "  \"pre_pr_baseline\": {\n"
-      "    \"comment\": \"Pre-PR funnel DocService measured once at commit "
-      "6be0460 on the 1-core reference host (hot_path_bench serve rows: "
-      "rlz-ZV, cache off). Wall scaling 1->4 threads was 1.02x through the "
-      "single-queue funnel.\",\n"
-      "    \"threads_1\": {\"wall_dps\": 24098},\n"
-      "    \"threads_4\": {\"wall_dps\": 24513}\n"
-      "  },\n");
-  json.append("  \"rows\": [\n");
+  json.Object("pre_pr_baseline", JsonWriter::kLines)
+      .Str("comment",
+           "Pre-PR funnel DocService measured once at commit 6be0460 on the "
+           "1-core reference host (hot_path_bench serve rows: rlz-ZV, cache "
+           "off). Wall scaling 1->4 threads was 1.02x through the "
+           "single-queue funnel.")
+      .Object("threads_1").Int("wall_dps", 24098).End()
+      .Object("threads_4").Int("wall_dps", 24513).End()
+      .End();
+  json.Array("rows", JsonWriter::kLines);
 
   // The gated pair: uniform skew, 4 producers, 1 worker vs 4 workers;
-  // best of kGateRepeats runs each.
-  LoadResult one;
-  LoadResult four;
+  // best of kGateRepeats runs each, the two rows taking turns (BestOf
+  // would run each row's repeats back to back).
+  std::vector<LoadResult> ones, fours;
   for (int rep = 0; rep < (smoke ? kGateRepeats : 1); ++rep) {
-    const LoadResult r1 = RunLoad(*store, 1, 4, /*zipfian=*/false,
-                                  total_rounds);
-    const LoadResult r4 = RunLoad(*store, 4, 4, /*zipfian=*/false,
-                                  total_rounds);
-    if (rep == 0 || BasisDps(r1, wall_basis) > BasisDps(one, wall_basis)) {
-      one = r1;
-    }
-    if (rep == 0 || BasisDps(r4, wall_basis) > BasisDps(four, wall_basis)) {
-      four = r4;
-    }
+    ones.push_back(RunLoad(*store, 1, 4, /*zipfian=*/false, total_rounds));
+    fours.push_back(RunLoad(*store, 4, 4, /*zipfian=*/false, total_rounds));
   }
-  PrintRow(1, 4, "uniform", one);
-  AppendJsonRow(1, 4, "uniform", one, /*last=*/false, &json);
-  PrintRow(4, 4, "uniform", four);
-  AppendJsonRow(4, 4, "uniform", four, /*last=*/false, &json);
+  const LoadResult one = *std::min_element(ones.begin(), ones.end(),
+                                           FasterOn(gates));
+  const LoadResult four = *std::min_element(fours.begin(), fours.end(),
+                                            FasterOn(gates));
+  Row(&json, 1, 4, "uniform", one);
+  Row(&json, 4, 4, "uniform", four);
 
   // Ungated context rows: producer scaling and Zipfian skew (where the
   // router concentrates hot documents on few workers and stealing levels
@@ -342,59 +353,31 @@ void Run(bool smoke, const std::string& out_path) {
     bool zipfian;
   } extra_rows[] = {
       {4, 1, false}, {1, 4, true}, {4, 4, true}};
-  constexpr size_t kNumExtra = sizeof(extra_rows) / sizeof(extra_rows[0]);
-  for (size_t i = 0; i < kNumExtra; ++i) {
-    const auto& row = extra_rows[i];
-    const LoadResult r = RunLoad(*store, row.workers, row.producers,
-                                 row.zipfian, total_rounds);
-    const char* skew = row.zipfian ? "zipfian" : "uniform";
-    PrintRow(row.workers, row.producers, skew, r);
-    AppendJsonRow(row.workers, row.producers, skew, r,
-                  /*last=*/i + 1 == kNumExtra, &json);
+  for (const auto& extra : extra_rows) {
+    Row(&json, extra.workers, extra.producers,
+        extra.zipfian ? "zipfian" : "uniform",
+        RunLoad(*store, extra.workers, extra.producers, extra.zipfian,
+                total_rounds));
   }
-  json.append("  ],\n");
+  json.End();
 
-  const double dps1 = BasisDps(one, wall_basis);
-  const double dps4 = BasisDps(four, wall_basis);
+  const double dps1 = gates.Pick(one.wall_dps, one.cpu_dps);
+  const double dps4 = gates.Pick(four.wall_dps, four.cpu_dps);
   const double ratio = dps1 > 0 ? dps4 / dps1 : 0.0;
-  const bool gate_pass = ratio >= kMinScaleRatio;
-  std::snprintf(buf, sizeof(buf),
-                "  \"gate\": {\"basis\": \"%s\", "
-                "\"min_ratio_required\": %.2f, \"workers_1_dps\": %.0f, "
-                "\"workers_4_dps\": %.0f, \"ratio\": %.2f, \"pass\": %s}\n"
-                "}\n",
-                BasisName(wall_basis), kMinScaleRatio, dps1, dps4,
-                ratio, gate_pass ? "true" : "false");
-  json.append(buf);
-
-  const Status write_status = WriteFile(out_path, json);
-  RLZ_CHECK(write_status.ok()) << write_status.ToString();
-  std::printf("\nwrote %s\n", out_path.c_str());
-
-  if (smoke) {
-    std::printf("smoke gate (%s basis): 4 workers >= %.2fx 1 worker: %s "
-                "(%.2fx)\n",
-                BasisName(wall_basis), kMinScaleRatio,
-                gate_pass ? "PASS" : "FAIL", ratio);
-    if (!gate_pass) std::exit(1);
-  }
-}
-
-// Like AppendJsonRow but with a row label ("read_only" / "mixed") instead
-// of a worker/producer/skew triple — the ingest-mode rows share every
-// other knob, so the label is the only thing that varies.
-void AppendLabeledJsonRow(const char* label, const LoadResult& r, bool last,
-                          std::string* json) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "    {\"row\": \"%s\", \"requests\": %llu, \"wall_dps\": %.0f, "
-      "\"cpu_dps\": %.0f, \"p50_us\": %.1f, \"p99_us\": %.1f, "
-      "\"p999_us\": %.1f, \"steals\": %llu}%s\n",
-      label, static_cast<unsigned long long>(r.requests), r.wall_dps,
-      r.cpu_dps, r.p50_us, r.p99_us, r.p999_us,
-      static_cast<unsigned long long>(r.steals), last ? "" : ",");
-  json->append(buf);
+  const bool gate_pass = gates.Check(
+      ratio >= kMinScaleRatio,
+      "smoke gate (%s basis): 4 workers >= %.2fx 1 worker (%.2fx)",
+      gates.basis(), kMinScaleRatio, ratio);
+  json.Object("gate")
+      .Str("basis", gates.basis())
+      .Num("min_ratio_required", kMinScaleRatio, 2)
+      .Num("workers_1_dps", dps1, 0)
+      .Num("workers_4_dps", dps4, 0)
+      .Num("ratio", ratio, 2)
+      .Bool("pass", gate_pass)
+      .End();
+  json.Write(out_path);
+  return gates.ExitCode();
 }
 
 // The --ingest mode: sustained ingest vs serving (DESIGN.md §11,
@@ -405,18 +388,11 @@ void AppendLabeledJsonRow(const char* label, const LoadResult& r, bool last,
 // auto-sealing as it fills. Both rows are best-of-kGateRepeats in smoke
 // mode. The gate: mixed-row read docs/s must retain kMinReadRetention of
 // the read-only row on the host-chosen basis.
-void RunIngest(bool smoke, const std::string& out_path, double fraction) {
-  CorpusOptions corpus_options;
-  corpus_options.target_bytes = smoke ? (4u << 20) : (16u << 20);
-  corpus_options.seed = 20110613;
-  const Corpus corpus = GenerateCorpus(corpus_options);
-  const Collection& collection = corpus.collection;
-
-  ShardedStoreOptions store_options;
-  store_options.num_shards = 4;
-  store_options.dict_bytes = collection.size_bytes() / 100;
-  store_options.live.tail_seal_bytes = 1 << 20;
-  auto store = ShardedStore::Build(collection, store_options);
+int RunIngest(bool smoke, const std::string& out_path, double fraction) {
+  const Setup setup(smoke);
+  const Collection& collection = setup.collection;
+  ShardedStore* store = setup.store.get();
+  const size_t total_rounds = setup.total_rounds;
 
   // Fresh content the writer streams in (drifted seed: appended documents
   // encode against the build-time append dictionary, as in §3.6).
@@ -425,50 +401,40 @@ void RunIngest(bool smoke, const std::string& out_path, double fraction) {
   fresh_options.seed = 40227;
   const Collection fresh = GenerateCorpus(fresh_options).collection;
 
-  const int cpus = AvailableCpus();
-  const bool wall_basis = cpus >= 4;
+  Gates gates(smoke);
   const size_t read_docs = collection.num_docs();
-  const size_t total_requests = smoke ? 16000 : 64000;
-  const size_t total_rounds = total_requests / kInFlight;
   const int shards_before = store->num_shards();
+  const int repeats = smoke ? kGateRepeats : 1;
 
   std::printf(
       "serve_load_bench --ingest (%s): %zu docs, %.1f MB, %s, cpus=%d, "
       "ingest fraction %.2f\n",
       smoke ? "smoke" : "full", collection.num_docs(),
-      collection.size_bytes() / (1024.0 * 1024.0), store->name().c_str(), cpus,
-      fraction);
+      collection.size_bytes() / (1024.0 * 1024.0), store->name().c_str(),
+      AvailableCpus(), fraction);
   std::printf("%-10s %12s %14s %9s %9s %9s %8s\n", "row", "wall dps",
               "cpu dps", "p50 us", "p99 us", "p999 us", "steals");
 
   // Read-only baseline first (repeats before any append mutates the
   // store, so every baseline run reads the same frozen corpus).
-  LoadResult read_only;
-  for (int rep = 0; rep < (smoke ? kGateRepeats : 1); ++rep) {
-    const LoadResult r =
-        RunLoad(*store, 4, 4, /*zipfian=*/true, total_rounds);
-    if (rep == 0 ||
-        BasisDps(r, wall_basis) > BasisDps(read_only, wall_basis)) {
-      read_only = r;
-    }
-  }
-  PrintRow(4, 4, "zipfian", read_only);
+  const LoadResult read_only = BestOf(
+      repeats,
+      [&] { return RunLoad(*store, 4, 4, /*zipfian=*/true, total_rounds); },
+      FasterOn(gates));
+  Row(nullptr, 4, 4, "zipfian", read_only);
 
   // Mixed rows: the store keeps growing across repeats (appends are
   // permanent), but readers always sample the initial `read_docs` range,
   // so the read workload stays identical.
-  LoadResult mixed;
-  IngestStats ingest;
-  for (int rep = 0; rep < (smoke ? kGateRepeats : 1); ++rep) {
-    IngestStats stats;
-    const LoadResult r = RunMixed(store.get(), 4, 4, read_docs, total_rounds,
-                                  fresh, fraction, &stats);
-    if (rep == 0 || BasisDps(r, wall_basis) > BasisDps(mixed, wall_basis)) {
-      mixed = r;
-      ingest = stats;
-    }
-  }
-  PrintRow(4, 4, "zipfian", mixed);
+  const auto faster = FasterOn(gates);
+  const auto [mixed, ingest] = BestOf(
+      repeats,
+      [&] {
+        return RunMixed(store, 4, 4, read_docs, total_rounds, fresh,
+                        fraction);
+      },
+      [&](const auto& a, const auto& b) { return faster(a.first, b.first); });
+  Row(nullptr, 4, 4, "zipfian", mixed);
   std::printf(
       "ingest: %llu docs, %.1f MB appended at %.1f MB/s; shards %d -> %d, "
       "epoch %llu\n",
@@ -477,69 +443,42 @@ void RunIngest(bool smoke, const std::string& out_path, double fraction) {
       store->num_shards(),
       static_cast<unsigned long long>(store->epoch_sequence()));
 
-  std::string json;
-  char buf[512];
-  json.append("{\n  \"bench\": \"serve_ingest\",\n");
-  json.append(smoke ? "  \"mode\": \"smoke\",\n" : "  \"mode\": \"full\",\n");
-  std::snprintf(buf, sizeof(buf),
-                "  \"corpus\": {\"docs\": %zu, \"bytes\": %llu, "
-                "\"seed\": %llu},\n",
-                collection.num_docs(),
-                static_cast<unsigned long long>(collection.size_bytes()),
-                static_cast<unsigned long long>(corpus_options.seed));
-  json.append(buf);
-  json.append("  \"store\": \"" + store->name() + "\",\n");
-  json.append("  \"host\": " + HostJson() + ",\n");
-  std::snprintf(
-      buf, sizeof(buf),
-      "  \"config\": {\"in_flight_per_producer\": %zu, "
-      "\"zipf_theta\": %.2f, \"requests_per_row\": %zu, "
-      "\"ingest_fraction\": %.2f, \"tail_seal_bytes\": %llu, "
-      "\"fresh_seed\": %llu},\n",
-      kInFlight, kZipfTheta, total_rounds * kInFlight, fraction,
-      static_cast<unsigned long long>(store_options.live.tail_seal_bytes),
-      static_cast<unsigned long long>(fresh_options.seed));
-  json.append(buf);
-  json.append("  \"rows\": [\n");
-  AppendLabeledJsonRow("read_only", read_only, /*last=*/false, &json);
-  AppendLabeledJsonRow("mixed", mixed, /*last=*/true, &json);
-  json.append("  ],\n");
-  std::snprintf(
-      buf, sizeof(buf),
-      "  \"ingest\": {\"docs\": %llu, \"bytes\": %llu, "
-      "\"mb_per_s\": %.1f, \"shards_before\": %d, \"shards_after\": %d, "
-      "\"final_epoch\": %llu},\n",
-      static_cast<unsigned long long>(ingest.docs),
-      static_cast<unsigned long long>(ingest.bytes), ingest.mb_per_s,
-      shards_before, store->num_shards(),
-      static_cast<unsigned long long>(store->epoch_sequence()));
-  json.append(buf);
+  JsonWriter json("serve_ingest", smoke);
+  setup.Json(json)
+      .Num("ingest_fraction", fraction, 2)
+      .Int("tail_seal_bytes", kTailSealBytes)
+      .Int("fresh_seed", fresh_options.seed)
+      .End();
+  json.Array("rows", JsonWriter::kLines);
+  LoadJson(json.Object().Str("row", "read_only"), read_only).End();
+  LoadJson(json.Object().Str("row", "mixed"), mixed).End();
+  json.End();
+  json.Object("ingest")
+      .Int("docs", ingest.docs)
+      .Int("bytes", ingest.bytes)
+      .Num("mb_per_s", ingest.mb_per_s, 1)
+      .Int("shards_before", shards_before)
+      .Int("shards_after", store->num_shards())
+      .Int("final_epoch", store->epoch_sequence())
+      .End();
 
-  const double dps_ro = BasisDps(read_only, wall_basis);
-  const double dps_mx = BasisDps(mixed, wall_basis);
+  const double dps_ro = gates.Pick(read_only.wall_dps, read_only.cpu_dps);
+  const double dps_mx = gates.Pick(mixed.wall_dps, mixed.cpu_dps);
   const double retention = dps_ro > 0 ? dps_mx / dps_ro : 0.0;
-  const bool gate_pass = retention >= kMinReadRetention;
-  std::snprintf(
-      buf, sizeof(buf),
-      "  \"gate\": {\"basis\": \"%s\", \"min_read_retention\": %.2f, "
-      "\"read_only_dps\": %.0f, \"mixed_dps\": %.0f, \"retention\": %.2f, "
-      "\"pass\": %s}\n}\n",
-      BasisName(wall_basis), kMinReadRetention, dps_ro, dps_mx,
-      retention, gate_pass ? "true" : "false");
-  json.append(buf);
-
-  const Status write_status = WriteFile(out_path, json);
-  RLZ_CHECK(write_status.ok()) << write_status.ToString();
-  std::printf("\nwrote %s\n", out_path.c_str());
-
-  if (smoke) {
-    std::printf(
-        "smoke gate (%s basis): mixed reads >= %.0f%% of read-only: %s "
-        "(%.0f%%)\n",
-        BasisName(wall_basis), 100.0 * kMinReadRetention,
-        gate_pass ? "PASS" : "FAIL", 100.0 * retention);
-    if (!gate_pass) std::exit(1);
-  }
+  const bool gate_pass = gates.Check(
+      retention >= kMinReadRetention,
+      "smoke gate (%s basis): mixed reads >= %.0f%% of read-only (%.0f%%)",
+      gates.basis(), 100.0 * kMinReadRetention, 100.0 * retention);
+  json.Object("gate")
+      .Str("basis", gates.basis())
+      .Num("min_read_retention", kMinReadRetention, 2)
+      .Num("read_only_dps", dps_ro, 0)
+      .Num("mixed_dps", dps_mx, 0)
+      .Num("retention", retention, 2)
+      .Bool("pass", gate_pass)
+      .End();
+  json.Write(out_path);
+  return gates.ExitCode();
 }
 
 }  // namespace
@@ -572,10 +511,6 @@ int main(int argc, char** argv) {
   if (out_path.empty()) {
     out_path = ingest ? "BENCH_ingest.json" : "BENCH_serve.json";
   }
-  if (ingest) {
-    rlz::bench::RunIngest(smoke, out_path, ingest_fraction);
-  } else {
-    rlz::bench::Run(smoke, out_path);
-  }
-  return 0;
+  return ingest ? rlz::bench::RunIngest(smoke, out_path, ingest_fraction)
+                : rlz::bench::Run(smoke, out_path);
 }

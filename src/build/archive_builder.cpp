@@ -21,7 +21,6 @@ RlzArchiveBuilder::RlzArchiveBuilder(std::shared_ptr<const Dictionary> dict,
                         ArchiveBuilderOptions{coding, track_coverage,
                                               /*num_threads=*/1,
                                               /*chunk_docs=*/0,
-                                              /*max_inflight_chunks=*/0,
                                               /*background=*/false}) {}
 
 RlzArchiveBuilder::RlzArchiveBuilder(std::shared_ptr<const Dictionary> dict,
@@ -40,7 +39,6 @@ RlzArchiveBuilder::RlzArchiveBuilder(std::shared_ptr<const Dictionary> dict,
   if (workers > 1) {
     BuildPipelineOptions pipeline_options;
     pipeline_options.num_threads = workers;
-    pipeline_options.max_inflight_chunks = options_.max_inflight_chunks;
     pipeline_options.background = options_.background;
     pipeline_ = std::make_unique<BuildPipeline>(pipeline_options);
     open_ = std::make_shared<Chunk>();

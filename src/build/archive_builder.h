@@ -32,9 +32,6 @@ struct ArchiveBuilderOptions {
   /// streaming default — batch builds pass a balanced value). Never
   /// affects output bytes.
   size_t chunk_docs = 0;
-  /// Backpressure: maximum unmerged chunks in flight; AddDocument blocks
-  /// beyond it, bounding buffered text. 0 picks 4 x num_threads.
-  size_t max_inflight_chunks = 0;
   /// Run the pipeline workers at background priority
   /// (BuildPipelineOptions::background). Never affects output bytes.
   bool background = false;
@@ -73,7 +70,7 @@ struct ArchiveBuildReport {
 /// chunks of chunk_docs; each chunk is factorized by one of the per-worker
 /// Factorizers against the shared immutable Dictionary and merged into the
 /// archive in submission order. AddDocument applies backpressure once
-/// max_inflight_chunks chunks are unmerged, so memory stays bounded while
+/// 4 x num_threads chunks are unmerged, so memory stays bounded while
 /// streaming. Not thread-safe: one producer thread calls
 /// AddDocument/Finish.
 class RlzArchiveBuilder {

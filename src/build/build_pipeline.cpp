@@ -31,9 +31,7 @@ size_t BalancedChunkDocs(size_t num_docs, int num_threads) {
 BuildPipeline::BuildPipeline(const BuildPipelineOptions& options)
     : num_threads_(std::max(1, options.num_threads)),
       background_(options.background),
-      max_inflight_(options.max_inflight_chunks != 0
-                        ? std::max<size_t>(1, options.max_inflight_chunks)
-                        : 4 * static_cast<size_t>(num_threads_)) {
+      max_inflight_(4 * static_cast<size_t>(num_threads_)) {
   worker_cpu_.assign(static_cast<size_t>(num_threads_), 0.0);
   if (num_threads_ > 1) {
     threads_.reserve(num_threads_);

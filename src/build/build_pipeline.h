@@ -33,10 +33,6 @@ struct BuildPipelineOptions {
   /// thread (no threads are spawned) — the serial build, with identical
   /// output by construction.
   int num_threads = 1;
-  /// Maximum chunks admitted but not yet merged; Submit blocks beyond
-  /// this (backpressure, so a streaming producer cannot buffer an entire
-  /// collection ahead of the workers). 0 picks 4 x num_threads.
-  size_t max_inflight_chunks = 0;
   /// Run the workers at the lowest CPU priority (nice 19; Linux keeps
   /// nice per thread), so a build beside serving threads — a live
   /// store's tail seal — takes only the CPU they leave idle.
@@ -109,8 +105,9 @@ class BuildPipeline {
   /// Not assignable: owns worker threads and in-flight chunk state.
   BuildPipeline& operator=(const BuildPipeline&) = delete;
 
-  /// Enqueues one chunk. Blocks while max_inflight_chunks chunks are
-  /// admitted but unmerged. With num_threads <= 1, runs encode(0) and
+  /// Enqueues one chunk. Blocks while 4 x num_threads chunks are admitted
+  /// but unmerged (backpressure, so a streaming producer cannot buffer an
+  /// entire collection ahead of the workers). With num_threads <= 1, runs encode(0) and
   /// merge() before returning.
   void Submit(EncodeFn encode, MergeFn merge);
 

@@ -833,7 +833,6 @@ Status ShardedStore::MakeDurable(const std::string& dir,
     }
     fs_ = fs != nullptr ? std::move(fs) : DefaultFileSystem();
     durable_dir_ = dir;
-    wal_options_ = wal_options;
     // Names a manifest gave the files point into another directory (or
     // none): the first checkpoint writes every shard and the append
     // dictionary into this one.
@@ -932,7 +931,6 @@ Status ShardedStore::WriteCheckpoint() {
   {
     std::lock_guard<std::mutex> lock(writer_mu_);
     checkpoint_generation_ = generation;
-    covered_lsn_ = covered;
     append_dict_file_ = manifest.append_dict_name;
     // Shards still identical to the snapshot's are now held by the live
     // checkpoint; a shard sealed or compacted since stays unnamed.
@@ -1008,9 +1006,7 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::OpenFromCheckpoint(
 
   store->fs_ = io;
   store->durable_dir_ = dir;
-  store->wal_options_ = wal_options;
   store->checkpoint_generation_ = info.generation;
-  store->covered_lsn_ = info.covered_lsn;
   // A serving-only open never writes: no WAL writer, mutations disabled.
   store->read_only_ = !options.build_suffix_array;
 

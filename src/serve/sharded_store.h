@@ -427,10 +427,8 @@ class ShardedStore final : public Archive {
   // except checkpoint_mu_, which serializes whole checkpoints.
   std::shared_ptr<FileSystem> fs_;
   std::string durable_dir_;
-  wal::WalWriterOptions wal_options_;
   std::unique_ptr<wal::WalWriter> wal_;
   uint64_t checkpoint_generation_ = 0;
-  uint64_t covered_lsn_ = 0;
   bool read_only_ = false;
   std::mutex checkpoint_mu_;
   // The first failed post-seal checkpoint's error, until Checkpoint()

@@ -90,11 +90,14 @@ struct Token {
                         // cannot hold 32768, so store dist - 1.
 };
 
-// Little-endian 64-bit load written bytewise, so it is portable;
-// compilers fuse it into one load on little-endian targets.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "LoadLe64, StoreLe64 and MatchLength assume little-endian "
+              "words");
+
+// Little-endian 64-bit load: one unaligned load.
 inline uint64_t LoadLe64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  uint64_t v;
+  std::memcpy(&v, p, 8);
   return v;
 }
 
@@ -106,14 +109,9 @@ uint32_t HashAt(const uint8_t* p) {
   return (v * kHashMul) >> (32 - kHashBits);
 }
 
-static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
-              "MatchLength reads the first mismatch from the low byte");
-
 // Length of the common prefix of a and b, at most `max_len`. Compares 8
 // bytes per step: the lowest set byte of the XOR of two little-endian
-// words is the first mismatch. The loads are memcpy, which compiles to
-// one load; LoadLe64's byte loop did not fuse here and made the search
-// slower than the byte loop it replaces.
+// words is the first mismatch.
 size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t max_len) {
   size_t l = 0;
   while (l + 8 <= max_len) {
@@ -256,9 +254,7 @@ void Tokenize(std::string_view in, const GzipxOptions& options,
 }
 
 // Little-endian 64-bit store, the mirror of LoadLe64.
-inline void StoreLe64(uint8_t* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
+inline void StoreLe64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, 8); }
 
 // LSB-first bit writer over a pre-sized buffer that stores whole 64-bit
 // words: Put only ORs bits into the accumulator, and Flush stores all 8

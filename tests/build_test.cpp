@@ -202,8 +202,9 @@ class BuildPipelineThreadsTest : public ::testing::TestWithParam<int> {};
 TEST_P(BuildPipelineThreadsTest, MergesRunInSubmissionOrder) {
   BuildPipelineOptions options;
   options.num_threads = GetParam();
-  options.max_inflight_chunks = 3;  // exercise backpressure
   BuildPipeline pipeline(options);
+  // More chunks than the in-flight cap (4 x threads) at every thread
+  // count, so Submit exercises backpressure.
   constexpr int kChunks = 200;
   std::vector<int> merged;
   std::vector<std::unique_ptr<int>> encoded(kChunks);
@@ -374,8 +375,10 @@ TEST_P(ParallelIdentityTest, StreamingBuilderMatchesBatchBuild) {
 
   ArchiveBuilderOptions options;
   options.num_threads = threads;
-  options.chunk_docs = 5;
-  options.max_inflight_chunks = 2;  // force backpressure while streaming
+  // One document per chunk: 90 chunks, more than the in-flight cap
+  // (4 x threads) at every thread count, forcing backpressure while
+  // streaming.
+  options.chunk_docs = 1;
   RlzArchiveBuilder builder(dict, options);
   for (size_t i = 0; i < collection.num_docs(); ++i) {
     // AddDocument copies: hand it a transient string to prove it.
@@ -390,7 +393,7 @@ TEST_P(ParallelIdentityTest, StreamingBuilderMatchesBatchBuild) {
             ArchiveBytes(*batch, "batch"));
   EXPECT_EQ(report.stats.text_bytes, collection.size_bytes());
   if (threads > 1) {
-    EXPECT_EQ(report.chunks, (collection.num_docs() + 4) / 5);
+    EXPECT_EQ(report.chunks, collection.num_docs());
     EXPECT_EQ(report.num_threads, threads);
   }
 }
