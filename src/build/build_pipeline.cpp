@@ -28,18 +28,124 @@ size_t BalancedChunkDocs(size_t num_docs, int num_threads) {
       1, num_docs / (4 * static_cast<size_t>(std::max(1, num_threads))));
 }
 
-BuildPipeline::BuildPipeline(const BuildPipelineOptions& options)
-    : num_threads_(std::max(1, options.num_threads)),
-      background_(options.background),
-      max_inflight_(4 * static_cast<size_t>(num_threads_)) {
-  worker_cpu_.assign(static_cast<size_t>(num_threads_), 0.0);
+namespace {
+
+// Where a background pool's worker may run (DESIGN.md §7). Idle, it is
+// pinned to its home CPU, the worker-th of those it may use, so the wake
+// that hands it a chunk lands there; working, it may run on all of them,
+// so a busy CPU does not hold it. Woken unpinned, the workers of a
+// long-lived pool often queued behind one another on the CPU they had
+// last run on. A short-lived pool's new threads spread by themselves,
+// and pinning them cost a recovery's shard opens ~2 ms.
+class WorkerCpus {
+ public:
+  WorkerCpus(int worker, bool pin) {
+#ifdef __linux__
+    pin_ = pin && sched_getaffinity(0, sizeof(all_), &all_) == 0 &&
+           CPU_COUNT(&all_) > 1;
+    CPU_ZERO(&home_);
+    int skip = pin_ ? worker % CPU_COUNT(&all_) : 0;
+    for (int cpu = 0; pin_ && cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &all_) && skip-- == 0) {
+        CPU_SET(cpu, &home_);
+        break;
+      }
+    }
+#else
+    (void)worker;
+    (void)pin;
+#endif
+  }
+
+  void Idle() const { Use(home_); }
+  void Work() const { Use(all_); }
+
+ private:
+#ifdef __linux__
+  // Best effort: a failure leaves the worker where it was.
+  void Use(const cpu_set_t& cpus) const {
+    if (pin_) (void)sched_setaffinity(0, sizeof(cpus), &cpus);
+  }
+
+  bool pin_ = false;
+  cpu_set_t all_;
+  cpu_set_t home_;
+#else
+  void Use(int) const {}
+
+  int all_ = 0;
+  int home_ = 0;
+#endif
+};
+
+}  // namespace
+
+BuildPool::BuildPool(int num_threads, bool background)
+    : num_threads_(std::max(1, num_threads)), background_(background) {
   if (num_threads_ > 1) {
     threads_.reserve(num_threads_);
     for (int w = 0; w < num_threads_; ++w) {
-      threads_.emplace_back(&BuildPipeline::WorkerLoop, this, w);
+      threads_.emplace_back(&BuildPool::WorkerLoop, this, w);
     }
   }
 }
+
+BuildPool::~BuildPool() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+  }
+  work_ready_.notify_all();
+  for (std::thread& t : threads_) t.join();
+}
+
+void BuildPool::Run(Task task) {
+  if (threads_.empty()) {
+    task(0);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(task));
+  }
+  work_ready_.notify_one();
+}
+
+void BuildPool::WorkerLoop(int worker) {
+#ifdef __linux__
+  // Nice 19 weighs about 1.5% of a default thread. Best effort: a
+  // failure leaves the priority as it was.
+  if (background_) (void)setpriority(PRIO_PROCESS, 0, 19);
+#endif
+  const WorkerCpus cpus(worker, background_);
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    if (queue_.empty() && !stopping_) {
+      lock.unlock();
+      cpus.Idle();
+      lock.lock();
+      work_ready_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
+      lock.unlock();
+      cpus.Work();
+      lock.lock();
+    }
+    if (queue_.empty()) {
+      if (stopping_) return;
+      continue;  // another worker took the chunk meanwhile
+    }
+    Task task = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    task(worker);
+    task = nullptr;
+    lock.lock();
+  }
+}
+
+BuildPipeline::BuildPipeline(BuildPool* pool)
+    : pool_(pool),
+      max_inflight_(4 * static_cast<size_t>(pool->num_threads())),
+      worker_cpu_(static_cast<size_t>(pool->num_threads()), 0.0) {}
 
 BuildPipeline::~BuildPipeline() {
   if (!finished_) Finish();
@@ -47,85 +153,63 @@ BuildPipeline::~BuildPipeline() {
 
 void BuildPipeline::Submit(EncodeFn encode, MergeFn merge) {
   RLZ_CHECK(!finished_) << "Submit after Finish";
-  ++chunks_submitted_;
-  if (threads_.empty()) {
-    // Inline serial path: encode-then-merge immediately. This IS the
-    // reference ordering the parallel path reproduces.
-    const double start = ThreadCpuSeconds();
-    encode(0);
-    merge();
-    worker_cpu_[0] += ThreadCpuSeconds() - start;
-    return;
+  uint64_t seq = 0;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    space_free_.wait(lock, [&] { return in_flight_ < max_inflight_; });
+    ++in_flight_;
+    seq = next_seq_++;
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  space_free_.wait(lock, [&] { return in_flight_ < max_inflight_; });
-  ++in_flight_;
-  queue_.push_back(Task{next_seq_++, std::move(encode), std::move(merge)});
-  lock.unlock();
-  work_ready_.notify_one();
+  pool_->Run([this, seq, encode = std::move(encode),
+              merge = std::move(merge)](int worker) mutable {
+    RunChunk(worker, seq, std::move(encode), std::move(merge));
+  });
 }
 
-void BuildPipeline::WorkerLoop(int worker) {
-#ifdef __linux__
-  // Nice 19 weighs about 1.5% of a default thread. Best effort: a
-  // failure leaves the priority as it was.
-  if (background_) (void)setpriority(PRIO_PROCESS, 0, 19);
-#endif
-  for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_ready_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
+void BuildPipeline::RunChunk(int worker, uint64_t seq, EncodeFn encode,
+                             MergeFn merge) {
+  const double encode_start = ThreadCpuSeconds();
+  encode(worker);
+  worker_cpu_[worker] += ThreadCpuSeconds() - encode_start;
+  // Release the encode's captures now: once the last merge is counted,
+  // Finish may return and the run's owner go away.
+  encode = nullptr;
 
-    const double encode_start = ThreadCpuSeconds();
-    task.encode(worker);
-    worker_cpu_[worker] += ThreadCpuSeconds() - encode_start;
-
-    // Ordered merge: park this chunk's merge, then — if the next-in-order
-    // chunk is ready and nobody else is merging — drain every consecutive
-    // ready merge. Merges run outside the lock (merging_ keeps them
-    // mutually exclusive), so other workers keep encoding meanwhile.
-    std::unique_lock<std::mutex> lock(mu_);
-    ready_.emplace(task.seq, std::move(task.merge));
-    while (!merging_ && !ready_.empty() &&
-           ready_.begin()->first == next_merge_) {
-      MergeFn merge = std::move(ready_.begin()->second);
-      ready_.erase(ready_.begin());
-      merging_ = true;
-      lock.unlock();
-      const double merge_start = ThreadCpuSeconds();
-      merge();
-      worker_cpu_[worker] += ThreadCpuSeconds() - merge_start;
-      lock.lock();
-      merging_ = false;
-      ++next_merge_;
-      --in_flight_;
-      space_free_.notify_all();
-      if (in_flight_ == 0) all_merged_.notify_all();
-    }
+  // Ordered merge: park this chunk's merge, then — if the next-in-order
+  // chunk is ready and nobody else is merging — drain every consecutive
+  // ready merge. Merges run outside the lock (merging_ keeps them
+  // mutually exclusive), so other workers keep encoding meanwhile.
+  std::unique_lock<std::mutex> lock(mu_);
+  ready_.emplace(seq, std::move(merge));
+  while (!merging_ && !ready_.empty() &&
+         ready_.begin()->first == next_merge_) {
+    MergeFn next = std::move(ready_.begin()->second);
+    ready_.erase(ready_.begin());
+    merging_ = true;
+    lock.unlock();
+    const double merge_start = ThreadCpuSeconds();
+    next();
+    next = nullptr;
+    worker_cpu_[worker] += ThreadCpuSeconds() - merge_start;
+    lock.lock();
+    merging_ = false;
+    ++next_merge_;
+    --in_flight_;
+    space_free_.notify_all();
+    if (in_flight_ == 0) all_merged_.notify_all();
   }
 }
 
 BuildPipelineStats BuildPipeline::Finish() {
   RLZ_CHECK(!finished_) << "Finish called twice";
   finished_ = true;
-  if (!threads_.empty()) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      all_merged_.wait(lock, [&] { return in_flight_ == 0; });
-      stopping_ = true;
-    }
-    work_ready_.notify_all();
-    for (std::thread& t : threads_) t.join();
-    threads_.clear();
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    all_merged_.wait(lock, [&] { return in_flight_ == 0; });
   }
   BuildPipelineStats stats;
-  stats.chunks = chunks_submitted_;
-  stats.num_threads = num_threads_;
+  stats.chunks = next_seq_;
+  stats.num_threads = pool_->num_threads();
   stats.worker_cpu_seconds = worker_cpu_;
   return stats;
 }

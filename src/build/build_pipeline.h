@@ -2,7 +2,8 @@
 #define RLZ_BUILD_BUILD_PIPELINE_H_
 
 /// \file
-/// The chunked parallel build executor with ordered merges (DESIGN.md §7).
+/// The build worker pool and the chunked ordered-merge runs over it
+/// (DESIGN.md §7).
 
 #include <condition_variable>
 #include <cstdint>
@@ -27,23 +28,11 @@ struct DocRange {
   size_t size() const { return end - begin; }
 };
 
-/// Knobs for BuildPipeline.
-struct BuildPipelineOptions {
-  /// Worker threads. <= 1 runs every chunk inline on the submitting
-  /// thread (no threads are spawned) — the serial build, with identical
-  /// output by construction.
-  int num_threads = 1;
-  /// Run the workers at the lowest CPU priority (nice 19; Linux keeps
-  /// nice per thread), so a build beside serving threads — a live
-  /// store's tail seal — takes only the CPU they leave idle.
-  bool background = false;
-};
-
 /// Accounting from one pipeline run (valid after Finish()).
 struct BuildPipelineStats {
   /// Chunks submitted over the pipeline's lifetime.
   size_t chunks = 0;
-  /// Worker count the pipeline ran with (1 for the inline serial path).
+  /// Worker count of the pool the run used (1 for an inline pool).
   int num_threads = 1;
   /// Thread-CPU seconds per worker (encode + the merges that worker ran).
   std::vector<double> worker_cpu_seconds;
@@ -72,20 +61,66 @@ int AvailableCpus();
 /// serialize the end of a build. >= 1; never changes output bytes.
 size_t BalancedChunkDocs(size_t num_docs, int num_threads);
 
-/// The chunked parallel build executor (DESIGN.md §7). Work is submitted
-/// as ordered chunks; each chunk's `encode` runs concurrently on a worker
-/// thread, and its `merge` runs exactly once, after the chunk's own
-/// encode AND the merges of all earlier chunks — i.e. merges are
-/// serialized in submission order, on whichever worker completed the
-/// ready chunk. Because chunks are merged in submission order and encode
-/// work is chunk-local, the merged output is byte-identical to running
-/// every (encode, merge) pair inline in order — for ANY thread count,
-/// chunk size, or scheduling.
+/// Long-lived build workers (DESIGN.md §7). BuildPipeline runs submit
+/// their chunks here; any number of runs may share one pool at once.
+/// With num_threads <= 1 the pool starts no thread and every chunk runs
+/// inline on the submitting thread — the serial build, with identical
+/// output by construction.
+class BuildPool {
+ public:
+  /// Starts `num_threads` workers (none for num_threads <= 1). With
+  /// `background` they run at the lowest CPU
+  /// priority, nice 19 (Linux keeps nice per thread), so a build beside
+  /// serving threads — a live store's seals and compactions — takes only
+  /// the CPU they leave idle; and, since such a pool lives long and
+  /// sleeps between builds, an idle worker waits pinned to a CPU of its
+  /// own, so a build's wakes spread its workers over the CPUs.
+  explicit BuildPool(int num_threads = 1, bool background = false);
+  /// Stops and joins the workers. Every run on the pool must have
+  /// finished.
+  ~BuildPool();
+
+  /// Not copyable: owns worker threads.
+  BuildPool(const BuildPool&) = delete;
+  /// Not assignable: owns worker threads.
+  BuildPool& operator=(const BuildPool&) = delete;
+
+  /// Worker count; an encode callback's worker index is below it.
+  int num_threads() const { return num_threads_; }
+
+ private:
+  friend class BuildPipeline;
+  using Task = std::function<void(int)>;
+
+  /// Queues `task` for the next free worker, or runs task(0) inline when
+  /// the pool has no thread.
+  void Run(Task task);
+  void WorkerLoop(int worker);
+
+  const int num_threads_;
+  const bool background_;
+  std::mutex mu_;
+  std::condition_variable work_ready_;  // queue_ gained a task / stopping
+  std::deque<Task> queue_;
+  bool stopping_ = false;
+  std::vector<std::thread> threads_;
+};
+
+/// One chunked build run with ordered merges over a BuildPool (DESIGN.md
+/// §7). Work is submitted as ordered chunks; each chunk's `encode` runs
+/// concurrently on a pool worker, and its `merge` runs exactly once,
+/// after the chunk's own encode AND the merges of all earlier chunks —
+/// i.e. merges are serialized in submission order, on whichever worker
+/// completed the ready chunk. Because chunks are merged in submission
+/// order and encode work is chunk-local, the merged output is
+/// byte-identical to running every (encode, merge) pair inline in order —
+/// for ANY pool size, chunk size, or scheduling.
 ///
-/// Submit is single-producer: call it (and Finish) from one thread.
-/// Encode callbacks receive the worker index [0, num_threads) so callers
-/// can keep per-worker state (e.g. one Factorizer per worker) without
-/// locking; merge callbacks never run concurrently with each other.
+/// Submit is single-producer: call it (and Finish) from one thread, which
+/// must not be one of the pool's workers. Encode callbacks receive the
+/// worker index [0, pool->num_threads()) so callers can keep per-worker
+/// state (e.g. one Factorizer per worker) without locking; merge
+/// callbacks never run concurrently with each other.
 class BuildPipeline {
  public:
   /// Encodes one chunk into chunk-local storage. The int argument is the
@@ -95,24 +130,25 @@ class BuildPipeline {
   /// submission order.
   using MergeFn = std::function<void()>;
 
-  /// Starts the worker pool (none for num_threads <= 1).
-  explicit BuildPipeline(const BuildPipelineOptions& options = {});
-  /// Drains and joins; prefer calling Finish() explicitly for the stats.
+  /// A run on `pool`, which must outlive it.
+  explicit BuildPipeline(BuildPool* pool);
+  /// Waits for every submitted chunk; prefer calling Finish() explicitly
+  /// for the stats.
   ~BuildPipeline();
 
-  /// Not copyable: owns worker threads and in-flight chunk state.
+  /// Not copyable: holds in-flight chunk state.
   BuildPipeline(const BuildPipeline&) = delete;
-  /// Not assignable: owns worker threads and in-flight chunk state.
+  /// Not assignable: holds in-flight chunk state.
   BuildPipeline& operator=(const BuildPipeline&) = delete;
 
-  /// Enqueues one chunk. Blocks while 4 x num_threads chunks are admitted
-  /// but unmerged (backpressure, so a streaming producer cannot buffer an
-  /// entire collection ahead of the workers). With num_threads <= 1, runs encode(0) and
-  /// merge() before returning.
+  /// Enqueues one chunk. Blocks while 4 x num_threads chunks of this run
+  /// are admitted but unmerged (backpressure, so a streaming producer
+  /// cannot buffer an entire collection ahead of the workers). On an
+  /// inline pool, runs encode(0) and merge() before returning.
   void Submit(EncodeFn encode, MergeFn merge);
 
-  /// Waits until every submitted chunk has merged, stops the workers, and
-  /// returns the accounting. Submit must not be called afterwards.
+  /// Waits until every submitted chunk has merged and returns the
+  /// accounting. Submit must not be called afterwards.
   BuildPipelineStats Finish();
 
   /// Splits [0, num_docs) into successive ranges of `chunk_docs`
@@ -139,34 +175,26 @@ class BuildPipeline {
       std::function<void(DocRange, const EncodedChunk&)> merge);
 
  private:
-  struct Task {
-    uint64_t seq = 0;
-    EncodeFn encode;
-    MergeFn merge;
-  };
+  /// A pool task: encodes chunk `seq`, then runs every consecutive ready
+  /// merge.
+  void RunChunk(int worker, uint64_t seq, EncodeFn encode, MergeFn merge);
 
-  void WorkerLoop(int worker);
-
-  int num_threads_;
-  bool background_;
+  BuildPool* pool_;
   size_t max_inflight_;
 
   std::mutex mu_;
-  std::condition_variable work_ready_;   // queue_ gained a task / stopping
   std::condition_variable space_free_;   // in_flight_ dropped below cap
   std::condition_variable all_merged_;   // in_flight_ reached zero
-  std::deque<Task> queue_;
   std::map<uint64_t, MergeFn> ready_;    // encoded, awaiting ordered merge
   uint64_t next_seq_ = 0;                // next submission sequence number
   uint64_t next_merge_ = 0;              // next sequence allowed to merge
   size_t in_flight_ = 0;                 // admitted, not yet merged
   bool merging_ = false;                 // a worker is inside a merge
-  bool stopping_ = false;
   bool finished_ = false;
 
+  // Index w is written only by pool worker w (or, on an inline pool, by
+  // the producer); Finish reads it once every chunk has merged.
   std::vector<double> worker_cpu_;
-  uint64_t chunks_submitted_ = 0;
-  std::vector<std::thread> threads_;
 };
 
 }  // namespace rlz

@@ -21,25 +21,28 @@
 
 namespace rlz {
 
-/// Build-time knobs for RlzArchive::Build.
+/// Build-time knobs for RlzArchive::Build and RlzArchiveBuilder.
 struct RlzBuildOptions {
   /// Position/length coding pair for the factor streams (§3.4).
   PairCoding coding = kZV;
   /// Track per-byte dictionary usage while encoding (needed for the
   /// Unused % statistic and for dictionary pruning; small CPU overhead).
   bool track_coverage = false;
-  /// Worker threads for factorization+encoding. Documents are partitioned
-  /// into contiguous chunks fed through the build pipeline (DESIGN.md §7);
+  /// Worker threads of RlzArchive::Build's pool; an RlzArchiveBuilder
+  /// uses the pool it is given instead. Documents are partitioned into
+  /// contiguous chunks fed through the build pipeline (DESIGN.md §7);
   /// output is byte-identical for any thread count or chunk size (the
   /// dictionary is immutable, factorization is per-document, and chunks
   /// merge in document order).
   int num_threads = 1;
-  /// Documents per pipeline chunk; 0 picks a balanced default. Affects
-  /// load balancing and merge overhead only, never the output bytes.
+  /// Documents per pipeline chunk; 0 picks a balanced default in
+  /// RlzArchive::Build and 64 in an RlzArchiveBuilder. Affects load
+  /// balancing and merge overhead only, never the output bytes.
   size_t chunk_docs = 0;
 };
 
-/// Build-time results that the evaluation tables report.
+/// Build-time results that the evaluation tables report, filled by
+/// RlzArchiveBuilder::Finish.
 struct RlzBuildInfo {
   /// Factor statistics summed over all documents (Tables 2/3).
   FactorStats stats;
@@ -66,9 +69,9 @@ class RlzArchive final : public Archive {
   /// Factorizes every document of `collection` against `dict` and encodes
   /// the factor streams with `options.coding`. `dict` is shared (it may be
   /// reused across archives with different codings). If `info` is non-null
-  /// it receives the build statistics. Runs on the parallel build pipeline
-  /// when options.num_threads > 1 (implemented in src/build/, DESIGN.md
-  /// §7); the output is byte-identical to the serial build.
+  /// it receives the build statistics. Runs on a BuildPool of
+  /// options.num_threads workers (implemented in src/build/, DESIGN.md
+  /// §7); the output is byte-identical for any worker count.
   static std::unique_ptr<RlzArchive> Build(const Collection& collection,
                                            std::shared_ptr<const Dictionary> dict,
                                            const RlzBuildOptions& options = {},
@@ -172,8 +175,8 @@ class RlzArchive final : public Archive {
       std::shared_ptr<const Dictionary> dict = nullptr);
 
  private:
-  /// The streaming builder (src/build/) appends encoded documents and
-  /// merged pipeline chunks through the private hooks below.
+  /// The streaming builder (src/build/) appends merged pipeline chunks
+  /// through the private hooks below.
   friend class RlzArchiveBuilder;
 
   RlzArchive(std::shared_ptr<const Dictionary> dict, PairCoding coding)
@@ -190,10 +193,9 @@ class RlzArchive final : public Archive {
         new RlzArchive(std::move(dict), coding));
   }
 
-  /// For RlzArchiveBuilder: encodes `factors` as the next document. The
-  /// build path aborts on a document beyond the z-stream format limits
-  /// (no way to propagate out of the pipeline); callers that need the
-  /// Status use FactorCoder::EncodeDoc directly.
+  /// For BuildFromFactors: encodes `factors` as the next document.
+  /// Aborts on a document beyond the z-stream format limits; callers
+  /// that need the Status use FactorCoder::EncodeDoc directly.
   void AppendEncodedDoc(const std::vector<Factor>& factors) {
     const size_t before = owned_payload_.size();
     const Status status = coder_.EncodeDoc(factors, &owned_payload_);

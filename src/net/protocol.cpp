@@ -194,25 +194,12 @@ void EncodeGetRequest(uint64_t id, const RequestOptions& opts,
   CloseFrame(at, opts.crc, out);
 }
 
-void EncodeGetRequest(uint64_t id, bool crc, std::string* out) {
-  RequestOptions opts;
-  opts.crc = crc;
-  EncodeGetRequest(id, opts, out);
-}
-
 void EncodeMultiGetRequest(const uint64_t* ids, size_t n,
                            const RequestOptions& opts, std::string* out) {
   const size_t at = OpenRequestFrame(MessageType::kMultiGet, opts, out);
   Put<uint32_t>(static_cast<uint32_t>(n), out);
   for (size_t i = 0; i < n; ++i) Put<uint64_t>(ids[i], out);
   CloseFrame(at, opts.crc, out);
-}
-
-void EncodeMultiGetRequest(const uint64_t* ids, size_t n, bool crc,
-                           std::string* out) {
-  RequestOptions opts;
-  opts.crc = crc;
-  EncodeMultiGetRequest(ids, n, opts, out);
 }
 
 void EncodeGetRangeRequest(uint64_t id, uint64_t offset, uint64_t length,
@@ -222,13 +209,6 @@ void EncodeGetRangeRequest(uint64_t id, uint64_t offset, uint64_t length,
   Put<uint64_t>(offset, out);
   Put<uint64_t>(length, out);
   CloseFrame(at, opts.crc, out);
-}
-
-void EncodeGetRangeRequest(uint64_t id, uint64_t offset, uint64_t length,
-                           bool crc, std::string* out) {
-  RequestOptions opts;
-  opts.crc = crc;
-  EncodeGetRangeRequest(id, offset, length, opts, out);
 }
 
 void EncodeStatRequest(bool crc, std::string* out) {

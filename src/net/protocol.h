@@ -124,9 +124,8 @@ struct NetRequest {
   std::vector<uint64_t> ids;
 };
 
-/// Per-request knobs of the v2 encoders. The v1 `bool crc` encoder
-/// signatures survive as wrappers over this (priority normal, no
-/// deadline) — existing call sites encode byte-identical v1 frames.
+/// Per-request knobs of the request encoders. Options with only `crc`
+/// set (priority normal, no deadline) encode a v1 frame, byte for byte.
 struct RequestOptions {
   /// Append and set the CRC32 trailer (kFlagCrc).
   bool crc = false;
@@ -222,20 +221,12 @@ struct NetResponse {
 /// Appends a Get request frame for `id` to `*out`.
 void EncodeGetRequest(uint64_t id, const RequestOptions& opts,
                       std::string* out);
-/// As above, v1 shape: CRC only, normal priority, no deadline.
-void EncodeGetRequest(uint64_t id, bool crc, std::string* out);
 /// Appends a MultiGet request frame for `ids[0..n)` to `*out`.
 void EncodeMultiGetRequest(const uint64_t* ids, size_t n,
                            const RequestOptions& opts, std::string* out);
-/// As above, v1 shape.
-void EncodeMultiGetRequest(const uint64_t* ids, size_t n, bool crc,
-                           std::string* out);
 /// Appends a GetRange request frame to `*out`.
 void EncodeGetRangeRequest(uint64_t id, uint64_t offset, uint64_t length,
                            const RequestOptions& opts, std::string* out);
-/// As above, v1 shape.
-void EncodeGetRangeRequest(uint64_t id, uint64_t offset, uint64_t length,
-                           bool crc, std::string* out);
 /// Appends a Stat request frame to `*out`.
 void EncodeStatRequest(bool crc, std::string* out);
 

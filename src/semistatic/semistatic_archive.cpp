@@ -1,6 +1,5 @@
 #include "semistatic/semistatic_archive.h"
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -42,14 +41,10 @@ std::unique_ptr<SemiStaticArchive> SemiStaticArchive::Build(
   // chunks of documents encode concurrently on the build pipeline and
   // merge in document order — byte-identical to the serial loop
   // (DESIGN.md §7).
-  BuildPipelineOptions pipeline_options;
-  pipeline_options.num_threads = std::max(1, num_threads);
-  BuildPipeline pipeline(pipeline_options);
-  const size_t chunk_docs = std::max<size_t>(
-      1, docs.size() /
-             (4 * static_cast<size_t>(pipeline_options.num_threads)));
+  BuildPool pool(num_threads);
+  BuildPipeline pipeline(&pool);
   pipeline.SubmitChunkedEncode(
-      docs.size(), chunk_docs,
+      docs.size(), BalancedChunkDocs(docs.size(), pool.num_threads()),
       [&docs, archive = archive.get()](
           DocRange range, BuildPipeline::EncodedChunk* chunk, int) {
         chunk->item_sizes.reserve(range.size());

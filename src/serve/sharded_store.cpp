@@ -77,21 +77,20 @@ std::string ShardFileBytes(const CorpusEpoch& epoch, int s) {
              : shard.Serialize();
 }
 
-// Builder options of the live store's seals and compaction rebuilds:
-// every CPU, balanced chunks of `num_docs`, background priority. The
-// output is byte-identical for any worker count (DESIGN.md §7).
-ArchiveBuilderOptions BackgroundBuilderOptions(PairCoding coding,
-                                               size_t num_docs) {
-  ArchiveBuilderOptions builder_options;
-  builder_options.coding = coding;
-  builder_options.track_coverage = true;
-  builder_options.num_threads = AvailableCpus();
-  builder_options.chunk_docs =
-      BalancedChunkDocs(num_docs, builder_options.num_threads);
-  // At default priority a saturating writer's seals took every CPU from
-  // the readers (EXPERIMENTS.md "Sustained ingest vs serving").
-  builder_options.background = true;
-  return builder_options;
+// Encodes `docs` against `dict` on `pool` in balanced chunks, tracking
+// coverage for the shard-health record the compactor scores (DESIGN.md
+// §11). The output is byte-identical for any worker count (DESIGN.md §7).
+std::unique_ptr<RlzArchive> EncodeShard(
+    BuildPool* pool, std::shared_ptr<const Dictionary> dict,
+    PairCoding coding, const std::vector<std::string_view>& docs,
+    RlzBuildInfo* info) {
+  RlzBuildOptions options;
+  options.coding = coding;
+  options.track_coverage = true;
+  options.chunk_docs = BalancedChunkDocs(docs.size(), pool->num_threads());
+  RlzArchiveBuilder builder(std::move(dict), pool, options);
+  for (std::string_view doc : docs) builder.AddBorrowedDocument(doc);
+  return std::move(builder).Finish(info);
 }
 
 }  // namespace
@@ -131,7 +130,7 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
   store->shard_dict_bytes_ = shard_dict_bytes;
 
   sealed->shards.resize(nshards);
-  std::vector<ArchiveBuildReport> reports(nshards);
+  std::vector<RlzBuildInfo> infos(nshards);
   auto build_shard = [&](size_t s) {
     const size_t begin = router.start(s);
     const size_t end = router.start(s + 1);
@@ -142,27 +141,24 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
         collection.data().substr(collection.doc_offset(begin),
                                  collection.doc_offset(end) -
                                      collection.doc_offset(begin));
-    std::shared_ptr<const Dictionary> dict = DictionaryBuilder::BuildSampled(
-        shard_text, shard_dict_bytes, kSampleBytes);
-    ArchiveBuilderOptions builder_options;
-    builder_options.coding = options.coding;
-    // Coverage feeds the shard-health record the compactor scores
-    // (DESIGN.md §11); it never changes the output bytes.
-    builder_options.track_coverage = true;
-    RlzArchiveBuilder builder(std::move(dict), builder_options);
-    for (size_t i = begin; i < end; ++i) {
-      builder.AddBorrowedDocument(collection.doc(i));
-    }
-    sealed->shards[s] = std::move(builder).Finish(&reports[s]);
+    std::vector<std::string_view> docs;
+    docs.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) docs.push_back(collection.doc(i));
+    BuildPool inline_pool;
+    sealed->shards[s] = EncodeShard(
+        &inline_pool,
+        DictionaryBuilder::BuildSampled(shard_text, shard_dict_bytes,
+                                        kSampleBytes),
+        options.coding, docs, &infos[s]);
   };
 
   // One pipeline chunk and one worker per shard, each shard factorized
-  // serially: shards build concurrently and land in their slots (merge
-  // order is irrelevant here — slots are disjoint — but the pipeline's
-  // ordered-merge guarantee costs nothing).
-  BuildPipelineOptions pipeline_options;
-  pipeline_options.num_threads = static_cast<int>(nshards);
-  BuildPipeline pipeline(pipeline_options);
+  // inline in its chunk: shards build concurrently and land in their
+  // slots (merge order is irrelevant here — slots are disjoint — but the
+  // pipeline's ordered-merge guarantee costs nothing). A short-lived pool
+  // at default priority: at nice 19, setup_s read 6-17% higher (§7).
+  BuildPool pool(static_cast<int>(nshards));
+  BuildPipeline pipeline(&pool);
   for (size_t s = 0; s < nshards; ++s) {
     pipeline.Submit([&, s](int) { build_shard(s); }, [] {});
   }
@@ -173,10 +169,10 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
   sealed->tombstones.assign(nshards, nullptr);
   sealed->health.resize(nshards);
   for (size_t s = 0; s < nshards; ++s) {
-    sealed->health[s].stats = reports[s].stats;
+    sealed->health[s].stats = infos[s].stats;
     sealed->health[s].unused_dict_fraction =
-        reports[s].unused_dictionary_fraction;
-    store->baseline_stats_.Merge(reports[s].stats);
+        infos[s].unused_dictionary_fraction;
+    store->baseline_stats_.Merge(infos[s].stats);
   }
   // The append dictionary: sampled across the whole build-time corpus, so
   // tail seals encode against content representative of the initial crawl
@@ -325,32 +321,26 @@ Status ShardedStore::ApplySealLocked() {
   const size_t tail_docs = tail_.num_docs();
   if (tail_docs == 0) return Status::OK();
 
-  // The raw tail is encoded once, here, as one batch on the build
-  // pipeline against the append dictionary (byte-identical to a serial
+  // The raw tail is encoded once, here, as one batch on the store's
+  // build pool against the append dictionary (byte-identical to a serial
   // encode; DESIGN.md §7). Its matcher exists: SealTail and Append gate
   // on it, and WAL replay seals only on a writable open, which builds it.
-  RlzArchiveBuilder builder(
-      sealed_->append_dict,
-      BackgroundBuilderOptions(options_.coding, tail_docs));
-  for (size_t i = 0; i < tail_docs; ++i) {
-    builder.AddBorrowedDocument(*tail_.doc(i));
-  }
-  ArchiveBuildReport report;
-  std::shared_ptr<const RlzArchive> sealed =
-      std::move(builder).Finish(&report);
+  std::vector<std::string_view> docs;
+  docs.reserve(tail_docs);
+  for (size_t i = 0; i < tail_docs; ++i) docs.push_back(*tail_.doc(i));
+  RlzBuildInfo info;
+  std::shared_ptr<const RlzArchive> sealed = EncodeShard(
+      &build_pool_, sealed_->append_dict, options_.coding, docs, &info);
 
   // Health record for the new shard; tail documents deleted before the
   // seal carry their tombstones (and their now-stored-but-dead encoded
   // bytes) into the sealed shard.
   ShardHealth meta;
-  meta.stats = report.stats;
-  meta.unused_dict_fraction = report.unused_dictionary_fraction;
-  if (tail_tombstones_ != nullptr) {
-    for (size_t i = 0; i < tail_tombstones_->size(); ++i) {
-      if (tail_tombstones_->Test(i)) {
-        meta.tombstoned_payload_bytes += sealed->doc_map().size(i);
-      }
-    }
+  meta.stats = info.stats;
+  meta.unused_dict_fraction = info.unused_dictionary_fraction;
+  const std::vector<uint64_t> dead = SetBits(tail_tombstones_.get());
+  for (uint64_t i : dead) {
+    meta.tombstoned_payload_bytes += sealed->doc_map().size(i);
   }
 
   // Router growth: the sealed shard owns the next contiguous id range.
@@ -368,15 +358,7 @@ Status ShardedStore::ApplySealLocked() {
   // The tail bitmap is lazily sized to the tail length at its last
   // delete; widen it to the full shard so every later bitmap copy (and
   // Bitmap::Set) stays in range.
-  std::shared_ptr<const Bitmap> sealed_tombstones;
-  if (tail_tombstones_ != nullptr) {
-    Bitmap bm(tail_docs);
-    for (size_t i = 0; i < tail_tombstones_->size(); ++i) {
-      if (tail_tombstones_->Test(i)) bm.Set(i);
-    }
-    sealed_tombstones = std::make_shared<const Bitmap>(std::move(bm));
-  }
-  next->tombstones.push_back(std::move(sealed_tombstones));
+  next->tombstones.push_back(BitmapOf(dead, tail_docs));
   next->router = std::make_shared<const ShardRouter>(std::move(starts));
   sealed_ = std::move(next);
   shard_files_.emplace_back();  // no checkpoint holds it yet
@@ -415,17 +397,13 @@ Status ShardedStore::ApplyDeleteLocked(size_t id) {
     const size_t local = id - sealed;
     // The tail bitmap is sized lazily to the tail's current length;
     // bits past an older bitmap's end are live by construction.
-    Bitmap bm(tail_.num_docs());
-    if (tail_tombstones_ != nullptr) {
-      for (size_t i = 0; i < tail_tombstones_->size(); ++i) {
-        if (tail_tombstones_->Test(i)) bm.Set(i);
-      }
-    }
-    if (bm.Test(local)) {
+    const Bitmap* old = tail_tombstones_.get();
+    if (old != nullptr && local < old->size() && old->Test(local)) {
       return Status::NotFound("sharded store: document already deleted");
     }
-    bm.Set(local);
-    tail_tombstones_ = std::make_shared<const Bitmap>(std::move(bm));
+    std::vector<uint64_t> dead = SetBits(old);
+    dead.push_back(local);
+    tail_tombstones_ = BitmapOf(dead, tail_.num_docs());
   }
   ++deleted_docs_;
   return Status::OK();
@@ -549,26 +527,22 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
       sizes[i] = buf.size();
     }
   }
-  std::shared_ptr<const Dictionary> dict = DictionaryBuilder::BuildSampled(
-      text.empty() ? std::string_view(" ") : std::string_view(text),
-      shard_dict_bytes_, kSampleBytes);
-  RlzArchiveBuilder builder(
-      std::move(dict), BackgroundBuilderOptions(options_.coding, shard_docs));
+  std::vector<std::string_view> docs(shard_docs);
   size_t offset = 0;
   size_t live_docs = 0;
   for (size_t i = 0; i < shard_docs; ++i) {
-    if (dead != nullptr && dead->Test(i)) {
-      builder.AddBorrowedDocument(std::string_view());
-      continue;
-    }
-    builder.AddBorrowedDocument(std::string_view(text).substr(offset,
-                                                              sizes[i]));
+    if (dead != nullptr && dead->Test(i)) continue;
+    docs[i] = std::string_view(text).substr(offset, sizes[i]);
     offset += sizes[i];
     ++live_docs;
   }
-  ArchiveBuildReport rebuild_report;
-  std::shared_ptr<const RlzArchive> rebuilt =
-      std::move(builder).Finish(&rebuild_report);
+  RlzBuildInfo rebuild_info;
+  std::shared_ptr<const RlzArchive> rebuilt = EncodeShard(
+      &build_pool_,
+      DictionaryBuilder::BuildSampled(
+          text.empty() ? std::string_view(" ") : std::string_view(text),
+          shard_dict_bytes_, kSampleBytes),
+      options_.coding, docs, &rebuild_info);
 
   // Swap the rewrite into the next epoch. Deletes that landed on this
   // shard during the rebuild were encoded live above; they stay pending
@@ -584,8 +558,8 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
     next->shards[victim] = std::move(rebuilt);
     ShardHealth& meta = next->health[victim];
     meta.generation += 1;
-    meta.stats = rebuild_report.stats;
-    meta.unused_dict_fraction = rebuild_report.unused_dictionary_fraction;
+    meta.stats = rebuild_info.stats;
+    meta.unused_dict_fraction = rebuild_info.unused_dictionary_fraction;
     meta.tombstoned_payload_bytes = 0;
     const Bitmap* now_dead = next->tombstones[victim].get();
     if (now_dead != nullptr) {
@@ -726,14 +700,14 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   std::vector<Status> statuses(nshards);
   OpenOptions shard_options = options;
   shard_options.build_suffix_array = false;
-  BuildPipelineOptions pipeline_options;
   // `nshards` comes from the (untrusted, CRC-valid) manifest: the worker
   // count is capped at the process's CPUs so a crafted count cannot fan
   // out thousands of threads — the per-shard opens then fail cleanly on
-  // the missing files.
-  pipeline_options.num_threads = static_cast<int>(
-      std::min<size_t>(nshards, static_cast<size_t>(AvailableCpus())));
-  BuildPipeline pipeline(pipeline_options);
+  // the missing files. A short-lived pool at default priority, like
+  // Build's.
+  BuildPool pool(static_cast<int>(
+      std::min<size_t>(nshards, static_cast<size_t>(AvailableCpus()))));
+  BuildPipeline pipeline(&pool);
   for (size_t s = 0; s < nshards; ++s) {
     pipeline.Submit(
         [&, s](int) {

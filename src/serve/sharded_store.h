@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "build/build_pipeline.h"
 #include "core/factor_coder.h"
 #include "core/factorizer.h"
 #include "core/rlz_archive.h"
@@ -438,6 +439,13 @@ class ShardedStore final : public Archive {
   // One compaction rebuild at a time; the rebuild holds compact_mu_ but
   // not writer_mu_, so mutators keep running while it decodes/re-encodes.
   std::mutex compact_mu_;
+
+  // The workers of every tail seal (live or replayed) and compaction
+  // rebuild, started with the store: one per CPU, at background
+  // priority, since at default priority a saturating writer's seals took
+  // every CPU from the readers (EXPERIMENTS.md "Sustained ingest vs
+  // serving"). A seal and a compaction may run on it at once.
+  BuildPool build_pool_{AvailableCpus(), /*background=*/true};
 
   // Eviction listener: registration and every invocation hold
   // listener_mu_, so clearing the listener synchronizes with in-flight

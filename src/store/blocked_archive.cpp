@@ -74,13 +74,10 @@ BlockedArchive::BlockedArchive(const Collection& collection,
   // payload is byte-identical to the serial loop (DESIGN.md §7).
   const size_t num_blocks = block_texts.size();
   blocks_.resize(num_blocks);
-  BuildPipelineOptions pipeline_options;
-  pipeline_options.num_threads = std::max(1, num_threads);
-  BuildPipeline pipeline(pipeline_options);
-  const size_t chunk_blocks = std::max<size_t>(
-      1, num_blocks / (4 * static_cast<size_t>(pipeline_options.num_threads)));
+  BuildPool pool(num_threads);
+  BuildPipeline pipeline(&pool);
   pipeline.SubmitChunkedEncode(
-      num_blocks, chunk_blocks,
+      num_blocks, BalancedChunkDocs(num_blocks, pool.num_threads()),
       [this, &collection, &block_texts](
           DocRange range, BuildPipeline::EncodedChunk* chunk, int) {
         chunk->item_sizes.reserve(range.size());

@@ -1,16 +1,21 @@
 // The parallel build pipeline (DESIGN.md §7): the word-packed Bitmap,
-// FactorStats merging, BuildPipeline's ordered-merge contract, and the
-// headline property — parallel builds are byte-identical to serial ones
-// for every backend (RLZ, blocked, semistatic), at every tested thread
-// count, across random, repetitive, and empty-document collections (the
-// sharded store's per-shard check is in serve_test). Runs under ThreadSanitizer in CI (ctest label
+// FactorStats merging, BuildPool's shared workers, BuildPipeline's
+// ordered-merge contract, and the headline property — parallel builds
+// are byte-identical to serial ones for every backend (RLZ, blocked,
+// semistatic), at every tested thread count, across random, repetitive,
+// and empty-document collections (the sharded store's per-shard check is
+// in serve_test). Runs under ThreadSanitizer in CI (ctest label
 // `concurrency`).
 
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <sched.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -174,13 +179,11 @@ TEST(BuildPipelineTest, PartitionCoversAllDocsContiguously) {
 }
 
 #ifdef __linux__
-TEST(BuildPipelineTest, BackgroundWorkersRunAtLowestPriority) {
+TEST(BuildPoolTest, BackgroundWorkersRunAtLowestPriority) {
   // Each chunk records the nice value of the worker that encoded it.
   for (const bool background : {false, true}) {
-    BuildPipelineOptions options;
-    options.num_threads = 2;
-    options.background = background;
-    BuildPipeline pipeline(options);
+    BuildPool pool(2, background);
+    BuildPipeline pipeline(&pool);
     constexpr int kChunks = 8;
     std::vector<int> nice(kChunks, -100);
     for (int i = 0; i < kChunks; ++i) {
@@ -195,14 +198,41 @@ TEST(BuildPipelineTest, BackgroundWorkersRunAtLowestPriority) {
     }
   }
 }
+
+TEST(BuildPoolTest, BackgroundWorkersWorkOnEveryCpuTheyMayUse) {
+  // An idle background worker waits pinned to one CPU; the chunk it is
+  // handed runs with the thread's full mask again.
+  cpu_set_t mask;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  const int cpus = CPU_COUNT(&mask);
+  BuildPool pool(2, /*background=*/true);
+  for (int run = 0; run < 2; ++run) {
+    BuildPipeline pipeline(&pool);
+    constexpr int kChunks = 8;
+    std::vector<int> counts(kChunks, -1);
+    for (int i = 0; i < kChunks; ++i) {
+      pipeline.Submit(
+          [&counts, i](int) {
+            cpu_set_t own;
+            if (sched_getaffinity(0, sizeof(own), &own) == 0) {
+              counts[i] = CPU_COUNT(&own);
+            }
+          },
+          [] {});
+    }
+    pipeline.Finish();
+    for (int i = 0; i < kChunks; ++i) {
+      EXPECT_EQ(counts[i], cpus) << "run " << run << " chunk " << i;
+    }
+  }
+}
 #endif
 
 class BuildPipelineThreadsTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(BuildPipelineThreadsTest, MergesRunInSubmissionOrder) {
-  BuildPipelineOptions options;
-  options.num_threads = GetParam();
-  BuildPipeline pipeline(options);
+  BuildPool pool(GetParam());
+  BuildPipeline pipeline(&pool);
   // More chunks than the in-flight cap (4 x threads) at every thread
   // count, so Submit exercises backpressure.
   constexpr int kChunks = 200;
@@ -235,6 +265,56 @@ TEST_P(BuildPipelineThreadsTest, MergesRunInSubmissionOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, BuildPipelineThreadsTest,
                          ::testing::Values(1, 2, 4, 8));
+
+// One pipeline run of `chunks` chunks on `pool`: returns the merge order
+// and adds each encoding thread's id to `*thread_ids`.
+std::vector<int> RunOrderedChunks(BuildPool* pool, int chunks,
+                                  std::mutex* mu,
+                                  std::set<std::thread::id>* thread_ids) {
+  BuildPipeline pipeline(pool);
+  std::vector<int> merged;
+  for (int i = 0; i < chunks; ++i) {
+    pipeline.Submit(
+        [=](int) {
+          // Unequal encode costs, so chunks complete out of order.
+          volatile int spin = (i % 5) * 2000;
+          while (spin > 0) spin = spin - 1;
+          std::lock_guard<std::mutex> lock(*mu);
+          thread_ids->insert(std::this_thread::get_id());
+        },
+        [&merged, i] { merged.push_back(i); });
+  }
+  EXPECT_EQ(pipeline.Finish().chunks, static_cast<size_t>(chunks));
+  return merged;
+}
+
+TEST(BuildPoolTest, SharedPoolMergesEachRunInOrder) {
+  // A store's seals and compactions share one long-lived pool: runs in
+  // succession and runs at the same time each keep their own order, and
+  // none of them starts a thread of its own.
+  BuildPool pool(4);
+  std::mutex mu;
+  std::set<std::thread::id> thread_ids;
+  constexpr int kChunks = 100;  // above the in-flight cap of 16
+  std::vector<int> expected(kChunks);
+  std::iota(expected.begin(), expected.end(), 0);
+  for (int run = 0; run < 3; ++run) {
+    EXPECT_EQ(RunOrderedChunks(&pool, kChunks, &mu, &thread_ids), expected)
+        << "successive run " << run;
+  }
+  std::vector<int> concurrent[2];
+  std::thread producers[2];
+  for (int p = 0; p < 2; ++p) {
+    producers[p] = std::thread([&, p] {
+      concurrent[p] = RunOrderedChunks(&pool, kChunks, &mu, &thread_ids);
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  EXPECT_EQ(concurrent[0], expected);
+  EXPECT_EQ(concurrent[1], expected);
+  EXPECT_LE(thread_ids.size(), 4u);
+  EXPECT_FALSE(thread_ids.count(std::this_thread::get_id()));
+}
 
 // ---------------------------------------------------------------------------
 // Parallel build == serial build, byte for byte
@@ -373,29 +453,26 @@ TEST_P(ParallelIdentityTest, StreamingBuilderMatchesBatchBuild) {
 
   auto batch = RlzArchive::Build(collection, dict, {});
 
-  ArchiveBuilderOptions options;
-  options.num_threads = threads;
+  BuildPool pool(threads);
+  RlzBuildOptions options;
   // One document per chunk: 90 chunks, more than the in-flight cap
   // (4 x threads) at every thread count, forcing backpressure while
   // streaming.
   options.chunk_docs = 1;
-  RlzArchiveBuilder builder(dict, options);
+  RlzArchiveBuilder builder(dict, &pool, options);
   for (size_t i = 0; i < collection.num_docs(); ++i) {
     // AddDocument copies: hand it a transient string to prove it.
     const std::string transient(collection.doc(i));
     builder.AddDocument(transient);
   }
   EXPECT_EQ(builder.num_docs(), collection.num_docs());
-  ArchiveBuildReport report;
-  auto streamed = std::move(builder).Finish(&report);
+  RlzBuildInfo info;
+  auto streamed = std::move(builder).Finish(&info);
 
   EXPECT_EQ(ArchiveBytes(*streamed, "streamed"),
             ArchiveBytes(*batch, "batch"));
-  EXPECT_EQ(report.stats.text_bytes, collection.size_bytes());
-  if (threads > 1) {
-    EXPECT_EQ(report.chunks, collection.num_docs());
-    EXPECT_EQ(report.num_threads, threads);
-  }
+  EXPECT_EQ(info.stats.text_bytes, collection.size_bytes());
+  EXPECT_EQ(info.build_chunks, collection.num_docs());
 }
 
 TEST_P(ParallelIdentityTest, BlockedArchiveByteIdenticalToSerial) {

@@ -29,12 +29,14 @@ TEST(ArchiveBuilderTest, MatchesBatchBuild) {
   batch_options.coding = kZV;
   auto batch = RlzArchive::Build(corpus.collection, dict, batch_options);
 
-  RlzArchiveBuilder builder(dict, kZV);
+  BuildPool pool;
+  RlzArchiveBuilder builder(dict, &pool);
   for (size_t i = 0; i < corpus.collection.num_docs(); ++i) {
     builder.AddDocument(corpus.collection.doc(i));
   }
-  EXPECT_GT(builder.stats().num_factors, 0u);
-  auto streamed = std::move(builder).Finish();
+  RlzBuildInfo info;
+  auto streamed = std::move(builder).Finish(&info);
+  EXPECT_GT(info.stats.num_factors, 0u);
 
   ASSERT_EQ(streamed->num_docs(), batch->num_docs());
   EXPECT_EQ(streamed->payload_bytes(), batch->payload_bytes());
@@ -51,19 +53,28 @@ TEST(ArchiveBuilderTest, MatchesBatchBuild) {
 TEST(ArchiveBuilderTest, CoverageTracking) {
   auto dict = std::shared_ptr<const Dictionary>(
       std::make_unique<Dictionary>("abcdefgh"));
-  RlzArchiveBuilder builder(dict, kUV, /*track_coverage=*/true);
-  builder.AddDocument("abcd");
-  EXPECT_DOUBLE_EQ(builder.UnusedDictionaryFraction(), 0.5);
-  builder.AddDocument("efgh");
-  EXPECT_DOUBLE_EQ(builder.UnusedDictionaryFraction(), 0.0);
-  auto archive = std::move(builder).Finish();
-  EXPECT_EQ(archive->num_docs(), 2u);
+  RlzBuildOptions options;
+  options.coding = kUV;
+  options.track_coverage = true;
+  BuildPool pool;
+  // Half the dictionary after the first document, all of it after both.
+  for (const size_t docs : {1, 2}) {
+    RlzArchiveBuilder builder(dict, &pool, options);
+    builder.AddDocument("abcd");
+    if (docs == 2) builder.AddDocument("efgh");
+    RlzBuildInfo info;
+    auto archive = std::move(builder).Finish(&info);
+    EXPECT_EQ(archive->num_docs(), docs);
+    EXPECT_DOUBLE_EQ(info.unused_dictionary_fraction, docs == 1 ? 0.5 : 0.0);
+    EXPECT_EQ(info.coverage.CountSet(), docs == 1 ? 4u : 8u);
+  }
 }
 
 TEST(ArchiveBuilderTest, EmptyArchive) {
   auto dict = std::shared_ptr<const Dictionary>(
       std::make_unique<Dictionary>("dictionary"));
-  RlzArchiveBuilder builder(dict, kZZ);
+  BuildPool pool;
+  RlzArchiveBuilder builder(dict, &pool, {.coding = kZZ});
   auto archive = std::move(builder).Finish();
   EXPECT_EQ(archive->num_docs(), 0u);
   std::string doc;

@@ -75,20 +75,21 @@ TEST(ProtocolTest, RequestRoundTrips) {
     NetRequest req;
 
     wire.clear();
-    EncodeGetRequest(42, crc, &wire);
+    EncodeGetRequest(42, RequestOptions{.crc = crc}, &wire);
     ASSERT_TRUE(ParseRequest(wire, &req).ok());
     EXPECT_EQ(req.type, MessageType::kGet);
     EXPECT_EQ(req.id, 42u);
 
     wire.clear();
     const std::vector<uint64_t> ids = {0, 7, 1u << 20, ~0ull};
-    EncodeMultiGetRequest(ids.data(), ids.size(), crc, &wire);
+    EncodeMultiGetRequest(ids.data(), ids.size(), RequestOptions{.crc = crc},
+                          &wire);
     ASSERT_TRUE(ParseRequest(wire, &req).ok());
     EXPECT_EQ(req.type, MessageType::kMultiGet);
     EXPECT_EQ(req.ids, ids);
 
     wire.clear();
-    EncodeGetRangeRequest(9, 100, 400, crc, &wire);
+    EncodeGetRangeRequest(9, 100, 400, RequestOptions{.crc = crc}, &wire);
     ASSERT_TRUE(ParseRequest(wire, &req).ok());
     EXPECT_EQ(req.type, MessageType::kGetRange);
     EXPECT_EQ(req.id, 9u);
@@ -139,10 +140,10 @@ TEST(ProtocolTest, PriorityAndDeadlineRoundTrip) {
     EXPECT_EQ(req.deadline_ms, 1u);
     EXPECT_EQ(req.ids, ids);
 
-    // The v1 encoders map to normal priority, no deadline — an old
-    // client is indistinguishable from a normal-class one.
+    // Default options encode a v1 frame: normal priority, no deadline —
+    // an old client is indistinguishable from a normal-class one.
     wire.clear();
-    EncodeGetRequest(7, crc, &wire);
+    EncodeGetRequest(7, RequestOptions{.crc = crc}, &wire);
     ASSERT_TRUE(ParseRequest(wire, &req).ok());
     EXPECT_EQ(req.priority, RequestPriority::kNormal);
     EXPECT_EQ(req.deadline_ms, 0u);
@@ -242,9 +243,9 @@ TEST(NetClientTest, RetryBackoffPolicy) {
 
 TEST(ProtocolTest, BackToBackFramesParseIndividually) {
   std::string wire;
-  EncodeGetRequest(1, false, &wire);
+  EncodeGetRequest(1, RequestOptions{.crc = false}, &wire);
   const size_t first = wire.size();
-  EncodeGetRequest(2, true, &wire);
+  EncodeGetRequest(2, RequestOptions{.crc = true}, &wire);
 
   MessageType type;
   uint8_t flags;
@@ -372,13 +373,14 @@ TEST(ProtocolTest, EveryTruncationIsNeedMoreNeverError) {
   const std::vector<uint64_t> ids = {1, 2, 3};
   for (const bool crc : {false, true}) {
     wire.clear();
-    EncodeGetRequest(7, crc, &wire);
+    EncodeGetRequest(7, RequestOptions{.crc = crc}, &wire);
     frames.push_back(wire);
     wire.clear();
-    EncodeMultiGetRequest(ids.data(), ids.size(), crc, &wire);
+    EncodeMultiGetRequest(ids.data(), ids.size(), RequestOptions{.crc = crc},
+                          &wire);
     frames.push_back(wire);
     wire.clear();
-    EncodeGetRangeRequest(7, 8, 9, crc, &wire);
+    EncodeGetRangeRequest(7, 8, 9, RequestOptions{.crc = crc}, &wire);
     frames.push_back(wire);
     wire.clear();
     EncodeStatRequest(crc, &wire);
@@ -424,7 +426,7 @@ TEST(ProtocolTest, MalformedFramesAreErrorsNotCrashes) {
             ParseResult::kError);
   // Corrupted CRC: flip one payload byte of a valid CRC'd frame.
   std::string wire;
-  EncodeGetRequest(7, /*crc=*/true, &wire);
+  EncodeGetRequest(7, RequestOptions{.crc = true}, &wire);
   wire[8] ^= 0x01;
   EXPECT_EQ(ParseOnly(wire), ParseResult::kError);
 }
