@@ -488,9 +488,10 @@ struct SealSplit {
 
 // The seal's shape: documents of a second corpus (seed + 1) against a
 // 170 KB dictionary sampled from `collection` with match keys, as
-// perfbench's page_cold store seals appended documents against its
-// append dictionary. Factors average about 5.4 B, so the per-factor
-// fixed costs dominate: the search's, and gzipx's per-stream ones.
+// perfbench's page_cold store seals its first appended tail against the
+// build-time append dictionary (later seals refresh it). Factors average
+// about 5.4 B, so the per-factor fixed costs dominate: the search's, and
+// gzipx's per-stream ones.
 SealSplit RunSealSplit(const Collection& collection,
                        const CorpusOptions& corpus_options, int repeats) {
   constexpr size_t kSealDictBytes = 171000;

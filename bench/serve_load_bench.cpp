@@ -394,8 +394,9 @@ int RunIngest(bool smoke, const std::string& out_path, double fraction) {
   ShardedStore* store = setup.store.get();
   const size_t total_rounds = setup.total_rounds;
 
-  // Fresh content the writer streams in (drifted seed: appended documents
-  // encode against the build-time append dictionary, as in §3.6).
+  // Fresh content the writer streams in (drifted seed: the first seals
+  // encode against the build-time append dictionary, as in §3.6, until a
+  // seal refreshes it).
   CorpusOptions fresh_options;
   fresh_options.target_bytes = smoke ? (2u << 20) : (8u << 20);
   fresh_options.seed = 40227;

@@ -1,5 +1,7 @@
 #include "io/file.h"
 
+#include <sys/stat.h>
+
 #include <cstdio>
 
 namespace rlz {
@@ -7,6 +9,13 @@ namespace rlz {
 StatusOr<std::string> ReadFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::IOError("cannot open " + path);
+  // fopen opens a directory too, and its end offset can read as
+  // LONG_MAX: the size below would then be an allocation of that much.
+  struct stat st;
+  if (::fstat(fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
+    std::fclose(f);
+    return Status::IOError("not a regular file: " + path);
+  }
   std::fseek(f, 0, SEEK_END);
   const long size = std::ftell(f);
   if (size < 0) {

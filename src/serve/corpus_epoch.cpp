@@ -82,15 +82,23 @@ Status CorpusEpoch::GetRange(size_t id, size_t offset, size_t length,
                                       text, /*disk=*/nullptr, scratch);
 }
 
+uint64_t ShardSet::DictOf(size_t s) const {
+  for (size_t d = 0; d < append_dicts.size(); ++d) {
+    if (shards[s]->SharesDictionary(*append_dicts[d])) return d;
+  }
+  return Manifest::kOwnDictionary;
+}
+
 uint64_t CorpusEpoch::stored_bytes() const {
-  const Dictionary& append_dict = append_dictionary();
-  uint64_t bytes = append_dict.size() + tail_.bytes();
-  for (const auto& shard : sealed_->shards) {
-    bytes += shard->payload_bytes() + shard->doc_map().serialized_bytes();
-    // A base or compacted shard holds its own dictionary; a sealed one
-    // references the append dictionary, counted once above.
-    if (!shard->SharesDictionary(append_dict)) {
-      bytes += shard->dictionary().size();
+  uint64_t bytes = tail_.bytes();
+  for (const auto& dict : sealed_->append_dicts) bytes += dict->size();
+  for (size_t s = 0; s < sealed_->shards.size(); ++s) {
+    const RlzArchive& shard = *sealed_->shards[s];
+    bytes += shard.payload_bytes() + shard.doc_map().serialized_bytes();
+    // A base or re-sampled shard holds its own dictionary; any other
+    // references an append dictionary, counted once above.
+    if (sealed_->DictOf(s) == Manifest::kOwnDictionary) {
+      bytes += shard.dictionary().size();
     }
   }
   return bytes;

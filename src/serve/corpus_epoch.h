@@ -42,10 +42,22 @@ struct ShardSet {
   std::vector<std::shared_ptr<const Bitmap>> tombstones;
   /// Shard s owns doc ids [router->start(s), router->start(s + 1)).
   std::shared_ptr<const ShardRouter> router;
-  /// The dictionary every tail seal encodes against, fixed for the
-  /// store's life. The shards sealed from the tail share this object
-  /// (RlzArchive::SharesDictionary), and the store persists it once.
-  std::shared_ptr<const Dictionary> append_dict;
+  /// The append dictionaries: every retired one that some shard still
+  /// binds to, then the current one, which every tail seal encodes
+  /// against and which stays here whether or not a shard binds to it.
+  /// Never empty. A seal replaces the current one when the shards sealed
+  /// against it have decayed (DESIGN.md §11). The shards sealed from the
+  /// tail share these objects (RlzArchive::SharesDictionary), and the
+  /// store persists each once.
+  std::vector<std::shared_ptr<const Dictionary>> append_dicts;
+
+  /// The current append dictionary.
+  const std::shared_ptr<const Dictionary>& append_dict() const {
+    return append_dicts.back();
+  }
+  /// The index in `append_dicts` of the dictionary shard `s` is bound
+  /// to, or Manifest::kOwnDictionary when the shard carries its own.
+  uint64_t DictOf(size_t s) const;
 };
 
 /// A snapshot of the open tail segment: the raw bytes of the first
@@ -168,13 +180,24 @@ class CorpusEpoch {
   /// when no tail document is tombstoned. May address fewer bits than
   /// tail_docs() — ids past its end are live.
   const Bitmap* tail_tombstones() const { return tail_tombstones_.get(); }
-  /// The store's append dictionary (ShardSet::append_dict).
+  /// The store's current append dictionary (ShardSet::append_dict).
   const Dictionary& append_dictionary() const {
-    return *sealed_->append_dict;
+    return *sealed_->append_dict();
+  }
+  /// Every append dictionary a shard of this epoch binds to, the current
+  /// one last (ShardSet::append_dicts).
+  const std::vector<std::shared_ptr<const Dictionary>>& append_dictionaries()
+      const {
+    return sealed_->append_dicts;
+  }
+  /// The index in append_dictionaries() of the dictionary sealed shard
+  /// `s` is bound to, or Manifest::kOwnDictionary (ShardSet::DictOf).
+  uint64_t shard_dictionary(int s) const {
+    return sealed_->DictOf(static_cast<size_t>(s));
   }
 
   /// Sealed shard payloads and document maps, each distinct dictionary
-  /// once (the append dictionary, which the shards sealed from the tail
+  /// once (every append dictionary, which the shards sealed from the tail
   /// share, and every other shard's own), plus the raw tail bytes — the
   /// epoch's "Enc." numerator, and what the store's files hold.
   uint64_t stored_bytes() const;

@@ -66,12 +66,14 @@ Status ReadTombstones(EnvelopeReader* reader, uint64_t bound,
 }
 
 // Reads the name of a file the manifest names: non-empty, no '/', so it
-// resolves next to the manifest.
+// resolves next to the manifest, and no NUL, which would cut the path the
+// open call sees short.
 Status ReadSiblingName(EnvelopeReader* reader, const std::string& context,
                        std::string* name) {
   std::string_view view;
   RLZ_RETURN_IF_ERROR(reader->ReadLengthPrefixed(&view));
-  if (view.empty() || view.find('/') != std::string_view::npos) {
+  if (view.empty() || view.find_first_of(std::string_view("/\0", 2)) !=
+                          std::string_view::npos) {
     return Status::Corruption(context +
                               ": manifest file name must be a sibling "
                               "file name");
@@ -88,6 +90,8 @@ std::string Manifest::Encode() const {
   RLZ_CHECK_EQ(shard_names.size(), nshards);
   RLZ_CHECK_EQ(health.size(), nshards);
   RLZ_CHECK_EQ(tombstones.size(), nshards);
+  RLZ_CHECK_EQ(shard_dicts.size(), nshards);
+  RLZ_CHECK(!dict_names.empty());
   EnvelopeWriter writer(kFormatId, kFormatVersion);
   writer.PutVarint64(nshards);
   for (size_t s = 0; s <= nshards; ++s) writer.PutVarint64(router->start(s));
@@ -106,7 +110,13 @@ std::string Manifest::Encode() const {
   PutTombstones(tail_tombstones, &writer);
   writer.PutVarint64(tail_docs.size());
   for (const auto& doc : tail_docs) writer.PutLengthPrefixed(*doc);
-  writer.PutLengthPrefixed(append_dict_name);
+  writer.PutVarint64(dict_names.size());
+  for (const std::string& name : dict_names) writer.PutLengthPrefixed(name);
+  // 0 for a shard's own dictionary, d + 1 for dict_names[d].
+  for (uint64_t dict : shard_dicts) {
+    RLZ_CHECK(dict == kOwnDictionary || dict < dict_names.size());
+    writer.PutVarint64(dict == kOwnDictionary ? 0 : dict + 1);
+  }
   writer.PutVarint64(live.tail_seal_bytes);
   writer.PutVarint64(DoubleBits(live.compact_tombstone_fraction));
   writer.PutVarint64(DoubleBits(live.compact_stale_unused_fraction));
@@ -182,8 +192,25 @@ StatusOr<Manifest> Manifest::Parse(const ParsedEnvelope& envelope) {
     RLZ_RETURN_IF_ERROR(reader.ReadLengthPrefixed(&view));
     doc = std::make_shared<const std::string>(view);
   }
-  RLZ_RETURN_IF_ERROR(
-      ReadSiblingName(&reader, context, &manifest.append_dict_name));
+  uint64_t ndicts = 0;
+  RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&ndicts));
+  // Each name takes at least one byte, which bounds the allocation.
+  if (ndicts == 0 || ndicts > reader.remaining()) {
+    return Status::Corruption(context + ": bad manifest dictionary count");
+  }
+  manifest.dict_names.resize(ndicts);
+  for (std::string& name : manifest.dict_names) {
+    RLZ_RETURN_IF_ERROR(ReadSiblingName(&reader, context, &name));
+  }
+  manifest.shard_dicts.resize(nshards);
+  for (uint64_t& dict : manifest.shard_dicts) {
+    uint64_t id = 0;
+    RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&id));
+    if (id > ndicts) {
+      return Status::Corruption(context + ": bad manifest dictionary id");
+    }
+    dict = id == 0 ? kOwnDictionary : id - 1;
+  }
   uint64_t tail_seal_bytes = 0;
   RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&tail_seal_bytes));
   manifest.live.tail_seal_bytes = static_cast<size_t>(tail_seal_bytes);

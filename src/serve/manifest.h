@@ -40,7 +40,10 @@ struct LiveStoreOptions {
   double compact_stale_unused_fraction = 0.5;
   /// Compaction trigger: a shard whose average factor length decayed by
   /// at least this fraction against the store's build-time baseline
-  /// (FactorStats::avg_factor_decay) is stale-dictionary.
+  /// (FactorStats::avg_factor_decay) is stale-dictionary. The seal's
+  /// refresh rule reads it too: once the newest shard bound to the
+  /// current append dictionary has decayed this far, the next seal of at
+  /// least a shard dictionary's worth of text samples a new one.
   double compact_stale_decay = 0.5;
 };
 
@@ -67,9 +70,12 @@ struct Manifest {
   /// On-disk format id of the manifest envelope.
   static constexpr char kFormatId[] = "sharded";
   /// The one manifest version written and read. Versions 1 (boundaries
-  /// and shard names only), 2 (no live options) and 3 (the append
-  /// dictionary's text inline) are no longer read (DESIGN.md §8).
-  static constexpr uint32_t kFormatVersion = 4;
+  /// and shard names only), 2 (no live options), 3 (the append
+  /// dictionary's text inline) and 4 (one append dictionary) are no
+  /// longer read (DESIGN.md §8).
+  static constexpr uint32_t kFormatVersion = 5;
+  /// A `shard_dicts` entry: the shard carries its own dictionary ("rlz").
+  static constexpr uint64_t kOwnDictionary = ~uint64_t{0};
 
   /// The epoch's publication sequence number.
   uint64_t sequence = 0;
@@ -89,10 +95,15 @@ struct Manifest {
   std::vector<uint64_t> tail_tombstones;
   /// The raw open-tail documents, in id order.
   std::vector<std::shared_ptr<const std::string>> tail_docs;
-  /// The file holding the append dictionary ("dict" container),
-  /// relative to the manifest (no '/'). Every "rlzshard" shard the
-  /// manifest names is bound to it.
-  std::string append_dict_name;
+  /// The files holding the append dictionaries ("dict" containers),
+  /// relative to the manifest (no '/'): each retired one some shard binds
+  /// to, then the current one, which tail seals encode against. At least
+  /// one.
+  std::vector<std::string> dict_names;
+  /// Per shard, the index in `dict_names` of the dictionary its
+  /// "rlzshard" file is bound to, or kOwnDictionary for an "rlz" file
+  /// that carries its own.
+  std::vector<uint64_t> shard_dicts;
   /// The store's seal and compaction knobs.
   LiveStoreOptions live;
   /// The size of compaction's re-sampled dictionaries.
@@ -104,8 +115,9 @@ struct Manifest {
 
   /// Parses and validates a manifest envelope. InvalidArgument for another
   /// format id or version; Corruption for a malformed body (a shard count,
-  /// boundary, file name, tombstone id or tail count that cannot hold, or
-  /// trailing bytes). Allocates at most in proportion to the body size.
+  /// boundary, file name, dictionary count or id, tombstone id or tail
+  /// count that cannot hold, or trailing bytes). Allocates at most in
+  /// proportion to the body size.
   static StatusOr<Manifest> Parse(const ParsedEnvelope& envelope);
 };
 

@@ -16,13 +16,14 @@ namespace rlz {
 namespace {
 
 // Sample size of every dictionary the store samples: shard dictionaries,
-// the append dictionary and compaction's re-samples (the paper's 1 KB
+// append dictionaries and compaction's re-samples (the paper's 1 KB
 // default, §3.3).
 constexpr size_t kSampleBytes = 1024;
 
-// Suffix of the append dictionary's file name after the manifest's:
-// "<base>.dict".
-constexpr char kAppendDictSuffix[] = ".dict";
+// The kSeal record's payload when the seal first refreshes the append
+// dictionary from the tail it seals; an empty payload seals against the
+// current one (DESIGN.md §12).
+constexpr char kRefreshSeal[] = "R";
 
 // Relative name of shard `s` next to a manifest named `manifest_base`
 // (the manifest's own basename): "<base>.shard0007".
@@ -31,6 +32,41 @@ std::string ShardFileName(const std::string& manifest_base, size_t s) {
   std::snprintf(suffix, sizeof(suffix), ".shard%04llu",
                 static_cast<unsigned long long>(s));
   return manifest_base + suffix;
+}
+
+// Relative name of append dictionary `d` next to a manifest named
+// `manifest_base`: "<base>.dict" for the first, "<base>.dict0001" on.
+std::string DictFileName(const std::string& manifest_base, size_t d) {
+  if (d == 0) return manifest_base + ".dict";
+  char suffix[32];
+  std::snprintf(suffix, sizeof(suffix), ".dict%04llu",
+                static_cast<unsigned long long>(d));
+  return manifest_base + suffix;
+}
+
+// True when `health`'s factors have decayed against `baseline` past the
+// staleness trigger (§3.6). The compactor's stale test and the seal's
+// refresh rule both read it.
+bool FactorsDecayed(const ShardHealth& health, const FactorStats& baseline,
+                    const LiveStoreOptions& live) {
+  return health.stats.avg_factor_decay(baseline) >= live.compact_stale_decay;
+}
+
+// Drops every retired append dictionary of `set` that no shard binds to
+// any more, with its entry in `files` (parallel to set->append_dicts).
+// The current dictionary stays, bound or not.
+void DropUnboundDicts(ShardSet* set, std::vector<std::string>* files) {
+  std::vector<bool> bound(set->append_dicts.size(), false);
+  bound.back() = true;
+  for (size_t s = 0; s < set->shards.size(); ++s) {
+    const uint64_t d = set->DictOf(s);
+    if (d != Manifest::kOwnDictionary) bound[d] = true;
+  }
+  for (size_t d = bound.size(); d-- > 0;) {
+    if (bound[d]) continue;
+    set->append_dicts.erase(set->append_dicts.begin() + d);
+    files->erase(files->begin() + d);
+  }
 }
 
 // Splits `path` into the directory prefix (empty or ending in '/') and
@@ -67,12 +103,12 @@ std::shared_ptr<const Bitmap> BitmapOf(const std::vector<uint64_t>& ids,
   return std::make_shared<const Bitmap>(std::move(bm));
 }
 
-// The file bytes of shard `s` of `epoch`: a shard sealed from the tail
-// references the append dictionary, which the store writes once
-// ("rlzshard"); a base or compacted shard carries its own ("rlz").
+// The file bytes of shard `s` of `epoch`: a shard bound to an append
+// dictionary references it, and the store writes each such dictionary
+// once ("rlzshard"); a base or re-sampled shard carries its own ("rlz").
 std::string ShardFileBytes(const CorpusEpoch& epoch, int s) {
   const RlzArchive& shard = epoch.shard(s);
-  return shard.SharesDictionary(epoch.append_dictionary())
+  return epoch.shard_dictionary(s) != Manifest::kOwnDictionary
              ? shard.SerializeShard()
              : shard.Serialize();
 }
@@ -174,17 +210,18 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
         infos[s].unused_dictionary_fraction;
     store->baseline_stats_.Merge(infos[s].stats);
   }
-  // The append dictionary: sampled across the whole build-time corpus, so
-  // tail seals encode against content representative of the initial crawl
-  // — and go stale as the crawl drifts (§3.6), which is exactly what the
-  // compactor's coverage-decay trigger watches for. Every seal
-  // factorizes against it, so it alone carries match keys.
+  // The first append dictionary: sampled across the whole build-time
+  // corpus, so tail seals encode against content representative of the
+  // initial crawl — until the crawl drifts (§3.6) and a seal replaces it
+  // (RefreshDueLocked). Every seal factorizes against the current one,
+  // so it alone carries match keys.
   std::unique_ptr<Dictionary> append_dict = DictionaryBuilder::BuildSampled(
       collection.data(), shard_dict_bytes, kSampleBytes);
   append_dict->BuildMatchKeys();
-  sealed->append_dict = std::move(append_dict);
+  sealed->append_dicts.push_back(std::move(append_dict));
   store->sealed_ = std::move(sealed);
   store->shard_files_.assign(nshards, std::string());
+  store->dict_files_.assign(1, std::string());
 
   {
     std::lock_guard<std::mutex> lock(store->writer_mu_);
@@ -309,28 +346,46 @@ Status ShardedStore::SealTail() {
 }
 
 Status ShardedStore::SealTailLocked() {
+  // The choice is logged, not re-derived at replay: a compaction between
+  // the last checkpoint and this seal can rewrite the shard the rule
+  // reads, and compactions are not logged.
+  const bool refresh = RefreshDueLocked();
   if (wal_ != nullptr) {
-    RLZ_RETURN_IF_ERROR(LogLocked(wal::RecordType::kSeal, std::string_view()));
+    RLZ_RETURN_IF_ERROR(LogLocked(
+        wal::RecordType::kSeal,
+        refresh ? std::string_view(kRefreshSeal) : std::string_view()));
   }
-  RLZ_RETURN_IF_ERROR(ApplySealLocked());
+  RLZ_RETURN_IF_ERROR(ApplySealLocked(refresh));
   PublishLocked();
   return Status::OK();
 }
 
-Status ShardedStore::ApplySealLocked() {
+Status ShardedStore::ApplySealLocked(bool refresh) {
   const size_t tail_docs = tail_.num_docs();
   if (tail_docs == 0) return Status::OK();
 
   // The raw tail is encoded once, here, as one batch on the store's
-  // build pool against the append dictionary (byte-identical to a serial
-  // encode; DESIGN.md §7). Its matcher exists: SealTail and Append gate
-  // on it, and WAL replay seals only on a writable open, which builds it.
+  // build pool against the current append dictionary (byte-identical to
+  // a serial encode; DESIGN.md §7). Its matcher exists: SealTail and
+  // Append gate on it, and WAL replay seals only on a writable open,
+  // which builds it. A refresh first samples a new current dictionary
+  // from the tail's own text.
   std::vector<std::string_view> docs;
   docs.reserve(tail_docs);
   for (size_t i = 0; i < tail_docs; ++i) docs.push_back(*tail_.doc(i));
+  std::shared_ptr<const Dictionary> dict = sealed_->append_dict();
+  if (refresh) {
+    std::string text;
+    text.reserve(tail_.bytes());
+    for (std::string_view doc : docs) text.append(doc);
+    std::unique_ptr<Dictionary> fresh = DictionaryBuilder::BuildSampled(
+        text, shard_dict_bytes_, kSampleBytes);
+    fresh->BuildMatchKeys();
+    dict = std::move(fresh);
+  }
   RlzBuildInfo info;
-  std::shared_ptr<const RlzArchive> sealed = EncodeShard(
-      &build_pool_, sealed_->append_dict, options_.coding, docs, &info);
+  std::shared_ptr<const RlzArchive> sealed =
+      EncodeShard(&build_pool_, dict, options_.coding, docs, &info);
 
   // Health record for the new shard; tail documents deleted before the
   // seal carry their tombstones (and their now-stored-but-dead encoded
@@ -353,6 +408,10 @@ Status ShardedStore::ApplySealLocked() {
   starts.push_back(sealed_->router->num_docs() + tail_docs);
 
   auto next = std::make_shared<ShardSet>(*sealed_);
+  if (refresh) {
+    next->append_dicts.push_back(std::move(dict));
+    dict_files_.emplace_back();  // no checkpoint holds it yet
+  }
   next->shards.push_back(std::move(sealed));
   next->health.push_back(meta);
   // The tail bitmap is lazily sized to the tail length at its last
@@ -455,7 +514,7 @@ int ShardedStore::PickCompactionVictimLocked(
     const double decay = health.stats.avg_factor_decay(baseline_stats_);
     const bool stale =
         health.unused_dict_fraction >= live.compact_stale_unused_fraction ||
-        decay >= live.compact_stale_decay;
+        FactorsDecayed(health, baseline_stats_, live);
     // Tombstone reclamation scores by wasted-byte fraction; staleness by
     // how far the dictionary has decayed. Either trigger qualifies; the
     // worst offender wins.
@@ -485,6 +544,20 @@ int ShardedStore::PickCompactionVictimLocked(
   return victim;
 }
 
+bool ShardedStore::RefreshDueLocked() const {
+  // A tail smaller than a dictionary seals against the current one; the
+  // next seal asks again.
+  if (tail_.bytes() < shard_dict_bytes_) return false;
+  const Dictionary& current = *sealed_->append_dict();
+  for (size_t s = sealed_->shards.size(); s-- > 0;) {
+    if (sealed_->shards[s]->SharesDictionary(current)) {
+      return FactorsDecayed(sealed_->health[s], baseline_stats_,
+                            options_.live);
+    }
+  }
+  return false;
+}
+
 StatusOr<CompactionReport> ShardedStore::CompactOnce() {
   // One rebuild at a time; mutators never wait on this lock.
   std::lock_guard<std::mutex> compact_lock(compact_mu_);
@@ -503,12 +576,25 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
       return epoch_;
     }();
   }
+  // A shard that went stale against a retired append dictionary moves to
+  // the current one, which the seals since its refresh encode against
+  // (DESIGN.md §11). Every other victim, and any victim of a store whose
+  // current dictionary has no matcher (a serving-only open), gets a
+  // dictionary re-sampled from its own live text.
+  std::shared_ptr<const Dictionary> dict;
+  const auto& dicts = snapshot->append_dictionaries();
+  // kOwnDictionary lies past every index, so a shard with its own
+  // dictionary is not "retired".
+  const bool retired = snapshot->shard_dictionary(victim) < dicts.size() - 1;
+  if (report.reason == CompactionReport::Reason::kStaleDictionary &&
+      retired && dicts.back()->has_matcher()) {
+    dict = dicts.back();
+  }
 
   // Offline rebuild against the pinned snapshot: decode every live
-  // document, re-sample a fresh dictionary from exactly that text, and
-  // re-encode — tombstoned ids shrink to empty entries (their id stays
-  // allocated; the tombstone bitmap still answers NotFound). Mutators and
-  // readers run concurrently throughout.
+  // document and re-encode — tombstoned ids shrink to empty entries
+  // (their id stays allocated; the tombstone bitmap still answers
+  // NotFound). Mutators and readers run concurrently throughout.
   const RlzArchive& old_shard = snapshot->shard(victim);
   const Bitmap* dead = snapshot->tombstones(victim);
   const size_t shard_docs = old_shard.num_docs();
@@ -536,13 +622,14 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
     offset += sizes[i];
     ++live_docs;
   }
+  if (dict == nullptr) {
+    dict = DictionaryBuilder::BuildSampled(
+        text.empty() ? std::string_view(" ") : std::string_view(text),
+        shard_dict_bytes_, kSampleBytes);
+  }
   RlzBuildInfo rebuild_info;
   std::shared_ptr<const RlzArchive> rebuilt = EncodeShard(
-      &build_pool_,
-      DictionaryBuilder::BuildSampled(
-          text.empty() ? std::string_view(" ") : std::string_view(text),
-          shard_dict_bytes_, kSampleBytes),
-      options_.coding, docs, &rebuild_info);
+      &build_pool_, std::move(dict), options_.coding, docs, &rebuild_info);
 
   // Swap the rewrite into the next epoch. Deletes that landed on this
   // shard during the rebuild were encoded live above; they stay pending
@@ -571,6 +658,8 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
       }
     }
     report.generation = meta.generation;
+    // The victim's old dictionary is retired once no shard binds to it.
+    DropUnboundDicts(next.get(), &dict_files_);
     sealed_ = std::move(next);
     shard_files_[victim].clear();  // the next checkpoint writes the rewrite
     PublishLocked();
@@ -619,6 +708,7 @@ Manifest ShardedStore::ManifestLocked(
   manifest.baseline = baseline_stats_;
   for (int s = 0; s < epoch.num_shards(); ++s) {
     manifest.tombstones.push_back(SetBits(epoch.tombstones(s)));
+    manifest.shard_dicts.push_back(epoch.shard_dictionary(s));
   }
   manifest.tail_tombstones = SetBits(epoch.tail_tombstones());
   const TailSegment& tail = epoch.tail();
@@ -642,7 +732,7 @@ Status ShardedStore::Save(const std::string& path) const {
   std::string dir;
   std::string base;
   SplitPath(path, &dir, &base);
-  // Shards and dictionary first, manifest last: a torn save leaves
+  // Shards and dictionaries first, manifest last: a torn save leaves
   // orphan files, never a manifest that names missing ones.
   for (int s = 0; s < snapshot->num_shards(); ++s) {
     manifest.shard_names.push_back(
@@ -650,9 +740,12 @@ Status ShardedStore::Save(const std::string& path) const {
     RLZ_RETURN_IF_ERROR(WriteFile(dir + manifest.shard_names.back(),
                                   ShardFileBytes(*snapshot, s)));
   }
-  manifest.append_dict_name = base + kAppendDictSuffix;
-  RLZ_RETURN_IF_ERROR(WriteFile(dir + manifest.append_dict_name,
-                                snapshot->append_dictionary().Serialize()));
+  const auto& dicts = snapshot->append_dictionaries();
+  for (size_t d = 0; d < dicts.size(); ++d) {
+    manifest.dict_names.push_back(DictFileName(base, d));
+    RLZ_RETURN_IF_ERROR(
+        WriteFile(dir + manifest.dict_names.back(), dicts[d]->Serialize()));
+  }
   return WriteFile(path, manifest.Encode());
 }
 
@@ -672,30 +765,35 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   const size_t nshards = router.num_shards();
   std::unique_ptr<ShardedStore> store(new ShardedStore());
 
-  // The append dictionary first: every "rlzshard" shard decodes against
-  // this one object. Its suffix array and match keys — the only ones the
-  // store queries — are built on a writable open only; matcher-less,
-  // appends and seals fail cleanly.
+  // The append dictionaries first: every "rlzshard" shard decodes
+  // against one of these objects. The current one's suffix array and
+  // match keys — the only ones the store queries — are built on a
+  // writable open only; matcher-less, appends and seals fail cleanly. A
+  // retired one never gets them: nothing encodes against it again.
   auto sealed = std::make_shared<ShardSet>();
-  {
-    const std::string dict_path = dir + manifest.append_dict_name;
+  const size_t ndicts = manifest.dict_names.size();
+  for (size_t d = 0; d < ndicts; ++d) {
+    const std::string dict_path = dir + manifest.dict_names[d];
     RLZ_ASSIGN_OR_RETURN(RawContainerFile raw,
                          ReadContainerFile(dict_path, options));
     RLZ_ASSIGN_OR_RETURN(
         ParsedEnvelope envelope,
         ParsedEnvelope::FromView(raw.view, raw.owner, dict_path));
+    const bool current = d + 1 == ndicts;
     RLZ_ASSIGN_OR_RETURN(
-        std::unique_ptr<Dictionary> append_dict,
-        Dictionary::FromEnvelope(envelope, options.build_suffix_array));
-    append_dict->BuildMatchKeys();
-    sealed->append_dict = std::move(append_dict);
+        std::unique_ptr<Dictionary> dict,
+        Dictionary::FromEnvelope(envelope,
+                                 current && options.build_suffix_array));
+    if (current) dict->BuildMatchKeys();
+    sealed->append_dicts.push_back(std::move(dict));
   }
 
   // Shard files open in parallel: an "rlz" container carries its own
-  // dictionary, an "rlzshard" one is bound to the append dictionary. No
-  // shard gets a suffix array, on any open: the store never factorizes
-  // against a sealed shard's dictionary (seals use the append
-  // dictionary; compaction samples a fresh one).
+  // dictionary, an "rlzshard" one is bound to the append dictionary the
+  // manifest names for it. No shard gets a suffix array, on any open:
+  // the store never factorizes against a sealed shard's own dictionary
+  // (seals use the current append dictionary; compaction moves a shard
+  // to it or samples a fresh one).
   sealed->shards.resize(nshards);
   std::vector<Status> statuses(nshards);
   OpenOptions shard_options = options;
@@ -708,11 +806,20 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   BuildPool pool(static_cast<int>(
       std::min<size_t>(nshards, static_cast<size_t>(AvailableCpus()))));
   BuildPipeline pipeline(&pool);
+  // A shard the manifest says carries its own dictionary is opened
+  // against the current one as well: the binding check below then
+  // rejects an "rlzshard" file there as it rejects an "rlz" file where
+  // the manifest names a dictionary.
+  const auto dict_of = [&](size_t s) {
+    const uint64_t d = manifest.shard_dicts[s];
+    return d == Manifest::kOwnDictionary ? sealed->append_dicts.back()
+                                         : sealed->append_dicts[d];
+  };
   for (size_t s = 0; s < nshards; ++s) {
     pipeline.Submit(
         [&, s](int) {
           auto shard = RlzArchive::Load(dir + manifest.shard_names[s],
-                                        shard_options, sealed->append_dict);
+                                        shard_options, dict_of(s));
           if (shard.ok()) {
             sealed->shards[s] = std::move(shard).value();
           } else {
@@ -733,6 +840,12 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
                                 ": shard document count disagrees with "
                                 "the manifest");
     }
+    const bool bound = manifest.shard_dicts[s] != Manifest::kOwnDictionary;
+    if (sealed->shards[s]->SharesDictionary(*dict_of(s)) != bound) {
+      return Status::Corruption(dir + manifest.shard_names[s] +
+                                ": shard dictionary binding disagrees "
+                                "with the manifest");
+    }
     sealed->tombstones[s] = BitmapOf(manifest.tombstones[s], shard_docs);
     store->deleted_docs_ += manifest.tombstones[s].size();
   }
@@ -741,6 +854,7 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   sealed->health = std::move(manifest.health);
   store->sealed_ = std::move(sealed);
   store->shard_files_.assign(nshards, std::string());
+  store->dict_files_.assign(ndicts, std::string());
   store->baseline_stats_ = manifest.baseline;
   store->next_sequence_ = manifest.sequence;
   store->tail_tombstones_ =
@@ -779,7 +893,7 @@ Status ShardedStore::CheckWritableLocked() const {
 }
 
 Status ShardedStore::CheckAppendDictionaryLocked() const {
-  if (!sealed_->append_dict->has_matcher()) {
+  if (!sealed_->append_dict()->has_matcher()) {
     return Status::InvalidArgument(
         "sharded store: no append dictionary (serving-only open); appends "
         "and seals are disabled");
@@ -808,10 +922,10 @@ Status ShardedStore::MakeDurable(const std::string& dir,
     fs_ = fs != nullptr ? std::move(fs) : DefaultFileSystem();
     durable_dir_ = dir;
     // Names a manifest gave the files point into another directory (or
-    // none): the first checkpoint writes every shard and the append
+    // none): the first checkpoint writes every shard and append
     // dictionary into this one.
     shard_files_.assign(sealed_->shards.size(), std::string());
-    append_dict_file_.clear();
+    dict_files_.assign(sealed_->append_dicts.size(), std::string());
     RLZ_RETURN_IF_ERROR(fs_->CreateDir(dir));
     RLZ_ASSIGN_OR_RETURN(
         wal_, wal::WalWriter::Create(fs_, dir, /*generation=*/1, /*seq=*/0,
@@ -864,7 +978,7 @@ Status ShardedStore::WriteCheckpoint() {
     live_segment = wal_->segment_seq();
     manifest = ManifestLocked(&snapshot);
     manifest.shard_names = shard_files_;
-    manifest.append_dict_name = append_dict_file_;
+    manifest.dict_names = dict_files_;
   }
 
   // Write-new: every new file lands under the next generation, fsync'd,
@@ -884,13 +998,16 @@ Status ShardedStore::WriteCheckpoint() {
         durable_dir_ + "/" + shard_names[s],
         ShardFileBytes(*snapshot, static_cast<int>(s))));
   }
-  // The append dictionary never changes: the first checkpoint writes it
-  // and every later one names that file again.
-  if (manifest.append_dict_name.empty()) {
-    manifest.append_dict_name = manifest_name + kAppendDictSuffix;
+  // An append dictionary never changes: the first checkpoint that holds
+  // it writes it, and every later one names that file again.
+  const auto& dicts = snapshot->append_dictionaries();
+  std::vector<std::string>& dict_names = manifest.dict_names;
+  RLZ_CHECK_EQ(dict_names.size(), dicts.size());
+  for (size_t d = 0; d < dicts.size(); ++d) {
+    if (!dict_names[d].empty()) continue;
+    dict_names[d] = DictFileName(manifest_name, d);
     RLZ_RETURN_IF_ERROR(fs_->WriteFileSynced(
-        durable_dir_ + "/" + manifest.append_dict_name,
-        snapshot->append_dictionary().Serialize()));
+        durable_dir_ + "/" + dict_names[d], dicts[d]->Serialize()));
   }
   RLZ_RETURN_IF_ERROR(fs_->WriteFileSynced(durable_dir_ + "/" + manifest_name,
                                            manifest.Encode()));
@@ -905,21 +1022,29 @@ Status ShardedStore::WriteCheckpoint() {
   {
     std::lock_guard<std::mutex> lock(writer_mu_);
     checkpoint_generation_ = generation;
-    append_dict_file_ = manifest.append_dict_name;
     // Shards still identical to the snapshot's are now held by the live
-    // checkpoint; a shard sealed or compacted since stays unnamed.
+    // checkpoint; a shard sealed or compacted since stays unnamed. So
+    // does a dictionary: one refreshed since is not in the snapshot.
     for (size_t s = 0; s < nshards; ++s) {
       if (sealed_->shards[s].get() == &snapshot->shard(static_cast<int>(s))) {
         shard_files_[s] = shard_names[s];
       }
     }
+    for (size_t d = 0; d < sealed_->append_dicts.size(); ++d) {
+      const auto held = std::find(dicts.begin(), dicts.end(),
+                                  sealed_->append_dicts[d]);
+      if (held != dicts.end()) {
+        dict_files_[d] = dict_names[static_cast<size_t>(held - dicts.begin())];
+      }
+    }
   }
   // Best-effort cleanup of superseded files and covered WAL; files the
-  // new manifest names survive whatever generation wrote them. The
-  // segments this process wrote are known without reading them; every
-  // one before the roll is covered, so a clean GC deletes them all.
+  // new manifest names survive whatever generation wrote them, so a
+  // dictionary file lives while a shard binds to it. The segments this
+  // process wrote are known without reading them; every one before the
+  // roll is covered, so a clean GC deletes them all.
   std::vector<std::string> keep = shard_names;
-  keep.push_back(manifest.append_dict_name);
+  keep.insert(keep.end(), dict_names.begin(), dict_names.end());
   RLZ_RETURN_IF_ERROR(
       wal::GarbageCollect(*fs_, durable_dir_, info, keep, segments));
   std::lock_guard<std::mutex> lock(writer_mu_);
@@ -970,13 +1095,13 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::OpenFromCheckpoint(
       ParsedEnvelope::FromBytes(std::move(raw), manifest_path));
   RLZ_ASSIGN_OR_RETURN(Manifest manifest, Manifest::Parse(envelope));
   std::vector<std::string> shard_names = manifest.shard_names;
-  std::string append_dict_name = manifest.append_dict_name;
+  std::vector<std::string> dict_names = manifest.dict_names;
   RLZ_ASSIGN_OR_RETURN(
       std::unique_ptr<ShardedStore> store,
       FromManifest(std::move(manifest), manifest_path, open_options));
   // Every loaded file is already in `dir`, under the manifest's names.
   store->shard_files_ = std::move(shard_names);
-  store->append_dict_file_ = std::move(append_dict_name);
+  store->dict_files_ = std::move(dict_names);
 
   store->fs_ = io;
   store->durable_dir_ = dir;
@@ -1011,12 +1136,19 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::OpenFromCheckpoint(
           }
           return Status::OK();
         }
-        case wal::RecordType::kSeal:
+        case wal::RecordType::kSeal: {
+          // The payload says whether the logged seal refreshed the
+          // append dictionary; replay obeys it and never re-derives it.
+          const bool refresh = payload == kRefreshSeal;
+          if (!refresh && !payload.empty()) {
+            return Status::Corruption(dir + ": bad wal seal payload");
+          }
           // Serving-only recovery leaves the tail raw: sealing would
           // encode (and want the suffix array this open skipped).
           // Document ids and bytes are identical either way.
           if (raw_store->read_only_) return Status::OK();
-          return raw_store->ApplySealLocked();
+          return raw_store->ApplySealLocked(refresh);
+        }
       }
       return Status::Corruption(dir + ": unknown wal record type");
     };

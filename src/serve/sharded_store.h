@@ -96,9 +96,9 @@ class ShardedStore final : public Archive {
   /// Partitions `collection`, samples one dictionary per shard (1 KB
   /// samples, the paper's default), and builds the shards concurrently,
   /// one build pipeline worker per shard, each shard byte-identical to a
-  /// serial RlzArchive::Build of its documents. Also samples the append
-  /// dictionary that every tail seal encodes against and publishes
-  /// epoch 0.
+  /// serial RlzArchive::Build of its documents. Also samples the first
+  /// append dictionary, which tail seals encode against until one
+  /// refreshes it (SealTail), and publishes epoch 0.
   static std::unique_ptr<ShardedStore> Build(
       const Collection& collection, const ShardedStoreOptions& options = {});
 
@@ -158,7 +158,11 @@ class ShardedStore final : public Archive {
   /// Seals the open tail into a new compressed shard (growing the router
   /// by one range) and publishes the epoch containing it. The tail is
   /// encoded here, in one batch on the build pipeline, byte-identical to
-  /// a serial RlzArchive::Build against the append dictionary. No-op when
+  /// a serial RlzArchive::Build against the current append dictionary.
+  /// When the newest shard bound to that dictionary has decayed past
+  /// LiveStoreOptions::compact_stale_decay and the tail holds at least a
+  /// shard dictionary's worth of text, the seal first samples a new
+  /// current append dictionary from the tail (DESIGN.md §11). No-op when
   /// the tail is empty. Called automatically when an Append crosses
   /// LiveStoreOptions::tail_seal_bytes. On a durable store the seal is
   /// then made durable as a shard by an incremental Checkpoint, which
@@ -172,9 +176,11 @@ class ShardedStore final : public Archive {
 
   /// One compaction pass: scores every sealed shard (tombstoned-payload
   /// fraction, dictionary staleness), rewrites the worst shard that
-  /// crossed a trigger — re-sampling a fresh dictionary from its live
-  /// documents, reclaiming tombstoned payload — and swaps it into the
-  /// next epoch. The rebuild runs against a pinned epoch without blocking
+  /// crossed a trigger — re-encoding its live documents, reclaiming
+  /// tombstoned payload — and swaps it into the next epoch. A stale shard
+  /// bound to a retired append dictionary re-encodes against the current
+  /// one; every other victim against a dictionary re-sampled from its
+  /// live documents. The rebuild runs against a pinned epoch without blocking
   /// mutators; only the final swap takes the writer lock. Readers pinned
   /// to older epochs keep decoding from the pre-compaction shard until
   /// they drain. Returns a report (compacted == false when no shard
@@ -229,30 +235,32 @@ class ShardedStore final : public Archive {
   FactorStats baseline_stats() const;
 
   /// Serializes the current epoch as one file per shard, the append
-  /// dictionary and a manifest: each sealed shard is written at
-  /// `path + ".shardNNNN"` (a shard sealed from the tail as an "rlzshard"
-  /// container bound to the append dictionary, any other as an "rlz"
-  /// container with its own), the append dictionary once at
-  /// `path + ".dict"`, then the Manifest (epoch sequence, shard
-  /// boundaries, relative file names, health, tombstones, raw tail
-  /// documents) at `path` — last, so a crash mid-save never leaves a
-  /// manifest pointing at missing files. The directory can be moved as a
-  /// unit: file names are stored relative to the manifest.
+  /// dictionaries and a manifest: each sealed shard is written at
+  /// `path + ".shardNNNN"` (a shard bound to an append dictionary as an
+  /// "rlzshard" container, any other as an "rlz" container with its
+  /// own), each append dictionary once at `path + ".dict"`,
+  /// `path + ".dict0001"`, ..., then the Manifest (epoch sequence, shard
+  /// boundaries, relative file names, dictionary bindings, health,
+  /// tombstones, raw tail documents) at `path` — last, so a crash
+  /// mid-save never leaves a manifest pointing at missing files. The
+  /// directory can be moved as a unit: file names are stored relative to
+  /// the manifest.
   Status Save(const std::string& path) const override;
 
   /// Opens a store written by Save: reads the manifest and the append
-  /// dictionary, then loads every shard file in parallel (one worker per
-  /// shard, capped at the process's CPUs, AvailableCpus), restoring the
-  /// full epoch: tombstones, generations and the raw open tail. Every
-  /// "rlzshard" shard decodes against the one append dictionary object.
-  /// Shard dictionaries never get a suffix array (the store never
-  /// factorizes against one). A writable open (the default
-  /// OpenOptions::build_suffix_array = true) builds only the append
-  /// dictionary's; a serving-only reopen passes false, builds none, and
-  /// disables Append and SealTail (InvalidArgument). Fails with IOError
-  /// if a file named by the manifest is missing, Corruption if a shard's
-  /// document count disagrees with the manifest or its dictionary binding
-  /// with the append dictionary. The reopened
+  /// dictionaries, then loads every shard file in parallel (one worker
+  /// per shard, capped at the process's CPUs, AvailableCpus), restoring
+  /// the full epoch: tombstones, generations and the raw open tail. Every
+  /// "rlzshard" shard decodes against the append dictionary object the
+  /// manifest binds it to. Shard dictionaries and retired append
+  /// dictionaries never get a suffix array (the store never factorizes
+  /// against one). A writable open (the default
+  /// OpenOptions::build_suffix_array = true) builds only the current
+  /// append dictionary's; a serving-only reopen passes false, builds
+  /// none, and disables Append and SealTail (InvalidArgument). Fails with
+  /// IOError if a file named by the manifest is missing, Corruption if a
+  /// shard's document count or dictionary binding disagrees with the
+  /// manifest. The reopened
   /// store seals and compacts with the saved store's LiveStoreOptions,
   /// which the manifest carries.
   static StatusOr<std::unique_ptr<ShardedStore>> Open(
@@ -318,11 +326,12 @@ class ShardedStore final : public Archive {
 
   /// Writes a new checkpoint of the current epoch (write-new -> fsync ->
   /// rename; see store/wal/checkpoint.h) and prunes the WAL it covers.
-  /// Only shards no committed checkpoint holds yet (sealed or compacted
-  /// since, or all of them after MakeDurable) are written, and the append
-  /// dictionary only by the first checkpoint after MakeDurable; the
-  /// manifest names the existing files of the rest, and garbage
-  /// collection keeps them. Mutators are blocked only while the WAL is synced and rolled,
+  /// Only shards and append dictionaries no committed checkpoint holds
+  /// yet (sealed, compacted or refreshed since, or all of them after
+  /// MakeDurable) are written; the manifest names the existing files of
+  /// the rest, and garbage collection keeps them. A retired append
+  /// dictionary's file goes with the first checkpoint after no shard
+  /// binds to it. Mutators are blocked only while the WAL is synced and rolled,
   /// not while shards are written. InvalidArgument when not durable.
   /// Returns the first error of a post-seal checkpoint (SealTail) since
   /// the last call, if there was one, even when this checkpoint
@@ -362,7 +371,7 @@ class ShardedStore final : public Archive {
   // the new document's id.
   size_t ApplyAppendLocked(std::string_view doc);
   Status ApplyDeleteLocked(size_t id);
-  Status ApplySealLocked();
+  Status ApplySealLocked(bool refresh);
 
   /// InvalidArgument on a read-only (serving-only durable) open.
   Status CheckWritableLocked() const;
@@ -390,6 +399,11 @@ class ShardedStore final : public Archive {
   /// Scores sealed shards against the compaction triggers; fills the
   /// reason and returns the victim index, or -1. Requires writer_mu_.
   int PickCompactionVictimLocked(CompactionReport::Reason* reason) const;
+  /// The refresh rule, read at each seal: true when the tail holds at
+  /// least a dictionary's worth of text and the newest shard bound to the
+  /// current append dictionary has decayed past the staleness trigger.
+  /// Requires writer_mu_.
+  bool RefreshDueLocked() const;
 
   ShardedStoreOptions options_;  // build-time + live knobs
 
@@ -411,9 +425,10 @@ class ShardedStore final : public Archive {
   // §12). Set after a CURRENT flip; cleared by seal, compaction swap and
   // MakeDurable. The next checkpoint rewrites only the unnamed shards.
   std::vector<std::string> shard_files_;
-  // The same for the append dictionary's file: written by the first
-  // checkpoint after MakeDurable, then named again by every later one.
-  std::string append_dict_file_;
+  // The same for each append dictionary, parallel to
+  // sealed_->append_dicts: written by the first checkpoint that holds it,
+  // then named again by every later one while a shard binds to it.
+  std::vector<std::string> dict_files_;
   // The open tail; only this copy appends (TailSegment).
   TailSegment tail_;
   std::shared_ptr<const Bitmap> tail_tombstones_;

@@ -603,8 +603,8 @@ TEST(DroppedLayoutTest, OldLayoutsAndVersionsFailCleanly) {
               StatusCode::kInvalidArgument);
   }
 
-  // The v3 manifest: the same sections as v4, with the append
-  // dictionary's text inline where v4 names its file.
+  // The v3 manifest: the sections of v4, with the append dictionary's
+  // text inline where v4 names its file and v5 lists the files.
   {
     Manifest manifest;
     manifest.router =
@@ -612,11 +612,12 @@ TEST(DroppedLayoutTest, OldLayoutsAndVersionsFailCleanly) {
     manifest.shard_names = {"fmt_dropped.bin.shard0000"};
     manifest.health.resize(1);
     manifest.tombstones.resize(1);
-    manifest.append_dict_name = "append dictionary text";
-    auto v4 = ParsedEnvelope::FromBytes(manifest.Encode(), "v4");
-    ASSERT_TRUE(v4.ok());
+    manifest.dict_names = {"append dictionary text"};
+    manifest.shard_dicts = {Manifest::kOwnDictionary};
+    auto v5 = ParsedEnvelope::FromBytes(manifest.Encode(), "v5");
+    ASSERT_TRUE(v5.ok());
     EnvelopeWriter writer(Manifest::kFormatId, /*version=*/3);
-    writer.PutBytes(v4->body());
+    writer.PutBytes(v5->body());
     ASSERT_TRUE(std::move(writer).WriteTo(path).ok());
     EXPECT_EQ(ShardedStore::Open(path).status().code(),
               StatusCode::kInvalidArgument);
@@ -793,7 +794,8 @@ TEST(ManifestTest, EncodeThenParseIsIdentity) {
   manifest.live.compact_stale_unused_fraction = 0.75;
   manifest.live.compact_stale_decay = 0.0625;
   manifest.shard_dict_bytes = 4096;
-  manifest.append_dict_name = "m.dict";
+  manifest.dict_names = {"m.dict", "m.dict0001"};
+  manifest.shard_dicts = {Manifest::kOwnDictionary, 1, 0};
   const std::string bytes = manifest.Encode();
 
   auto parsed = ParseManifest(bytes);
@@ -824,7 +826,8 @@ TEST(ManifestTest, EncodeThenParseIsIdentity) {
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(*parsed->tail_docs[i], *manifest.tail_docs[i]);
   }
-  EXPECT_EQ(parsed->append_dict_name, "m.dict");
+  EXPECT_EQ(parsed->dict_names, manifest.dict_names);
+  EXPECT_EQ(parsed->shard_dicts, manifest.shard_dicts);
   EXPECT_EQ(parsed->live.tail_seal_bytes, 12345u);
   EXPECT_EQ(parsed->live.compact_tombstone_fraction, 0.125);
   EXPECT_EQ(parsed->live.compact_stale_unused_fraction, 0.75);
@@ -842,7 +845,8 @@ TEST(ManifestTest, ImpossibleSectionsAreCorruption) {
     manifest.health.resize(1);
     manifest.tombstones.resize(1);
     manifest.tail_docs.push_back(std::make_shared<const std::string>("t"));
-    manifest.append_dict_name = "m.dict";
+    manifest.dict_names = {"m.dict"};
+    manifest.shard_dicts = {0};
     edit(&manifest);
     return manifest.Encode();
   };
@@ -854,8 +858,9 @@ TEST(ManifestTest, ImpossibleSectionsAreCorruption) {
       },
       [](Manifest* m) { m->shard_names = {""}; },
       [](Manifest* m) { m->shard_names = {"../m.shard0000"}; },
-      [](Manifest* m) { m->append_dict_name = ""; },
-      [](Manifest* m) { m->append_dict_name = "/tmp/m.dict"; },
+      [](Manifest* m) { m->dict_names = {""}; },
+      [](Manifest* m) { m->dict_names = {"m.dict", "/tmp/m.dict"}; },
+      [](Manifest* m) { m->dict_names = {std::string("m.dict\0x", 8)}; },
       [](Manifest* m) { m->tombstones = {{4}}; },
       [](Manifest* m) { m->tombstones = {{2, 2}}; },
       [](Manifest* m) { m->tombstones = {{0, 1, 2, 3, 3}}; },
@@ -864,6 +869,30 @@ TEST(ManifestTest, ImpossibleSectionsAreCorruption) {
   for (size_t i = 0; i < std::size(bad); ++i) {
     const auto parsed = ParseManifest(encode(bad[i]));
     EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption) << "case " << i;
+  }
+
+  // A shard bound to a dictionary the list does not hold, and a list of
+  // no dictionaries: Encode refuses both, so they are cut from valid
+  // bodies (count 2, two names, shard id 2 = the second dictionary).
+  const std::string two = encode([](Manifest* m) {
+    m->dict_names = {"m.dict", "m.dict0001"};
+    m->shard_dicts = {1};
+  });
+  auto envelope = ParsedEnvelope::FromBytes(two, "manifest");
+  ASSERT_TRUE(envelope.ok());
+  const std::string body(envelope->body());
+  const std::string section("\x02\x06m.dict\x0am.dict0001\x02");
+  const size_t at = body.find(section);
+  ASSERT_NE(at, std::string::npos);
+  for (const std::string& cut :
+       {std::string("\x01\x06m.dict\x02"), std::string("\x00\x02", 2)}) {
+    std::string bad_body = body;
+    bad_body.replace(at, section.size(), cut);
+    EnvelopeWriter writer(Manifest::kFormatId, Manifest::kFormatVersion);
+    writer.PutBytes(bad_body);
+    EXPECT_EQ(ParseManifest(std::move(writer).Seal()).status().code(),
+              StatusCode::kCorruption)
+        << cut.size();
   }
 }
 
@@ -875,7 +904,8 @@ TEST(ManifestTest, HugeShardBoundaryAllocatesNothingUpFront) {
   manifest.router = std::make_shared<const ShardRouter>(
       std::vector<size_t>{0, size_t{1} << 62});
   manifest.shard_names = {"fmt_huge.sharded.shard0000"};
-  manifest.append_dict_name = "fmt_huge.sharded.dict";
+  manifest.dict_names = {"fmt_huge.sharded.dict"};
+  manifest.shard_dicts = {0};
   manifest.health.resize(1);
   manifest.tombstones = {{(uint64_t{1} << 62) - 1}};
   auto parsed = ParseManifest(manifest.Encode());
@@ -885,6 +915,26 @@ TEST(ManifestTest, HugeShardBoundaryAllocatesNothingUpFront) {
   const std::string path = ::testing::TempDir() + "/fmt_huge.sharded";
   ASSERT_TRUE(WriteFile(path, manifest.Encode()).ok());
   EXPECT_EQ(ShardedStore::Open(path).status().code(), StatusCode::kIOError);
+  std::remove(path.c_str());
+}
+
+TEST(ManifestTest, FileNamedDotDotIsNotRead) {
+  // ".." is a sibling name without a '/', and it names a directory,
+  // whose end offset the stdio reader may see as LONG_MAX: the open
+  // fails with IOError instead of allocating that much.
+  Manifest manifest;
+  manifest.router =
+      std::make_shared<const ShardRouter>(std::vector<size_t>{0, 1});
+  manifest.shard_names = {".."};
+  manifest.dict_names = {".."};
+  manifest.shard_dicts = {0};
+  manifest.health.resize(1);
+  manifest.tombstones.resize(1);
+  const std::string path = ::testing::TempDir() + "/fmt_dotdot.sharded";
+  ASSERT_TRUE(WriteFile(path, manifest.Encode()).ok());
+  EXPECT_EQ(ShardedStore::Open(path).status().code(), StatusCode::kIOError);
+  EXPECT_EQ(ReadFile(::testing::TempDir()).status().code(),
+            StatusCode::kIOError);
   std::remove(path.c_str());
 }
 
@@ -918,7 +968,7 @@ constexpr PinnedCrc kPinnedCrcs[] = {
     {"rlz.ZV", 0x7600c994},          {"rlz.UV", 0x1c3bf823},
     {"rlz.ZZ", 0x02c3a630},          {"blocked.gzipx", 0x2d59789e},
     {"reuse.sealed", 0x98e9a801},    {"reuse.sealed.rlzshard", 0x3216a645},
-    {"reuse", 0x01b21605},           {"reuse.shard0000", 0x81138095},
+    {"reuse", 0xcf813b7d},           {"reuse.shard0000", 0x81138095},
     {"reuse.shard0001", 0x5c5dbfdb}, {"reuse.shard0002", 0xe207715e},
     {"reuse.shard0003", 0x20d5407a}, {"reuse.shard0004", 0x4060d51a},
     {"reuse.dict", 0x98bdf8a1},

@@ -365,6 +365,172 @@ TEST(LiveStoreTest, StaleDictionarySealTriggersResample) {
   }
 }
 
+// Drifted documents (another seed: new hosts, new vocabulary) of ~4 KB,
+// so a tail can be cut finer than a shard dictionary.
+std::vector<std::string> DriftedDocs(size_t target_bytes, uint64_t seed) {
+  CorpusOptions options;
+  options.target_bytes = target_bytes;
+  options.seed = seed;
+  options.avg_doc_bytes = 4 << 10;
+  const Collection drifted = GenerateCorpus(options).collection;
+  std::vector<std::string> docs;
+  for (size_t i = 0; i < drifted.num_docs(); ++i) {
+    docs.emplace_back(drifted.doc(i));
+  }
+  return docs;
+}
+
+// The names of the append dictionary files in `dir`.
+std::vector<std::string> DictFiles(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find(".dict") != std::string::npos) names.push_back(name);
+  }
+  return names;
+}
+
+TEST(LiveStoreTest, DecayedSealsRefreshTheAppendDictionary) {
+  // A drifted tail seals stale against the base-sampled append
+  // dictionary. A later tail smaller than a dictionary seals against it
+  // too; the next one that holds a dictionary's worth of text samples a
+  // new append dictionary from itself, and later seals bind to that.
+  // Compaction then moves each stale shard to the new dictionary, and
+  // the retired one leaves the store and its directory.
+  const Collection collection = TestCollection(1 << 18, 91);
+  ShardedStoreOptions options;
+  options.num_shards = 2;
+  options.dict_bytes = 1 << 16;
+  options.live.tail_seal_bytes = 0;
+  options.live.compact_tombstone_fraction = 2.0;
+  options.live.compact_stale_unused_fraction = 2.0;
+  options.live.compact_stale_decay = 0.30;
+  const size_t dict_bytes = options.dict_bytes / options.num_shards;
+  const std::string dir = TempPath("refresh_store");
+  std::filesystem::remove_all(dir);
+  auto store = ShardedStore::Build(collection, options);
+  ASSERT_TRUE(store->MakeDurable(dir).ok());
+
+  const std::vector<std::string> drifted = DriftedDocs(1 << 18, 4242);
+  size_t next = 0;
+  // Appends drifted documents until the tail holds at least `bytes`,
+  // then seals.
+  const auto seal_after = [&](size_t bytes) {
+    size_t tail = 0;
+    while (tail < bytes) {
+      ASSERT_LT(next, drifted.size());
+      ASSERT_TRUE(store->Append(drifted[next]).ok());
+      tail += drifted[next++].size();
+    }
+    ASSERT_TRUE(store->SealTail().ok());
+  };
+  seal_after(2 * dict_bytes);     // shard 2: stale, no shard to judge by
+  seal_after(dict_bytes / 4);     // shard 3: too small to refresh
+  auto epoch = store->epoch();
+  ASSERT_EQ(epoch->num_shards(), 4);
+  EXPECT_GE(epoch->shard_health(2).stats.avg_factor_decay(
+                store->baseline_stats()),
+            0.30);
+  ASSERT_EQ(epoch->append_dictionaries().size(), 1u);
+  for (int s = 2; s < 4; ++s) EXPECT_EQ(epoch->shard_dictionary(s), 0u);
+
+  seal_after(dict_bytes);         // shard 4: refreshes
+  seal_after(dict_bytes / 4);     // shard 5: binds to the new dictionary
+  epoch = store->epoch();
+  ASSERT_EQ(epoch->num_shards(), 6);
+  ASSERT_EQ(epoch->append_dictionaries().size(), 2u);
+  const std::shared_ptr<const Dictionary> retired =
+      epoch->append_dictionaries()[0];
+  const std::shared_ptr<const Dictionary> current =
+      epoch->append_dictionaries()[1];
+  EXPECT_TRUE(current->has_matcher());
+  EXPECT_EQ(epoch->shard_dictionary(0), Manifest::kOwnDictionary);
+  EXPECT_EQ(epoch->shard_dictionary(3), 0u);
+  EXPECT_EQ(epoch->shard_dictionary(4), 1u);
+  EXPECT_EQ(epoch->shard_dictionary(5), 1u);
+  // Sampled from the drifted text, the new dictionary covers it.
+  EXPECT_LT(epoch->shard_health(4).stats.avg_factor_decay(
+                store->baseline_stats()),
+            0.30);
+  ASSERT_TRUE(store->Checkpoint().ok());
+  EXPECT_EQ(DictFiles(dir).size(), 2u);
+
+  // A serving-only open has no matcher for the current dictionary, so
+  // its compaction re-samples the stale shard instead.
+  {
+    const std::string path = TempPath("refresh_serving.sharded");
+    ASSERT_TRUE(store->Save(path).ok());
+    OpenOptions serving;
+    serving.build_suffix_array = false;
+    auto opened = ShardedStore::Open(path, serving);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto report = (*opened)->CompactOnce();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_TRUE(report->compacted);
+    EXPECT_EQ(report->reason, CompactionReport::Reason::kStaleDictionary);
+    EXPECT_EQ((*opened)->epoch()->shard_dictionary(report->shard),
+              Manifest::kOwnDictionary);
+  }
+
+  // Both stale shards bound to the retired dictionary move to the current
+  // one, each byte-identical to sealing its documents against it.
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto before = store->epoch();
+    const uint64_t stored_before = before->stored_bytes();
+    auto report = store->CompactOnce();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_TRUE(report->compacted);
+    EXPECT_EQ(report->reason, CompactionReport::Reason::kStaleDictionary);
+    const int victim = report->shard;
+    ASSERT_TRUE(victim == 2 || victim == 3) << victim;
+    const RlzArchive& old_shard = before->shard(victim);
+    Collection docs;
+    std::string doc;
+    for (size_t i = 0; i < old_shard.num_docs(); ++i) {
+      ASSERT_TRUE(old_shard.Get(i, &doc, nullptr).ok());
+      docs.Append(doc);
+    }
+    const auto after = store->epoch();
+    const RlzArchive& rewrite = after->shard(victim);
+    EXPECT_TRUE(rewrite.SharesDictionary(*current));
+    EXPECT_EQ(after->shard_dictionary(victim), pass == 0 ? 1u : 0u);
+    const auto sealed = RlzArchive::Build(docs, current);
+    EXPECT_EQ(rewrite.SerializeShard(), sealed->SerializeShard());
+
+    // The rewrite's bytes replace the victim's; the retired dictionary
+    // is counted while a shard binds to it, and not after.
+    uint64_t want = stored_before - old_shard.payload_bytes() -
+                    old_shard.doc_map().serialized_bytes() +
+                    rewrite.payload_bytes() +
+                    rewrite.doc_map().serialized_bytes();
+    if (pass == 1) want -= retired->size();
+    EXPECT_EQ(after->stored_bytes(), want) << "pass " << pass;
+    EXPECT_EQ(after->append_dictionaries().size(), pass == 0 ? 2u : 1u);
+    // The compaction's checkpoint dropped the retired dictionary's file
+    // with its last binding.
+    EXPECT_EQ(DictFiles(dir).size(), pass == 0 ? 2u : 1u);
+  }
+  auto none = store->CompactOnce();
+  ASSERT_TRUE(none.ok());
+  EXPECT_FALSE(none->compacted);
+
+  // The documents are unchanged, and so they are after a reopen.
+  auto reopened = ShardedStore::OpenDurable(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const size_t built = collection.num_docs();
+  std::string got;
+  for (const ShardedStore* check : {store.get(), reopened->get()}) {
+    ASSERT_EQ(check->num_docs(), built + next);
+    for (size_t i = 0; i < next; ++i) {
+      ASSERT_TRUE(check->Get(built + i, &got).ok());
+      EXPECT_EQ(got, drifted[i]) << i;
+    }
+  }
+  EXPECT_EQ((*reopened)->epoch()->stored_bytes(),
+            store->epoch()->stored_bytes());
+  std::filesystem::remove_all(dir);
+}
+
 TEST(LiveStoreTest, CompactionOfFullyDeletedShardYieldsEmptyRewrite) {
   const Collection collection = TestCollection(1 << 17, 101);
   ShardedStoreOptions options;

@@ -1805,7 +1805,7 @@ bool MatchesModel(const ShardedStore& store, const Model& model,
 // of ops that were acknowledged (the crash, if armed, cuts the script
 // short). `shards_after`, when set, receives the shard count before the
 // first op and after each acknowledged one; `shard_bytes` every shard's
-// bytes at the end.
+// bytes at the end, and `dict_texts` every append dictionary's text.
 size_t RunScript(const std::shared_ptr<FaultFs>& fs,
                  const Collection& collection,
                  const std::vector<ModelOp>& script,
@@ -1813,7 +1813,8 @@ size_t RunScript(const std::shared_ptr<FaultFs>& fs,
                  const wal::WalWriterOptions& wal_options,
                  size_t tail_seal_bytes, bool* made_durable,
                  std::vector<int>* shards_after = nullptr,
-                 std::vector<std::string>* shard_bytes = nullptr) {
+                 std::vector<std::string>* shard_bytes = nullptr,
+                 std::vector<std::string>* dict_texts = nullptr) {
   auto store = TinyStore(collection, tail_seal_bytes);
   *made_durable = store->MakeDurable("/store", wal_options, fs).ok();
   if (shards_after != nullptr) shards_after->assign(1, store->num_shards());
@@ -1845,6 +1846,12 @@ size_t RunScript(const std::shared_ptr<FaultFs>& fs,
       shard_bytes->push_back(store->shard(s).Serialize());
     }
   }
+  if (dict_texts != nullptr) {
+    const auto epoch = store->epoch();
+    for (const auto& dict : epoch->append_dictionaries()) {
+      dict_texts->emplace_back(dict->text());
+    }
+  }
   return acked;
 }
 
@@ -1853,23 +1860,27 @@ size_t RunScript(const std::shared_ptr<FaultFs>& fs,
 // barrier) and recover from the durable view. The recovered store must
 // match the model after the acked ops — or after acked + 1 when the
 // in-flight op's record reached the disk before the crash — and hold
-// the uncrashed twin's shards byte for byte.
+// the uncrashed twin's shards and append dictionaries byte for byte.
+// The appends take `docs`, or SmallDocs when it is empty.
 void KillAtEveryFsync(const std::vector<ModelOp>& script,
                       const wal::WalWriterOptions& wal_options,
-                      size_t max_lost_ops, size_t tail_seal_bytes = 0) {
+                      size_t max_lost_ops, size_t tail_seal_bytes = 0,
+                      std::vector<std::string> docs = {}) {
   const Collection collection = TestCollection(1 << 13, 271);
-  const std::vector<std::string> tail_docs = SmallDocs(script.size());
+  const std::vector<std::string> tail_docs =
+      docs.empty() ? SmallDocs(script.size()) : std::move(docs);
 
   int total_barriers = 0;
   std::vector<int> twin_shards_after;
   std::vector<std::string> twin_shards;
+  std::vector<std::string> twin_dicts;
   {
     auto fs = std::make_shared<FaultFs>();
     bool made_durable = false;
     const size_t acked =
         RunScript(fs, collection, script, tail_docs, wal_options,
                   tail_seal_bytes, &made_durable, &twin_shards_after,
-                  &twin_shards);
+                  &twin_shards, &twin_dicts);
     ASSERT_TRUE(made_durable);
     ASSERT_EQ(acked, script.size());
     total_barriers = fs->sync_count();
@@ -1946,6 +1957,16 @@ void KillAtEveryFsync(const std::vector<ModelOp>& script,
       for (int s = 0; s < reopened->num_shards() && s < want; ++s) {
         EXPECT_EQ(reopened->shard(s).Serialize(), twin_shards[s])
             << "k=" << k << " before=" << before << " shard " << s;
+      }
+      // With no compaction in a script, refreshes only add dictionaries,
+      // so the recovered ones are a prefix of the twin's.
+      const auto epoch = reopened->epoch();
+      const auto& dicts = epoch->append_dictionaries();
+      ASSERT_LE(dicts.size(), twin_dicts.size())
+          << "k=" << k << " before=" << before;
+      for (size_t d = 0; d < dicts.size(); ++d) {
+        EXPECT_EQ(dicts[d]->text(), twin_dicts[d])
+            << "k=" << k << " before=" << before << " dictionary " << d;
       }
     }
   }
@@ -2026,6 +2047,250 @@ TEST(RecoveryTest, KillAtEveryFsyncDuringAutoSeals) {
   script.push_back({'A'});
   KillAtEveryFsync(script, wal::WalWriterOptions{}, /*max_lost_ops=*/0,
                    seal_bytes);
+}
+
+// `n` documents of ~2 KB in a vocabulary the generated corpora never use
+// (upper-case words and digits): a full drift in the sense of §3.6.
+// Sealed against a dictionary sampled from a base corpus they factor
+// into short factors and literals, past the staleness trigger; a
+// dictionary sampled from them covers them.
+std::vector<std::string> DriftedDocs(size_t n) {
+  Rng rng(4242);
+  std::vector<std::string> words(64);
+  for (std::string& word : words) {
+    const size_t length = rng.Range(4, 10);
+    for (size_t i = 0; i < length; ++i) {
+      word.push_back("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"[rng.Uniform(36)]);
+    }
+  }
+  std::vector<std::string> docs(n);
+  for (std::string& doc : docs) {
+    while (doc.size() < (2 << 10)) {
+      doc += words[rng.Uniform(words.size())];
+      doc += '-';
+    }
+  }
+  return docs;
+}
+
+TEST(RecoveryTest, KillAtEveryFsyncAcrossARefreshingSeal) {
+  // Drifted 2 KB documents against TinyStore's 2 KB shard dictionaries:
+  // the first seal comes out stale, and the second, whose tail holds more
+  // than a dictionary's worth of text, samples a new append dictionary
+  // from it. Kills land in the refreshing seal's record, in its
+  // checkpoint's dictionary, shard, manifest, CURRENT and GC barriers,
+  // and between them.
+  const std::vector<std::string> docs = DriftedDocs(5);
+  std::vector<ModelOp> script;
+  script.push_back({'A'});
+  script.push_back({'A'});
+  script.push_back({'S'});  // stale against the base-sampled dictionary
+  script.push_back({'A'});
+  script.push_back({'A'});
+  script.push_back({'S'});  // refreshes
+  script.push_back({'A'});
+  {
+    const Collection collection = TestCollection(1 << 13, 271);
+    bool made_durable = false;
+    std::vector<std::string> dicts;
+    ASSERT_EQ(RunScript(std::make_shared<FaultFs>(), collection, script, docs,
+                        {}, 0, &made_durable, nullptr, nullptr, &dicts),
+              script.size());
+    ASSERT_EQ(dicts.size(), 2u) << "the second seal did not refresh";
+  }
+  KillAtEveryFsync(script, wal::WalWriterOptions{}, /*max_lost_ops=*/0,
+                   /*tail_seal_bytes=*/0, docs);
+}
+
+// The kSeal payloads in the log `dir` holds past its live checkpoint.
+std::vector<std::string> LoggedSealPayloads(
+    const std::shared_ptr<FileSystem>& fs, const std::string& dir) {
+  std::vector<std::string> payloads;
+  auto current = wal::ReadCurrent(*fs, dir);
+  EXPECT_TRUE(current.ok()) << current.status().ToString();
+  if (!current.ok()) return payloads;
+  auto info = wal::ReadCheckpointMeta(*fs, dir, *current);
+  EXPECT_TRUE(info.ok()) << info.status().ToString();
+  if (!info.ok()) return payloads;
+  auto replay = wal::ReplayWal(
+      fs, dir, info->covered_lsn,
+      [&](uint64_t, wal::RecordType type, std::string_view payload) {
+        if (type == wal::RecordType::kSeal) payloads.emplace_back(payload);
+        return Status::OK();
+      });
+  EXPECT_TRUE(replay.ok()) << replay.status().ToString();
+  return payloads;
+}
+
+TEST(RecoveryTest, ReplayedRefreshReproducesDictionaryAndShards) {
+  // A drifted tail seals stale, a small one after it too; a compaction
+  // rewrites one of them (it is not logged, but checkpoints); the next
+  // seal refreshes the append dictionary, and the writer dies before
+  // that seal's checkpoint commits. Replay obeys the seal's logged
+  // payload, so the recovered store holds the crashed one's dictionaries
+  // and shards byte for byte.
+  const Collection collection = TestCollection(1 << 16, 271);
+  const std::vector<std::string> docs = DriftedDocs(12);
+  ShardedStoreOptions options;
+  options.num_shards = 2;
+  options.dict_bytes = 1 << 13;
+  options.live.tail_seal_bytes = 0;
+  options.live.compact_tombstone_fraction = 2.0;
+  options.live.compact_stale_unused_fraction = 2.0;
+  auto fs = std::make_shared<FaultFs>();
+  auto store = ShardedStore::Build(collection, options);
+  ASSERT_TRUE(store->MakeDurable("/store", {}, fs).ok());
+  const auto append = [&](size_t from, size_t to) {
+    for (size_t i = from; i < to; ++i) {
+      ASSERT_TRUE(store->Append(docs[i]).ok());
+    }
+  };
+  append(0, 4);  // 8 KB: twice a shard dictionary
+  ASSERT_TRUE(store->SealTail().ok());
+  append(4, 5);  // 2 KB: too small to refresh
+  ASSERT_TRUE(store->SealTail().ok());
+  ASSERT_EQ(store->epoch()->append_dictionaries().size(), 1u);
+  auto compaction = store->CompactOnce();
+  ASSERT_TRUE(compaction.ok()) << compaction.status().ToString();
+  ASSERT_TRUE(compaction->compacted);
+  EXPECT_EQ(compaction->reason, CompactionReport::Reason::kStaleDictionary);
+  const uint64_t generation = store->checkpoint_generation();
+
+  append(5, 12);
+  fs->ArmCrash(2, /*before=*/true);  // the seal's record, then its checkpoint
+  ASSERT_TRUE(store->SealTail().ok());
+  ASSERT_TRUE(fs->crashed());
+  EXPECT_EQ(store->checkpoint_generation(), generation);
+  const auto crashed_epoch = store->epoch();
+  ASSERT_EQ(crashed_epoch->append_dictionaries().size(), 2u);
+  EXPECT_EQ(crashed_epoch->shard_dictionary(crashed_epoch->num_shards() - 1),
+            1u);
+
+  const std::shared_ptr<FaultFs> disk = fs->DurableClone();
+  // Seven appends and the seal, which names its refresh.
+  EXPECT_EQ(LoggedSealPayloads(disk->DurableClone(), "/store"),
+            std::vector<std::string>{"R"});
+  ShardedStore::RecoveryReport report;
+  auto recovered_or = ShardedStore::OpenDurable("/store", {}, {}, disk,
+                                                &report);
+  ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
+  auto recovered = std::move(recovered_or).value();
+  EXPECT_EQ(report.generation, generation);
+  EXPECT_EQ(report.replayed_records, 8u);
+  ExpectSameStore(*store, *recovered);
+  const auto epoch = recovered->epoch();
+  ASSERT_EQ(epoch->append_dictionaries().size(), 2u);
+  for (size_t d = 0; d < 2; ++d) {
+    EXPECT_EQ(epoch->append_dictionaries()[d]->text(),
+              crashed_epoch->append_dictionaries()[d]->text())
+        << d;
+  }
+  for (int s = 0; s < epoch->num_shards(); ++s) {
+    EXPECT_EQ(epoch->shard_dictionary(s), crashed_epoch->shard_dictionary(s))
+        << s;
+  }
+  EXPECT_TRUE(recovered->Append("appended after recovery").ok());
+  EXPECT_TRUE(recovered->SealTail().ok());
+}
+
+TEST(RecoveryTest, SealPayloadIsEmptyOrTheRefreshByte) {
+  // Replay decodes the kSeal payload and never guesses: an empty one
+  // seals against the current dictionary as before refreshes existed,
+  // and any payload other than the one refresh byte is Corruption.
+  const Collection collection = TestCollection(1 << 13, 271);
+  const std::vector<std::string> docs = SmallDocs(2);
+  for (const std::string& payload : {std::string(), std::string("R"),
+                                    std::string("X"), std::string("RR"),
+                                    std::string(1, '\0')}) {
+    auto fs = std::make_shared<FaultFs>();
+    size_t shards = 0;
+    {
+      auto store = TinyStore(collection);
+      ASSERT_TRUE(store->MakeDurable("/store", {}, fs).ok());
+      for (const std::string& doc : docs) {
+        ASSERT_TRUE(store->Append(doc).ok());
+      }
+      shards = static_cast<size_t>(store->num_shards());
+    }
+    // The crafted seal record continues the closed store's log.
+    auto replay = wal::ReplayWal(
+        fs, "/store", 0,
+        [](uint64_t, wal::RecordType, std::string_view) {
+          return Status::OK();
+        });
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    {
+      auto writer = wal::WalWriter::Create(fs, "/store", /*generation=*/1,
+                                           replay->next_seq,
+                                           replay->next_lsn, {});
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      ASSERT_TRUE((*writer)->Append(wal::RecordType::kSeal, payload).ok());
+      ASSERT_TRUE((*writer)->Close().ok());
+    }
+    auto reopened = ShardedStore::OpenDurable("/store", {}, {}, fs);
+    if (payload.empty() || payload == "R") {
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      // The tail is under a dictionary's worth of text: a logged refresh
+      // is still obeyed.
+      EXPECT_EQ(static_cast<size_t>((*reopened)->num_shards()), shards + 1);
+      EXPECT_EQ((*reopened)->epoch()->append_dictionaries().size(),
+                payload.empty() ? 1u : 2u);
+      std::string doc;
+      ASSERT_TRUE((*reopened)->Get((*reopened)->num_docs() - 1, &doc).ok());
+      EXPECT_EQ(doc, docs.back());
+    } else {
+      EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
+          << payload.size() << ": " << reopened.status().ToString();
+    }
+  }
+}
+
+TEST(RecoveryTest, RecoveryWithTwoDictionariesBuildsOneSuffixArray) {
+  // A checkpoint that holds a retired append dictionary (a shard still
+  // binds to it) and the current one: a writable recovery builds the
+  // current one's suffix array and no other, and a serving-only one none.
+  const std::vector<std::string> docs = DriftedDocs(5);
+  auto fs = std::make_shared<FaultFs>();
+  {
+    auto store = TinyStore(TestCollection(1 << 13, 271));
+    ASSERT_TRUE(store->MakeDurable("/store", {}, fs).ok());
+    for (size_t i = 0; i < docs.size(); ++i) {
+      ASSERT_TRUE(store->Append(docs[i]).ok());
+      if (i == 1 || i == 3) {
+        ASSERT_TRUE(store->SealTail().ok());
+      }
+    }
+    ASSERT_EQ(store->epoch()->append_dictionaries().size(), 2u);
+  }
+  for (const bool writable : {true, false}) {
+    OpenOptions options;
+    options.build_suffix_array = writable;
+    auto recovered = ShardedStore::OpenDurable("/store", options, {},
+                                               fs->DurableClone());
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    const auto epoch = (*recovered)->epoch();
+    ASSERT_EQ(epoch->append_dictionaries().size(), 2u);
+    std::set<const Dictionary*> matchers;
+    for (const auto& dict : epoch->append_dictionaries()) {
+      if (dict->has_matcher()) matchers.insert(dict.get());
+    }
+    for (int s = 0; s < epoch->num_shards(); ++s) {
+      const Dictionary& dict = epoch->shard(s).dictionary();
+      if (dict.has_matcher()) matchers.insert(&dict);
+    }
+    if (writable) {
+      EXPECT_EQ(matchers, std::set<const Dictionary*>{
+                              &epoch->append_dictionary()});
+    } else {
+      EXPECT_TRUE(matchers.empty());
+    }
+    std::string doc;
+    const size_t first = (*recovered)->num_docs() - docs.size();
+    for (size_t i = 0; i < docs.size(); ++i) {
+      ASSERT_TRUE((*recovered)->Get(first + i, &doc).ok()) << i;
+      EXPECT_EQ(doc, docs[i]) << i;
+    }
+  }
 }
 
 TEST(RecoveryTest, GroupCommitBoundsLossToUnsyncedBatch) {

@@ -266,6 +266,143 @@ TEST(SealedShardFormatTest, BodyMatchesRlzAfterTheDictionarySection) {
 // the raw tail (which the manifest carries) plus a small envelope per
 // file. No sealed shard's file carries a dictionary, and a reopened
 // store decodes every sealed shard against its one append dictionary.
+// A v5 manifest that names two append dictionaries: a base shard with
+// its own dictionary, a sealed shard bound to the retired dictionary and
+// one bound to the current one. Every truncation and every byte value at
+// every offset of its body, re-sealed with a valid CRC, is a Status or a
+// manifest that encodes back to the bytes parsed. A parsed manifest that
+// binds a shard to another dictionary, or to none, opens as Corruption;
+// one that names other dictionary files does not open.
+TEST(FuzzTest, TwoDictionaryManifestTruncationsAndByteFlips) {
+  Collection collection;
+  for (int i = 0; i < 8; ++i) {
+    collection.Append("base document " + std::to_string(i) +
+                      " shares some text with the appended documents");
+  }
+  ShardedStoreOptions options;
+  options.num_shards = 1;
+  options.dict_bytes = 256;
+  options.live.tail_seal_bytes = 0;
+  // A decay trigger of 0 counts every shard as decayed, so the second
+  // seal, whose tail holds a dictionary's worth of text, refreshes.
+  options.live.compact_stale_decay = 0.0;
+  auto store = ShardedStore::Build(collection, options);
+  for (int copies : {1, 3}) {
+    for (int c = 0; c < copies; ++c) {
+      for (const std::string& doc : TailDocs()) {
+        ASSERT_TRUE(store->Append(doc).ok());
+      }
+    }
+    ASSERT_TRUE(store->SealTail().ok());
+  }
+  const auto epoch = store->epoch();
+  ASSERT_EQ(epoch->append_dictionaries().size(), 2u);
+  ASSERT_EQ(epoch->shard_dictionary(0), Manifest::kOwnDictionary);
+  ASSERT_EQ(epoch->shard_dictionary(1), 0u);
+  ASSERT_EQ(epoch->shard_dictionary(2), 1u);
+
+  const std::string path = ::testing::TempDir() + "/fuzz_two_dicts.sharded";
+  ASSERT_TRUE(store->Save(path).ok());
+  auto envelope = ReadEnvelopeFile(path);
+  ASSERT_TRUE(envelope.ok()) << envelope.status().ToString();
+  const std::string body(envelope->body());
+  auto intact = Manifest::Parse(*envelope);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  ASSERT_EQ(intact->dict_names.size(), 2u);
+  OpenOptions open_options;
+  open_options.build_suffix_array = false;
+
+  size_t parsed_ok = 0;
+  size_t rebound = 0;
+  // Returns the status of opening the parsed manifest against the saved
+  // files, OK when it does not parse or changes no binding or file name.
+  const auto check = [&](std::string_view mutated, const std::string& what) {
+    EnvelopeWriter writer(Manifest::kFormatId, Manifest::kFormatVersion);
+    writer.PutBytes(mutated);
+    std::string bytes = std::move(writer).Seal();
+    auto parsed_envelope = ParsedEnvelope::FromBytes(bytes, what);
+    EXPECT_TRUE(parsed_envelope.ok()) << what;
+    if (!parsed_envelope.ok()) return Status::OK();
+    const auto manifest = Manifest::Parse(*parsed_envelope);
+    if (!manifest.ok()) return Status::OK();
+    ++parsed_ok;
+    EXPECT_EQ(manifest->Encode(), bytes) << what;
+    const bool same_names = manifest->dict_names == intact->dict_names;
+    if (same_names && manifest->shard_dicts == intact->shard_dicts) {
+      return Status::OK();
+    }
+    const Status opened =
+        ShardedStore::FromEnvelope(*parsed_envelope, path, open_options)
+            .status();
+    EXPECT_FALSE(opened.ok()) << what;
+    if (same_names) {
+      ++rebound;
+      EXPECT_EQ(opened.code(), StatusCode::kCorruption)
+          << what << ": " << opened.ToString();
+    }
+    return opened;
+  };
+  EXPECT_TRUE(check(body, "intact").ok());
+  ASSERT_EQ(parsed_ok, 1u);
+  for (size_t keep = 0; keep < body.size(); ++keep) {
+    check(std::string_view(body).substr(0, keep),
+          "prefix of " + std::to_string(keep));
+  }
+  std::string mutated = body;
+  for (size_t pos = 0; pos < body.size(); ++pos) {
+    for (int value = 0; value < 256; ++value) {
+      if (value == static_cast<uint8_t>(body[pos])) continue;
+      mutated[pos] = static_cast<char>(value);
+      check(mutated,
+            "byte " + std::to_string(pos) + " = " + std::to_string(value));
+    }
+    mutated[pos] = body[pos];
+  }
+  EXPECT_GT(rebound, 0u);
+
+  // The binding section by hand: the dictionary count and names, then
+  // one id per shard (0 for its own dictionary, d + 1 for dictionary d).
+  std::string section("\x02", 1);
+  for (const std::string& name : intact->dict_names) {
+    section += static_cast<char>(name.size());
+    section += name;
+  }
+  section += std::string("\x00\x01\x02", 3);
+  const size_t at = body.find(section);
+  ASSERT_NE(at, std::string::npos);
+  const size_t ids = at + section.size() - 3;
+  const auto with_id = [&](size_t shard, char id) {
+    std::string edited = body;
+    edited[ids + shard] = id;
+    EnvelopeWriter writer(Manifest::kFormatId, Manifest::kFormatVersion);
+    writer.PutBytes(edited);
+    return std::move(writer).Seal();
+  };
+  // A dictionary id past the list is Corruption at parse...
+  auto out_of_range = ParsedEnvelope::FromBytes(with_id(2, 3), "id 3");
+  ASSERT_TRUE(out_of_range.ok());
+  EXPECT_EQ(Manifest::Parse(*out_of_range).status().code(),
+            StatusCode::kCorruption);
+  // ...and a shard bound to another dictionary than its file's binding,
+  // or to none, at open.
+  for (const auto& [shard, id] :
+       {std::pair<size_t, char>{1, 2}, {2, 1}, {1, 0}, {0, 1}}) {
+    const std::string what =
+        "shard " + std::to_string(shard) + " id " + std::to_string(id);
+    EXPECT_EQ(check(ParsedEnvelope::FromBytes(with_id(shard, id), what)
+                        .value()
+                        .body(),
+                    what)
+                  .code(),
+              StatusCode::kCorruption)
+        << what;
+  }
+  for (const char* suffix : {"", ".shard0000", ".shard0001", ".shard0002",
+                             ".dict", ".dict0001"}) {
+    std::remove((path + suffix).c_str());
+  }
+}
+
 TEST(SharedDictionaryTest, StoredBytesEqualTheFilesTheManifestNames) {
   CorpusOptions corpus;
   corpus.target_bytes = 256 << 10;
@@ -318,13 +455,15 @@ TEST(SharedDictionaryTest, StoredBytesEqualTheFilesTheManifestNames) {
   uint64_t file_bytes = 0;
   size_t sealed_shards = 0;
   std::vector<std::string> files = manifest->shard_names;
-  files.push_back(manifest->append_dict_name);
+  files.insert(files.end(), manifest->dict_names.begin(),
+               manifest->dict_names.end());
   for (size_t s = 0; s < manifest->shard_names.size(); ++s) {
     const std::string path = dir + "/" + manifest->shard_names[s];
     auto shard_file = ReadEnvelopeFile(path);
     ASSERT_TRUE(shard_file.ok()) << shard_file.status().ToString();
     const RlzArchive& shard = epoch->shard(static_cast<int>(s));
-    const bool sealed = shard.SharesDictionary(epoch->append_dictionary());
+    const bool sealed = epoch->shard_dictionary(static_cast<int>(s)) !=
+                        Manifest::kOwnDictionary;
     sealed_shards += sealed ? 1 : 0;
     EXPECT_EQ(shard_file->format_id(), sealed ? RlzArchive::kShardFormatId
                                               : RlzArchive::kFormatId)
@@ -348,8 +487,8 @@ TEST(SharedDictionaryTest, StoredBytesEqualTheFilesTheManifestNames) {
   EXPECT_LE(file_bytes - counted, files.size() * kMaxEnvelopeBytes)
       << file_bytes << " file bytes, " << counted << " counted";
 
-  // Reopened, every sealed shard decodes against the store's one append
-  // dictionary object, and the accounting is unchanged.
+  // Reopened, every sealed shard decodes against the append dictionary
+  // object the manifest binds it to, and the accounting is unchanged.
   auto reopened_or = ShardedStore::OpenDurable(dir);
   ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
   const auto reopened = (*reopened_or)->epoch();
@@ -357,12 +496,9 @@ TEST(SharedDictionaryTest, StoredBytesEqualTheFilesTheManifestNames) {
   ASSERT_EQ(reopened->num_shards(), epoch->num_shards());
   size_t shared = 0;
   for (int s = 0; s < reopened->num_shards(); ++s) {
-    const bool sealed =
-        epoch->shard(s).SharesDictionary(epoch->append_dictionary());
-    EXPECT_EQ(
-        reopened->shard(s).SharesDictionary(reopened->append_dictionary()),
-        sealed)
-        << s;
+    const uint64_t dict = epoch->shard_dictionary(s);
+    const bool sealed = dict != Manifest::kOwnDictionary;
+    EXPECT_EQ(reopened->shard_dictionary(s), dict) << s;
     shared += sealed ? 1 : 0;
   }
   EXPECT_EQ(shared, sealed_shards);
