@@ -23,10 +23,10 @@
 //   restart cost (full run only, printed) — every container format is
 //       saved to disk, reopened cold through OpenArchive, and timed (open
 //       latency plus the first Get) on the gov2s paper corpus — the
-//       failover path of DESIGN.md §8. The rlz-family rows are measured
-//       both with the default open and the serving-only open
-//       (OpenOptions::build_suffix_array = false), which is what a
-//       restarting front-end uses. RLZ_BENCH_SCALE resizes the corpus.
+//       failover path of DESIGN.md §8. No open builds a suffix array (a
+//       dictionary builds its matcher on first use), so a writable and a
+//       serving-only open cost the same and each format has one row.
+//       RLZ_BENCH_SCALE resizes the corpus.
 //
 // Results are printed and written as JSON (default BENCH_recovery.json).
 //
@@ -383,13 +383,12 @@ ColdStartResult RunColdStart(const Collection& collection, int repeats,
 // Saves `archive`, drops it, and times the cold reopen plus the first
 // document fetch — the restart cost a serving process pays per format.
 void ReportColdOpen(const char* label, const Archive& archive,
-                    const std::filesystem::path& dir,
-                    const OpenOptions& options) {
+                    const std::filesystem::path& dir) {
   const std::string path = (dir / label).string();
   RLZ_CHECK(archive.Save(path).ok()) << label;
 
   Timer open_timer;
-  auto reopened = OpenArchive(path, options);
+  auto reopened = OpenArchive(path);
   const double open_ms = 1e3 * open_timer.ElapsedSeconds();
   RLZ_CHECK(reopened.ok()) << label << ": " << reopened.status().ToString();
 
@@ -413,32 +412,25 @@ void RestartCost(const Collection& collection) {
       std::filesystem::temp_directory_path() / "rlz_restart_cost";
   std::filesystem::create_directories(dir);
 
-  OpenOptions with_sa;     // default: rebuild suffix arrays (build path)
-  OpenOptions serving;     // serving-only reopen: no suffix arrays
-  serving.build_suffix_array = false;
-
-  ReportColdOpen("ascii", AsciiArchive(collection), dir, serving);
+  ReportColdOpen("ascii", AsciiArchive(collection), dir);
   ReportColdOpen(
       "blocked",
       BlockedArchive(collection, GetCompressor(CompressorId::kGzipx),
                      64 << 10),
-      dir, serving);
+      dir);
   ReportColdOpen("semistatic",
                  *SemiStaticArchive::Build(collection, SemiStaticScheme::kEtdc),
-                 dir, serving);
+                 dir);
 
   RlzOptions rlz_options;
   rlz_options.dict_bytes = collection.size_bytes() / 100;
-  const auto rlz = CompressCollection(collection, rlz_options);
-  ReportColdOpen("rlz.sa", *rlz, dir, with_sa);
-  ReportColdOpen("rlz.serve", *rlz, dir, serving);
+  ReportColdOpen("rlz", *CompressCollection(collection, rlz_options), dir);
 
   ShardedStoreOptions store_options;
   store_options.num_shards = 4;
   store_options.dict_bytes = collection.size_bytes() / 100;
-  const auto store = ShardedStore::Build(collection, store_options);
-  ReportColdOpen("sharded.sa", *store, dir, with_sa);
-  ReportColdOpen("sharded.serve", *store, dir, serving);
+  ReportColdOpen("sharded", *ShardedStore::Build(collection, store_options),
+                 dir);
 
   std::filesystem::remove_all(dir);
 }

@@ -5,24 +5,30 @@
 
 #include "io/file.h"
 #include "store/format.h"
+#include "util/crc32.h"
 #include "util/logging.h"
 
 namespace rlz {
 
-Dictionary::Dictionary(std::string text, bool build_suffix_array)
-    : text_(std::move(text)), view_(text_) {
-  if (build_suffix_array) {
-    matcher_ = std::make_unique<SuffixMatcher>(view_);
-  }
-}
+Dictionary::Dictionary(std::string text)
+    : text_(std::move(text)), view_(text_) {}
 
 Dictionary::Dictionary(std::string_view text,
-                       std::shared_ptr<const void> owner,
-                       bool build_suffix_array)
-    : view_(text), owner_(std::move(owner)) {
-  if (build_suffix_array) {
+                       std::shared_ptr<const void> owner)
+    : view_(text), owner_(std::move(owner)) {}
+
+const SuffixMatcher& Dictionary::matcher() const {
+  std::call_once(matcher_once_, [this] {
     matcher_ = std::make_unique<SuffixMatcher>(view_);
-  }
+    matcher_->BuildMatchKeys();
+    matcher_built_.store(true, std::memory_order_release);
+  });
+  return *matcher_;
+}
+
+uint32_t Dictionary::crc() const {
+  std::call_once(crc_once_, [this] { crc_ = Crc32(view_); });
+  return crc_;
 }
 
 std::string Dictionary::Serialize() const {
@@ -36,19 +42,18 @@ Status Dictionary::Save(const std::string& path) const {
 }
 
 StatusOr<std::unique_ptr<Dictionary>> Dictionary::Load(
-    const std::string& path, bool build_suffix_array) {
+    const std::string& path) {
   RLZ_ASSIGN_OR_RETURN(ParsedEnvelope envelope, ReadEnvelopeFile(path));
-  return FromEnvelope(envelope, build_suffix_array);
+  return FromEnvelope(envelope);
 }
 
 StatusOr<std::unique_ptr<Dictionary>> Dictionary::FromEnvelope(
-    const ParsedEnvelope& envelope, bool build_suffix_array) {
+    const ParsedEnvelope& envelope) {
   RLZ_RETURN_IF_ERROR(
       CheckEnvelopeFormat(envelope, kFormatId, kFormatVersion));
   // Zero-copy: the dictionary text aliases the loaded file bytes, which
   // the envelope's shared backing keeps alive (DESIGN.md §9).
-  return std::make_unique<Dictionary>(envelope.body(), envelope.backing(),
-                                      build_suffix_array);
+  return std::make_unique<Dictionary>(envelope.body(), envelope.backing());
 }
 
 std::unique_ptr<Dictionary> DictionaryBuilder::BuildSampled(

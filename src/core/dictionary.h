@@ -4,8 +4,10 @@
 /// \file
 /// The RLZ dictionary (sampled text + suffix matcher) and the §3.3/§3.6 construction strategies.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,22 +23,22 @@ class ParsedEnvelope;
 /// An RLZ dictionary: the sampled text plus its suffix array wrapped in a
 /// SuffixMatcher. Immutable once built; memory-resident by design (this is
 /// the property that makes RLZ random access fast, §3.1).
+///
+/// Decoding reads only the text, so the matcher (suffix array, prefix
+/// table and match keys, DESIGN.md §5.1) is built the first time
+/// matcher() is called, by whichever thread calls it first: a dictionary
+/// that only serves never pays for it.
 class Dictionary {
  public:
-  /// Wraps `text` (copied). When `build_suffix_array` is true (the
-  /// default) the suffix array and prefix table are built here — required
-  /// for factorizing documents. Serving-only callers (decode existing
-  /// archives, which never consult the suffix array) pass false and skip
-  /// that work entirely; see OpenOptions::build_suffix_array.
-  explicit Dictionary(std::string text, bool build_suffix_array = true);
+  /// Wraps `text` (copied).
+  explicit Dictionary(std::string text);
 
   /// Zero-copy variant: aliases `text` without copying it, keeping
   /// `owner` (the buffer `text` points into — typically a ParsedEnvelope
   /// backing()) alive for the dictionary's lifetime. This is the open
   /// path's way to avoid duplicating the dictionary bytes already held by
   /// the loaded file (DESIGN.md §9).
-  Dictionary(std::string_view text, std::shared_ptr<const void> owner,
-             bool build_suffix_array = true);
+  Dictionary(std::string_view text, std::shared_ptr<const void> owner);
 
   /// Not copyable or movable: the matcher (and, for the zero-copy
   /// constructor, the text view) points into this instance's storage.
@@ -48,26 +50,17 @@ class Dictionary {
   std::string_view text() const { return view_; }
   /// Dictionary size in bytes.
   size_t size() const { return view_.size(); }
-  /// True if the suffix-array matcher was built (see the constructor).
-  bool has_matcher() const { return matcher_ != nullptr; }
-  /// The suffix-array matcher over the dictionary text. Aborts if the
-  /// dictionary was built without one (has_matcher() == false):
-  /// factorization against a serving-only dictionary is a programming
-  /// error, not a runtime condition.
-  const SuffixMatcher& matcher() const {
-    RLZ_CHECK(matcher_ != nullptr)
-        << "dictionary has no suffix array (serving-only open; see "
-           "OpenOptions::build_suffix_array)";
-    return *matcher_;
+  /// True once matcher() has built the suffix-array matcher.
+  bool has_matcher() const {
+    return matcher_built_.load(std::memory_order_acquire);
   }
-
-  /// Adds the match-key array to the matcher, which speeds up
-  /// factorizing against this dictionary for 4 bytes per dictionary byte
-  /// (SuffixMatcher::BuildMatchKeys, DESIGN.md §5.1). Does nothing
-  /// without a matcher. Call it before the dictionary is shared.
-  void BuildMatchKeys() {
-    if (matcher_ != nullptr) matcher_->BuildMatchKeys();
-  }
+  /// The suffix-array matcher over the dictionary text, with match keys.
+  /// The first call builds it (about 7 ms for 171 KB); concurrent first
+  /// calls wait for that one build. Thread-safe.
+  const SuffixMatcher& matcher() const;
+  /// CRC-32 of the text, computed on the first call: the binding an
+  /// "rlzshard" file records and checks (RlzArchive). Thread-safe.
+  uint32_t crc() const;
 
   /// On-disk format id inside the container envelope ("dict").
   static constexpr char kFormatId[] = "dict";
@@ -75,27 +68,31 @@ class Dictionary {
   static constexpr uint32_t kFormatVersion = 2;
 
   /// Serializes the dictionary text in a container envelope
-  /// (store/format.h). The suffix array is derived data and is rebuilt
-  /// on load.
+  /// (store/format.h). The suffix array is derived data, built on first
+  /// use after a load.
   Status Save(const std::string& path) const;
   /// The complete container bytes Save would write (the durable store
   /// writes its append dictionary through its own FileSystem).
   std::string Serialize() const;
-  /// Loads a dictionary written by Save and rebuilds its suffix array
-  /// unless `build_suffix_array` is false. Anything but an intact
+  /// Loads a dictionary written by Save. Anything but an intact
   /// envelope, bare text included, is Corruption.
-  static StatusOr<std::unique_ptr<Dictionary>> Load(
-      const std::string& path, bool build_suffix_array = true);
+  static StatusOr<std::unique_ptr<Dictionary>> Load(const std::string& path);
   /// As Load, from a parsed envelope; the text aliases the envelope's
   /// bytes, which the dictionary keeps alive (DESIGN.md §9).
   static StatusOr<std::unique_ptr<Dictionary>> FromEnvelope(
-      const ParsedEnvelope& envelope, bool build_suffix_array = true);
+      const ParsedEnvelope& envelope);
 
  private:
   std::string text_;        // owned storage (empty when aliasing)
   std::string_view view_;   // the text: into text_ or the aliased owner
   std::shared_ptr<const void> owner_;  // keeps aliased bytes alive
-  std::unique_ptr<SuffixMatcher> matcher_;
+  // Built once, on the first matcher() call; matcher_built_ publishes it
+  // to has_matcher() without racing that build.
+  mutable std::once_flag matcher_once_;
+  mutable std::unique_ptr<SuffixMatcher> matcher_;
+  mutable std::atomic<bool> matcher_built_{false};
+  mutable std::once_flag crc_once_;
+  mutable uint32_t crc_ = 0;
 };
 
 /// Dictionary construction strategies from §3.3 and §3.6 of the paper.

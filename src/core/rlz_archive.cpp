@@ -3,7 +3,6 @@
 #include "io/file.h"
 #include "io/mmap_file.h"
 #include "store/format.h"
-#include "util/crc32.h"
 #include "util/logging.h"
 
 // RlzArchive::Build lives in src/build/archive_builder.cpp: it drives the
@@ -49,7 +48,7 @@ std::string RlzArchive::Encode(bool embed_dictionary) const {
     writer.PutLengthPrefixed(dict_->text());
   } else {
     writer.PutVarint64(dict_->size());
-    writer.PutVarint32(Crc32(dict_->text()));
+    writer.PutVarint32(dict_->crc());
   }
   writer.PutVarint64(num_docs());
   for (size_t i = 0; i < num_docs(); ++i) {
@@ -68,7 +67,7 @@ Status RlzArchive::Save(const std::string& path) const {
 }
 
 StatusOr<std::unique_ptr<RlzArchive>> RlzArchive::FromEnvelope(
-    const ParsedEnvelope& envelope, const OpenOptions& options,
+    const ParsedEnvelope& envelope, const OpenOptions& /*options*/,
     std::shared_ptr<const Dictionary> dict) {
   const bool embedded = envelope.format_id() != kShardFormatId;
   if (embedded) {
@@ -98,8 +97,7 @@ StatusOr<std::unique_ptr<RlzArchive>> RlzArchive::FromEnvelope(
     // keeps alive — nothing is re-copied on open.
     std::string_view dict_text;
     RLZ_RETURN_IF_ERROR(reader.ReadLengthPrefixed(&dict_text));
-    dict = std::make_shared<const Dictionary>(
-        dict_text, envelope.backing(), options.build_suffix_array);
+    dict = std::make_shared<const Dictionary>(dict_text, envelope.backing());
   } else {
     // The factor positions index `dict`: a shard opened against any
     // other text would decode garbage, so the binding must match.
@@ -107,7 +105,7 @@ StatusOr<std::unique_ptr<RlzArchive>> RlzArchive::FromEnvelope(
     uint32_t dict_crc = 0;
     RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&dict_size));
     RLZ_RETURN_IF_ERROR(reader.ReadVarint32(&dict_crc));
-    if (dict_size != dict->size() || dict_crc != Crc32(dict->text())) {
+    if (dict_size != dict->size() || dict_crc != dict->crc()) {
       return Status::Corruption(envelope.context() +
                                 ": shard is bound to another dictionary");
     }

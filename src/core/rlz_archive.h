@@ -160,10 +160,9 @@ class RlzArchive final : public Archive {
   /// "rlz" file, which carries its own). Returns Corruption on format or
   /// checksum errors and on a shard whose binding does not match `dict`,
   /// and InvalidArgument for another format or version, or for an
-  /// "rlzshard" file opened without a dictionary. A serving-only caller
-  /// passes OpenOptions::build_suffix_array = false to skip the
-  /// dictionary suffix-array rebuild (Get/GetRange never use it; only
-  /// factorizing new documents does).
+  /// "rlzshard" file opened without a dictionary. No open builds the
+  /// dictionary's suffix array: Get/GetRange never use it, and
+  /// factorizing a new document builds it on first use.
   static StatusOr<std::unique_ptr<RlzArchive>> Load(
       const std::string& path, const OpenOptions& options = {},
       std::shared_ptr<const Dictionary> dict = nullptr);

@@ -1,32 +1,50 @@
 #include "io/file.h"
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 
 namespace rlz {
+namespace {
+
+std::string Errno(const std::string& what, const std::string& path) {
+  return what + " " + path + ": " + std::strerror(errno);
+}
+
+}  // namespace
 
 StatusOr<std::string> ReadFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  // fopen opens a directory too, and its end offset can read as
-  // LONG_MAX: the size below would then be an allocation of that much.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError(Errno("cannot open", path));
+  // A directory opens too, and its size means nothing: only a regular
+  // file is read.
   struct stat st;
-  if (::fstat(fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
-    std::fclose(f);
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);
     return Status::IOError("not a regular file: " + path);
   }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  if (size < 0) {
-    std::fclose(f);
-    return Status::IOError("cannot stat " + path);
+  // Sized from fstat, read in place; a file that grew since is read to
+  // its end, one that shrank is cut to what was read.
+  std::string data(static_cast<size_t>(st.st_size) + 1, '\0');
+  size_t size = 0;
+  for (;;) {
+    if (size == data.size()) data.resize(2 * data.size());
+    const ssize_t n = ::read(fd, &data[size], data.size() - size);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const Status status = Status::IOError(Errno("cannot read", path));
+      ::close(fd);
+      return status;
+    }
+    if (n == 0) break;
+    size += static_cast<size_t>(n);
   }
-  std::fseek(f, 0, SEEK_SET);
-  std::string data(static_cast<size_t>(size), '\0');
-  const size_t read = std::fread(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  if (read != data.size()) return Status::IOError("short read on " + path);
+  ::close(fd);
+  data.resize(size);
   return data;
 }
 

@@ -8,7 +8,8 @@
 
 namespace rlz {
 
-/// Reads an entire file into a string.
+/// Reads an entire regular file into a string (anything else is
+/// IOError). The one whole-file reader: DefaultFileSystem::Read is this.
 StatusOr<std::string> ReadFile(const std::string& path);
 
 /// Writes `data` to `path`, truncating any existing file.

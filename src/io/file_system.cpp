@@ -9,6 +9,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "io/file.h"
+
 namespace rlz {
 namespace {
 
@@ -62,23 +64,7 @@ class PosixWritableFile final : public WritableFile {
 class PosixFileSystem final : public FileSystem {
  public:
   StatusOr<std::string> Read(const std::string& path) const override {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) return Status::IOError(Errno("cannot open", path));
-    std::string data;
-    char buf[1 << 16];
-    for (;;) {
-      const ssize_t n = ::read(fd, buf, sizeof(buf));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        const Status status = Status::IOError(Errno("cannot read", path));
-        ::close(fd);
-        return status;
-      }
-      if (n == 0) break;
-      data.append(buf, static_cast<size_t>(n));
-    }
-    ::close(fd);
-    return data;
+    return ReadFile(path);
   }
 
   StatusOr<std::unique_ptr<WritableFile>> Create(

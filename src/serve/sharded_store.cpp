@@ -8,6 +8,7 @@
 #include "build/build_pipeline.h"
 #include "core/dictionary.h"
 #include "io/file.h"
+#include "io/mmap_file.h"
 #include "store/format.h"
 #include "store/wal/wal_reader.h"
 #include "util/logging.h"
@@ -213,12 +214,9 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
   // The first append dictionary: sampled across the whole build-time
   // corpus, so tail seals encode against content representative of the
   // initial crawl — until the crawl drifts (§3.6) and a seal replaces it
-  // (RefreshDueLocked). Every seal factorizes against the current one,
-  // so it alone carries match keys.
-  std::unique_ptr<Dictionary> append_dict = DictionaryBuilder::BuildSampled(
-      collection.data(), shard_dict_bytes, kSampleBytes);
-  append_dict->BuildMatchKeys();
-  sealed->append_dicts.push_back(std::move(append_dict));
+  // (RefreshDueLocked). Its matcher is built by the first seal.
+  sealed->append_dicts.push_back(DictionaryBuilder::BuildSampled(
+      collection.data(), shard_dict_bytes, kSampleBytes));
   store->sealed_ = std::move(sealed);
   store->shard_files_.assign(nshards, std::string());
   store->dict_files_.assign(1, std::string());
@@ -366,10 +364,9 @@ Status ShardedStore::ApplySealLocked(bool refresh) {
 
   // The raw tail is encoded once, here, as one batch on the store's
   // build pool against the current append dictionary (byte-identical to
-  // a serial encode; DESIGN.md §7). Its matcher exists: SealTail and
-  // Append gate on it, and WAL replay seals only on a writable open,
-  // which builds it. A refresh first samples a new current dictionary
-  // from the tail's own text.
+  // a serial encode; DESIGN.md §7), whose matcher the first seal builds.
+  // A refresh first samples a new current dictionary from the tail's own
+  // text.
   std::vector<std::string_view> docs;
   docs.reserve(tail_docs);
   for (size_t i = 0; i < tail_docs; ++i) docs.push_back(*tail_.doc(i));
@@ -378,10 +375,8 @@ Status ShardedStore::ApplySealLocked(bool refresh) {
     std::string text;
     text.reserve(tail_.bytes());
     for (std::string_view doc : docs) text.append(doc);
-    std::unique_ptr<Dictionary> fresh = DictionaryBuilder::BuildSampled(
-        text, shard_dict_bytes_, kSampleBytes);
-    fresh->BuildMatchKeys();
-    dict = std::move(fresh);
+    dict = DictionaryBuilder::BuildSampled(text, shard_dict_bytes_,
+                                           kSampleBytes);
   }
   RlzBuildInfo info;
   std::shared_ptr<const RlzArchive> sealed =
@@ -578,8 +573,8 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
   }
   // A shard that went stale against a retired append dictionary moves to
   // the current one, which the seals since its refresh encode against
-  // (DESIGN.md §11). Every other victim, and any victim of a store whose
-  // current dictionary has no matcher (a serving-only open), gets a
+  // (DESIGN.md §11). Every other victim, and any victim of a serving-only
+  // open (which encodes nothing against the append dictionary), gets a
   // dictionary re-sampled from its own live text.
   std::shared_ptr<const Dictionary> dict;
   const auto& dicts = snapshot->append_dictionaries();
@@ -587,7 +582,7 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
   // dictionary is not "retired".
   const bool retired = snapshot->shard_dictionary(victim) < dicts.size() - 1;
   if (report.reason == CompactionReport::Reason::kStaleDictionary &&
-      retired && dicts.back()->has_matcher()) {
+      retired && !serving_only_) {
     dict = dicts.back();
   }
 
@@ -766,10 +761,9 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   std::unique_ptr<ShardedStore> store(new ShardedStore());
 
   // The append dictionaries first: every "rlzshard" shard decodes
-  // against one of these objects. The current one's suffix array and
-  // match keys — the only ones the store queries — are built on a
-  // writable open only; matcher-less, appends and seals fail cleanly. A
-  // retired one never gets them: nothing encodes against it again.
+  // against one of these objects. None gets a suffix array here: the
+  // first seal builds the current one's, and nothing encodes against a
+  // retired one again.
   auto sealed = std::make_shared<ShardSet>();
   const size_t ndicts = manifest.dict_names.size();
   for (size_t d = 0; d < ndicts; ++d) {
@@ -779,25 +773,21 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
     RLZ_ASSIGN_OR_RETURN(
         ParsedEnvelope envelope,
         ParsedEnvelope::FromView(raw.view, raw.owner, dict_path));
-    const bool current = d + 1 == ndicts;
-    RLZ_ASSIGN_OR_RETURN(
-        std::unique_ptr<Dictionary> dict,
-        Dictionary::FromEnvelope(envelope,
-                                 current && options.build_suffix_array));
-    if (current) dict->BuildMatchKeys();
+    // Validation scanned sequentially; decodes read the text at random.
+    if (raw.map != nullptr) raw.map->Advise(MmapFile::Access::kRandom);
+    RLZ_ASSIGN_OR_RETURN(std::unique_ptr<Dictionary> dict,
+                         Dictionary::FromEnvelope(envelope));
     sealed->append_dicts.push_back(std::move(dict));
   }
 
   // Shard files open in parallel: an "rlz" container carries its own
   // dictionary, an "rlzshard" one is bound to the append dictionary the
-  // manifest names for it. No shard gets a suffix array, on any open:
-  // the store never factorizes against a sealed shard's own dictionary
-  // (seals use the current append dictionary; compaction moves a shard
-  // to it or samples a fresh one).
+  // manifest names for it. The store never factorizes against a sealed
+  // shard's own dictionary (seals use the current append dictionary;
+  // compaction moves a shard to it or samples a fresh one), so none
+  // builds a matcher.
   sealed->shards.resize(nshards);
   std::vector<Status> statuses(nshards);
-  OpenOptions shard_options = options;
-  shard_options.build_suffix_array = false;
   // `nshards` comes from the (untrusted, CRC-valid) manifest: the worker
   // count is capped at the process's CPUs so a crafted count cannot fan
   // out thousands of threads — the per-shard opens then fail cleanly on
@@ -819,7 +809,7 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
     pipeline.Submit(
         [&, s](int) {
           auto shard = RlzArchive::Load(dir + manifest.shard_names[s],
-                                        shard_options, dict_of(s));
+                                        options, dict_of(s));
           if (shard.ok()) {
             sealed->shards[s] = std::move(shard).value();
           } else {
@@ -868,6 +858,7 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
   store->options_.coding = store->sealed_->shards[0]->coder().coding();
   store->options_.live = manifest.live;
   store->shard_dict_bytes_ = std::max<uint64_t>(1, manifest.shard_dict_bytes);
+  store->serving_only_ = !options.build_suffix_array;
   {
     std::lock_guard<std::mutex> lock(store->writer_mu_);
     store->PublishLocked();
@@ -893,7 +884,7 @@ Status ShardedStore::CheckWritableLocked() const {
 }
 
 Status ShardedStore::CheckAppendDictionaryLocked() const {
-  if (!sealed_->append_dict()->has_matcher()) {
+  if (serving_only_) {
     return Status::InvalidArgument(
         "sharded store: no append dictionary (serving-only open); appends "
         "and seals are disabled");
@@ -1083,10 +1074,12 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::OpenFromCheckpoint(
       fs != nullptr ? fs
                     : (options.fs != nullptr ? options.fs
                                              : DefaultFileSystem());
-  // An injected file system routes the shard opens too; otherwise shard
-  // reads keep the caller's options (use_mmap on a real disk).
+  // An injected file system routes the shard and dictionary opens too;
+  // on the real one they are mapped, not copied: a committed
+  // checkpoint's files are never rewritten in place (DESIGN.md §12).
   OpenOptions open_options = options;
   if (fs != nullptr) open_options.fs = fs;
+  if (open_options.fs == nullptr) open_options.use_mmap = true;
 
   const std::string manifest_path = dir + "/" + info.manifest;
   RLZ_ASSIGN_OR_RETURN(std::string raw, io->Read(manifest_path));
@@ -1107,7 +1100,7 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::OpenFromCheckpoint(
   store->durable_dir_ = dir;
   store->checkpoint_generation_ = info.generation;
   // A serving-only open never writes: no WAL writer, mutations disabled.
-  store->read_only_ = !options.build_suffix_array;
+  store->read_only_ = store->serving_only_;
 
   wal::ReplayResult replay;
   {
@@ -1144,8 +1137,8 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::OpenFromCheckpoint(
             return Status::Corruption(dir + ": bad wal seal payload");
           }
           // Serving-only recovery leaves the tail raw: sealing would
-          // encode (and want the suffix array this open skipped).
-          // Document ids and bytes are identical either way.
+          // encode, and build the suffix array a serving-only store never
+          // needs. Document ids and bytes are identical either way.
           if (raw_store->read_only_) return Status::OK();
           return raw_store->ApplySealLocked(refresh);
         }

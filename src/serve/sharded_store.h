@@ -252,12 +252,11 @@ class ShardedStore final : public Archive {
   /// per shard, capped at the process's CPUs, AvailableCpus), restoring
   /// the full epoch: tombstones, generations and the raw open tail. Every
   /// "rlzshard" shard decodes against the append dictionary object the
-  /// manifest binds it to. Shard dictionaries and retired append
-  /// dictionaries never get a suffix array (the store never factorizes
-  /// against one). A writable open (the default
-  /// OpenOptions::build_suffix_array = true) builds only the current
-  /// append dictionary's; a serving-only reopen passes false, builds
-  /// none, and disables Append and SealTail (InvalidArgument). Fails with
+  /// manifest binds it to. No open builds a suffix array: the store only
+  /// factorizes against its current append dictionary, whose matcher the
+  /// first seal builds. A serving-only reopen
+  /// (OpenOptions::build_suffix_array = false) disables Append and
+  /// SealTail (InvalidArgument), so it never builds one. Fails with
   /// IOError if a file named by the manifest is missing, Corruption if a
   /// shard's document count or dictionary binding disagrees with the
   /// manifest. The reopened
@@ -314,7 +313,8 @@ class ShardedStore final : public Archive {
   /// documents stay raw), writes nothing, and disables every mutation
   /// (read_only() becomes true). `fs` non-null routes ALL I/O —
   /// checkpoint, shards, WAL — through it (the crash-injection tests'
-  /// hook); otherwise shard reads honor options.use_mmap/options.fs and
+  /// hook), as options.fs does for the checkpoint files; with neither,
+  /// shard and dictionary files are mapped (MmapFile), not copied, and
   /// the WAL uses the real file system. As with Open, the recovered
   /// store runs with the checkpointed store's LiveStoreOptions. Replay
   /// itself writes no checkpoint.
@@ -375,8 +375,7 @@ class ShardedStore final : public Archive {
 
   /// InvalidArgument on a read-only (serving-only durable) open.
   Status CheckWritableLocked() const;
-  /// InvalidArgument when the append dictionary has no matcher (a
-  /// serving-only open): nothing can be encoded against it.
+  /// InvalidArgument on a serving-only open: it encodes nothing.
   Status CheckAppendDictionaryLocked() const;
   /// Appends one WAL record under the group-commit policy. Requires
   /// writer_mu_ and wal_ != nullptr.
@@ -445,6 +444,11 @@ class ShardedStore final : public Archive {
   std::string durable_dir_;
   std::unique_ptr<wal::WalWriter> wal_;
   uint64_t checkpoint_generation_ = 0;
+  // Opened with OpenOptions::build_suffix_array = false: appends and
+  // seals are refused and compaction re-samples every victim, so nothing
+  // builds the append dictionary's matcher. A durable serving-only open
+  // is also read_only_ and refuses every mutation.
+  bool serving_only_ = false;
   bool read_only_ = false;
   std::mutex checkpoint_mu_;
   // The first failed post-seal checkpoint's error, until Checkpoint()

@@ -19,12 +19,12 @@ class MmapFile;
 
 /// Knobs for opening a saved archive.
 struct OpenOptions {
-  /// Rebuild dictionary suffix arrays on open. Serving (Get/GetRange)
-  /// never consults the suffix array — only factorizing *new* documents
-  /// does — so a serving-only reopen should pass false and skip the
-  /// dominant part of the open cost (see bench/recovery_bench's
-  /// restart-cost table). ShardedStore never builds one for a shard: it
-  /// reads this as "writable", building only its append dictionary's.
+  /// Open writable. No open builds a suffix array: a dictionary builds
+  /// its matcher the first time something factorizes against it
+  /// (Dictionary::matcher), and serving (Get/GetRange) never does. Only
+  /// ShardedStore reads this flag: false opens it serving-only, with
+  /// appends and seals refused, compaction re-sampling its victims, and
+  /// a durable open refusing every mutation.
   bool build_suffix_array = true;
   /// Decode-cache budget in bytes for formats that serve through a block
   /// cache (BlockedArchive). 0 means auto-size to two maximum blocks —

@@ -691,9 +691,11 @@ TEST(ServingOnlyOpenTest, GetWorksWithoutSuffixArray) {
   ASSERT_TRUE((*loaded)->GetRange(0, 5, 20, &window).ok());
   EXPECT_EQ(window, collection.doc(0).substr(5, 20));
 
-  // The default open still builds the matcher (the factorization path).
+  // The default open builds none either: the first factorization does.
   auto with_sa = RlzArchive::Load(path);
   ASSERT_TRUE(with_sa.ok());
+  EXPECT_FALSE((*with_sa)->dictionary().has_matcher());
+  EXPECT_GT((*with_sa)->dictionary().matcher().sa().size(), 0u);
   EXPECT_TRUE((*with_sa)->dictionary().has_matcher());
   std::remove(path.c_str());
 }
@@ -1090,13 +1092,10 @@ TEST(DictionaryPersistenceTest, EnvelopeLoadsAndDamageIsDetected) {
   auto loaded = Dictionary::Load(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ((*loaded)->text(), dict.text());
+  // The suffix array is built on first use, not by the load.
+  EXPECT_FALSE((*loaded)->has_matcher());
+  EXPECT_EQ((*loaded)->matcher().LongestMatch("structure text").len, 14);
   EXPECT_TRUE((*loaded)->has_matcher());
-
-  // Serving-only load: text intact, no suffix array built.
-  auto serving = Dictionary::Load(path, /*build_suffix_array=*/false);
-  ASSERT_TRUE(serving.ok());
-  EXPECT_EQ((*serving)->text(), dict.text());
-  EXPECT_FALSE((*serving)->has_matcher());
 
   // A damaged envelope surfaces as an error.
   auto raw = ReadFile(path);

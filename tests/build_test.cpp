@@ -7,6 +7,7 @@
 // in serve_test). Runs under ThreadSanitizer in CI (ctest label
 // `concurrency`).
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -23,6 +24,7 @@
 
 #include "build/archive_builder.h"
 #include "build/build_pipeline.h"
+#include "core/factorizer.h"
 #include "core/rlz.h"
 #include "corpus/generator.h"
 #include "io/file.h"
@@ -527,6 +529,58 @@ TEST_P(ParallelIdentityTest, SemiStaticArchiveByteIdenticalToSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelIdentityTest,
                          ::testing::Values(1, 2, 4, 8));
+
+TEST(DictionaryMatcherTest, PoolWorkersRacingTheFirstCallShareOneBuild) {
+  // A dictionary builds its matcher on the first matcher() call. Pool
+  // workers that make that call on a fresh dictionary at once all get
+  // the one matcher it built, and factorize exactly as a serial pass
+  // against a second dictionary of the same text.
+  CorpusOptions corpus_options;
+  corpus_options.target_bytes = 128 << 10;
+  corpus_options.seed = 211;
+  const Collection collection = GenerateCorpus(corpus_options).collection;
+  const std::shared_ptr<const Dictionary> dict =
+      DictionaryBuilder::BuildSampled(collection.data(), 16 << 10, 512);
+  ASSERT_FALSE(dict->has_matcher());
+
+  constexpr int kWorkers = 4;
+  BuildPool pool(kWorkers);
+  BuildPipeline pipeline(&pool);
+  std::atomic<int> arrived{0};
+  std::mutex mu;
+  std::set<const SuffixMatcher*> matchers;
+  std::vector<std::vector<Factor>> factors(collection.num_docs());
+  for (int w = 0; w < kWorkers; ++w) {
+    pipeline.Submit(
+        [&, w](int) {
+          // Every worker holds a task before any calls matcher().
+          arrived.fetch_add(1);
+          while (arrived.load() < kWorkers) std::this_thread::yield();
+          const SuffixMatcher* matcher = &dict->matcher();
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            matchers.insert(matcher);
+          }
+          Factorizer factorizer(dict.get());
+          for (size_t i = w; i < collection.num_docs(); i += kWorkers) {
+            factorizer.Factorize(collection.doc(i), &factors[i]);
+          }
+        },
+        [] {});
+  }
+  pipeline.Finish();
+  EXPECT_EQ(matchers.size(), 1u);
+  EXPECT_TRUE(dict->has_matcher());
+
+  const Dictionary twin{std::string(dict->text())};
+  Factorizer serial(&twin);
+  std::vector<Factor> want;
+  for (size_t i = 0; i < collection.num_docs(); ++i) {
+    want.clear();
+    serial.Factorize(collection.doc(i), &want);
+    ASSERT_EQ(factors[i], want) << "doc " << i;
+  }
+}
 
 }  // namespace
 }  // namespace rlz

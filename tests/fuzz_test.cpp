@@ -138,7 +138,7 @@ TEST(FuzzTest, FactorCoderServingPathMutatedStreams) {
   Rng rng(9);
   std::string dict_text(1 << 14, '\0');
   for (auto& c : dict_text) c = static_cast<char>(rng.Uniform(256));
-  const Dictionary dict(dict_text, /*build_suffix_array=*/false);
+  const Dictionary dict(dict_text);
   DecodeScratch scratch;
   for (const char* name : {"ZV", "ZZ"}) {
     SCOPED_TRACE(name);

@@ -253,7 +253,7 @@ TEST(HotPathTest, DecodedDocumentSizeLimitRejectsCraftedStreams) {
   // A small dictionary and a factor list whose lengths sum past the
   // per-document limit: the decode must fail before sizing the output.
   const std::string text(1 << 20, 'a');
-  Dictionary dict(text, /*build_suffix_array=*/false);
+  Dictionary dict(text);
   std::vector<Factor> factors(
       2048, Factor{0, 1 << 20});  // 2 GiB claimed from 2048 factors
   std::string out;
@@ -456,7 +456,7 @@ TEST(HotPathTest, DecodeEntryPointsAgreeOnRandomFactorLists) {
   Rng rng(2024);
   std::string dict_text(1 << 16, '\0');
   for (auto& c : dict_text) c = static_cast<char>(rng.Uniform(256));
-  const Dictionary dict(dict_text, /*build_suffix_array=*/false);
+  const Dictionary dict(dict_text);
   bool saw_stored = false;
   bool saw_long_code = false;
   bool saw_length_flip = false;

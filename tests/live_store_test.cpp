@@ -625,10 +625,11 @@ TEST(LiveStoreTest, WritableOpenBuildsNoShardSuffixArrays) {
   auto reopened_or = ShardedStore::Open(path);
   ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
   auto reopened = std::move(reopened_or).value();
-  // The one suffix array is the append dictionary's: the shard sealed
-  // from the tail shares that very object, and no other shard has one.
+  // The open builds no suffix array, the append dictionary's included
+  // (the first seal builds that one); the shard sealed from the tail
+  // shares that very object.
   const auto epoch = reopened->epoch();
-  EXPECT_TRUE(epoch->append_dictionary().has_matcher());
+  EXPECT_FALSE(epoch->append_dictionary().has_matcher());
   int shared = 0;
   for (int s = 0; s < epoch->num_shards(); ++s) {
     if (epoch->shard(s).SharesDictionary(epoch->append_dictionary())) {
@@ -650,6 +651,14 @@ TEST(LiveStoreTest, WritableOpenBuildsNoShardSuffixArrays) {
   expected.push_back("appended after a writable open");
   ASSERT_TRUE(reopened->SealTail().ok());
   EXPECT_EQ(reopened->epoch()->tail_docs(), 0u);
+  // The seal built the one suffix array, its dictionary's.
+  const auto sealed = reopened->epoch();
+  EXPECT_TRUE(sealed->append_dictionary().has_matcher());
+  for (int s = 0; s < sealed->num_shards(); ++s) {
+    if (!sealed->shard(s).SharesDictionary(sealed->append_dictionary())) {
+      EXPECT_FALSE(sealed->shard(s).dictionary().has_matcher()) << s;
+    }
+  }
   const size_t shard0_docs = reopened->starts(1);
   for (size_t d = 0; d < shard0_docs; ++d) {
     ASSERT_TRUE(reopened->Delete(d).ok());

@@ -999,6 +999,120 @@ TEST(RecoveryTest, MakeDurableReopensIdentical) {
   }
 }
 
+// The lines of this process's memory map that name a file in `dir`.
+std::vector<std::string> MappedFilesIn(const std::string& dir) {
+  const std::string prefix = std::filesystem::canonical(dir).string() + "/";
+  std::vector<std::string> lines;
+  auto maps = ReadFile("/proc/self/maps");
+  EXPECT_TRUE(maps.ok()) << maps.status().ToString();
+  if (!maps.ok()) return lines;
+  size_t begin = 0;
+  while (begin < maps->size()) {
+    size_t end = maps->find('\n', begin);
+    if (end == std::string::npos) end = maps->size();
+    const std::string line = maps->substr(begin, end - begin);
+    if (line.find(prefix) != std::string::npos) lines.push_back(line);
+    begin = end + 1;
+  }
+  return lines;
+}
+
+TEST(RecoveryTest, RealFileRecoveryMapsFilesThatCheckpointGcUnlinks) {
+  // A recovery from real files (no injected FileSystem) maps every shard
+  // and dictionary file of its checkpoint instead of copying it. The
+  // compaction's checkpoint and a later Checkpoint then unlink files the
+  // recovered shards still map: an epoch pinned before them keeps
+  // reading those mappings, and every id reads back byte-identical.
+  const Collection collection = TestCollection(1 << 14, 281);
+  const std::string dir = FreshDir("recovery_mapped");
+  const std::vector<std::string> docs = SmallDocs(6);
+  size_t shard0_docs = 0;
+  {
+    auto store = TinyStore(collection);
+    ASSERT_TRUE(store->MakeDurable(dir).ok());
+    for (size_t i = 0; i < docs.size(); ++i) {
+      ASSERT_TRUE(store->Append(docs[i]).ok());
+      if (i == 2) {
+        ASSERT_TRUE(store->SealTail().ok());
+      }
+    }
+    shard0_docs = store->starts(1);
+  }
+  std::vector<std::string> expected;
+  for (size_t i = 0; i < collection.num_docs(); ++i) {
+    expected.emplace_back(collection.doc(i));
+  }
+  expected.insert(expected.end(), docs.begin(), docs.end());
+
+  auto recovered_or = ShardedStore::OpenDurable(dir);
+  ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
+  auto recovered = std::move(recovered_or).value();
+  const std::shared_ptr<const CorpusEpoch> pinned = recovered->epoch();
+  std::vector<std::string> checkpoint_files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find(".shard") != std::string::npos ||
+        name.find(".dict") != std::string::npos) {
+      checkpoint_files.push_back(name);
+    }
+  }
+  // Two base shards, one sealed shard and the append dictionary.
+  ASSERT_EQ(checkpoint_files.size(), 4u);
+  const std::vector<std::string> mapped = MappedFilesIn(dir);
+  for (const std::string& name : checkpoint_files) {
+    EXPECT_TRUE(std::any_of(mapped.begin(), mapped.end(),
+                            [&](const std::string& line) {
+                              return line.find("/" + name) !=
+                                     std::string::npos;
+                            }))
+        << name << " is not mapped";
+  }
+
+  for (size_t id = 0; id < shard0_docs; ++id) {
+    ASSERT_TRUE(recovered->Delete(id).ok()) << id;
+  }
+  auto compaction = recovered->CompactOnce();
+  ASSERT_TRUE(compaction.ok()) << compaction.status().ToString();
+  ASSERT_TRUE(compaction->compacted);
+  EXPECT_EQ(compaction->shard, 0);
+  ASSERT_TRUE(recovered->Checkpoint().ok());
+  // Shard 0's old file is gone from the directory, and still mapped.
+  size_t unlinked = 0;
+  for (const std::string& name : checkpoint_files) {
+    if (std::filesystem::exists(dir + "/" + name)) continue;
+    ++unlinked;
+    const std::vector<std::string> now_mapped = MappedFilesIn(dir);
+    EXPECT_TRUE(std::any_of(now_mapped.begin(), now_mapped.end(),
+                            [&](const std::string& line) {
+                              return line.find("/" + name + " (deleted)") !=
+                                     std::string::npos;
+                            }))
+        << name;
+  }
+  EXPECT_EQ(unlinked, 1u);
+
+  std::string doc;
+  ASSERT_EQ(pinned->num_docs(), expected.size());
+  for (size_t id = 0; id < expected.size(); ++id) {
+    ASSERT_TRUE(pinned->Get(id, &doc, /*scratch=*/nullptr).ok()) << id;
+    EXPECT_EQ(doc, expected[id]) << id;
+  }
+  auto reopened_or = ShardedStore::OpenDurable(dir);
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  for (const ShardedStore* store : {recovered.get(), reopened_or->get()}) {
+    ASSERT_EQ(store->num_docs(), expected.size());
+    for (size_t id = 0; id < expected.size(); ++id) {
+      const Status status = store->Get(id, &doc);
+      if (id < shard0_docs) {
+        EXPECT_EQ(status.code(), StatusCode::kNotFound) << id;
+        continue;
+      }
+      ASSERT_TRUE(status.ok()) << id << ": " << status.ToString();
+      EXPECT_EQ(doc, expected[id]) << id;
+    }
+  }
+}
+
 TEST(RecoveryTest, AckedAppendsSurviveReopenWithoutSave) {
   const Collection collection = TestCollection(1 << 14, 211);
   const std::string dir = FreshDir("recovery_appends");
@@ -2073,6 +2187,20 @@ std::vector<std::string> DriftedDocs(size_t n) {
   return docs;
 }
 
+// The dictionaries of `epoch`, append and shard ones, that have built a
+// suffix-array matcher.
+std::set<const Dictionary*> MatcherDictionaries(const CorpusEpoch& epoch) {
+  std::set<const Dictionary*> built;
+  for (const auto& dict : epoch.append_dictionaries()) {
+    if (dict->has_matcher()) built.insert(dict.get());
+  }
+  for (int s = 0; s < epoch.num_shards(); ++s) {
+    const Dictionary& dict = epoch.shard(s).dictionary();
+    if (dict.has_matcher()) built.insert(&dict);
+  }
+  return built;
+}
+
 TEST(RecoveryTest, KillAtEveryFsyncAcrossARefreshingSeal) {
   // Drifted 2 KB documents against TinyStore's 2 KB shard dictionaries:
   // the first seal comes out stale, and the second, whose tail holds more
@@ -2238,6 +2366,11 @@ TEST(RecoveryTest, SealPayloadIsEmptyOrTheRefreshByte) {
       std::string doc;
       ASSERT_TRUE((*reopened)->Get((*reopened)->num_docs() - 1, &doc).ok());
       EXPECT_EQ(doc, docs.back());
+      // The replayed seal built one suffix array, the current append
+      // dictionary's: a refresh's retired one never got one.
+      const auto epoch = (*reopened)->epoch();
+      EXPECT_EQ(MatcherDictionaries(*epoch),
+                std::set<const Dictionary*>{&epoch->append_dictionary()});
     } else {
       EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
           << payload.size() << ": " << reopened.status().ToString();
@@ -2247,10 +2380,13 @@ TEST(RecoveryTest, SealPayloadIsEmptyOrTheRefreshByte) {
 
 TEST(RecoveryTest, RecoveryWithTwoDictionariesBuildsOneSuffixArray) {
   // A checkpoint that holds a retired append dictionary (a shard still
-  // binds to it) and the current one: a writable recovery builds the
-  // current one's suffix array and no other, and a serving-only one none.
+  // binds to it) and the current one, and a WAL suffix with no seal:
+  // neither recovery builds a suffix array. The writable one's first
+  // seal builds the current dictionary's and no other, and seals the
+  // same shard as a store that never crashed.
   const std::vector<std::string> docs = DriftedDocs(5);
   auto fs = std::make_shared<FaultFs>();
+  std::string twin_shard;
   {
     auto store = TinyStore(TestCollection(1 << 13, 271));
     ASSERT_TRUE(store->MakeDurable("/store", {}, fs).ok());
@@ -2261,6 +2397,12 @@ TEST(RecoveryTest, RecoveryWithTwoDictionariesBuildsOneSuffixArray) {
       }
     }
     ASSERT_EQ(store->epoch()->append_dictionaries().size(), 2u);
+    // The twin seals its tail on a copy of the disk, leaving the
+    // recoveries below the unsealed one.
+    const std::shared_ptr<FaultFs> twin_fs = fs->DurableClone();
+    ASSERT_TRUE(store->SealTail().ok());
+    twin_shard = store->shard(store->num_shards() - 1).Serialize();
+    fs = twin_fs;
   }
   for (const bool writable : {true, false}) {
     OpenOptions options;
@@ -2270,26 +2412,21 @@ TEST(RecoveryTest, RecoveryWithTwoDictionariesBuildsOneSuffixArray) {
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     const auto epoch = (*recovered)->epoch();
     ASSERT_EQ(epoch->append_dictionaries().size(), 2u);
-    std::set<const Dictionary*> matchers;
-    for (const auto& dict : epoch->append_dictionaries()) {
-      if (dict->has_matcher()) matchers.insert(dict.get());
-    }
-    for (int s = 0; s < epoch->num_shards(); ++s) {
-      const Dictionary& dict = epoch->shard(s).dictionary();
-      if (dict.has_matcher()) matchers.insert(&dict);
-    }
-    if (writable) {
-      EXPECT_EQ(matchers, std::set<const Dictionary*>{
-                              &epoch->append_dictionary()});
-    } else {
-      EXPECT_TRUE(matchers.empty());
-    }
+    EXPECT_TRUE(MatcherDictionaries(*epoch).empty());
     std::string doc;
     const size_t first = (*recovered)->num_docs() - docs.size();
     for (size_t i = 0; i < docs.size(); ++i) {
       ASSERT_TRUE((*recovered)->Get(first + i, &doc).ok()) << i;
       EXPECT_EQ(doc, docs[i]) << i;
     }
+    if (!writable) continue;
+    ASSERT_TRUE((*recovered)->SealTail().ok());
+    const auto sealed = (*recovered)->epoch();
+    ASSERT_EQ(sealed->append_dictionaries().size(), 2u);
+    EXPECT_EQ(MatcherDictionaries(*sealed),
+              std::set<const Dictionary*>{&sealed->append_dictionary()});
+    EXPECT_EQ(sealed->shard(sealed->num_shards() - 1).Serialize(),
+              twin_shard);
   }
 }
 

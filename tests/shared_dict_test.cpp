@@ -59,7 +59,7 @@ SavedSeal SaveSealedStore(const std::string& path,
   auto file = ReadFile(path + ".shard0001");
   EXPECT_TRUE(file.ok());
   if (file.ok()) saved.file = std::move(file).value();
-  auto dict = Dictionary::Load(path + ".dict", /*build_suffix_array=*/false);
+  auto dict = Dictionary::Load(path + ".dict");
   EXPECT_TRUE(dict.ok());
   if (dict.ok()) saved.dict = std::move(dict).value();
   for (const char* suffix : {"", ".shard0000", ".shard0001", ".dict"}) {
@@ -190,7 +190,7 @@ TEST(SealedShardFormatTest, WrongDictionaryBindingIsCorruption) {
   // The binding is to the text: another dictionary object with the same
   // text opens the shard; one with other text does not.
   auto same_text = std::make_shared<const Dictionary>(
-      std::string(saved.dict->text()), /*build_suffix_array=*/false);
+      std::string(saved.dict->text()));
   auto shard = OpenShard(saved.file, same_text);
   ASSERT_TRUE(shard.ok()) << shard.status().ToString();
   std::string doc;
@@ -198,8 +198,7 @@ TEST(SealedShardFormatTest, WrongDictionaryBindingIsCorruption) {
   EXPECT_EQ(doc, TailDocs()[1]);
   std::string other_text(saved.dict->text());
   other_text[0] ^= 0x20;
-  auto other = std::make_shared<const Dictionary>(
-      std::move(other_text), /*build_suffix_array=*/false);
+  auto other = std::make_shared<const Dictionary>(std::move(other_text));
   EXPECT_EQ(OpenShard(saved.file, other).status().code(),
             StatusCode::kCorruption);
 }
