@@ -497,7 +497,8 @@ SealSplit RunSealSplit(const Collection& collection,
   constexpr size_t kSealDictBytes = 171000;
   std::unique_ptr<Dictionary> dict = DictionaryBuilder::BuildSampled(
       collection.data(), kSealDictBytes, 1024);
-  dict->matcher();  // built on first use: outside the timed loops
+  dict->UseMatchKeys();  // as the store's append dictionary
+  dict->matcher();       // built on first use: outside the timed loops
   CorpusOptions doc_options = corpus_options;
   doc_options.seed = corpus_options.seed + 1;
   const Collection docs = GenerateCorpus(doc_options).collection;

@@ -20,7 +20,7 @@ Dictionary::Dictionary(std::string_view text,
 const SuffixMatcher& Dictionary::matcher() const {
   std::call_once(matcher_once_, [this] {
     matcher_ = std::make_unique<SuffixMatcher>(view_);
-    matcher_->BuildMatchKeys();
+    if (match_keys_) matcher_->BuildMatchKeys();
     matcher_built_.store(true, std::memory_order_release);
   });
   return *matcher_;

@@ -24,10 +24,11 @@ class ParsedEnvelope;
 /// SuffixMatcher. Immutable once built; memory-resident by design (this is
 /// the property that makes RLZ random access fast, §3.1).
 ///
-/// Decoding reads only the text, so the matcher (suffix array, prefix
-/// table and match keys, DESIGN.md §5.1) is built the first time
-/// matcher() is called, by whichever thread calls it first: a dictionary
-/// that only serves never pays for it.
+/// Decoding reads only the text, so the matcher (suffix array and prefix
+/// table, plus match keys when UseMatchKeys asked for them; DESIGN.md
+/// §5.1) is built the first time matcher() is called, by whichever
+/// thread calls it first: a dictionary that only serves never pays for
+/// it.
 class Dictionary {
  public:
   /// Wraps `text` (copied).
@@ -54,10 +55,16 @@ class Dictionary {
   bool has_matcher() const {
     return matcher_built_.load(std::memory_order_acquire);
   }
-  /// The suffix-array matcher over the dictionary text, with match keys.
-  /// The first call builds it (about 7 ms for 171 KB); concurrent first
+  /// The suffix-array matcher over the dictionary text. The first call
+  /// builds it (about 7 ms for 171 KB with match keys); concurrent first
   /// calls wait for that one build. Thread-safe.
   const SuffixMatcher& matcher() const;
+  /// Makes the matcher, when matcher() builds it, carry the match-key
+  /// array too (SuffixMatcher::BuildMatchKeys): faster factorizing for 4
+  /// bytes per dictionary byte, worth it only for a dictionary that many
+  /// encodes use (the store's append dictionary, DESIGN.md §5.1). Call
+  /// it before the dictionary is shared.
+  void UseMatchKeys() { match_keys_ = true; }
   /// CRC-32 of the text, computed on the first call: the binding an
   /// "rlzshard" file records and checks (RlzArchive). Thread-safe.
   uint32_t crc() const;
@@ -88,6 +95,7 @@ class Dictionary {
   std::shared_ptr<const void> owner_;  // keeps aliased bytes alive
   // Built once, on the first matcher() call; matcher_built_ publishes it
   // to has_matcher() without racing that build.
+  bool match_keys_ = false;
   mutable std::once_flag matcher_once_;
   mutable std::unique_ptr<SuffixMatcher> matcher_;
   mutable std::atomic<bool> matcher_built_{false};

@@ -214,9 +214,12 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
   // The first append dictionary: sampled across the whole build-time
   // corpus, so tail seals encode against content representative of the
   // initial crawl — until the crawl drifts (§3.6) and a seal replaces it
-  // (RefreshDueLocked). Its matcher is built by the first seal.
-  sealed->append_dicts.push_back(DictionaryBuilder::BuildSampled(
-      collection.data(), shard_dict_bytes, kSampleBytes));
+  // (RefreshDueLocked). Every seal factorizes against the current one,
+  // so it alone carries match keys; the first seal builds its matcher.
+  std::unique_ptr<Dictionary> append_dict = DictionaryBuilder::BuildSampled(
+      collection.data(), shard_dict_bytes, kSampleBytes);
+  append_dict->UseMatchKeys();
+  sealed->append_dicts.push_back(std::move(append_dict));
   store->sealed_ = std::move(sealed);
   store->shard_files_.assign(nshards, std::string());
   store->dict_files_.assign(1, std::string());
@@ -375,8 +378,10 @@ Status ShardedStore::ApplySealLocked(bool refresh) {
     std::string text;
     text.reserve(tail_.bytes());
     for (std::string_view doc : docs) text.append(doc);
-    dict = DictionaryBuilder::BuildSampled(text, shard_dict_bytes_,
-                                           kSampleBytes);
+    std::unique_ptr<Dictionary> fresh = DictionaryBuilder::BuildSampled(
+        text, shard_dict_bytes_, kSampleBytes);
+    fresh->UseMatchKeys();
+    dict = std::move(fresh);
   }
   RlzBuildInfo info;
   std::shared_ptr<const RlzArchive> sealed =
@@ -762,8 +767,8 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
 
   // The append dictionaries first: every "rlzshard" shard decodes
   // against one of these objects. None gets a suffix array here: the
-  // first seal builds the current one's, and nothing encodes against a
-  // retired one again.
+  // first seal builds the current one's, with match keys, and nothing
+  // encodes against a retired one again.
   auto sealed = std::make_shared<ShardSet>();
   const size_t ndicts = manifest.dict_names.size();
   for (size_t d = 0; d < ndicts; ++d) {
@@ -777,6 +782,7 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromManifest(
     if (raw.map != nullptr) raw.map->Advise(MmapFile::Access::kRandom);
     RLZ_ASSIGN_OR_RETURN(std::unique_ptr<Dictionary> dict,
                          Dictionary::FromEnvelope(envelope));
+    if (d + 1 == ndicts) dict->UseMatchKeys();
     sealed->append_dicts.push_back(std::move(dict));
   }
 

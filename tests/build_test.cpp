@@ -534,13 +534,15 @@ TEST(DictionaryMatcherTest, PoolWorkersRacingTheFirstCallShareOneBuild) {
   // A dictionary builds its matcher on the first matcher() call. Pool
   // workers that make that call on a fresh dictionary at once all get
   // the one matcher it built, and factorize exactly as a serial pass
-  // against a second dictionary of the same text.
+  // against a second dictionary of the same text, which has no match
+  // keys.
   CorpusOptions corpus_options;
   corpus_options.target_bytes = 128 << 10;
   corpus_options.seed = 211;
   const Collection collection = GenerateCorpus(corpus_options).collection;
   const std::shared_ptr<const Dictionary> dict =
       DictionaryBuilder::BuildSampled(collection.data(), 16 << 10, 512);
+  std::const_pointer_cast<Dictionary>(dict)->UseMatchKeys();
   ASSERT_FALSE(dict->has_matcher());
 
   constexpr int kWorkers = 4;
@@ -571,6 +573,7 @@ TEST(DictionaryMatcherTest, PoolWorkersRacingTheFirstCallShareOneBuild) {
   pipeline.Finish();
   EXPECT_EQ(matchers.size(), 1u);
   EXPECT_TRUE(dict->has_matcher());
+  EXPECT_GT(dict->matcher().match_keys_bytes(), 0u);
 
   const Dictionary twin{std::string(dict->text())};
   Factorizer serial(&twin);

@@ -651,9 +651,11 @@ TEST(LiveStoreTest, WritableOpenBuildsNoShardSuffixArrays) {
   expected.push_back("appended after a writable open");
   ASSERT_TRUE(reopened->SealTail().ok());
   EXPECT_EQ(reopened->epoch()->tail_docs(), 0u);
-  // The seal built the one suffix array, its dictionary's.
+  // The seal built the one suffix array, its dictionary's, and that
+  // alone carries match keys.
   const auto sealed = reopened->epoch();
   EXPECT_TRUE(sealed->append_dictionary().has_matcher());
+  EXPECT_GT(sealed->append_dictionary().matcher().match_keys_bytes(), 0u);
   for (int s = 0; s < sealed->num_shards(); ++s) {
     if (!sealed->shard(s).SharesDictionary(sealed->append_dictionary())) {
       EXPECT_FALSE(sealed->shard(s).dictionary().has_matcher()) << s;
@@ -667,6 +669,11 @@ TEST(LiveStoreTest, WritableOpenBuildsNoShardSuffixArrays) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->compacted);
   EXPECT_EQ(report->shard, 0);
+  // The victim's re-sampled dictionary was factorized against once,
+  // without match keys.
+  const Dictionary& resampled = reopened->epoch()->shard(0).dictionary();
+  EXPECT_TRUE(resampled.has_matcher());
+  EXPECT_EQ(resampled.matcher().match_keys_bytes(), 0u);
 
   std::string doc;
   for (size_t d = 0; d < expected.size(); ++d) {

@@ -2317,6 +2317,10 @@ TEST(RecoveryTest, ReplayedRefreshReproducesDictionaryAndShards) {
     EXPECT_EQ(epoch->shard_dictionary(s), crashed_epoch->shard_dictionary(s))
         << s;
   }
+  // Replay built one suffix array, the refreshed current dictionary's:
+  // the retired one, current when the checkpoint was opened, got none.
+  EXPECT_EQ(MatcherDictionaries(*epoch),
+            std::set<const Dictionary*>{&epoch->append_dictionary()});
   EXPECT_TRUE(recovered->Append("appended after recovery").ok());
   EXPECT_TRUE(recovered->SealTail().ok());
 }
@@ -2425,6 +2429,7 @@ TEST(RecoveryTest, RecoveryWithTwoDictionariesBuildsOneSuffixArray) {
     ASSERT_EQ(sealed->append_dictionaries().size(), 2u);
     EXPECT_EQ(MatcherDictionaries(*sealed),
               std::set<const Dictionary*>{&sealed->append_dictionary()});
+    EXPECT_GT(sealed->append_dictionary().matcher().match_keys_bytes(), 0u);
     EXPECT_EQ(sealed->shard(sealed->num_shards() - 1).Serialize(),
               twin_shard);
   }
